@@ -226,10 +226,24 @@ def parse_config(text):
             if key not in values:
                 violations.append(f"key {key!r}: required for scenario 'pde_residual'")
 
+    _check_seed(values, violations)
     _check_grid_alignment(values, violations)
     if violations:
         raise ConfigError(violations)
     return ScenarioConfig(scenario=scenario, seed=values["seed"], values=values)
+
+
+def _check_seed(values, violations):
+    # runners derive seed + level, seed + 1..3 and seed + 101 * probe_id, and
+    # every derived seed must fit the uint64 word of a noise-stream key
+    seed = values["seed"]
+    n_probes = len(values.get("probes.t", ())) * len(values.get("probes.x", ()))
+    largest = 2**64 - 1 - max(3, len(values.get("dt_ladder", ())) - 1, 101 * (n_probes - 1))
+    if not 0 <= seed <= largest:
+        violations.append(
+            f"key 'seed': must lie in [0, {largest}] so that derived seeds fit in uint64, "
+            f"got {seed}"
+        )
 
 
 def _divides(dt, span):
@@ -894,10 +908,6 @@ def main(argv=None):
     parser.add_argument("--preset", metavar="NAME", help="run a shipped preset")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="advisory worker count; results are schedule-independent",
-    )
     parser.add_argument("--list-presets", action="store_true", help="list presets and exit")
     args = parser.parse_args(argv)
 

@@ -4,12 +4,15 @@ The law of the solution is approximated by the empirical measure of N
 interacting particles advanced with explicit Euler steps.  Brownian
 increments come from counter-based Philox streams keyed by
 (seed, domain, particle), so a rerun with the same seed is bit-identical
-regardless of how the work is scheduled.
+regardless of how the work is scheduled.  A counter-based stream is fixed by
+its (key, counter) pair alone, so one Philox generator serves a whole noise
+array: it is re-keyed, with its counter reset, before each particle's draws.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,12 +29,31 @@ DOMAIN_DECOUPLED = 1
 DOMAIN_INIT = 2
 
 
+def _stream_key(seed, particle, domain):
+    """Philox key words [seed ^ mix, (domain << 48) + particle], as Python ints.
+
+    Seed, particle and domain must be integers in [0, 2**64), [0, 2**48) and
+    [0, 2**16), the ranges in which distinct triples give distinct keys;
+    anything else raises ContractError.  Hand the words to numpy as a uint64
+    array: a plain list of them is read as float64 and loses low bits.
+    """
+    words = []
+    fields = (("seed", seed, 64), ("particle", particle, 48), ("domain", domain, 16))
+    for name, value, bits in fields:
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ContractError(f"stream {name} must be an integer, got {value!r}") from None
+        if not 0 <= value < 1 << bits:
+            raise ContractError(f"stream {name} {value} is outside [0, 2**{bits})")
+        words.append(value)
+    seed, particle, domain = words
+    return [seed ^ 0x9E3779B97F4A7C15, (domain << 48) + particle]
+
+
 def particle_stream(seed, particle, domain=DOMAIN_INTERACTING):
     """Philox generator for one particle's noise, independent of all others."""
-    key = np.array(
-        [np.uint64(seed) ^ np.uint64(0x9E3779B97F4A7C15), np.uint64((domain << 48) + particle)],
-        dtype=np.uint64,
-    )
+    key = np.array(_stream_key(seed, particle, domain), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -44,13 +66,28 @@ _NOISE_CACHE_SIZE = 2
 
 
 def _raw_normals(seed, n_particles, n_steps, m, domain):
-    key = (int(seed), int(n_particles), int(m), int(domain))
+    # particle 0's stream key stands for (seed, domain) and validates both
+    # before a cached entry can be returned
+    word0, word1 = _stream_key(seed, 0, domain)
+    key = (word0, word1, int(n_particles), int(m))
     cached = _NOISE_CACHE.get(key)
     if cached is None or cached.shape[0] < n_steps:
+        # One generator serves every particle: re-keying its Philox with the
+        # counter and output buffer reset gives exactly the draws of
+        # particle_stream(seed, i, domain), at a fraction of the cost of
+        # constructing a generator (which also reads OS entropy) per particle.
+        # Particle i's key is particle 0's with i added to the second word; a
+        # Python loop over particles never gets near 2**48, where i would
+        # carry into the domain bits.
+        bits = np.random.Philox()
+        gen = np.random.Generator(bits)
+        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         raw = np.empty((n_steps, n_particles, m))
         for i in range(n_particles):
-            g = particle_stream(seed, i, domain)
-            raw[:, i, :] = g.standard_normal((n_steps, m))
+            state["state"]["key"] = [word0, word1 + i]
+            bits.state = state
+            raw[:, i, :] = gen.standard_normal((n_steps, m))
         raw.flags.writeable = False
         while len(_NOISE_CACHE) >= _NOISE_CACHE_SIZE and key not in _NOISE_CACHE:
             _NOISE_CACHE.pop(next(iter(_NOISE_CACHE)))

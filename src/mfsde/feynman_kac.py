@@ -28,15 +28,6 @@ from .generator import generator_parts
 from .measure import EmpiricalMeasure
 
 
-def as_field(f):
-    """Batched field (t, X, mu) -> (B,) from a cylindrical function."""
-
-    def field(t, X, mu):
-        return np.asarray(f.outer.value(t, np.atleast_2d(X), f.inner_integrals(mu)))
-
-    return field
-
-
 @dataclass(frozen=True)
 class McSolution:
     """One Monte Carlo evaluation of a value function."""

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -85,6 +86,28 @@ def test_missing_required_keys_named():
         assert f"'{key}'" in text
 
 
+@pytest.mark.parametrize(
+    "text, seed",
+    [
+        (MINIMAL_ITO, -3),
+        (MINIMAL_ITO, 2**64),
+        # every config leaves room for flow_property's seed + 3
+        (MINIMAL_ITO, 2**64 - 3),
+        # six probes derive seeds up to seed + 101 * 5
+        (PRESETS["feynman-kac-heat"], 2**64 - 505),
+    ],
+)
+def test_seed_outside_uint64_rejected(text, seed):
+    text = "\n".join(line for line in text.splitlines() if not line.startswith("seed"))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text + f"\nseed = {seed}\n")
+    assert any("key 'seed'" in v for v in exc.value.violations)
+
+
+def test_largest_seed_accepted():
+    assert parse_config(MINIMAL_ITO + f"seed = {2**64 - 4}\n").seed == 2**64 - 4
+
+
 def test_times_must_be_increasing_and_aligned():
     base = """
 scenario = flow_property
@@ -149,6 +172,56 @@ def test_csv_byte_identical_across_reruns(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+# SHA-256 of every artifact of each preset that runs in about a second,
+# recorded with numpy 2.4.6 and scipy 1.17.1; a change that is meant to keep
+# outputs bit-identical must leave these untouched
+GOLDEN = {
+    "feynman-kac-source-const": {
+        "feynman_kac_source.csv": "669eded7fc170dcf577cd552fa79b898f1afd8902a144a5a2e602f2e1d689df0",
+        "summary.txt": "ba94364a6f3bcea71ce77bc5566f2ace4629080fe7a0a4e3cc9eb77b391d7f4f",
+    },
+    "flow-property-ou": {
+        "flow_property.csv": "d843ff680458ebec88a5712bc5e0828b1c1c6be1c076c404dc68d1893d933d5e",
+        "summary.txt": "96028a9f32156cd4478d0169830ef9660c22d57525bc7a8fe781e431bcdc98d7",
+    },
+    "ito-residual-meanfield": {
+        "ito_residual.csv": "d6a831de9d2d4092ed84f788008edfa9514424a27a6ea2df442ce1b5c3f1bbc2",
+        "summary.txt": "738bf21082d3409027b529f860f592d8aa1e5b266b52c09d64fcc38ff599c6c2",
+    },
+    "lderivative-oracle": {
+        "lderivative_check.csv": "847c510021b8569d9d3c339d8272870cb6be9e55853cc92a55acbe21a26b2a14",
+        "summary.txt": "12b17962ed00b12cfacfdfc958c1f44edc907a7140737813c4878e6adb6d3346",
+    },
+    "npy-identity": {
+        "npy_identity.csv": "f8c1211287c11a450d10f16e10d0bc10c792bf4e45ec5c0f3adc738c0b269d76",
+        "summary.txt": "fd44ed9ce90731ce8305a3f6bc1d5cd290bd19b8fe2f425b2639b08b5f5198af",
+    },
+    "path-independence-falsified": {
+        "path_independence.csv": "694b162de660eadf525f7135576a91ebd4121cb4e4b18c8ba7b1e1567ea1c2ab",
+        "summary.txt": "a2b199827211721dae63f515e0bc622b1c986473445fb3d08059fb5380499181",
+    },
+    "path-independence-forward": {
+        "path_independence.csv": "f58f16a14bc38bc54aa68f0a2aed3ceef150d21ae6c5bb84f4337074017ce437",
+        "summary.txt": "15b8144ebb1d6533c769ca0117bab3ddca4dc29a25d3ae7d51b237fb572e0950",
+    },
+    "w2-selftest": {
+        "summary.txt": "09b4e66bae3ab60a32b84ca13aa237867ace9d4987205af42c02968424a8a5b5",
+        "w2_selftest.csv": "f7e6d7644edf7ee9f3708818cd2e29f65bb6936507b3143a75cdf75480fd0e0c",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_preset_artifacts_match_golden_hashes(name, tmp_path):
+    run_scenario(parse_config(PRESETS[name]), str(tmp_path))
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.iterdir()
+        if p.suffix == ".csv" or p.name == "summary.txt"
+    }
+    assert digests == GOLDEN[name]
+
+
 def test_seed_changes_output(tmp_path):
     cfg_a = parse_config(PRESETS["w2-selftest"])
     cfg_b = parse_config(PRESETS["w2-selftest"].replace("seed = 31", "seed = 77"))
@@ -187,6 +260,14 @@ def test_main_config_file_and_seed_override(tmp_path, capsys):
     assert status == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert all(SUMMARY_LINE.match(line) for line in out)
+
+
+def test_main_negative_seed_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "neg.cfg"
+    cfg_path.write_text(MINIMAL_ITO + "seed = -3\n")
+    status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert "key 'seed'" in capsys.readouterr().err
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

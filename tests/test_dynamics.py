@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +15,12 @@ from mfsde import (
     simulate_mckean_vlasov,
     wasserstein2,
 )
+import mfsde.dynamics as dynamics
 from mfsde.dynamics import (
     COEFFICIENT_NAMES,
+    DOMAIN_DECOUPLED,
+    DOMAIN_INIT,
+    DOMAIN_INTERACTING,
     brownian_increments,
     particle_stream,
     spot_check_lipschitz,
@@ -46,6 +52,61 @@ def test_increment_prefix_consistency():
     short = brownian_increments(42, 10, 6, 2, 0.01)
     long = brownian_increments(42, 10, 20, 2, 0.01)
     assert np.array_equal(short, long[:6])
+
+
+@pytest.mark.parametrize("seed", [5, 2**63 + 7])
+@pytest.mark.parametrize("domain", [DOMAIN_INTERACTING, DOMAIN_DECOUPLED, DOMAIN_INIT])
+@pytest.mark.parametrize("m", [1, 2])
+def test_increments_match_per_particle_streams(seed, domain, m):
+    dynamics._NOISE_CACHE.clear()
+    n_particles, n_steps, dt = 7, 6, 0.04
+    dw = brownian_increments(seed, n_particles, n_steps, m, dt, domain)
+    ref = np.empty((n_steps, n_particles, m))
+    for i in range(n_particles):
+        ref[:, i, :] = particle_stream(seed, i, domain).standard_normal((n_steps, m))
+    assert np.array_equal(dw, np.sqrt(dt) * ref)
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((7, 6, 5, 2, 0.01, DOMAIN_INTERACTING),
+         "e0fe10e0cbb18a302d4eae96d04513b868a308391f7b754de35da1bd997d0875"),
+        ((2**63 + 5, 6, 5, 2, 0.01, DOMAIN_DECOUPLED),
+         "dc129269006613754393db6593bb81febf16c4d362f15ff1a298d6ecd6570966"),
+        ((3, 4, 3, 1, 0.01, DOMAIN_INIT),
+         "ad407e7d75e119fa625aa3f95b6a4a3553e53e4c2194b5eb50a4163bc2854934"),
+    ],
+)
+def test_increments_pinned_digest(args, digest):
+    # digests of the realised noise (float64, native byte order); a change
+    # here re-realises every stochastic output of the package
+    dynamics._NOISE_CACHE.clear()
+    assert hashlib.sha256(brownian_increments(*args).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(-1, 0), (2**64, 0), (0, -1), (0, 2**48, 0), (0, 0, -1), (0, 0, 2**16), (0.5, 0)],
+)
+def test_stream_key_out_of_range_rejected(args):
+    with pytest.raises(ContractError):
+        particle_stream(*args)
+
+
+def test_stream_key_extremes_accepted():
+    particle_stream(2**64 - 1, 2**48 - 1, 2**16 - 1).standard_normal()
+    assert particle_stream(np.int64(3), np.uint64(1)).standard_normal() == (
+        particle_stream(3, 1).standard_normal()
+    )
+
+
+def test_increments_reject_invalid_seed_even_when_cached():
+    with pytest.raises(ContractError):
+        brownian_increments(-3, 2, 2, 1, 0.1)
+    brownian_increments(1, 2, 2, 1, 0.1)
+    with pytest.raises(ContractError):
+        brownian_increments(1.5, 2, 2, 1, 0.1)
 
 
 def test_increment_variance_scales_with_dt():
