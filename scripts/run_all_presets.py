@@ -4,10 +4,13 @@
 Each preset writes its artifacts under <out>/<preset-name>/; the script
 exits nonzero iff a preset other than the deliberate falsification run
 fails.  The falsification preset is expected to FAIL and is reported as
-"FAIL (expected)".
+"FAIL (expected)".  Under each preset line it prints the SHA-256 of every
+artifact that preset wrote, so two runs compare with one ``diff``.
 """
 
 import argparse
+import hashlib
+import os
 import sys
 import time
 
@@ -16,15 +19,31 @@ from mfsde.cli import PRESETS, main as cli_main
 EXPECTED_FAIL = {"path-independence-falsified"}
 
 
+def artifact_hashes(out_dir):
+    """(relative path, SHA-256 hex digest) of every file under out_dir, sorted."""
+    out = []
+    for root, dirs, files in os.walk(out_dir):
+        dirs.sort()
+        for name in sorted(files):
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            out.append((os.path.relpath(path, out_dir), digest))
+    return out
+
+
 def run(out_root):
     bad = []
     for name in sorted(PRESETS):
         start = time.perf_counter()
-        status = cli_main(["--preset", name, "--out", f"{out_root}/{name}"])
+        out_dir = f"{out_root}/{name}"
+        status = cli_main(["--preset", name, "--out", out_dir])
         elapsed = time.perf_counter() - start
         expected = 1 if name in EXPECTED_FAIL else 0
         note = " (expected)" if name in EXPECTED_FAIL and status == 1 else ""
         print(f"== {name}: exit {status}{note}  [{elapsed:.1f}s]")
+        for rel, digest in artifact_hashes(out_dir):
+            print(f"   {digest}  {rel}")
         if status != expected:
             bad.append(name)
     if bad:

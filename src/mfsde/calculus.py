@@ -146,7 +146,9 @@ class OuterFunction:
     """Outer function F(t, x, r) with its partial derivatives.
 
     Arguments broadcast: t scalar, x (..., d), r (n,).  Missing evaluators
-    (None) raise CapabilityError when requested through a bundle.
+    (None) raise CapabilityError when requested through :meth:`partial`.
+    Catalog entries from :func:`make_outer` have every partial; the ones an
+    entry does not spell out are identically zero.
     """
 
     name: str
@@ -156,32 +158,15 @@ class OuterFunction:
     dx: Callable = None
     dxx: Callable = None
     dr: Callable = None
-    drr: Callable = None
-    dx_dr: Callable = None
 
-
-def _zeros_like_x(x):
-    return np.zeros(np.asarray(x).shape)
-
-
-def _zeros_xx(x):
-    x = np.asarray(x)
-    return np.zeros(x.shape + (x.shape[-1],))
-
-
-def _zeros_r(x, n):
-    x = np.asarray(x)
-    return np.zeros(x.shape[:-1] + (n,))
-
-
-def _zeros_rr(x, n):
-    x = np.asarray(x)
-    return np.zeros(x.shape[:-1] + (n, n))
-
-
-def _zeros_x_r(x, n):
-    x = np.asarray(x)
-    return np.zeros(x.shape + (n,))
+    def partial(self, which):
+        """Evaluator of the partial ``which``; CapabilityError if it is missing."""
+        fn = getattr(self, which)
+        if fn is None:
+            raise CapabilityError(
+                f"outer function {self.name} lacks evaluator {which!r}"
+            )
+        return fn
 
 
 def _scalar_field(x, c):
@@ -189,282 +174,172 @@ def _scalar_field(x, c):
     return np.full(x.shape[:-1], float(c))
 
 
+# zero partials: dt (...,), dx (..., d), dxx (..., d, d), dr (..., n)
+
+
+def _zero_dt(t, x, r):
+    return _scalar_field(x, 0.0)
+
+
+def _zero_dx(t, x, r):
+    return np.zeros(np.asarray(x).shape)
+
+
+def _zero_dxx(t, x, r):
+    x = np.asarray(x)
+    return np.zeros(x.shape + (x.shape[-1],))
+
+
+def _zero_dr(t, x, r):
+    return np.zeros(np.asarray(x).shape[:-1] + (len(r),))
+
+
+def _catalog_outer(name, value, n_inner=None, dt=_zero_dt, dx=_zero_dx,
+                   dxx=_zero_dxx, dr=_zero_dr):
+    """Catalog entry whose partials default to zero."""
+    return OuterFunction(name, n_inner, value, dt=dt, dx=dx, dxx=dxx, dr=dr)
+
+
+def _single_entry(zeros, i, entry):
+    """Partial equal to ``zeros`` except entry(t, x, r) at index i of the last axis."""
+
+    def partial(t, x, r):
+        out = zeros(t, x, r)
+        out[..., i] = entry(t, x, r)
+        return out
+
+    return partial
+
+
+def _x_norm_sq(t, x, r):
+    return np.sum(np.asarray(x) ** 2, axis=-1)
+
+
+def _x_norm_sq_dx(t, x, r):
+    return 2.0 * np.asarray(x)
+
+
+def _x_norm_sq_dxx(t, x, r):
+    x = np.asarray(x)
+    d = x.shape[-1]
+    return np.broadcast_to(2.0 * np.eye(d), x.shape + (d,)).copy()
+
+
+def _gauss_quarter(t, x, r):
+    return np.exp(-0.25 * np.sum(np.asarray(x) ** 2, axis=-1))
+
+
+def _gauss_quarter_dx(t, x, r):
+    x = np.asarray(x)
+    return -0.5 * x * _gauss_quarter(t, x, r)[..., None]
+
+
+def _gauss_quarter_dxx(t, x, r):
+    x = np.asarray(x)
+    d = x.shape[-1]
+    v = _gauss_quarter(t, x, r)
+    outer = x[..., :, None] * x[..., None, :]
+    return (0.25 * outer - 0.5 * np.eye(d)) * v[..., None, None]
+
+
+def _log_value(t, x, r):
+    if r[0] <= 0:
+        raise ContractError("log outer requires a positive first integral")
+    return _scalar_field(x, np.log(r[0]))
+
+
+def _product_dr(t, x, r):
+    out = _zero_dr(t, x, r)
+    out[..., 0] = r[1]
+    out[..., 1] = r[0]
+    return out
+
+
 def make_outer(name, **params):
     """Resolve an outer function by catalog identifier.
 
     Catalog: const, mean, sum, square, product, exp, log, coord, time,
     x_norm_sq, x_sq_plus_r1, x1_times_r1, time_times_r1, x_sq_plus_c_minus_t,
-    gauss_quarter.
+    gauss_quarter.  Each entry lists only its nonzero partials.
     """
     if name == "const":
         c = float(params.get("c", 1.0))
-        return OuterFunction(
-            f"const({c})", None,
-            value=lambda t, x, r: _scalar_field(x, c),
-            dt=lambda t, x, r: _scalar_field(x, 0.0),
-            dx=lambda t, x, r: _zeros_like_x(x),
-            dxx=lambda t, x, r: _zeros_xx(x),
-            dr=lambda t, x, r: _zeros_r(x, len(r)),
-            drr=lambda t, x, r: _zeros_rr(x, len(r)),
-            dx_dr=lambda t, x, r: _zeros_x_r(x, len(r)),
-        )
-    if name == "mean":
-        # F = r_1
-        def dr(t, x, r):
-            out = _zeros_r(x, len(r))
-            out[..., 0] = 1.0
-            return out
-
-        return OuterFunction(
-            "mean", None,
-            value=lambda t, x, r: _scalar_field(x, 0.0) + r[0],
-            dt=lambda t, x, r: _scalar_field(x, 0.0),
-            dx=lambda t, x, r: _zeros_like_x(x),
-            dxx=lambda t, x, r: _zeros_xx(x),
-            dr=dr,
-            drr=lambda t, x, r: _zeros_rr(x, len(r)),
-            dx_dr=lambda t, x, r: _zeros_x_r(x, len(r)),
+        return _catalog_outer(f"const({c})", lambda t, x, r: _scalar_field(x, c))
+    if name == "mean":  # F = r_1
+        return _catalog_outer(
+            "mean", lambda t, x, r: _scalar_field(x, 0.0) + r[0],
+            dr=_single_entry(_zero_dr, 0, lambda t, x, r: 1.0),
         )
     if name == "sum":
-        return OuterFunction(
-            "sum", None,
-            value=lambda t, x, r: _scalar_field(x, float(np.sum(r))),
-            dt=lambda t, x, r: _scalar_field(x, 0.0),
-            dx=lambda t, x, r: _zeros_like_x(x),
-            dxx=lambda t, x, r: _zeros_xx(x),
-            dr=lambda t, x, r: _zeros_r(x, len(r)) + 1.0,
-            drr=lambda t, x, r: _zeros_rr(x, len(r)),
-            dx_dr=lambda t, x, r: _zeros_x_r(x, len(r)),
+        return _catalog_outer(
+            "sum", lambda t, x, r: _scalar_field(x, float(np.sum(r))),
+            dr=lambda t, x, r: _zero_dr(t, x, r) + 1.0,
         )
-    if name == "square":
-        # F = r_1^2
-        def dr(t, x, r):
-            out = _zeros_r(x, len(r))
-            out[..., 0] = 2.0 * r[0]
-            return out
-
-        def drr(t, x, r):
-            out = _zeros_rr(x, len(r))
-            out[..., 0, 0] = 2.0
-            return out
-
-        return OuterFunction(
-            "square", None,
-            value=lambda t, x, r: _scalar_field(x, r[0] ** 2),
-            dt=lambda t, x, r: _scalar_field(x, 0.0),
-            dx=lambda t, x, r: _zeros_like_x(x),
-            dxx=lambda t, x, r: _zeros_xx(x),
-            dr=dr, drr=drr,
-            dx_dr=lambda t, x, r: _zeros_x_r(x, len(r)),
+    if name == "square":  # F = r_1^2
+        return _catalog_outer(
+            "square", lambda t, x, r: _scalar_field(x, r[0] ** 2),
+            dr=_single_entry(_zero_dr, 0, lambda t, x, r: 2.0 * r[0]),
         )
-    if name == "product":
-        # F = r_1 r_2
-        def dr(t, x, r):
-            out = _zeros_r(x, len(r))
-            out[..., 0] = r[1]
-            out[..., 1] = r[0]
-            return out
-
-        def drr(t, x, r):
-            out = _zeros_rr(x, len(r))
-            out[..., 0, 1] = 1.0
-            out[..., 1, 0] = 1.0
-            return out
-
-        return OuterFunction(
-            "product", 2,
-            value=lambda t, x, r: _scalar_field(x, r[0] * r[1]),
-            dt=lambda t, x, r: _scalar_field(x, 0.0),
-            dx=lambda t, x, r: _zeros_like_x(x),
-            dxx=lambda t, x, r: _zeros_xx(x),
-            dr=dr, drr=drr,
-            dx_dr=lambda t, x, r: _zeros_x_r(x, len(r)),
+    if name == "product":  # F = r_1 r_2
+        return _catalog_outer(
+            "product", lambda t, x, r: _scalar_field(x, r[0] * r[1]), n_inner=2,
+            dr=_product_dr,
         )
-    if name == "exp":
-        # F = exp(r_1)
-        def dr(t, x, r):
-            out = _zeros_r(x, len(r))
-            out[..., 0] = np.exp(r[0])
-            return out
-
-        def drr(t, x, r):
-            out = _zeros_rr(x, len(r))
-            out[..., 0, 0] = np.exp(r[0])
-            return out
-
-        return OuterFunction(
-            "exp", None,
-            value=lambda t, x, r: _scalar_field(x, np.exp(r[0])),
-            dt=lambda t, x, r: _scalar_field(x, 0.0),
-            dx=lambda t, x, r: _zeros_like_x(x),
-            dxx=lambda t, x, r: _zeros_xx(x),
-            dr=dr, drr=drr,
-            dx_dr=lambda t, x, r: _zeros_x_r(x, len(r)),
+    if name == "exp":  # F = exp(r_1)
+        return _catalog_outer(
+            "exp", lambda t, x, r: _scalar_field(x, np.exp(r[0])),
+            dr=_single_entry(_zero_dr, 0, lambda t, x, r: np.exp(r[0])),
         )
-    if name == "log":
-        # F = log(r_1), r_1 > 0
-        def value(t, x, r):
-            if r[0] <= 0:
-                raise ContractError("log outer requires a positive first integral")
-            return _scalar_field(x, np.log(r[0]))
-
-        def dr(t, x, r):
-            out = _zeros_r(x, len(r))
-            out[..., 0] = 1.0 / r[0]
-            return out
-
-        def drr(t, x, r):
-            out = _zeros_rr(x, len(r))
-            out[..., 0, 0] = -1.0 / r[0] ** 2
-            return out
-
-        return OuterFunction(
-            "log", None, value=value,
-            dt=lambda t, x, r: _scalar_field(x, 0.0),
-            dx=lambda t, x, r: _zeros_like_x(x),
-            dxx=lambda t, x, r: _zeros_xx(x),
-            dr=dr, drr=drr,
-            dx_dr=lambda t, x, r: _zeros_x_r(x, len(r)),
+    if name == "log":  # F = log(r_1), r_1 > 0
+        return _catalog_outer(
+            "log", _log_value,
+            dr=_single_entry(_zero_dr, 0, lambda t, x, r: 1.0 / r[0]),
         )
     if name == "coord":
         i = int(params.get("i", 0))
-
-        def dx(t, x, r):
-            out = _zeros_like_x(x)
-            out[..., i] = 1.0
-            return out
-
-        return OuterFunction(
-            f"coord({i})", None,
-            value=lambda t, x, r: np.asarray(x)[..., i],
-            dt=lambda t, x, r: _scalar_field(x, 0.0),
-            dx=dx,
-            dxx=lambda t, x, r: _zeros_xx(x),
-            dr=lambda t, x, r: _zeros_r(x, len(r)),
-            drr=lambda t, x, r: _zeros_rr(x, len(r)),
-            dx_dr=lambda t, x, r: _zeros_x_r(x, len(r)),
+        return _catalog_outer(
+            f"coord({i})", lambda t, x, r: np.asarray(x)[..., i],
+            dx=_single_entry(_zero_dx, i, lambda t, x, r: 1.0),
         )
     if name == "time":
-        return OuterFunction(
-            "time", None,
-            value=lambda t, x, r: _scalar_field(x, t),
+        return _catalog_outer(
+            "time", lambda t, x, r: _scalar_field(x, t),
             dt=lambda t, x, r: _scalar_field(x, 1.0),
-            dx=lambda t, x, r: _zeros_like_x(x),
-            dxx=lambda t, x, r: _zeros_xx(x),
-            dr=lambda t, x, r: _zeros_r(x, len(r)),
-            drr=lambda t, x, r: _zeros_rr(x, len(r)),
-            dx_dr=lambda t, x, r: _zeros_x_r(x, len(r)),
         )
     if name == "x_norm_sq":
-        def dxx(t, x, r):
-            x = np.asarray(x)
-            d = x.shape[-1]
-            return np.broadcast_to(2.0 * np.eye(d), x.shape + (d,)).copy()
-
-        return OuterFunction(
-            "x_norm_sq", None,
-            value=lambda t, x, r: np.sum(np.asarray(x) ** 2, axis=-1),
-            dt=lambda t, x, r: _scalar_field(x, 0.0),
-            dx=lambda t, x, r: 2.0 * np.asarray(x),
-            dxx=dxx,
-            dr=lambda t, x, r: _zeros_r(x, len(r)),
-            drr=lambda t, x, r: _zeros_rr(x, len(r)),
-            dx_dr=lambda t, x, r: _zeros_x_r(x, len(r)),
+        return _catalog_outer(
+            "x_norm_sq", _x_norm_sq, dx=_x_norm_sq_dx, dxx=_x_norm_sq_dxx
         )
-    if name == "x_sq_plus_r1":
-        # F = |x|^2 + r_1
-        base = make_outer("x_norm_sq")
-
-        def dr(t, x, r):
-            out = _zeros_r(x, len(r))
-            out[..., 0] = 1.0
-            return out
-
-        return OuterFunction(
-            "x_sq_plus_r1", None,
-            value=lambda t, x, r: base.value(t, x, r) + r[0],
-            dt=base.dt, dx=base.dx, dxx=base.dxx,
-            dr=dr, drr=base.drr, dx_dr=base.dx_dr,
+    if name == "x_sq_plus_r1":  # F = |x|^2 + r_1
+        return _catalog_outer(
+            "x_sq_plus_r1", lambda t, x, r: _x_norm_sq(t, x, r) + r[0],
+            dx=_x_norm_sq_dx, dxx=_x_norm_sq_dxx,
+            dr=_single_entry(_zero_dr, 0, lambda t, x, r: 1.0),
         )
-    if name == "x1_times_r1":
-        # F = x_1 * r_1
-        def dx(t, x, r):
-            out = _zeros_like_x(x)
-            out[..., 0] = r[0]
-            return out
-
-        def dr(t, x, r):
-            out = _zeros_r(x, len(r))
-            out[..., 0] = np.asarray(x)[..., 0]
-            return out
-
-        def dx_dr(t, x, r):
-            out = _zeros_x_r(x, len(r))
-            out[..., 0, 0] = 1.0
-            return out
-
-        return OuterFunction(
-            "x1_times_r1", None,
-            value=lambda t, x, r: np.asarray(x)[..., 0] * r[0],
-            dt=lambda t, x, r: _scalar_field(x, 0.0),
-            dx=dx,
-            dxx=lambda t, x, r: _zeros_xx(x),
-            dr=dr,
-            drr=lambda t, x, r: _zeros_rr(x, len(r)),
-            dx_dr=dx_dr,
+    if name == "x1_times_r1":  # F = x_1 r_1
+        return _catalog_outer(
+            "x1_times_r1", lambda t, x, r: np.asarray(x)[..., 0] * r[0],
+            dx=_single_entry(_zero_dx, 0, lambda t, x, r: r[0]),
+            dr=_single_entry(_zero_dr, 0, lambda t, x, r: np.asarray(x)[..., 0]),
         )
-    if name == "time_times_r1":
-        # F = t * r_1
-        def dr(t, x, r):
-            out = _zeros_r(x, len(r))
-            out[..., 0] = t
-            return out
-
-        return OuterFunction(
-            "time_times_r1", None,
-            value=lambda t, x, r: _scalar_field(x, t * r[0]),
+    if name == "time_times_r1":  # F = t r_1
+        return _catalog_outer(
+            "time_times_r1", lambda t, x, r: _scalar_field(x, t * r[0]),
             dt=lambda t, x, r: _scalar_field(x, r[0]),
-            dx=lambda t, x, r: _zeros_like_x(x),
-            dxx=lambda t, x, r: _zeros_xx(x),
-            dr=dr,
-            drr=lambda t, x, r: _zeros_rr(x, len(r)),
-            dx_dr=lambda t, x, r: _zeros_x_r(x, len(r)),
+            dr=_single_entry(_zero_dr, 0, lambda t, x, r: t),
         )
     if name == "x_sq_plus_c_minus_t":
         # F = |x|^2 + c - t, the heat-equation reference solution for c = T
         c = float(params.get("c", 1.0))
-        base = make_outer("x_norm_sq")
-        return OuterFunction(
-            f"x_sq_plus_c_minus_t({c})", None,
-            value=lambda t, x, r: base.value(t, x, r) + c - t,
+        return _catalog_outer(
+            f"x_sq_plus_c_minus_t({c})", lambda t, x, r: _x_norm_sq(t, x, r) + c - t,
             dt=lambda t, x, r: _scalar_field(x, -1.0),
-            dx=base.dx, dxx=base.dxx,
-            dr=base.dr, drr=base.drr, dx_dr=base.dx_dr,
+            dx=_x_norm_sq_dx, dxx=_x_norm_sq_dxx,
         )
-    if name == "gauss_quarter":
-        # F = exp(-|x|^2 / 4): strictly positive terminal datum
-        def value(t, x, r):
-            return np.exp(-0.25 * np.sum(np.asarray(x) ** 2, axis=-1))
-
-        def dx(t, x, r):
-            x = np.asarray(x)
-            return -0.5 * x * value(t, x, r)[..., None]
-
-        def dxx(t, x, r):
-            x = np.asarray(x)
-            d = x.shape[-1]
-            v = value(t, x, r)
-            outer = x[..., :, None] * x[..., None, :]
-            return (0.25 * outer - 0.5 * np.eye(d)) * v[..., None, None]
-
-        return OuterFunction(
-            "gauss_quarter", None,
-            value=value,
-            dt=lambda t, x, r: _scalar_field(x, 0.0),
-            dx=dx, dxx=dxx,
-            dr=lambda t, x, r: _zeros_r(x, len(r)),
-            drr=lambda t, x, r: _zeros_rr(x, len(r)),
-            dx_dr=lambda t, x, r: _zeros_x_r(x, len(r)),
+    if name == "gauss_quarter":  # F = exp(-|x|^2 / 4): strictly positive datum
+        return _catalog_outer(
+            "gauss_quarter", _gauss_quarter,
+            dx=_gauss_quarter_dx, dxx=_gauss_quarter_dxx,
         )
     raise ContractError(f"unknown outer function {name!r}")
 
@@ -514,14 +389,6 @@ class CylindricalFunction:
         out = self.outer.value(t, np.asarray(x, dtype=float), r)
         return float(out) if np.ndim(out) == 0 else out
 
-    def _partial(self, which):
-        fn = getattr(self.outer, which)
-        if fn is None:
-            raise CapabilityError(
-                f"outer function {self.outer.name} lacks evaluator {which!r}"
-            )
-        return fn
-
     def l_derivative(self, t, x, mu, y, r=None):
         """d_mu f(t, x, mu)(y) = sum_i dF/dr_i * grad h_i(y)."""
         if r is None:
@@ -530,7 +397,7 @@ class CylindricalFunction:
         out = np.zeros(y.shape)
         if self.inner:
             coeffs = np.asarray(
-                self._partial("dr")(t, np.asarray(x, dtype=float), r)
+                self.outer.partial("dr")(t, np.asarray(x, dtype=float), r)
             ).reshape(-1)
             for i, h in enumerate(self.inner):
                 out += coeffs[i] * h.grad(y)
@@ -544,7 +411,7 @@ class CylindricalFunction:
         out = np.zeros(y.shape + (y.shape[-1],))
         if self.inner:
             coeffs = np.asarray(
-                self._partial("dr")(t, np.asarray(x, dtype=float), r)
+                self.outer.partial("dr")(t, np.asarray(x, dtype=float), r)
             ).reshape(-1)
             for i, h in enumerate(self.inner):
                 out += coeffs[i] * h.hess(y)
@@ -555,9 +422,9 @@ class CylindricalFunction:
         x = np.asarray(x, dtype=float)
         r = self.inner_integrals(mu)
         val = float(self.outer.value(t, x, r))
-        dt = float(self._partial("dt")(t, x, r))
-        dx = np.asarray(self._partial("dx")(t, x, r), dtype=float)
-        dxx = np.asarray(self._partial("dxx")(t, x, r), dtype=float)
+        dt = float(self.outer.partial("dt")(t, x, r))
+        dx = np.asarray(self.outer.partial("dx")(t, x, r), dtype=float)
+        dxx = np.asarray(self.outer.partial("dxx")(t, x, r), dtype=float)
         return DerivativeBundle(
             value=val,
             dt=dt,

@@ -24,7 +24,7 @@ import numpy as np
 from .calculus import CylindricalFunction
 from .dynamics import simulate_decoupled, simulate_mckean_vlasov
 from .errors import CapabilityError, ContractError, DataError
-from .generator import generator_parts
+from .generator import generator_parts, generator_total
 from .measure import EmpiricalMeasure
 
 
@@ -177,8 +177,8 @@ def _finalize_table(rows, min_pass_fraction=0.95):
     return ResidualTable(rows=tuple(rows), verdict=verdict)
 
 
-def _rhs_exact(pde, coeff, V, f_field, beta, t, x, mu, parts):
-    if pde == "linear":
+def _rhs_exact(pde, f_field, beta, t, x, mu, parts):
+    if pde in ("linear", "drift_coupled"):
         return 0.0
     if pde == "source":
         return float(np.asarray(f_field(t, np.atleast_2d(x), mu))[0])
@@ -201,16 +201,11 @@ def pde_residual_exact(V, coeff, pde, probes, mu, f_field=None, beta=None, budge
     rows = []
     for pid, (t, x) in enumerate(probes):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        drift_free = pde == "drift_coupled"
-        parts = generator_parts(coeff, V, t, x_arr[None], mu, drift_free=drift_free)
-        lhs = float(parts["dt"][0] + parts["trace_x"][0] + parts["trace_mu"][0] + parts["drift_mu"][0])
-        if drift_free:
-            lhs += float(parts["nonlinear_sq"][0])
-            rhs = 0.0
-        else:
-            lhs += float(parts["drift_x"][0])
-            rhs = _rhs_exact(pde, coeff, V, f_field, beta, t, x_arr, mu, parts)
-        res = lhs - rhs
+        parts = generator_parts(
+            coeff, V, t, x_arr[None], mu, drift_free=pde == "drift_coupled"
+        )
+        lhs = float((parts["dt"] + generator_total(parts))[0])
+        res = lhs - _rhs_exact(pde, f_field, beta, t, x_arr, mu, parts)
         verdict = "PASS" if abs(res) <= budget else "FAIL"
         rows.append(ResidualRow(pde, float(t), tuple(x_arr), pid, res, budget, verdict))
     return _finalize_table(rows)
@@ -226,19 +221,10 @@ def npy_identity_gap(coeff, V, t, x, mu):
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     left = generator_parts(coeff, V, t, x_arr[None], mu, drift_free=True)
-    lhs = float(
-        left["trace_x"][0]
-        + left["nonlinear_sq"][0]
-        + left["trace_mu"][0]
-        + left["drift_mu"][0]
-    )
+    lhs = float(generator_total(left)[0])
     right = generator_parts(coeff, V, t, x_arr[None], mu, drift_free=False)
     rhs = float(
-        right["trace_x"][0]
-        + right["drift_x"][0]
-        + right["trace_mu"][0]
-        + right["drift_mu"][0]
-        - 0.5 * np.sum(right["sigma_star_dx"][0] ** 2)
+        generator_total(right)[0] - 0.5 * np.sum(right["sigma_star_dx"][0] ** 2)
     )
     return abs(lhs - rhs)
 

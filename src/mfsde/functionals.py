@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError
-from .generator import generator_parts
+from .generator import generator_parts, generator_total
 
 
 def _span_indices(flow, s, t):
@@ -67,13 +67,7 @@ def build_pair_from_V(coeff, V):
 
     def f(t, X, mu):
         parts = generator_parts(coeff, V, t, X, mu)
-        return (
-            parts["dt"]
-            + parts["trace_x"]
-            + parts["drift_x"]
-            + parts["trace_mu"]
-            + parts["drift_mu"]
-        )
+        return parts["dt"] + generator_total(parts)
 
     def g(t, X, mu):
         return generator_parts(coeff, V, t, X, mu)["sigma_star_dx"]
@@ -158,13 +152,12 @@ def verify_path_independence(V, f, g, flows, s, t, threshold_factor=5.0,
     prev = None
     scale_cap = 1e-12
     for flow in sorted(flows, key=lambda fl: -fl.dt):
-        defect = np.abs(accumulate(f, g, flow, s, t) - potential_increment(V, flow, s, t))
+        increment = potential_increment(V, flow, s, t)
+        defect = np.abs(accumulate(f, g, flow, s, t) - increment)
         sq = defect**2
         rms = float(np.sqrt(sq.mean()))
         mx = float(defect.max())
-        scale = float(
-            np.sqrt(np.mean(potential_increment(V, flow, s, t) ** 2))
-        )
+        scale = float(np.sqrt(np.mean(increment**2)))
         scale_cap = max(scale_cap, scale)
         thresh = threshold_factor * (np.sqrt(flow.dt) + flow.n_particles**-0.5) * max(
             scale, 1e-12

@@ -46,15 +46,6 @@ def _labeled(term, fn, *args):
         raise EvaluationError(f"evaluator failed in term {term!r}: {exc}") from exc
 
 
-def _outer_partial(V, which, t, X, r, term):
-    fn = getattr(V.outer, which)
-    if fn is None:
-        from .errors import CapabilityError
-
-        raise CapabilityError(f"missing partial {which!r} needed by term {term!r}")
-    return _labeled(term, fn, t, X, r)
-
-
 def _mu_part_coefficients(coeff, V, t, mu, use_v_gradient_drift):
     """Per-inner-function weights of the measure-integral terms.
 
@@ -70,7 +61,7 @@ def _mu_part_coefficients(coeff, V, t, mu, use_v_gradient_drift):
     a_y = np.einsum("njk,nlk->njl", sig_y, sig_y)
     if use_v_gradient_drift:
         r = V.inner_integrals(mu)
-        dxV_y = _outer_partial(V, "dx", t, Y, r, "drift_mu")
+        dxV_y = _labeled("drift_mu", V.outer.partial("dx"), t, Y, r)
         drift_y = np.einsum("njl,nl->nj", a_y, dxV_y)
     else:
         drift_y = _labeled("drift_mu", coeff.b, t, Y, mu)
@@ -91,9 +82,9 @@ def generator_parts(coeff, V, t, X, mu, drift_free=False):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     r = V.inner_integrals(mu)
-    dxV = _outer_partial(V, "dx", t, X, r, "drift_x")
-    dxxV = _outer_partial(V, "dxx", t, X, r, "trace_x")
-    dtV = _outer_partial(V, "dt", t, X, r, "dt")
+    dxV = _labeled("drift_x", V.outer.partial("dx"), t, X, r)
+    dxxV = _labeled("trace_x", V.outer.partial("dxx"), t, X, r)
+    dtV = _labeled("dt", V.outer.partial("dt"), t, X, r)
     sig_x = _labeled("trace_x", coeff.sigma, t, X, mu)
     a_x = np.einsum("bjk,blk->bjl", sig_x, sig_x)
     out = {
@@ -108,7 +99,7 @@ def generator_parts(coeff, V, t, X, mu, drift_free=False):
         out["drift_x"] = np.einsum("bj,bj->b", b_x, dxV)
     c, e = _mu_part_coefficients(coeff, V, t, mu, use_v_gradient_drift=drift_free)
     if V.inner:
-        drV = _outer_partial(V, "dr", t, X, r, "trace_mu")
+        drV = _labeled("trace_mu", V.outer.partial("dr"), t, X, r)
         out["trace_mu"] = drV @ c
         out["drift_mu"] = drV @ e
     else:
@@ -117,12 +108,23 @@ def generator_parts(coeff, V, t, X, mu, drift_free=False):
     return out
 
 
-_PART_KEYS = ("trace_x", "drift_x", "trace_mu", "drift_mu", "nonlinear_sq")
+def generator_total(parts):
+    """Generator value from its parts, without the time partial ``dt``.
+
+    The one place the parts are summed, always in the order trace_x, then
+    drift_x or nonlinear_sq, then trace_mu, then drift_mu, so every caller
+    gets the same bits.
+    """
+    first_order = parts["drift_x"] if "drift_x" in parts else parts["nonlinear_sq"]
+    return parts["trace_x"] + first_order + parts["trace_mu"] + parts["drift_mu"]
+
+
+_PART_KEYS = ("trace_x", "drift_x", "nonlinear_sq", "trace_mu", "drift_mu")
 
 
 def _collect(parts):
     named = {k: float(parts[k][0]) for k in _PART_KEYS if k in parts}
-    return GeneratorValue(total=sum(named.values()), parts=named)
+    return GeneratorValue(total=float(generator_total(parts)[0]), parts=named)
 
 
 def apply_L_sigma_b(coeff, V, t, x, mu):
@@ -149,8 +151,17 @@ def ito_residual_ensemble(coeff, f, flow, particles=None):
         particles = np.arange(flow.n_particles)
     else:
         particles = np.asarray(particles)
-        if particles.min() < 0 or particles.max() >= flow.n_particles:
-            raise ContractError("particle index out of range")
+        if (
+            particles.ndim != 1
+            or particles.size == 0
+            or not np.issubdtype(particles.dtype, np.integer)
+            or particles.min() < 0
+            or particles.max() >= flow.n_particles
+        ):
+            raise ContractError(
+                "particles must be a non-empty 1-D integer index array in "
+                f"[0, {flow.n_particles})"
+            )
     dt = flow.dt
     L, P = flow.n_steps, len(particles)
     residuals = np.empty((L, P))
@@ -165,13 +176,7 @@ def ito_residual_ensemble(coeff, f, flow, particles=None):
         mu_k, r_k, vals_k = mu_next, r_next, vals_next
         X = flow.states[k][particles]
         parts = generator_parts(coeff, f, t_k, X, mu_k)
-        drift = (
-            parts["dt"]
-            + parts["trace_x"]
-            + parts["drift_x"]
-            + parts["trace_mu"]
-            + parts["drift_mu"]
-        )
+        drift = parts["dt"] + generator_total(parts)
         mart[k] = np.einsum(
             "bm,bm->b", parts["sigma_star_dx"], flow.noise[k][particles]
         )

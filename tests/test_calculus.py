@@ -208,6 +208,35 @@ def test_partials_match_central_differences(outer, inner):
         assert dx_exact[j] == pytest.approx(fd, abs=1e-6 * (1 + abs(fd)))
 
 
+@pytest.mark.parametrize("name", OUTER_NAMES)
+def test_every_outer_partial_matches_central_differences(name):
+    """dt, dx, dxx and dr of each catalog outer at a batch of states (B, 2)."""
+    rng = np.random.default_rng(17)
+    F = make_outer(name)
+    B, t, h = 3, 0.4, 1e-5
+    x = rng.standard_normal((B, 2))
+    r = np.array([0.7, 1.3])
+
+    def close(exact, fd):
+        assert np.allclose(exact, fd, rtol=1e-6, atol=1e-6)
+
+    dt, dx = F.dt(t, x, r), F.dx(t, x, r)
+    dxx, dr = F.dxx(t, x, r), F.dr(t, x, r)
+    assert np.shape(F.value(t, x, r)) == (B,)
+    assert np.shape(dt) == (B,)
+    assert np.shape(dx) == (B, 2)
+    assert np.shape(dxx) == (B, 2, 2)
+    assert np.shape(dr) == (B, 2)
+
+    close(dt, (F.value(t + h, x, r) - F.value(t - h, x, r)) / (2 * h))
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = h
+        close(dx[:, j], (F.value(t, x + e, r) - F.value(t, x - e, r)) / (2 * h))
+        close(dxx[:, :, j], (F.dx(t, x + e, r) - F.dx(t, x - e, r)) / (2 * h))
+        close(dr[:, j], (F.value(t, x, r + e) - F.value(t, x, r - e)) / (2 * h))
+
+
 def test_dy_dmu_matches_gradient_of_dmu():
     rng = np.random.default_rng(13)
     f = make_cylindrical("sum", [("quadratic", {}), ("bump", {})])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfsde import (
+    CapabilityError,
     ContractError,
     EmpiricalMeasure,
     apply_L_sigma,
@@ -178,6 +179,25 @@ def test_particle_index_range_checked():
     f = make_cylindrical("x_norm_sq")
     with pytest.raises(ContractError):
         ito_residual(coeff, f, flow, 3)
+
+
+@pytest.mark.parametrize("particles", [[], [1.5], [True, False, True]])
+def test_particle_selection_must_be_integer_indices(particles):
+    coeff = make_coefficients("brownian")
+    flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 3, 0.5, 0.25, seed=0)
+    f = make_cylindrical("x_norm_sq")
+    with pytest.raises(ContractError, match="integer index"):
+        ito_residual_ensemble(coeff, f, flow, particles=particles)
+
+
+def test_generator_names_missing_partial():
+    coeff = make_coefficients("brownian")
+    full = make_cylindrical("x_norm_sq").outer
+    V = dataclasses.replace(
+        make_cylindrical("x_norm_sq"), outer=dataclasses.replace(full, dxx=None)
+    )
+    with pytest.raises(CapabilityError, match="'dxx'"):
+        generator_parts(coeff, V, 0.0, np.array([[1.0]]), dirac([0.0]))
 
 
 def test_residual_csv_schema(tmp_path):
