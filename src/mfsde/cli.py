@@ -227,6 +227,7 @@ def parse_config(text):
                 violations.append(f"key {key!r}: required for scenario 'pde_residual'")
 
     _check_seed(values, violations)
+    _check_counts(values, violations)
     _check_grid_alignment(values, violations)
     if violations:
         raise ConfigError(violations)
@@ -244,6 +245,17 @@ def _check_seed(values, violations):
             f"key 'seed': must lie in [0, {largest}] so that derived seeds fit in uint64, "
             f"got {seed}"
         )
+
+
+# least value of each sample or particle count: M paths, N and n_flow
+# interacting particles (an ensemble needs two)
+_LEAST_COUNT = {"M": 1, "N": 2, "n_flow": 2}
+
+
+def _check_counts(values, violations):
+    for key, least in _LEAST_COUNT.items():
+        if key in values and values[key] < least:
+            violations.append(f"key {key!r}: must be at least {least}, got {values[key]}")
 
 
 def _divides(dt, span):

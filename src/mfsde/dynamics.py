@@ -315,6 +315,10 @@ def _initial_states(init, n, d, seed):
 
 
 def _check_finite(x, k):
+    # two reductions settle the common case; a NaN fails both comparisons and
+    # falls through to the search for the offending particle
+    if x.min() >= -BLOWUP_GUARD and x.max() <= BLOWUP_GUARD:
+        return
     bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > BLOWUP_GUARD)
     if bad.any():
         i = int(np.argmax(bad))
@@ -381,29 +385,78 @@ class DecoupledEnsemble:
         return float(self.times[1] - self.times[0])
 
 
-def simulate_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed):
-    """M paths from deterministic start x against the frozen law curve.
+def check_count(name, value, least):
+    """``value`` as an int of at least ``least``; ContractError otherwise."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ContractError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ContractError(f"{name} must be at least {least}, got {count}")
+    return count
+
+
+def start_point(x, d):
+    """Deterministic start point x broadcast to shape (d,); ContractError otherwise."""
+    try:
+        return np.broadcast_to(np.asarray(x, dtype=float), (d,))
+    except (TypeError, ValueError):
+        raise ContractError(f"start point {x!r} does not broadcast to shape ({d},)") from None
+
+
+def stream_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, hook=None):
+    """Terminal states, shape (M, d), of M paths from x against the frozen law curve.
 
     The measure argument at every step is the snapshot of ``frozen_flow``,
     never the ensemble's own empirical law; noise streams live in a domain
-    disjoint from the one that generated the frozen flow.
+    disjoint from the one that generated the frozen flow.  Only the current
+    state is kept: the cached raw normals are scaled one step at a time, and
+    ``hook(t_k, x_k, mu_k)``, when given, sees the state of every step before
+    it is advanced (x_k is a fresh array each step; do not modify it).
     """
+    M = check_count("M", M, 1)
+    x = start_point(x, coeff.d)
     if frozen_flow.n_steps > 0 and abs(frozen_flow.dt - dt) > 1e-12:
         raise ContractError(f"frozen flow dt {frozen_flow.dt} != requested dt {dt}")
     k0 = frozen_flow.index_of(s)
     k1 = frozen_flow.index_of(T)
-    times = frozen_flow.times[k0 : k1 + 1]
-    n_steps = k1 - k0
-    d, m = coeff.d, coeff.m
-    x = np.broadcast_to(np.asarray(x, dtype=float), (d,))
-    states = np.empty((n_steps + 1, M, d))
-    states[0] = x
-    noise = brownian_increments(seed, M, n_steps, m, dt, DOMAIN_DECOUPLED)
-    for k in range(n_steps):
-        mu = frozen_flow.measure_at(k0 + k)
-        xk = states[k]
-        drift = coeff.b(times[k], xk, mu)
-        diff = np.einsum("ndm,nm->nd", coeff.sigma(times[k], xk, mu), noise[k])
-        states[k + 1] = xk + drift * dt + diff
-        _check_finite(states[k + 1], k + 1)
-    return DecoupledEnsemble(times=times, states=states, noise=noise, start=x, seed=seed)
+    times = frozen_flow.times
+    raw = _raw_normals(seed, M, k1 - k0, coeff.m, DOMAIN_DECOUPLED)
+    sqrt_dt = np.sqrt(dt)
+    dw = np.empty(raw.shape[1:])
+    state = np.empty((M, coeff.d))
+    state[:] = x
+    for k in range(k0, k1):
+        mu = frozen_flow.measure_at(k)
+        if hook is not None:
+            hook(times[k], state, mu)
+        np.multiply(sqrt_dt, raw[k - k0], out=dw)
+        drift = coeff.b(times[k], state, mu)
+        diff = np.einsum("ndm,nm->nd", coeff.sigma(times[k], state, mu), dw)
+        # x + b dt + diff, summed in the kernel's own fresh array (hooks may
+        # keep x_k; the coefficient's outputs are never written)
+        nxt = np.multiply(drift, dt, out=np.empty_like(state))
+        nxt += state
+        nxt += diff
+        state = nxt
+        _check_finite(state, k - k0 + 1)
+    return state
+
+
+def simulate_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed):
+    """M recorded paths from deterministic start x against the frozen law curve.
+
+    The paths are those of :func:`stream_decoupled`, stored step by step.
+    """
+    path = []
+    terminal = stream_decoupled(
+        coeff, x, frozen_flow, s, T, dt, M, seed, hook=lambda t, xk, mu: path.append(xk)
+    )
+    k0, k1 = frozen_flow.index_of(s), frozen_flow.index_of(T)
+    return DecoupledEnsemble(
+        times=frozen_flow.times[k0 : k1 + 1],
+        states=np.stack(path + [terminal]),
+        noise=brownian_increments(seed, terminal.shape[0], k1 - k0, coeff.m, dt, DOMAIN_DECOUPLED),
+        start=start_point(x, coeff.d),
+        seed=seed,
+    )

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .calculus import CylindricalFunction
-from .dynamics import simulate_decoupled, simulate_mckean_vlasov
+from .dynamics import check_count, simulate_mckean_vlasov, start_point, stream_decoupled
 from .errors import CapabilityError, ContractError, DataError
 from .generator import generator_parts, generator_total
 from .measure import EmpiricalMeasure
@@ -39,29 +39,40 @@ class McSolution:
     beta: Optional[float] = None
 
 
-def _frozen_and_decoupled(coeff, x, mu, t, T, dt, M, seed, n_flow):
+def _frozen_flow(coeff, mu, t, T, dt, seed, n_flow):
+    """The interacting law curve from (t, mu) to T; it does not depend on x."""
     if T < t:
         raise ContractError("need T >= t")
-    flow = simulate_mckean_vlasov(coeff, mu, n_flow, T, dt, seed, s=t)
-    ens = simulate_decoupled(coeff, x, flow, t, T, dt, M, seed)
-    return flow, ens
+    return simulate_mckean_vlasov(coeff, mu, n_flow, T, dt, seed, s=t)
 
 
-def _terminal_samples(Phi, flow, ens, T):
+def _path_samples(coeff, flow, x, T, dt, M, seed, Phi=None, f_field=None):
+    """Per-path samples on the frozen flow, shape (M,).
+
+    Phi at the terminal state and law (when given) minus the left-endpoint
+    integral of f_field along the path (when given), accumulated as the
+    paths stream; its step is the spacing of the flow's grid.
+    """
+    integral = hook = None
+    if f_field is not None:
+        integral = np.zeros(M)
+
+        def hook(t_k, x_k, mu_k):
+            integral[:] += np.asarray(f_field(t_k, x_k, mu_k), dtype=float) * flow.dt
+
+    terminal = stream_decoupled(coeff, x, flow, flow.times[0], T, dt, M, seed, hook)
+    if Phi is None:
+        return -integral
     mu_T = flow.measure_at(flow.n_steps)
-    return np.asarray(
-        Phi.outer.value(T, ens.states[-1], Phi.inner_integrals(mu_T)), dtype=float
-    )
+    samples = np.asarray(Phi.outer.value(T, terminal, Phi.inner_integrals(mu_T)), dtype=float)
+    return samples if integral is None else samples - integral
 
 
-def _source_integral(f_field, flow, ens):
-    """Left-endpoint integral of f along every decoupled path, shape (M,)."""
-    out = np.zeros(ens.n_paths)
-    k0 = flow.index_of(ens.times[0])
-    for k in range(ens.n_steps):
-        mu_k = flow.measure_at(k0 + k)
-        out += np.asarray(f_field(ens.times[k], ens.states[k], mu_k), dtype=float) * ens.dt
-    return out
+def _solver_samples(coeff, t, x, mu, T, M, dt, seed, n_flow, Phi=None, f_field=None):
+    M = check_count("M", M, 1)
+    x = start_point(x, coeff.d)
+    flow = _frozen_flow(coeff, mu, t, T, dt, seed, n_flow)
+    return _path_samples(coeff, flow, x, T, dt, M, seed, Phi, f_field)
 
 
 def _mean_solution(samples, provenance, beta=None):
@@ -72,20 +83,19 @@ def _mean_solution(samples, provenance, beta=None):
 
 def solve_linear(coeff, Phi, t, x, mu, T, M, dt, seed, n_flow=200):
     """Estimate the terminal-condition solution E Phi(X_{t,T}, law curve at T)."""
-    flow, ens = _frozen_and_decoupled(coeff, x, mu, t, T, dt, M, seed, n_flow)
-    return _mean_solution(_terminal_samples(Phi, flow, ens, T), "linear")
+    samples = _solver_samples(coeff, t, x, mu, T, M, dt, seed, n_flow, Phi=Phi)
+    return _mean_solution(samples, "linear")
 
 
 def solve_with_source(coeff, f_field, t, x, mu, T, M, dt, seed, n_flow=200):
     """Estimate the pure-source solution: the negated running-cost integral."""
-    flow, ens = _frozen_and_decoupled(coeff, x, mu, t, T, dt, M, seed, n_flow)
-    return _mean_solution(-_source_integral(f_field, flow, ens), "source")
+    samples = _solver_samples(coeff, t, x, mu, T, M, dt, seed, n_flow, f_field=f_field)
+    return _mean_solution(samples, "source")
 
 
 def solve_combined(coeff, Phi, f_field, t, x, mu, T, M, dt, seed, n_flow=200):
     """Terminal datum minus running cost on shared paths (common random numbers)."""
-    flow, ens = _frozen_and_decoupled(coeff, x, mu, t, T, dt, M, seed, n_flow)
-    samples = _terminal_samples(Phi, flow, ens, T) - _source_integral(f_field, flow, ens)
+    samples = _solver_samples(coeff, t, x, mu, T, M, dt, seed, n_flow, Phi, f_field)
     return _mean_solution(samples, "combined")
 
 
@@ -101,8 +111,7 @@ def solve_log_transform(
         raise ContractError("beta must be nonzero")
     if lower_bound < 0:
         raise ContractError("lower bound must be nonnegative")
-    flow, ens = _frozen_and_decoupled(coeff, x, mu, t, T, dt, M, seed, n_flow)
-    samples = _terminal_samples(Phi, flow, ens, T)
+    samples = _solver_samples(coeff, t, x, mu, T, M, dt, seed, n_flow, Phi=Phi)
     if np.any(samples <= lower_bound):
         raise DataError(
             f"terminal datum fell to {samples.min():g}, at or below its declared "
@@ -229,6 +238,15 @@ def npy_identity_gap(coeff, V, t, x, mu):
     return abs(lhs - rhs)
 
 
+# provenance -> (terminal datum Phi used, running cost f_field used)
+_PROVENANCE_TERMS = {
+    "linear": (True, False),
+    "source": (False, True),
+    "combined": (True, True),
+    "log_transform": (True, False),
+}
+
+
 @dataclass(frozen=True)
 class McValueFunction:
     """MC-backed value function with a fixed seed, usable for CRN differences.
@@ -250,22 +268,28 @@ class McValueFunction:
     beta: Optional[float] = None
     n_flow: int = 200
 
-    def samples(self, t, x, mu=None):
+    def __post_init__(self):
+        check_count("M", self.M, 1)
+        if self.provenance not in _PROVENANCE_TERMS:
+            raise ContractError(f"unknown provenance {self.provenance!r}")
+
+    def frozen_flow(self, t, mu=None):
+        """The law curve from (t, mu) that every start point at (t, mu) shares."""
         mu = self.mu if mu is None else mu
-        flow, ens = _frozen_and_decoupled(
-            self.coeff, x, mu, t, self.T, self.dt, self.M, self.seed, self.n_flow
+        return _frozen_flow(self.coeff, mu, t, self.T, self.dt, self.seed, self.n_flow)
+
+    def samples(self, t, x, mu=None, flow=None):
+        """Per-path samples at (t, x, mu); pass ``flow = frozen_flow(t, mu)`` to reuse it."""
+        x = start_point(x, self.coeff.d)
+        if flow is None:
+            flow = self.frozen_flow(t, mu)
+        elif flow.index_of(t) != 0:
+            raise ContractError(f"frozen flow starts at {flow.times[0]}, not at t={t}")
+        use_phi, use_f = _PROVENANCE_TERMS[self.provenance]
+        return _path_samples(
+            self.coeff, flow, x, self.T, self.dt, self.M, self.seed,
+            self.Phi if use_phi else None, self.f_field if use_f else None,
         )
-        if self.provenance == "linear":
-            return _terminal_samples(self.Phi, flow, ens, self.T)
-        if self.provenance == "source":
-            return -_source_integral(self.f_field, flow, ens)
-        if self.provenance == "combined":
-            return _terminal_samples(self.Phi, flow, ens, self.T) - _source_integral(
-                self.f_field, flow, ens
-            )
-        if self.provenance == "log_transform":
-            return _terminal_samples(self.Phi, flow, ens, self.T)
-        raise ContractError(f"unknown provenance {self.provenance!r}")
 
     def value_of_mean(self, mean):
         if self.provenance == "log_transform":
@@ -344,15 +368,17 @@ def _mc_probe(vf, pde, pid, t0, x0, f_field, h_x_rel, h_t_rel, measure_ds, n_dra
         t_pts[1] = t0 + h_t  # horizon too short for Richardson; degenerate
     h_x = h_x_rel * (1.0 + np.abs(x0))
 
-    # stencil columns of per-path samples, all sharing noise streams
-    cols = [("center", vf.samples(t0, x0))]
+    # stencil columns of per-path samples, all sharing noise streams; the
+    # centre and the space columns also share one frozen flow
+    flow0 = vf.frozen_flow(t0)
+    cols = [("center", vf.samples(t0, x0, flow=flow0))]
     for tp in t_pts:
         cols.append((f"t={tp}", vf.samples(min(tp, T), x0)))
     for j in range(d):
         for mult in (1, -1, 2, -2):
             xs = x0.copy()
             xs[j] += mult * h_x[j]
-            cols.append((f"x{j}{mult:+d}", vf.samples(t0, xs)))
+            cols.append((f"x{j}{mult:+d}", vf.samples(t0, xs, flow=flow0)))
     mu_cols = 0
     if coeff.measure_dependent:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(vf.seed)))
@@ -444,26 +470,28 @@ def solve_drift_coupled_fixed_point(
     start point.  The coupling is not a contraction in general; callers
     must check ``converged``.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    M = check_count("M", M, 1)
+    x = start_point(x, coeff.d)
     drift_vec = np.zeros(coeff.d)
     changes = []
 
-    def value(curr_drift, xq):
-        shifted = replace_drift(coeff, curr_drift)
-        flow, ens = _frozen_and_decoupled(shifted, xq, mu, t, T, dt, M, seed, n_flow)
-        samples = _terminal_samples(Phi, flow, ens, T)
+    def value(shifted, flow, xq):
+        samples = _path_samples(shifted, flow, xq, T, dt, M, seed, Phi)
         if np.any(samples <= 0):
             raise DataError("terminal datum must stay strictly positive")
         return -0.5 * float(np.mean(np.log(samples)))
 
     for _ in range(n_iter):
+        shifted = replace_drift(coeff, drift_vec)
+        # one frozen flow per drift serves every stencil point
+        flow = _frozen_flow(shifted, mu, t, T, dt, seed, n_flow)
         h = 1e-2 * (1.0 + np.abs(x))
         grad = np.empty(coeff.d)
         for j in range(coeff.d):
             xp, xm = x.copy(), x.copy()
             xp[j] += h[j]
             xm[j] -= h[j]
-            grad[j] = (value(drift_vec, xp) - value(drift_vec, xm)) / (2 * h[j])
+            grad[j] = (value(shifted, flow, xp) - value(shifted, flow, xm)) / (2 * h[j])
         sig = np.asarray(coeff.sigma(t, x[None], mu))[0]
         new_drift = sig @ sig.T @ grad
         changes.append(float(np.linalg.norm(new_drift - drift_vec)))

@@ -172,10 +172,27 @@ def test_csv_byte_identical_across_reruns(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-# SHA-256 of every artifact of each preset that runs in about a second,
+# SHA-256 of every artifact of each preset that runs in about a second, and
+# of the four slow Feynman-Kac presets at M = 2000 (see GOLDEN_REDUCED),
 # recorded with numpy 2.4.6 and scipy 1.17.1; a change that is meant to keep
 # outputs bit-identical must leave these untouched
 GOLDEN = {
+    "feynman-kac-heat-M2000": {
+        "feynman_kac_linear.csv": "c67eaa23b102d0b2dfe2736d5dc580b61ea9ef865177d84ea928ec948e17cb2d",
+        "summary.txt": "27ee450f97454894123bd97a457bf3860d67b50a113133fd299347414e7ac85c",
+    },
+    "feynman-kac-log-gauss-M2000": {
+        "feynman_kac_log.csv": "3ab3a6c234c33da0559fdb8e4b0d7798faa3902e59a95fed69eabe750e8dd477",
+        "summary.txt": "f9450df446b51898b193f821c305c5f653502fa94ef58f486523d4a76adf8f25",
+    },
+    "girsanov-risk-neutral-M2000": {
+        "girsanov.csv": "2b965d18babb6bcabd93d51ccdb9291a40bec660353d52b8678c124b7fcced31",
+        "summary.txt": "1e5cec6fbaeaba1e28001c7fcaa764e6aa60f4f1876b35541f8465b8ed320407",
+    },
+    "pde-residual-nonlinear-M2000": {
+        "pde_residual.csv": "32a10354cd87008040d87f4e9d972d94e3c30004194e86d4f65fc63ed3acbbd8",
+        "summary.txt": "021f0304c1234a778202af9704106c8717d1529751cc7bbecd3a17029477780d",
+    },
     "feynman-kac-source-const": {
         "feynman_kac_source.csv": "669eded7fc170dcf577cd552fa79b898f1afd8902a144a5a2e602f2e1d689df0",
         "summary.txt": "ba94364a6f3bcea71ce77bc5566f2ace4629080fe7a0a4e3cc9eb77b391d7f4f",
@@ -211,9 +228,29 @@ GOLDEN = {
 }
 
 
+# cases pinned at a reduced size, case id -> (preset, key overrides); every
+# other GOLDEN key is a preset run as shipped
+GOLDEN_REDUCED = {
+    "feynman-kac-heat-M2000": ("feynman-kac-heat", {"M": 2000}),
+    "feynman-kac-log-gauss-M2000": ("feynman-kac-log-gauss", {"M": 2000}),
+    "girsanov-risk-neutral-M2000": ("girsanov-risk-neutral", {"M": 2000}),
+    "pde-residual-nonlinear-M2000": ("pde-residual-nonlinear", {"M": 2000}),
+}
+
+
+def _with_overrides(text, overrides):
+    """Preset text with the value of each overridden key replaced."""
+    lines = []
+    for line in text.splitlines():
+        key = line.partition("=")[0].strip()
+        lines.append(f"{key} = {overrides[key]}" if key in overrides else line)
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_preset_artifacts_match_golden_hashes(name, tmp_path):
-    run_scenario(parse_config(PRESETS[name]), str(tmp_path))
+    preset, overrides = GOLDEN_REDUCED.get(name, (name, {}))
+    run_scenario(parse_config(_with_overrides(PRESETS[preset], overrides)), str(tmp_path))
     digests = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in tmp_path.iterdir()
@@ -268,6 +305,35 @@ def test_main_negative_seed_exits_2(tmp_path, capsys):
     status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert status == 2
     assert "key 'seed'" in capsys.readouterr().err
+
+
+MINIMAL_FK = """
+scenario = feynman_kac_linear
+coeff.id = brownian
+Phi.outer = x_norm_sq
+T = 1
+dt = 0.25
+probes.t = 0
+probes.x = 0
+"""
+
+
+def _fk_config(tmp_path, **counts):
+    path = tmp_path / "fk.cfg"
+    path.write_text(MINIMAL_FK + "".join(f"{k} = {v}\n" for k, v in counts.items()))
+    return str(path)
+
+
+def test_minimal_fk_config_runs(tmp_path):
+    assert main(["--config", _fk_config(tmp_path, M=8), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("key, value", [("M", 0), ("M", -5), ("n_flow", 1), ("N", 1)])
+def test_main_count_below_bound_exits_2(key, value, tmp_path, capsys):
+    counts = {"M": 8, key: value}
+    status = main(["--config", _fk_config(tmp_path, **counts), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert f"key '{key}': must be at least" in capsys.readouterr().err
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

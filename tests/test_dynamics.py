@@ -24,6 +24,7 @@ from mfsde.dynamics import (
     brownian_increments,
     particle_stream,
     spot_check_lipschitz,
+    stream_decoupled,
 )
 
 
@@ -175,6 +176,31 @@ def test_blowup_reports_step_and_particle():
     assert exc.value.particle is not None
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e8])
+@pytest.mark.parametrize("loop", ["interacting", "decoupled"])
+def test_blowup_names_exact_step_and_particle(loop, bad):
+    # the drift puts particles 2 and 4 at `bad` on step 3; the first is named
+    import dataclasses
+
+    dt, k_bad = 0.25, 3
+
+    def b(t, x, mu):
+        out = np.zeros(np.shape(x))
+        if abs(t - (k_bad - 1) * dt) < 1e-12:
+            out[[2, 4], 0] = bad / dt
+        return out
+
+    frozen = make_coefficients("frozen")
+    coeff = dataclasses.replace(frozen, b=b)
+    with pytest.raises(SimulationError) as exc:
+        if loop == "interacting":
+            simulate_mckean_vlasov(coeff, line([0.0, 1.0]), 6, 1.0, dt, seed=0)
+        else:
+            flow = simulate_mckean_vlasov(frozen, line([0.0, 1.0]), 2, 1.0, dt, seed=0)
+            stream_decoupled(coeff, [0.5], flow, 0.0, 1.0, dt, 6, seed=0)
+    assert (exc.value.step, exc.value.particle) == (k_bad, 2)
+
+
 def test_second_moment_gronwall_bound():
     coeff = make_coefficients("ou", theta=1.0, kappa=0.5, s=1.0)
     init = line([1.0, -1.0, 0.5, 2.0])
@@ -277,6 +303,62 @@ def test_decoupled_noise_independent_of_frozen_flow():
     flow = _frozen(coeff, dirac([0.0]), 0.5, 0.25, n=3)
     ens = simulate_decoupled(coeff, np.array([0.0]), flow, 0.0, 0.5, 0.25, 3, seed=0)
     assert not np.allclose(ens.noise, flow.noise)
+
+
+def _reference_decoupled(coeff, x, flow, s, T, dt, M, seed):
+    """The path-storing Euler loop: (times, states (L+1, M, d)) from s to T."""
+    k0, k1 = flow.index_of(s), flow.index_of(T)
+    times = flow.times[k0 : k1 + 1]
+    noise = brownian_increments(seed, M, k1 - k0, coeff.m, dt, DOMAIN_DECOUPLED)
+    states = np.empty((k1 - k0 + 1, M, coeff.d))
+    states[0] = x
+    for k in range(k1 - k0):
+        mu, xk = flow.measure_at(k0 + k), states[k]
+        diff = np.einsum("ndm,nm->nd", coeff.sigma(times[k], xk, mu), noise[k])
+        states[k + 1] = xk + coeff.b(times[k], xk, mu) * dt + diff
+    return times, states
+
+
+def test_stream_decoupled_matches_recorded_paths_bit_for_bit():
+    # measure-dependent drift, m = d = 2, started off the flow's first point
+    coeff = make_coefficients("mean_revert", d=2, rate=1.5, s=0.7)
+    rng = np.random.default_rng(4)
+    init = EmpiricalMeasure(rng.standard_normal((5, 2)))
+    flow = simulate_mckean_vlasov(coeff, init, 16, 1.0, 0.05, seed=5)
+    x, M = np.array([0.3, -0.2]), 64
+
+    def f(t, X, mu):
+        return X[:, 0] * mu.mean()[1] + t
+
+    integral = np.zeros(M)
+
+    def hook(t, xk, mu):
+        integral[:] += f(t, xk, mu) * 0.05
+
+    terminal = stream_decoupled(coeff, x, flow, 0.25, 1.0, 0.05, M, seed=7, hook=hook)
+    ens = simulate_decoupled(coeff, x, flow, 0.25, 1.0, 0.05, M, seed=7)
+    times, states = _reference_decoupled(coeff, x, flow, 0.25, 1.0, 0.05, M, seed=7)
+    assert terminal.tobytes() == ens.states[-1].tobytes() == states[-1].tobytes()
+    assert ens.states.tobytes() == states.tobytes()
+    summed = np.zeros(M)
+    for k in range(ens.n_steps):
+        summed += f(ens.times[k], ens.states[k], flow.measure_at(5 + k)) * 0.05
+    assert integral.tobytes() == summed.tobytes()
+
+
+@pytest.mark.parametrize("M", [0, -1, 2.5])
+def test_stream_decoupled_rejects_bad_path_count(M):
+    coeff = make_coefficients("brownian")
+    flow = _frozen(coeff, dirac([0.0]), 1.0, 0.25, n=2)
+    with pytest.raises(ContractError, match="M must"):
+        stream_decoupled(coeff, [0.0], flow, 0.0, 1.0, 0.25, M, seed=0)
+
+
+def test_stream_decoupled_rejects_misshapen_start():
+    coeff = make_coefficients("brownian", d=2)
+    flow = _frozen(coeff, dirac([0.0, 0.0]), 1.0, 0.25, n=2)
+    with pytest.raises(ContractError, match="broadcast"):
+        stream_decoupled(coeff, np.zeros(3), flow, 0.0, 1.0, 0.25, 4, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mfsde import (
     CapabilityError,
     ContractError,
     DataError,
+    EmpiricalMeasure,
     dirac,
     make_coefficients,
     make_cylindrical,
@@ -206,6 +209,46 @@ def test_mc_value_function_deterministic():
     assert vf.value_at(0.0, np.array([0.5])) == vf.value_at(0.0, np.array([0.5]))
 
 
+def _solver_calls():
+    Phi = make_cylindrical("gauss_quarter")
+    zero = lambda t, X, mu: np.zeros(X.shape[0])  # noqa: E731
+    args = (dirac([0.0]), 1.0)
+    return {
+        "linear": lambda x, M: solve_linear(BROWNIAN, Phi, 0.0, x, *args, M, 0.25, seed=0),
+        "source": lambda x, M: solve_with_source(BROWNIAN, zero, 0.0, x, *args, M, 0.25, seed=0),
+        "combined": lambda x, M: solve_combined(
+            BROWNIAN, Phi, zero, 0.0, x, *args, M, 0.25, seed=0),
+        "log_transform": lambda x, M: solve_log_transform(
+            BROWNIAN, Phi, 1.0, 0.0, x, *args, M, 0.25, seed=0),
+        "fixed_point": lambda x, M: solve_drift_coupled_fixed_point(
+            BROWNIAN, Phi, 0.0, x, *args, M, 0.25, seed=0, n_iter=1),
+        "value_function": lambda x, M: McValueFunction(
+            coeff=BROWNIAN, Phi=Phi, f_field=None, T=1.0, dt=0.25, M=M, seed=0,
+            mu=dirac([0.0]), provenance="linear").samples(0.0, x),
+    }
+
+
+@pytest.mark.parametrize("M", [0, -1, 2.5])
+@pytest.mark.parametrize("solver", sorted(_solver_calls()))
+def test_solvers_reject_bad_path_count(solver, M):
+    with pytest.raises(ContractError, match="M must"):
+        _solver_calls()[solver](np.array([0.0]), M)
+
+
+@pytest.mark.parametrize("solver", sorted(_solver_calls()))
+def test_solvers_reject_misshapen_start(solver):
+    with pytest.raises(ContractError, match="broadcast"):
+        _solver_calls()[solver](np.zeros(2), 8)
+
+
+def test_value_function_rejects_unknown_provenance_at_construction():
+    with pytest.raises(ContractError, match="provenance"):
+        McValueFunction(
+            coeff=BROWNIAN, Phi=None, f_field=None, T=1.0, dt=0.25, M=8, seed=0,
+            mu=dirac([0.0]), provenance="quadratic",
+        )
+
+
 # ---------------------------------------------------------------------------
 # exact PDE residuals
 
@@ -320,3 +363,70 @@ def test_fixed_point_reports_convergence_flag_honestly():
     assert out.iterations >= 1
     assert len(out.drift_changes) == out.iterations
     assert out.converged == (out.drift_changes[-1] < 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# golden hashes under a measure-dependent coefficient
+#
+# Recorded with numpy 2.4.6 and scipy 1.17.1.  Starting off t = 0 puts the
+# paths on a slice of the frozen flow's grid, whose spacing can differ from
+# dt in the last bit; the source integral must keep multiplying by that
+# spacing.  The residual table also runs the measure-shift columns.
+
+MEAN_REVERT = make_coefficients("mean_revert", rate=1.0, s=0.8)
+MU0 = EmpiricalMeasure(np.linspace(-0.5, 1.5, 9)[:, None])
+
+
+def mean_coupled_source(t, X, mu):
+    return np.asarray(X)[:, 0] * mu.mean()[0] + t
+
+
+def _mean_revert_vf(provenance):
+    return McValueFunction(
+        coeff=MEAN_REVERT, Phi=make_cylindrical("x_sq_plus_r1", [("quadratic", {})]),
+        f_field=mean_coupled_source, T=1.0, dt=0.05, M=200, seed=29, mu=MU0,
+        provenance=provenance, n_flow=50,
+    )
+
+
+SAMPLES_GOLDEN = {
+    "combined": "77264f98e19e85759824f98a374eb5e100e01d7ccfcae94d07cfdea0c61eae95",
+    "linear": "26d157e9f016ad80e1c2968f9373712ecf74ccd27e6e90c2b7d901984652467d",
+    "source": "2d35ae3472ae7597550dbae66158441a71721e2a82a6562bf4a4a13d8b9b94e5",
+}
+RESIDUAL_TABLE_GOLDEN = "fd74a5d7b9a50fa9e033fdcf8946470e62166a42beaa69e51956a0fc08acdf03"
+FIXED_POINT_GOLDEN = (0.05843381749852504, 0.007012058099822943)
+
+
+@pytest.mark.parametrize("provenance", sorted(SAMPLES_GOLDEN))
+def test_samples_off_zero_match_golden_hash(provenance):
+    samples = _mean_revert_vf(provenance).samples(0.25, np.array([0.4]))
+    assert samples.dtype == np.float64 and samples.shape == (200,)
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == SAMPLES_GOLDEN[provenance]
+
+
+def test_mc_residual_table_matches_golden_hash(tmp_path):
+    table = pde_residual_mc(_mean_revert_vf("linear"), "linear", [(0.0, [0.3]), (0.25, [-0.5])])
+    path = tmp_path / "residual.csv"
+    table.to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RESIDUAL_TABLE_GOLDEN
+
+
+def test_fixed_point_drift_changes_match_golden():
+    out = solve_drift_coupled_fixed_point(
+        MEAN_REVERT, make_cylindrical("gauss_quarter"), 0.25, np.array([0.4]), MU0,
+        1.0, 200, 0.05, seed=31, n_iter=2, n_flow=50,
+    )
+    assert out.drift_changes == FIXED_POINT_GOLDEN
+
+
+def test_value_function_shared_flow_gives_same_samples():
+    vf = McValueFunction(
+        coeff=MEAN_REVERT, Phi=make_cylindrical("x_norm_sq"), f_field=mean_coupled_source,
+        T=1.0, dt=0.05, M=50, seed=3, mu=MU0, provenance="combined", n_flow=20,
+    )
+    flow = vf.frozen_flow(0.25)
+    for x in (0.0, 0.7):
+        assert vf.samples(0.25, [x], flow=flow).tobytes() == vf.samples(0.25, [x]).tobytes()
+    with pytest.raises(ContractError, match="starts at"):
+        vf.samples(0.5, [0.0], flow=flow)
