@@ -44,7 +44,7 @@ def run(args):
     print(f"defect floor: {report.defect_floor:.4e}  overall: {report.verdict}")
 
 
-if __name__ == "__main__":
+def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--potential", default="x_norm_sq",
                         help="cylindrical potential name (e.g. x_norm_sq, coord)")
@@ -55,4 +55,8 @@ if __name__ == "__main__":
     parser.add_argument("--perturb", type=float, default=0.0,
                         help="constant added to g to break the identity")
     parser.add_argument("--seed", type=int, default=0)
-    run(parser.parse_args())
+    return parser.parse_args(argv)
+
+
+if __name__ == "__main__":
+    run(parse_args())

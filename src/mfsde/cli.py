@@ -51,7 +51,7 @@ from .functionals import (
     novikov_estimate,
     verify_path_independence,
 )
-from .generator import generator_parts, ito_residual_ensemble
+from .generator import ito_residual_ensemble
 from .measure import EmpiricalMeasure, dirac, wasserstein2, wasserstein2_bruteforce
 
 SCENARIOS = (
@@ -428,7 +428,7 @@ def _run_ito_residual(cfg, out_dir):
     N, T, dt = cfg.get("N"), cfg.get("T"), cfg.get("dt")
     mu0 = _initial_measure(cfg, d, N, cfg.seed)
     flow = simulate_mckean_vlasov(coeff, mu0, N, T, dt, cfg.seed, s=cfg.get("s", 0.0))
-    residuals, mart = ito_residual_ensemble(coeff, V, flow)
+    residuals, mart, qv_density = ito_residual_ensemble(coeff, V, flow)
     # the ensemble-mean residual is a sum of per-step increments driven by
     # noise common to all particles (through the empirical measure), so its
     # standard error comes from the realized quadratic variation of those
@@ -438,9 +438,8 @@ def _run_ito_residual(cfg, out_dir):
     se = float(np.sqrt((step_means**2).sum()))
     qv_real = float((mart**2).sum(axis=0).mean())
     qv_pred = 0.0
-    for k in range(flow.n_steps):
-        parts = generator_parts(coeff, V, flow.times[k], flow.states[k], flow.measure_at(k))
-        qv_pred += float(np.mean(np.sum(parts["sigma_star_dx"] ** 2, axis=1))) * dt
+    for q in qv_density:
+        qv_pred += float(q) * dt
     qv_ratio = qv_real / qv_pred if qv_pred > 0 else float("inf")
     step_rows = [
         [k, _fmt(flow.times[k]), _fmt(residuals[k].mean()),

@@ -335,8 +335,7 @@ def simulate_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0):
     Each particle reads the drift and diffusion at the current empirical
     measure of the whole ensemble.
     """
-    if N < 2:
-        raise ContractError("need at least 2 particles")
+    N = check_count("N", N, 2)
     times, n_steps = _grid(s, T, dt)
     d, m = coeff.d, coeff.m
     states = np.empty((n_steps + 1, N, d))
@@ -354,6 +353,7 @@ def simulate_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0):
 
 def semigroup_apply(coeff, mu, s, t, N, dt, seed):
     """Law map mu -> law of the solution at time t started from mu at s."""
+    check_count("N", N, 2)
     if t < s:
         raise ContractError("need t >= s")
     if t == s:

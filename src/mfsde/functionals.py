@@ -31,16 +31,26 @@ def _span_indices(flow, s, t):
 
 
 def _step_terms(f, g, flow, k):
-    """One-step contribution f*dt + <g, dW> for every particle, shape (N,)."""
+    """One-step contribution f*dt + <g, dW> for every particle, shape (N,).
+
+    f must return shape (N,) and g shape (N, m), or (N,) when m = 1;
+    anything else raises ContractError rather than broadcasting.
+    """
     t_k = flow.times[k]
     X = flow.states[k]
     mu = flow.measure_at(k)
-    out = np.zeros(flow.n_particles)
+    n, m = flow.noise.shape[1:]
+    out = np.zeros(n)
     if f is not None:
-        out += np.asarray(f(t_k, X, mu), dtype=float) * flow.dt
+        fv = np.asarray(f(t_k, X, mu), dtype=float)
+        if fv.shape != (n,):
+            raise ContractError(f"field f returned shape {fv.shape}, expected ({n},)")
+        out += fv * flow.dt
     if g is not None:
         gv = np.asarray(g(t_k, X, mu), dtype=float)
-        out += np.einsum("nm,nm->n", gv.reshape(flow.n_particles, -1), flow.noise[k])
+        if gv.shape != (n, m) and not (m == 1 and gv.shape == (n,)):
+            raise ContractError(f"field g returned shape {gv.shape}, expected ({n}, {m})")
+        out += np.einsum("nm,nm->n", gv.reshape(n, m), flow.noise[k])
     return out
 
 
@@ -58,19 +68,43 @@ def accumulate(f, g, flow, s, t):
     return accumulator_series(f, g, flow, s, t)[-1]
 
 
+def _read_only(X):
+    """True when X and every array it is a view of are read-only."""
+    while isinstance(X, np.ndarray):
+        if X.flags.writeable:
+            return False
+        X = X.base
+    return X is None
+
+
 def build_pair_from_V(coeff, V):
     """Fields (f, g) induced by a potential V through the generator.
 
     f is the full time-plus-generator action on V; g is sigma^* dx V.  Both
     close over ``coeff`` and ``V`` and follow the batched field contract.
+
+    f and g share one generator evaluation: the last one is reused when the
+    next call has an equal t, the very same X and mu objects, and an X that
+    cannot change (read-only, like ``flow.states[k]``).  Every other call
+    recomputes.  The array g returns is that shared evaluation's, so it is
+    read-only.
     """
+    last = [None, None, None, None]  # t, X, mu, parts
+
+    def parts_at(t, X, mu):
+        t0, X0, mu0, parts = last
+        if not (X is X0 and mu is mu0 and t == t0 and _read_only(X)):
+            parts = generator_parts(coeff, V, t, X, mu)
+            parts["sigma_star_dx"].flags.writeable = False
+            last[:] = t, X, mu, parts
+        return parts
 
     def f(t, X, mu):
-        parts = generator_parts(coeff, V, t, X, mu)
+        parts = parts_at(t, X, mu)
         return parts["dt"] + generator_total(parts)
 
     def g(t, X, mu):
-        return generator_parts(coeff, V, t, X, mu)["sigma_star_dx"]
+        return parts_at(t, X, mu)["sigma_star_dx"]
 
     return f, g
 

@@ -46,12 +46,13 @@ def _labeled(term, fn, *args):
         raise EvaluationError(f"evaluator failed in term {term!r}: {exc}") from exc
 
 
-def _mu_part_coefficients(coeff, V, t, mu, use_v_gradient_drift):
+def _mu_part_coefficients(coeff, V, t, mu, r, use_v_gradient_drift):
     """Per-inner-function weights of the measure-integral terms.
 
     Returns (c, e) with c_i = 1/2 int tr(sigma sigma^* hess h_i) dmu and
     e_i = int <drift(y), grad h_i(y)> dmu, where drift is either the
-    coefficient drift b or sigma sigma^* dx V read off V itself.
+    coefficient drift b or sigma sigma^* dx V read off V itself (at the
+    inner integrals ``r`` of mu).
     """
     if not V.inner:
         n = 0
@@ -60,7 +61,6 @@ def _mu_part_coefficients(coeff, V, t, mu, use_v_gradient_drift):
     sig_y = _labeled("trace_mu", coeff.sigma, t, Y, mu)
     a_y = np.einsum("njk,nlk->njl", sig_y, sig_y)
     if use_v_gradient_drift:
-        r = V.inner_integrals(mu)
         dxV_y = _labeled("drift_mu", V.outer.partial("dx"), t, Y, r)
         drift_y = np.einsum("njl,nl->nj", a_y, dxV_y)
     else:
@@ -73,15 +73,17 @@ def _mu_part_coefficients(coeff, V, t, mu, use_v_gradient_drift):
     return c, e
 
 
-def generator_parts(coeff, V, t, X, mu, drift_free=False):
+def generator_parts(coeff, V, t, X, mu, drift_free=False, r=None):
     """Vectorized generator terms over a batch of states X (B, d).
 
     Returns a dict of (B,) arrays: trace_x, trace_mu, drift_mu, plus either
     drift_x or nonlinear_sq, together with dt (time partial of V) and
-    sigma_star_dx (B, m) for stochastic-integral bookkeeping.
+    sigma_star_dx (B, m) for stochastic-integral bookkeeping.  ``r``, when
+    given, must be ``V.inner_integrals(mu)``, already computed by the caller.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    r = V.inner_integrals(mu)
+    if r is None:
+        r = V.inner_integrals(mu)
     dxV = _labeled("drift_x", V.outer.partial("dx"), t, X, r)
     dxxV = _labeled("trace_x", V.outer.partial("dxx"), t, X, r)
     dtV = _labeled("dt", V.outer.partial("dt"), t, X, r)
@@ -97,7 +99,7 @@ def generator_parts(coeff, V, t, X, mu, drift_free=False):
     else:
         b_x = _labeled("drift_x", coeff.b, t, X, mu)
         out["drift_x"] = np.einsum("bj,bj->b", b_x, dxV)
-    c, e = _mu_part_coefficients(coeff, V, t, mu, use_v_gradient_drift=drift_free)
+    c, e = _mu_part_coefficients(coeff, V, t, mu, r, use_v_gradient_drift=drift_free)
     if V.inner:
         drV = _labeled("trace_mu", V.outer.partial("dr"), t, X, r)
         out["trace_mu"] = drV @ c
@@ -144,8 +146,11 @@ def ito_residual_ensemble(coeff, f, flow, particles=None):
 
     For each step k and particle i the residual is the one-step increment of
     f along the path minus the generator drift term and the stochastic
-    increment.  Returns (residuals, martingale_increments), both of shape
-    (L, P).
+    increment.  Returns (residuals, martingale_increments, qv_density):
+    the first two of shape (L, P), and qv_density of shape (L,), whose entry
+    k is the predicted quadratic-variation density |sigma^* dx f|^2 at step
+    k averaged over the selected particles.  The generator is evaluated once
+    per step, at the inner integrals already computed for the step's value.
     """
     if particles is None:
         particles = np.arange(flow.n_particles)
@@ -166,6 +171,7 @@ def ito_residual_ensemble(coeff, f, flow, particles=None):
     L, P = flow.n_steps, len(particles)
     residuals = np.empty((L, P))
     mart = np.empty((L, P))
+    qv_density = np.empty(L)
     mu_next = flow.measure_at(0)
     r_next = f.inner_integrals(mu_next)
     vals_next = np.asarray(
@@ -175,11 +181,11 @@ def ito_residual_ensemble(coeff, f, flow, particles=None):
         t_k = flow.times[k]
         mu_k, r_k, vals_k = mu_next, r_next, vals_next
         X = flow.states[k][particles]
-        parts = generator_parts(coeff, f, t_k, X, mu_k)
+        parts = generator_parts(coeff, f, t_k, X, mu_k, r=r_k)
         drift = parts["dt"] + generator_total(parts)
-        mart[k] = np.einsum(
-            "bm,bm->b", parts["sigma_star_dx"], flow.noise[k][particles]
-        )
+        sig_dx = parts["sigma_star_dx"]
+        mart[k] = np.einsum("bm,bm->b", sig_dx, flow.noise[k][particles])
+        qv_density[k] = np.mean(np.sum(sig_dx**2, axis=1))
         mu_next = flow.measure_at(k + 1)
         r_next = f.inner_integrals(mu_next)
         vals_next = np.asarray(
@@ -187,7 +193,7 @@ def ito_residual_ensemble(coeff, f, flow, particles=None):
             dtype=float,
         )
         residuals[k] = vals_next - vals_k - drift * dt - mart[k]
-    return residuals, mart
+    return residuals, mart, qv_density
 
 
 def ito_residual(coeff, f, flow, i):
@@ -196,7 +202,7 @@ def ito_residual(coeff, f, flow, i):
         raise ContractError(
             f"particle index {i} out of range [0, {flow.n_particles})"
         )
-    residuals, mart = ito_residual_ensemble(coeff, f, flow, particles=[i])
+    residuals, mart, _ = ito_residual_ensemble(coeff, f, flow, particles=[i])
     return residuals[:, 0], mart[:, 0]
 
 

@@ -156,6 +156,15 @@ def test_requires_two_particles():
         simulate_mckean_vlasov(coeff, dirac([0.0]), 1, 1.0, 0.1, seed=0)
 
 
+@pytest.mark.parametrize("N", [2.5, "3"])
+def test_particle_count_must_be_integer(N):
+    coeff = make_coefficients("brownian")
+    with pytest.raises(ContractError, match="N must be an integer"):
+        simulate_mckean_vlasov(coeff, dirac([0.0]), N, 1.0, 0.25, seed=0)
+    with pytest.raises(ContractError, match="N must be an integer"):
+        semigroup_apply(coeff, dirac([0.0]), 0.0, 1.0, N, 0.25, seed=0)
+
+
 def test_grid_must_divide_horizon():
     coeff = make_coefficients("brownian")
     with pytest.raises(ContractError):

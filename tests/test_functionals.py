@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfsde import (
     ContractError,
+    EmpiricalMeasure,
     dirac,
     girsanov_weight,
     make_coefficients,
@@ -13,12 +14,14 @@ from mfsde import (
     simulate_mckean_vlasov,
     verify_path_independence,
 )
+import mfsde.functionals as functionals
 from mfsde.functionals import (
     accumulate,
     accumulator_series,
     build_pair_from_V,
     potential_increment,
 )
+from mfsde.generator import generator_parts, generator_total
 
 
 def brownian_flow(n=200, T=1.0, dt=0.01, seed=0, s_coeff=1.0):
@@ -83,8 +86,117 @@ def test_series_starts_at_zero():
     assert np.all(series[0] == 0.0)
 
 
+def test_wrong_width_g_rejected():
+    _, flow = brownian_flow(n=4, dt=0.25)
+    with pytest.raises(ContractError, match=r"field g .*\(4, 2\).*\(4, 1\)"):
+        accumulate(None, lambda t, X, mu: np.ones((X.shape[0], 2)), flow, 0.0, 1.0)
+
+
+def test_wrong_length_f_rejected():
+    _, flow = brownian_flow(n=4, dt=0.25)
+    with pytest.raises(ContractError, match=r"field f .*\(5,\).*\(4,\)"):
+        accumulate(lambda t, X, mu: np.ones(X.shape[0] + 1), None, flow, 0.0, 1.0)
+
+
+def test_flat_g_accepted_for_one_noise_column():
+    _, flow = brownian_flow(n=8, dt=0.125, seed=1)
+    f = lambda t, X, mu: X[:, 0]
+    flat = accumulate(f, lambda t, X, mu: np.cos(X[:, 0]), flow, 0.0, 1.0)
+    column = accumulate(f, lambda t, X, mu: np.cos(X), flow, 0.0, 1.0)
+    assert flat.tobytes() == column.tobytes()
+
+
+def test_valid_fields_sum_left_endpoint_terms_bit_for_bit():
+    coeff = make_coefficients("brownian", d=2, m=2, s=1.0)
+    flow = simulate_mckean_vlasov(coeff, dirac([0.0, 0.0]), 6, 1.0, 0.25, seed=5)
+    f = lambda t, X, mu: X[:, 0] * X[:, 1]
+    g = lambda t, X, mu: np.sin(X)
+    expected = np.zeros(flow.n_particles)
+    for k in range(flow.n_steps):
+        X = flow.states[k]
+        expected = expected + (
+            f(0.0, X, None) * flow.dt + np.einsum("nm,nm->n", g(0.0, X, None), flow.noise[k])
+        )
+    assert accumulate(f, g, flow, 0.0, 1.0).tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # pair construction from a potential
+
+
+def mean_field_setup():
+    coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
+    flow = simulate_mckean_vlasov(
+        coeff, EmpiricalMeasure(np.array([[0.5], [1.5], [-2.0], [0.1]])), 4, 1.0, 0.1, seed=3
+    )
+    return coeff, flow, make_cylindrical("x_sq_plus_r1", ["quadratic"])
+
+
+@pytest.fixture
+def parts_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return generator_parts(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, "generator_parts", counted)
+    return calls
+
+
+def test_pair_evaluates_generator_once_per_step(parts_calls):
+    coeff, flow, V = mean_field_setup()
+    f, g = build_pair_from_V(coeff, V)
+    accumulate(f, g, flow, 0.0, 1.0)
+    assert len(parts_calls) == flow.n_steps
+    # the measure reaches the generator unchanged, one snapshot per step
+    assert len({id(mu) for mu in parts_calls}) == flow.n_steps
+
+
+def test_pair_matches_fresh_generator_bit_for_bit():
+    coeff, flow, V = mean_field_setup()
+    f, g = build_pair_from_V(coeff, V)
+    for k in (0, 5):
+        t, X, mu = flow.times[k], flow.states[k], flow.measure_at(k)
+        fv, gv = f(t, X, mu), g(t, X, mu)
+        fresh = generator_parts(coeff, V, t, X, mu)
+        assert fv.tobytes() == (fresh["dt"] + generator_total(fresh)).tobytes()
+        assert gv.tobytes() == fresh["sigma_star_dx"].tobytes()
+    assert not gv.flags.writeable
+
+
+def test_pair_recomputes_for_other_arguments(parts_calls):
+    coeff, flow, V = mean_field_setup()
+    f, g = build_pair_from_V(coeff, V)
+    t, X, mu = flow.times[1], flow.states[1], flow.measure_at(1)
+    f(t, X, mu)
+    g(t, X, mu)
+    assert len(parts_calls) == 1
+    X_other = flow.states[1].copy()
+    X_other.flags.writeable = False
+    g(t, X_other, mu)
+    assert len(parts_calls) == 2
+    g(t, X_other, flow.measure_at(1))
+    assert len(parts_calls) == 3
+    g(flow.times[2], X_other, parts_calls[-1])
+    assert len(parts_calls) == 4
+
+
+@pytest.mark.parametrize("view", [False, True])
+def test_pair_recomputes_when_states_can_change(parts_calls, view):
+    coeff, flow, V = mean_field_setup()
+    f, g = build_pair_from_V(coeff, V)
+    t, mu = flow.times[1], flow.measure_at(1)
+    base = flow.states[1].copy()
+    X = base
+    if view:  # a read-only view of a writeable array can still change
+        X = base[:]
+        X.flags.writeable = False
+    f(t, X, mu)
+    base += 1.0
+    gv = g(t, X, mu)
+    assert len(parts_calls) == 2
+    assert gv.tobytes() == generator_parts(coeff, V, t, base, mu)["sigma_star_dx"].tobytes()
 
 
 def test_pair_from_linear_potential():

@@ -149,7 +149,7 @@ def test_classical_ito_square_statistics():
     coeff = make_coefficients("brownian", s=1.0)
     flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 400, 1.0, 1e-3, seed=7)
     f = make_cylindrical("x_norm_sq")
-    res, mart = ito_residual_ensemble(coeff, f, flow)
+    res, mart, _ = ito_residual_ensemble(coeff, f, flow)
     step_means = res.mean(axis=1)
     mean = step_means.sum()
     se = np.sqrt((step_means**2).sum()) + res.sum(axis=0).std(ddof=1) / np.sqrt(400)
@@ -168,9 +168,40 @@ def test_mean_residual_decays_linearly_in_dt():
     means = []
     for dt in (0.02, 0.01):
         flow = simulate_mckean_vlasov(coeff, init, 3, 1.0, dt, seed=3)
-        res, _ = ito_residual_ensemble(coeff, f, flow)
+        res, _, _ = ito_residual_ensemble(coeff, f, flow)
         means.append(abs(res.mean(axis=1).sum()))
     assert means[0] / means[1] == pytest.approx(2.0, rel=0.25)
+
+
+@pytest.mark.parametrize("particles", [None, [4, 0, 2]])
+def test_qv_density_matches_per_step_generator_loop(particles):
+    coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
+    flow = simulate_mckean_vlasov(coeff, line([0.5, 1.5, -2.0, 0.1, 0.9]), 5, 1.0, 0.05, seed=3)
+    f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
+    _, _, qv = ito_residual_ensemble(coeff, f, flow, particles=particles)
+    idx = np.arange(flow.n_particles) if particles is None else np.asarray(particles)
+    expected = np.empty(flow.n_steps)
+    for k in range(flow.n_steps):
+        X = flow.states[k] if particles is None else flow.states[k][idx]
+        parts = generator_parts(coeff, f, flow.times[k], X, flow.measure_at(k))
+        expected[k] = float(np.mean(np.sum(parts["sigma_star_dx"] ** 2, axis=1)))
+    assert qv.shape == (flow.n_steps,)
+    assert qv.tobytes() == expected.tobytes()
+
+
+def test_generator_parts_accepts_precomputed_inner_integrals():
+    coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
+    f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
+    mu = line([0.5, 1.5, -2.0])
+    X = np.array([[0.3], [-1.0]])
+    for drift_free in (False, True):
+        fresh = generator_parts(coeff, f, 0.2, X, mu, drift_free=drift_free)
+        given_r = generator_parts(
+            coeff, f, 0.2, X, mu, drift_free=drift_free, r=f.inner_integrals(mu)
+        )
+        assert fresh.keys() == given_r.keys()
+        for key in fresh:
+            assert fresh[key].tobytes() == given_r[key].tobytes()
 
 
 def test_particle_index_range_checked():
