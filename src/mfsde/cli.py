@@ -470,11 +470,13 @@ def _run_path_independence(cfg, out_dir):
         def g(t, X, mu, base_g=base_g, offset=offset):
             return base_g(t, X, mu) + offset
 
-    flows = [
+    # coarsest level first, each simulated only when the verifier asks for it;
+    # a level keeps the seed of its place in the configured ladder
+    flows = (
         simulate_mckean_vlasov(coeff, _initial_measure(cfg, d, N, cfg.seed), N, T, dt,
                                cfg.seed + level, s=s)
-        for level, dt in enumerate(cfg.dt_levels)
-    ]
+        for level, dt in sorted(enumerate(cfg.dt_levels), key=lambda item: -item[1])
+    )
     report = verify_path_independence(V, f, g, flows, s, T)
     report.to_csv(os.path.join(out_dir, "path_independence.csv"))
     ratio = (

@@ -57,48 +57,44 @@ def particle_stream(seed, particle, domain=DOMAIN_INTERACTING):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Raw normals are cached because common-random-number evaluations re-request
-# the same streams many times (finite-difference stencils, solver reruns).
-# Streams emit draws step-ordered, so a longer run's prefix equals a shorter
-# run; entries are keyed without dt and sliced per request.
-_NOISE_CACHE = {}
-_NOISE_CACHE_SIZE = 2
-
-
 def _raw_normals(seed, n_particles, n_steps, m, domain):
+    """Fresh standard normals, shape (n_steps, n_particles, m), one stream per particle.
+
+    Streams emit draws step-ordered, so a longer block's step prefix equals a
+    shorter one: callers that reuse noise on purpose draw the longest block
+    once and slice it.
+    """
     # particle 0's stream key stands for (seed, domain) and validates both
-    # before a cached entry can be returned
     word0, word1 = _stream_key(seed, 0, domain)
-    key = (word0, word1, int(n_particles), int(m))
-    cached = _NOISE_CACHE.get(key)
-    if cached is None or cached.shape[0] < n_steps:
-        # One generator serves every particle: re-keying its Philox with the
-        # counter and output buffer reset gives exactly the draws of
-        # particle_stream(seed, i, domain), at a fraction of the cost of
-        # constructing a generator (which also reads OS entropy) per particle.
-        # Particle i's key is particle 0's with i added to the second word; a
-        # Python loop over particles never gets near 2**48, where i would
-        # carry into the domain bits.
-        bits = np.random.Philox()
-        gen = np.random.Generator(bits)
-        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
-                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        raw = np.empty((n_steps, n_particles, m))
-        for i in range(n_particles):
-            state["state"]["key"] = [word0, word1 + i]
-            bits.state = state
-            raw[:, i, :] = gen.standard_normal((n_steps, m))
-        raw.flags.writeable = False
-        while len(_NOISE_CACHE) >= _NOISE_CACHE_SIZE and key not in _NOISE_CACHE:
-            _NOISE_CACHE.pop(next(iter(_NOISE_CACHE)))
-        _NOISE_CACHE[key] = raw
-        cached = raw
-    return cached[:n_steps]
+    n_particles = check_count("n_particles", n_particles, 1)
+    n_steps = check_count("n_steps", n_steps, 0)
+    m = check_count("m", m, 1)
+    # One generator serves every particle: re-keying its Philox with the
+    # counter and output buffer reset gives exactly the draws of
+    # particle_stream(seed, i, domain), at a fraction of the cost of
+    # constructing a generator (which also reads OS entropy) per particle.
+    # Particle i's key is particle 0's with i added to the second word; a
+    # Python loop over particles never gets near 2**48, where i would carry
+    # into the domain bits.
+    bits = np.random.Philox()
+    gen = np.random.Generator(bits)
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    raw = np.empty((n_steps, n_particles, m))
+    for i in range(n_particles):
+        state["state"]["key"] = [word0, word1 + i]
+        bits.state = state
+        raw[:, i, :] = gen.standard_normal((n_steps, m))
+    return raw
 
 
 def brownian_increments(seed, n_particles, n_steps, m, dt, domain=DOMAIN_INTERACTING):
     """Increment array of shape (n_steps, n_particles, m), one stream per particle."""
-    return np.sqrt(dt) * _raw_normals(seed, n_particles, n_steps, m, domain)
+    if not dt > 0:
+        raise ContractError(f"dt must be positive, got {dt!r}")
+    noise = _raw_normals(seed, n_particles, n_steps, m, domain)
+    noise *= np.sqrt(dt)
+    return noise
 
 
 @dataclass(frozen=True)
@@ -260,7 +256,10 @@ class ParticleFlow:
         return float(self.times[1] - self.times[0])
 
     def measure_at(self, k):
-        """Empirical measure of the ensemble at grid index k (uniform weights)."""
+        """Empirical measure of the ensemble at grid index k in [0, L] (uniform weights)."""
+        last = self.states.shape[0] - 1
+        if not 0 <= k <= last:
+            raise ContractError(f"step index {k} outside [0, {last}]")
         return EmpiricalMeasure(self.states[k])
 
     def index_of(self, t):
@@ -329,18 +328,34 @@ def _check_finite(x, k):
         )
 
 
-def simulate_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0):
+def _block_prefix(normals, n_steps, n_particles, m):
+    """The first n_steps steps of a caller's raw block; ContractError if it is short."""
+    if normals.ndim != 3 or normals.shape[0] < n_steps or normals.shape[1:] != (n_particles, m):
+        raise ContractError(
+            f"normals of shape {normals.shape} do not cover ({n_steps}, {n_particles}, {m})"
+        )
+    return normals[:n_steps]
+
+
+def simulate_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0, normals=None):
     """N-particle Euler scheme for the mean-field SDE on [s, T].
 
     Each particle reads the drift and diffusion at the current empirical
-    measure of the whole ensemble.
+    measure of the whole ensemble.  ``normals``, when given, is the raw
+    block ``_raw_normals(seed, N, L, coeff.m, DOMAIN_INTERACTING)`` for some
+    L at least the number of steps; its step prefix is used and never
+    written, so one block can serve several flows.  Without it the block is
+    drawn here and scaled in place into the flow's noise.
     """
     N = check_count("N", N, 2)
     times, n_steps = _grid(s, T, dt)
     d, m = coeff.d, coeff.m
     states = np.empty((n_steps + 1, N, d))
     states[0] = _initial_states(init, N, d, seed)
-    noise = brownian_increments(seed, N, n_steps, m, dt, DOMAIN_INTERACTING)
+    if normals is None:
+        noise = brownian_increments(seed, N, n_steps, m, dt, DOMAIN_INTERACTING)
+    else:
+        noise = np.sqrt(dt) * _block_prefix(normals, n_steps, N, m)
     for k in range(n_steps):
         x = states[k]
         mu = EmpiricalMeasure(x)
@@ -404,24 +419,38 @@ def start_point(x, d):
         raise ContractError(f"start point {x!r} does not broadcast to shape ({d},)") from None
 
 
-def stream_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, hook=None):
+def _decoupled_span(frozen_flow, s, T, dt):
+    """Grid indices (k0, k1) of s and T on the frozen flow; ContractError if unusable."""
+    if frozen_flow.n_steps > 0 and abs(frozen_flow.dt - dt) > 1e-12:
+        raise ContractError(f"frozen flow dt {frozen_flow.dt} != requested dt {dt}")
+    k0 = frozen_flow.index_of(s)
+    k1 = frozen_flow.index_of(T)
+    if k1 < k0:
+        raise ContractError("need T >= s")
+    return k0, k1
+
+
+def stream_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, hook=None, normals=None):
     """Terminal states, shape (M, d), of M paths from x against the frozen law curve.
 
     The measure argument at every step is the snapshot of ``frozen_flow``,
     never the ensemble's own empirical law; noise streams live in a domain
     disjoint from the one that generated the frozen flow.  Only the current
-    state is kept: the cached raw normals are scaled one step at a time, and
+    state is kept: the raw normals are scaled one step at a time, and
     ``hook(t_k, x_k, mu_k)``, when given, sees the state of every step before
     it is advanced (x_k is a fresh array each step; do not modify it).
+    ``normals``, when given, is the raw block
+    ``_raw_normals(seed, M, L, coeff.m, DOMAIN_DECOUPLED)`` for some L at
+    least the number of steps from s to T; it is read, never written.
     """
     M = check_count("M", M, 1)
     x = start_point(x, coeff.d)
-    if frozen_flow.n_steps > 0 and abs(frozen_flow.dt - dt) > 1e-12:
-        raise ContractError(f"frozen flow dt {frozen_flow.dt} != requested dt {dt}")
-    k0 = frozen_flow.index_of(s)
-    k1 = frozen_flow.index_of(T)
+    k0, k1 = _decoupled_span(frozen_flow, s, T, dt)
     times = frozen_flow.times
-    raw = _raw_normals(seed, M, k1 - k0, coeff.m, DOMAIN_DECOUPLED)
+    if normals is None:
+        raw = _raw_normals(seed, M, k1 - k0, coeff.m, DOMAIN_DECOUPLED)
+    else:
+        raw = _block_prefix(normals, k1 - k0, M, coeff.m)
     sqrt_dt = np.sqrt(dt)
     dw = np.empty(raw.shape[1:])
     state = np.empty((M, coeff.d))
@@ -448,15 +477,20 @@ def simulate_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed):
 
     The paths are those of :func:`stream_decoupled`, stored step by step.
     """
+    M = check_count("M", M, 1)
+    x = start_point(x, coeff.d)
+    k0, k1 = _decoupled_span(frozen_flow, s, T, dt)
+    raw = _raw_normals(seed, M, k1 - k0, coeff.m, DOMAIN_DECOUPLED)
     path = []
     terminal = stream_decoupled(
-        coeff, x, frozen_flow, s, T, dt, M, seed, hook=lambda t, xk, mu: path.append(xk)
+        coeff, x, frozen_flow, s, T, dt, M, seed,
+        hook=lambda t, xk, mu: path.append(xk), normals=raw,
     )
-    k0, k1 = frozen_flow.index_of(s), frozen_flow.index_of(T)
+    raw *= np.sqrt(dt)
     return DecoupledEnsemble(
         times=frozen_flow.times[k0 : k1 + 1],
         states=np.stack(path + [terminal]),
-        noise=brownian_increments(seed, terminal.shape[0], k1 - k0, coeff.m, dt, DOMAIN_DECOUPLED),
-        start=start_point(x, coeff.d),
+        noise=raw,
+        start=x,
         seed=seed,
     )

@@ -16,13 +16,22 @@ common-random-number finite differences and an explicit error budget.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .calculus import CylindricalFunction
-from .dynamics import check_count, simulate_mckean_vlasov, start_point, stream_decoupled
+from .dynamics import (
+    DOMAIN_DECOUPLED,
+    DOMAIN_INTERACTING,
+    _grid,
+    _raw_normals,
+    check_count,
+    simulate_mckean_vlasov,
+    start_point,
+    stream_decoupled,
+)
 from .errors import CapabilityError, ContractError, DataError
 from .generator import generator_parts, generator_total
 from .measure import EmpiricalMeasure
@@ -39,19 +48,27 @@ class McSolution:
     beta: Optional[float] = None
 
 
-def _frozen_flow(coeff, mu, t, T, dt, seed, n_flow):
+def _frozen_flow(coeff, mu, t, T, dt, seed, n_flow, normals=None):
     """The interacting law curve from (t, mu) to T; it does not depend on x."""
     if T < t:
         raise ContractError("need T >= t")
-    return simulate_mckean_vlasov(coeff, mu, n_flow, T, dt, seed, s=t)
+    return simulate_mckean_vlasov(coeff, mu, n_flow, T, dt, seed, s=t, normals=normals)
 
 
-def _path_samples(coeff, flow, x, T, dt, M, seed, Phi=None, f_field=None):
+def _n_steps(t, T, dt):
+    """Euler steps from t to T; ContractError unless T >= t on a grid of step dt."""
+    if T < t:
+        raise ContractError("need T >= t")
+    return _grid(t, T, dt)[1]
+
+
+def _path_samples(coeff, flow, x, T, dt, M, seed, Phi=None, f_field=None, normals=None):
     """Per-path samples on the frozen flow, shape (M,).
 
     Phi at the terminal state and law (when given) minus the left-endpoint
     integral of f_field along the path (when given), accumulated as the
-    paths stream; its step is the spacing of the flow's grid.
+    paths stream; its step is the spacing of the flow's grid.  ``normals``
+    is passed on to :func:`stream_decoupled`.
     """
     integral = hook = None
     if f_field is not None:
@@ -60,7 +77,7 @@ def _path_samples(coeff, flow, x, T, dt, M, seed, Phi=None, f_field=None):
         def hook(t_k, x_k, mu_k):
             integral[:] += np.asarray(f_field(t_k, x_k, mu_k), dtype=float) * flow.dt
 
-    terminal = stream_decoupled(coeff, x, flow, flow.times[0], T, dt, M, seed, hook)
+    terminal = stream_decoupled(coeff, x, flow, flow.times[0], T, dt, M, seed, hook, normals)
     if Phi is None:
         return -integral
     mu_T = flow.measure_at(flow.n_steps)
@@ -254,6 +271,10 @@ class McValueFunction:
     ``samples(t, x, mu)`` returns per-path samples of the underlying
     statistic; the value is a smooth function of the sample mean given by
     ``provenance`` (plain mean, or -beta log mean).
+
+    The object owns its noise: one raw block per domain (frozen flows and
+    decoupled paths), drawn for the longest horizon asked so far and shared
+    by every later evaluation through its step prefix.
     """
 
     coeff: object
@@ -267,6 +288,7 @@ class McValueFunction:
     provenance: str
     beta: Optional[float] = None
     n_flow: int = 200
+    _noise: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_count("M", self.M, 1)
@@ -276,7 +298,18 @@ class McValueFunction:
     def frozen_flow(self, t, mu=None):
         """The law curve from (t, mu) that every start point at (t, mu) shares."""
         mu = self.mu if mu is None else mu
-        return _frozen_flow(self.coeff, mu, t, self.T, self.dt, self.seed, self.n_flow)
+        normals = self._normals(DOMAIN_INTERACTING, self.n_flow, t)
+        return _frozen_flow(self.coeff, mu, t, self.T, self.dt, self.seed, self.n_flow, normals)
+
+    def _normals(self, domain, n_particles, t):
+        """The owned raw block of one domain, drawn again only for a longer horizon."""
+        n_steps = _n_steps(t, self.T, self.dt)
+        block = self._noise.get(domain)
+        if block is None or block.shape[0] < n_steps:
+            block = _raw_normals(self.seed, n_particles, n_steps, self.coeff.m, domain)
+            block.flags.writeable = False
+            self._noise[domain] = block
+        return block
 
     def samples(self, t, x, mu=None, flow=None):
         """Per-path samples at (t, x, mu); pass ``flow = frozen_flow(t, mu)`` to reuse it."""
@@ -289,6 +322,7 @@ class McValueFunction:
         return _path_samples(
             self.coeff, flow, x, self.T, self.dt, self.M, self.seed,
             self.Phi if use_phi else None, self.f_field if use_f else None,
+            self._normals(DOMAIN_DECOUPLED, self.M, t),
         )
 
     def value_of_mean(self, mean):
@@ -472,11 +506,16 @@ def solve_drift_coupled_fixed_point(
     """
     M = check_count("M", M, 1)
     x = start_point(x, coeff.d)
+    # every iteration's frozen flow and every stencil point reuse one block
+    # of each noise domain (common random numbers)
+    n_steps = _n_steps(t, T, dt)
+    flow_normals = _raw_normals(seed, n_flow, n_steps, coeff.m, DOMAIN_INTERACTING)
+    path_normals = _raw_normals(seed, M, n_steps, coeff.m, DOMAIN_DECOUPLED)
     drift_vec = np.zeros(coeff.d)
     changes = []
 
     def value(shifted, flow, xq):
-        samples = _path_samples(shifted, flow, xq, T, dt, M, seed, Phi)
+        samples = _path_samples(shifted, flow, xq, T, dt, M, seed, Phi, normals=path_normals)
         if np.any(samples <= 0):
             raise DataError("terminal datum must stay strictly positive")
         return -0.5 * float(np.mean(np.log(samples)))
@@ -484,7 +523,7 @@ def solve_drift_coupled_fixed_point(
     for _ in range(n_iter):
         shifted = replace_drift(coeff, drift_vec)
         # one frozen flow per drift serves every stencil point
-        flow = _frozen_flow(shifted, mu, t, T, dt, seed, n_flow)
+        flow = _frozen_flow(shifted, mu, t, T, dt, seed, n_flow, flow_normals)
         h = 1e-2 * (1.0 + np.abs(x))
         grad = np.empty(coeff.d)
         for j in range(coeff.d):

@@ -13,6 +13,7 @@ All fields take batched states: f(t, X, mu) -> (B,), g(t, X, mu) -> (B, m).
 from __future__ import annotations
 
 import csv
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,8 +65,16 @@ def accumulator_series(f, g, flow, s, t):
 
 
 def accumulate(f, g, flow, s, t):
-    """A^{f,g}_{s,t} per path: left-endpoint time integral plus Ito sum."""
-    return accumulator_series(f, g, flow, s, t)[-1]
+    """A^{f,g}_{s,t} per path: left-endpoint time integral plus Ito sum.
+
+    The last row of :func:`accumulator_series`, added up in the same order
+    without keeping the earlier rows.
+    """
+    k0, k1 = _span_indices(flow, s, t)
+    total = np.zeros(flow.n_particles)
+    for k in range(k0, k1):
+        total += _step_terms(f, g, flow, k)
+    return total
 
 
 def _read_only(X):
@@ -87,16 +96,17 @@ def build_pair_from_V(coeff, V):
     next call has an equal t, the very same X and mu objects, and an X that
     cannot change (read-only, like ``flow.states[k]``).  Every other call
     recomputes.  The array g returns is that shared evaluation's, so it is
-    read-only.
+    read-only.  X is remembered by weak reference only, so the pair does not
+    keep a flow's states alive after the caller drops them.
     """
-    last = [None, None, None, None]  # t, X, mu, parts
+    last = [None, None, None, None]  # t, weakref to X, mu, parts
 
     def parts_at(t, X, mu):
         t0, X0, mu0, parts = last
-        if not (X is X0 and mu is mu0 and t == t0 and _read_only(X)):
+        if not (X0 is not None and X0() is X and mu is mu0 and t == t0 and _read_only(X)):
             parts = generator_parts(coeff, V, t, X, mu)
             parts["sigma_star_dx"].flags.writeable = False
-            last[:] = t, X, mu, parts
+            last[:] = t, weakref.ref(X) if _read_only(X) else None, mu, parts
         return parts
 
     def f(t, X, mu):
@@ -168,10 +178,13 @@ def verify_path_independence(V, f, g, flows, s, t, threshold_factor=5.0,
                              floor_sigmas=6.0):
     """Defect report for A^{f,g} against the increment of V over a dt ladder.
 
-    ``flows`` is a sequence of particle ensembles simulated with decreasing
-    step sizes.  Each level records the RMS and max defect; the row verdict
-    requires RMS <= threshold_factor * (sqrt(dt) + N^{-1/2}) * scale, where
-    scale is the RMS of the potential increment (self-normalizing).
+    ``flows`` is an iterable of particle ensembles, coarsest step first
+    (ContractError otherwise, or when it is empty).  It is consumed one
+    level at a time and no level is kept, so a generator that simulates each
+    level on request holds one level in memory at once.  Each level records
+    the RMS and max defect; the row verdict requires
+    RMS <= threshold_factor * (sqrt(dt) + N^{-1/2}) * scale, where scale is
+    the RMS of the potential increment (self-normalizing).
 
     Decay to zero is tested by fitting rms^2 = a*dt + c down the ladder: a
     genuine pair leaves the dt-independent floor c at zero, while a pair that
@@ -179,13 +192,15 @@ def verify_path_independence(V, f, g, flows, s, t, threshold_factor=5.0,
     variance survives refinement.  FAIL if c exceeds floor_sigmas standard
     errors (and all-but-negligible size), or any row fails its threshold.
     """
-    if not flows:
-        raise ContractError("need at least one flow")
     rows = []
     sq_means = []  # (dt, mean defect^2, SE of that mean) per level
     prev = None
     scale_cap = 1e-12
-    for flow in sorted(flows, key=lambda fl: -fl.dt):
+    for flow in flows:
+        if prev is not None and flow.dt > prev[1]:
+            raise ContractError(
+                f"flows must come coarsest first: dt {flow.dt} after dt {prev[1]}"
+            )
         increment = potential_increment(V, flow, s, t)
         defect = np.abs(accumulate(f, g, flow, s, t) - increment)
         sq = defect**2
@@ -207,6 +222,10 @@ def verify_path_independence(V, f, g, flows, s, t, threshold_factor=5.0,
         )
         sq_means.append((flow.dt, float(sq.mean()), float(sq.std() / np.sqrt(sq.size))))
         prev = (rms, flow.dt)
+        # drop this level before the iterable simulates the next one
+        del flow
+    if not rows:
+        raise ContractError("need at least one flow")
     floor, floor_se = _defect_floor(sq_means)
     negligible = floor <= (1e-8 * scale_cap) ** 2
     floor_ok = negligible or floor <= floor_sigmas * floor_se

@@ -138,7 +138,7 @@ def pushforward(mu, phi):
 
 def _cost_matrix(mu, nu):
     diff = mu.points[:, None, :] - nu.points[None, :, :]
-    return np.sum(diff**2, axis=2)
+    return np.sum(np.square(diff, out=diff), axis=2)
 
 
 def wasserstein2(mu, nu):

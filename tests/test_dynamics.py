@@ -59,7 +59,6 @@ def test_increment_prefix_consistency():
 @pytest.mark.parametrize("domain", [DOMAIN_INTERACTING, DOMAIN_DECOUPLED, DOMAIN_INIT])
 @pytest.mark.parametrize("m", [1, 2])
 def test_increments_match_per_particle_streams(seed, domain, m):
-    dynamics._NOISE_CACHE.clear()
     n_particles, n_steps, dt = 7, 6, 0.04
     dw = brownian_increments(seed, n_particles, n_steps, m, dt, domain)
     ref = np.empty((n_steps, n_particles, m))
@@ -82,7 +81,6 @@ def test_increments_match_per_particle_streams(seed, domain, m):
 def test_increments_pinned_digest(args, digest):
     # digests of the realised noise (float64, native byte order); a change
     # here re-realises every stochastic output of the package
-    dynamics._NOISE_CACHE.clear()
     assert hashlib.sha256(brownian_increments(*args).tobytes()).hexdigest() == digest
 
 
@@ -108,6 +106,22 @@ def test_increments_reject_invalid_seed_even_when_cached():
     brownian_increments(1, 2, 2, 1, 0.1)
     with pytest.raises(ContractError):
         brownian_increments(1.5, 2, 2, 1, 0.1)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((1, 2, 2, 1, -0.1), "dt"),
+        ((1, 2, 2, 1, 0.0), "dt"),
+        ((1, -1, 2, 1, 0.1), "n_particles"),
+        ((1, 2, -1, 1, 0.1), "n_steps"),
+        ((1, 2, 2, 0, 0.1), "m"),
+    ],
+    ids=["dt_negative", "dt_zero", "particles_negative", "steps_negative", "m_zero"],
+)
+def test_increments_reject_invalid_arguments(args, name):
+    with pytest.raises(ContractError, match=name):
+        brownian_increments(*args)
 
 
 def test_increment_variance_scales_with_dt():
@@ -368,6 +382,42 @@ def test_stream_decoupled_rejects_misshapen_start():
     flow = _frozen(coeff, dirac([0.0, 0.0]), 1.0, 0.25, n=2)
     with pytest.raises(ContractError, match="broadcast"):
         stream_decoupled(coeff, np.zeros(3), flow, 0.0, 1.0, 0.25, 4, seed=0)
+
+
+@pytest.mark.parametrize("kernel", [stream_decoupled, simulate_decoupled])
+def test_decoupled_rejects_start_after_horizon_before_drawing(kernel, monkeypatch):
+    coeff = make_coefficients("brownian")
+    flow = _frozen(coeff, dirac([0.0]), 1.0, 0.25, n=2)
+
+    def no_draw(*args):
+        raise AssertionError("noise drawn for an empty horizon")
+
+    monkeypatch.setattr(dynamics, "_raw_normals", no_draw)
+    with pytest.raises(ContractError, match="need T >= s"):
+        kernel(coeff, [0.0], flow, 0.75, 0.25, 0.25, 3, seed=0)
+
+
+def test_simulate_decoupled_draws_its_block_once(monkeypatch):
+    coeff = make_coefficients("brownian", s=1.0)
+    flow = _frozen(coeff, dirac([0.0]), 1.0, 0.25, n=2)
+    draws = []
+    draw = dynamics._raw_normals
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(dynamics, "_raw_normals", counted)
+    ens = simulate_decoupled(coeff, [0.5], flow, 0.25, 1.0, 0.25, 4, seed=3)
+    assert draws == [(3, 4, 3, 1, DOMAIN_DECOUPLED)]
+    assert ens.noise.tobytes() == brownian_increments(3, 4, 3, 1, 0.25, DOMAIN_DECOUPLED).tobytes()
+
+
+@pytest.mark.parametrize("k", [-1, 5])
+def test_measure_at_rejects_index_outside_grid(k):
+    flow = _frozen(make_coefficients("brownian"), dirac([0.0]), 1.0, 0.25, n=2)
+    with pytest.raises(ContractError, match=r"\[0, 4\]"):
+        flow.measure_at(k)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from mfsde import (
     wasserstein2,
     wasserstein2_bruteforce,
 )
+from mfsde.measure import _cost_matrix
 
 
 def uniform(points):
@@ -166,6 +167,15 @@ def test_w2_transport_size_cap():
     nu = EmpiricalMeasure(pts, w2)
     with pytest.raises(ContractError):
         wasserstein2(mu, nu)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cost_matrix_matches_squared_difference_formula(d):
+    rng = np.random.default_rng(d)
+    mu = uniform(rng.standard_normal((7, d)))
+    nu = uniform(rng.standard_normal((5, d)))
+    diff = mu.points[:, None, :] - nu.points[None, :, :]
+    assert _cost_matrix(mu, nu).tobytes() == np.sum(diff**2, axis=2).tobytes()
 
 
 def test_bruteforce_requires_uniform_equal_count():

@@ -1,0 +1,151 @@
+"""Memory-shape guards: who holds noise blocks and ladder levels, and for how long.
+
+numpy reports its data buffers to ``tracemalloc``, so peaks are measured on
+this process's own allocations without OS counters.
+"""
+
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+import mfsde.dynamics as dynamics
+import mfsde.feynman_kac as feynman_kac
+from mfsde import (
+    ContractError,
+    EmpiricalMeasure,
+    build_pair_from_V,
+    dirac,
+    make_coefficients,
+    make_cylindrical,
+    pde_residual_mc,
+    simulate_mckean_vlasov,
+    verify_path_independence,
+)
+from mfsde.dynamics import DOMAIN_DECOUPLED, DOMAIN_INTERACTING, stream_decoupled
+from mfsde.feynman_kac import McValueFunction
+from mfsde.functionals import accumulate, accumulator_series
+
+BROWNIAN = make_coefficients("brownian", s=1.0)
+LADDER = (0.02, 0.01, 0.005)
+
+
+def _ladder_pair():
+    V = make_cylindrical("x_norm_sq")
+    f, g = build_pair_from_V(BROWNIAN, V)
+    return V, f, g
+
+
+def _level(dt, n, seed):
+    return simulate_mckean_vlasov(BROWNIAN, dirac([0.0]), n, 1.0, dt, seed)
+
+
+def test_generator_ladder_peaks_near_one_level():
+    n = 2000
+    V, f, g = _ladder_pair()
+
+    def level_bytes(dt):
+        steps = round(1.0 / dt)
+        return 8 * n * ((steps + 1) * BROWNIAN.d + steps * BROWNIAN.m)
+
+    largest = level_bytes(LADDER[-1])
+    # holding every level at once would cross the bound
+    assert sum(level_bytes(dt) for dt in LADDER) > 1.5 * largest
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        verify_path_independence(
+            V, f, g, (_level(dt, n, 8 + k) for k, dt in enumerate(LADDER)), 0.0, 1.0
+        )
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * largest
+
+
+def test_previous_level_freed_before_next_is_simulated():
+    V, f, g = _ladder_pair()
+    refs = []
+    freed = []
+
+    def tracked(flow):
+        refs.extend((weakref.ref(flow), weakref.ref(flow.states), weakref.ref(flow.noise)))
+        return flow
+
+    def levels():
+        for k, dt in enumerate(LADDER):
+            freed.append(all(ref() is None for ref in refs))
+            yield tracked(_level(dt, 50, 8 + k))
+
+    verify_path_independence(V, f, g, levels(), 0.0, 1.0)
+    assert freed == [True] * len(LADDER)
+
+
+def test_pde_residual_draws_one_block_per_domain(monkeypatch):
+    draws = []
+    draw = dynamics._raw_normals
+
+    def counted(seed, n_particles, n_steps, m, domain):
+        draws.append((domain, n_particles, n_steps))
+        return draw(seed, n_particles, n_steps, m, domain)
+
+    monkeypatch.setattr(dynamics, "_raw_normals", counted)
+    monkeypatch.setattr(feynman_kac, "_raw_normals", counted)
+    coeff = make_coefficients("mean_revert", rate=1.0, s=1.0)
+    mu = EmpiricalMeasure(np.linspace(-1.0, 1.0, 20)[:, None])
+    vf = McValueFunction(
+        coeff=coeff, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
+        M=200, seed=3, mu=mu, provenance="linear", n_flow=20,
+    )
+    # forward stencils, earliest probe first: the first block covers every column
+    pde_residual_mc(vf, "linear", [(0.0, [0.3]), (0.2, [-0.4])], n_measure_draws=2)
+    assert sorted(draws) == [(DOMAIN_INTERACTING, 20, 10), (DOMAIN_DECOUPLED, 200, 10)]
+
+
+def test_kernels_never_write_into_a_callers_block():
+    coeff = make_coefficients("mean_revert", d=2, rate=1.0, s=0.5)
+    init = EmpiricalMeasure(np.random.default_rng(0).standard_normal((6, 2)))
+    own = simulate_mckean_vlasov(coeff, init, 6, 1.0, 0.25, seed=4)
+    for writeable in (False, True):
+        block = dynamics._raw_normals(4, 6, 6, 2, DOMAIN_INTERACTING)
+        block.flags.writeable = writeable
+        before = block.copy()
+        flow = simulate_mckean_vlasov(coeff, init, 6, 1.0, 0.25, seed=4, normals=block)
+        assert block.tobytes() == before.tobytes()
+        assert flow.noise.tobytes() == own.noise.tobytes()
+        assert flow.states.tobytes() == own.states.tobytes()
+
+        paths = dynamics._raw_normals(4, 5, 6, 2, DOMAIN_DECOUPLED)
+        paths.flags.writeable = writeable
+        before = paths.copy()
+        x = np.array([0.1, -0.3])
+        shared = stream_decoupled(coeff, x, own, 0.25, 1.0, 0.25, 5, seed=4, normals=paths)
+        drawn = stream_decoupled(coeff, x, own, 0.25, 1.0, 0.25, 5, seed=4)
+        assert paths.tobytes() == before.tobytes()
+        assert shared.tobytes() == drawn.tobytes()
+
+
+def test_kernels_reject_a_block_that_does_not_cover_the_run():
+    block = dynamics._raw_normals(4, 6, 3, 1, DOMAIN_INTERACTING)
+    with pytest.raises(ContractError, match="normals"):
+        simulate_mckean_vlasov(BROWNIAN, dirac([0.0]), 6, 1.0, 0.25, seed=4, normals=block)
+
+
+def test_accumulate_is_last_row_of_series_bit_for_bit():
+    V, f, g = _ladder_pair()
+    flow = _level(0.05, 40, 2)
+    for s, t in ((0.0, 1.0), (0.25, 0.75), (0.5, 0.5)):
+        series = accumulator_series(f, g, flow, s, t)
+        assert accumulate(f, g, flow, s, t).tobytes() == series[-1].tobytes()
+
+
+def test_ladder_rejects_empty_and_finest_first():
+    V, f, g = _ladder_pair()
+    with pytest.raises(ContractError, match="at least one flow"):
+        verify_path_independence(V, f, g, [], 0.0, 1.0)
+    with pytest.raises(ContractError, match="at least one flow"):
+        verify_path_independence(V, f, g, iter(()), 0.0, 1.0)
+    flows = [_level(dt, 20, 1) for dt in (0.1, 0.05)]
+    with pytest.raises(ContractError, match="coarsest first"):
+        verify_path_independence(V, f, g, flows[::-1], 0.0, 1.0)
