@@ -1,8 +1,10 @@
 """Config-driven scenario runner producing CSV artifacts and verdict summaries.
 
 A scenario is described by a flat key=value config (dotted keys address
-sub-objects, e.g. ``coeff.id`` or ``V.outer``).  Running one writes its CSV
-output plus ``summary.txt`` with one verdict per line,
+sub-objects, e.g. ``coeff.id`` or ``V.outer``).  ``_SCHEMA`` gives every key
+its type, choices and least value; ``_SCENARIOS`` gives every scenario its
+required keys and its runner.  Running one writes its CSV output plus
+``summary.txt`` with one verdict per line,
 
     <anchor> <scenario> <metric>=<value> <verdict>
 
@@ -15,10 +17,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import csv
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -52,58 +56,7 @@ from .functionals import (
     verify_path_independence,
 )
 from .generator import ito_residual_ensemble
-from .measure import EmpiricalMeasure, dirac, wasserstein2, wasserstein2_bruteforce
-
-SCENARIOS = (
-    "ito_residual",
-    "path_independence",
-    "flow_property",
-    "girsanov",
-    "feynman_kac_linear",
-    "feynman_kac_source",
-    "feynman_kac_log",
-    "pde_residual",
-    "lderivative_check",
-    "w2_selftest",
-)
-
-_INT_KEYS = {
-    "seed", "d", "m", "N", "M", "n_probes", "n_atoms", "n_flow",
-    "n_instances", "max_atoms", "max_dim",
-}
-_FLOAT_KEYS = {
-    "s", "T", "dt", "beta", "eps", "tol", "perturb_g",
-    "f.value", "g.value", "init.scale",
-}
-_LIST_KEYS = {"dt_ladder", "times", "probes.t", "probes.x", "eps_ladder", "init.x"}
-_CHOICE_KEYS = {
-    "scenario": SCENARIOS,
-    "coeff.id": COEFFICIENT_NAMES,
-    "V.outer": OUTER_NAMES,
-    "Phi.outer": OUTER_NAMES,
-    "g.kind": ("const",),
-    "f.kind": ("const",),
-    "closed_form": ("heat", "gauss", "neg_tau", "none"),
-    "pde": PDE_KINDS,
-    "check": ("residual", "npy"),
-    "init.kind": ("point", "gaussian"),
-}
-_NAME_LIST_KEYS = {"V.inner": INNER_NAMES, "Phi.inner": INNER_NAMES}
-# dotted prefixes whose remaining keys are free-form numeric parameters
-_FLOAT_PREFIXES = ("coeff.", "V.outer.", "Phi.outer.")
-
-_REQUIRED = {
-    "lderivative_check": (),
-    "ito_residual": ("coeff.id", "V.outer", "N", "T", "dt"),
-    "path_independence": ("coeff.id", "V.outer", "N", "T"),
-    "flow_property": ("coeff.id", "N", "dt", "times"),
-    "girsanov": ("coeff.id", "g.kind", "g.value", "M", "T", "dt"),
-    "feynman_kac_linear": ("coeff.id", "Phi.outer", "T", "dt", "M", "probes.t", "probes.x"),
-    "feynman_kac_source": ("coeff.id", "f.kind", "f.value", "T", "dt", "M", "probes.t", "probes.x"),
-    "feynman_kac_log": ("coeff.id", "Phi.outer", "beta", "T", "dt", "M", "probes.t", "probes.x"),
-    "pde_residual": (),
-    "w2_selftest": (),
-}
+from .measure import EmpiricalMeasure, dirac, wasserstein2, wasserstein2_bruteforce, write_csv
 
 
 @dataclass(frozen=True)
@@ -129,170 +82,9 @@ class ScenarioConfig:
             return (self.values["dt"],)
         return ()
 
-    def coeff_params(self):
-        return {
-            k.split(".", 1)[1]: v
-            for k, v in self.values.items()
-            if k.startswith("coeff.") and k != "coeff.id"
-        }
-
-    def outer_params(self, prefix):
-        head = prefix + ".outer."
+    def params(self, head):
+        """Values of the keys that start with ``head``, keyed by the rest."""
         return {k[len(head):]: v for k, v in self.values.items() if k.startswith(head)}
-
-
-def _parse_value(key, text, violations):
-    if key in _INT_KEYS:
-        try:
-            return int(text)
-        except ValueError:
-            violations.append(f"key {key!r}: expected an integer, got {text!r}")
-            return None
-    if key in _FLOAT_KEYS or any(
-        key.startswith(p) for p in _FLOAT_PREFIXES
-    ) and key not in _CHOICE_KEYS:
-        try:
-            return float(text)
-        except ValueError:
-            violations.append(f"key {key!r}: expected a number, got {text!r}")
-            return None
-    if key in _LIST_KEYS:
-        try:
-            return tuple(float(tok) for tok in text.split(",") if tok.strip())
-        except ValueError:
-            violations.append(f"key {key!r}: expected comma-separated numbers, got {text!r}")
-            return None
-    if key in _CHOICE_KEYS:
-        if text not in _CHOICE_KEYS[key]:
-            violations.append(
-                f"key {key!r}: unknown identifier {text!r} "
-                f"(choices: {', '.join(_CHOICE_KEYS[key])})"
-            )
-            return None
-        return text
-    if key in _NAME_LIST_KEYS:
-        names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-        bad = [n for n in names if n not in _NAME_LIST_KEYS[key]]
-        if bad:
-            violations.append(f"key {key!r}: unknown identifier(s) {bad}")
-            return None
-        return names
-    violations.append(f"key {key!r}: unknown configuration key")
-    return None
-
-
-def parse_config(text):
-    """Parse and validate a flat key=value config; collect every violation.
-
-    Raises ConfigError carrying the full violation list; otherwise returns a
-    ScenarioConfig with defaults filled (seed=0, M=1, s=0).
-    """
-    violations = []
-    values = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            violations.append(f"line {lineno}: expected key=value, got {line!r}")
-            continue
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key in values:
-            violations.append(f"line {lineno}: duplicate key {key!r}")
-            continue
-        parsed = _parse_value(key, val, violations)
-        if parsed is not None:
-            values[key] = parsed
-
-    scenario = values.get("scenario")
-    if scenario is None and "scenario" not in values:
-        violations.append("key 'scenario': required")
-    values.setdefault("seed", 0)
-    values.setdefault("M", 1)
-    values.setdefault("s", 0.0)
-
-    if scenario in _REQUIRED:
-        for key in _REQUIRED[scenario]:
-            if key not in values:
-                violations.append(f"key {key!r}: required for scenario {scenario!r}")
-    if scenario == "path_independence" and not (
-        "dt" in values or "dt_ladder" in values
-    ):
-        violations.append("key 'dt': path_independence needs dt or dt_ladder")
-    if scenario == "pde_residual" and values.get("check", "residual") == "residual":
-        for key in ("coeff.id", "Phi.outer", "beta", "pde", "T", "dt", "M",
-                    "probes.t", "probes.x"):
-            if key not in values:
-                violations.append(f"key {key!r}: required for scenario 'pde_residual'")
-
-    _check_seed(values, violations)
-    _check_counts(values, violations)
-    _check_grid_alignment(values, violations)
-    if violations:
-        raise ConfigError(violations)
-    return ScenarioConfig(scenario=scenario, seed=values["seed"], values=values)
-
-
-def _check_seed(values, violations):
-    # runners derive seed + level, seed + 1..3 and seed + 101 * probe_id, and
-    # every derived seed must fit the uint64 word of a noise-stream key
-    seed = values["seed"]
-    n_probes = len(values.get("probes.t", ())) * len(values.get("probes.x", ()))
-    largest = 2**64 - 1 - max(3, len(values.get("dt_ladder", ())) - 1, 101 * (n_probes - 1))
-    if not 0 <= seed <= largest:
-        violations.append(
-            f"key 'seed': must lie in [0, {largest}] so that derived seeds fit in uint64, "
-            f"got {seed}"
-        )
-
-
-# least value of each sample or particle count: M paths, N and n_flow
-# interacting particles (an ensemble needs two)
-_LEAST_COUNT = {"M": 1, "N": 2, "n_flow": 2}
-
-
-def _check_counts(values, violations):
-    for key, least in _LEAST_COUNT.items():
-        if key in values and values[key] < least:
-            violations.append(f"key {key!r}: must be at least {least}, got {values[key]}")
-
-
-def _divides(dt, span):
-    if dt <= 0 or span < 0:
-        return False
-    n = span / dt
-    return abs(n - round(n)) <= 1e-9 * max(1.0, abs(n))
-
-
-def _check_grid_alignment(values, violations):
-    s = values.get("s", 0.0)
-    T = values.get("T")
-    levels = values.get("dt_ladder", ())
-    if "dt" in values:
-        levels = levels + (values["dt"],)
-    for dt in levels:
-        if dt <= 0:
-            violations.append(f"key 'dt': step size must be positive, got {dt}")
-        elif T is not None and not _divides(dt, T - s):
-            violations.append(
-                f"key 'dt': {dt:g} does not divide the horizon T-s = {T - s:g}"
-            )
-    times = values.get("times")
-    if times is not None:
-        if len(times) != 3 or not (times[0] < times[1] < times[2]):
-            violations.append("key 'times': expected three increasing values s < t < r")
-        elif "dt" in values:
-            for a, b in ((times[0], times[1]), (times[1], times[2]), (times[0], times[2])):
-                if not _divides(values["dt"], b - a):
-                    violations.append(
-                        f"key 'dt': {values['dt']:g} does not divide the interval "
-                        f"[{a:g}, {b:g}]"
-                    )
-
-
-# ---------------------------------------------------------------------------
-# scenario runners
 
 
 @dataclass(frozen=True)
@@ -311,53 +103,41 @@ def _flag(ok):
     return "PASS" if ok else "FAIL"
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+# ---------------------------------------------------------------------------
+# scenario runners: each takes (cfg, out_dir), writes its CSV and returns
+# its verdicts
 
 
-def _fmt(v):
-    return f"{float(v):.17g}"
-
-
-def _build_coeff(cfg, d=None, m=None):
-    d = d if d is not None else cfg.get("d", 1)
-    m = m if m is not None else cfg.get("m", d)
-    return make_coefficients(cfg.get("coeff.id"), d=d, m=m, **cfg.coeff_params())
+def _build_coeff(cfg):
+    d = cfg.get("d", 1)
+    params = cfg.params("coeff.")
+    return make_coefficients(params.pop("id", None), d=d, m=cfg.get("m", d), **params)
 
 
 def _build_cylindrical(cfg, prefix):
     outer = cfg.get(prefix + ".outer")
     inner = cfg.get(prefix + ".inner", ())
     return make_cylindrical(
-        outer, inner, outer_params=cfg.outer_params(prefix) or None
+        outer, inner, outer_params=cfg.params(prefix + ".outer.") or None
     )
 
 
-def _initial_measure(cfg, d, n, seed):
-    kind = cfg.get("init.kind", "point")
-    if kind == "point":
-        x = np.asarray(cfg.floats("init.x", (0.0,) * d), dtype=float)
-        return dirac(np.broadcast_to(x, (d,)))
+def _initial_measure(cfg, n):
+    d = cfg.get("d", 1)
+    if cfg.get("init.kind", "point") == "point":
+        return dirac(np.broadcast_to(cfg.floats("init.x", (0.0,)), (d,)))
     scale = cfg.get("init.scale", 1.0)
-    rng = np.random.default_rng(seed)
-    return EmpiricalMeasure(scale * rng.standard_normal((n, d)), np.full(n, 1.0 / n))
+    rng = np.random.default_rng(cfg.seed)
+    return EmpiricalMeasure(scale * rng.standard_normal((n, d)))
 
 
-def _const_field(value, m):
-    def g(t, X, mu):
-        return np.full((np.asarray(X).shape[0], m), float(value))
+def _const_field(value, *shape):
+    """Batched field equal to ``value`` everywhere, of shape (B, *shape)."""
 
-    return g
+    def const(t, X, mu):
+        return np.full((np.asarray(X).shape[0], *shape), float(value))
 
-
-def _const_scalar_field(value):
-    def f(t, X, mu):
-        return np.full(np.asarray(X).shape[0], float(value))
-
-    return f
+    return const
 
 
 def _lderivative_catalog(d):
@@ -388,9 +168,7 @@ def _run_lderivative_check(cfg, out_dir):
         for probe in range(n_probes):
             t = float(rng.uniform(0.0, 1.0))
             x = rng.standard_normal(d)
-            mu = EmpiricalMeasure(
-                rng.standard_normal((n_atoms, d)), np.full(n_atoms, 1.0 / n_atoms)
-            )
+            mu = EmpiricalMeasure(rng.standard_normal((n_atoms, d)))
             A = 0.3 * rng.standard_normal((d, d))
             c = 0.3 * rng.standard_normal(d)
 
@@ -402,12 +180,9 @@ def _run_lderivative_check(cfg, out_dir):
                 fd = l_derivative_fd_oracle(f, t, x, mu, phi, eps)
                 gap = abs(fd - exact)
                 worst[eps] = max(worst[eps], gap)
-                rows.append([outer, probe, _fmt(eps), _fmt(gap)])
-    _write_csv(
-        os.path.join(out_dir, "lderivative_check.csv"),
-        ["function", "probe", "eps", "gap"],
-        rows,
-    )
+                rows.append([outer, probe, eps, gap])
+    header = ["function", "probe", "eps", "gap"]
+    write_csv(os.path.join(out_dir, "lderivative_check.csv"), header, rows)
     gaps = [worst[eps] for eps in eps_ladder]
     rates = [g / eps for g, eps in zip(gaps, eps_ladder)]
     linear = max(rates) <= 3.0 * min(rates) if min(rates) > 0 else False
@@ -422,11 +197,10 @@ def _run_lderivative_check(cfg, out_dir):
 
 
 def _run_ito_residual(cfg, out_dir):
-    d = cfg.get("d", 1)
-    coeff = _build_coeff(cfg, d=d)
+    coeff = _build_coeff(cfg)
     V = _build_cylindrical(cfg, "V")
     N, T, dt = cfg.get("N"), cfg.get("T"), cfg.get("dt")
-    mu0 = _initial_measure(cfg, d, N, cfg.seed)
+    mu0 = _initial_measure(cfg, N)
     flow = simulate_mckean_vlasov(coeff, mu0, N, T, dt, cfg.seed, s=cfg.get("s", 0.0))
     residuals, mart, qv_density = ito_residual_ensemble(coeff, V, flow)
     # the ensemble-mean residual is a sum of per-step increments driven by
@@ -442,15 +216,11 @@ def _run_ito_residual(cfg, out_dir):
         qv_pred += float(q) * dt
     qv_ratio = qv_real / qv_pred if qv_pred > 0 else float("inf")
     step_rows = [
-        [k, _fmt(flow.times[k]), _fmt(residuals[k].mean()),
-         _fmt(np.sqrt((residuals[k] ** 2).mean()))]
+        [k, flow.times[k], residuals[k].mean(), np.sqrt((residuals[k] ** 2).mean())]
         for k in range(flow.n_steps)
     ]
-    _write_csv(
-        os.path.join(out_dir, "ito_residual.csv"),
-        ["step", "time", "mean_residual", "rms_residual"],
-        step_rows,
-    )
+    header = ["step", "time", "mean_residual", "rms_residual"]
+    write_csv(os.path.join(out_dir, "ito_residual.csv"), header, step_rows)
     return [
         Verdict("Lemma-3.1", cfg.scenario, "mean_residual", mean, _flag(abs(mean) <= 3 * se)),
         Verdict("Eq-rpp", cfg.scenario, "qv_ratio", qv_ratio, _flag(abs(qv_ratio - 1) <= 0.1)),
@@ -458,8 +228,7 @@ def _run_ito_residual(cfg, out_dir):
 
 
 def _run_path_independence(cfg, out_dir):
-    d = cfg.get("d", 1)
-    coeff = _build_coeff(cfg, d=d)
+    coeff = _build_coeff(cfg)
     V = _build_cylindrical(cfg, "V")
     N, T, s = cfg.get("N"), cfg.get("T"), cfg.get("s", 0.0)
     f, g = build_pair_from_V(coeff, V)
@@ -473,8 +242,7 @@ def _run_path_independence(cfg, out_dir):
     # coarsest level first, each simulated only when the verifier asks for it;
     # a level keeps the seed of its place in the configured ladder
     flows = (
-        simulate_mckean_vlasov(coeff, _initial_measure(cfg, d, N, cfg.seed), N, T, dt,
-                               cfg.seed + level, s=s)
+        simulate_mckean_vlasov(coeff, _initial_measure(cfg, N), N, T, dt, cfg.seed + level, s=s)
         for level, dt in sorted(enumerate(cfg.dt_levels), key=lambda item: -item[1])
     )
     report = verify_path_independence(V, f, g, flows, s, T)
@@ -491,40 +259,35 @@ def _run_path_independence(cfg, out_dir):
 
 
 def _run_flow_property(cfg, out_dir):
-    d = cfg.get("d", 1)
-    coeff = _build_coeff(cfg, d=d)
+    coeff = _build_coeff(cfg)
     N, dt = cfg.get("N"), cfg.get("dt")
     t0, t1, t2 = cfg.floats("times")
     tol = cfg.get("tol", 0.05)
-    mu0 = _initial_measure(cfg, d, N, cfg.seed)
+    mu0 = _initial_measure(cfg, N)
     mu_mid = semigroup_apply(coeff, mu0, t0, t1, N, dt, cfg.seed + 1)
     mu_two_step = semigroup_apply(coeff, mu_mid, t1, t2, N, dt, cfg.seed + 2)
     mu_direct = semigroup_apply(coeff, mu0, t0, t2, N, dt, cfg.seed + 3)
     gap = wasserstein2(mu_two_step, mu_direct)
     rows = [
-        ["initial", _fmt(t0), _fmt(mu0.mean()[0]), _fmt(mu0.second_moment())],
-        ["two_step", _fmt(t2), _fmt(mu_two_step.mean()[0]), _fmt(mu_two_step.second_moment())],
-        ["direct", _fmt(t2), _fmt(mu_direct.mean()[0]), _fmt(mu_direct.second_moment())],
-        ["w2_gap", _fmt(t2), _fmt(gap), ""],
+        ["initial", t0, mu0.mean()[0], mu0.second_moment()],
+        ["two_step", t2, mu_two_step.mean()[0], mu_two_step.second_moment()],
+        ["direct", t2, mu_direct.mean()[0], mu_direct.second_moment()],
+        ["w2_gap", t2, gap, ""],
     ]
-    _write_csv(
-        os.path.join(out_dir, "flow_property.csv"),
-        ["measure", "time", "mean", "second_moment"],
-        rows,
-    )
+    header = ["measure", "time", "mean", "second_moment"]
+    write_csv(os.path.join(out_dir, "flow_property.csv"), header, rows)
     return [Verdict("Eq-SM", cfg.scenario, "w2_gap", gap, _flag(gap <= tol))]
 
 
 def _run_girsanov(cfg, out_dir):
-    d = cfg.get("d", 1)
-    m = cfg.get("m", d)
-    coeff = _build_coeff(cfg, d=d, m=m)
+    coeff = _build_coeff(cfg)
+    m = coeff.m
     M, T, dt = cfg.get("M"), cfg.get("T"), cfg.get("dt")
     s = cfg.get("s", 0.0)
     beta = cfg.get("beta", 1.0)
     g_value = cfg.get("g.value")
     g = _const_field(g_value, m)
-    mu0 = _initial_measure(cfg, d, M, cfg.seed)
+    mu0 = _initial_measure(cfg, M)
     flow = simulate_mckean_vlasov(coeff, mu0, M, T, dt, cfg.seed, s=s)
     weights = girsanov_weight(g, flow, beta, s, T)
     dx = flow.states[-1] - flow.states[0]
@@ -537,15 +300,17 @@ def _run_girsanov(cfg, out_dir):
     nov_expected = float(np.exp(0.5 * m * g_value**2 * (T - s)))
     nov_gap = abs(nov.estimate - nov_expected)
     rows = [
-        ["weight_mean_err", _fmt(mean_err), _fmt(3 * se_w)],
-        ["riskneutral_drift", _fmt(drift_q), _fmt(3 * se_q)],
-        ["novikov_estimate", _fmt(nov.estimate), _fmt(nov_expected)],
+        ["weight_mean_err", mean_err, 3 * se_w],
+        ["riskneutral_drift", drift_q, 3 * se_q],
+        ["novikov_estimate", nov.estimate, nov_expected],
         ["tail_flag", nov.tail_flag, "clear"],
     ]
-    _write_csv(os.path.join(out_dir, "girsanov.csv"), ["metric", "value", "reference"], rows)
+    write_csv(os.path.join(out_dir, "girsanov.csv"), ["metric", "value", "reference"], rows)
     return [
-        Verdict("Eq-YPP1", cfg.scenario, "weight_mean_err", mean_err, _flag(mean_err <= 3 * se_w)),
-        Verdict("Eq-APPg3", cfg.scenario, "riskneutral_drift", abs(drift_q), _flag(abs(drift_q) <= 3 * se_q)),
+        Verdict("Eq-YPP1", cfg.scenario, "weight_mean_err", mean_err,
+                _flag(mean_err <= 3 * se_w)),
+        Verdict("Eq-APPg3", cfg.scenario, "riskneutral_drift", abs(drift_q),
+                _flag(abs(drift_q) <= 3 * se_q)),
         Verdict("Eq-Agg2", cfg.scenario, "novikov_gap", nov_gap, _flag(nov_gap <= 1e-10)),
     ]
 
@@ -566,63 +331,47 @@ def _closed_form(kind, t, x, T, beta):
 
 def _run_feynman_kac(cfg, out_dir):
     d = cfg.get("d", 1)
-    coeff = _build_coeff(cfg, d=d)
+    coeff = _build_coeff(cfg)
     T, dt, M = cfg.get("T"), cfg.get("dt"), cfg.get("M")
     n_flow = cfg.get("n_flow", 200)
     beta = cfg.get("beta", 1.0)
     closed = cfg.get("closed_form", "none")
-    mu = _initial_measure(cfg, d, cfg.get("N", 200), cfg.seed)
-    anchor = {
-        "feynman_kac_linear": "Lemma-3.3",
-        "feynman_kac_source": "Lemma-3.4",
-        "feynman_kac_log": "Eq-TTY0",
+    mu = _initial_measure(cfg, cfg.get("N", 200))
+    datum = (
+        _const_field(cfg.get("f.value")) if cfg.scenario == "feynman_kac_source"
+        else _build_cylindrical(cfg, "Phi")
+    )
+    # built per run, so that a solver replaced on this module (as perfbench's
+    # traced mode does) is the one called
+    anchor, solve = {
+        "feynman_kac_linear": ("Lemma-3.3", partial(solve_linear, coeff, datum)),
+        "feynman_kac_source": ("Lemma-3.4", partial(solve_with_source, coeff, datum)),
+        "feynman_kac_log": ("Eq-TTY0", partial(solve_log_transform, coeff, datum, beta)),
     }[cfg.scenario]
     rows, verdicts = [], []
-    probe_id = 0
-    for t in cfg.floats("probes.t"):
-        for x_val in cfg.floats("probes.x"):
-            x = np.full(d, x_val)
-            seed = cfg.seed + 101 * probe_id
-            if cfg.scenario == "feynman_kac_linear":
-                Phi = _build_cylindrical(cfg, "Phi")
-                sol = solve_linear(coeff, Phi, t, x, mu, T, M, dt, seed, n_flow=n_flow)
-            elif cfg.scenario == "feynman_kac_source":
-                f_field = _const_scalar_field(cfg.get("f.value"))
-                sol = solve_with_source(coeff, f_field, t, x, mu, T, M, dt, seed, n_flow=n_flow)
-            else:
-                Phi = _build_cylindrical(cfg, "Phi")
-                sol = solve_log_transform(
-                    coeff, Phi, beta, t, x, mu, T, M, dt, seed, n_flow=n_flow
-                )
-            expected = _closed_form(closed, t, x, T, beta)
-            err = abs(sol.value - expected) if expected is not None else 0.0
-            # roundoff floor keeps deterministic cases (zero SE) honest
-            ok = expected is None or err <= 3 * sol.std_error + 1e-12 * (
-                1.0 + abs(expected)
-            )
-            label = f"err_t{t:g}_x{x_val:g}"
-            verdicts.append(Verdict(anchor, cfg.scenario, label, err, _flag(ok)))
-            rows.append(
-                [_fmt(t), _fmt(x_val), _fmt(sol.value), _fmt(sol.std_error),
-                 "" if expected is None else _fmt(expected), _fmt(err), _flag(ok)]
-            )
-            probe_id += 1
-    _write_csv(
-        os.path.join(out_dir, f"{cfg.scenario}.csv"),
-        ["t", "x", "value", "std_error", "closed_form", "abs_err", "verdict"],
-        rows,
-    )
+    probes = product(cfg.floats("probes.t"), cfg.floats("probes.x"))
+    for probe_id, (t, x_val) in enumerate(probes):
+        x = np.full(d, x_val)
+        sol = solve(t, x, mu, T, M, dt, cfg.seed + 101 * probe_id, n_flow=n_flow)
+        expected = _closed_form(closed, t, x, T, beta)
+        err = abs(sol.value - expected) if expected is not None else 0.0
+        # roundoff floor keeps deterministic cases (zero SE) honest
+        ok = expected is None or err <= 3 * sol.std_error + 1e-12 * (1.0 + abs(expected))
+        label = f"err_t{t:g}_x{x_val:g}"
+        verdicts.append(Verdict(anchor, cfg.scenario, label, err, _flag(ok)))
+        rows.append([t, x_val, sol.value, sol.std_error, expected, err, _flag(ok)])
+    header = ["t", "x", "value", "std_error", "closed_form", "abs_err", "verdict"]
+    write_csv(os.path.join(out_dir, f"{cfg.scenario}.csv"), header, rows)
     return verdicts
 
 
-def _npy_probe_catalog():
-    return [
-        ("x_norm_sq", []),
-        ("x_sq_plus_r1", [("quadratic", {})]),
-        ("x1_times_r1", [("linear", {"a": [1.0]})]),
-        ("time_times_r1", [("bump", {})]),
-        ("gauss_quarter", []),
-    ]
+_NPY_PROBES = (
+    ("x_norm_sq", []),
+    ("x_sq_plus_r1", [("quadratic", {})]),
+    ("x1_times_r1", [("linear", {"a": [1.0]})]),
+    ("time_times_r1", [("bump", {})]),
+    ("gauss_quarter", []),
+)
 
 
 def _drift_from_gradient(coeff, V):
@@ -643,11 +392,10 @@ def _run_npy_identity(cfg, out_dir):
     n_probes = cfg.get("n_probes", 50)
     tol = cfg.get("tol", 1e-10)
     rng = np.random.default_rng(cfg.seed)
-    catalog = _npy_probe_catalog()
     rows = []
     worst = 0.0
     for pid in range(n_probes):
-        outer, inner = catalog[pid % len(catalog)]
+        outer, inner = _NPY_PROBES[pid % len(_NPY_PROBES)]
         V = make_cylindrical(outer, inner)
         sigma_id = ("brownian", "ou", "mean_revert")[pid % 3]
         base = make_coefficients(sigma_id, d=d, s=float(rng.uniform(0.3, 1.5)))
@@ -655,17 +403,12 @@ def _run_npy_identity(cfg, out_dir):
         t = float(rng.uniform(0.0, 1.0))
         x = rng.standard_normal(d)
         n_atoms = int(rng.integers(5, 40))
-        mu = EmpiricalMeasure(
-            rng.standard_normal((n_atoms, d)), np.full(n_atoms, 1.0 / n_atoms)
-        )
+        mu = EmpiricalMeasure(rng.standard_normal((n_atoms, d)))
         gap = npy_identity_gap(coeff, V, t, x, mu)
         worst = max(worst, gap)
-        rows.append([pid, outer, sigma_id, _fmt(gap)])
-    _write_csv(
-        os.path.join(out_dir, "npy_identity.csv"),
-        ["probe", "potential", "diffusion", "gap"],
-        rows,
-    )
+        rows.append([pid, outer, sigma_id, gap])
+    header = ["probe", "potential", "diffusion", "gap"]
+    write_csv(os.path.join(out_dir, "npy_identity.csv"), header, rows)
     return [Verdict("Eq-NPY", cfg.scenario, "max_gap", worst, _flag(worst <= tol))]
 
 
@@ -673,12 +416,12 @@ def _run_pde_residual(cfg, out_dir):
     if cfg.get("check", "residual") == "npy":
         return _run_npy_identity(cfg, out_dir)
     d = cfg.get("d", 1)
-    coeff = _build_coeff(cfg, d=d)
+    coeff = _build_coeff(cfg)
     Phi = _build_cylindrical(cfg, "Phi")
     beta = cfg.get("beta", 1.0)
     pde = cfg.get("pde")
     provenance = "log_transform" if pde == "nonlinear" else "linear"
-    mu = _initial_measure(cfg, d, cfg.get("N", 200), cfg.seed)
+    mu = _initial_measure(cfg, cfg.get("N", 200))
     vf = McValueFunction(
         coeff=coeff,
         Phi=Phi,
@@ -716,39 +459,217 @@ def _run_w2_selftest(cfg, out_dir):
     for inst in range(n_instances):
         d = int(rng.integers(1, max_dim + 1))
         n = int(rng.integers(1, max_atoms + 1))
-        mu = EmpiricalMeasure(rng.standard_normal((n, d)), np.full(n, 1.0 / n))
-        nu = EmpiricalMeasure(rng.standard_normal((n, d)), np.full(n, 1.0 / n))
+        mu = EmpiricalMeasure(rng.standard_normal((n, d)))
+        nu = EmpiricalMeasure(rng.standard_normal((n, d)))
         solved = wasserstein2(mu, nu)
         brute = wasserstein2_bruteforce(mu, nu)
         gap = abs(solved - brute)
         worst = max(worst, gap)
-        rows.append([inst, d, n, _fmt(solved), _fmt(brute), _fmt(gap)])
-    _write_csv(
-        os.path.join(out_dir, "w2_selftest.csv"),
-        ["instance", "d", "n", "solver", "bruteforce", "gap"],
-        rows,
-    )
+        rows.append([inst, d, n, solved, brute, gap])
+    header = ["instance", "d", "n", "solver", "bruteforce", "gap"]
+    write_csv(os.path.join(out_dir, "w2_selftest.csv"), header, rows)
     return [Verdict("Def-W2", cfg.scenario, "max_gap", worst, _flag(worst <= tol))]
 
 
-_RUNNERS = {
-    "lderivative_check": _run_lderivative_check,
-    "ito_residual": _run_ito_residual,
-    "path_independence": _run_path_independence,
-    "flow_property": _run_flow_property,
-    "girsanov": _run_girsanov,
-    "feynman_kac_linear": _run_feynman_kac,
-    "feynman_kac_source": _run_feynman_kac,
-    "feynman_kac_log": _run_feynman_kac,
-    "pde_residual": _run_pde_residual,
-    "w2_selftest": _run_w2_selftest,
+# one scenario: its runner and the keys its config must set, where a
+# required entry "a|b" is met by either key
+_Scenario = namedtuple("_Scenario", "run required", defaults=((),))
+_FK_KEYS = ("coeff.id", "T", "dt", "probes.t", "probes.x")
+_SCENARIOS = {
+    "ito_residual": _Scenario(_run_ito_residual, ("coeff.id", "V.outer", "N", "T", "dt")),
+    "path_independence": _Scenario(
+        _run_path_independence, ("coeff.id", "V.outer", "N", "T", "dt|dt_ladder")),
+    "flow_property": _Scenario(_run_flow_property, ("coeff.id", "N", "dt", "times")),
+    "girsanov": _Scenario(_run_girsanov, ("coeff.id", "g.kind", "g.value", "T", "dt")),
+    "feynman_kac_linear": _Scenario(_run_feynman_kac, _FK_KEYS + ("Phi.outer",)),
+    "feynman_kac_source": _Scenario(_run_feynman_kac, _FK_KEYS + ("f.kind", "f.value")),
+    "feynman_kac_log": _Scenario(_run_feynman_kac, _FK_KEYS + ("Phi.outer", "beta")),
+    # the keys of check = residual; check = npy needs none
+    "pde_residual": _Scenario(_run_pde_residual, _FK_KEYS + ("Phi.outer", "beta", "pde")),
+    "lderivative_check": _Scenario(_run_lderivative_check),
+    "w2_selftest": _Scenario(_run_w2_selftest),
 }
+SCENARIOS = tuple(_SCENARIOS)
+
+
+# ---------------------------------------------------------------------------
+# config schema: each parser turns a value's text into its value or raises
+# ValueError saying what was expected
+
+
+def _number(cast, least=None, nonzero=False):
+    noun = "an integer" if cast is int else "a number"
+
+    def parse(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise ValueError(f"expected {noun}, got {text!r}") from None
+        if least is not None and value < least:
+            raise ValueError(f"must be at least {least}, got {value}")
+        if nonzero and value == 0:
+            raise ValueError("must be nonzero")
+        return value
+
+    return parse
+
+
+def _list(item):
+    def parse(text):
+        tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+        if not tokens:
+            raise ValueError(f"expected a comma-separated list, got {text!r}")
+        return tuple(item(tok) for tok in tokens)
+
+    return parse
+
+
+def _choice(choices):
+    def parse(text):
+        if text not in choices:
+            raise ValueError(f"unknown identifier {text!r} (choices: {', '.join(choices)})")
+        return text
+
+    return parse
+
+
+_FLOAT = _number(float)
+_FLOATS = _list(_FLOAT)
+# counts: M paths, N and n_flow interacting particles (an ensemble needs two)
+_COUNT = _number(int, least=1)
+_ENSEMBLE = _number(int, least=2)
+_SCHEMA = {
+    "scenario": _choice(SCENARIOS),
+    "seed": _number(int),
+    "d": _COUNT, "m": _COUNT, "M": _COUNT, "N": _ENSEMBLE, "n_flow": _ENSEMBLE,
+    "n_probes": _COUNT, "n_atoms": _COUNT, "n_instances": _COUNT,
+    "max_atoms": _COUNT, "max_dim": _COUNT,
+    "s": _FLOAT, "T": _FLOAT, "dt": _FLOAT, "beta": _number(float, nonzero=True),
+    "tol": _FLOAT, "perturb_g": _FLOAT, "f.value": _FLOAT, "g.value": _FLOAT,
+    "init.scale": _FLOAT,
+    "dt_ladder": _FLOATS, "times": _FLOATS, "probes.t": _FLOATS, "probes.x": _FLOATS,
+    "eps_ladder": _FLOATS, "init.x": _FLOATS,
+    "coeff.id": _choice(COEFFICIENT_NAMES),
+    "V.outer": _choice(OUTER_NAMES), "Phi.outer": _choice(OUTER_NAMES),
+    "V.inner": _list(_choice(INNER_NAMES)), "Phi.inner": _list(_choice(INNER_NAMES)),
+    "g.kind": _choice(("const",)), "f.kind": _choice(("const",)),
+    "closed_form": _choice(("heat", "gauss", "neg_tau", "none")),
+    "pde": _choice(PDE_KINDS),
+    "check": _choice(("residual", "npy")),
+    "init.kind": _choice(("point", "gaussian")),
+}
+# dotted prefixes whose remaining keys are free-form numeric parameters
+_FLOAT_PREFIXES = ("coeff.", "V.outer.", "Phi.outer.")
+
+
+def parse_config(text, seed=None):
+    """Parse and validate a flat key=value config; collect every violation.
+
+    ``seed``, when given, replaces the config's own seed.  Raises ConfigError
+    carrying the full violation list; otherwise returns a ScenarioConfig with
+    defaults filled (seed=0, M=1, s=0).
+    """
+    violations = []
+    values = {}
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            violations.append(f"line {lineno}: expected key=value, got {line!r}")
+            continue
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key in values:
+            violations.append(f"line {lineno}: duplicate key {key!r}")
+            continue
+        parse = _SCHEMA.get(key, _FLOAT if key.startswith(_FLOAT_PREFIXES) else None)
+        if parse is None:
+            violations.append(f"key {key!r}: unknown configuration key")
+            continue
+        try:
+            values[key] = parse(val)
+        except ValueError as exc:
+            violations.append(f"key {key!r}: {exc}")
+
+    if seed is not None:
+        values["seed"] = seed
+    scenario = values.get("scenario")
+    if scenario is None and "scenario" not in values:
+        violations.append("key 'scenario': required")
+    values.setdefault("seed", 0)
+    values.setdefault("M", 1)
+    values.setdefault("s", 0.0)
+
+    required = _SCENARIOS[scenario].required if scenario in _SCENARIOS else ()
+    if scenario == "pde_residual" and values.get("check") == "npy":
+        required = ()
+    for need in required:
+        keys = need.split("|")
+        if not any(key in values for key in keys):
+            either = "".join(f" (or {key!r})" for key in keys[1:])
+            violations.append(f"key {keys[0]!r}: required for scenario {scenario!r}{either}")
+
+    d, n_init = values.get("d", 1), len(values.get("init.x", (0.0,)))
+    if n_init not in (1, d):
+        violations.append(f"key 'init.x': expected 1 or d = {d} entries, got {n_init}")
+    _check_seed(values, violations)
+    _check_grid_alignment(values, violations)
+    if violations:
+        raise ConfigError(violations)
+    return ScenarioConfig(scenario=scenario, seed=values["seed"], values=values)
+
+
+def _check_seed(values, violations):
+    # runners derive seed + level, seed + 1..3 and seed + 101 * probe_id, and
+    # every derived seed must fit the uint64 word of a noise-stream key
+    seed = values["seed"]
+    n_probes = len(values.get("probes.t", ())) * len(values.get("probes.x", ()))
+    largest = 2**64 - 1 - max(3, len(values.get("dt_ladder", ())) - 1, 101 * (n_probes - 1))
+    if not 0 <= seed <= largest:
+        violations.append(
+            f"key 'seed': must lie in [0, {largest}] so that derived seeds fit in uint64, "
+            f"got {seed}"
+        )
+
+
+def _divides(dt, span):
+    if dt <= 0 or span < 0:
+        return False
+    n = span / dt
+    return abs(n - round(n)) <= 1e-9 * max(1.0, abs(n))
+
+
+def _check_grid_alignment(values, violations):
+    s = values.get("s", 0.0)
+    T = values.get("T")
+    levels = values.get("dt_ladder", ())
+    if "dt" in values:
+        levels = levels + (values["dt"],)
+    for dt in levels:
+        if dt <= 0:
+            violations.append(f"key 'dt': step size must be positive, got {dt}")
+        elif T is not None and not _divides(dt, T - s):
+            violations.append(
+                f"key 'dt': {dt:g} does not divide the horizon T-s = {T - s:g}"
+            )
+    times = values.get("times")
+    if times is not None:
+        if len(times) != 3 or not (times[0] < times[1] < times[2]):
+            violations.append("key 'times': expected three increasing values s < t < r")
+        elif "dt" in values:
+            for a, b in ((times[0], times[1]), (times[1], times[2]), (times[0], times[2])):
+                if not _divides(values["dt"], b - a):
+                    violations.append(
+                        f"key 'dt': {values['dt']:g} does not divide the interval "
+                        f"[{a:g}, {b:g}]"
+                    )
 
 
 def run_scenario(cfg, out_dir):
     """Run one configured scenario; write artifacts; return the exit status."""
     os.makedirs(out_dir, exist_ok=True)
-    verdicts = _RUNNERS[cfg.scenario](cfg, out_dir)
+    verdicts = _SCENARIOS[cfg.scenario].run(cfg, out_dir)
     lines = [v.line() for v in verdicts]
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -938,14 +859,8 @@ def main(argv=None):
     else:
         with open(args.config) as fh:
             text = fh.read()
-    if args.seed is not None:
-        kept = [
-            line for line in text.splitlines()
-            if not line.split("#", 1)[0].strip().startswith("seed")
-        ]
-        text = "\n".join(kept) + f"\nseed = {args.seed}\n"
     try:
-        cfg = parse_config(text)
+        cfg = parse_config(text, seed=args.seed)
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)

@@ -11,7 +11,6 @@ array: it is re-keyed, with its counter reset, before each particle's draws.
 
 from __future__ import annotations
 
-import csv
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -19,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, SimulationError
-from .measure import EmpiricalMeasure, wasserstein2
+from .measure import EmpiricalMeasure, wasserstein2, write_csv
 
 BLOWUP_GUARD = 1e8
 
@@ -274,15 +273,14 @@ class ParticleFlow:
         return int(round(k))
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            d = self.states.shape[2]
-            writer.writerow(["step", "time", "particle"] + [f"x_{i+1}" for i in range(d)])
-            for k, t in enumerate(self.times):
-                for i in range(self.n_particles):
-                    writer.writerow(
-                        [k, f"{t:.17g}", i] + [f"{v:.17g}" for v in self.states[k, i]]
-                    )
+        d = self.states.shape[2]
+        header = ["step", "time", "particle"] + [f"x_{i+1}" for i in range(d)]
+        rows = (
+            [k, t, i, *self.states[k, i]]
+            for k, t in enumerate(self.times)
+            for i in range(self.n_particles)
+        )
+        write_csv(path, header, rows)
 
 
 def _grid(s, T, dt):

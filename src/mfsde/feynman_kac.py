@@ -15,7 +15,6 @@ common-random-number finite differences and an explicit error budget.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -34,7 +33,7 @@ from .dynamics import (
 )
 from .errors import CapabilityError, ContractError, DataError
 from .generator import generator_parts, generator_total
-from .measure import EmpiricalMeasure
+from .measure import EmpiricalMeasure, write_csv
 
 
 @dataclass(frozen=True)
@@ -177,21 +176,12 @@ class ResidualTable:
         return ok / len(self.rows) if self.rows else 0.0
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pde", "t", "x", "probe_id", "residual", "budget", "verdict"])
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.pde,
-                        f"{r.t:.17g}",
-                        " ".join(f"{v:.17g}" for v in r.x),
-                        r.probe_id,
-                        f"{r.residual:.17g}",
-                        f"{r.budget:.17g}",
-                        r.verdict,
-                    ]
-                )
+        rows = (
+            [r.pde, r.t, " ".join(f"{v:.17g}" for v in r.x), r.probe_id, r.residual,
+             r.budget, r.verdict]
+            for r in self.rows
+        )
+        write_csv(path, ["pde", "t", "x", "probe_id", "residual", "budget", "verdict"], rows)
 
 
 def _finalize_table(rows, min_pass_fraction=0.95):

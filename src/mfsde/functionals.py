@@ -12,7 +12,6 @@ All fields take batched states: f(t, X, mu) -> (B,), g(t, X, mu) -> (B, m).
 
 from __future__ import annotations
 
-import csv
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -21,6 +20,7 @@ import numpy as np
 
 from .errors import ContractError
 from .generator import generator_parts, generator_total
+from .measure import write_csv
 
 
 def _span_indices(flow, s, t):
@@ -155,23 +155,13 @@ class PathIndependenceReport:
         return self.verdict == "PASS"
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["dt", "N", "M", "rms_defect", "max_defect", "decay_order", "verdict"]
-            )
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        f"{row.dt:.17g}",
-                        row.n_paths,
-                        row.n_paths,
-                        f"{row.rms_defect:.17g}",
-                        f"{row.max_defect:.17g}",
-                        "" if row.decay_order is None else f"{row.decay_order:.17g}",
-                        row.verdict,
-                    ]
-                )
+        rows = (
+            [row.dt, row.n_paths, row.n_paths, row.rms_defect, row.max_defect,
+             row.decay_order, row.verdict]
+            for row in self.rows
+        )
+        header = ["dt", "N", "M", "rms_defect", "max_defect", "decay_order", "verdict"]
+        write_csv(path, header, rows)
 
 
 def verify_path_independence(V, f, g, flows, s, t, threshold_factor=5.0,

@@ -14,12 +14,12 @@ interacting-particle scheme.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, EvaluationError
+from .measure import write_csv
 
 #: sum of recorded parts must match the total this tightly
 PART_SUM_TOL = 1e-12
@@ -208,10 +208,5 @@ def ito_residual(coeff, f, flow, i):
 
 def residuals_to_csv(path, flow, residuals, mart):
     """Write a single particle's residual series: step, time, residual, increment."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "time", "residual", "martingale_increment"])
-        for k in range(len(residuals)):
-            writer.writerow(
-                [k, f"{flow.times[k]:.17g}", f"{residuals[k]:.17g}", f"{mart[k]:.17g}"]
-            )
+    rows = ([k, flow.times[k], residuals[k], mart[k]] for k in range(len(residuals)))
+    write_csv(path, ["step", "time", "residual", "martingale_increment"], rows)

@@ -80,11 +80,8 @@ class EmpiricalMeasure:
         return self.weights @ self.points
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x_{i+1}" for i in range(self.dim)] + ["weight"])
-            for x, w in zip(self.points, self.weights):
-                writer.writerow([f"{v:.17g}" for v in x] + [f"{w:.17g}"])
+        header = [f"x_{i+1}" for i in range(self.dim)] + ["weight"]
+        write_csv(path, header, ([*x, w] for x, w in zip(self.points, self.weights)))
 
     @classmethod
     def from_csv(cls, path):
@@ -96,6 +93,19 @@ class EmpiricalMeasure:
             rows = [[float(v) for v in row] for row in reader if row]
         arr = np.asarray(rows)
         return cls(arr[:, :-1], arr[:, -1])
+
+
+def write_csv(path, header, rows):
+    """Write a header line and rows as CSV, each float as ``%.17g``.
+
+    Seventeen significant digits read back to the same double, so an artifact
+    holds every bit of its numbers; other cells (ints, strings) are written as
+    ``str`` and None as an empty cell.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def dirac(x):

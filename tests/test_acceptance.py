@@ -7,7 +7,7 @@ transcript reports every criterion even when one fails.
 
 import time
 
-from mfsde.cli import PRESETS, _RUNNERS, parse_config
+from mfsde.cli import PRESETS, _SCENARIOS, parse_config
 
 
 def run_preset(name, tmp_path):
@@ -15,7 +15,7 @@ def run_preset(name, tmp_path):
     out_dir = tmp_path / name
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    verdicts = _RUNNERS[cfg.scenario](cfg, str(out_dir))
+    verdicts = _SCENARIOS[cfg.scenario].run(cfg, str(out_dir))
     elapsed = time.perf_counter() - start
     return {v.metric: v for v in verdicts}, elapsed
 

@@ -343,3 +343,48 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert status == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "preset, key, value",
+    [
+        ("feynman-kac-heat", "probes.t", ""),
+        ("w2-selftest", "n_instances", "0"),
+        ("w2-selftest", "max_atoms", "0"),
+        ("w2-selftest", "max_dim", "0"),
+        ("npy-identity", "n_probes", "0"),
+        ("npy-identity", "d", "0"),
+        ("path-independence-forward", "dt_ladder", ""),
+        ("lderivative-oracle", "eps_ladder", ""),
+        ("lderivative-oracle", "n_atoms", "0"),
+        ("ito-residual-meanfield", "init.x", ""),
+        ("ito-residual-meanfield", "init.x", "0, 1"),
+        ("feynman-kac-log-gauss", "beta", "0"),
+    ],
+)
+def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, capsys):
+    # each of these once ran to a vacuous PASS or died with a raw numpy or
+    # Python error (exit 3)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_with_overrides(PRESETS[preset], {key: value}))
+    status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+
+
+def test_main_seed_override_keeps_line_numbers(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("scenario = w2_selftest\nseed = 1\nn_instances = 2\nnot a pair\n")
+    for extra in ([], ["--seed", "9"]):
+        status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), *extra])
+        assert status == 2
+        assert "line 4: expected key=value" in capsys.readouterr().err
+    assert parse_config(PRESETS["w2-selftest"], seed=9).seed == 9
+
+
+def test_main_rejects_eps_key(tmp_path, capsys):
+    cfg_path = tmp_path / "eps.cfg"
+    cfg_path.write_text(PRESETS["w2-selftest"] + "eps = 0.5\n")
+    status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert "key 'eps': unknown configuration key" in capsys.readouterr().err

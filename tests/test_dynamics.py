@@ -465,3 +465,15 @@ def test_flow_csv_schema(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,time,particle,x_1"
     assert len(lines) == 1 + 3 * 2
+
+
+def test_flow_csv_pinned_digest(tmp_path):
+    # every state at full precision, d = 2, non-dyadic start; recorded with
+    # numpy 2.4.6, the writer must keep these bytes
+    coeff = make_coefficients("mean_revert", d=2, rate=0.7, s=1.3)
+    flow = simulate_mckean_vlasov(coeff, dirac([0.5, -1.0 / 3.0]), 3, 0.5, 0.25, seed=5)
+    path = tmp_path / "flow.csv"
+    flow.to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "493611f0e86e0bb8f5272f94654ff6d3f49b702142489de1c4343e57292a4e99"
+    )

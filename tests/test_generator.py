@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -241,3 +242,17 @@ def test_residual_csv_schema(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,time,residual,martingale_increment"
     assert len(lines) == 1 + flow.n_steps
+
+
+def test_residual_csv_pinned_digest(tmp_path):
+    # one particle's series from a mean-field flow; recorded with numpy 2.4.6,
+    # the writer must keep these bytes
+    coeff = make_coefficients("mean_revert", rate=0.7, s=1.3)
+    flow = simulate_mckean_vlasov(coeff, dirac([0.2]), 4, 0.5, 0.125, seed=5)
+    V = make_cylindrical("x_sq_plus_r1", [("quadratic", {})])
+    res, mart = ito_residual(coeff, V, flow, 1)
+    path = tmp_path / "res.csv"
+    residuals_to_csv(path, flow, res, mart)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "f921c62e3bc6c755bf47185249826cf336aa4f8176b35006f829eb3777aba07a"
+    )

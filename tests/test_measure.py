@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,3 +252,17 @@ def test_csv_round_trip(tmp_path):
     back = EmpiricalMeasure.from_csv(path)
     assert np.array_equal(back.points, mu.points)
     assert np.array_equal(back.weights, mu.weights)
+
+
+def test_csv_pinned_digest(tmp_path):
+    # non-dyadic points and weights at full precision, including a tiny and a
+    # large coordinate; the writer must keep these bytes
+    mu = EmpiricalMeasure(
+        np.array([[0.1, -2.0 / 3.0], [np.pi, 1e-20], [-7.25e5, 1.0 / 7.0]]),
+        np.array([1.0 / 3.0, 2.0 / 7.0, 8.0 / 21.0]),
+    )
+    path = tmp_path / "mu.csv"
+    mu.to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "e135a28c1569881472d46bad119e49db24cd4c950a9275835f8b63288b6b4bff"
+    )
