@@ -389,33 +389,27 @@ class CylindricalFunction:
         out = self.outer.value(t, np.asarray(x, dtype=float), r)
         return float(out) if np.ndim(out) == 0 else out
 
-    def l_derivative(self, t, x, mu, y, r=None):
-        """d_mu f(t, x, mu)(y) = sum_i dF/dr_i * grad h_i(y)."""
+    def _dr_weighted(self, t, x, mu, y, r, which, trailing):
+        """sum_i dF/dr_i * h_i.<which>(y), an array of shape y.shape + trailing."""
         if r is None:
             r = self.inner_integrals(mu)
         y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape)
+        out = np.zeros(y.shape + trailing)
         if self.inner:
             coeffs = np.asarray(
                 self.outer.partial("dr")(t, np.asarray(x, dtype=float), r)
             ).reshape(-1)
             for i, h in enumerate(self.inner):
-                out += coeffs[i] * h.grad(y)
+                out += coeffs[i] * getattr(h, which)(y)
         return out
+
+    def l_derivative(self, t, x, mu, y, r=None):
+        """d_mu f(t, x, mu)(y) = sum_i dF/dr_i * grad h_i(y)."""
+        return self._dr_weighted(t, x, mu, y, r, "grad", ())
 
     def dy_l_derivative(self, t, x, mu, y, r=None):
         """Gradient in y of the measure derivative: sum_i dF/dr_i * hess h_i(y)."""
-        if r is None:
-            r = self.inner_integrals(mu)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape + (y.shape[-1],))
-        if self.inner:
-            coeffs = np.asarray(
-                self.outer.partial("dr")(t, np.asarray(x, dtype=float), r)
-            ).reshape(-1)
-            for i, h in enumerate(self.inner):
-                out += coeffs[i] * h.hess(y)
-        return out
+        return self._dr_weighted(t, x, mu, y, r, "hess", np.shape(y)[-1:])
 
     def derivative_bundle(self, t, x, mu):
         """Assemble every partial from closed forms; no finite differencing."""
@@ -459,7 +453,7 @@ def l_derivative_pairing(f, t, x, mu, phi):
     return float(np.sum(mu.weights * np.sum(grad * disp, axis=1)))
 
 
-def make_cylindrical(outer, inner=(), outer_params=None, inner_params=None):
+def make_cylindrical(outer, inner=(), outer_params=None):
     """Build a catalog cylindrical function from string identifiers.
 
     ``inner`` is a sequence of names or (name, params) pairs; ``outer`` a
@@ -469,7 +463,7 @@ def make_cylindrical(outer, inner=(), outer_params=None, inner_params=None):
     inner_fns = []
     for spec in inner:
         if isinstance(spec, str):
-            inner_fns.append(make_inner(spec, **(inner_params or {})))
+            inner_fns.append(make_inner(spec))
         else:
             name, params = spec
             inner_fns.append(make_inner(name, **(params or {})))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from collections import namedtuple
@@ -498,13 +499,15 @@ SCENARIOS = tuple(_SCENARIOS)
 
 
 def _number(cast, least=None, nonzero=False):
-    noun = "an integer" if cast is int else "a number"
+    noun = "an integer" if cast is int else "a finite number"
 
     def parse(text):
         try:
             value = cast(text)
         except ValueError:
             raise ValueError(f"expected {noun}, got {text!r}") from None
+        if cast is float and not math.isfinite(value):
+            raise ValueError(f"expected {noun}, got {text!r}")
         if least is not None and value < least:
             raise ValueError(f"must be at least {least}, got {value}")
         if nonzero and value == 0:
@@ -548,7 +551,7 @@ _SCHEMA = {
     "tol": _FLOAT, "perturb_g": _FLOAT, "f.value": _FLOAT, "g.value": _FLOAT,
     "init.scale": _FLOAT,
     "dt_ladder": _FLOATS, "times": _FLOATS, "probes.t": _FLOATS, "probes.x": _FLOATS,
-    "eps_ladder": _FLOATS, "init.x": _FLOATS,
+    "eps_ladder": _list(_number(float, least=0, nonzero=True)), "init.x": _FLOATS,
     "coeff.id": _choice(COEFFICIENT_NAMES),
     "V.outer": _choice(OUTER_NAMES), "Phi.outer": _choice(OUTER_NAMES),
     "V.inner": _list(_choice(INNER_NAMES)), "Phi.inner": _list(_choice(INNER_NAMES)),
@@ -571,6 +574,7 @@ def parse_config(text, seed=None):
     """
     violations = []
     values = {}
+    failed = set()  # keys whose value was reported as unparseable
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -591,6 +595,7 @@ def parse_config(text, seed=None):
             values[key] = parse(val)
         except ValueError as exc:
             violations.append(f"key {key!r}: {exc}")
+            failed.add(key)
 
     if seed is not None:
         values["seed"] = seed
@@ -606,9 +611,16 @@ def parse_config(text, seed=None):
         required = ()
     for need in required:
         keys = need.split("|")
-        if not any(key in values for key in keys):
+        if not any(key in values or key in failed for key in keys):
             either = "".join(f" (or {key!r})" for key in keys[1:])
             violations.append(f"key {keys[0]!r}: required for scenario {scenario!r}{either}")
+    # girsanov simulates its M paths as one interacting ensemble
+    if scenario == "girsanov" and "M" not in failed and values["M"] < 2:
+        violations.append(f"key 'M': must be at least 2 for scenario 'girsanov', got {values['M']}")
+    T = values.get("T", float("inf"))
+    late = [t for t in values.get("probes.t", ()) if t > T]
+    if "probes.t" in required and late:
+        violations.append(f"key 'probes.t': probe time {late[0]:g} is after T = {T:g}")
 
     d, n_init = values.get("d", 1), len(values.get("init.x", (0.0,)))
     if n_init not in (1, d):

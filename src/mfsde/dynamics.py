@@ -261,6 +261,14 @@ class ParticleFlow:
             raise ContractError(f"step index {k} outside [0, {last}]")
         return EmpiricalMeasure(self.states[k])
 
+    def span(self, s, t):
+        """Grid indices (k0, k1) of s and t; ContractError if off-grid or t < s."""
+        k0 = self.index_of(s)
+        k1 = self.index_of(t)
+        if k1 < k0:
+            raise ContractError("need T >= s")
+        return k0, k1
+
     def index_of(self, t):
         """Grid index of time t; ContractError if t is off-grid."""
         if self.times.size == 1:
@@ -376,26 +384,10 @@ def semigroup_apply(coeff, mu, s, t, N, dt, seed):
 
 
 @dataclass(frozen=True)
-class DecoupledEnsemble:
+class DecoupledEnsemble(ParticleFlow):
     """Paths of the frozen-flow SDE: fixed start x, measure read from a ParticleFlow."""
 
-    times: np.ndarray
-    states: np.ndarray  # (L+1, M, d)
-    noise: np.ndarray  # (L, M, m)
     start: np.ndarray
-    seed: int
-
-    @property
-    def n_steps(self):
-        return self.noise.shape[0]
-
-    @property
-    def n_paths(self):
-        return self.states.shape[1]
-
-    @property
-    def dt(self):
-        return float(self.times[1] - self.times[0])
 
 
 def check_count(name, value, least):
@@ -417,17 +409,6 @@ def start_point(x, d):
         raise ContractError(f"start point {x!r} does not broadcast to shape ({d},)") from None
 
 
-def _decoupled_span(frozen_flow, s, T, dt):
-    """Grid indices (k0, k1) of s and T on the frozen flow; ContractError if unusable."""
-    if frozen_flow.n_steps > 0 and abs(frozen_flow.dt - dt) > 1e-12:
-        raise ContractError(f"frozen flow dt {frozen_flow.dt} != requested dt {dt}")
-    k0 = frozen_flow.index_of(s)
-    k1 = frozen_flow.index_of(T)
-    if k1 < k0:
-        raise ContractError("need T >= s")
-    return k0, k1
-
-
 def stream_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, hook=None, normals=None):
     """Terminal states, shape (M, d), of M paths from x against the frozen law curve.
 
@@ -443,7 +424,9 @@ def stream_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, hook=None, normal
     """
     M = check_count("M", M, 1)
     x = start_point(x, coeff.d)
-    k0, k1 = _decoupled_span(frozen_flow, s, T, dt)
+    if frozen_flow.n_steps > 0 and abs(frozen_flow.dt - dt) > 1e-12:
+        raise ContractError(f"frozen flow dt {frozen_flow.dt} != requested dt {dt}")
+    k0, k1 = frozen_flow.span(s, T)
     times = frozen_flow.times
     if normals is None:
         raw = _raw_normals(seed, M, k1 - k0, coeff.m, DOMAIN_DECOUPLED)
@@ -477,7 +460,7 @@ def simulate_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed):
     """
     M = check_count("M", M, 1)
     x = start_point(x, coeff.d)
-    k0, k1 = _decoupled_span(frozen_flow, s, T, dt)
+    k0, k1 = frozen_flow.span(s, T)
     raw = _raw_normals(seed, M, k1 - k0, coeff.m, DOMAIN_DECOUPLED)
     path = []
     terminal = stream_decoupled(

@@ -47,13 +47,6 @@ class McSolution:
     beta: Optional[float] = None
 
 
-def _frozen_flow(coeff, mu, t, T, dt, seed, n_flow, normals=None):
-    """The interacting law curve from (t, mu) to T; it does not depend on x."""
-    if T < t:
-        raise ContractError("need T >= t")
-    return simulate_mckean_vlasov(coeff, mu, n_flow, T, dt, seed, s=t, normals=normals)
-
-
 def _n_steps(t, T, dt):
     """Euler steps from t to T; ContractError unless T >= t on a grid of step dt."""
     if T < t:
@@ -84,35 +77,34 @@ def _path_samples(coeff, flow, x, T, dt, M, seed, Phi=None, f_field=None, normal
     return samples if integral is None else samples - integral
 
 
-def _solver_samples(coeff, t, x, mu, T, M, dt, seed, n_flow, Phi=None, f_field=None):
-    M = check_count("M", M, 1)
-    x = start_point(x, coeff.d)
-    flow = _frozen_flow(coeff, mu, t, T, dt, seed, n_flow)
-    return _path_samples(coeff, flow, x, T, dt, M, seed, Phi, f_field)
-
-
 def _mean_solution(samples, provenance, beta=None):
+    """The estimate from per-path samples: their mean, or -beta log of it for
+    the log transform, whose standard error is propagated by the delta method."""
     m = samples.size
+    mean = float(samples.mean())
     se = float(np.std(samples, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-    return McSolution(float(samples.mean()), se, m, provenance, beta)
+    if provenance == "log_transform":
+        value = float(-beta * np.log(mean))
+        return McSolution(value, abs(beta) * se / mean, m, provenance, float(beta))
+    return McSolution(mean, se, m, provenance, beta)
 
 
 def solve_linear(coeff, Phi, t, x, mu, T, M, dt, seed, n_flow=200):
     """Estimate the terminal-condition solution E Phi(X_{t,T}, law curve at T)."""
-    samples = _solver_samples(coeff, t, x, mu, T, M, dt, seed, n_flow, Phi=Phi)
-    return _mean_solution(samples, "linear")
+    vf = McValueFunction(coeff, Phi, None, T, dt, M, seed, mu, "linear", n_flow=n_flow)
+    return _mean_solution(vf.samples(t, x), "linear")
 
 
 def solve_with_source(coeff, f_field, t, x, mu, T, M, dt, seed, n_flow=200):
     """Estimate the pure-source solution: the negated running-cost integral."""
-    samples = _solver_samples(coeff, t, x, mu, T, M, dt, seed, n_flow, f_field=f_field)
-    return _mean_solution(samples, "source")
+    vf = McValueFunction(coeff, None, f_field, T, dt, M, seed, mu, "source", n_flow=n_flow)
+    return _mean_solution(vf.samples(t, x), "source")
 
 
 def solve_combined(coeff, Phi, f_field, t, x, mu, T, M, dt, seed, n_flow=200):
     """Terminal datum minus running cost on shared paths (common random numbers)."""
-    samples = _solver_samples(coeff, t, x, mu, T, M, dt, seed, n_flow, Phi, f_field)
-    return _mean_solution(samples, "combined")
+    vf = McValueFunction(coeff, Phi, f_field, T, dt, M, seed, mu, "combined", n_flow=n_flow)
+    return _mean_solution(vf.samples(t, x), "combined")
 
 
 def solve_log_transform(
@@ -127,21 +119,14 @@ def solve_log_transform(
         raise ContractError("beta must be nonzero")
     if lower_bound < 0:
         raise ContractError("lower bound must be nonnegative")
-    samples = _solver_samples(coeff, t, x, mu, T, M, dt, seed, n_flow, Phi=Phi)
+    vf = McValueFunction(coeff, Phi, None, T, dt, M, seed, mu, "log_transform", beta, n_flow)
+    samples = vf.samples(t, x)
     if np.any(samples <= lower_bound):
         raise DataError(
             f"terminal datum fell to {samples.min():g}, at or below its declared "
             f"lower bound {lower_bound:g}"
         )
-    mean = float(samples.mean())
-    se_mean = float(np.std(samples, ddof=1) / np.sqrt(samples.size)) if samples.size > 1 else 0.0
-    return McSolution(
-        value=float(-beta * np.log(mean)),
-        std_error=abs(beta) * se_mean / mean,
-        n_samples=samples.size,
-        provenance="log_transform",
-        beta=float(beta),
-    )
+    return _mean_solution(samples, "log_transform", beta)
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +169,16 @@ class ResidualTable:
         write_csv(path, ["pde", "t", "x", "probe_id", "residual", "budget", "verdict"], rows)
 
 
-def _finalize_table(rows, min_pass_fraction=0.95):
+#: a residual table passes when at least this share of its probes pass
+MIN_PASS_FRACTION = 0.95
+
+
+def _finalize_table(rows):
     if any(r.verdict == "STRUCTURAL" for r in rows):
         verdict = "FAIL"
     else:
         ok = sum(1 for r in rows if r.verdict == "PASS")
-        verdict = "PASS" if rows and ok / len(rows) >= min_pass_fraction else "FAIL"
+        verdict = "PASS" if rows and ok / len(rows) >= MIN_PASS_FRACTION else "FAIL"
     return ResidualTable(rows=tuple(rows), verdict=verdict)
 
 
@@ -260,7 +249,8 @@ class McValueFunction:
 
     ``samples(t, x, mu)`` returns per-path samples of the underlying
     statistic; the value is a smooth function of the sample mean given by
-    ``provenance`` (plain mean, or -beta log mean).
+    ``provenance`` (plain mean, or -beta log mean).  Every ``solve_*``
+    function is one such object read at a single (t, x).
 
     The object owns its noise: one raw block per domain (frozen flows and
     decoupled paths), drawn for the longest horizon asked so far and shared
@@ -289,7 +279,9 @@ class McValueFunction:
         """The law curve from (t, mu) that every start point at (t, mu) shares."""
         mu = self.mu if mu is None else mu
         normals = self._normals(DOMAIN_INTERACTING, self.n_flow, t)
-        return _frozen_flow(self.coeff, mu, t, self.T, self.dt, self.seed, self.n_flow, normals)
+        return simulate_mckean_vlasov(
+            self.coeff, mu, self.n_flow, self.T, self.dt, self.seed, s=t, normals=normals
+        )
 
     def _normals(self, domain, n_particles, t):
         """The owned raw block of one domain, drawn again only for a longer horizon."""
@@ -348,17 +340,14 @@ def _measure_shift(coeff, mu, t, ds, sign, rng):
     return EmpiricalMeasure(Y + disp, mu.weights)
 
 
-def pde_residual_mc(
-    vf,
-    pde,
-    probes,
-    f_field=None,
-    h_x_rel=1e-2,
-    h_t_rel=1e-2,
-    measure_ds=1e-3,
-    n_measure_draws=4,
-    min_pass_fraction=0.95,
-):
+#: relative space step, time step (snapped to the grid) and measure-shift step
+#: of the finite-difference stencils in :func:`pde_residual_mc`
+H_X_REL = 1e-2
+H_T_REL = 1e-2
+MEASURE_DS = 1e-3
+
+
+def pde_residual_mc(vf, pde, probes, f_field=None, n_measure_draws=4):
     """Residual table for an MC-backed value function via CRN differences.
 
     All stencil evaluations reuse the same noise streams, so differences
@@ -370,27 +359,37 @@ def pde_residual_mc(
         raise ContractError(f"pde must be one of {PDE_KINDS}")
     if pde == "source" and f_field is None:
         f_field = vf.f_field
-    rows = []
-    for pid, (t0, x0) in enumerate(probes):
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        rows.append(_mc_probe(vf, pde, pid, float(t0), x0, f_field,
-                              h_x_rel, h_t_rel, measure_ds, n_measure_draws))
-    return _finalize_table(rows, min_pass_fraction)
+    h_t = max(vf.dt, round(H_T_REL * vf.T / vf.dt) * vf.dt)
+    probes = [(float(t0), np.atleast_1d(np.asarray(x0, dtype=float))) for t0, x0 in probes]
+    if probes:
+        # each domain's block is drawn once, for the earliest stencil start
+        start = min(min(t0, *_stencil_times(t0, h_t, vf.T)[1]) for t0, _ in probes)
+        vf._normals(DOMAIN_INTERACTING, vf.n_flow, start)
+        vf._normals(DOMAIN_DECOUPLED, vf.M, start)
+    rows = [
+        _mc_probe(vf, pde, pid, t0, x0, f_field, h_t, n_measure_draws)
+        for pid, (t0, x0) in enumerate(probes)
+    ]
+    return _finalize_table(rows)
 
 
-def _mc_probe(vf, pde, pid, t0, x0, f_field, h_x_rel, h_t_rel, measure_ds, n_draws):
-    coeff, mu, T, dt = vf.coeff, vf.mu, vf.T, vf.dt
-    d = x0.size
-    sig, a_diag = _diag_diffusion(coeff, t0, x0, mu)
-    b0 = np.asarray(coeff.b(t0, x0[None], mu))[0]
-
-    # time step snapped to the simulation grid; forward/backward near edges
-    h_t = max(dt, round(h_t_rel * T / dt) * dt)
+def _stencil_times(t0, h_t, T):
+    """(forward?, [t1, t2]): the time points of t0's difference, forward unless
+    t0 + h_t passes T; near the horizon t2 = t1 (no Richardson comparison)."""
     t_fwd = t0 + h_t <= T + 1e-12
     t_pts = [t0 + h_t, t0 + 2 * h_t] if t_fwd else [t0 - h_t, t0 - 2 * h_t]
     if t0 + 2 * h_t > T + 1e-12 and t_fwd:
-        t_pts[1] = t0 + h_t  # horizon too short for Richardson; degenerate
-    h_x = h_x_rel * (1.0 + np.abs(x0))
+        t_pts[1] = t0 + h_t
+    return t_fwd, t_pts
+
+
+def _mc_probe(vf, pde, pid, t0, x0, f_field, h_t, n_draws):
+    coeff, mu, T = vf.coeff, vf.mu, vf.T
+    d = x0.size
+    sig, a_diag = _diag_diffusion(coeff, t0, x0, mu)
+    b0 = np.asarray(coeff.b(t0, x0[None], mu))[0]
+    t_fwd, t_pts = _stencil_times(t0, h_t, T)
+    h_x = H_X_REL * (1.0 + np.abs(x0))
 
     # stencil columns of per-path samples, all sharing noise streams; the
     # centre and the space columns also share one frozen flow
@@ -408,7 +407,7 @@ def _mc_probe(vf, pde, pid, t0, x0, f_field, h_x_rel, h_t_rel, measure_ds, n_dra
         rng = np.random.Generator(np.random.Philox(key=np.uint64(vf.seed)))
         for k in range(n_draws):
             for sign in (+1.0, -1.0):
-                shifted = _measure_shift(coeff, mu, t0, measure_ds, sign, rng)
+                shifted = _measure_shift(coeff, mu, t0, MEASURE_DS, sign, rng)
                 cols.append((f"mu{k}{sign:+.0f}", vf.samples(t0, x0, shifted)))
                 mu_cols += 1
 
@@ -436,7 +435,7 @@ def _mc_probe(vf, pde, pid, t0, x0, f_field, h_x_rel, h_t_rel, measure_ds, n_dra
         mu_term = 0.0
         if mu_cols:
             pairs = vals[base + 4 * d :].reshape(-1, 2)
-            mu_term = float(np.mean(0.5 * (pairs[:, 0] + pairs[:, 1]) - v0) / measure_ds)
+            mu_term = float(np.mean(0.5 * (pairs[:, 0] + pairs[:, 1]) - v0) / MEASURE_DS)
         lhs = dtv + 0.5 * float(a_diag @ lap_h) + float(b0 @ grad) + mu_term
         sig_grad = sig.T @ grad
         if pde == "linear":
@@ -484,9 +483,11 @@ class FixedPointResult:
     drift_changes: tuple
 
 
-def solve_drift_coupled_fixed_point(
-    coeff, Phi, t, x, mu, T, M, dt, seed, n_iter=3, tol=1e-3, n_flow=100
-):
+#: the fixed point counts as converged once the drift moves less than this
+FIXED_POINT_TOL = 1e-3
+
+
+def solve_drift_coupled_fixed_point(coeff, Phi, t, x, mu, T, M, dt, seed, n_iter=3, n_flow=100):
     """Fixed-point attempt at the drift-coupled problem; reports honestly.
 
     Iterates drift <- sigma sigma^* dx V with V = -1/2 E log Phi under the
@@ -513,7 +514,7 @@ def solve_drift_coupled_fixed_point(
     for _ in range(n_iter):
         shifted = replace_drift(coeff, drift_vec)
         # one frozen flow per drift serves every stencil point
-        flow = _frozen_flow(shifted, mu, t, T, dt, seed, n_flow, flow_normals)
+        flow = simulate_mckean_vlasov(shifted, mu, n_flow, T, dt, seed, s=t, normals=flow_normals)
         h = 1e-2 * (1.0 + np.abs(x))
         grad = np.empty(coeff.d)
         for j in range(coeff.d):
@@ -525,10 +526,10 @@ def solve_drift_coupled_fixed_point(
         new_drift = sig @ sig.T @ grad
         changes.append(float(np.linalg.norm(new_drift - drift_vec)))
         drift_vec = new_drift
-        if changes[-1] < tol:
+        if changes[-1] < FIXED_POINT_TOL:
             break
     return FixedPointResult(
-        converged=bool(changes and changes[-1] < tol),
+        converged=bool(changes and changes[-1] < FIXED_POINT_TOL),
         iterations=len(changes),
         drift_changes=tuple(changes),
     )

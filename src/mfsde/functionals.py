@@ -23,14 +23,6 @@ from .generator import generator_parts, generator_total
 from .measure import write_csv
 
 
-def _span_indices(flow, s, t):
-    k0 = flow.index_of(s)
-    k1 = flow.index_of(t)
-    if k1 < k0:
-        raise ContractError("need t >= s")
-    return k0, k1
-
-
 def _step_terms(f, g, flow, k):
     """One-step contribution f*dt + <g, dW> for every particle, shape (N,).
 
@@ -57,7 +49,7 @@ def _step_terms(f, g, flow, k):
 
 def accumulator_series(f, g, flow, s, t):
     """Running accumulator A_{s, t_k} on the grid, shape (k1-k0+1, N); A_s = 0."""
-    k0, k1 = _span_indices(flow, s, t)
+    k0, k1 = flow.span(s, t)
     series = np.zeros((k1 - k0 + 1, flow.n_particles))
     for k in range(k0, k1):
         series[k - k0 + 1] = series[k - k0] + _step_terms(f, g, flow, k)
@@ -70,7 +62,7 @@ def accumulate(f, g, flow, s, t):
     The last row of :func:`accumulator_series`, added up in the same order
     without keeping the earlier rows.
     """
-    k0, k1 = _span_indices(flow, s, t)
+    k0, k1 = flow.span(s, t)
     total = np.zeros(flow.n_particles)
     for k in range(k0, k1):
         total += _step_terms(f, g, flow, k)
@@ -121,7 +113,7 @@ def build_pair_from_V(coeff, V):
 
 def potential_increment(V, flow, s, t):
     """V(t, X_t, mu_t) - V(s, X_s, mu_s) per path, shape (N,)."""
-    k0, k1 = _span_indices(flow, s, t)
+    k0, k1 = flow.span(s, t)
     mu0, mu1 = flow.measure_at(k0), flow.measure_at(k1)
     v0 = np.asarray(
         V.outer.value(flow.times[k0], flow.states[k0], V.inner_integrals(mu0))
@@ -164,8 +156,11 @@ class PathIndependenceReport:
         write_csv(path, header, rows)
 
 
-def verify_path_independence(V, f, g, flows, s, t, threshold_factor=5.0,
-                             floor_sigmas=6.0):
+THRESHOLD_FACTOR = 5.0
+FLOOR_SIGMAS = 6.0
+
+
+def verify_path_independence(V, f, g, flows, s, t):
     """Defect report for A^{f,g} against the increment of V over a dt ladder.
 
     ``flows`` is an iterable of particle ensembles, coarsest step first
@@ -173,13 +168,13 @@ def verify_path_independence(V, f, g, flows, s, t, threshold_factor=5.0,
     level at a time and no level is kept, so a generator that simulates each
     level on request holds one level in memory at once.  Each level records
     the RMS and max defect; the row verdict requires
-    RMS <= threshold_factor * (sqrt(dt) + N^{-1/2}) * scale, where scale is
+    RMS <= THRESHOLD_FACTOR * (sqrt(dt) + N^{-1/2}) * scale, where scale is
     the RMS of the potential increment (self-normalizing).
 
     Decay to zero is tested by fitting rms^2 = a*dt + c down the ladder: a
     genuine pair leaves the dt-independent floor c at zero, while a pair that
     violates the defining identity keeps a residual stochastic integral whose
-    variance survives refinement.  FAIL if c exceeds floor_sigmas standard
+    variance survives refinement.  FAIL if c exceeds FLOOR_SIGMAS standard
     errors (and all-but-negligible size), or any row fails its threshold.
     """
     rows = []
@@ -198,7 +193,7 @@ def verify_path_independence(V, f, g, flows, s, t, threshold_factor=5.0,
         mx = float(defect.max())
         scale = float(np.sqrt(np.mean(increment**2)))
         scale_cap = max(scale_cap, scale)
-        thresh = threshold_factor * (np.sqrt(flow.dt) + flow.n_particles**-0.5) * max(
+        thresh = THRESHOLD_FACTOR * (np.sqrt(flow.dt) + flow.n_particles**-0.5) * max(
             scale, 1e-12
         )
         order = None
@@ -218,7 +213,7 @@ def verify_path_independence(V, f, g, flows, s, t, threshold_factor=5.0,
         raise ContractError("need at least one flow")
     floor, floor_se = _defect_floor(sq_means)
     negligible = floor <= (1e-8 * scale_cap) ** 2
-    floor_ok = negligible or floor <= floor_sigmas * floor_se
+    floor_ok = negligible or floor <= FLOOR_SIGMAS * floor_se
     overall = "PASS" if floor_ok and all(r.verdict == "PASS" for r in rows) else "FAIL"
     return PathIndependenceReport(
         rows=tuple(rows),
@@ -251,8 +246,8 @@ def _defect_floor(sq_means):
     return float(coef[1]), float(np.sqrt(max(cov[1, 1], 0.0)))
 
 
-def girsanov_weight(g, flow, beta, s, t):
-    """exp(-A^{g;beta}_{s,t}) per path, with f folded in as |g|^2 / (2 beta)."""
+def _girsanov_f(g, beta):
+    """The field |g|^2 / (2 beta) that the Girsanov density pairs with g."""
     if beta == 0:
         raise ContractError("beta must be nonzero")
 
@@ -260,7 +255,12 @@ def girsanov_weight(g, flow, beta, s, t):
         gv = np.asarray(g(tk, X, mu), dtype=float).reshape(X.shape[0], -1)
         return np.sum(gv**2, axis=1) / (2.0 * beta)
 
-    return np.exp(-accumulate(f, g, flow, s, t))
+    return f
+
+
+def girsanov_weight(g, flow, beta, s, t):
+    """exp(-A^{g;beta}_{s,t}) per path, with f folded in as |g|^2 / (2 beta)."""
+    return np.exp(-accumulate(_girsanov_f(g, beta), g, flow, s, t))
 
 
 @dataclass(frozen=True)
@@ -275,12 +275,7 @@ def novikov_estimate(g, flow, s, t):
     ``heavy`` flags runs where the top 1% of samples carries more than half
     of the total mass; ``severe`` flags non-finite samples.
     """
-
-    def half_sq(tk, X, mu):
-        gv = np.asarray(g(tk, X, mu), dtype=float).reshape(X.shape[0], -1)
-        return 0.5 * np.sum(gv**2, axis=1)
-
-    samples = np.exp(accumulate(half_sq, None, flow, s, t))
+    samples = np.exp(accumulate(_girsanov_f(g, 1.0), None, flow, s, t))
     if not np.all(np.isfinite(samples)):
         return NovikovEstimate(estimate=float("inf"), tail_flag="severe")
     total = samples.sum()
@@ -311,13 +306,7 @@ def make_path_record(flow, i, f=None, g=None, beta=None):
         raise ContractError(f"particle index {i} out of range")
     girsanov = beta is not None and f is None and g is not None
     if girsanov:
-        if beta == 0:
-            raise ContractError("beta must be nonzero")
-
-        def f(tk, X, mu):  # noqa: ANN001
-            gv = np.asarray(g(tk, X, mu), dtype=float).reshape(X.shape[0], -1)
-            return np.sum(gv**2, axis=1) / (2.0 * beta)
-
+        f = _girsanov_f(g, beta)
     series = accumulator_series(f, g, flow, flow.times[0], flow.times[-1])[:, i]
     return PathRecord(
         times=flow.times,

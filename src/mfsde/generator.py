@@ -198,10 +198,6 @@ def ito_residual_ensemble(coeff, f, flow, particles=None):
 
 def ito_residual(coeff, f, flow, i):
     """Residual series for one particle; see :func:`ito_residual_ensemble`."""
-    if not 0 <= i < flow.n_particles:
-        raise ContractError(
-            f"particle index {i} out of range [0, {flow.n_particles})"
-        )
     residuals, mart, _ = ito_residual_ensemble(coeff, f, flow, particles=[i])
     return residuals[:, 0], mart[:, 0]
 

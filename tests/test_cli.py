@@ -71,6 +71,12 @@ unknown_key = 1
     assert len(exc.value.violations) >= 4
 
 
+def test_unparseable_required_key_reported_once():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL_ITO.replace("T = 1", "T = soon"))
+    assert exc.value.violations == ["key 'T': expected a finite number, got 'soon'"]
+
+
 def test_duplicate_key_reports_line():
     with pytest.raises(ConfigError) as exc:
         parse_config(MINIMAL_ITO + "N = 20\n")
@@ -360,6 +366,20 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ("ito-residual-meanfield", "init.x", ""),
         ("ito-residual-meanfield", "init.x", "0, 1"),
         ("feynman-kac-log-gauss", "beta", "0"),
+        ("feynman-kac-heat", "T", "nan"),
+        ("feynman-kac-heat", "T", "inf"),
+        ("feynman-kac-heat", "dt", "nan"),
+        ("feynman-kac-heat", "dt", "inf"),
+        ("feynman-kac-heat", "probes.x", "nan"),
+        ("feynman-kac-log-gauss", "beta", "nan"),
+        ("feynman-kac-source-const", "f.value", "nan"),
+        ("ito-residual-meanfield", "init.x", "nan"),
+        ("ito-residual-meanfield", "coeff.rate", "nan"),
+        ("flow-property-ou", "init.scale", "nan"),
+        ("lderivative-oracle", "eps_ladder", "1e-2, 0"),
+        ("girsanov-risk-neutral", "M", "1"),
+        ("feynman-kac-source-const", "probes.t", "2"),
+        ("pde-residual-nonlinear", "probes.t", "0, 1.5"),
     ],
 )
 def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, capsys):

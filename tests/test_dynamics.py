@@ -21,6 +21,7 @@ from mfsde.dynamics import (
     DOMAIN_DECOUPLED,
     DOMAIN_INIT,
     DOMAIN_INTERACTING,
+    ParticleFlow,
     brownian_increments,
     particle_stream,
     spot_check_lipschitz,
@@ -411,6 +412,17 @@ def test_simulate_decoupled_draws_its_block_once(monkeypatch):
     ens = simulate_decoupled(coeff, [0.5], flow, 0.25, 1.0, 0.25, 4, seed=3)
     assert draws == [(3, 4, 3, 1, DOMAIN_DECOUPLED)]
     assert ens.noise.tobytes() == brownian_increments(3, 4, 3, 1, 0.25, DOMAIN_DECOUPLED).tobytes()
+
+
+def test_simulate_decoupled_returns_a_read_only_flow():
+    coeff = make_coefficients("brownian", s=1.0)
+    flow = _frozen(coeff, dirac([0.0]), 1.0, 0.25, n=2)
+    ens = simulate_decoupled(coeff, [0.5], flow, 0.25, 1.0, 0.25, 4, seed=3)
+    assert isinstance(ens, ParticleFlow)
+    assert (ens.n_steps, ens.n_particles, ens.dt) == (3, 4, 0.25)
+    assert ens.span(0.25, 1.0) == (0, 3)
+    for arr in (ens.times, ens.states, ens.noise, ens.start):
+        assert not arr.flags.writeable
 
 
 @pytest.mark.parametrize("k", [-1, 5])

@@ -22,6 +22,7 @@ from mfsde import (
 from mfsde.feynman_kac import (
     McValueFunction,
     _diag_diffusion,
+    _mean_solution,
     solve_drift_coupled_fixed_point,
 )
 
@@ -418,6 +419,26 @@ def test_fixed_point_drift_changes_match_golden():
         1.0, 200, 0.05, seed=31, n_iter=2, n_flow=50,
     )
     assert out.drift_changes == FIXED_POINT_GOLDEN
+
+
+@pytest.mark.parametrize("provenance", ["linear", "source", "combined", "log_transform"])
+def test_solvers_are_the_value_function_mean(provenance):
+    Phi = make_cylindrical("gauss_quarter")
+    args = (0.25, np.array([0.4]), MU0, 1.0, 200, 0.05, 29)
+    solve = {
+        "linear": lambda: solve_linear(MEAN_REVERT, Phi, *args, n_flow=50),
+        "source": lambda: solve_with_source(MEAN_REVERT, mean_coupled_source, *args, n_flow=50),
+        "combined": lambda: solve_combined(
+            MEAN_REVERT, Phi, mean_coupled_source, *args, n_flow=50),
+        "log_transform": lambda: solve_log_transform(MEAN_REVERT, Phi, 0.5, *args, n_flow=50),
+    }[provenance]
+    beta = 0.5 if provenance == "log_transform" else None
+    vf = McValueFunction(
+        coeff=MEAN_REVERT, Phi=Phi, f_field=mean_coupled_source, T=1.0, dt=0.05, M=200,
+        seed=29, mu=MU0, provenance=provenance, beta=beta, n_flow=50,
+    )
+    expected = _mean_solution(vf.samples(0.25, np.array([0.4])), provenance, beta)
+    assert solve() == expected
 
 
 def test_value_function_shared_flow_gives_same_samples():

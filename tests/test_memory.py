@@ -103,6 +103,27 @@ def test_pde_residual_draws_one_block_per_domain(monkeypatch):
     assert sorted(draws) == [(DOMAIN_INTERACTING, 20, 10), (DOMAIN_DECOUPLED, 200, 10)]
 
 
+def test_pde_residual_draws_once_whatever_the_probe_order(monkeypatch):
+    draws = []
+    draw = dynamics._raw_normals
+
+    def counted(seed, n_particles, n_steps, m, domain):
+        draws.append((domain, n_steps))
+        return draw(seed, n_particles, n_steps, m, domain)
+
+    monkeypatch.setattr(feynman_kac, "_raw_normals", counted)
+    vf = McValueFunction(
+        coeff=make_coefficients("brownian", s=1.0), Phi=make_cylindrical("x_norm_sq"),
+        f_field=None, T=0.5, dt=0.05, M=50, seed=3, mu=dirac([0.0]), provenance="linear",
+        n_flow=10,
+    )
+    # a later probe first, then the earliest, then one with a backward stencil
+    probes = [(0.2, [0.3]), (0.0, [0.0]), (0.5, [-0.4])]
+    table = pde_residual_mc(vf, "linear", probes)
+    assert len(table.rows) == 3
+    assert draws == [(DOMAIN_INTERACTING, 10), (DOMAIN_DECOUPLED, 10)]
+
+
 def test_kernels_never_write_into_a_callers_block():
     coeff = make_coefficients("mean_revert", d=2, rate=1.0, s=0.5)
     init = EmpiricalMeasure(np.random.default_rng(0).standard_normal((6, 2)))
