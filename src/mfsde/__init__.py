@@ -14,10 +14,12 @@ from .dynamics import (
     CoefficientField,
     DecoupledEnsemble,
     ParticleFlow,
+    StreamedFlow,
     make_coefficients,
     semigroup_apply,
     simulate_decoupled,
     simulate_mckean_vlasov,
+    stream_mckean_vlasov,
 )
 from .errors import (
     CapabilityError,
@@ -50,6 +52,7 @@ from .functionals import (
 )
 from .generator import (
     GeneratorValue,
+    ItoResidualSummary,
     apply_L_sigma,
     apply_L_sigma_b,
     ito_residual,

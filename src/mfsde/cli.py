@@ -36,6 +36,7 @@ from .calculus import (
 )
 from .dynamics import (
     COEFFICIENT_NAMES,
+    StreamedFlow,
     make_coefficients,
     semigroup_apply,
     simulate_mckean_vlasov,
@@ -202,23 +203,22 @@ def _run_ito_residual(cfg, out_dir):
     V = _build_cylindrical(cfg, "V")
     N, T, dt = cfg.get("N"), cfg.get("T"), cfg.get("dt")
     mu0 = _initial_measure(cfg, N)
-    flow = simulate_mckean_vlasov(coeff, mu0, N, T, dt, cfg.seed, s=cfg.get("s", 0.0))
-    residuals, mart, qv_density = ito_residual_ensemble(coeff, V, flow)
+    flow = StreamedFlow(coeff, mu0, N, T, dt, cfg.seed, s=cfg.get("s", 0.0))
+    summary = ito_residual_ensemble(coeff, V, flow)
     # the ensemble-mean residual is a sum of per-step increments driven by
     # noise common to all particles (through the empirical measure), so its
     # standard error comes from the realized quadratic variation of those
     # increments, not from the cross-particle spread
-    step_means = residuals.mean(axis=1)
+    step_means = summary.step_mean
     mean = float(step_means.sum())
     se = float(np.sqrt((step_means**2).sum()))
-    qv_real = float((mart**2).sum(axis=0).mean())
+    qv_real = float(summary.qv_sum.mean())
     qv_pred = 0.0
-    for q in qv_density:
+    for q in summary.qv_density:
         qv_pred += float(q) * dt
     qv_ratio = qv_real / qv_pred if qv_pred > 0 else float("inf")
     step_rows = [
-        [k, flow.times[k], residuals[k].mean(), np.sqrt((residuals[k] ** 2).mean())]
-        for k in range(flow.n_steps)
+        [k, flow.times[k], step_means[k], summary.step_rms[k]] for k in range(flow.n_steps)
     ]
     header = ["step", "time", "mean_residual", "rms_residual"]
     write_csv(os.path.join(out_dir, "ito_residual.csv"), header, step_rows)
@@ -240,10 +240,10 @@ def _run_path_independence(cfg, out_dir):
         def g(t, X, mu, base_g=base_g, offset=offset):
             return base_g(t, X, mu) + offset
 
-    # coarsest level first, each simulated only when the verifier asks for it;
-    # a level keeps the seed of its place in the configured ladder
+    # coarsest level first, each streamed while the verifier folds it and
+    # never recorded; a level keeps the seed of its place in the configured ladder
     flows = (
-        simulate_mckean_vlasov(coeff, _initial_measure(cfg, N), N, T, dt, cfg.seed + level, s=s)
+        StreamedFlow(coeff, _initial_measure(cfg, N), N, T, dt, cfg.seed + level, s=s)
         for level, dt in sorted(enumerate(cfg.dt_levels), key=lambda item: -item[1])
     )
     report = verify_path_independence(V, f, g, flows, s, T)
@@ -538,6 +538,7 @@ def _choice(choices):
 
 _FLOAT = _number(float)
 _FLOATS = _list(_FLOAT)
+_POSITIVES = _list(_number(float, least=0, nonzero=True))
 # counts: M paths, N and n_flow interacting particles (an ensemble needs two)
 _COUNT = _number(int, least=1)
 _ENSEMBLE = _number(int, least=2)
@@ -550,8 +551,8 @@ _SCHEMA = {
     "s": _FLOAT, "T": _FLOAT, "dt": _FLOAT, "beta": _number(float, nonzero=True),
     "tol": _FLOAT, "perturb_g": _FLOAT, "f.value": _FLOAT, "g.value": _FLOAT,
     "init.scale": _FLOAT,
-    "dt_ladder": _FLOATS, "times": _FLOATS, "probes.t": _FLOATS, "probes.x": _FLOATS,
-    "eps_ladder": _list(_number(float, least=0, nonzero=True)), "init.x": _FLOATS,
+    "dt_ladder": _POSITIVES, "times": _FLOATS, "probes.t": _FLOATS, "probes.x": _FLOATS,
+    "eps_ladder": _POSITIVES, "init.x": _FLOATS,
     "coeff.id": _choice(COEFFICIENT_NAMES),
     "V.outer": _choice(OUTER_NAMES), "Phi.outer": _choice(OUTER_NAMES),
     "V.inner": _list(_choice(INNER_NAMES)), "Phi.inner": _list(_choice(INNER_NAMES)),
@@ -655,15 +656,15 @@ def _divides(dt, span):
 def _check_grid_alignment(values, violations):
     s = values.get("s", 0.0)
     T = values.get("T")
-    levels = values.get("dt_ladder", ())
+    levels = [("dt_ladder", dt) for dt in values.get("dt_ladder", ())]
     if "dt" in values:
-        levels = levels + (values["dt"],)
-    for dt in levels:
+        levels.append(("dt", values["dt"]))
+    for key, dt in levels:
         if dt <= 0:
-            violations.append(f"key 'dt': step size must be positive, got {dt}")
+            violations.append(f"key '{key}': step size must be positive, got {dt}")
         elif T is not None and not _divides(dt, T - s):
             violations.append(
-                f"key 'dt': {dt:g} does not divide the horizon T-s = {T - s:g}"
+                f"key '{key}': {dt:g} does not divide the horizon T-s = {T - s:g}"
             )
     times = values.get("times")
     if times is not None:

@@ -11,9 +11,10 @@ array: it is re-keyed, with its counter reset, before each particle's draws.
 
 from __future__ import annotations
 
+import itertools
 import operator
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -223,43 +224,12 @@ def spot_check_lipschitz(coeff, samples):
     return worst
 
 
-@dataclass(frozen=True)
-class ParticleFlow:
-    """Time-indexed ensemble of particle trajectories on a uniform grid.
-
-    ``states`` has shape (L+1, N, d), ``noise`` (L, N, m).  Re-simulating
-    with the same seed reproduces both arrays bit for bit.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    noise: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        for name in ("times", "states", "noise"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_steps(self):
-        return self.noise.shape[0]
-
-    @property
-    def n_particles(self):
-        return self.states.shape[1]
+class _Grid:
+    """The uniform time grid ``times`` of a flow, recorded or streamed."""
 
     @property
     def dt(self):
         return float(self.times[1] - self.times[0])
-
-    def measure_at(self, k):
-        """Empirical measure of the ensemble at grid index k in [0, L] (uniform weights)."""
-        last = self.states.shape[0] - 1
-        if not 0 <= k <= last:
-            raise ContractError(f"step index {k} outside [0, {last}]")
-        return EmpiricalMeasure(self.states[k])
 
     def span(self, s, t):
         """Grid indices (k0, k1) of s and t; ContractError if off-grid or t < s."""
@@ -279,6 +249,54 @@ class ParticleFlow:
         if not (self.times[0] - 1e-9 <= t <= self.times[-1] + 1e-9) or abs(k - round(k)) > 1e-9:
             raise ContractError(f"time {t} not on the grid [{self.times[0]}, {self.times[-1]}] step {self.dt}")
         return int(round(k))
+
+
+@dataclass(frozen=True)
+class ParticleFlow(_Grid):
+    """Time-indexed ensemble of particle trajectories on a uniform grid.
+
+    ``states`` has shape (L+1, N, d), ``noise`` (L, N, m).  Re-simulating
+    with the same seed reproduces both arrays bit for bit.  ``snapshots``,
+    when given, holds the empirical measure of every grid point, the ones
+    the simulation read; otherwise each :meth:`measure_at` builds one.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    noise: np.ndarray
+    seed: int
+    snapshots: Optional[tuple] = field(default=None, kw_only=True, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("times", "states", "noise"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def n_steps(self):
+        return self.noise.shape[0]
+
+    @property
+    def n_particles(self):
+        return self.states.shape[1]
+
+    def measure_at(self, k):
+        """Empirical measure of the ensemble at grid index k in [0, L] (uniform weights)."""
+        last = self.states.shape[0] - 1
+        if not 0 <= k <= last:
+            raise ContractError(f"step index {k} outside [0, {last}]")
+        if self.snapshots is None:
+            return EmpiricalMeasure(self.states[k])
+        return self.snapshots[k]
+
+    def replay(self, hook, s, t):
+        """Hand ``hook`` the recorded grid points from s to t as
+        :func:`stream_mckean_vlasov` hands it the live ones."""
+        k0, k1 = self.span(s, t)
+        for k in range(k0, k1 + 1):
+            dw = self.noise[k] if k < k1 else None
+            hook(self.times[k], self.states[k], self.measure_at(k), dw)
 
     def to_csv(self, path):
         d = self.states.shape[2]
@@ -334,42 +352,153 @@ def _check_finite(x, k):
         )
 
 
-def _block_prefix(normals, n_steps, n_particles, m):
-    """The first n_steps steps of a caller's raw block; ContractError if it is short."""
+def _noise_block(normals, seed, n_particles, n_steps, m, domain):
+    """(raw block, owned) for a run of n_steps steps.
+
+    Without ``normals`` the block is drawn here and the run owns it; a
+    caller's block must cover the run (ContractError otherwise), and only its
+    step prefix is read, never written.
+    """
+    if normals is None:
+        return _raw_normals(seed, n_particles, n_steps, m, domain), True
     if normals.ndim != 3 or normals.shape[0] < n_steps or normals.shape[1:] != (n_particles, m):
         raise ContractError(
             f"normals of shape {normals.shape} do not cover ({n_steps}, {n_particles}, {m})"
         )
-    return normals[:n_steps]
+    return normals[:n_steps], False
 
 
-def simulate_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0, normals=None):
-    """N-particle Euler scheme for the mean-field SDE on [s, T].
+def _increments(raw, dt, owned):
+    """Each step's increments sqrt(dt) * raw[k], one step at a time.
 
-    Each particle reads the drift and diffusion at the current empirical
-    measure of the whole ensemble.  ``normals``, when given, is the raw
-    block ``_raw_normals(seed, N, L, coeff.m, DOMAIN_INTERACTING)`` for some
-    L at least the number of steps; its step prefix is used and never
-    written, so one block can serve several flows.  Without it the block is
-    drawn here and scaled in place into the flow's noise.
+    An owned block is scaled in place, so it ends the run as the run's
+    increments; a caller's block is scaled into one buffer that the next
+    step reuses.
+    """
+    sqrt_dt = np.sqrt(dt)
+    buf = None if owned else np.empty(raw.shape[1:])
+    for row in raw:
+        yield np.multiply(sqrt_dt, row, out=row if owned else buf)
+
+
+def _euler_loop(coeff, state, times, increments, dt, law, hook, states=None):
+    """Euler steps of ``state`` over the grid ``times``, the body both schemes share.
+
+    ``law(k, x)`` is the measure argument at step k: the ensemble's own
+    snapshot, or a frozen flow's.  ``hook(t_k, x_k, mu_k, dW_k)``, when
+    given, sees each step before it is advanced.  Every new state is
+    finite-checked and read-only: a fresh array, or the view states[k] of a
+    caller's (L+1, N, d) array.  Returns the last state.
+    """
+    for k, dw in enumerate(increments):
+        mu = law(k, state)
+        if hook is not None:
+            hook(times[k], state, mu, dw)
+        drift = coeff.b(times[k], state, mu)
+        diff = np.einsum("ndm,nm->nd", coeff.sigma(times[k], state, mu), dw)
+        # x + b dt + diff, summed in the new state's own array (hooks may keep
+        # x_k; the coefficient's outputs are never written)
+        nxt = np.multiply(drift, dt, out=np.empty_like(state) if states is None else states[k + 1])
+        nxt += state
+        nxt += diff
+        nxt.flags.writeable = False
+        _check_finite(nxt, k + 1)
+        state = nxt
+    return state
+
+
+def _interacting(coeff, init, times, dt, seed, raw, owned, hook, states=None):
+    """The interacting scheme over ``times``; returns the terminal snapshot.
+
+    Every particle reads the ensemble's own snapshot: a read-only view of the
+    state that shares one weights array with every other snapshot.  The
+    full constructor checks the initial state and builds those weights.
+    """
+    mu0 = EmpiricalMeasure(_initial_states(init, raw.shape[1], coeff.d, seed))
+    state = mu0.points
+    if states is not None:
+        states[0] = mu0.points
+        state = states[0]
+        state.flags.writeable = False
+
+    def law(k, x):
+        return EmpiricalMeasure._snapshot(x, mu0.weights)
+
+    terminal = _euler_loop(coeff, state, times, _increments(raw, dt, owned), dt, law, hook, states)
+    mu_T = law(len(times) - 1, terminal)
+    if hook is not None:
+        hook(times[-1], terminal, mu_T, None)
+    return mu_T
+
+
+def stream_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0, hook=None, normals=None):
+    """Law at T of the N-particle Euler scheme on [s, T], keeping only the current state.
+
+    Each particle reads the drift and diffusion at the empirical measure of
+    the whole ensemble, the step's snapshot.  ``hook(t_k, X_k, mu_k, dW_k)``,
+    when given, sees every grid point from s to T: X_k is read-only, mu_k its
+    snapshot (a view of X_k) and dW_k the increments of the step from t_k, or
+    None at T.  dW_k lives in a buffer that the next step may reuse: copy it
+    to keep it.  ``normals``, when given, is the raw block
+    ``_raw_normals(seed, N, L, coeff.m, DOMAIN_INTERACTING)`` for some L at
+    least the number of steps; its step prefix is read, never written, so one
+    block can serve several runs.  The returned law is the snapshot at T.
     """
     N = check_count("N", N, 2)
     times, n_steps = _grid(s, T, dt)
-    d, m = coeff.d, coeff.m
-    states = np.empty((n_steps + 1, N, d))
-    states[0] = _initial_states(init, N, d, seed)
-    if normals is None:
-        noise = brownian_increments(seed, N, n_steps, m, dt, DOMAIN_INTERACTING)
-    else:
-        noise = np.sqrt(dt) * _block_prefix(normals, n_steps, N, m)
-    for k in range(n_steps):
-        x = states[k]
-        mu = EmpiricalMeasure(x)
-        drift = coeff.b(times[k], x, mu)
-        diff = np.einsum("ndm,nm->nd", coeff.sigma(times[k], x, mu), noise[k])
-        states[k + 1] = x + drift * dt + diff
-        _check_finite(states[k + 1], k + 1)
-    return ParticleFlow(times=times, states=states, noise=noise, seed=seed)
+    raw, owned = _noise_block(normals, seed, N, n_steps, coeff.m, DOMAIN_INTERACTING)
+    return _interacting(coeff, init, times, dt, seed, raw, owned, hook)
+
+
+def simulate_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0, normals=None):
+    """The run of :func:`stream_mckean_vlasov`, recorded as a ParticleFlow.
+
+    The flow keeps every state, the increments and the snapshots the run
+    read, which its ``measure_at`` returns.
+    """
+    N = check_count("N", N, 2)
+    times, n_steps = _grid(s, T, dt)
+    raw, owned = _noise_block(normals, seed, N, n_steps, coeff.m, DOMAIN_INTERACTING)
+    states = np.empty((n_steps + 1, N, coeff.d))
+    snapshots = []
+    _interacting(
+        coeff, init, times, dt, seed, raw, owned,
+        lambda t, x, mu, dw: snapshots.append(mu), states,
+    )
+    # an owned block was scaled in place into the increments
+    noise = raw if owned else np.sqrt(dt) * raw
+    return ParticleFlow(
+        times=times, states=states, noise=noise, seed=seed, snapshots=tuple(snapshots)
+    )
+
+
+class StreamedFlow(_Grid):
+    """The flow of ``simulate_mckean_vlasov(coeff, init, N, T, dt, seed, s)``, never recorded.
+
+    It has the grid and the :meth:`ParticleFlow.replay` of the recorded flow,
+    so a verifier that folds a flow step by step takes either; each replay
+    runs :func:`stream_mckean_vlasov` again, to the same bits, and holds only
+    the current state and the noise block.
+    """
+
+    def __init__(self, coeff, init, N, T, dt, seed, s=0.0):
+        self.n_particles = check_count("N", N, 2)
+        self.times, self.n_steps = _grid(s, T, dt)
+        self._run = (coeff, init, dt, seed)
+
+    def replay(self, hook, s, t):
+        """Hand ``hook`` the grid points from s to t, simulated up to t."""
+        k0, k1 = self.span(s, t)
+        coeff, init, dt, seed = self._run
+        seen = itertools.count()
+
+        def from_s(t_k, X, mu, dw):
+            if next(seen) >= k0:
+                hook(t_k, X, mu, dw)
+
+        stream_mckean_vlasov(
+            coeff, init, self.n_particles, self.times[k1], dt, seed, s=self.times[0], hook=from_s
+        )
 
 
 def semigroup_apply(coeff, mu, s, t, N, dt, seed):
@@ -379,8 +508,7 @@ def semigroup_apply(coeff, mu, s, t, N, dt, seed):
         raise ContractError("need t >= s")
     if t == s:
         return mu
-    flow = simulate_mckean_vlasov(coeff, mu, N, t, dt, seed, s=s)
-    return flow.measure_at(flow.n_steps)
+    return stream_mckean_vlasov(coeff, mu, N, t, dt, seed, s=s)
 
 
 @dataclass(frozen=True)
@@ -417,7 +545,7 @@ def stream_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, hook=None, normal
     disjoint from the one that generated the frozen flow.  Only the current
     state is kept: the raw normals are scaled one step at a time, and
     ``hook(t_k, x_k, mu_k)``, when given, sees the state of every step before
-    it is advanced (x_k is a fresh array each step; do not modify it).
+    it is advanced (x_k is a fresh read-only array each step).
     ``normals``, when given, is the raw block
     ``_raw_normals(seed, M, L, coeff.m, DOMAIN_DECOUPLED)`` for some L at
     least the number of steps from s to T; it is read, never written.
@@ -427,30 +555,17 @@ def stream_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, hook=None, normal
     if frozen_flow.n_steps > 0 and abs(frozen_flow.dt - dt) > 1e-12:
         raise ContractError(f"frozen flow dt {frozen_flow.dt} != requested dt {dt}")
     k0, k1 = frozen_flow.span(s, T)
-    times = frozen_flow.times
-    if normals is None:
-        raw = _raw_normals(seed, M, k1 - k0, coeff.m, DOMAIN_DECOUPLED)
-    else:
-        raw = _block_prefix(normals, k1 - k0, M, coeff.m)
-    sqrt_dt = np.sqrt(dt)
-    dw = np.empty(raw.shape[1:])
+    raw, owned = _noise_block(normals, seed, M, k1 - k0, coeff.m, DOMAIN_DECOUPLED)
     state = np.empty((M, coeff.d))
     state[:] = x
-    for k in range(k0, k1):
-        mu = frozen_flow.measure_at(k)
-        if hook is not None:
-            hook(times[k], state, mu)
-        np.multiply(sqrt_dt, raw[k - k0], out=dw)
-        drift = coeff.b(times[k], state, mu)
-        diff = np.einsum("ndm,nm->nd", coeff.sigma(times[k], state, mu), dw)
-        # x + b dt + diff, summed in the kernel's own fresh array (hooks may
-        # keep x_k; the coefficient's outputs are never written)
-        nxt = np.multiply(drift, dt, out=np.empty_like(state))
-        nxt += state
-        nxt += diff
-        state = nxt
-        _check_finite(state, k - k0 + 1)
-    return state
+    state.flags.writeable = False
+
+    def law(k, xk):
+        return frozen_flow.measure_at(k0 + k)
+
+    step_hook = None if hook is None else (lambda t, xk, mu, dw: hook(t, xk, mu))
+    times = frozen_flow.times[k0 : k1 + 1]
+    return _euler_loop(coeff, state, times, _increments(raw, dt, owned), dt, law, step_hook)
 
 
 def simulate_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed):

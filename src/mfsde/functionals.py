@@ -23,37 +23,72 @@ from .generator import generator_parts, generator_total
 from .measure import write_csv
 
 
-def _step_terms(f, g, flow, k):
+def _step_terms(f, g, t_k, X, mu, dw, dt):
     """One-step contribution f*dt + <g, dW> for every particle, shape (N,).
 
     f must return shape (N,) and g shape (N, m), or (N,) when m = 1;
     anything else raises ContractError rather than broadcasting.
     """
-    t_k = flow.times[k]
-    X = flow.states[k]
-    mu = flow.measure_at(k)
-    n, m = flow.noise.shape[1:]
+    n, m = dw.shape
     out = np.zeros(n)
     if f is not None:
         fv = np.asarray(f(t_k, X, mu), dtype=float)
         if fv.shape != (n,):
             raise ContractError(f"field f returned shape {fv.shape}, expected ({n},)")
-        out += fv * flow.dt
+        out += fv * dt
     if g is not None:
         gv = np.asarray(g(t_k, X, mu), dtype=float)
         if gv.shape != (n, m) and not (m == 1 and gv.shape == (n,)):
             raise ContractError(f"field g returned shape {gv.shape}, expected ({n}, {m})")
-        out += np.einsum("nm,nm->n", gv.reshape(n, m), flow.noise[k])
+        out += np.einsum("nm,nm->n", gv.reshape(n, m), dw)
     return out
+
+
+class _Fold:
+    """Replay hook that folds A^{f,g} along a flow, one step at a time.
+
+    ``total`` is the running sum of the step terms from zero; with ``V``,
+    ``start`` and ``end`` hold V(t, X, mu) at the first and last grid point;
+    with ``series``, ``rows`` holds the running sum at every grid point.
+    A recorded flow and a streamed one run the same fold, so they agree bit
+    for bit.
+    """
+
+    def __init__(self, f, g, dt, V=None, series=False):
+        self.f, self.g, self.dt, self.V = f, g, dt, V
+        self.total = self.start = self.end = None
+        self.rows = [] if series else None
+
+    def _potential(self, t_k, X, mu):
+        if self.V is not None:
+            return np.asarray(self.V.outer.value(t_k, X, self.V.inner_integrals(mu)))
+        return None
+
+    def __call__(self, t_k, X, mu, dw):
+        if self.total is None:
+            self.total = np.zeros(X.shape[0])
+            self.start = self._potential(t_k, X, mu)
+            self._record()
+        if dw is None:
+            self.end = self._potential(t_k, X, mu)
+            return
+        self.total += _step_terms(self.f, self.g, t_k, X, mu, dw, self.dt)
+        self._record()
+
+    def _record(self):
+        if self.rows is not None:
+            self.rows.append(self.total.copy())
+
+
+def _fold(flow, s, t, f=None, g=None, V=None, series=False):
+    fold = _Fold(f, g, flow.dt, V, series)
+    flow.replay(fold, s, t)
+    return fold
 
 
 def accumulator_series(f, g, flow, s, t):
     """Running accumulator A_{s, t_k} on the grid, shape (k1-k0+1, N); A_s = 0."""
-    k0, k1 = flow.span(s, t)
-    series = np.zeros((k1 - k0 + 1, flow.n_particles))
-    for k in range(k0, k1):
-        series[k - k0 + 1] = series[k - k0] + _step_terms(f, g, flow, k)
-    return series
+    return np.stack(_fold(flow, s, t, f, g, series=True).rows)
 
 
 def accumulate(f, g, flow, s, t):
@@ -62,11 +97,7 @@ def accumulate(f, g, flow, s, t):
     The last row of :func:`accumulator_series`, added up in the same order
     without keeping the earlier rows.
     """
-    k0, k1 = flow.span(s, t)
-    total = np.zeros(flow.n_particles)
-    for k in range(k0, k1):
-        total += _step_terms(f, g, flow, k)
-    return total
+    return _fold(flow, s, t, f, g).total
 
 
 def _read_only(X):
@@ -78,6 +109,16 @@ def _read_only(X):
     return X is None
 
 
+def _weak_pair(X, mu):
+    """Weak references to X and mu; None when X can change or mu takes none."""
+    if not _read_only(X):
+        return None
+    try:
+        return weakref.ref(X), weakref.ref(mu)
+    except TypeError:
+        return None
+
+
 def build_pair_from_V(coeff, V):
     """Fields (f, g) induced by a potential V through the generator.
 
@@ -86,19 +127,21 @@ def build_pair_from_V(coeff, V):
 
     f and g share one generator evaluation: the last one is reused when the
     next call has an equal t, the very same X and mu objects, and an X that
-    cannot change (read-only, like ``flow.states[k]``).  Every other call
-    recomputes.  The array g returns is that shared evaluation's, so it is
-    read-only.  X is remembered by weak reference only, so the pair does not
-    keep a flow's states alive after the caller drops them.
+    cannot change (read-only, like ``flow.states[k]`` or the X_k a streamed
+    run hands its hook).  Every other call recomputes.  The array g returns
+    is that shared evaluation's, so it is read-only.  X and mu are remembered
+    by weak reference only, so the pair does not keep a flow's states alive
+    (a snapshot is a view of them) after the caller drops them.
     """
-    last = [None, None, None, None]  # t, weakref to X, mu, parts
+    last = [None, None, None]  # t, weak references to (X, mu) or None, parts
 
     def parts_at(t, X, mu):
-        t0, X0, mu0, parts = last
-        if not (X0 is not None and X0() is X and mu is mu0 and t == t0 and _read_only(X)):
+        t0, refs, parts = last
+        if not (refs is not None and refs[0]() is X and refs[1]() is mu and t == t0
+                and _read_only(X)):
             parts = generator_parts(coeff, V, t, X, mu)
             parts["sigma_star_dx"].flags.writeable = False
-            last[:] = t, weakref.ref(X) if _read_only(X) else None, mu, parts
+            last[:] = t, _weak_pair(X, mu), parts
         return parts
 
     def f(t, X, mu):
@@ -113,15 +156,8 @@ def build_pair_from_V(coeff, V):
 
 def potential_increment(V, flow, s, t):
     """V(t, X_t, mu_t) - V(s, X_s, mu_s) per path, shape (N,)."""
-    k0, k1 = flow.span(s, t)
-    mu0, mu1 = flow.measure_at(k0), flow.measure_at(k1)
-    v0 = np.asarray(
-        V.outer.value(flow.times[k0], flow.states[k0], V.inner_integrals(mu0))
-    )
-    v1 = np.asarray(
-        V.outer.value(flow.times[k1], flow.states[k1], V.inner_integrals(mu1))
-    )
-    return v1 - v0
+    fold = _fold(flow, s, t, V=V)
+    return fold.end - fold.start
 
 
 @dataclass(frozen=True)
@@ -164,9 +200,11 @@ def verify_path_independence(V, f, g, flows, s, t):
     """Defect report for A^{f,g} against the increment of V over a dt ladder.
 
     ``flows`` is an iterable of particle ensembles, coarsest step first
-    (ContractError otherwise, or when it is empty).  It is consumed one
-    level at a time and no level is kept, so a generator that simulates each
-    level on request holds one level in memory at once.  Each level records
+    (ContractError otherwise, or when it is empty): recorded ParticleFlows or
+    StreamedFlows, each folded in one replay.  It is consumed one level at a
+    time and no level is kept, so a generator that yields each level on
+    request holds at most one in memory, and a StreamedFlow level holds only
+    its current state and noise block.  Each level records
     the RMS and max defect; the row verdict requires
     RMS <= THRESHOLD_FACTOR * (sqrt(dt) + N^{-1/2}) * scale, where scale is
     the RMS of the potential increment (self-normalizing).
@@ -186,8 +224,10 @@ def verify_path_independence(V, f, g, flows, s, t):
             raise ContractError(
                 f"flows must come coarsest first: dt {flow.dt} after dt {prev[1]}"
             )
-        increment = potential_increment(V, flow, s, t)
-        defect = np.abs(accumulate(f, g, flow, s, t) - increment)
+        # one replay folds A^{f,g} and records V at both ends
+        fold = _fold(flow, s, t, f, g, V=V)
+        increment = fold.end - fold.start
+        defect = np.abs(fold.total - increment)
         sq = defect**2
         rms = float(np.sqrt(sq.mean()))
         mx = float(defect.max())
@@ -208,7 +248,7 @@ def verify_path_independence(V, f, g, flows, s, t):
         sq_means.append((flow.dt, float(sq.mean()), float(sq.std() / np.sqrt(sq.size))))
         prev = (rms, flow.dt)
         # drop this level before the iterable simulates the next one
-        del flow
+        del flow, fold
     if not rows:
         raise ContractError("need at least one flow")
     floor, floor_se = _defect_floor(sq_means)

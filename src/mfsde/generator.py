@@ -141,65 +141,112 @@ def apply_L_sigma(coeff, V, t, x, mu):
     )
 
 
-def ito_residual_ensemble(coeff, f, flow, particles=None):
-    """Discrete Ito residual series for selected particles of a flow.
+@dataclass(frozen=True)
+class ItoResidualSummary:
+    """Per-step reductions of the discrete Ito residual over P particles.
 
-    For each step k and particle i the residual is the one-step increment of
-    f along the path minus the generator drift term and the stochastic
-    increment.  Returns (residuals, martingale_increments, qv_density):
-    the first two of shape (L, P), and qv_density of shape (L,), whose entry
-    k is the predicted quadratic-variation density |sigma^* dx f|^2 at step
-    k averaged over the selected particles.  The generator is evaluated once
-    per step, at the inner integrals already computed for the step's value.
+    step_mean and step_rms, shape (L,), are the mean and RMS over the
+    particles of each step's residual; residual_sum and qv_sum, shape (P,),
+    are each particle's residuals and squared martingale increments summed
+    over the steps; qv_density, shape (L,), is the predicted
+    quadratic-variation density |sigma^* dx f|^2 at each step averaged over
+    the particles.
     """
+
+    step_mean: np.ndarray
+    step_rms: np.ndarray
+    residual_sum: np.ndarray
+    qv_sum: np.ndarray
+    qv_density: np.ndarray
+
+
+class _ItoFold:
+    """Replay hook that reduces the Ito residual of the selected particles per step.
+
+    The residual of step k is the one-step increment of f along the path
+    minus the generator drift term and the stochastic increment; it is known
+    once the fold sees grid point k+1.  The generator is evaluated once per
+    step, at the inner integrals already computed for the step's value.
+    With ``record``, ``rows`` keeps each step's (residual, increment).
+    """
+
+    def __init__(self, coeff, f, dt, sel, record):
+        self.coeff, self.f, self.dt, self.sel = coeff, f, dt, sel
+        self.pending = None  # (value, drift, martingale increment) of the open step
+        self.step_mean, self.step_rms, self.qv_density = [], [], []
+        self.residual_sum = self.qv_sum = None
+        self.rows = [] if record else None
+
+    def __call__(self, t_k, X, mu, dw):
+        X = X[self.sel]
+        r = self.f.inner_integrals(mu)
+        vals = np.asarray(self.f.outer.value(t_k, X, r), dtype=float)
+        if self.pending is None:
+            self.residual_sum = np.zeros(X.shape[0])
+            self.qv_sum = np.zeros(X.shape[0])
+        else:
+            vals_prev, drift, mart = self.pending
+            res = vals - vals_prev - drift * self.dt - mart
+            self.step_mean.append(res.mean())
+            self.step_rms.append(np.sqrt((res**2).mean()))
+            self.residual_sum += res
+            self.qv_sum += mart**2
+            if self.rows is not None:
+                self.rows.append((res, mart))
+        if dw is None:
+            return
+        parts = generator_parts(self.coeff, self.f, t_k, X, mu, r=r)
+        sig_dx = parts["sigma_star_dx"]
+        mart = np.einsum("bm,bm->b", sig_dx, dw[self.sel])
+        self.qv_density.append(np.mean(np.sum(sig_dx**2, axis=1)))
+        self.pending = (vals, parts["dt"] + generator_total(parts), mart)
+
+
+def _ito_fold(coeff, f, flow, particles, record=False):
+    """The Ito fold of the selected particles after one replay of the whole flow."""
     if particles is None:
-        particles = np.arange(flow.n_particles)
+        sel = slice(None)
     else:
-        particles = np.asarray(particles)
+        sel = np.asarray(particles)
         if (
-            particles.ndim != 1
-            or particles.size == 0
-            or not np.issubdtype(particles.dtype, np.integer)
-            or particles.min() < 0
-            or particles.max() >= flow.n_particles
+            sel.ndim != 1
+            or sel.size == 0
+            or not np.issubdtype(sel.dtype, np.integer)
+            or sel.min() < 0
+            or sel.max() >= flow.n_particles
         ):
             raise ContractError(
                 "particles must be a non-empty 1-D integer index array in "
                 f"[0, {flow.n_particles})"
             )
-    dt = flow.dt
-    L, P = flow.n_steps, len(particles)
-    residuals = np.empty((L, P))
-    mart = np.empty((L, P))
-    qv_density = np.empty(L)
-    mu_next = flow.measure_at(0)
-    r_next = f.inner_integrals(mu_next)
-    vals_next = np.asarray(
-        f.outer.value(flow.times[0], flow.states[0][particles], r_next), dtype=float
+    fold = _ItoFold(coeff, f, flow.dt, sel, record)
+    flow.replay(fold, flow.times[0], flow.times[-1])
+    return fold
+
+
+def ito_residual_ensemble(coeff, f, flow, particles=None):
+    """Discrete Ito residual of selected particles of a flow, reduced per step.
+
+    ``flow`` is a recorded ParticleFlow or a StreamedFlow; either is folded
+    in one replay, so no (L, P) array is built.  Returns an
+    :class:`ItoResidualSummary`.
+    """
+    fold = _ito_fold(coeff, f, flow, particles)
+    return ItoResidualSummary(
+        step_mean=np.array(fold.step_mean, dtype=float),
+        step_rms=np.array(fold.step_rms, dtype=float),
+        residual_sum=fold.residual_sum,
+        qv_sum=fold.qv_sum,
+        qv_density=np.array(fold.qv_density, dtype=float),
     )
-    for k in range(L):
-        t_k = flow.times[k]
-        mu_k, r_k, vals_k = mu_next, r_next, vals_next
-        X = flow.states[k][particles]
-        parts = generator_parts(coeff, f, t_k, X, mu_k, r=r_k)
-        drift = parts["dt"] + generator_total(parts)
-        sig_dx = parts["sigma_star_dx"]
-        mart[k] = np.einsum("bm,bm->b", sig_dx, flow.noise[k][particles])
-        qv_density[k] = np.mean(np.sum(sig_dx**2, axis=1))
-        mu_next = flow.measure_at(k + 1)
-        r_next = f.inner_integrals(mu_next)
-        vals_next = np.asarray(
-            f.outer.value(flow.times[k + 1], flow.states[k + 1][particles], r_next),
-            dtype=float,
-        )
-        residuals[k] = vals_next - vals_k - drift * dt - mart[k]
-    return residuals, mart, qv_density
 
 
 def ito_residual(coeff, f, flow, i):
-    """Residual series for one particle; see :func:`ito_residual_ensemble`."""
-    residuals, mart, _ = ito_residual_ensemble(coeff, f, flow, particles=[i])
-    return residuals[:, 0], mart[:, 0]
+    """Residual and martingale-increment series, shape (L,), of particle ``i``."""
+    rows = _ito_fold(coeff, f, flow, [i], record=True).rows
+    residuals = np.array([res for res, _ in rows], dtype=float).reshape(-1)
+    mart = np.array([m for _, m in rows], dtype=float).reshape(-1)
+    return residuals, mart
 
 
 def residuals_to_csv(path, flow, residuals, mart):

@@ -60,6 +60,19 @@ class EmpiricalMeasure:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
+    @classmethod
+    def _snapshot(cls, points, weights):
+        """The measure on ``points`` with ``weights`` as given: no checks, no copies.
+
+        For the particle schemes, whose states are read-only (N, d) arrays
+        checked finite at every step and whose snapshots share one weights
+        array, itself built by a checked constructor.
+        """
+        mu = cls.__new__(cls)
+        object.__setattr__(mu, "points", points)
+        object.__setattr__(mu, "weights", weights)
+        return mu
+
     @property
     def n_atoms(self):
         return self.points.shape[0]
@@ -146,9 +159,28 @@ def pushforward(mu, phi):
     return EmpiricalMeasure(mu.points + disp, mu.weights)
 
 
+#: entries of the row block whose coordinate differences _cost_matrix holds at once
+_COST_BLOCK = 1 << 16
+
+
 def _cost_matrix(mu, nu):
-    diff = mu.points[:, None, :] - nu.points[None, :, :]
-    return np.sum(np.square(diff, out=diff), axis=2)
+    """Squared distances |x_i - y_j|^2, shape (N, K).
+
+    The squared coordinate differences are added into the (N, K) result in
+    coordinate order, one block of rows at a time, so besides the result
+    only one block's differences are held, never the (N, K, d) array.  For
+    d < 8 that is the order in which ``np.sum(..., axis=2)`` adds them, so
+    the bits are the same; numpy adds eight or more by pairs.
+    """
+    cost = np.zeros((mu.n_atoms, nu.n_atoms))
+    rows = max(1, _COST_BLOCK // nu.n_atoms)
+    for i in range(0, mu.n_atoms, rows):
+        block = cost[i : i + rows]
+        diff = np.empty_like(block)
+        for j in range(mu.dim):
+            np.subtract.outer(mu.points[i : i + rows, j], nu.points[:, j], out=diff)
+            block += np.square(diff, out=diff)
+    return cost
 
 
 def wasserstein2(mu, nu):

@@ -377,6 +377,8 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ("ito-residual-meanfield", "coeff.rate", "nan"),
         ("flow-property-ou", "init.scale", "nan"),
         ("lderivative-oracle", "eps_ladder", "1e-2, 0"),
+        ("path-independence-forward", "dt_ladder", "1e-2, -2.5e-3"),
+        ("path-independence-forward", "dt_ladder", "0"),
         ("girsanov-risk-neutral", "M", "1"),
         ("feynman-kac-source-const", "probes.t", "2"),
         ("pde-residual-nonlinear", "probes.t", "0, 1.5"),
@@ -390,6 +392,25 @@ def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, 
     status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert status == 2
     assert f"key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ladder, message",
+    [
+        ("1e-2, -2.5e-3", "key 'dt_ladder': must be at least 0, got -0.0025"),
+        ("1e-2, 3e-3", "key 'dt_ladder': 0.003 does not divide the horizon"),
+    ],
+)
+def test_main_names_dt_ladder_for_a_bad_level(ladder, message, tmp_path, capsys):
+    # a bad ladder level was once reported under key 'dt', which the config
+    # does not set
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_with_overrides(PRESETS["path-independence-forward"], {"dt_ladder": ladder}))
+    status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "key 'dt'" not in err
 
 
 def test_main_seed_override_keeps_line_numbers(tmp_path, capsys):

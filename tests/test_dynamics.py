@@ -489,3 +489,88 @@ def test_flow_csv_pinned_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "493611f0e86e0bb8f5272f94654ff6d3f49b702142489de1c4343e57292a4e99"
     )
+
+
+# ---------------------------------------------------------------------------
+# the streaming interacting kernel and its snapshots
+
+
+def _mean_field_run():
+    coeff = make_coefficients("mean_revert", d=2, rate=1.5, s=0.7)
+    init = EmpiricalMeasure(np.random.default_rng(4).standard_normal((5, 2)))
+    return coeff, (coeff, init, 12, 1.0, 0.125, 6)
+
+
+def test_stream_kernel_hands_the_recorded_steps_to_its_hook():
+    coeff, args = _mean_field_run()
+    flow = simulate_mckean_vlasov(*args)
+    seen = []
+
+    def hook(t, X, mu, dw):
+        assert not X.flags.writeable and mu.points is X
+        seen.append((t, X.tobytes(), mu.weights.tobytes(), None if dw is None else dw.tobytes()))
+
+    terminal = dynamics.stream_mckean_vlasov(*args, hook=hook)
+    assert len(seen) == flow.n_steps + 1
+    for k, (t, X, w, dw) in enumerate(seen):
+        assert t == flow.times[k]
+        assert X == flow.states[k].tobytes()
+        assert w == flow.measure_at(k).weights.tobytes()
+        assert dw == (flow.noise[k].tobytes() if k < flow.n_steps else None)
+    assert terminal.points.tobytes() == flow.states[-1].tobytes()
+
+
+def test_measure_at_returns_the_snapshot_the_run_built():
+    _, args = _mean_field_run()
+    flow = simulate_mckean_vlasov(*args)
+    weights = flow.measure_at(0).weights
+    for k in range(flow.n_steps + 1):
+        mu = flow.measure_at(k)
+        assert mu is flow.measure_at(k)
+        # a read-only view of the states, sharing one weights array
+        assert mu.points.base is flow.states and not mu.points.flags.writeable
+        assert mu.weights is weights
+        assert mu.points.tobytes() == EmpiricalMeasure(flow.states[k]).points.tobytes()
+    assert weights.tobytes() == np.full(12, 1.0 / 12).tobytes()
+
+
+def test_semigroup_matches_the_recorded_terminal_law():
+    coeff, (_, init, n, T, dt, seed) = _mean_field_run()
+    flow = simulate_mckean_vlasov(coeff, init, n, T, dt, seed, s=0.25)
+    mu = semigroup_apply(coeff, init, 0.25, T, n, dt, seed)
+    assert mu.points.tobytes() == flow.states[-1].tobytes()
+    assert mu.weights.tobytes() == flow.measure_at(flow.n_steps).weights.tobytes()
+
+
+def test_stream_kernel_still_checks_the_initial_state():
+    coeff = make_coefficients("brownian")
+
+    def bad(rng, n):
+        return np.full((n, 1), np.nan)
+
+    with pytest.raises(ContractError, match="finite"):
+        dynamics.stream_mckean_vlasov(coeff, bad, 3, 1.0, 0.25, seed=0)
+    with pytest.raises(ContractError, match="finite"):
+        simulate_mckean_vlasov(coeff, bad, 3, 1.0, 0.25, seed=0)
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5)])
+def test_streamed_flow_replays_the_recorded_grid_points(s, t):
+    _, args = _mean_field_run()
+    flow = simulate_mckean_vlasov(*args)
+    streamed = dynamics.StreamedFlow(*args)
+    assert streamed.times.tobytes() == flow.times.tobytes()
+    assert (streamed.n_steps, streamed.n_particles, streamed.dt) == (
+        flow.n_steps, flow.n_particles, flow.dt)
+
+    def collect(into):
+        def hook(t_k, X, mu, dw):
+            into.append((t_k, X.tobytes(), mu.points.tobytes(),
+                         None if dw is None else dw.tobytes()))
+        return hook
+
+    live, recorded = [], []
+    streamed.replay(collect(live), s, t)
+    flow.replay(collect(recorded), s, t)
+    assert live == recorded
+    assert len(live) == flow.span(s, t)[1] - flow.span(s, t)[0] + 1

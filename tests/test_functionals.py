@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mfsde import (
     ContractError,
     EmpiricalMeasure,
+    StreamedFlow,
     dirac,
     girsanov_weight,
     make_coefficients,
@@ -176,7 +177,9 @@ def test_pair_recomputes_for_other_arguments(parts_calls):
     X_other.flags.writeable = False
     g(t, X_other, mu)
     assert len(parts_calls) == 2
-    g(t, X_other, flow.measure_at(1))
+    # an equal measure that is another object (measure_at returns the one
+    # snapshot the simulation built)
+    g(t, X_other, EmpiricalMeasure(flow.states[1]))
     assert len(parts_calls) == 3
     g(flow.times[2], X_other, parts_calls[-1])
     assert len(parts_calls) == 4
@@ -388,3 +391,49 @@ def test_path_record_index_checked():
     _, flow = brownian_flow(n=4, dt=0.25)
     with pytest.raises(ContractError):
         make_path_record(flow, 4)
+
+
+# ---------------------------------------------------------------------------
+# streamed and recorded levels run one fold
+
+
+def _streamed_and_recorded():
+    coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
+    init = EmpiricalMeasure(np.array([[0.5], [1.5], [-2.0], [0.1], [0.9]]))
+    args = (coeff, init, 5, 1.0, 0.05, 3)
+    return coeff, StreamedFlow(*args), simulate_mckean_vlasov(*args)
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.25, 0.75)])
+def test_streamed_level_folds_the_recorded_bits(s, t):
+    coeff, streamed, recorded = _streamed_and_recorded()
+    V = make_cylindrical("x_sq_plus_r1", ["quadratic"])
+    f, g = build_pair_from_V(coeff, V)
+    for fn in (accumulate, accumulator_series):
+        assert fn(f, g, streamed, s, t).tobytes() == fn(f, g, recorded, s, t).tobytes()
+    live = potential_increment(V, streamed, s, t)
+    assert live.tobytes() == potential_increment(V, recorded, s, t).tobytes()
+    live = verify_path_independence(V, f, g, [streamed], s, t)
+    assert live == verify_path_independence(V, f, g, [recorded], s, t)
+
+
+def test_streamed_level_evaluates_the_generator_once_per_step(parts_calls):
+    coeff, streamed, _ = _streamed_and_recorded()
+    f, g = build_pair_from_V(coeff, make_cylindrical("x_sq_plus_r1", ["quadratic"]))
+    accumulate(f, g, streamed, 0.0, 1.0)
+    assert len(parts_calls) == streamed.n_steps
+    assert len({id(mu) for mu in parts_calls}) == streamed.n_steps
+
+
+def test_pair_memo_hits_on_the_states_a_streamed_run_hands_its_hook(parts_calls):
+    coeff, streamed, _ = _streamed_and_recorded()
+    f, g = build_pair_from_V(coeff, make_cylindrical("x_sq_plus_r1", ["quadratic"]))
+    steps = []
+
+    def hook(t, X, mu, dw):
+        if dw is not None:
+            steps.append((f(t, X, mu), g(t, X, mu)))
+
+    streamed.replay(hook, 0.0, 1.0)
+    assert len(steps) == streamed.n_steps
+    assert len(parts_calls) == streamed.n_steps

@@ -9,6 +9,8 @@ from mfsde import (
     CapabilityError,
     ContractError,
     EmpiricalMeasure,
+    ItoResidualSummary,
+    StreamedFlow,
     apply_L_sigma,
     apply_L_sigma_b,
     dirac,
@@ -150,12 +152,12 @@ def test_classical_ito_square_statistics():
     coeff = make_coefficients("brownian", s=1.0)
     flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 400, 1.0, 1e-3, seed=7)
     f = make_cylindrical("x_norm_sq")
-    res, mart, _ = ito_residual_ensemble(coeff, f, flow)
-    step_means = res.mean(axis=1)
+    summary = ito_residual_ensemble(coeff, f, flow)
+    step_means = summary.step_mean
     mean = step_means.sum()
-    se = np.sqrt((step_means**2).sum()) + res.sum(axis=0).std(ddof=1) / np.sqrt(400)
+    se = np.sqrt((step_means**2).sum()) + summary.residual_sum.std(ddof=1) / np.sqrt(400)
     assert abs(mean) <= 3 * se
-    qv = (mart**2).sum(axis=0).mean()
+    qv = summary.qv_sum.mean()
     predicted = (4 * flow.states[:-1, :, 0] ** 2).mean(axis=1).sum() * flow.dt
     assert qv == pytest.approx(predicted, rel=0.1)
 
@@ -169,8 +171,7 @@ def test_mean_residual_decays_linearly_in_dt():
     means = []
     for dt in (0.02, 0.01):
         flow = simulate_mckean_vlasov(coeff, init, 3, 1.0, dt, seed=3)
-        res, _, _ = ito_residual_ensemble(coeff, f, flow)
-        means.append(abs(res.mean(axis=1).sum()))
+        means.append(abs(ito_residual_ensemble(coeff, f, flow).step_mean.sum()))
     assert means[0] / means[1] == pytest.approx(2.0, rel=0.25)
 
 
@@ -179,7 +180,7 @@ def test_qv_density_matches_per_step_generator_loop(particles):
     coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
     flow = simulate_mckean_vlasov(coeff, line([0.5, 1.5, -2.0, 0.1, 0.9]), 5, 1.0, 0.05, seed=3)
     f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
-    _, _, qv = ito_residual_ensemble(coeff, f, flow, particles=particles)
+    qv = ito_residual_ensemble(coeff, f, flow, particles=particles).qv_density
     idx = np.arange(flow.n_particles) if particles is None else np.asarray(particles)
     expected = np.empty(flow.n_steps)
     for k in range(flow.n_steps):
@@ -256,3 +257,32 @@ def test_residual_csv_pinned_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "f921c62e3bc6c755bf47185249826cf336aa4f8176b35006f829eb3777aba07a"
     )
+
+
+# ---------------------------------------------------------------------------
+# streamed and recorded flows reduce to the same bits
+
+
+@pytest.mark.parametrize("particles", [None, [4, 0, 2]])
+def test_ito_reductions_of_streamed_and_recorded_flows_agree(particles):
+    coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
+    args = (coeff, line([0.5, 1.5, -2.0, 0.1, 0.9]), 5, 1.0, 0.05, 3)
+    f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
+    live = ito_residual_ensemble(coeff, f, StreamedFlow(*args), particles=particles)
+    recorded = ito_residual_ensemble(coeff, f, simulate_mckean_vlasov(*args), particles=particles)
+    for field in dataclasses.fields(ItoResidualSummary):
+        assert getattr(live, field.name).tobytes() == getattr(recorded, field.name).tobytes()
+    P = 5 if particles is None else 3
+    assert live.step_mean.shape == live.step_rms.shape == live.qv_density.shape == (20,)
+    assert live.residual_sum.shape == live.qv_sum.shape == (P,)
+
+
+def test_ito_reductions_match_the_one_particle_series():
+    coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
+    flow = simulate_mckean_vlasov(coeff, line([0.5, 1.5, -2.0, 0.1]), 4, 1.0, 0.05, seed=3)
+    f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
+    res, mart = ito_residual(coeff, f, flow, 2)
+    summary = ito_residual_ensemble(coeff, f, flow, particles=[2])
+    assert summary.step_mean.tobytes() == res.tobytes()
+    assert summary.step_rms.tobytes() == np.abs(res).tobytes()
+    assert summary.qv_sum[0] == pytest.approx(float(np.sum(mart**2)), rel=1e-14)

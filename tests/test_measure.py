@@ -14,6 +14,7 @@ from mfsde import (
     wasserstein2,
     wasserstein2_bruteforce,
 )
+import mfsde.measure as measure
 from mfsde.measure import _cost_matrix
 
 
@@ -266,3 +267,17 @@ def test_csv_pinned_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "e135a28c1569881472d46bad119e49db24cd4c950a9275835f8b63288b6b4bff"
     )
+
+
+@pytest.mark.parametrize("block", [None, 13])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_cost_matrix_bits_match_the_summed_difference_array_over_seeds(d, block, monkeypatch):
+    if block is not None:  # row blocks of 2, the last one short
+        monkeypatch.setattr(measure, "_COST_BLOCK", block)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        mu = uniform(rng.standard_normal((9, d)))
+        nu = uniform(rng.standard_normal((6, d)))
+        diff = mu.points[:, None, :] - nu.points[None, :, :]
+        expected = np.sum(np.square(diff, out=diff), axis=2)
+        assert _cost_matrix(mu, nu).tobytes() == expected.tobytes()

@@ -15,8 +15,10 @@ import mfsde.feynman_kac as feynman_kac
 from mfsde import (
     ContractError,
     EmpiricalMeasure,
+    StreamedFlow,
     build_pair_from_V,
     dirac,
+    ito_residual_ensemble,
     make_coefficients,
     make_cylindrical,
     pde_residual_mc,
@@ -26,6 +28,7 @@ from mfsde import (
 from mfsde.dynamics import DOMAIN_DECOUPLED, DOMAIN_INTERACTING, stream_decoupled
 from mfsde.feynman_kac import McValueFunction
 from mfsde.functionals import accumulate, accumulator_series
+from mfsde.measure import _cost_matrix
 
 BROWNIAN = make_coefficients("brownian", s=1.0)
 LADDER = (0.02, 0.01, 0.005)
@@ -170,3 +173,112 @@ def test_ladder_rejects_empty_and_finest_first():
     flows = [_level(dt, 20, 1) for dt in (0.1, 0.05)]
     with pytest.raises(ContractError, match="coarsest first"):
         verify_path_independence(V, f, g, flows[::-1], 0.0, 1.0)
+
+
+def _peak_of(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+MEAN_REVERT = make_coefficients("mean_revert", rate=1.0, s=1.0)
+
+
+def _block_bytes(n, dt):
+    """Bytes of one (L, N, m) noise block on [0, 1]."""
+    return 8 * round(1.0 / dt) * n * MEAN_REVERT.m
+
+
+def test_streamed_ladder_level_peaks_near_one_noise_block():
+    n, dt = 2000, 0.005
+    V = make_cylindrical("x_sq_plus_r1", ["quadratic"])
+    f, g = build_pair_from_V(MEAN_REVERT, V)
+    block = _block_bytes(n, dt)
+    args = (MEAN_REVERT, dirac([0.0]), n, 1.0, dt, 8)
+    # states + noise of a recorded level would cross the bound
+    assert _peak_of(lambda: simulate_mckean_vlasov(*args)) > 1.5 * block
+    peak = _peak_of(lambda: verify_path_independence(V, f, g, [StreamedFlow(*args)], 0.0, 1.0))
+    assert peak < 1.25 * block
+
+
+def test_ito_residual_peaks_near_one_noise_block():
+    n, dt = 2000, 0.005
+    V = make_cylindrical("x_sq_plus_r1", ["quadratic"])
+    block = _block_bytes(n, dt)
+    streamed = StreamedFlow(MEAN_REVERT, dirac([0.0]), n, 1.0, dt, 8)
+    peak = _peak_of(lambda: ito_residual_ensemble(MEAN_REVERT, V, streamed))
+    assert peak < 1.25 * block
+
+
+def test_w2_cost_matrix_peaks_near_one_matrix():
+    rng = np.random.default_rng(5)
+    mu = EmpiricalMeasure(rng.standard_normal((1024, 3)))
+    nu = EmpiricalMeasure(rng.standard_normal((1024, 3)))
+    matrix = 8 * 1024 * 1024
+    # the cost, one row block of differences and numpy's ufunc buffers; the
+    # (N, N, d) differences alone would be three matrices
+    assert _peak_of(lambda: _cost_matrix(mu, nu)) <= 1.2 * matrix
+
+
+@pytest.fixture
+def measures_built(monkeypatch):
+    """Counts EmpiricalMeasure constructions, checked or snapshot."""
+    built = []
+    post_init = EmpiricalMeasure.__post_init__
+    snapshot = EmpiricalMeasure._snapshot.__func__
+
+    def counted_post_init(self):
+        built.append("checked")
+        post_init(self)
+
+    def counted_snapshot(cls, points, weights):
+        built.append("snapshot")
+        return snapshot(cls, points, weights)
+
+    monkeypatch.setattr(EmpiricalMeasure, "__post_init__", counted_post_init)
+    monkeypatch.setattr(EmpiricalMeasure, "_snapshot", classmethod(counted_snapshot))
+    return built
+
+
+def test_ladder_level_builds_one_measure_per_grid_point(measures_built):
+    V = make_cylindrical("x_sq_plus_r1", ["quadratic"])
+    f, g = build_pair_from_V(MEAN_REVERT, V)
+    args = (MEAN_REVERT, dirac([0.0]), 50, 1.0, 0.02, 1)
+    for level in (lambda: StreamedFlow(*args), lambda: simulate_mckean_vlasov(*args)):
+        measures_built.clear()
+        verify_path_independence(V, f, g, [level()], 0.0, 1.0)
+        # 51 snapshots and the checked initial measure, whether the level is
+        # folded live or recorded first and replayed
+        assert measures_built.count("snapshot") == 51
+        assert measures_built.count("checked") == 1
+
+
+def test_pde_residual_builds_each_snapshot_once(measures_built, monkeypatch):
+    grid_points = []
+    simulate = feynman_kac.simulate_mckean_vlasov
+
+    def counted(*args, **kwargs):
+        flow = simulate(*args, **kwargs)
+        grid_points.append(flow.n_steps + 1)
+        return flow
+
+    monkeypatch.setattr(feynman_kac, "simulate_mckean_vlasov", counted)
+    mu = EmpiricalMeasure(np.linspace(-1.0, 1.0, 20)[:, None])
+    vf = McValueFunction(
+        coeff=MEAN_REVERT, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
+        M=50, seed=3, mu=mu, provenance="linear", n_flow=20,
+    )
+    n_draws = 2
+    before = len(measures_built)
+    table = pde_residual_mc(vf, "linear", [(0.0, [0.3]), (0.2, [-0.4])], n_measure_draws=n_draws)
+    built = len(measures_built) - before
+    # the centre and four space columns of a probe share one frozen flow, and
+    # every column reads its snapshots; each flow adds its checked initial
+    # measure and each probe 2 * n_draws shifted measures
+    flows = len(grid_points)
+    assert len(table.rows) == 2 and flows == 2 * (3 + 2 * n_draws)
+    assert built == sum(grid_points) + flows + 2 * 2 * n_draws
