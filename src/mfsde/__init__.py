@@ -45,6 +45,7 @@ from .functionals import (
     PathRecord,
     accumulate,
     build_pair_from_V,
+    girsanov_replay,
     girsanov_weight,
     make_path_record,
     novikov_estimate,

@@ -39,7 +39,6 @@ from .dynamics import (
     StreamedFlow,
     make_coefficients,
     semigroup_apply,
-    simulate_mckean_vlasov,
 )
 from .errors import ConfigError
 from .feynman_kac import (
@@ -53,8 +52,7 @@ from .feynman_kac import (
 )
 from .functionals import (
     build_pair_from_V,
-    girsanov_weight,
-    novikov_estimate,
+    girsanov_replay,
     verify_path_independence,
 )
 from .generator import ito_residual_ensemble
@@ -289,15 +287,13 @@ def _run_girsanov(cfg, out_dir):
     g_value = cfg.get("g.value")
     g = _const_field(g_value, m)
     mu0 = _initial_measure(cfg, M)
-    flow = simulate_mckean_vlasov(coeff, mu0, M, T, dt, cfg.seed, s=s)
-    weights = girsanov_weight(g, flow, beta, s, T)
-    dx = flow.states[-1] - flow.states[0]
+    flow = StreamedFlow(coeff, mu0, M, T, dt, cfg.seed, s=s)
+    weights, nov, dx = girsanov_replay(g, flow, beta, s, T)
     reweighted = weights * dx[:, 0]
     mean_err = abs(float(weights.mean()) - 1.0)
     se_w = float(weights.std(ddof=1) / np.sqrt(M))
     drift_q = float(reweighted.mean())
     se_q = float(reweighted.std(ddof=1) / np.sqrt(M))
-    nov = novikov_estimate(g, flow, s, T)
     nov_expected = float(np.exp(0.5 * m * g_value**2 * (T - s)))
     nov_gap = abs(nov.estimate - nov_expected)
     rows = [

@@ -7,6 +7,11 @@ increments come from counter-based Philox streams keyed by
 regardless of how the work is scheduled.  A counter-based stream is fixed by
 its (key, counter) pair alone, so one Philox generator serves a whole noise
 array: it is re-keyed, with its counter reset, before each particle's draws.
+A particle's stream does not depend on which call draws it, so a caller can
+draw particles in chunks (``_raw_normals(..., first=a)``) and get the bits
+of one whole block; the Euler loop advances (N, d) or (K, N, d) states, and
+its per-step costs, which set the Monte Carlo chunk and tile sizes of
+``feynman_kac``, are given in ``_euler_loop``.
 """
 
 from __future__ import annotations
@@ -57,34 +62,49 @@ def particle_stream(seed, particle, domain=DOMAIN_INTERACTING):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _raw_normals(seed, n_particles, n_steps, m, domain):
+#: particles whose streams one draw tile holds (see _raw_normals)
+_DRAW_TILE = 64
+
+
+def _raw_normals(seed, n_particles, n_steps, m, domain, first=0):
     """Fresh standard normals, shape (n_steps, n_particles, m), one stream per particle.
 
-    Streams emit draws step-ordered, so a longer block's step prefix equals a
-    shorter one: callers that reuse noise on purpose draw the longest block
-    once and slice it.
+    ``raw[:, i]`` holds the stream of particle ``first + i``, so the block
+    of particles [a, b) equals ``raw[:, a:b]`` of a block drawn from
+    particle 0, bit for bit: a caller can draw its particles in chunks.
+    Streams emit draws
+    step-ordered, so a longer block's step prefix equals a shorter one:
+    callers that reuse noise on purpose draw the longest block once and
+    slice it.
     """
-    # particle 0's stream key stands for (seed, domain) and validates both
-    word0, word1 = _stream_key(seed, 0, domain)
+    # the first particle's stream key stands for (seed, domain) and validates both
+    word0, word1 = _stream_key(seed, first, domain)
     n_particles = check_count("n_particles", n_particles, 1)
     n_steps = check_count("n_steps", n_steps, 0)
     m = check_count("m", m, 1)
+    _stream_key(seed, first + n_particles - 1, domain)
     # One generator serves every particle: re-keying its Philox with the
     # counter and output buffer reset gives exactly the draws of
     # particle_stream(seed, i, domain), at a fraction of the cost of
     # constructing a generator (which also reads OS entropy) per particle.
-    # Particle i's key is particle 0's with i added to the second word; a
-    # Python loop over particles never gets near 2**48, where i would carry
-    # into the domain bits.
+    # Particle i's key is particle 0's with i added to the second word; the
+    # key check of the last particle keeps i from carrying into the domain
+    # bits.  Each stream is drawn contiguously into a small tile, which is
+    # written into the step-major block once (a tile of _DRAW_TILE particles
+    # stays in cache; a strided write per particle does not).
     bits = np.random.Philox()
     gen = np.random.Generator(bits)
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     raw = np.empty((n_steps, n_particles, m))
-    for i in range(n_particles):
-        state["state"]["key"] = [word0, word1 + i]
-        bits.state = state
-        raw[:, i, :] = gen.standard_normal((n_steps, m))
+    tile = np.empty((min(_DRAW_TILE, n_particles), n_steps, m))
+    for a in range(0, n_particles, _DRAW_TILE):
+        part = tile[: min(_DRAW_TILE, n_particles - a)]
+        for j, stream in enumerate(part):
+            state["state"]["key"] = [word0, word1 + a + j]
+            bits.state = state
+            gen.standard_normal(out=stream)
+        raw[:, a : a + len(part)] = part.transpose(1, 0, 2)
     return raw
 
 
@@ -337,14 +357,20 @@ def _initial_states(init, n, d, seed):
     raise ContractError("init must be an EmpiricalMeasure or a sampler(rng, N)")
 
 
-def _check_finite(x, k):
+def _check_finite(x, k, first=0):
+    """SimulationError naming step k and the first bad particle of x, (..., N, d).
+
+    Particle i of the last two axes is reported as ``first + i``.
+    """
     # two reductions settle the common case; a NaN fails both comparisons and
     # falls through to the search for the offending particle
     if x.min() >= -BLOWUP_GUARD and x.max() <= BLOWUP_GUARD:
         return
-    bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > BLOWUP_GUARD)
+    n, d = x.shape[-2:]
+    flat = x.reshape(-1, d)
+    bad = ~np.isfinite(flat).all(axis=1) | (np.abs(flat).max(axis=1) > BLOWUP_GUARD)
     if bad.any():
-        i = int(np.argmax(bad))
+        i = first + int(np.argmax(bad)) % n
         raise SimulationError(
             f"particle {i} blew up at step {k} (|state| > {BLOWUP_GUARD:g} or non-finite)",
             step=k,
@@ -381,28 +407,41 @@ def _increments(raw, dt, owned):
         yield np.multiply(sqrt_dt, row, out=row if owned else buf)
 
 
-def _euler_loop(coeff, state, times, increments, dt, law, hook, states=None):
+def _euler_loop(coeff, state, times, increments, dt, law, hook, states=None, first=0):
     """Euler steps of ``state`` over the grid ``times``, the body both schemes share.
 
+    ``state`` is (N, d), or (K, N, d) for K columns of N paths that read the
+    same law and the same (N, m) increments, which broadcast across the
+    columns without a copy; the coefficients see the state as (K*N, d).
     ``law(k, x)`` is the measure argument at step k: the ensemble's own
     snapshot, or a frozen flow's.  ``hook(t_k, x_k, mu_k, dW_k)``, when
     given, sees each step before it is advanced.  Every new state is
-    finite-checked and read-only: a fresh array, or the view states[k] of a
-    caller's (L+1, N, d) array.  Returns the last state.
+    finite-checked (its paths named from ``first``) and read-only: a fresh
+    array, or the view states[k] of a caller's (L+1, N, d) array.  Returns
+    the last state.
+
+    A step costs a fixed 25-35 us (coefficient calls, einsum set-up, the
+    finiteness check) plus about 3.5 ns per path at 4K-16K paths; the
+    per-path cost rises to 6.5-7 ns at 61K-1e5 paths, once the step's
+    arrays outgrow the 2 MiB L2 cache (d = m = 1, brownian field, one core
+    of a shared 2-core Xeon; host load moves these by about 15%).
     """
+    shape = state.shape
     for k, dw in enumerate(increments):
         mu = law(k, state)
         if hook is not None:
             hook(times[k], state, mu, dw)
-        drift = coeff.b(times[k], state, mu)
-        diff = np.einsum("ndm,nm->nd", coeff.sigma(times[k], state, mu), dw)
+        flat = state.reshape(-1, shape[-1])
+        drift = np.reshape(coeff.b(times[k], flat, mu), shape)
+        sigma = np.reshape(coeff.sigma(times[k], flat, mu), shape + dw.shape[-1:])
+        diff = np.einsum("...ndm,nm->...nd", sigma, dw)
         # x + b dt + diff, summed in the new state's own array (hooks may keep
         # x_k; the coefficient's outputs are never written)
         nxt = np.multiply(drift, dt, out=np.empty_like(state) if states is None else states[k + 1])
         nxt += state
         nxt += diff
         nxt.flags.writeable = False
-        _check_finite(nxt, k + 1)
+        _check_finite(nxt, k + 1, first)
         state = nxt
     return state
 
@@ -537,56 +576,54 @@ def start_point(x, d):
         raise ContractError(f"start point {x!r} does not broadcast to shape ({d},)") from None
 
 
-def stream_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, hook=None, normals=None):
-    """Terminal states, shape (M, d), of M paths from x against the frozen law curve.
+def _decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, hook=None, record=False):
+    """(terminal, times, states, increments) of M paths from x against the frozen flow.
 
-    The measure argument at every step is the snapshot of ``frozen_flow``,
-    never the ensemble's own empirical law; noise streams live in a domain
-    disjoint from the one that generated the frozen flow.  Only the current
-    state is kept: the raw normals are scaled one step at a time, and
-    ``hook(t_k, x_k, mu_k)``, when given, sees the state of every step before
-    it is advanced (x_k is a fresh read-only array each step).
-    ``normals``, when given, is the raw block
-    ``_raw_normals(seed, M, L, coeff.m, DOMAIN_DECOUPLED)`` for some L at
-    least the number of steps from s to T; it is read, never written.
+    Checks every argument before drawing.  With ``record`` the path is
+    written into one (L+1, M, d) array ``states``; otherwise ``states`` is
+    None and only the current state is kept.  The raw block is scaled in
+    place, one step at a time, into the run's increments.
     """
     M = check_count("M", M, 1)
     x = start_point(x, coeff.d)
     if frozen_flow.n_steps > 0 and abs(frozen_flow.dt - dt) > 1e-12:
         raise ContractError(f"frozen flow dt {frozen_flow.dt} != requested dt {dt}")
     k0, k1 = frozen_flow.span(s, T)
-    raw, owned = _noise_block(normals, seed, M, k1 - k0, coeff.m, DOMAIN_DECOUPLED)
-    state = np.empty((M, coeff.d))
+    raw = _raw_normals(seed, M, k1 - k0, coeff.m, DOMAIN_DECOUPLED)
+    states = np.empty((k1 - k0 + 1, M, coeff.d)) if record else None
+    state = np.empty((M, coeff.d)) if states is None else states[0]
     state[:] = x
     state.flags.writeable = False
 
     def law(k, xk):
         return frozen_flow.measure_at(k0 + k)
 
-    step_hook = None if hook is None else (lambda t, xk, mu, dw: hook(t, xk, mu))
     times = frozen_flow.times[k0 : k1 + 1]
-    return _euler_loop(coeff, state, times, _increments(raw, dt, owned), dt, law, step_hook)
+    terminal = _euler_loop(coeff, state, times, _increments(raw, dt, True), dt, law, hook, states)
+    return terminal, times, states, raw
+
+
+def stream_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, hook=None):
+    """Terminal states, shape (M, d), of M paths from x against the frozen law curve.
+
+    The measure argument at every step is the snapshot of ``frozen_flow``,
+    never the ensemble's own empirical law; noise streams live in a domain
+    disjoint from the one that generated the frozen flow.  Only the current
+    state is kept, and ``hook(t_k, x_k, mu_k)``, when given, sees the state
+    of every step before it is advanced (x_k is a fresh read-only array each
+    step).
+    """
+    step_hook = None if hook is None else (lambda t, xk, mu, dw: hook(t, xk, mu))
+    return _decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, step_hook)[0]
 
 
 def simulate_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed):
     """M recorded paths from deterministic start x against the frozen law curve.
 
-    The paths are those of :func:`stream_decoupled`, stored step by step.
+    The paths are those of :func:`stream_decoupled`, written step by step
+    into one array; the noise block drawn for them becomes ``noise``.
     """
-    M = check_count("M", M, 1)
-    x = start_point(x, coeff.d)
-    k0, k1 = frozen_flow.span(s, T)
-    raw = _raw_normals(seed, M, k1 - k0, coeff.m, DOMAIN_DECOUPLED)
-    path = []
-    terminal = stream_decoupled(
-        coeff, x, frozen_flow, s, T, dt, M, seed,
-        hook=lambda t, xk, mu: path.append(xk), normals=raw,
-    )
-    raw *= np.sqrt(dt)
+    _, times, states, noise = _decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, record=True)
     return DecoupledEnsemble(
-        times=frozen_flow.times[k0 : k1 + 1],
-        states=np.stack(path + [terminal]),
-        noise=raw,
-        start=x,
-        seed=seed,
+        times=times, states=states, noise=noise, start=start_point(x, coeff.d), seed=seed
     )

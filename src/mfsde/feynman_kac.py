@@ -11,11 +11,26 @@ frozen law curve once, then running decoupled paths against it:
 
 A residual tester verifies MC-backed solutions against their PDE with
 common-random-number finite differences and an explicit error budget.
+
+Every estimate reads one sampler, :meth:`McValueFunction.sample_table`,
+which evaluates a table of columns (start time, start point, measure) in
+chunks of particles.  Each chunk draws its decoupled noise once and runs
+every column against it, so memory grows with M only by the per-path
+samples themselves, an (M, n_cols) array.  Columns that share (t, mu)
+share one frozen flow and run as one Euler loop over a (K, B, d) state, in
+tiles of at most TILE paths: a step costs a fixed 25-35 us plus about
+3.5 ns per path at 4K-16K paths, against 6.5-7 ns at 61K-1e5 (see
+``dynamics._euler_loop``), so a tile is large enough to amortise the fixed
+cost and small enough to stay in cache.  A chunk is the largest multiple
+of CHUNK_UNIT particles whose widest group of K columns fits one TILE, but
+at least 2 * CHUNK_UNIT.  Particle i's stream is the same whatever chunk
+draws it, and every sample array is reduced in full, so chunk and tile
+sizes never change a result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,12 +39,12 @@ from .calculus import CylindricalFunction
 from .dynamics import (
     DOMAIN_DECOUPLED,
     DOMAIN_INTERACTING,
+    _euler_loop,
     _grid,
     _raw_normals,
     check_count,
     simulate_mckean_vlasov,
     start_point,
-    stream_decoupled,
 )
 from .errors import CapabilityError, ContractError, DataError
 from .generator import generator_parts, generator_total
@@ -52,29 +67,6 @@ def _n_steps(t, T, dt):
     if T < t:
         raise ContractError("need T >= t")
     return _grid(t, T, dt)[1]
-
-
-def _path_samples(coeff, flow, x, T, dt, M, seed, Phi=None, f_field=None, normals=None):
-    """Per-path samples on the frozen flow, shape (M,).
-
-    Phi at the terminal state and law (when given) minus the left-endpoint
-    integral of f_field along the path (when given), accumulated as the
-    paths stream; its step is the spacing of the flow's grid.  ``normals``
-    is passed on to :func:`stream_decoupled`.
-    """
-    integral = hook = None
-    if f_field is not None:
-        integral = np.zeros(M)
-
-        def hook(t_k, x_k, mu_k):
-            integral[:] += np.asarray(f_field(t_k, x_k, mu_k), dtype=float) * flow.dt
-
-    terminal = stream_decoupled(coeff, x, flow, flow.times[0], T, dt, M, seed, hook, normals)
-    if Phi is None:
-        return -integral
-    mu_T = flow.measure_at(flow.n_steps)
-    samples = np.asarray(Phi.outer.value(T, terminal, Phi.inner_integrals(mu_T)), dtype=float)
-    return samples if integral is None else samples - integral
 
 
 def _mean_solution(samples, provenance, beta=None):
@@ -243,6 +235,18 @@ _PROVENANCE_TERMS = {
 }
 
 
+#: paths one Euler loop advances at most, over a (K, B, d) state of K
+#: columns of a B-particle chunk (see the module docstring)
+TILE = 16_384
+#: a particle chunk is a whole multiple of this, and at least two of it
+CHUNK_UNIT = 1024
+
+
+def _chunk_size(k_max):
+    """Particles per chunk when the widest flow group has ``k_max`` columns."""
+    return max(2 * CHUNK_UNIT, TILE // k_max // CHUNK_UNIT * CHUNK_UNIT)
+
+
 @dataclass(frozen=True)
 class McValueFunction:
     """MC-backed value function with a fixed seed, usable for CRN differences.
@@ -250,11 +254,9 @@ class McValueFunction:
     ``samples(t, x, mu)`` returns per-path samples of the underlying
     statistic; the value is a smooth function of the sample mean given by
     ``provenance`` (plain mean, or -beta log mean).  Every ``solve_*``
-    function is one such object read at a single (t, x).
-
-    The object owns its noise: one raw block per domain (frozen flows and
-    decoupled paths), drawn for the longest horizon asked so far and shared
-    by every later evaluation through its step prefix.
+    function is one such object read at a single (t, x), a one-column
+    :meth:`sample_table`.  The object holds no noise: a table draws it
+    chunk by chunk, and a rerun draws the same streams again.
     """
 
     coeff: object
@@ -268,44 +270,95 @@ class McValueFunction:
     provenance: str
     beta: Optional[float] = None
     n_flow: int = 200
-    _noise: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_count("M", self.M, 1)
         if self.provenance not in _PROVENANCE_TERMS:
             raise ContractError(f"unknown provenance {self.provenance!r}")
 
-    def frozen_flow(self, t, mu=None):
-        """The law curve from (t, mu) that every start point at (t, mu) shares."""
-        mu = self.mu if mu is None else mu
-        normals = self._normals(DOMAIN_INTERACTING, self.n_flow, t)
-        return simulate_mckean_vlasov(
-            self.coeff, mu, self.n_flow, self.T, self.dt, self.seed, s=t, normals=normals
-        )
+    def samples(self, t, x, mu=None):
+        """Per-path samples at (t, x, mu), shape (M,)."""
+        return self.sample_table([[(t, x, mu)]])[0][:, 0]
 
-    def _normals(self, domain, n_particles, t):
-        """The owned raw block of one domain, drawn again only for a longer horizon."""
-        n_steps = _n_steps(t, self.T, self.dt)
-        block = self._noise.get(domain)
-        if block is None or block.shape[0] < n_steps:
-            block = _raw_normals(self.seed, n_particles, n_steps, self.coeff.m, domain)
-            block.flags.writeable = False
-            self._noise[domain] = block
-        return block
+    def sample_table(self, groups):
+        """Per-path samples of a table of columns: one (M, n) array per group.
 
-    def samples(self, t, x, mu=None, flow=None):
-        """Per-path samples at (t, x, mu); pass ``flow = frozen_flow(t, mu)`` to reuse it."""
-        x = start_point(x, self.coeff.d)
-        if flow is None:
-            flow = self.frozen_flow(t, mu)
-        elif flow.index_of(t) != 0:
-            raise ContractError(f"frozen flow starts at {flow.times[0]}, not at t={t}")
+        ``groups`` is a sequence of column lists; a column is (t, x, mu),
+        with mu None for the function's own measure, and column j of a
+        group's array holds its M samples, exactly those of
+        ``samples(t, x, mu)``.  Every column is checked before any path is
+        simulated.  Each distinct (t, mu) gets one frozen flow, read from
+        one shared block of flow noise, and all columns run on the same
+        decoupled streams (common random numbers), drawn once per chunk of
+        particles.
+        """
+        # flow key (t, mu) -> [t, mu, [(group, column, start point)]]
+        flows = {}
+        for g, group in enumerate(groups):
+            for j, (t, x, mu) in enumerate(group):
+                x = start_point(x, self.coeff.d)
+                _n_steps(t, self.T, self.dt)
+                mu = self.mu if mu is None else mu
+                flows.setdefault((t, id(mu)), [t, mu, []])[2].append((g, j, x))
+        out = [np.empty((self.M, len(group))) for group in groups]
+        if not flows:
+            return out
+        n_steps = _n_steps(min(t for t, _, _ in flows.values()), self.T, self.dt)
+        block = _raw_normals(self.seed, self.n_flow, n_steps, self.coeff.m, DOMAIN_INTERACTING)
+        block.flags.writeable = False
+        runs = []  # (frozen flow, inner integrals of Phi at its terminal law, columns)
+        for t, mu, cols in flows.values():
+            flow = simulate_mckean_vlasov(
+                self.coeff, mu, self.n_flow, self.T, self.dt, self.seed, s=t, normals=block
+            )
+            r_T = None
+            if _PROVENANCE_TERMS[self.provenance][0]:
+                r_T = self.Phi.inner_integrals(flow.measure_at(flow.n_steps))
+            runs.append((flow, r_T, cols))
+        del block
+        chunk = _chunk_size(max(len(cols) for _, _, cols in runs))
+        tile = max(1, TILE // chunk)
+        for a in range(0, self.M, chunk):
+            b = min(a + chunk, self.M)
+            noise = _raw_normals(self.seed, b - a, n_steps, self.coeff.m, DOMAIN_DECOUPLED, a)
+            noise *= np.sqrt(self.dt)
+            for flow, r_T, cols in runs:
+                for i in range(0, len(cols), tile):
+                    self._run_tile(flow, r_T, cols[i : i + tile], noise[: flow.n_steps], a, out)
+        return out
+
+    def _run_tile(self, flow, r_T, cols, increments, first, out):
+        """Samples of particles [first, first + B) of K columns on one frozen flow.
+
+        Phi at the terminal state and law (when used) minus the
+        left-endpoint integral of f_field along the path (when used), whose
+        step is the spacing of the flow's grid; each column's samples go to
+        rows first.. of its group's array.
+        """
         use_phi, use_f = _PROVENANCE_TERMS[self.provenance]
-        return _path_samples(
-            self.coeff, flow, x, self.T, self.dt, self.M, self.seed,
-            self.Phi if use_phi else None, self.f_field if use_f else None,
-            self._normals(DOMAIN_DECOUPLED, self.M, t),
+        n = increments.shape[1]
+        state = np.empty((len(cols), n, self.coeff.d))
+        for c, (_, _, x) in enumerate(cols):
+            state[c] = x
+        state.flags.writeable = False
+        integral = hook = None
+        if use_f:
+            integral = np.zeros((len(cols), n))
+
+            def hook(t_k, x_k, mu_k, dw):
+                for c, x_c in enumerate(x_k):
+                    integral[c] += np.asarray(self.f_field(t_k, x_c, mu_k), dtype=float) * flow.dt
+
+        terminal = _euler_loop(
+            self.coeff, state, flow.times, increments, self.dt,
+            lambda k, x: flow.measure_at(k), hook, first=first,
         )
+        for c, (g, j, _) in enumerate(cols):
+            if use_phi:
+                sample = np.asarray(self.Phi.outer.value(self.T, terminal[c], r_T), dtype=float)
+                out[g][first : first + n, j] = sample if integral is None else sample - integral[c]
+            else:
+                out[g][first : first + n, j] = -integral[c]
 
     def value_of_mean(self, mean):
         if self.provenance == "log_transform":
@@ -353,7 +406,9 @@ def pde_residual_mc(vf, pde, probes, f_field=None, n_measure_draws=4):
     All stencil evaluations reuse the same noise streams, so differences
     cancel most Monte Carlo error; the per-probe budget is an FD truncation
     estimate (by Richardson comparison) plus three propagated standard
-    errors computed from the joint per-path sample covariance.
+    errors computed from the joint per-path sample covariance.  Every
+    probe's stencil is planned (and its diffusion checked) before any path
+    is simulated, then all columns are sampled as one table.
     """
     if pde not in PDE_KINDS:
         raise ContractError(f"pde must be one of {PDE_KINDS}")
@@ -361,16 +416,12 @@ def pde_residual_mc(vf, pde, probes, f_field=None, n_measure_draws=4):
         f_field = vf.f_field
     h_t = max(vf.dt, round(H_T_REL * vf.T / vf.dt) * vf.dt)
     probes = [(float(t0), np.atleast_1d(np.asarray(x0, dtype=float))) for t0, x0 in probes]
-    if probes:
-        # each domain's block is drawn once, for the earliest stencil start
-        start = min(min(t0, *_stencil_times(t0, h_t, vf.T)[1]) for t0, _ in probes)
-        vf._normals(DOMAIN_INTERACTING, vf.n_flow, start)
-        vf._normals(DOMAIN_DECOUPLED, vf.M, start)
-    rows = [
+    plans = [
         _mc_probe(vf, pde, pid, t0, x0, f_field, h_t, n_measure_draws)
         for pid, (t0, x0) in enumerate(probes)
     ]
-    return _finalize_table(rows)
+    tables = vf.sample_table([columns for columns, _ in plans])
+    return _finalize_table([finish(S) for (_, finish), S in zip(plans, tables)])
 
 
 def _stencil_times(t0, h_t, T):
@@ -384,6 +435,8 @@ def _stencil_times(t0, h_t, T):
 
 
 def _mc_probe(vf, pde, pid, t0, x0, f_field, h_t, n_draws):
+    """(columns, finish): the probe's stencil columns (t, x, mu), and the
+    function that turns their (M, n_cols) per-path samples into its row."""
     coeff, mu, T = vf.coeff, vf.mu, vf.T
     d = x0.size
     sig, a_diag = _diag_diffusion(coeff, t0, x0, mu)
@@ -391,89 +444,87 @@ def _mc_probe(vf, pde, pid, t0, x0, f_field, h_t, n_draws):
     t_fwd, t_pts = _stencil_times(t0, h_t, T)
     h_x = H_X_REL * (1.0 + np.abs(x0))
 
-    # stencil columns of per-path samples, all sharing noise streams; the
-    # centre and the space columns also share one frozen flow
-    flow0 = vf.frozen_flow(t0)
-    cols = [("center", vf.samples(t0, x0, flow=flow0))]
-    for tp in t_pts:
-        cols.append((f"t={tp}", vf.samples(min(tp, T), x0)))
+    # centre, two time points, four space points per axis and the
+    # antithetic measure shifts, all on the same noise streams
+    columns = [(t0, x0, None)] + [(min(tp, T), x0, None) for tp in t_pts]
     for j in range(d):
         for mult in (1, -1, 2, -2):
             xs = x0.copy()
             xs[j] += mult * h_x[j]
-            cols.append((f"x{j}{mult:+d}", vf.samples(t0, xs, flow=flow0)))
+            columns.append((t0, xs, None))
     mu_cols = 0
     if coeff.measure_dependent:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(vf.seed)))
-        for k in range(n_draws):
+        for _ in range(n_draws):
             for sign in (+1.0, -1.0):
-                shifted = _measure_shift(coeff, mu, t0, MEASURE_DS, sign, rng)
-                cols.append((f"mu{k}{sign:+.0f}", vf.samples(t0, x0, shifted)))
+                columns.append((t0, x0, _measure_shift(coeff, mu, t0, MEASURE_DS, sign, rng)))
                 mu_cols += 1
 
-    S = np.column_stack([c[1] for c in cols])
-    means = S.mean(axis=0)
-    cov_means = np.cov(S, rowvar=False) / S.shape[0]
-    cov_means = np.atleast_2d(cov_means)
+    def finish(S):
+        means = S.mean(axis=0)
+        cov_means = np.cov(S, rowvar=False) / S.shape[0]
+        cov_means = np.atleast_2d(cov_means)
 
-    def residual_of_means(m):
-        vals = np.asarray([vf.value_of_mean(v) for v in m])
-        v0 = vals[0]
-        vt1, vt2 = vals[1], vals[2]
-        sgn = 1.0 if t_fwd else -1.0
-        dtv = sgn * (vt1 - v0) / h_t
-        dtv2 = sgn * (vt2 - v0) / (2 * h_t) if t_pts[1] != t_pts[0] else dtv
-        base = 3
-        grad = np.empty(d)
-        lap_h = np.empty(d)
-        lap_2h = np.empty(d)
-        for j in range(d):
-            vp, vm, vp2, vm2 = vals[base + 4 * j : base + 4 * j + 4]
-            grad[j] = (vp - vm) / (2 * h_x[j])
-            lap_h[j] = (vp - 2 * v0 + vm) / h_x[j] ** 2
-            lap_2h[j] = (vp2 - 2 * v0 + vm2) / (2 * h_x[j]) ** 2
-        mu_term = 0.0
-        if mu_cols:
-            pairs = vals[base + 4 * d :].reshape(-1, 2)
-            mu_term = float(np.mean(0.5 * (pairs[:, 0] + pairs[:, 1]) - v0) / MEASURE_DS)
-        lhs = dtv + 0.5 * float(a_diag @ lap_h) + float(b0 @ grad) + mu_term
-        sig_grad = sig.T @ grad
-        if pde == "linear":
-            rhs = 0.0
-        elif pde == "source":
-            rhs = float(np.asarray(f_field(t0, x0[None], mu))[0])
-        elif pde == "nonlinear":
-            rhs = float(sig_grad @ sig_grad) / (2.0 * vf.beta)
-        else:  # drift_coupled: drift-free operator, drift read off the gradient
-            lhs = dtv + 0.5 * float(a_diag @ lap_h) + mu_term + 0.5 * float(sig_grad @ sig_grad)
-            # measure drift term uses the coefficient drift already in mu_term
-            rhs = 0.0
-        aux = {
-            "trunc_t": abs(dtv - dtv2),
-            "trunc_x": 0.5 * float(np.abs(a_diag) @ np.abs(lap_h - lap_2h)) / 3.0,
-        }
-        return lhs - rhs, aux
+        def residual_of_means(m):
+            vals = np.asarray([vf.value_of_mean(v) for v in m])
+            v0 = vals[0]
+            vt1, vt2 = vals[1], vals[2]
+            sgn = 1.0 if t_fwd else -1.0
+            dtv = sgn * (vt1 - v0) / h_t
+            dtv2 = sgn * (vt2 - v0) / (2 * h_t) if t_pts[1] != t_pts[0] else dtv
+            base = 3
+            grad = np.empty(d)
+            lap_h = np.empty(d)
+            lap_2h = np.empty(d)
+            for j in range(d):
+                vp, vm, vp2, vm2 = vals[base + 4 * j : base + 4 * j + 4]
+                grad[j] = (vp - vm) / (2 * h_x[j])
+                lap_h[j] = (vp - 2 * v0 + vm) / h_x[j] ** 2
+                lap_2h[j] = (vp2 - 2 * v0 + vm2) / (2 * h_x[j]) ** 2
+            mu_term = 0.0
+            if mu_cols:
+                pairs = vals[base + 4 * d :].reshape(-1, 2)
+                mu_term = float(np.mean(0.5 * (pairs[:, 0] + pairs[:, 1]) - v0) / MEASURE_DS)
+            lhs = dtv + 0.5 * float(a_diag @ lap_h) + float(b0 @ grad) + mu_term
+            sig_grad = sig.T @ grad
+            if pde == "linear":
+                rhs = 0.0
+            elif pde == "source":
+                rhs = float(np.asarray(f_field(t0, x0[None], mu))[0])
+            elif pde == "nonlinear":
+                rhs = float(sig_grad @ sig_grad) / (2.0 * vf.beta)
+            else:  # drift_coupled: drift-free operator, drift read off the gradient
+                lhs = dtv + 0.5 * float(a_diag @ lap_h) + mu_term + 0.5 * float(sig_grad @ sig_grad)
+                # measure drift term uses the coefficient drift already in mu_term
+                rhs = 0.0
+            aux = {
+                "trunc_t": abs(dtv - dtv2),
+                "trunc_x": 0.5 * float(np.abs(a_diag) @ np.abs(lap_h - lap_2h)) / 3.0,
+            }
+            return lhs - rhs, aux
 
-    res, aux = residual_of_means(means)
+        res, aux = residual_of_means(means)
 
-    # propagated MC error: numeric gradient of the residual in the means
-    grad_m = np.empty(len(means))
-    for k in range(len(means)):
-        step = 1e-7 * max(1.0, abs(means[k]))
-        mp, mm = means.copy(), means.copy()
-        mp[k] += step
-        mm[k] -= step
-        grad_m[k] = (residual_of_means(mp)[0] - residual_of_means(mm)[0]) / (2 * step)
-    var = float(grad_m @ cov_means @ grad_m)
-    se = np.sqrt(max(var, 0.0))
+        # propagated MC error: numeric gradient of the residual in the means
+        grad_m = np.empty(len(means))
+        for k in range(len(means)):
+            step = 1e-7 * max(1.0, abs(means[k]))
+            mp, mm = means.copy(), means.copy()
+            mp[k] += step
+            mm[k] -= step
+            grad_m[k] = (residual_of_means(mp)[0] - residual_of_means(mm)[0]) / (2 * step)
+        var = float(grad_m @ cov_means @ grad_m)
+        se = np.sqrt(max(var, 0.0))
 
-    trunc = aux["trunc_t"] + aux["trunc_x"]
-    budget = trunc + 3.0 * se
-    if budget == 0.0 and res != 0.0:
-        verdict = "STRUCTURAL"
-    else:
-        verdict = "PASS" if abs(res) <= budget else "FAIL"
-    return ResidualRow(pde, t0, tuple(x0), pid, float(res), float(budget), verdict)
+        trunc = aux["trunc_t"] + aux["trunc_x"]
+        budget = trunc + 3.0 * se
+        if budget == 0.0 and res != 0.0:
+            verdict = "STRUCTURAL"
+        else:
+            verdict = "PASS" if abs(res) <= budget else "FAIL"
+        return ResidualRow(pde, t0, tuple(x0), pid, float(res), float(budget), verdict)
+
+    return columns, finish
 
 
 @dataclass(frozen=True)
@@ -495,33 +546,29 @@ def solve_drift_coupled_fixed_point(coeff, Phi, t, x, mu, T, M, dt, seed, n_iter
     start point.  The coupling is not a contraction in general; callers
     must check ``converged``.
     """
-    M = check_count("M", M, 1)
+    vf = McValueFunction(coeff, Phi, None, T, dt, M, seed, mu, "linear", n_flow=n_flow)
     x = start_point(x, coeff.d)
-    # every iteration's frozen flow and every stencil point reuse one block
-    # of each noise domain (common random numbers)
-    n_steps = _n_steps(t, T, dt)
-    flow_normals = _raw_normals(seed, n_flow, n_steps, coeff.m, DOMAIN_INTERACTING)
-    path_normals = _raw_normals(seed, M, n_steps, coeff.m, DOMAIN_DECOUPLED)
+    h = 1e-2 * (1.0 + np.abs(x))
+    columns = []  # x + h_j e_j, x - h_j e_j for each axis j
+    for j in range(coeff.d):
+        for sign in (1.0, -1.0):
+            xq = x.copy()
+            xq[j] += sign * h[j]
+            columns.append((t, xq, None))
     drift_vec = np.zeros(coeff.d)
     changes = []
 
-    def value(shifted, flow, xq):
-        samples = _path_samples(shifted, flow, xq, T, dt, M, seed, Phi, normals=path_normals)
+    def value(samples):
         if np.any(samples <= 0):
             raise DataError("terminal datum must stay strictly positive")
         return -0.5 * float(np.mean(np.log(samples)))
 
     for _ in range(n_iter):
-        shifted = replace_drift(coeff, drift_vec)
-        # one frozen flow per drift serves every stencil point
-        flow = simulate_mckean_vlasov(shifted, mu, n_flow, T, dt, seed, s=t, normals=flow_normals)
-        h = 1e-2 * (1.0 + np.abs(x))
-        grad = np.empty(coeff.d)
-        for j in range(coeff.d):
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h[j]
-            xm[j] -= h[j]
-            grad[j] = (value(shifted, flow, xp) - value(shifted, flow, xm)) / (2 * h[j])
+        # every stencil point of one drift shares one frozen flow, and every
+        # iteration reads the same noise streams (common random numbers)
+        [S] = replace(vf, coeff=replace_drift(coeff, drift_vec)).sample_table([columns])
+        grad = np.array([(value(S[:, 2 * j]) - value(S[:, 2 * j + 1])) / (2 * h[j])
+                         for j in range(coeff.d)])
         sig = np.asarray(coeff.sigma(t, x[None], mu))[0]
         new_drift = sig @ sig.T @ grad
         changes.append(float(np.linalg.norm(new_drift - drift_vec)))

@@ -315,13 +315,36 @@ def novikov_estimate(g, flow, s, t):
     ``heavy`` flags runs where the top 1% of samples carries more than half
     of the total mass; ``severe`` flags non-finite samples.
     """
-    samples = np.exp(accumulate(_girsanov_f(g, 1.0), None, flow, s, t))
+    return _novikov(np.exp(accumulate(_girsanov_f(g, 1.0), None, flow, s, t)))
+
+
+def _novikov(samples):
     if not np.all(np.isfinite(samples)):
         return NovikovEstimate(estimate=float("inf"), tail_flag="severe")
     total = samples.sum()
     top = np.sort(samples)[::-1][: max(1, len(samples) // 100)]
     flag = "heavy" if total > 0 and top.sum() > 0.5 * total else "clear"
     return NovikovEstimate(estimate=float(samples.mean()), tail_flag=flag)
+
+
+def girsanov_replay(g, flow, beta, s, t):
+    """(girsanov_weight, novikov_estimate, X_t - X_s per path) from one replay of flow.
+
+    Both functionals are folded step by step as the flow is handed over, so
+    a StreamedFlow is simulated once and never recorded.
+    """
+    weight = _Fold(_girsanov_f(g, beta), g, flow.dt)
+    novikov = _Fold(_girsanov_f(g, 1.0), None, flow.dt)
+    ends = []
+
+    def hook(t_k, X, mu, dw):
+        weight(t_k, X, mu, dw)
+        novikov(t_k, X, mu, dw)
+        if not ends or dw is None:
+            ends.append(X)
+
+    flow.replay(hook, s, t)
+    return np.exp(-weight.total), _novikov(np.exp(novikov.total)), ends[-1] - ends[0]
 
 
 @dataclass(frozen=True)

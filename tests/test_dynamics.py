@@ -68,6 +68,23 @@ def test_increments_match_per_particle_streams(seed, domain, m):
     assert np.array_equal(dw, np.sqrt(dt) * ref)
 
 
+def test_chunked_draws_equal_rows_of_the_whole_block():
+    # 150 particles span three draw tiles; chunks cut across tile boundaries
+    whole = dynamics._raw_normals(11, 150, 9, 2, DOMAIN_DECOUPLED)
+    for i in (0, 63, 64, 149):
+        ref = particle_stream(11, i, DOMAIN_DECOUPLED).standard_normal((9, 2))
+        assert whole[:, i].tobytes() == ref.tobytes()
+    for a, b in ((0, 64), (60, 130), (130, 150), (149, 150)):
+        chunk = dynamics._raw_normals(11, b - a, 9, 2, DOMAIN_DECOUPLED, first=a)
+        assert chunk.tobytes() == whole[:, a:b].tobytes()
+
+
+@pytest.mark.parametrize("first, n", [(-1, 1), (2**48 - 1, 2), (2**48, 1)])
+def test_chunked_draws_reject_particles_outside_the_key_range(first, n):
+    with pytest.raises(ContractError, match="particle"):
+        dynamics._raw_normals(0, n, 1, 1, DOMAIN_DECOUPLED, first=first)
+
+
 @pytest.mark.parametrize(
     "args, digest",
     [

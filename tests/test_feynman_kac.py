@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import mfsde.feynman_kac as feynman_kac
 from mfsde import (
     CapabilityError,
     ContractError,
@@ -441,13 +442,157 @@ def test_solvers_are_the_value_function_mean(provenance):
     assert solve() == expected
 
 
-def test_value_function_shared_flow_gives_same_samples():
+def test_value_function_shared_flow_gives_same_samples(monkeypatch):
     vf = McValueFunction(
         coeff=MEAN_REVERT, Phi=make_cylindrical("x_norm_sq"), f_field=mean_coupled_source,
         T=1.0, dt=0.05, M=50, seed=3, mu=MU0, provenance="combined", n_flow=20,
     )
-    flow = vf.frozen_flow(0.25)
-    for x in (0.0, 0.7):
-        assert vf.samples(0.25, [x], flow=flow).tobytes() == vf.samples(0.25, [x]).tobytes()
-    with pytest.raises(ContractError, match="starts at"):
-        vf.samples(0.5, [0.0], flow=flow)
+    alone = [vf.samples(0.25, [x]) for x in (0.0, 0.7)]
+    starts = []
+    simulate = feynman_kac.simulate_mckean_vlasov
+
+    def counted(*args, **kwargs):
+        starts.append(kwargs["s"])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(feynman_kac, "simulate_mckean_vlasov", counted)
+    [table] = vf.sample_table([[(0.25, [0.0], None), (0.25, [0.7], None)]])
+    # the two columns share one frozen flow and read the samples of separate calls
+    assert starts == [0.25]
+    assert table.shape == (50, 2) and table.flags.c_contiguous
+    for j in range(2):
+        assert table[:, j].tobytes() == alone[j].tobytes()
+    with pytest.raises(ContractError, match="T >= t"):
+        vf.sample_table([[(0.25, [0.0], None), (1.5, [0.0], None)]])
+
+
+# ---------------------------------------------------------------------------
+# chunked sampler: chunk and tile sizes never change a result
+
+MEAN_REVERT_2D = make_coefficients("mean_revert", d=2, rate=1.2, s=0.6)
+MU0_2D = EmpiricalMeasure(np.random.default_rng(41).standard_normal((7, 2)))
+PROBES_2D = [(0.0, [0.3, -0.2]), (0.25, [-0.5, 0.1])]
+
+
+def mean_coupled_source_2d(t, X, mu):
+    return np.asarray(X)[:, 0] * mu.mean()[1] + t
+
+
+def _mean_revert_2d_vf(provenance):
+    return McValueFunction(
+        coeff=MEAN_REVERT_2D, Phi=make_cylindrical("x_norm_sq"),
+        f_field=mean_coupled_source_2d, T=0.5, dt=0.05, M=200, seed=43, mu=MU0_2D,
+        provenance=provenance, n_flow=30,
+    )
+
+
+def _chunked_outputs(tmp_path):
+    """Sample and residual-table bytes of the d = 1 and d = 2 mean-revert tables."""
+    out = {p: _mean_revert_vf(p).samples(0.25, np.array([0.4])).tobytes() for p in SAMPLES_GOLDEN}
+    for name, vf, pde, probes, n_draws in (
+        ("d1_linear", _mean_revert_vf("linear"), "linear", [(0.0, [0.3]), (0.25, [-0.5])], 4),
+        ("d2_linear", _mean_revert_2d_vf("linear"), "linear", PROBES_2D, 2),
+        ("d2_source", _mean_revert_2d_vf("source"), "source", PROBES_2D, 2),
+    ):
+        path = tmp_path / f"{name}.csv"
+        pde_residual_mc(vf, pde, probes, n_measure_draws=n_draws).to_csv(path)
+        out[name] = path.read_bytes()
+    columns = [(0.0, [0.3, -0.2], None), (0.1, [0.0, 0.0], None), (0.0, [-0.1, 0.4], MU0_2D)]
+    out["d2_table"] = b"".join(
+        S.tobytes() for S in _mean_revert_2d_vf("combined").sample_table([columns, columns[:1]]))
+    return out
+
+
+# (TILE, CHUNK_UNIT): one chunk of 200; chunks of 100 or 50 particles that
+# divide M = 200; chunks of 48 or 32 (one column per Euler loop) and of 294
+# or 56 particles that do not
+CHUNKINGS = [(16_384, 1024), (100, 25), (48, 16), (300, 7)]
+
+
+@pytest.mark.parametrize("tile, unit", CHUNKINGS[1:])
+def test_samples_and_tables_identical_across_chunk_sizes(tile, unit, tmp_path, monkeypatch):
+    whole = _chunked_outputs(tmp_path)
+    chunks = []
+    draw = feynman_kac._raw_normals
+
+    def counted(seed, n_particles, n_steps, m, domain, first=0):
+        chunks.append(n_particles)
+        return draw(seed, n_particles, n_steps, m, domain, first)
+
+    monkeypatch.setattr(feynman_kac, "TILE", tile)
+    monkeypatch.setattr(feynman_kac, "CHUNK_UNIT", unit)
+    monkeypatch.setattr(feynman_kac, "_raw_normals", counted)
+    assert _chunked_outputs(tmp_path) == whole
+    assert min(chunks) < 200
+    for provenance, digest in SAMPLES_GOLDEN.items():
+        assert hashlib.sha256(whole[provenance]).hexdigest() == digest
+    assert hashlib.sha256(whole["d1_linear"]).hexdigest() == RESIDUAL_TABLE_GOLDEN
+
+
+def test_chunk_size_rule():
+    assert feynman_kac._chunk_size(1) == feynman_kac.TILE
+    assert feynman_kac._chunk_size(4) == 4096
+    assert feynman_kac._chunk_size(5) == 3072
+    # 15 columns of a 1024-particle chunk would fit one tile, but a chunk
+    # is at least two units
+    assert feynman_kac._chunk_size(15) == 2048
+    assert feynman_kac._chunk_size(100) == 2048
+
+
+def test_pde_residual_builds_one_flow_per_distinct_start(monkeypatch):
+    starts = []
+    simulate = feynman_kac.simulate_mckean_vlasov
+
+    def counted(coeff, init, *args, **kwargs):
+        starts.append((kwargs["s"], id(init)))
+        return simulate(coeff, init, *args, **kwargs)
+
+    monkeypatch.setattr(feynman_kac, "simulate_mckean_vlasov", counted)
+    vf = McValueFunction(
+        coeff=BROWNIAN, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
+        M=40, seed=3, mu=dirac([0.0]), provenance="linear", n_flow=10,
+    )
+    # two probes at t = 0 and one at t = 0.25, forward stencils of h_t = 0.05
+    pde_residual_mc(vf, "linear", [(0.0, [0.3]), (0.0, [-0.4]), (0.25, [0.1])])
+    assert len(starts) == len(set(starts)) == 6
+    assert sorted(s for s, _ in starts) == pytest.approx([0.0, 0.05, 0.1, 0.25, 0.3, 0.35])
+
+    # a measure-dependent field adds one flow per shifted measure
+    starts.clear()
+    n_draws = 2
+    pde_residual_mc(_mean_revert_vf("linear"), "linear", [(0.0, [0.3]), (0.0, [-0.5])],
+                    n_measure_draws=n_draws)
+    assert len(starts) == len(set(starts)) == 3 + 2 * 2 * n_draws
+
+
+def test_chunked_blowup_names_the_global_particle(monkeypatch):
+    import dataclasses
+
+    from mfsde import SimulationError
+    from mfsde.dynamics import DOMAIN_DECOUPLED, _raw_normals
+
+    dt, M = 0.25, 100
+    # step 1 puts path i at sqrt(dt) z_i; the drift of step 2 throws every
+    # path above the largest of the first 40 to infinity
+    first_step = _raw_normals(7, M, 4, 1, DOMAIN_DECOUPLED)[0, :, 0] * np.sqrt(dt)
+    c = first_step[:40].max()
+    expected = int(np.argmax(first_step > c))
+    assert expected >= 40
+
+    def b(t, x, mu):
+        out = np.zeros(np.shape(x))
+        if abs(t - dt) < 1e-12:
+            out[x[:, 0] > c, 0] = np.inf
+        return out
+
+    coeff = dataclasses.replace(BROWNIAN, b=b)
+    monkeypatch.setattr(feynman_kac, "TILE", 64)
+    monkeypatch.setattr(feynman_kac, "CHUNK_UNIT", 16)
+    vf = McValueFunction(
+        coeff=coeff, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=1.0, dt=dt, M=M,
+        seed=7, mu=dirac([0.0]), provenance="linear", n_flow=4,
+    )
+    # the column that blows up runs second in its Euler loop, in a later chunk
+    with pytest.raises(SimulationError) as exc:
+        vf.sample_table([[(0.0, [-100.0], None), (0.0, [0.0], None)]])
+    assert (exc.value.step, exc.value.particle) == (2, expected)

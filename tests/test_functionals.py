@@ -7,6 +7,7 @@ from mfsde import (
     EmpiricalMeasure,
     StreamedFlow,
     dirac,
+    girsanov_replay,
     girsanov_weight,
     make_coefficients,
     make_cylindrical,
@@ -437,3 +438,33 @@ def test_pair_memo_hits_on_the_states_a_streamed_run_hands_its_hook(parts_calls)
     streamed.replay(hook, 0.0, 1.0)
     assert len(steps) == streamed.n_steps
     assert len(parts_calls) == streamed.n_steps
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5)])
+def test_girsanov_replay_matches_the_separate_functionals(s, t):
+    # a measure-dependent g, folded in one replay of a streamed level, gives
+    # the recorded level's weight, Novikov estimate and displacement bit for bit
+    _, streamed, recorded = _streamed_and_recorded()
+
+    def g(tk, X, mu):
+        return 0.3 * X - mu.mean() + tk
+
+    weights, nov, dx = girsanov_replay(g, streamed, 2.0, s, t)
+    assert weights.tobytes() == girsanov_weight(g, recorded, 2.0, s, t).tobytes()
+    assert nov == novikov_estimate(g, recorded, s, t)
+    k0, k1 = recorded.span(s, t)
+    assert dx.tobytes() == (recorded.states[k1] - recorded.states[k0]).tobytes()
+
+
+def test_girsanov_replay_simulates_the_flow_once(monkeypatch):
+    runs = []
+    replay = StreamedFlow.replay
+
+    def counted(self, hook, s, t):
+        runs.append((s, t))
+        return replay(self, hook, s, t)
+
+    monkeypatch.setattr(StreamedFlow, "replay", counted)
+    _, streamed, _ = _streamed_and_recorded()
+    girsanov_replay(lambda tk, X, mu: X, streamed, 1.0, 0.0, 1.0)
+    assert runs == [(0.0, 1.0)]

@@ -25,7 +25,7 @@ from mfsde import (
     simulate_mckean_vlasov,
     verify_path_independence,
 )
-from mfsde.dynamics import DOMAIN_DECOUPLED, DOMAIN_INTERACTING, stream_decoupled
+from mfsde.dynamics import DOMAIN_DECOUPLED, DOMAIN_INTERACTING, stream_mckean_vlasov
 from mfsde.feynman_kac import McValueFunction
 from mfsde.functionals import accumulate, accumulator_series
 from mfsde.measure import _cost_matrix
@@ -85,36 +85,51 @@ def test_previous_level_freed_before_next_is_simulated():
     assert freed == [True] * len(LADDER)
 
 
-def test_pde_residual_draws_one_block_per_domain(monkeypatch):
+def _counted_draws(monkeypatch):
+    """(domain, first, n_particles, n_steps) of every noise draw the sampler makes."""
     draws = []
     draw = dynamics._raw_normals
 
-    def counted(seed, n_particles, n_steps, m, domain):
-        draws.append((domain, n_particles, n_steps))
-        return draw(seed, n_particles, n_steps, m, domain)
+    def counted(seed, n_particles, n_steps, m, domain, first=0):
+        draws.append((domain, first, n_particles, n_steps))
+        return draw(seed, n_particles, n_steps, m, domain, first)
 
     monkeypatch.setattr(dynamics, "_raw_normals", counted)
     monkeypatch.setattr(feynman_kac, "_raw_normals", counted)
+    return draws
+
+
+def _assert_each_stream_drawn_once(draws, n_flow, M, n_steps):
+    """One flow block, and decoupled chunks that cover [0, M) exactly once."""
+    assert [d for d in draws if d[0] == DOMAIN_INTERACTING] == [
+        (DOMAIN_INTERACTING, 0, n_flow, n_steps)]
+    chunks = [d for d in draws if d[0] == DOMAIN_DECOUPLED]
+    assert len(chunks) > 1
+    assert all(n == n_steps for _, _, _, n in chunks)
+    particles = [i for _, first, count, _ in chunks for i in range(first, first + count)]
+    assert particles == list(range(M))
+
+
+def test_pde_residual_draws_one_block_per_domain(monkeypatch):
+    # each particle's stream is drawn exactly once per domain per table,
+    # counted over the chunks of the decoupled domain
+    draws = _counted_draws(monkeypatch)
+    monkeypatch.setattr(feynman_kac, "TILE", 100)
+    monkeypatch.setattr(feynman_kac, "CHUNK_UNIT", 15)
     coeff = make_coefficients("mean_revert", rate=1.0, s=1.0)
     mu = EmpiricalMeasure(np.linspace(-1.0, 1.0, 20)[:, None])
     vf = McValueFunction(
         coeff=coeff, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
         M=200, seed=3, mu=mu, provenance="linear", n_flow=20,
     )
-    # forward stencils, earliest probe first: the first block covers every column
     pde_residual_mc(vf, "linear", [(0.0, [0.3]), (0.2, [-0.4])], n_measure_draws=2)
-    assert sorted(draws) == [(DOMAIN_INTERACTING, 20, 10), (DOMAIN_DECOUPLED, 200, 10)]
+    _assert_each_stream_drawn_once(draws, 20, 200, 10)
 
 
 def test_pde_residual_draws_once_whatever_the_probe_order(monkeypatch):
-    draws = []
-    draw = dynamics._raw_normals
-
-    def counted(seed, n_particles, n_steps, m, domain):
-        draws.append((domain, n_steps))
-        return draw(seed, n_particles, n_steps, m, domain)
-
-    monkeypatch.setattr(feynman_kac, "_raw_normals", counted)
+    draws = _counted_draws(monkeypatch)
+    monkeypatch.setattr(feynman_kac, "TILE", 40)
+    monkeypatch.setattr(feynman_kac, "CHUNK_UNIT", 4)
     vf = McValueFunction(
         coeff=make_coefficients("brownian", s=1.0), Phi=make_cylindrical("x_norm_sq"),
         f_field=None, T=0.5, dt=0.05, M=50, seed=3, mu=dirac([0.0]), provenance="linear",
@@ -124,7 +139,22 @@ def test_pde_residual_draws_once_whatever_the_probe_order(monkeypatch):
     probes = [(0.2, [0.3]), (0.0, [0.0]), (0.5, [-0.4])]
     table = pde_residual_mc(vf, "linear", probes)
     assert len(table.rows) == 3
-    assert draws == [(DOMAIN_INTERACTING, 10), (DOMAIN_DECOUPLED, 10)]
+    _assert_each_stream_drawn_once(draws, 10, 50, 10)
+
+
+def test_pde_residual_peak_stays_below_one_noise_block():
+    M, dt = 20_000, 0.01
+    block = 8 * round(1.0 / dt) * M  # the (L, M, m) raw block of the decoupled paths
+    vf = McValueFunction(
+        coeff=BROWNIAN, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=1.0, dt=dt,
+        M=M, seed=19, mu=dirac([0.0]), provenance="linear",
+    )
+    probes = [(0.0, [0.0]), (0.5, [1.0])]
+    # the two probes' (M, 7) sample tables (2.2 MB), one chunk of noise
+    # (2.5 MB) and six frozen flows; holding the whole block would cross the
+    # bound by itself
+    peak = _peak_of(lambda: pde_residual_mc(vf, "linear", probes))
+    assert peak < 0.75 * block
 
 
 def test_kernels_never_write_into_a_callers_block():
@@ -136,18 +166,11 @@ def test_kernels_never_write_into_a_callers_block():
         block.flags.writeable = writeable
         before = block.copy()
         flow = simulate_mckean_vlasov(coeff, init, 6, 1.0, 0.25, seed=4, normals=block)
+        law = stream_mckean_vlasov(coeff, init, 6, 1.0, 0.25, seed=4, normals=block)
         assert block.tobytes() == before.tobytes()
         assert flow.noise.tobytes() == own.noise.tobytes()
         assert flow.states.tobytes() == own.states.tobytes()
-
-        paths = dynamics._raw_normals(4, 5, 6, 2, DOMAIN_DECOUPLED)
-        paths.flags.writeable = writeable
-        before = paths.copy()
-        x = np.array([0.1, -0.3])
-        shared = stream_decoupled(coeff, x, own, 0.25, 1.0, 0.25, 5, seed=4, normals=paths)
-        drawn = stream_decoupled(coeff, x, own, 0.25, 1.0, 0.25, 5, seed=4)
-        assert paths.tobytes() == before.tobytes()
-        assert shared.tobytes() == drawn.tobytes()
+        assert law.points.tobytes() == own.states[-1].tobytes()
 
 
 def test_kernels_reject_a_block_that_does_not_cover_the_run():
@@ -282,3 +305,13 @@ def test_pde_residual_builds_each_snapshot_once(measures_built, monkeypatch):
     flows = len(grid_points)
     assert len(table.rows) == 2 and flows == 2 * (3 + 2 * n_draws)
     assert built == sum(grid_points) + flows + 2 * 2 * n_draws
+
+
+def test_simulate_decoupled_holds_its_path_once():
+    M, dt = 5000, 0.01
+    flow = simulate_mckean_vlasov(BROWNIAN, dirac([0.0]), 4, 1.0, dt, 2)
+    steps = round(1.0 / dt)
+    recorded = 8 * M * ((steps + 1) * BROWNIAN.d + steps * BROWNIAN.m)  # states + noise
+    peak = _peak_of(lambda: dynamics.simulate_decoupled(BROWNIAN, [0.5], flow, 0.0, 1.0, dt, M, 3))
+    # a second copy of the states would cross the bound
+    assert peak < 1.2 * recorded
