@@ -2,8 +2,6 @@
 
 from .calculus import (
     CylindricalFunction,
-    DerivativeBundle,
-    l_derivative,
     l_derivative_fd_oracle,
     l_derivative_pairing,
     make_cylindrical,
@@ -12,12 +10,10 @@ from .calculus import (
 )
 from .dynamics import (
     CoefficientField,
-    DecoupledEnsemble,
     ParticleFlow,
     StreamedFlow,
     make_coefficients,
     semigroup_apply,
-    simulate_decoupled,
     simulate_mckean_vlasov,
     stream_mckean_vlasov,
 )
@@ -42,13 +38,9 @@ from .feynman_kac import (
     solve_with_source,
 )
 from .functionals import (
-    PathRecord,
     accumulate,
     build_pair_from_V,
     girsanov_replay,
-    girsanov_weight,
-    make_path_record,
-    novikov_estimate,
     verify_path_independence,
 )
 from .generator import (
@@ -56,7 +48,6 @@ from .generator import (
     ItoResidualSummary,
     apply_L_sigma,
     apply_L_sigma_b,
-    ito_residual,
     ito_residual_ensemble,
 )
 from .measure import (

@@ -349,18 +349,6 @@ def make_outer(name, **params):
 
 
 @dataclass(frozen=True)
-class DerivativeBundle:
-    """All partial derivatives of a cylindrical function at one (t, x, mu)."""
-
-    value: float
-    dt: float
-    dx: np.ndarray
-    dxx: np.ndarray
-    dmu: Callable  # y (..., d) -> (..., d)
-    dy_dmu: Callable  # y (..., d) -> (..., d, d)
-
-
-@dataclass(frozen=True)
 class CylindricalFunction:
     """f(t, x, mu) = F(t, x, mu(h_1), ..., mu(h_n))."""
 
@@ -389,13 +377,12 @@ class CylindricalFunction:
         out = self.outer.value(t, np.asarray(x, dtype=float), r)
         return float(out) if np.ndim(out) == 0 else out
 
-    def _dr_weighted(self, t, x, mu, y, r, which, trailing):
+    def _dr_weighted(self, t, x, mu, y, which, trailing):
         """sum_i dF/dr_i * h_i.<which>(y), an array of shape y.shape + trailing."""
-        if r is None:
-            r = self.inner_integrals(mu)
         y = np.asarray(y, dtype=float)
         out = np.zeros(y.shape + trailing)
         if self.inner:
+            r = self.inner_integrals(mu)
             coeffs = np.asarray(
                 self.outer.partial("dr")(t, np.asarray(x, dtype=float), r)
             ).reshape(-1)
@@ -403,35 +390,13 @@ class CylindricalFunction:
                 out += coeffs[i] * getattr(h, which)(y)
         return out
 
-    def l_derivative(self, t, x, mu, y, r=None):
+    def l_derivative(self, t, x, mu, y):
         """d_mu f(t, x, mu)(y) = sum_i dF/dr_i * grad h_i(y)."""
-        return self._dr_weighted(t, x, mu, y, r, "grad", ())
+        return self._dr_weighted(t, x, mu, y, "grad", ())
 
-    def dy_l_derivative(self, t, x, mu, y, r=None):
+    def dy_l_derivative(self, t, x, mu, y):
         """Gradient in y of the measure derivative: sum_i dF/dr_i * hess h_i(y)."""
-        return self._dr_weighted(t, x, mu, y, r, "hess", np.shape(y)[-1:])
-
-    def derivative_bundle(self, t, x, mu):
-        """Assemble every partial from closed forms; no finite differencing."""
-        x = np.asarray(x, dtype=float)
-        r = self.inner_integrals(mu)
-        val = float(self.outer.value(t, x, r))
-        dt = float(self.outer.partial("dt")(t, x, r))
-        dx = np.asarray(self.outer.partial("dx")(t, x, r), dtype=float)
-        dxx = np.asarray(self.outer.partial("dxx")(t, x, r), dtype=float)
-        return DerivativeBundle(
-            value=val,
-            dt=dt,
-            dx=dx,
-            dxx=dxx,
-            dmu=lambda y: self.l_derivative(t, x, mu, y, r=r),
-            dy_dmu=lambda y: self.dy_l_derivative(t, x, mu, y, r=r),
-        )
-
-
-def l_derivative(f, t, x, mu, y):
-    """Module-level convenience wrapper around the closed-form formula."""
-    return f.l_derivative(t, x, mu, y)
+        return self._dr_weighted(t, x, mu, y, "hess", np.shape(y)[-1:])
 
 
 def l_derivative_fd_oracle(f, t, x, mu, phi, eps):

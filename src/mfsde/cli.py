@@ -37,6 +37,7 @@ from .calculus import (
 from .dynamics import (
     COEFFICIENT_NAMES,
     StreamedFlow,
+    grid_steps,
     make_coefficients,
     semigroup_apply,
 )
@@ -140,8 +141,13 @@ def _const_field(value, *shape):
     return const
 
 
+def _linear_spec(d):
+    """The linear inner function of the catalogs below: a = (1, 0.5, ..., 0.5) in R^d."""
+    return ("linear", {"a": [1.0] + [0.5] * (d - 1)})
+
+
 def _lderivative_catalog(d):
-    lin = ("linear", {"a": [1.0] + [0.5] * (d - 1)})
+    lin = _linear_spec(d)
     quad = ("quadratic", {})
     bump = ("bump", {})
     return [
@@ -362,13 +368,14 @@ def _run_feynman_kac(cfg, out_dir):
     return verdicts
 
 
-_NPY_PROBES = (
-    ("x_norm_sq", []),
-    ("x_sq_plus_r1", [("quadratic", {})]),
-    ("x1_times_r1", [("linear", {"a": [1.0]})]),
-    ("time_times_r1", [("bump", {})]),
-    ("gauss_quarter", []),
-)
+def _npy_probes(d):
+    return (
+        ("x_norm_sq", []),
+        ("x_sq_plus_r1", [("quadratic", {})]),
+        ("x1_times_r1", [_linear_spec(d)]),
+        ("time_times_r1", [("bump", {})]),
+        ("gauss_quarter", []),
+    )
 
 
 def _drift_from_gradient(coeff, V):
@@ -389,10 +396,11 @@ def _run_npy_identity(cfg, out_dir):
     n_probes = cfg.get("n_probes", 50)
     tol = cfg.get("tol", 1e-10)
     rng = np.random.default_rng(cfg.seed)
+    probes = _npy_probes(d)
     rows = []
     worst = 0.0
     for pid in range(n_probes):
-        outer, inner = _NPY_PROBES[pid % len(_NPY_PROBES)]
+        outer, inner = probes[pid % len(probes)]
         V = make_cylindrical(outer, inner)
         sigma_id = ("brownian", "ou", "mean_revert")[pid % 3]
         base = make_coefficients(sigma_id, d=d, s=float(rng.uniform(0.3, 1.5)))
@@ -614,16 +622,16 @@ def parse_config(text, seed=None):
     # girsanov simulates its M paths as one interacting ensemble
     if scenario == "girsanov" and "M" not in failed and values["M"] < 2:
         violations.append(f"key 'M': must be at least 2 for scenario 'girsanov', got {values['M']}")
-    T = values.get("T", float("inf"))
-    late = [t for t in values.get("probes.t", ()) if t > T]
-    if "probes.t" in required and late:
-        violations.append(f"key 'probes.t': probe time {late[0]:g} is after T = {T:g}")
+    # these runs step an interacting ensemble from s to T, so need a step
+    T, s = values.get("T"), values["s"]
+    if scenario in ("ito_residual", "path_independence", "girsanov") and T is not None and T <= s:
+        violations.append(f"key 'T': must be after s = {s:g} for scenario {scenario!r}, got {T:g}")
 
     d, n_init = values.get("d", 1), len(values.get("init.x", (0.0,)))
     if n_init not in (1, d):
         violations.append(f"key 'init.x': expected 1 or d = {d} entries, got {n_init}")
     _check_seed(values, violations)
-    _check_grid_alignment(values, violations)
+    _check_grid_alignment(values, "probes.t" in required, violations)
     if violations:
         raise ConfigError(violations)
     return ScenarioConfig(scenario=scenario, seed=values["seed"], values=values)
@@ -642,14 +650,9 @@ def _check_seed(values, violations):
         )
 
 
-def _divides(dt, span):
-    if dt <= 0 or span < 0:
-        return False
-    n = span / dt
-    return abs(n - round(n)) <= 1e-9 * max(1.0, abs(n))
-
-
-def _check_grid_alignment(values, violations):
+def _check_grid_alignment(values, probed, violations):
+    """Each step size must divide the horizon T - s, the probe times (when
+    ``probed``) and the intervals of ``times``, by the test of dynamics.grid_steps."""
     s = values.get("s", 0.0)
     T = values.get("T")
     levels = [("dt_ladder", dt) for dt in values.get("dt_ladder", ())]
@@ -658,17 +661,28 @@ def _check_grid_alignment(values, violations):
     for key, dt in levels:
         if dt <= 0:
             violations.append(f"key '{key}': step size must be positive, got {dt}")
-        elif T is not None and not _divides(dt, T - s):
+        elif T is not None and grid_steps(T - s, dt) is None:
             violations.append(
                 f"key '{key}': {dt:g} does not divide the horizon T-s = {T - s:g}"
             )
+    if probed and T is not None:
+        for t in values.get("probes.t", ()):
+            if t > T:
+                violations.append(f"key 'probes.t': probe time {t:g} is after T = {T:g}")
+            else:
+                for key, dt in levels:
+                    if dt > 0 and grid_steps(T - t, dt) is None:
+                        violations.append(
+                            f"key 'probes.t': probe time {t:g} is not on the grid of "
+                            f"{key} = {dt:g} that ends at T = {T:g}"
+                        )
     times = values.get("times")
     if times is not None:
         if len(times) != 3 or not (times[0] < times[1] < times[2]):
             violations.append("key 'times': expected three increasing values s < t < r")
-        elif "dt" in values:
+        elif values.get("dt", 0) > 0:
             for a, b in ((times[0], times[1]), (times[1], times[2]), (times[0], times[2])):
-                if not _divides(values["dt"], b - a):
+                if grid_steps(b - a, values["dt"]) is None:
                     violations.append(
                         f"key 'dt': {values['dt']:g} does not divide the interval "
                         f"[{a:g}, {b:g}]"

@@ -19,12 +19,12 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ContractError, SimulationError
-from .measure import EmpiricalMeasure, wasserstein2, write_csv
+from .measure import EmpiricalMeasure, wasserstein2
 
 BLOWUP_GUARD = 1e8
 
@@ -249,6 +249,9 @@ class _Grid:
 
     @property
     def dt(self):
+        """The grid's step; ContractError on a one-point grid, which has none."""
+        if self.times.size == 1:
+            raise ContractError(f"the one-point grid [{self.times[0]}] has no step")
         return float(self.times[1] - self.times[0])
 
     def span(self, s, t):
@@ -265,10 +268,10 @@ class _Grid:
             if abs(t - self.times[0]) > 1e-9:
                 raise ContractError(f"time {t} not on the single-point grid [{self.times[0]}]")
             return 0
-        k = (t - self.times[0]) / self.dt
-        if not (self.times[0] - 1e-9 <= t <= self.times[-1] + 1e-9) or abs(k - round(k)) > 1e-9:
+        k = grid_steps(t - self.times[0], self.dt)
+        if k is None or k >= self.times.size:
             raise ContractError(f"time {t} not on the grid [{self.times[0]}, {self.times[-1]}] step {self.dt}")
-        return int(round(k))
+        return k
 
 
 @dataclass(frozen=True)
@@ -276,16 +279,15 @@ class ParticleFlow(_Grid):
     """Time-indexed ensemble of particle trajectories on a uniform grid.
 
     ``states`` has shape (L+1, N, d), ``noise`` (L, N, m).  Re-simulating
-    with the same seed reproduces both arrays bit for bit.  ``snapshots``,
-    when given, holds the empirical measure of every grid point, the ones
-    the simulation read; otherwise each :meth:`measure_at` builds one.
+    with the same seed reproduces both arrays bit for bit.  ``snapshots``
+    holds the empirical measure of every grid point, the ones the
+    simulation read.
     """
 
     times: np.ndarray
     states: np.ndarray
     noise: np.ndarray
-    seed: int
-    snapshots: Optional[tuple] = field(default=None, kw_only=True, repr=False, compare=False)
+    snapshots: tuple = field(repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("times", "states", "noise"):
@@ -306,8 +308,6 @@ class ParticleFlow(_Grid):
         last = self.states.shape[0] - 1
         if not 0 <= k <= last:
             raise ContractError(f"step index {k} outside [0, {last}]")
-        if self.snapshots is None:
-            return EmpiricalMeasure(self.states[k])
         return self.snapshots[k]
 
     def replay(self, hook, s, t):
@@ -318,25 +318,27 @@ class ParticleFlow(_Grid):
             dw = self.noise[k] if k < k1 else None
             hook(self.times[k], self.states[k], self.measure_at(k), dw)
 
-    def to_csv(self, path):
-        d = self.states.shape[2]
-        header = ["step", "time", "particle"] + [f"x_{i+1}" for i in range(d)]
-        rows = (
-            [k, t, i, *self.states[k, i]]
-            for k, t in enumerate(self.times)
-            for i in range(self.n_particles)
-        )
-        write_csv(path, header, rows)
+
+def grid_steps(span, dt):
+    """The number of steps of size dt > 0 that make up ``span``, or None when
+    that is not a whole number (within 1e-9 of a step) of at least zero.
+
+    The one test of whether a time lies on a grid, in the library and in the
+    config checks alike.
+    """
+    steps = span / dt
+    n = round(steps)
+    if n < 0 or abs(steps - n) > 1e-9:
+        return None
+    return n
 
 
 def _grid(s, T, dt):
     if dt <= 0:
         raise ContractError("dt must be positive")
-    span = T - s
-    steps = span / dt
-    if span < 0 or abs(steps - round(steps)) > 1e-9:
-        raise ContractError(f"horizon {span} is not an integer multiple of dt={dt}")
-    n = int(round(steps))
+    n = grid_steps(T - s, dt)
+    if n is None:
+        raise ContractError(f"horizon {T - s} is not an integer multiple of dt={dt}")
     return s + dt * np.arange(n + 1), n
 
 
@@ -506,9 +508,7 @@ def simulate_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0, normals=None):
     )
     # an owned block was scaled in place into the increments
     noise = raw if owned else np.sqrt(dt) * raw
-    return ParticleFlow(
-        times=times, states=states, noise=noise, seed=seed, snapshots=tuple(snapshots)
-    )
+    return ParticleFlow(times=times, states=states, noise=noise, snapshots=tuple(snapshots))
 
 
 class StreamedFlow(_Grid):
@@ -550,13 +550,6 @@ def semigroup_apply(coeff, mu, s, t, N, dt, seed):
     return stream_mckean_vlasov(coeff, mu, N, t, dt, seed, s=s)
 
 
-@dataclass(frozen=True)
-class DecoupledEnsemble(ParticleFlow):
-    """Paths of the frozen-flow SDE: fixed start x, measure read from a ParticleFlow."""
-
-    start: np.ndarray
-
-
 def check_count(name, value, least):
     """``value`` as an int of at least ``least``; ContractError otherwise."""
     try:
@@ -574,56 +567,3 @@ def start_point(x, d):
         return np.broadcast_to(np.asarray(x, dtype=float), (d,))
     except (TypeError, ValueError):
         raise ContractError(f"start point {x!r} does not broadcast to shape ({d},)") from None
-
-
-def _decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, hook=None, record=False):
-    """(terminal, times, states, increments) of M paths from x against the frozen flow.
-
-    Checks every argument before drawing.  With ``record`` the path is
-    written into one (L+1, M, d) array ``states``; otherwise ``states`` is
-    None and only the current state is kept.  The raw block is scaled in
-    place, one step at a time, into the run's increments.
-    """
-    M = check_count("M", M, 1)
-    x = start_point(x, coeff.d)
-    if frozen_flow.n_steps > 0 and abs(frozen_flow.dt - dt) > 1e-12:
-        raise ContractError(f"frozen flow dt {frozen_flow.dt} != requested dt {dt}")
-    k0, k1 = frozen_flow.span(s, T)
-    raw = _raw_normals(seed, M, k1 - k0, coeff.m, DOMAIN_DECOUPLED)
-    states = np.empty((k1 - k0 + 1, M, coeff.d)) if record else None
-    state = np.empty((M, coeff.d)) if states is None else states[0]
-    state[:] = x
-    state.flags.writeable = False
-
-    def law(k, xk):
-        return frozen_flow.measure_at(k0 + k)
-
-    times = frozen_flow.times[k0 : k1 + 1]
-    terminal = _euler_loop(coeff, state, times, _increments(raw, dt, True), dt, law, hook, states)
-    return terminal, times, states, raw
-
-
-def stream_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, hook=None):
-    """Terminal states, shape (M, d), of M paths from x against the frozen law curve.
-
-    The measure argument at every step is the snapshot of ``frozen_flow``,
-    never the ensemble's own empirical law; noise streams live in a domain
-    disjoint from the one that generated the frozen flow.  Only the current
-    state is kept, and ``hook(t_k, x_k, mu_k)``, when given, sees the state
-    of every step before it is advanced (x_k is a fresh read-only array each
-    step).
-    """
-    step_hook = None if hook is None else (lambda t, xk, mu, dw: hook(t, xk, mu))
-    return _decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, step_hook)[0]
-
-
-def simulate_decoupled(coeff, x, frozen_flow, s, T, dt, M, seed):
-    """M recorded paths from deterministic start x against the frozen law curve.
-
-    The paths are those of :func:`stream_decoupled`, written step by step
-    into one array; the noise block drawn for them becomes ``noise``.
-    """
-    _, times, states, noise = _decoupled(coeff, x, frozen_flow, s, T, dt, M, seed, record=True)
-    return DecoupledEnsemble(
-        times=times, states=states, noise=noise, start=start_point(x, coeff.d), seed=seed
-    )

@@ -367,10 +367,6 @@ class McValueFunction:
             return -self.beta * np.log(mean)
         return mean
 
-    def value_at(self, t, x, mu=None):
-        s = self.samples(t, x, mu)
-        return float(self.value_of_mean(s.mean()))
-
 
 def _diag_diffusion(coeff, t, x, mu):
     sig = np.asarray(coeff.sigma(t, np.atleast_2d(x), mu))[0]

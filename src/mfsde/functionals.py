@@ -48,16 +48,14 @@ class _Fold:
     """Replay hook that folds A^{f,g} along a flow, one step at a time.
 
     ``total`` is the running sum of the step terms from zero; with ``V``,
-    ``start`` and ``end`` hold V(t, X, mu) at the first and last grid point;
-    with ``series``, ``rows`` holds the running sum at every grid point.
+    ``start`` and ``end`` hold V(t, X, mu) at the first and last grid point.
     A recorded flow and a streamed one run the same fold, so they agree bit
     for bit.
     """
 
-    def __init__(self, f, g, dt, V=None, series=False):
+    def __init__(self, f, g, dt, V=None):
         self.f, self.g, self.dt, self.V = f, g, dt, V
         self.total = self.start = self.end = None
-        self.rows = [] if series else None
 
     def _potential(self, t_k, X, mu):
         if self.V is not None:
@@ -68,34 +66,22 @@ class _Fold:
         if self.total is None:
             self.total = np.zeros(X.shape[0])
             self.start = self._potential(t_k, X, mu)
-            self._record()
         if dw is None:
             self.end = self._potential(t_k, X, mu)
             return
         self.total += _step_terms(self.f, self.g, t_k, X, mu, dw, self.dt)
-        self._record()
-
-    def _record(self):
-        if self.rows is not None:
-            self.rows.append(self.total.copy())
 
 
-def _fold(flow, s, t, f=None, g=None, V=None, series=False):
-    fold = _Fold(f, g, flow.dt, V, series)
+def _fold(flow, s, t, f=None, g=None, V=None):
+    fold = _Fold(f, g, flow.dt, V)
     flow.replay(fold, s, t)
     return fold
-
-
-def accumulator_series(f, g, flow, s, t):
-    """Running accumulator A_{s, t_k} on the grid, shape (k1-k0+1, N); A_s = 0."""
-    return np.stack(_fold(flow, s, t, f, g, series=True).rows)
 
 
 def accumulate(f, g, flow, s, t):
     """A^{f,g}_{s,t} per path: left-endpoint time integral plus Ito sum.
 
-    The last row of :func:`accumulator_series`, added up in the same order
-    without keeping the earlier rows.
+    The step terms are added from zero in grid order, so A_{s,s} = 0.
     """
     return _fold(flow, s, t, f, g).total
 
@@ -298,27 +284,16 @@ def _girsanov_f(g, beta):
     return f
 
 
-def girsanov_weight(g, flow, beta, s, t):
-    """exp(-A^{g;beta}_{s,t}) per path, with f folded in as |g|^2 / (2 beta)."""
-    return np.exp(-accumulate(_girsanov_f(g, beta), g, flow, s, t))
-
-
 @dataclass(frozen=True)
 class NovikovEstimate:
     estimate: float
     tail_flag: str  # clear | heavy | severe
 
 
-def novikov_estimate(g, flow, s, t):
-    """Monte Carlo estimate of E exp(1/2 int |g|^2 dr) with a tail diagnostic.
-
-    ``heavy`` flags runs where the top 1% of samples carries more than half
-    of the total mass; ``severe`` flags non-finite samples.
-    """
-    return _novikov(np.exp(accumulate(_girsanov_f(g, 1.0), None, flow, s, t)))
-
-
 def _novikov(samples):
+    """Monte Carlo estimate of E exp(1/2 int |g|^2 dr) from its samples, with a
+    tail diagnostic: ``heavy`` when the top 1% of samples carries more than
+    half of the total mass, ``severe`` when a sample is non-finite."""
     if not np.all(np.isfinite(samples)):
         return NovikovEstimate(estimate=float("inf"), tail_flag="severe")
     total = samples.sum()
@@ -328,10 +303,13 @@ def _novikov(samples):
 
 
 def girsanov_replay(g, flow, beta, s, t):
-    """(girsanov_weight, novikov_estimate, X_t - X_s per path) from one replay of flow.
+    """(weight, Novikov estimate, X_t - X_s per path) from one replay of flow.
 
-    Both functionals are folded step by step as the flow is handed over, so
-    a StreamedFlow is simulated once and never recorded.
+    The weight is exp(-A^{g;beta}_{s,t}) per path, with f folded in as
+    |g|^2 / (2 beta); the estimate is a :class:`NovikovEstimate` of
+    E exp(1/2 int_s^t |g|^2 dr).  Both functionals are folded step by step
+    as the flow is handed over, so a StreamedFlow is simulated once and
+    never recorded.
     """
     weight = _Fold(_girsanov_f(g, beta), g, flow.dt)
     novikov = _Fold(_girsanov_f(g, 1.0), None, flow.dt)
@@ -345,37 +323,3 @@ def girsanov_replay(g, flow, beta, s, t):
 
     flow.replay(hook, s, t)
     return np.exp(-weight.total), _novikov(np.exp(novikov.total)), ends[-1] - ends[0]
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    """One trajectory with its noise, accumulator series and log-weight."""
-
-    times: np.ndarray
-    trajectory: np.ndarray  # (L+1, d)
-    noise: np.ndarray  # (L, m)
-    accumulator: np.ndarray  # (L+1,), starts at 0
-    log_weight: Optional[np.ndarray]  # -accumulator when the Girsanov pairing is active
-    seed: int
-
-
-def make_path_record(flow, i, f=None, g=None, beta=None):
-    """Extract particle ``i`` from a flow with its accumulator filled in.
-
-    With ``beta`` given and ``f`` omitted, f is taken as |g|^2 / (2 beta)
-    and the running log-weight (the negated accumulator) is attached.
-    """
-    if not 0 <= i < flow.n_particles:
-        raise ContractError(f"particle index {i} out of range")
-    girsanov = beta is not None and f is None and g is not None
-    if girsanov:
-        f = _girsanov_f(g, beta)
-    series = accumulator_series(f, g, flow, flow.times[0], flow.times[-1])[:, i]
-    return PathRecord(
-        times=flow.times,
-        trajectory=flow.states[:, i],
-        noise=flow.noise[:, i],
-        accumulator=series,
-        log_weight=-series if girsanov else None,
-        seed=flow.seed,
-    )

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, EvaluationError
-from .measure import write_csv
 
 #: sum of recorded parts must match the total this tightly
 PART_SUM_TOL = 1e-12
@@ -167,15 +166,13 @@ class _ItoFold:
     minus the generator drift term and the stochastic increment; it is known
     once the fold sees grid point k+1.  The generator is evaluated once per
     step, at the inner integrals already computed for the step's value.
-    With ``record``, ``rows`` keeps each step's (residual, increment).
     """
 
-    def __init__(self, coeff, f, dt, sel, record):
+    def __init__(self, coeff, f, dt, sel):
         self.coeff, self.f, self.dt, self.sel = coeff, f, dt, sel
         self.pending = None  # (value, drift, martingale increment) of the open step
         self.step_mean, self.step_rms, self.qv_density = [], [], []
         self.residual_sum = self.qv_sum = None
-        self.rows = [] if record else None
 
     def __call__(self, t_k, X, mu, dw):
         X = X[self.sel]
@@ -191,8 +188,6 @@ class _ItoFold:
             self.step_rms.append(np.sqrt((res**2).mean()))
             self.residual_sum += res
             self.qv_sum += mart**2
-            if self.rows is not None:
-                self.rows.append((res, mart))
         if dw is None:
             return
         parts = generator_parts(self.coeff, self.f, t_k, X, mu, r=r)
@@ -202,8 +197,14 @@ class _ItoFold:
         self.pending = (vals, parts["dt"] + generator_total(parts), mart)
 
 
-def _ito_fold(coeff, f, flow, particles, record=False):
-    """The Ito fold of the selected particles after one replay of the whole flow."""
+def ito_residual_ensemble(coeff, f, flow, particles=None):
+    """Discrete Ito residual of selected particles of a flow, reduced per step.
+
+    ``flow`` is a recorded ParticleFlow or a StreamedFlow; either is folded
+    in one replay, so no (L, P) array is built.  With ``particles=[i]`` the
+    summary's ``step_mean`` is particle i's residual series.  Returns an
+    :class:`ItoResidualSummary`.
+    """
     if particles is None:
         sel = slice(None)
     else:
@@ -219,19 +220,8 @@ def _ito_fold(coeff, f, flow, particles, record=False):
                 "particles must be a non-empty 1-D integer index array in "
                 f"[0, {flow.n_particles})"
             )
-    fold = _ItoFold(coeff, f, flow.dt, sel, record)
+    fold = _ItoFold(coeff, f, flow.dt, sel)
     flow.replay(fold, flow.times[0], flow.times[-1])
-    return fold
-
-
-def ito_residual_ensemble(coeff, f, flow, particles=None):
-    """Discrete Ito residual of selected particles of a flow, reduced per step.
-
-    ``flow`` is a recorded ParticleFlow or a StreamedFlow; either is folded
-    in one replay, so no (L, P) array is built.  Returns an
-    :class:`ItoResidualSummary`.
-    """
-    fold = _ito_fold(coeff, f, flow, particles)
     return ItoResidualSummary(
         step_mean=np.array(fold.step_mean, dtype=float),
         step_rms=np.array(fold.step_rms, dtype=float),
@@ -239,17 +229,3 @@ def ito_residual_ensemble(coeff, f, flow, particles=None):
         qv_sum=fold.qv_sum,
         qv_density=np.array(fold.qv_density, dtype=float),
     )
-
-
-def ito_residual(coeff, f, flow, i):
-    """Residual and martingale-increment series, shape (L,), of particle ``i``."""
-    rows = _ito_fold(coeff, f, flow, [i], record=True).rows
-    residuals = np.array([res for res, _ in rows], dtype=float).reshape(-1)
-    mart = np.array([m for _, m in rows], dtype=float).reshape(-1)
-    return residuals, mart
-
-
-def residuals_to_csv(path, flow, residuals, mart):
-    """Write a single particle's residual series: step, time, residual, increment."""
-    rows = ([k, flow.times[k], residuals[k], mart[k]] for k in range(len(residuals)))
-    write_csv(path, ["step", "time", "residual", "martingale_increment"], rows)

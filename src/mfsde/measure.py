@@ -92,21 +92,6 @@ class EmpiricalMeasure:
     def mean(self):
         return self.weights @ self.points
 
-    def to_csv(self, path):
-        header = [f"x_{i+1}" for i in range(self.dim)] + ["weight"]
-        write_csv(path, header, ([*x, w] for x, w in zip(self.points, self.weights)))
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if not header or header[-1] != "weight":
-                raise ContractError("measure CSV must have header x_1..x_d,weight")
-            rows = [[float(v) for v in row] for row in reader if row]
-        arr = np.asarray(rows)
-        return cls(arr[:, :-1], arr[:, -1])
-
 
 def write_csv(path, header, rows):
     """Write a header line and rows as CSV, each float as ``%.17g``.
@@ -127,15 +112,14 @@ def dirac(x):
 
 
 def _eval_on_points(h, points):
-    """Evaluate a test function on every atom, vectorized when possible."""
-    n = points.shape[0]
-    try:
-        vals = np.asarray(h(points), dtype=float)
-        if vals.shape[:1] == (n,):
-            return vals
-    except (TypeError, ValueError, IndexError):
-        pass
-    return np.asarray([h(p) for p in points], dtype=float)
+    """h on every atom at once: ``h(points)``, which must have leading shape (N,)."""
+    vals = np.asarray(h(points), dtype=float)
+    if vals.shape[:1] != points.shape[:1]:
+        raise ContractError(
+            f"function of the support returned shape {vals.shape}, "
+            f"expected ({points.shape[0]}, ...)"
+        )
+    return vals
 
 
 def integrate(mu, h):

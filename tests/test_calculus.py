@@ -7,7 +7,6 @@ from mfsde import (
     ContractError,
     EmpiricalMeasure,
     dirac,
-    l_derivative,
     l_derivative_fd_oracle,
     l_derivative_pairing,
     make_cylindrical,
@@ -33,14 +32,14 @@ def test_linear_inner_gives_constant_gradient():
     f = make_cylindrical("mean", [("linear", {"a": a})])
     mu = cloud(np.random.default_rng(0), 5, 2)
     for y in ([0.0, 0.0], [1.0, 3.0]):
-        assert np.allclose(l_derivative(f, 0.0, np.zeros(2), mu, np.asarray(y)), a)
+        assert np.allclose(f.l_derivative(0.0, np.zeros(2), mu, np.asarray(y)), a)
 
 
 def test_quadratic_inner_gives_two_y():
     f = make_cylindrical("mean", ["quadratic"])
     mu = line([0.0, 1.0])
     y = np.array([3.0])
-    assert np.allclose(l_derivative(f, 0.0, np.zeros(1), mu, y), [6.0])
+    assert np.allclose(f.l_derivative(0.0, np.zeros(1), mu, y), [6.0])
 
 
 def test_square_of_mean_chain_rule():
@@ -48,7 +47,7 @@ def test_square_of_mean_chain_rule():
     f = make_cylindrical("square", [("linear", {"a": [1.0]})])
     mu = line([0.0, 1.0])
     for y in (-2.0, 0.0, 7.0):
-        assert np.allclose(l_derivative(f, 0.0, np.zeros(1), mu, np.array([y])), [1.0])
+        assert np.allclose(f.l_derivative(0.0, np.zeros(1), mu, np.array([y])), [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -115,33 +114,37 @@ def test_frechet_linear_decay(outer, inner):
 
 
 # ---------------------------------------------------------------------------
-# derivative bundles
+# every partial of a cylindrical function at one (t, x, mu)
+
+
+def _partial(f, which, t, x, mu):
+    """The closed-form partial ``which`` of f's outer function at (t, x, mu)."""
+    return np.asarray(f.outer.partial(which)(t, np.asarray(x, dtype=float), f.inner_integrals(mu)))
 
 
 def test_bundle_coordinate_function():
     f = make_cylindrical("coord", outer_params={"i": 0})
     mu = cloud(np.random.default_rng(1), 4, 2)
-    b = f.derivative_bundle(0.7, np.array([1.0, 2.0]), mu)
-    assert b.dt == 0.0
-    assert np.allclose(b.dx, [1.0, 0.0])
-    assert np.allclose(b.dxx, 0.0)
-    assert np.allclose(b.dmu(np.array([0.5, 0.5])), [0.0, 0.0])
+    t, x = 0.7, np.array([1.0, 2.0])
+    assert _partial(f, "dt", t, x, mu) == 0.0
+    assert np.allclose(_partial(f, "dx", t, x, mu), [1.0, 0.0])
+    assert np.allclose(_partial(f, "dxx", t, x, mu), 0.0)
+    assert np.allclose(f.l_derivative(t, x, mu, np.array([0.5, 0.5])), [0.0, 0.0])
 
 
 def test_bundle_second_moment_hessian():
     f = make_cylindrical("mean", ["quadratic"])
     mu = cloud(np.random.default_rng(2), 4, 2)
-    b = f.derivative_bundle(0.0, np.zeros(2), mu)
-    assert np.allclose(b.dy_dmu(np.array([1.0, -1.0])), 2.0 * np.eye(2))
+    hess = f.dy_l_derivative(0.0, np.zeros(2), mu, np.array([1.0, -1.0]))
+    assert np.allclose(hess, 2.0 * np.eye(2))
 
 
 def test_bundle_product_rule_by_hand():
     # f = t * mu(Id): dt = mu(Id), dmu(y) = t
     f = make_cylindrical("time_times_r1", [("linear", {"a": [1.0]})])
     mu = line([0.0, 1.0])
-    b = f.derivative_bundle(2.0, np.zeros(1), mu)
-    assert b.dt == pytest.approx(0.5, abs=1e-14)
-    assert np.allclose(b.dmu(np.array([3.0])), [2.0])
+    assert _partial(f, "dt", 2.0, np.zeros(1), mu) == pytest.approx(0.5, abs=1e-14)
+    assert np.allclose(f.l_derivative(2.0, np.zeros(1), mu, np.array([3.0])), [2.0])
 
 
 def test_bundle_value_reproducible_from_parts():
@@ -156,8 +159,8 @@ def test_bundle_value_reproducible_from_parts():
 
 def test_bundle_dxx_symmetric():
     f = make_cylindrical("gauss_quarter")
-    b = f.derivative_bundle(0.0, np.array([0.3, -1.1]), dirac([0.0, 0.0]))
-    assert np.allclose(b.dxx, b.dxx.T, atol=1e-12)
+    dxx = _partial(f, "dxx", 0.0, np.array([0.3, -1.1]), dirac([0.0, 0.0]))
+    assert np.allclose(dxx, dxx.T, atol=1e-12)
 
 
 def test_missing_partial_names_it():
@@ -172,7 +175,7 @@ def test_missing_partial_names_it():
 
     f = CylindricalFunction(incomplete, [make_inner("quadratic")])
     with pytest.raises(CapabilityError, match="dt"):
-        f.derivative_bundle(0.0, np.zeros(1), line([0.0, 1.0]))
+        _partial(f, "dt", 0.0, np.zeros(1), line([0.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +244,7 @@ def test_dy_dmu_matches_gradient_of_dmu():
     rng = np.random.default_rng(13)
     f = make_cylindrical("sum", [("quadratic", {}), ("bump", {})])
     mu = cloud(rng, 6, 2)
-    b = f.derivative_bundle(0.0, np.zeros(2), mu)
+    x = np.zeros(2)
     y = rng.standard_normal(2)
     h = 1e-5 * (1.0 + np.abs(y))
     jac = np.empty((2, 2))
@@ -249,8 +252,8 @@ def test_dy_dmu_matches_gradient_of_dmu():
         yp, ym = y.copy(), y.copy()
         yp[j] += h[j]
         ym[j] -= h[j]
-        jac[:, j] = (b.dmu(yp) - b.dmu(ym)) / (2 * h[j])
-    assert np.allclose(b.dy_dmu(y), jac, atol=1e-6)
+        jac[:, j] = (f.l_derivative(0.0, x, mu, yp) - f.l_derivative(0.0, x, mu, ym)) / (2 * h[j])
+    assert np.allclose(f.dy_l_derivative(0.0, x, mu, y), jac, atol=1e-6)
 
 
 @given(seed=st.integers(0, 5000))
@@ -263,10 +266,9 @@ def test_bundle_permutation_invariance(seed):
     nu = EmpiricalMeasure(pts[perm], np.full(7, 1.0 / 7))
     f = make_cylindrical("product", [("linear", {"a": [1.0, -0.5]}), ("bump", {})])
     y = rng.standard_normal(2)
-    a = f.derivative_bundle(0.2, np.zeros(2), mu)
-    b = f.derivative_bundle(0.2, np.zeros(2), nu)
-    assert a.value == pytest.approx(b.value, abs=1e-12)
-    assert np.allclose(a.dmu(y), b.dmu(y), atol=1e-12)
+    x = np.zeros(2)
+    assert f.value(0.2, x, mu) == pytest.approx(f.value(0.2, x, nu), abs=1e-12)
+    assert np.allclose(f.l_derivative(0.2, x, mu, y), f.l_derivative(0.2, x, nu, y), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

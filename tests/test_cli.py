@@ -181,7 +181,9 @@ def test_csv_byte_identical_across_reruns(tmp_path):
 # SHA-256 of every artifact of each preset that runs in about a second, and
 # of the four slow Feynman-Kac presets at M = 2000 (see GOLDEN_REDUCED),
 # recorded with numpy 2.4.6 and scipy 1.17.1; a change that is meant to keep
-# outputs bit-identical must leave these untouched
+# outputs bit-identical must leave these untouched.  Every preset at full
+# size is pinned by tests/golden_presets.txt, which CI diffs against the
+# listing of scripts/run_all_presets.py
 GOLDEN = {
     "feynman-kac-heat-M2000": {
         "feynman_kac_linear.csv": "c67eaa23b102d0b2dfe2736d5dc580b61ea9ef865177d84ea928ec948e17cb2d",
@@ -382,6 +384,9 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ("girsanov-risk-neutral", "M", "1"),
         ("feynman-kac-source-const", "probes.t", "2"),
         ("pde-residual-nonlinear", "probes.t", "0, 1.5"),
+        ("ito-residual-meanfield", "T", "0"),
+        ("path-independence-forward", "T", "0"),
+        ("girsanov-risk-neutral", "T", "0"),
     ],
 )
 def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, capsys):
@@ -411,6 +416,25 @@ def test_main_names_dt_ladder_for_a_bad_level(ladder, message, tmp_path, capsys)
     err = capsys.readouterr().err
     assert message in err
     assert "key 'dt'" not in err
+
+
+def test_main_probe_off_the_step_grid_exits_2(tmp_path, capsys):
+    # with dt = 1 the probe at t = 0.5 lies between grid points; the config
+    # check once passed it and the run died in the library (exit 3)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_with_overrides(PRESETS["feynman-kac-heat"], {"dt": "1"}))
+    status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "key 'probes.t': probe time 0.5 is not on the grid of dt = 1" in err
+    assert "probe time 0 " not in err
+
+
+def test_npy_identity_runs_in_two_dimensions(tmp_path):
+    # its linear inner function was once sized for d = 1 only (exit 3)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_with_overrides(PRESETS["npy-identity"], {"d": "2"}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) in (0, 1)
 
 
 def test_main_seed_override_keeps_line_numbers(tmp_path, capsys):

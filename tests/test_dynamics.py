@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from mfsde import (
     SimulationError,
     dirac,
     make_coefficients,
+    make_cylindrical,
     semigroup_apply,
-    simulate_decoupled,
     simulate_mckean_vlasov,
     wasserstein2,
 )
@@ -21,12 +22,12 @@ from mfsde.dynamics import (
     DOMAIN_DECOUPLED,
     DOMAIN_INIT,
     DOMAIN_INTERACTING,
-    ParticleFlow,
     brownian_increments,
     particle_stream,
     spot_check_lipschitz,
-    stream_decoupled,
 )
+from mfsde.feynman_kac import McValueFunction
+from mfsde.measure import write_csv
 
 
 def line(values):
@@ -220,25 +221,22 @@ def test_blowup_reports_step_and_particle():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e8])
 @pytest.mark.parametrize("loop", ["interacting", "decoupled"])
 def test_blowup_names_exact_step_and_particle(loop, bad):
-    # the drift puts particles 2 and 4 at `bad` on step 3; the first is named
-    import dataclasses
-
+    # the drift puts particles 2 and 4 of six at `bad` on step 3; the first is
+    # named (the decoupled paths' frozen flow has two particles, which stay put)
     dt, k_bad = 0.25, 3
 
     def b(t, x, mu):
         out = np.zeros(np.shape(x))
-        if abs(t - (k_bad - 1) * dt) < 1e-12:
+        if abs(t - (k_bad - 1) * dt) < 1e-12 and len(out) == 6:
             out[[2, 4], 0] = bad / dt
         return out
 
-    frozen = make_coefficients("frozen")
-    coeff = dataclasses.replace(frozen, b=b)
+    coeff = replace(make_coefficients("frozen"), b=b)
     with pytest.raises(SimulationError) as exc:
         if loop == "interacting":
             simulate_mckean_vlasov(coeff, line([0.0, 1.0]), 6, 1.0, dt, seed=0)
         else:
-            flow = simulate_mckean_vlasov(frozen, line([0.0, 1.0]), 2, 1.0, dt, seed=0)
-            stream_decoupled(coeff, [0.5], flow, 0.0, 1.0, dt, 6, seed=0)
+            _decoupled_samples(coeff, line([0.0, 1.0]), [0.5], 1.0, dt, 6, seed=0, n_flow=2)
     assert (exc.value.step, exc.value.particle) == (k_bad, 2)
 
 
@@ -297,26 +295,32 @@ def test_flow_property_two_stage_vs_direct():
 
 
 # ---------------------------------------------------------------------------
-# decoupled simulation
+# decoupled simulation: the paths McValueFunction runs against a frozen flow
 
 
 def _frozen(coeff, init, T, dt, seed=0, n=64):
     return simulate_mckean_vlasov(coeff, init, n, T, dt, seed)
 
 
+def _decoupled_samples(coeff, mu, x, T, dt, M, seed, t=0.0, n_flow=64):
+    """First coordinates, shape (M,), of the states at T of M decoupled paths
+    from x at t, each reading the frozen flow of mu (n_flow particles)."""
+    Phi = make_cylindrical("coord")
+    vf = McValueFunction(coeff, Phi, None, T, dt, M, seed, mu, "linear", n_flow=n_flow)
+    return vf.samples(t, x)
+
+
 def test_decoupled_frozen_dynamics():
     coeff = make_coefficients("frozen")
-    flow = _frozen(coeff, line([0.0, 1.0]), 1.0, 0.25)
-    ens = simulate_decoupled(coeff, np.array([4.0]), flow, 0.0, 1.0, 0.25, 5, seed=1)
-    assert np.all(ens.states == 4.0)
+    terminal = _decoupled_samples(coeff, line([0.0, 1.0]), [4.0], 1.0, 0.25, 5, seed=1)
+    assert np.all(terminal == 4.0)
 
 
 def test_decoupled_gaussian_variance():
     coeff = make_coefficients("brownian", s=1.0)
-    flow = _frozen(coeff, dirac([0.0]), 1.0, 0.01, n=2)
     M = 10_000
-    ens = simulate_decoupled(coeff, np.array([0.5]), flow, 0.0, 1.0, 0.01, M, seed=2)
-    incr = ens.states[-1][:, 0] - 0.5
+    terminal = _decoupled_samples(coeff, dirac([0.0]), [0.5], 1.0, 0.01, M, seed=2, n_flow=2)
+    incr = terminal - 0.5
     var = incr.var(ddof=1)
     se = var * np.sqrt(2.0 / (M - 1))  # SE of a normal sample variance
     assert abs(var - 1.0) <= 3 * se
@@ -326,24 +330,27 @@ def test_decoupled_contracts_toward_frozen_mean():
     # b = mu(Id) - x against a frozen point mass at c: scalar linear ODE
     c, x0, T, dt = 2.0, -1.0, 1.0, 0.001
     coeff = make_coefficients("mean_revert", rate=1.0, s=0.0)
-    flow = _frozen(coeff, dirac([c]), T, dt)
-    ens = simulate_decoupled(coeff, np.array([x0]), flow, 0.0, T, dt, 3, seed=3)
-    gap = abs(ens.states[-1][0, 0] - c)
+    terminal = _decoupled_samples(coeff, dirac([c]), [x0], T, dt, 3, seed=3)
+    gap = abs(terminal[0] - c)
     assert gap <= np.exp(-T) * abs(x0 - c) + 10 * dt
 
 
 def test_decoupled_grid_mismatch():
+    # a start time off the grid of step dt that ends at T
     coeff = make_coefficients("brownian")
-    flow = _frozen(coeff, dirac([0.0]), 1.0, 0.25)
-    with pytest.raises(ContractError):
-        simulate_decoupled(coeff, np.array([0.0]), flow, 0.0, 1.0, 0.2, 3, seed=0)
+    with pytest.raises(ContractError, match="integer multiple"):
+        _decoupled_samples(coeff, dirac([0.0]), [0.0], 1.0, 0.25, 3, seed=0, t=0.1)
 
 
 def test_decoupled_noise_independent_of_frozen_flow():
+    # from 0 under b = 0, sigma = 1 a terminal state is the sum of its path's
+    # increments: the decoupled domain's, not those of the frozen flow
     coeff = make_coefficients("brownian", s=1.0)
-    flow = _frozen(coeff, dirac([0.0]), 0.5, 0.25, n=3)
-    ens = simulate_decoupled(coeff, np.array([0.0]), flow, 0.0, 0.5, 0.25, 3, seed=0)
-    assert not np.allclose(ens.noise, flow.noise)
+    terminal = _decoupled_samples(coeff, dirac([0.0]), [0.0], 0.5, 0.25, 3, seed=0, n_flow=3)
+    flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 3, 0.5, 0.25, seed=0)
+    own = brownian_increments(0, 3, 2, 1, 0.25, DOMAIN_DECOUPLED).sum(axis=0)[:, 0]
+    assert terminal.tobytes() == own.tobytes()
+    assert not np.allclose(terminal, flow.states[-1][:, 0])
 
 
 def _reference_decoupled(coeff, x, flow, s, T, dt, M, seed):
@@ -360,86 +367,56 @@ def _reference_decoupled(coeff, x, flow, s, T, dt, M, seed):
     return times, states
 
 
-def test_stream_decoupled_matches_recorded_paths_bit_for_bit():
-    # measure-dependent drift, m = d = 2, started off the flow's first point
+def test_sample_table_matches_the_reference_euler_loop_bit_for_bit():
+    # measure-dependent drift, m = d = 2; the column started at 0.25 is off the
+    # table's first time, so it reads step prefixes of the noise blocks drawn
+    # for the column at 0 and its own frozen flow, which starts at 0.25
     coeff = make_coefficients("mean_revert", d=2, rate=1.5, s=0.7)
     rng = np.random.default_rng(4)
     init = EmpiricalMeasure(rng.standard_normal((5, 2)))
-    flow = simulate_mckean_vlasov(coeff, init, 16, 1.0, 0.05, seed=5)
-    x, M = np.array([0.3, -0.2]), 64
+    x, M, n_flow, T, dt, seed = np.array([0.3, -0.2]), 64, 16, 1.0, 0.05, 7
 
     def f(t, X, mu):
         return X[:, 0] * mu.mean()[1] + t
 
-    integral = np.zeros(M)
+    columns = [(0.0, x, None), (0.25, x, None)]
+    vf = McValueFunction(coeff, None, f, T, dt, M, seed, init, "source", n_flow=n_flow)
+    [integrals] = vf.sample_table([columns])
+    coords = []
+    for i in range(2):
+        Phi = make_cylindrical("coord", outer_params={"i": i})
+        linear = replace(vf, Phi=Phi, f_field=None, provenance="linear")
+        coords.append(linear.sample_table([columns])[0])
+    for j, (t, _, _) in enumerate(columns):
+        flow = simulate_mckean_vlasov(coeff, init, n_flow, T, dt, seed, s=t)
+        times, states = _reference_decoupled(coeff, x, flow, t, T, dt, M, seed)
+        for i in range(2):
+            assert coords[i][:, j].tobytes() == states[-1][:, i].tobytes()
+        # the running cost's step is the spacing of the frozen flow's grid
+        summed = np.zeros(M)
+        for k in range(len(times) - 1):
+            summed += f(times[k], states[k], flow.measure_at(k)) * flow.dt
+        assert integrals[:, j].tobytes() == (-summed).tobytes()
 
-    def hook(t, xk, mu):
-        integral[:] += f(t, xk, mu) * 0.05
 
-    terminal = stream_decoupled(coeff, x, flow, 0.25, 1.0, 0.05, M, seed=7, hook=hook)
-    ens = simulate_decoupled(coeff, x, flow, 0.25, 1.0, 0.05, M, seed=7)
-    times, states = _reference_decoupled(coeff, x, flow, 0.25, 1.0, 0.05, M, seed=7)
-    assert terminal.tobytes() == ens.states[-1].tobytes() == states[-1].tobytes()
-    assert ens.states.tobytes() == states.tobytes()
-    summed = np.zeros(M)
-    for k in range(ens.n_steps):
-        summed += f(ens.times[k], ens.states[k], flow.measure_at(5 + k)) * 0.05
-    assert integral.tobytes() == summed.tobytes()
+@pytest.mark.parametrize(
+    "span, dt, steps",
+    [(1.0, 0.1, 10), (0.0, 0.3, 0), (0.5, 1.0, None), (-0.25, 0.25, None),
+     (1.0, 1.0 / 3.0, 3), (1.0 + 1e-10, 1.0, 1), (1.0 + 1e-8, 1.0, None)],
+)
+def test_grid_steps_counts_whole_steps_only(span, dt, steps):
+    assert dynamics.grid_steps(span, dt) == steps
 
 
-@pytest.mark.parametrize("M", [0, -1, 2.5])
-def test_stream_decoupled_rejects_bad_path_count(M):
+def test_one_point_grid_has_no_step():
+    # T = s: a flow of a single grid point, from which no step can be read
     coeff = make_coefficients("brownian")
-    flow = _frozen(coeff, dirac([0.0]), 1.0, 0.25, n=2)
-    with pytest.raises(ContractError, match="M must"):
-        stream_decoupled(coeff, [0.0], flow, 0.0, 1.0, 0.25, M, seed=0)
-
-
-def test_stream_decoupled_rejects_misshapen_start():
-    coeff = make_coefficients("brownian", d=2)
-    flow = _frozen(coeff, dirac([0.0, 0.0]), 1.0, 0.25, n=2)
-    with pytest.raises(ContractError, match="broadcast"):
-        stream_decoupled(coeff, np.zeros(3), flow, 0.0, 1.0, 0.25, 4, seed=0)
-
-
-@pytest.mark.parametrize("kernel", [stream_decoupled, simulate_decoupled])
-def test_decoupled_rejects_start_after_horizon_before_drawing(kernel, monkeypatch):
-    coeff = make_coefficients("brownian")
-    flow = _frozen(coeff, dirac([0.0]), 1.0, 0.25, n=2)
-
-    def no_draw(*args):
-        raise AssertionError("noise drawn for an empty horizon")
-
-    monkeypatch.setattr(dynamics, "_raw_normals", no_draw)
-    with pytest.raises(ContractError, match="need T >= s"):
-        kernel(coeff, [0.0], flow, 0.75, 0.25, 0.25, 3, seed=0)
-
-
-def test_simulate_decoupled_draws_its_block_once(monkeypatch):
-    coeff = make_coefficients("brownian", s=1.0)
-    flow = _frozen(coeff, dirac([0.0]), 1.0, 0.25, n=2)
-    draws = []
-    draw = dynamics._raw_normals
-
-    def counted(*args):
-        draws.append(args)
-        return draw(*args)
-
-    monkeypatch.setattr(dynamics, "_raw_normals", counted)
-    ens = simulate_decoupled(coeff, [0.5], flow, 0.25, 1.0, 0.25, 4, seed=3)
-    assert draws == [(3, 4, 3, 1, DOMAIN_DECOUPLED)]
-    assert ens.noise.tobytes() == brownian_increments(3, 4, 3, 1, 0.25, DOMAIN_DECOUPLED).tobytes()
-
-
-def test_simulate_decoupled_returns_a_read_only_flow():
-    coeff = make_coefficients("brownian", s=1.0)
-    flow = _frozen(coeff, dirac([0.0]), 1.0, 0.25, n=2)
-    ens = simulate_decoupled(coeff, [0.5], flow, 0.25, 1.0, 0.25, 4, seed=3)
-    assert isinstance(ens, ParticleFlow)
-    assert (ens.n_steps, ens.n_particles, ens.dt) == (3, 4, 0.25)
-    assert ens.span(0.25, 1.0) == (0, 3)
-    for arr in (ens.times, ens.states, ens.noise, ens.start):
-        assert not arr.flags.writeable
+    recorded = simulate_mckean_vlasov(coeff, dirac([0.0]), 2, 0.5, 0.25, seed=0, s=0.5)
+    streamed = dynamics.StreamedFlow(coeff, dirac([0.0]), 2, 0.5, 0.25, seed=0, s=0.5)
+    for flow in (recorded, streamed):
+        assert flow.times.tolist() == [0.5] and flow.span(0.5, 0.5) == (0, 0)
+        with pytest.raises(ContractError, match="one-point grid"):
+            flow.dt
 
 
 @pytest.mark.parametrize("k", [-1, 5])
@@ -486,23 +463,18 @@ def test_lipschitz_spot_check(name, seed):
 # export
 
 
-def test_flow_csv_schema(tmp_path):
-    coeff = make_coefficients("brownian")
-    flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 2, 0.5, 0.25, seed=0)
-    path = tmp_path / "flow.csv"
-    flow.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,time,particle,x_1"
-    assert len(lines) == 1 + 3 * 2
-
-
 def test_flow_csv_pinned_digest(tmp_path):
     # every state at full precision, d = 2, non-dyadic start; recorded with
-    # numpy 2.4.6, the writer must keep these bytes
+    # numpy 2.4.6, the flow and the writer must keep these bytes
     coeff = make_coefficients("mean_revert", d=2, rate=0.7, s=1.3)
     flow = simulate_mckean_vlasov(coeff, dirac([0.5, -1.0 / 3.0]), 3, 0.5, 0.25, seed=5)
     path = tmp_path / "flow.csv"
-    flow.to_csv(path)
+    rows = (
+        [k, t, i, *flow.states[k, i]]
+        for k, t in enumerate(flow.times)
+        for i in range(flow.n_particles)
+    )
+    write_csv(path, ["step", "time", "particle", "x_1", "x_2"], rows)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "493611f0e86e0bb8f5272f94654ff6d3f49b702142489de1c4343e57292a4e99"
     )

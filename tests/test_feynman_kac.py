@@ -196,9 +196,13 @@ def test_se_halves_when_m_quadruples():
     assert ratio == pytest.approx(2.0, rel=0.2)
 
 
-def test_solver_rejects_reversed_interval():
+def test_solver_rejects_reversed_interval(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("noise drawn for an empty horizon")
+
+    monkeypatch.setattr(feynman_kac, "_raw_normals", no_draw)
     Phi = make_cylindrical("x_norm_sq")
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="need T >= t"):
         solve_linear(BROWNIAN, Phi, 1.0, np.array([0.0]), dirac([0.0]), 0.5, 8, 0.25, seed=0)
 
 
@@ -208,7 +212,9 @@ def test_mc_value_function_deterministic():
         coeff=BROWNIAN, Phi=Phi, f_field=None, T=1.0, dt=0.05, M=200, seed=17,
         mu=dirac([0.0]), provenance="log_transform", beta=1.0,
     )
-    assert vf.value_at(0.0, np.array([0.5])) == vf.value_at(0.0, np.array([0.5]))
+    first, again = (vf.samples(0.0, np.array([0.5])) for _ in range(2))
+    assert first.tobytes() == again.tobytes()
+    assert vf.value_of_mean(first.mean()) == vf.value_of_mean(again.mean())
 
 
 def _solver_calls():

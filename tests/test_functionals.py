@@ -8,18 +8,14 @@ from mfsde import (
     StreamedFlow,
     dirac,
     girsanov_replay,
-    girsanov_weight,
     make_coefficients,
     make_cylindrical,
-    make_path_record,
-    novikov_estimate,
     simulate_mckean_vlasov,
     verify_path_independence,
 )
 import mfsde.functionals as functionals
 from mfsde.functionals import (
     accumulate,
-    accumulator_series,
     build_pair_from_V,
     potential_increment,
 )
@@ -84,8 +80,9 @@ def test_additivity_across_subintervals(split):
 
 def test_series_starts_at_zero():
     _, flow = brownian_flow(n=4, dt=0.25)
-    series = accumulator_series(lambda t, X, mu: np.ones(X.shape[0]), None, flow, 0.0, 1.0)
-    assert np.all(series[0] == 0.0)
+    for s in (0.0, 0.5, 1.0):
+        out = accumulate(lambda t, X, mu: np.ones(X.shape[0]), None, flow, s, s)
+        assert out.shape == (4,) and np.all(out == 0.0)
 
 
 def test_wrong_width_g_rejected():
@@ -298,20 +295,20 @@ def test_report_csv_schema(tmp_path):
 
 def test_zero_integrand_unit_weight():
     _, flow = brownian_flow(n=10, dt=0.25)
-    w = girsanov_weight(lambda t, X, mu: np.zeros((X.shape[0], 1)), flow, 1.0, 0.0, 1.0)
+    w, _, _ = girsanov_replay(lambda t, X, mu: np.zeros((X.shape[0], 1)), flow, 1.0, 0.0, 1.0)
     assert np.allclose(w, 1.0)
 
 
 def test_zero_beta_rejected():
     _, flow = brownian_flow(n=4, dt=0.25)
-    with pytest.raises(ContractError):
-        girsanov_weight(lambda t, X, mu: np.zeros((X.shape[0], 1)), flow, 0.0, 0.0, 1.0)
+    with pytest.raises(ContractError, match="beta"):
+        girsanov_replay(lambda t, X, mu: np.zeros((X.shape[0], 1)), flow, 0.0, 0.0, 1.0)
 
 
 def test_constant_integrand_weight_martingale():
     _, flow = brownian_flow(n=100_000, dt=0.01, seed=6)
     g = lambda t, X, mu: np.full((X.shape[0], 1), 0.8)
-    w = girsanov_weight(g, flow, 1.0, 0.0, 1.0)
+    w, _, _ = girsanov_replay(g, flow, 1.0, 0.0, 1.0)
     se = w.std(ddof=1) / np.sqrt(w.size)
     assert abs(w.mean() - 1.0) <= 3 * se
 
@@ -320,8 +317,9 @@ def test_reweighting_removes_drift():
     coeff = make_coefficients("constant_drift", c=0.5, s=1.0)
     flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 50_000, 1.0, 0.01, seed=7)
     g = lambda t, X, mu: np.full((X.shape[0], 1), 0.5)
-    w = girsanov_weight(g, flow, 1.0, 0.0, 1.0)
-    est = w * (flow.states[-1][:, 0] - flow.states[0][:, 0])
+    w, _, dx = girsanov_replay(g, flow, 1.0, 0.0, 1.0)
+    assert dx.tobytes() == (flow.states[-1] - flow.states[0]).tobytes()
+    est = w * dx[:, 0]
     se = est.std(ddof=1) / np.sqrt(est.size)
     assert abs(est.mean()) <= 3 * se
 
@@ -331,9 +329,9 @@ def test_reweighting_removes_drift():
 def test_weight_multiplicative_across_intervals(split):
     _, flow = brownian_flow(n=16, dt=0.125 / 2, seed=3)
     g = lambda t, X, mu: np.sin(X)
-    w_left = girsanov_weight(g, flow, 1.0, 0.0, split)
-    w_right = girsanov_weight(g, flow, 1.0, split, 1.0)
-    w_full = girsanov_weight(g, flow, 1.0, 0.0, 1.0)
+    w_left, _, _ = girsanov_replay(g, flow, 1.0, 0.0, split)
+    w_right, _, _ = girsanov_replay(g, flow, 1.0, split, 1.0)
+    w_full, _, _ = girsanov_replay(g, flow, 1.0, 0.0, 1.0)
     assert np.allclose(w_left * w_right, w_full, rtol=1e-12)
 
 
@@ -343,7 +341,7 @@ def test_weight_multiplicative_across_intervals(split):
 
 def test_novikov_zero_integrand():
     _, flow = brownian_flow(n=8, dt=0.25)
-    out = novikov_estimate(lambda t, X, mu: np.zeros((X.shape[0], 1)), flow, 0.0, 1.0)
+    _, out, _ = girsanov_replay(lambda t, X, mu: np.zeros((X.shape[0], 1)), flow, 1.0, 0.0, 1.0)
     assert out.estimate == 1.0
     assert out.tail_flag == "clear"
 
@@ -351,8 +349,8 @@ def test_novikov_zero_integrand():
 def test_novikov_constant_closed_form():
     c = 0.5
     _, flow = brownian_flow(n=64, dt=0.01)
-    out = novikov_estimate(
-        lambda t, X, mu: np.full((X.shape[0], 1), c), flow, 0.0, 1.0
+    _, out, _ = girsanov_replay(
+        lambda t, X, mu: np.full((X.shape[0], 1), c), flow, 1.0, 0.0, 1.0
     )
     assert out.estimate == pytest.approx(np.exp(0.5 * c**2), abs=1e-12)
 
@@ -362,36 +360,8 @@ def test_novikov_heavy_tail_flagged():
     # exponential mass on the largest excursions
     coeff = make_coefficients("brownian", s=3.0)
     flow = simulate_mckean_vlasov(coeff, dirac([1.0]), 4000, 1.0, 0.01, seed=9)
-    out = novikov_estimate(lambda t, X, mu: 2.0 * X, flow, 0.0, 1.0)
+    _, out, _ = girsanov_replay(lambda t, X, mu: 2.0 * X, flow, 1.0, 0.0, 1.0)
     assert out.tail_flag in ("heavy", "severe")
-
-
-# ---------------------------------------------------------------------------
-# path records
-
-
-def test_path_record_accumulator_starts_at_zero():
-    _, flow = brownian_flow(n=4, dt=0.25)
-    rec = make_path_record(flow, 2, f=lambda t, X, mu: np.ones(X.shape[0]))
-    assert rec.accumulator[0] == 0.0
-    assert rec.log_weight is None
-    assert rec.trajectory.shape == (flow.n_steps + 1, 1)
-
-
-def test_path_record_girsanov_pairing_log_weight():
-    _, flow = brownian_flow(n=4, dt=0.25)
-    g = lambda t, X, mu: np.full((X.shape[0], 1), 0.7)
-    rec = make_path_record(flow, 0, g=g, beta=2.0)
-    assert rec.log_weight is not None
-    assert np.allclose(rec.log_weight, -rec.accumulator)
-    w = girsanov_weight(g, flow, 2.0, 0.0, 1.0)
-    assert np.exp(rec.log_weight[-1]) == pytest.approx(w[0], rel=1e-12)
-
-
-def test_path_record_index_checked():
-    _, flow = brownian_flow(n=4, dt=0.25)
-    with pytest.raises(ContractError):
-        make_path_record(flow, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +380,7 @@ def test_streamed_level_folds_the_recorded_bits(s, t):
     coeff, streamed, recorded = _streamed_and_recorded()
     V = make_cylindrical("x_sq_plus_r1", ["quadratic"])
     f, g = build_pair_from_V(coeff, V)
-    for fn in (accumulate, accumulator_series):
-        assert fn(f, g, streamed, s, t).tobytes() == fn(f, g, recorded, s, t).tobytes()
+    assert accumulate(f, g, streamed, s, t).tobytes() == accumulate(f, g, recorded, s, t).tobytes()
     live = potential_increment(V, streamed, s, t)
     assert live.tobytes() == potential_increment(V, recorded, s, t).tobytes()
     live = verify_path_independence(V, f, g, [streamed], s, t)
@@ -450,8 +419,10 @@ def test_girsanov_replay_matches_the_separate_functionals(s, t):
         return 0.3 * X - mu.mean() + tk
 
     weights, nov, dx = girsanov_replay(g, streamed, 2.0, s, t)
-    assert weights.tobytes() == girsanov_weight(g, recorded, 2.0, s, t).tobytes()
-    assert nov == novikov_estimate(g, recorded, s, t)
+    A = accumulate(functionals._girsanov_f(g, 2.0), g, recorded, s, t)
+    assert weights.tobytes() == np.exp(-A).tobytes()
+    half_qv = accumulate(functionals._girsanov_f(g, 1.0), None, recorded, s, t)
+    assert nov == functionals._novikov(np.exp(half_qv))
     k0, k1 = recorded.span(s, t)
     assert dx.tobytes() == (recorded.states[k1] - recorded.states[k0]).tobytes()
 

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 
 import numpy as np
 import pytest
@@ -14,13 +13,12 @@ from mfsde import (
     apply_L_sigma,
     apply_L_sigma_b,
     dirac,
-    ito_residual,
     ito_residual_ensemble,
     make_coefficients,
     make_cylindrical,
     simulate_mckean_vlasov,
 )
-from mfsde.generator import GeneratorValue, generator_parts, residuals_to_csv
+from mfsde.generator import GeneratorValue, generator_parts, generator_total
 
 
 def line(values):
@@ -135,16 +133,17 @@ def test_time_function_zero_residual():
     coeff = make_coefficients("brownian", s=1.0)
     flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 4, 1.0, 0.25, seed=0)
     f = make_cylindrical("time")
-    res, mart = ito_residual(coeff, f, flow, 0)
-    assert np.allclose(res, 0.0, atol=1e-14)
-    assert np.allclose(mart, 0.0)
+    summary = ito_residual_ensemble(coeff, f, flow, particles=[0])
+    assert np.allclose(summary.step_mean, 0.0, atol=1e-14)
+    # a sum of squares: zero only when every martingale increment is
+    assert summary.qv_sum[0] == 0.0
 
 
 def test_frozen_dynamics_zero_residual():
     coeff = make_coefficients("frozen")
     flow = simulate_mckean_vlasov(coeff, line([0.0, 1.0]), 2, 1.0, 0.25, seed=0)
     f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
-    res, mart = ito_residual(coeff, f, flow, 1)
+    res = ito_residual_ensemble(coeff, f, flow, particles=[1]).step_mean
     assert np.allclose(res, 0.0, atol=1e-14)
 
 
@@ -210,8 +209,8 @@ def test_particle_index_range_checked():
     coeff = make_coefficients("brownian")
     flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 3, 0.5, 0.25, seed=0)
     f = make_cylindrical("x_norm_sq")
-    with pytest.raises(ContractError):
-        ito_residual(coeff, f, flow, 3)
+    with pytest.raises(ContractError, match=r"\[0, 3\)"):
+        ito_residual_ensemble(coeff, f, flow, particles=[3])
 
 
 @pytest.mark.parametrize("particles", [[], [1.5], [True, False, True]])
@@ -233,32 +232,6 @@ def test_generator_names_missing_partial():
         generator_parts(coeff, V, 0.0, np.array([[1.0]]), dirac([0.0]))
 
 
-def test_residual_csv_schema(tmp_path):
-    coeff = make_coefficients("brownian")
-    flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 3, 0.5, 0.25, seed=0)
-    f = make_cylindrical("x_norm_sq")
-    res, mart = ito_residual(coeff, f, flow, 0)
-    path = tmp_path / "res.csv"
-    residuals_to_csv(path, flow, res, mart)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,time,residual,martingale_increment"
-    assert len(lines) == 1 + flow.n_steps
-
-
-def test_residual_csv_pinned_digest(tmp_path):
-    # one particle's series from a mean-field flow; recorded with numpy 2.4.6,
-    # the writer must keep these bytes
-    coeff = make_coefficients("mean_revert", rate=0.7, s=1.3)
-    flow = simulate_mckean_vlasov(coeff, dirac([0.2]), 4, 0.5, 0.125, seed=5)
-    V = make_cylindrical("x_sq_plus_r1", [("quadratic", {})])
-    res, mart = ito_residual(coeff, V, flow, 1)
-    path = tmp_path / "res.csv"
-    residuals_to_csv(path, flow, res, mart)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "f921c62e3bc6c755bf47185249826cf336aa4f8176b35006f829eb3777aba07a"
-    )
-
-
 # ---------------------------------------------------------------------------
 # streamed and recorded flows reduce to the same bits
 
@@ -277,11 +250,25 @@ def test_ito_reductions_of_streamed_and_recorded_flows_agree(particles):
     assert live.residual_sum.shape == live.qv_sum.shape == (P,)
 
 
+def _one_particle_series(coeff, f, flow, i):
+    """Particle i's residual and martingale-increment series, shape (L,), step by step."""
+    res, mart = np.empty(flow.n_steps), np.empty(flow.n_steps)
+    for k in range(flow.n_steps):
+        mu, X = flow.measure_at(k), flow.states[k][[i]]
+        parts = generator_parts(coeff, f, flow.times[k], X, mu)
+        mart[k] = (parts["sigma_star_dx"] @ flow.noise[k][i])[0]
+        here = f.value(flow.times[k], X, mu)
+        there = f.value(flow.times[k + 1], flow.states[k + 1][[i]], flow.measure_at(k + 1))
+        drift = parts["dt"] + generator_total(parts)
+        res[k] = (there - here - drift * flow.dt - mart[k])[0]
+    return res, mart
+
+
 def test_ito_reductions_match_the_one_particle_series():
     coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
     flow = simulate_mckean_vlasov(coeff, line([0.5, 1.5, -2.0, 0.1]), 4, 1.0, 0.05, seed=3)
     f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
-    res, mart = ito_residual(coeff, f, flow, 2)
+    res, mart = _one_particle_series(coeff, f, flow, 2)
     summary = ito_residual_ensemble(coeff, f, flow, particles=[2])
     assert summary.step_mean.tobytes() == res.tobytes()
     assert summary.step_rms.tobytes() == np.abs(res).tobytes()

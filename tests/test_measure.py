@@ -1,3 +1,4 @@
+import csv
 import hashlib
 
 import numpy as np
@@ -94,6 +95,17 @@ def test_integrate_reports_bad_point_index():
 
     with pytest.raises(EvaluationError, match="1"):
         integrate(line([0.0, 1.0]), h)
+
+
+@pytest.mark.parametrize("apply", [integrate, pushforward], ids=["integrate", "pushforward"])
+@pytest.mark.parametrize(
+    "h", [lambda x: 1.0, lambda x: np.ones(3), lambda x: x.T],
+    ids=["scalar", "wrong_length", "transposed"],
+)
+def test_functions_of_the_support_must_return_one_row_per_atom(apply, h):
+    # h sees all atoms at once; it is never called again atom by atom
+    with pytest.raises(ContractError, match=r"returned shape .*expected \(2, \.\.\.\)"):
+        apply(line([0.0, 1.0]), h)
 
 
 def test_integrate_vector_valued():
@@ -242,17 +254,24 @@ def test_identity_coupling_bounds_w2(seed, n, d):
 # serialization
 
 
+def _write_measure(path, mu):
+    header = [f"x_{i+1}" for i in range(mu.dim)] + ["weight"]
+    measure.write_csv(path, header, ([*x, w] for x, w in zip(mu.points, mu.weights)))
+
+
 def test_csv_round_trip(tmp_path):
+    # every float cell reads back to the same double
     mu = EmpiricalMeasure(
-        np.array([[0.1, -2.0], [3.5, 0.25]]), np.array([0.625, 0.375])
+        np.array([[0.1, -2.0 / 3.0], [np.pi, 1e-20]]), np.array([0.625, 0.375])
     )
     path = tmp_path / "mu.csv"
-    mu.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "x_1,x_2,weight"
-    back = EmpiricalMeasure.from_csv(path)
-    assert np.array_equal(back.points, mu.points)
-    assert np.array_equal(back.weights, mu.weights)
+    _write_measure(path, mu)
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["x_1", "x_2", "weight"]
+    back = np.array(rows, dtype=float)
+    assert back[:, :-1].tobytes() == mu.points.tobytes()
+    assert back[:, -1].tobytes() == mu.weights.tobytes()
 
 
 def test_csv_pinned_digest(tmp_path):
@@ -263,7 +282,7 @@ def test_csv_pinned_digest(tmp_path):
         np.array([1.0 / 3.0, 2.0 / 7.0, 8.0 / 21.0]),
     )
     path = tmp_path / "mu.csv"
-    mu.to_csv(path)
+    _write_measure(path, mu)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "e135a28c1569881472d46bad119e49db24cd4c950a9275835f8b63288b6b4bff"
     )

@@ -27,7 +27,6 @@ from mfsde import (
 )
 from mfsde.dynamics import DOMAIN_DECOUPLED, DOMAIN_INTERACTING, stream_mckean_vlasov
 from mfsde.feynman_kac import McValueFunction
-from mfsde.functionals import accumulate, accumulator_series
 from mfsde.measure import _cost_matrix
 
 BROWNIAN = make_coefficients("brownian", s=1.0)
@@ -179,14 +178,6 @@ def test_kernels_reject_a_block_that_does_not_cover_the_run():
         simulate_mckean_vlasov(BROWNIAN, dirac([0.0]), 6, 1.0, 0.25, seed=4, normals=block)
 
 
-def test_accumulate_is_last_row_of_series_bit_for_bit():
-    V, f, g = _ladder_pair()
-    flow = _level(0.05, 40, 2)
-    for s, t in ((0.0, 1.0), (0.25, 0.75), (0.5, 0.5)):
-        series = accumulator_series(f, g, flow, s, t)
-        assert accumulate(f, g, flow, s, t).tobytes() == series[-1].tobytes()
-
-
 def test_ladder_rejects_empty_and_finest_first():
     V, f, g = _ladder_pair()
     with pytest.raises(ContractError, match="at least one flow"):
@@ -305,13 +296,3 @@ def test_pde_residual_builds_each_snapshot_once(measures_built, monkeypatch):
     flows = len(grid_points)
     assert len(table.rows) == 2 and flows == 2 * (3 + 2 * n_draws)
     assert built == sum(grid_points) + flows + 2 * 2 * n_draws
-
-
-def test_simulate_decoupled_holds_its_path_once():
-    M, dt = 5000, 0.01
-    flow = simulate_mckean_vlasov(BROWNIAN, dirac([0.0]), 4, 1.0, dt, 2)
-    steps = round(1.0 / dt)
-    recorded = 8 * M * ((steps + 1) * BROWNIAN.d + steps * BROWNIAN.m)  # states + noise
-    peak = _peak_of(lambda: dynamics.simulate_decoupled(BROWNIAN, [0.5], flow, 0.0, 1.0, dt, M, 3))
-    # a second copy of the states would cross the bound
-    assert peak < 1.2 * recorded
