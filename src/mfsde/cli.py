@@ -44,6 +44,7 @@ from .dynamics import (
 from .errors import ConfigError
 from .feynman_kac import (
     PDE_KINDS,
+    TILE,
     McValueFunction,
     npy_identity_gap,
     pde_residual_mc,
@@ -386,7 +387,7 @@ def _drift_from_gradient(coeff, V):
         r = V.inner_integrals(mu)
         dxV = np.asarray(V.outer.dx(t, x, r))
         sig = np.asarray(coeff.sigma(t, x, mu))
-        return np.einsum("bjk,blk,bl->bj", sig, sig, dxV)
+        return np.einsum("...jk,...lk,...l->...j", sig, sig, dxV)
 
     return b
 
@@ -495,6 +496,11 @@ _SCENARIOS = {
     "w2_selftest": _Scenario(_run_w2_selftest),
 }
 SCENARIOS = tuple(_SCENARIOS)
+# the scenarios that step an interacting ensemble from the key ``s`` to T
+_READS_S = ("ito_residual", "path_independence", "girsanov")
+#: the most bytes a config may make a run allocate up front for its time grid
+#: and the step-major normals of its widest noise block (see _check_size)
+MAX_ARRAY_BYTES = 2**30
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +613,9 @@ def parse_config(text, seed=None):
     scenario = values.get("scenario")
     if scenario is None and "scenario" not in values:
         violations.append("key 'scenario': required")
+    if "s" in values and scenario in _SCENARIOS and scenario not in _READS_S:
+        violations.append(f"key 's': scenario {scenario!r} does not read it")
+        del values["s"]
     values.setdefault("seed", 0)
     values.setdefault("M", 1)
     values.setdefault("s", 0.0)
@@ -624,7 +633,7 @@ def parse_config(text, seed=None):
         violations.append(f"key 'M': must be at least 2 for scenario 'girsanov', got {values['M']}")
     # these runs step an interacting ensemble from s to T, so need a step
     T, s = values.get("T"), values["s"]
-    if scenario in ("ito_residual", "path_independence", "girsanov") and T is not None and T <= s:
+    if scenario in _READS_S and T is not None and T <= s:
         violations.append(f"key 'T': must be after s = {s:g} for scenario {scenario!r}, got {T:g}")
 
     d, n_init = values.get("d", 1), len(values.get("init.x", (0.0,)))
@@ -632,6 +641,9 @@ def parse_config(text, seed=None):
         violations.append(f"key 'init.x': expected 1 or d = {d} entries, got {n_init}")
     _check_seed(values, violations)
     _check_grid_alignment(values, "probes.t" in required, violations)
+    # a scenario that simulates requires keys; the size check reads them
+    if required and not violations:
+        _check_size(values, scenario, violations)
     if violations:
         raise ConfigError(violations)
     return ScenarioConfig(scenario=scenario, seed=values["seed"], values=values)
@@ -687,6 +699,39 @@ def _check_grid_alignment(values, probed, violations):
                         f"key 'dt': {values['dt']:g} does not divide the interval "
                         f"[{a:g}, {b:g}]"
                     )
+
+
+def _check_size(values, scenario, violations):
+    """Each step size must keep the run's largest up-front array within
+    MAX_ARRAY_BYTES: L + 1 grid times plus L steps of m normals for each path
+    of the widest block drawn at once (the N or M interacting particles, or
+    the larger of the n_flow frozen-flow particles and a decoupled chunk of at
+    most TILE paths), L being the steps across the run's longest span."""
+    if scenario in ("ito_residual", "path_independence", "flow_property"):
+        width = values["N"]
+    elif scenario == "girsanov":
+        width = values["M"]
+    else:
+        width = max(values.get("n_flow", 200), min(values["M"], TILE))
+    if scenario == "flow_property":
+        times = values["times"]
+        span_key, span = "times", times[2] - times[0]
+    elif "probes.t" in values:
+        span_key, span = "T", values["T"] - min(values["probes.t"])
+    else:
+        span_key, span = "T", values["T"] - values["s"]
+    levels = [("dt_ladder", dt) for dt in values.get("dt_ladder", ())]
+    if "dt" in values:
+        levels.append(("dt", values["dt"]))
+    for key, dt in levels:
+        steps = span / dt
+        size = 8.0 * (steps + 1 + steps * width * values.get("m", values.get("d", 1)))
+        if size > MAX_ARRAY_BYTES:
+            violations.append(
+                f"key '{span_key}': a span of {span:g} in steps of {key} = {dt:g} "
+                f"needs {size / 2**30:.3g} GiB for its time grid and noise block, more "
+                f"than the {MAX_ARRAY_BYTES / 2**30:g} GiB a run may allocate up front"
+            )
 
 
 def run_scenario(cfg, out_dir):

@@ -121,10 +121,15 @@ def brownian_increments(seed, n_particles, n_steps, m, dt, domain=DOMAIN_INTERAC
 class CoefficientField:
     """Drift/diffusion evaluators with declared Lipschitz data.
 
-    ``sigma(t, x, mu)`` maps x of shape (..., d) to (..., d, m) and
-    ``b(t, x, mu)`` to (..., d); both must broadcast over the leading batch
-    axis.  ``lipschitz_bound`` is declared by the catalog, not verified
-    globally; :func:`spot_check_lipschitz` samples it.
+    ``b(t, x, mu)`` and ``sigma(t, x, mu)`` take x of shape (..., d) and
+    return arrays that broadcast to (..., d) and (..., d, m): a coefficient
+    returns its value at the shape it varies on.  One that depends on x
+    returns a row per point; one that does not may return a single (d,)
+    vector or (d, m) matrix, which every consumer broadcasts across the
+    batch, so the Euler step forms such a diffusion increment once per step
+    rather than once per path.  Callers never write into the outputs.
+    ``lipschitz_bound`` is declared by the catalog, not verified globally;
+    :func:`spot_check_lipschitz` samples it.
     """
 
     name: str
@@ -140,22 +145,25 @@ class CoefficientField:
 COEFFICIENT_NAMES = ("frozen", "brownian", "constant_drift", "mean_revert", "ou")
 
 
+def _constant(value):
+    """The x-independent coefficient equal to ``value``, returned read-only."""
+    value = np.array(value, dtype=float)
+    value.flags.writeable = False
+
+    def const(t, x, mu):
+        return value
+
+    return const
+
+
 def _const_sigma(value, d, m):
     mat = np.zeros((d, m))
     np.fill_diagonal(mat, value)
-
-    def sigma(t, x, mu):
-        x = np.asarray(x)
-        return np.broadcast_to(mat, x.shape[:-1] + (d, m)).copy()
-
-    return sigma
+    return _constant(mat)
 
 
 def _zero_b(d):
-    def b(t, x, mu):
-        return np.zeros(np.asarray(x).shape)
-
-    return b
+    return _constant(np.zeros(d))
 
 
 def make_coefficients(name, d=1, m=None, **params):
@@ -183,12 +191,8 @@ def make_coefficients(name, d=1, m=None, **params):
     if name == "constant_drift":
         s = float(params.get("s", 1.0))
         c = np.broadcast_to(np.asarray(params.get("c", 0.0), dtype=float), (d,))
-
-        def b(t, x, mu):
-            return np.broadcast_to(c, np.asarray(x).shape).copy()
-
         return CoefficientField(
-            "constant_drift", d, m, _const_sigma(s, d, m), b,
+            "constant_drift", d, m, _const_sigma(s, d, m), _constant(c),
             lipschitz_bound=lambda t: abs(s) + float(np.linalg.norm(c)),
             measure_dependent=False,
         )
@@ -414,33 +418,56 @@ def _euler_loop(coeff, state, times, increments, dt, law, hook, states=None, fir
 
     ``state`` is (N, d), or (K, N, d) for K columns of N paths that read the
     same law and the same (N, m) increments, which broadcast across the
-    columns without a copy; the coefficients see the state as (K*N, d).
-    ``law(k, x)`` is the measure argument at step k: the ensemble's own
-    snapshot, or a frozen flow's.  ``hook(t_k, x_k, mu_k, dW_k)``, when
-    given, sees each step before it is advanced.  Every new state is
-    finite-checked (its paths named from ``first``) and read-only: a fresh
-    array, or the view states[k] of a caller's (L+1, N, d) array.  Returns
-    the last state.
+    columns without a copy; the coefficients see the state as (K*N, d).  An
+    output with a row per path is laid out on the (K, N) axes; one without
+    (an x-independent b or sigma, see CoefficientField) broadcasts, so the
+    diffusion increment of such a sigma is formed once per step from the
+    (N, m) increments, for all K columns.  ``law(k, x)`` is the measure
+    argument at step k: the ensemble's own snapshot, or a frozen flow's.
+    ``hook(t_k, x_k, mu_k, dW_k)``, when given, sees each step before it is
+    advanced.  Every new state is finite-checked (its paths named from
+    ``first``) and read-only: a fresh array, or the view states[k] of a
+    caller's (L+1, N, d) array.  Returns the last state.
 
-    A step costs a fixed 25-35 us (coefficient calls, einsum set-up, the
-    finiteness check) plus about 3.5 ns per path at 4K-16K paths; the
-    per-path cost rises to 6.5-7 ns at 61K-1e5 paths, once the step's
-    arrays outgrow the 2 MiB L2 cache (d = m = 1, brownian field, one core
-    of a shared 2-core Xeon; host load moves these by about 15%).
+    A step costs a fixed 20-25 us (coefficient calls, einsum set-up, the
+    finiteness check) plus about 2.7 ns per path at 4K-16K paths in one
+    column; the per-path cost rises to about 4 ns at 32K-1e5 paths, once the
+    step's arrays outgrow the 2 MiB L2 cache.  A tile of K columns pays the
+    diffusion once for its N paths: 8 x 2048 paths take about 40 us a step,
+    16384 paths in one column 68 us (d = m = 1, brownian field,
+    ``scripts/step_cost.py``, one core of a shared 2-core Xeon; host load
+    moves these by about 15%).
     """
     shape = state.shape
+    n_paths = state.size // shape[-1]
+
+    def on_paths(out, core):
+        # an output with a row per path takes the state's (K, N) path axes;
+        # any other output broadcasts against them as it is
+        out = np.asarray(out)
+        if out.ndim > core and out.shape[0] == n_paths:
+            return out.reshape(shape[:-1] + out.shape[1:])
+        return out
+
     for k, dw in enumerate(increments):
         mu = law(k, state)
         if hook is not None:
             hook(times[k], state, mu, dw)
-        flat = state.reshape(-1, shape[-1])
-        drift = np.reshape(coeff.b(times[k], flat, mu), shape)
-        sigma = np.reshape(coeff.sigma(times[k], flat, mu), shape + dw.shape[-1:])
-        diff = np.einsum("...ndm,nm->...nd", sigma, dw)
+        flat = state.reshape(n_paths, shape[-1])
+        drift = on_paths(coeff.b(times[k], flat, mu), 1)
+        sigma = on_paths(coeff.sigma(times[k], flat, mu), 2)
+        # (N, d) once for a sigma without path rows, broadcast across the K columns
+        diff = np.einsum("...dm,...m->...d", sigma, dw)
         # x + b dt + diff, summed in the new state's own array (hooks may keep
         # x_k; the coefficient's outputs are never written)
-        nxt = np.multiply(drift, dt, out=np.empty_like(state) if states is None else states[k + 1])
-        nxt += state
+        nxt = np.empty(shape) if states is None else states[k + 1]
+        if drift.ndim == 1:
+            # a (d,) drift is added one coordinate at a time along the paths:
+            # broadcast row by row, its d-long inner loop costs 4x more at d = 2
+            np.add(flat.T, drift[:, None] * dt, out=nxt.reshape(flat.shape).T, order="C")
+        else:
+            np.multiply(drift, dt, out=nxt)
+            nxt += state
         nxt += diff
         nxt.flags.writeable = False
         _check_finite(nxt, k + 1, first)
@@ -559,6 +586,14 @@ def check_count(name, value, least):
     if count < least:
         raise ContractError(f"{name} must be at least {least}, got {count}")
     return count
+
+
+def coefficients_at(coeff, t, x, mu):
+    """(b, sigma) of ``coeff`` at the single point (t, x, mu), of shapes (d,) and (d, m)."""
+    x = start_point(x, coeff.d)[None]
+    b = np.broadcast_to(coeff.b(t, x, mu), (1, coeff.d))[0]
+    sigma = np.broadcast_to(coeff.sigma(t, x, mu), (1, coeff.d, coeff.m))[0]
+    return b, sigma
 
 
 def start_point(x, d):

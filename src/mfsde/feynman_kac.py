@@ -18,14 +18,15 @@ chunks of particles.  Each chunk draws its decoupled noise once and runs
 every column against it, so memory grows with M only by the per-path
 samples themselves, an (M, n_cols) array.  Columns that share (t, mu)
 share one frozen flow and run as one Euler loop over a (K, B, d) state, in
-tiles of at most TILE paths: a step costs a fixed 25-35 us plus about
-3.5 ns per path at 4K-16K paths, against 6.5-7 ns at 61K-1e5 (see
-``dynamics._euler_loop``), so a tile is large enough to amortise the fixed
-cost and small enough to stay in cache.  A chunk is the largest multiple
-of CHUNK_UNIT particles whose widest group of K columns fits one TILE, but
-at least 2 * CHUNK_UNIT.  Particle i's stream is the same whatever chunk
-draws it, and every sample array is reduced in full, so chunk and tile
-sizes never change a result.
+tiles of at most TILE paths: a step costs a fixed 20-25 us plus about
+2.7 ns per path at 4K-16K paths, against about 4 ns at 32K-1e5, and the
+diffusion increment of an x-independent sigma is formed once for all K
+columns of a tile (see ``dynamics._euler_loop``), so a tile is large
+enough to amortise the fixed cost and small enough to stay in cache.  A
+chunk is the largest multiple of CHUNK_UNIT particles whose widest group of
+K columns fits one TILE, but at least 2 * CHUNK_UNIT.  Particle i's stream
+is the same whatever chunk draws it, and every sample array is reduced in
+full, so chunk and tile sizes never change a result.
 """
 
 from __future__ import annotations
@@ -39,10 +40,12 @@ from .calculus import CylindricalFunction
 from .dynamics import (
     DOMAIN_DECOUPLED,
     DOMAIN_INTERACTING,
+    _constant,
     _euler_loop,
     _grid,
     _raw_normals,
     check_count,
+    coefficients_at,
     simulate_mckean_vlasov,
     start_point,
 )
@@ -369,14 +372,16 @@ class McValueFunction:
 
 
 def _diag_diffusion(coeff, t, x, mu):
-    sig = np.asarray(coeff.sigma(t, np.atleast_2d(x), mu))[0]
+    """(b, sigma, diagonal of sigma sigma^*) at the single point (t, x, mu);
+    CapabilityError unless sigma sigma^* is diagonal."""
+    b, sig = coefficients_at(coeff, t, x, mu)
     a = sig @ sig.T
     off = a - np.diag(np.diag(a))
     if np.abs(off).max() > 1e-12 * max(1.0, np.abs(a).max()):
         raise CapabilityError(
             "MC residuals support diagonal sigma sigma^* only (axis-aligned stencils)"
         )
-    return sig, np.diag(a)
+    return b, sig, np.diag(a)
 
 
 def _measure_shift(coeff, mu, t, ds, sign, rng):
@@ -384,8 +389,8 @@ def _measure_shift(coeff, mu, t, ds, sign, rng):
     Y = mu.points
     drift = np.asarray(coeff.b(t, Y, mu))
     sig = np.asarray(coeff.sigma(t, Y, mu))
-    xi = rng.choice([-1.0, 1.0], size=(Y.shape[0], sig.shape[2]))
-    disp = drift * ds + sign * np.sqrt(ds) * np.einsum("njk,nk->nj", sig, xi)
+    xi = rng.choice([-1.0, 1.0], size=(Y.shape[0], coeff.m))
+    disp = drift * ds + sign * np.sqrt(ds) * np.einsum("...jk,...k->...j", sig, xi)
     return EmpiricalMeasure(Y + disp, mu.weights)
 
 
@@ -435,8 +440,7 @@ def _mc_probe(vf, pde, pid, t0, x0, f_field, h_t, n_draws):
     function that turns their (M, n_cols) per-path samples into its row."""
     coeff, mu, T = vf.coeff, vf.mu, vf.T
     d = x0.size
-    sig, a_diag = _diag_diffusion(coeff, t0, x0, mu)
-    b0 = np.asarray(coeff.b(t0, x0[None], mu))[0]
+    b0, sig, a_diag = _diag_diffusion(coeff, t0, x0, mu)
     t_fwd, t_pts = _stencil_times(t0, h_t, T)
     h_x = H_X_REL * (1.0 + np.abs(x0))
 
@@ -565,7 +569,7 @@ def solve_drift_coupled_fixed_point(coeff, Phi, t, x, mu, T, M, dt, seed, n_iter
         [S] = replace(vf, coeff=replace_drift(coeff, drift_vec)).sample_table([columns])
         grad = np.array([(value(S[:, 2 * j]) - value(S[:, 2 * j + 1])) / (2 * h[j])
                          for j in range(coeff.d)])
-        sig = np.asarray(coeff.sigma(t, x[None], mu))[0]
+        sig = coefficients_at(coeff, t, x, mu)[1]
         new_drift = sig @ sig.T @ grad
         changes.append(float(np.linalg.norm(new_drift - drift_vec)))
         drift_vec = new_drift
@@ -579,10 +583,5 @@ def solve_drift_coupled_fixed_point(coeff, Phi, t, x, mu, T, M, dt, seed, n_iter
 
 
 def replace_drift(coeff, drift_vec):
-    """Coefficient field with the drift replaced by a constant vector."""
-    drift_vec = np.asarray(drift_vec, dtype=float)
-
-    def b(t, x, mu):
-        return np.broadcast_to(drift_vec, np.asarray(x).shape).copy()
-
-    return replace(coeff, name=f"{coeff.name}+const_drift", b=b)
+    """Coefficient field with the drift replaced by a constant (d,) vector."""
+    return replace(coeff, name=f"{coeff.name}+const_drift", b=_constant(drift_vec))

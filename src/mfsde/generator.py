@@ -57,18 +57,19 @@ def _mu_part_coefficients(coeff, V, t, mu, r, use_v_gradient_drift):
         n = 0
         return np.zeros(n), np.zeros(n)
     Y, w = mu.points, mu.weights
+    # sigma sigma^* once when sigma has no per-atom rows
     sig_y = _labeled("trace_mu", coeff.sigma, t, Y, mu)
-    a_y = np.einsum("njk,nlk->njl", sig_y, sig_y)
+    a_y = np.einsum("...jk,...lk->...jl", sig_y, sig_y)
     if use_v_gradient_drift:
         dxV_y = _labeled("drift_mu", V.outer.partial("dx"), t, Y, r)
-        drift_y = np.einsum("njl,nl->nj", a_y, dxV_y)
+        drift_y = np.einsum("...jl,...l->...j", a_y, dxV_y)
     else:
         drift_y = _labeled("drift_mu", coeff.b, t, Y, mu)
     c = np.empty(len(V.inner))
     e = np.empty(len(V.inner))
     for i, h in enumerate(V.inner):
-        c[i] = 0.5 * float(np.sum(w * np.einsum("njl,nlj->n", a_y, h.hess(Y))))
-        e[i] = float(np.sum(w * np.einsum("nj,nj->n", drift_y, h.grad(Y))))
+        c[i] = 0.5 * float(np.sum(w * np.einsum("...jl,...lj->...", a_y, h.hess(Y))))
+        e[i] = float(np.sum(w * np.einsum("...j,...j->...", drift_y, h.grad(Y))))
     return c, e
 
 
@@ -86,18 +87,20 @@ def generator_parts(coeff, V, t, X, mu, drift_free=False, r=None):
     dxV = _labeled("drift_x", V.outer.partial("dx"), t, X, r)
     dxxV = _labeled("trace_x", V.outer.partial("dxx"), t, X, r)
     dtV = _labeled("dt", V.outer.partial("dt"), t, X, r)
+    # sigma and b broadcast against the (B, ...) partials of V, so an
+    # x-independent sigma sigma^* is formed once, not once per state
     sig_x = _labeled("trace_x", coeff.sigma, t, X, mu)
-    a_x = np.einsum("bjk,blk->bjl", sig_x, sig_x)
+    a_x = np.einsum("...jk,...lk->...jl", sig_x, sig_x)
     out = {
         "dt": dtV,
-        "trace_x": 0.5 * np.einsum("bjl,blj->b", a_x, dxxV),
-        "sigma_star_dx": np.einsum("bjk,bj->bk", sig_x, dxV),
+        "trace_x": 0.5 * np.einsum("...jl,...lj->...", a_x, dxxV),
+        "sigma_star_dx": np.einsum("...jk,...j->...k", sig_x, dxV),
     }
     if drift_free:
         out["nonlinear_sq"] = 0.5 * np.sum(out["sigma_star_dx"] ** 2, axis=1)
     else:
         b_x = _labeled("drift_x", coeff.b, t, X, mu)
-        out["drift_x"] = np.einsum("bj,bj->b", b_x, dxV)
+        out["drift_x"] = np.einsum("...j,...j->...", b_x, dxV)
     c, e = _mu_part_coefficients(coeff, V, t, mu, r, use_v_gradient_drift=drift_free)
     if V.inner:
         drV = _labeled("trace_mu", V.outer.partial("dr"), t, X, r)

@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,11 +250,14 @@ GOLDEN_REDUCED = {
 
 
 def _with_overrides(text, overrides):
-    """Preset text with the value of each overridden key replaced."""
-    lines = []
+    """Preset text with the value of each overridden key replaced, and each
+    overridden key that the preset does not set appended."""
+    lines, seen = [], set()
     for line in text.splitlines():
         key = line.partition("=")[0].strip()
+        seen.add(key)
         lines.append(f"{key} = {overrides[key]}" if key in overrides else line)
+    lines += [f"{key} = {value}" for key, value in overrides.items() if key not in seen]
     return "\n".join(lines)
 
 
@@ -387,6 +393,8 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ("ito-residual-meanfield", "T", "0"),
         ("path-independence-forward", "T", "0"),
         ("girsanov-risk-neutral", "T", "0"),
+        ("feynman-kac-source-const", "s", "0.305"),
+        ("feynman-kac-source-const", "s", "0.5"),
     ],
 )
 def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, capsys):
@@ -397,6 +405,59 @@ def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, 
     status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert status == 2
     assert f"key '{key}'" in capsys.readouterr().err
+
+
+def test_main_rejects_s_where_it_is_not_read(tmp_path, capsys):
+    # an unused s was once silently ignored, or blamed on dt for not
+    # dividing the horizon T - s that the scenario never simulates
+    for preset in ("feynman-kac-source-const", "flow-property-ou", "w2-selftest"):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(_with_overrides(PRESETS[preset], {"s": "0.305"}))
+        status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "key 's': scenario" in err and "does not read it" in err
+        assert "key 'dt'" not in err
+    assert parse_config(PRESETS["ito-residual-meanfield"] + "s = 0.5\n").get("s") == 0.5
+
+
+@pytest.mark.parametrize(
+    "preset, overrides, key",
+    [
+        ("ito-residual-meanfield", {"T": "1e9"}, "T"),
+        ("girsanov-risk-neutral", {"dt": "1e-6"}, "T"),
+        ("path-independence-forward", {"dt_ladder": "1e-2, 1e-7"}, "T"),
+        ("flow-property-ou", {"dt": "1e-7"}, "times"),
+        ("feynman-kac-heat", {"T": "1e5", "probes.t": "0"}, "T"),
+    ],
+)
+def test_main_rejects_a_run_too_large_to_allocate(preset, overrides, key, tmp_path, capsys):
+    # T = 1e9 once reached numpy's "Unable to allocate 7.28 TiB" (exit 3)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_with_overrides(PRESETS[preset], overrides))
+    status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}': a span of" in err and "a run may allocate up front" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_size_bound_accepts_every_preset_benchmark_op_and_large_path_count(monkeypatch):
+    for text in PRESETS.values():
+        parse_config(text)
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name while they are built
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    for ops in workloads.WORKLOADS.values():
+        for op in ops:
+            if op.preset is not None:
+                parse_config(workloads.config_text(PRESETS[op.preset], op.overrides, 0))
+    # the decoupled paths are drawn in chunks, so M alone never trips the bound
+    # (scripts/rss_scaling.py runs this config)
+    parse_config(_with_overrides(PRESETS["feynman-kac-heat"], {"M": "1000000"}))
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,8 @@ from mfsde.dynamics import (
     particle_stream,
     spot_check_lipschitz,
 )
-from mfsde.feynman_kac import McValueFunction
+from mfsde.feynman_kac import MEASURE_DS, TILE, McValueFunction, _chunk_size, _measure_shift
+from mfsde.generator import generator_parts
 from mfsde.measure import write_csv
 
 
@@ -362,7 +363,10 @@ def _reference_decoupled(coeff, x, flow, s, T, dt, M, seed):
     states[0] = x
     for k in range(k1 - k0):
         mu, xk = flow.measure_at(k0 + k), states[k]
-        diff = np.einsum("ndm,nm->nd", coeff.sigma(times[k], xk, mu), noise[k])
+        # sigma taken to one (d, m) matrix per path, so this contraction is
+        # the per-path one, independent of the library's broadcasting step
+        sigma = np.broadcast_to(coeff.sigma(times[k], xk, mu), (M, coeff.d, coeff.m))
+        diff = np.einsum("ndm,nm->nd", sigma, noise[k])
         states[k + 1] = xk + coeff.b(times[k], xk, mu) * dt + diff
     return times, states
 
@@ -431,12 +435,86 @@ def test_measure_at_rejects_index_outside_grid(k):
 
 
 def test_catalog_names_resolve():
-    for name in COEFFICIENT_NAMES:
-        coeff = make_coefficients(name, d=2)
-        x = np.zeros((3, 2))
-        mu = EmpiricalMeasure(np.zeros((2, 2)), np.array([0.5, 0.5]))
-        assert np.asarray(coeff.b(0.0, x, mu)).shape == (3, 2)
-        assert np.asarray(coeff.sigma(0.0, x, mu)).shape == (3, 2, 2)
+    # each output broadcasts to (3, d) and (3, d, m) and then equals its
+    # documented formula; a coefficient that does not depend on x comes back
+    # as one read-only (d,) or (d, m) array, not as a copy per point
+    params = {"s": 0.7, "c": [0.5, -1.0], "rate": 1.5, "theta": 0.8, "kappa": 0.3}
+    x = np.array([[0.1, -0.4], [1.2, 0.3], [-2.0, 0.5]])
+    mu = EmpiricalMeasure(np.array([[1.0, -1.0], [2.0, 0.5]]), np.array([0.25, 0.75]))
+    mean = mu.mean()
+    for m in (2, 3):
+        drifts = {
+            "frozen": np.zeros((3, 2)),
+            "brownian": np.zeros((3, 2)),
+            "constant_drift": np.broadcast_to([0.5, -1.0], (3, 2)),
+            "mean_revert": 1.5 * (mean - x),
+            "ou": -0.8 * x + 0.3 * mean,
+        }
+        for name in COEFFICIENT_NAMES:
+            coeff = make_coefficients(name, d=2, m=m, **params)
+            b, sigma = coeff.b(0.0, x, mu), coeff.sigma(0.0, x, mu)
+            s = 0.0 if name == "frozen" else 0.7
+            assert np.array_equal(np.broadcast_to(b, (3, 2)), drifts[name])
+            assert np.array_equal(np.broadcast_to(sigma, (3, 2, m)),
+                                  np.broadcast_to(s * np.eye(2, m), (3, 2, m)))
+            assert sigma.shape == (2, m) and not sigma.flags.writeable
+            if name in ("frozen", "brownian", "constant_drift"):
+                assert b.shape == (2,) and not b.flags.writeable
+
+
+def _per_path_twin(coeff):
+    """``coeff`` with b and sigma copied out to one row per point, the shapes
+    of a field whose coefficients depend on x."""
+
+    def b(t, x, mu):
+        x = np.asarray(x)
+        return np.broadcast_to(coeff.b(t, x, mu), x.shape).copy()
+
+    def sigma(t, x, mu):
+        x = np.asarray(x)
+        return np.broadcast_to(coeff.sigma(t, x, mu), x.shape[:-1] + (coeff.d, coeff.m)).copy()
+
+    return replace(coeff, b=b, sigma=sigma)
+
+
+@pytest.mark.parametrize("name", COEFFICIENT_NAMES)
+def test_per_path_twin_gives_the_same_bits(name):
+    # a field may return its coefficients at the shape they vary on; one that
+    # returns a row per point must give the same bits everywhere they are read
+    coeff = make_coefficients(name, d=2, s=0.7, c=[0.5, -1.0], rate=1.5, theta=0.8, kappa=0.3)
+    twin = _per_path_twin(coeff)
+    init = EmpiricalMeasure(np.random.default_rng(2).standard_normal((6, 2)))
+    runs = [simulate_mckean_vlasov(c, init, 6, 0.5, 0.05, seed=3) for c in (coeff, twin)]
+    assert runs[0].states.tobytes() == runs[1].states.tobytes()
+    V = make_cylindrical("x_sq_plus_r1", ["quadratic"])
+    X = np.random.default_rng(5).standard_normal((4, 2))
+    for drift_free in (False, True):
+        parts = [generator_parts(c, V, 0.3, X, init, drift_free=drift_free)
+                 for c in (coeff, twin)]
+        assert parts[0].keys() == parts[1].keys()
+        for key, value in parts[0].items():
+            assert value.shape == parts[1][key].shape
+            assert value.tobytes() == parts[1][key].tobytes()
+
+
+def test_per_path_twin_gives_the_same_samples():
+    # a K = 3 tile of a measure-dependent field, d = m = 2, beside columns on
+    # an antithetically shifted measure and a column that starts later
+    coeff = make_coefficients("mean_revert", d=2, rate=1.5, s=0.7)
+    init = EmpiricalMeasure(np.random.default_rng(4).standard_normal((5, 2)))
+    Phi = make_cylindrical("x_sq_plus_r1", ["quadratic"])
+    xs = [np.array([0.3, -0.2]), np.array([-1.0, 0.5]), np.array([0.0, 2.0])]
+    tables = []
+    for c in (coeff, _per_path_twin(coeff)):
+        shifted = _measure_shift(c, init, 0.0, MEASURE_DS, 1.0, np.random.default_rng(8))
+        columns = [(0.0, x, None) for x in xs] + [(0.0, x, shifted) for x in xs[:2]]
+        columns.append((0.25, xs[0], None))
+        vf = McValueFunction(c, Phi, None, 1.0, 0.05, 64, 7, init, "linear", n_flow=16)
+        [table] = vf.sample_table([columns])
+        tables.append((shifted.points, table))
+    assert _chunk_size(3) * 3 <= TILE  # the three columns on init share one tile
+    assert tables[0][0].tobytes() == tables[1][0].tobytes()
+    assert tables[0][1].tobytes() == tables[1][1].tobytes()
 
 
 def test_unknown_coefficient_rejected():

@@ -23,3 +23,17 @@ def test_convergence_ladder_prints_one_row_per_level(capsys, extra):
     assert [float(line.split()[0]) for line in lines[1:3]] == [1e-2, 5e-3]
     assert lines[-1].startswith("defect floor:")
     assert " overall: " in lines[-1]
+
+
+def test_step_cost_prints_one_row_per_case(capsys):
+    step_cost = load_script("step_cost")
+    cases = [("decoupled", "brownian", 1, 2, 8), ("decoupled", "mean_revert", 2, 2, 8),
+             ("interacting", "brownian", 1, 1, 8)]
+    step_cost.report(cases=cases, n_steps=2, reps=1)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["scheme", "field", "d", "m", "K", "paths", "us_per_step"]
+    assert len(lines) == 1 + len(cases)
+    for line, (scheme, name, d, k, paths) in zip(lines[1:], cases):
+        cells = line.split()
+        assert cells[:6] == [scheme, name, str(d), str(d), str(k), str(paths)]
+        assert float(cells[6]) > 0
