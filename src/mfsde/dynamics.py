@@ -430,11 +430,11 @@ def _euler_loop(coeff, state, times, increments, dt, law, hook, states=None, fir
     caller's (L+1, N, d) array.  Returns the last state.
 
     A step costs a fixed 20-25 us (coefficient calls, einsum set-up, the
-    finiteness check) plus about 2.7 ns per path at 4K-16K paths in one
+    finiteness check) plus about 2.9 ns per path at 4K-16K paths in one
     column; the per-path cost rises to about 4 ns at 32K-1e5 paths, once the
     step's arrays outgrow the 2 MiB L2 cache.  A tile of K columns pays the
-    diffusion once for its N paths: 8 x 2048 paths take about 40 us a step,
-    16384 paths in one column 68 us (d = m = 1, brownian field,
+    diffusion once for its N paths: 8 x 2048 paths take about 45 us a step,
+    16384 paths in one column 69 us (d = m = 1, brownian field,
     ``scripts/step_cost.py``, one core of a shared 2-core Xeon; host load
     moves these by about 15%).
     """
@@ -459,15 +459,10 @@ def _euler_loop(coeff, state, times, increments, dt, law, hook, states=None, fir
         # (N, d) once for a sigma without path rows, broadcast across the K columns
         diff = np.einsum("...dm,...m->...d", sigma, dw)
         # x + b dt + diff, summed in the new state's own array (hooks may keep
-        # x_k; the coefficient's outputs are never written)
+        # x_k; the coefficient's outputs are never written); b dt is formed at
+        # b's own shape, so a (d,) drift costs d products, not one per path
         nxt = np.empty(shape) if states is None else states[k + 1]
-        if drift.ndim == 1:
-            # a (d,) drift is added one coordinate at a time along the paths:
-            # broadcast row by row, its d-long inner loop costs 4x more at d = 2
-            np.add(flat.T, drift[:, None] * dt, out=nxt.reshape(flat.shape).T, order="C")
-        else:
-            np.multiply(drift, dt, out=nxt)
-            nxt += state
+        np.add(state, drift * dt, out=nxt)
         nxt += diff
         nxt.flags.writeable = False
         _check_finite(nxt, k + 1, first)

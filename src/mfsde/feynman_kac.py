@@ -19,7 +19,7 @@ every column against it, so memory grows with M only by the per-path
 samples themselves, an (M, n_cols) array.  Columns that share (t, mu)
 share one frozen flow and run as one Euler loop over a (K, B, d) state, in
 tiles of at most TILE paths: a step costs a fixed 20-25 us plus about
-2.7 ns per path at 4K-16K paths, against about 4 ns at 32K-1e5, and the
+2.9 ns per path at 4K-16K paths, against about 4 ns at 32K-1e5, and the
 diffusion increment of an x-independent sigma is formed once for all K
 columns of a tile (see ``dynamics._euler_loop``), so a tile is large
 enough to amortise the fixed cost and small enough to stay in cache.  A
@@ -372,16 +372,16 @@ class McValueFunction:
 
 
 def _diag_diffusion(coeff, t, x, mu):
-    """(b, sigma, diagonal of sigma sigma^*) at the single point (t, x, mu);
+    """(sigma, diagonal of sigma sigma^*) at the single point (t, x, mu);
     CapabilityError unless sigma sigma^* is diagonal."""
-    b, sig = coefficients_at(coeff, t, x, mu)
+    sig = coefficients_at(coeff, t, x, mu)[1]
     a = sig @ sig.T
     off = a - np.diag(np.diag(a))
     if np.abs(off).max() > 1e-12 * max(1.0, np.abs(a).max()):
         raise CapabilityError(
             "MC residuals support diagonal sigma sigma^* only (axis-aligned stencils)"
         )
-    return b, sig, np.diag(a)
+    return sig, np.diag(a)
 
 
 def _measure_shift(coeff, mu, t, ds, sign, rng):
@@ -440,7 +440,8 @@ def _mc_probe(vf, pde, pid, t0, x0, f_field, h_t, n_draws):
     function that turns their (M, n_cols) per-path samples into its row."""
     coeff, mu, T = vf.coeff, vf.mu, vf.T
     d = x0.size
-    b0, sig, a_diag = _diag_diffusion(coeff, t0, x0, mu)
+    sig, a_diag = _diag_diffusion(coeff, t0, x0, mu)
+    b0 = coefficients_at(coeff, t0, x0, mu)[0]
     t_fwd, t_pts = _stencil_times(t0, h_t, T)
     h_x = H_X_REL * (1.0 + np.abs(x0))
 
