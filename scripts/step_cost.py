@@ -3,9 +3,9 @@
 
 The decoupled cases run ``dynamics._euler_loop`` over a (K, B, d) state of K
 columns of B paths against one fixed measure, as a Monte Carlo tile does;
-the interacting case runs ``stream_mckean_vlasov`` on N particles, each step
-reading the ensemble's own snapshot.  Increments are drawn before timing, so
-noise generation is not counted.  Each case is timed REPS times over
+the interacting case runs ``dynamics._interacting`` on N particles, each
+step reading the ensemble's own snapshot.  Increments are drawn before
+timing, so noise generation is not counted.  Each case is timed REPS times over
 N_STEPS steps; the median per-step cost is printed, one row per case.
 
     PYTHONPATH=src python scripts/step_cost.py
@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from mfsde import dirac, make_coefficients
-from mfsde.dynamics import _euler_loop, stream_mckean_vlasov
+from mfsde.dynamics import _euler_loop, _interacting
 from mfsde.measure import EmpiricalMeasure
 
 N_STEPS = 100
@@ -38,16 +38,16 @@ def step_seconds(scheme, name, d, k, paths, n_steps):
     """Wall seconds per Euler step of one timed run of the case."""
     coeff = make_coefficients(name, d=d, s=1.0, rate=1.0)
     rng = np.random.default_rng(0)
-    normals = rng.standard_normal((n_steps, paths, coeff.m))
+    increments = rng.standard_normal((n_steps, paths, coeff.m)) * np.sqrt(DT)
+    increments.flags.writeable = False
     times = DT * np.arange(n_steps + 1)
     if scheme == "interacting":
         start = time.perf_counter()
-        stream_mckean_vlasov(coeff, dirac(np.zeros(d)), paths, times[-1], DT, 0, normals=normals)
+        _interacting(coeff, dirac(np.zeros(d)), times, DT, 0, increments, None)
         return (time.perf_counter() - start) / n_steps
     mu = EmpiricalMeasure(rng.standard_normal((200, d)))
     state = np.zeros((k, paths, d))
     state.flags.writeable = False
-    increments = normals * np.sqrt(DT)
     start = time.perf_counter()
     _euler_loop(coeff, state, times, increments, DT, lambda j, x: mu, None)
     return (time.perf_counter() - start) / n_steps

@@ -508,7 +508,7 @@ MAX_ARRAY_BYTES = 2**30
 # ValueError saying what was expected
 
 
-def _number(cast, least=None, nonzero=False):
+def _number(cast, least=None, nonzero=False, most=None):
     noun = "an integer" if cast is int else "a finite number"
 
     def parse(text):
@@ -520,6 +520,8 @@ def _number(cast, least=None, nonzero=False):
             raise ValueError(f"expected {noun}, got {text!r}")
         if least is not None and value < least:
             raise ValueError(f"must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise ValueError(f"must be at most {most}, got {value}")
         if nonzero and value == 0:
             raise ValueError("must be nonzero")
         return value
@@ -562,7 +564,9 @@ _SCHEMA = {
     "tol": _FLOAT, "perturb_g": _FLOAT, "f.value": _FLOAT, "g.value": _FLOAT,
     "init.scale": _FLOAT,
     "dt_ladder": _POSITIVES, "times": _FLOATS, "probes.t": _FLOATS, "probes.x": _FLOATS,
-    "eps_ladder": _POSITIVES, "init.x": _FLOATS,
+    # eps is a finite-difference step; far above 1 it moves the atoms off the
+    # bump's support, where the log outer has no value (first seen at 100)
+    "eps_ladder": _list(_number(float, least=0, nonzero=True, most=1)), "init.x": _FLOATS,
     "coeff.id": _choice(COEFFICIENT_NAMES),
     "V.outer": _choice(OUTER_NAMES), "Phi.outer": _choice(OUTER_NAMES),
     "V.inner": _list(_choice(INNER_NAMES)), "Phi.inner": _list(_choice(INNER_NAMES)),
@@ -635,6 +639,15 @@ def parse_config(text, seed=None):
     T, s = values.get("T"), values["s"]
     if scenario in _READS_S and T is not None and T <= s:
         violations.append(f"key 'T': must be after s = {s:g} for scenario {scenario!r}, got {T:g}")
+    # the M Novikov samples exp(m g^2 (T - s) / 2) must sum to a finite float
+    g = values.get("g.value")
+    if scenario == "girsanov" and g is not None and T is not None and T > s:
+        m = values.get("m", values.get("d", 1))
+        if 0.5 * m * g * g * (T - s) + np.log(values["M"]) > np.log(np.finfo(float).max):
+            violations.append(
+                f"key 'g.value': M exp(m g^2 (T - s) / 2) overflows a float for g = {g:g}, "
+                f"m = {m}, T - s = {T - s:g} and M = {values['M']}"
+            )
 
     d, n_init = values.get("d", 1), len(values.get("init.x", (0.0,)))
     if n_init not in (1, d):
@@ -662,9 +675,21 @@ def _check_seed(values, violations):
         )
 
 
+def _span_fault(span, dt):
+    """Why steps of dt > 0 do not make up ``span`` (by the test of
+    dynamics.grid_steps), or None; a positive span needs at least one step."""
+    n = grid_steps(span, dt)
+    if n is None:
+        return "does not divide"
+    if n == 0 and span > 0:
+        return "is longer than"
+    return None
+
+
 def _check_grid_alignment(values, probed, violations):
-    """Each step size must divide the horizon T - s, the probe times (when
-    ``probed``) and the intervals of ``times``, by the test of dynamics.grid_steps."""
+    """Each step size must make up the horizon T - s and the intervals of
+    ``times`` (see _span_fault) and divide T - t for each probe time t (when
+    ``probed``)."""
     s = values.get("s", 0.0)
     T = values.get("T")
     levels = [("dt_ladder", dt) for dt in values.get("dt_ladder", ())]
@@ -673,10 +698,8 @@ def _check_grid_alignment(values, probed, violations):
     for key, dt in levels:
         if dt <= 0:
             violations.append(f"key '{key}': step size must be positive, got {dt}")
-        elif T is not None and grid_steps(T - s, dt) is None:
-            violations.append(
-                f"key '{key}': {dt:g} does not divide the horizon T-s = {T - s:g}"
-            )
+        elif T is not None and (fault := _span_fault(T - s, dt)):
+            violations.append(f"key '{key}': {dt:g} {fault} the horizon T-s = {T - s:g}")
     if probed and T is not None:
         for t in values.get("probes.t", ()):
             if t > T:
@@ -694,10 +717,9 @@ def _check_grid_alignment(values, probed, violations):
             violations.append("key 'times': expected three increasing values s < t < r")
         elif values.get("dt", 0) > 0:
             for a, b in ((times[0], times[1]), (times[1], times[2]), (times[0], times[2])):
-                if grid_steps(b - a, values["dt"]) is None:
+                if fault := _span_fault(b - a, values["dt"]):
                     violations.append(
-                        f"key 'dt': {values['dt']:g} does not divide the interval "
-                        f"[{a:g}, {b:g}]"
+                        f"key 'dt': {values['dt']:g} {fault} the interval [{a:g}, {b:g}]"
                     )
 
 

@@ -8,10 +8,11 @@ regardless of how the work is scheduled.  A counter-based stream is fixed by
 its (key, counter) pair alone, so one Philox generator serves a whole noise
 array: it is re-keyed, with its counter reset, before each particle's draws.
 A particle's stream does not depend on which call draws it, so a caller can
-draw particles in chunks (``_raw_normals(..., first=a)``) and get the bits
-of one whole block; the Euler loop advances (N, d) or (K, N, d) states, and
-its per-step costs, which set the Monte Carlo chunk and tile sizes of
-``feynman_kac``, are given in ``_euler_loop``.
+draw particles in chunks (``brownian_increments(..., first=a)``) and get the
+bits of one whole block.  Noise moves only as such read-only increments; the
+Euler loop advances (N, d) or (K, N, d) states, and its per-step costs,
+which set the Monte Carlo chunk and tile sizes of ``feynman_kac``, are
+given in ``_euler_loop``.
 """
 
 from __future__ import annotations
@@ -108,12 +109,14 @@ def _raw_normals(seed, n_particles, n_steps, m, domain, first=0):
     return raw
 
 
-def brownian_increments(seed, n_particles, n_steps, m, dt, domain=DOMAIN_INTERACTING):
-    """Increment array of shape (n_steps, n_particles, m), one stream per particle."""
+def brownian_increments(seed, n_particles, n_steps, m, dt, domain=DOMAIN_INTERACTING, first=0):
+    """Read-only increments sqrt(dt) * normals, shape (n_steps, n_particles, m):
+    the one place noise is drawn, with the chunk and prefix rules of _raw_normals."""
     if not dt > 0:
         raise ContractError(f"dt must be positive, got {dt!r}")
-    noise = _raw_normals(seed, n_particles, n_steps, m, domain)
+    noise = _raw_normals(seed, n_particles, n_steps, m, domain, first)
     noise *= np.sqrt(dt)
+    noise.flags.writeable = False
     return noise
 
 
@@ -282,7 +285,8 @@ class _Grid:
 class ParticleFlow(_Grid):
     """Time-indexed ensemble of particle trajectories on a uniform grid.
 
-    ``states`` has shape (L+1, N, d), ``noise`` (L, N, m).  Re-simulating
+    ``states`` has shape (L+1, N, d), ``noise`` (L, N, m): the run's read-only
+    increments, shared with any flow drawn from the same block.  Re-simulating
     with the same seed reproduces both arrays bit for bit.  ``snapshots``
     holds the empirical measure of every grid point, the ones the
     simulation read.
@@ -384,35 +388,6 @@ def _check_finite(x, k, first=0):
         )
 
 
-def _noise_block(normals, seed, n_particles, n_steps, m, domain):
-    """(raw block, owned) for a run of n_steps steps.
-
-    Without ``normals`` the block is drawn here and the run owns it; a
-    caller's block must cover the run (ContractError otherwise), and only its
-    step prefix is read, never written.
-    """
-    if normals is None:
-        return _raw_normals(seed, n_particles, n_steps, m, domain), True
-    if normals.ndim != 3 or normals.shape[0] < n_steps or normals.shape[1:] != (n_particles, m):
-        raise ContractError(
-            f"normals of shape {normals.shape} do not cover ({n_steps}, {n_particles}, {m})"
-        )
-    return normals[:n_steps], False
-
-
-def _increments(raw, dt, owned):
-    """Each step's increments sqrt(dt) * raw[k], one step at a time.
-
-    An owned block is scaled in place, so it ends the run as the run's
-    increments; a caller's block is scaled into one buffer that the next
-    step reuses.
-    """
-    sqrt_dt = np.sqrt(dt)
-    buf = None if owned else np.empty(raw.shape[1:])
-    for row in raw:
-        yield np.multiply(sqrt_dt, row, out=row if owned else buf)
-
-
 def _euler_loop(coeff, state, times, increments, dt, law, hook, states=None, first=0):
     """Euler steps of ``state`` over the grid ``times``, the body both schemes share.
 
@@ -470,14 +445,15 @@ def _euler_loop(coeff, state, times, increments, dt, law, hook, states=None, fir
     return state
 
 
-def _interacting(coeff, init, times, dt, seed, raw, owned, hook, states=None):
-    """The interacting scheme over ``times``; returns the terminal snapshot.
+def _interacting(coeff, init, times, dt, seed, increments, hook, states=None):
+    """The interacting scheme over ``times`` and (L, N, m) ``increments``;
+    returns the terminal snapshot.
 
     Every particle reads the ensemble's own snapshot: a read-only view of the
     state that shares one weights array with every other snapshot.  The
     full constructor checks the initial state and builds those weights.
     """
-    mu0 = EmpiricalMeasure(_initial_states(init, raw.shape[1], coeff.d, seed))
+    mu0 = EmpiricalMeasure(_initial_states(init, increments.shape[1], coeff.d, seed))
     state = mu0.points
     if states is not None:
         states[0] = mu0.points
@@ -487,50 +463,52 @@ def _interacting(coeff, init, times, dt, seed, raw, owned, hook, states=None):
     def law(k, x):
         return EmpiricalMeasure._snapshot(x, mu0.weights)
 
-    terminal = _euler_loop(coeff, state, times, _increments(raw, dt, owned), dt, law, hook, states)
+    terminal = _euler_loop(coeff, state, times, increments, dt, law, hook, states)
     mu_T = law(len(times) - 1, terminal)
     if hook is not None:
         hook(times[-1], terminal, mu_T, None)
     return mu_T
 
 
-def stream_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0, hook=None, normals=None):
+def _record(coeff, init, times, dt, seed, increments):
+    """The interacting run over ``times`` on ``increments``, recorded as a
+    ParticleFlow whose ``noise`` is ``increments`` itself, not a copy."""
+    states = np.empty((len(times), increments.shape[1], coeff.d))
+    snapshots = []
+    _interacting(
+        coeff, init, times, dt, seed, increments,
+        lambda t, x, mu, dw: snapshots.append(mu), states,
+    )
+    return ParticleFlow(times=times, states=states, noise=increments, snapshots=tuple(snapshots))
+
+
+def stream_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0, hook=None):
     """Law at T of the N-particle Euler scheme on [s, T], keeping only the current state.
 
     Each particle reads the drift and diffusion at the empirical measure of
-    the whole ensemble, the step's snapshot.  ``hook(t_k, X_k, mu_k, dW_k)``,
-    when given, sees every grid point from s to T: X_k is read-only, mu_k its
-    snapshot (a view of X_k) and dW_k the increments of the step from t_k, or
-    None at T.  dW_k lives in a buffer that the next step may reuse: copy it
-    to keep it.  ``normals``, when given, is the raw block
-    ``_raw_normals(seed, N, L, coeff.m, DOMAIN_INTERACTING)`` for some L at
-    least the number of steps; its step prefix is read, never written, so one
-    block can serve several runs.  The returned law is the snapshot at T.
+    the whole ensemble, the step's snapshot.  The run's increments are
+    ``brownian_increments(seed, N, L, coeff.m, dt)``, drawn before the first
+    step and read-only.  ``hook(t_k, X_k, mu_k, dW_k)``, when given, sees
+    every grid point from s to T: X_k is read-only, mu_k its snapshot (a view
+    of X_k) and dW_k is row k of the run's read-only increments, or None at
+    T.  The returned law is the snapshot at T.
     """
     N = check_count("N", N, 2)
     times, n_steps = _grid(s, T, dt)
-    raw, owned = _noise_block(normals, seed, N, n_steps, coeff.m, DOMAIN_INTERACTING)
-    return _interacting(coeff, init, times, dt, seed, raw, owned, hook)
+    increments = brownian_increments(seed, N, n_steps, coeff.m, dt)
+    return _interacting(coeff, init, times, dt, seed, increments, hook)
 
 
-def simulate_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0, normals=None):
+def simulate_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0):
     """The run of :func:`stream_mckean_vlasov`, recorded as a ParticleFlow.
 
-    The flow keeps every state, the increments and the snapshots the run
-    read, which its ``measure_at`` returns.
+    The flow keeps every state, the run's increments and the snapshots the
+    run read, which its ``measure_at`` returns.
     """
     N = check_count("N", N, 2)
     times, n_steps = _grid(s, T, dt)
-    raw, owned = _noise_block(normals, seed, N, n_steps, coeff.m, DOMAIN_INTERACTING)
-    states = np.empty((n_steps + 1, N, coeff.d))
-    snapshots = []
-    _interacting(
-        coeff, init, times, dt, seed, raw, owned,
-        lambda t, x, mu, dw: snapshots.append(mu), states,
-    )
-    # an owned block was scaled in place into the increments
-    noise = raw if owned else np.sqrt(dt) * raw
-    return ParticleFlow(times=times, states=states, noise=noise, snapshots=tuple(snapshots))
+    increments = brownian_increments(seed, N, n_steps, coeff.m, dt)
+    return _record(coeff, init, times, dt, seed, increments)
 
 
 class StreamedFlow(_Grid):

@@ -39,14 +39,13 @@ import numpy as np
 from .calculus import CylindricalFunction
 from .dynamics import (
     DOMAIN_DECOUPLED,
-    DOMAIN_INTERACTING,
     _constant,
     _euler_loop,
     _grid,
-    _raw_normals,
+    _record,
+    brownian_increments,
     check_count,
     coefficients_at,
-    simulate_mckean_vlasov,
     start_point,
 )
 from .errors import CapabilityError, ContractError, DataError
@@ -276,6 +275,7 @@ class McValueFunction:
 
     def __post_init__(self):
         check_count("M", self.M, 1)
+        check_count("n_flow", self.n_flow, 2)
         if self.provenance not in _PROVENANCE_TERMS:
             raise ContractError(f"unknown provenance {self.provenance!r}")
 
@@ -290,10 +290,10 @@ class McValueFunction:
         with mu None for the function's own measure, and column j of a
         group's array holds its M samples, exactly those of
         ``samples(t, x, mu)``.  Every column is checked before any path is
-        simulated.  Each distinct (t, mu) gets one frozen flow, read from
-        one shared block of flow noise, and all columns run on the same
-        decoupled streams (common random numbers), drawn once per chunk of
-        particles.
+        simulated.  Each distinct (t, mu) gets one frozen flow, whose noise
+        is a step prefix of one block of flow increments, and all columns run
+        on the same decoupled streams (common random numbers), drawn once per
+        chunk of particles.
         """
         # flow key (t, mu) -> [t, mu, [(group, column, start point)]]
         flows = {}
@@ -307,24 +307,21 @@ class McValueFunction:
         if not flows:
             return out
         n_steps = _n_steps(min(t for t, _, _ in flows.values()), self.T, self.dt)
-        block = _raw_normals(self.seed, self.n_flow, n_steps, self.coeff.m, DOMAIN_INTERACTING)
-        block.flags.writeable = False
+        block = brownian_increments(self.seed, self.n_flow, n_steps, self.coeff.m, self.dt)
         runs = []  # (frozen flow, inner integrals of Phi at its terminal law, columns)
         for t, mu, cols in flows.values():
-            flow = simulate_mckean_vlasov(
-                self.coeff, mu, self.n_flow, self.T, self.dt, self.seed, s=t, normals=block
-            )
+            times, steps = _grid(t, self.T, self.dt)
+            flow = _record(self.coeff, mu, times, self.dt, self.seed, block[:steps])
             r_T = None
             if _PROVENANCE_TERMS[self.provenance][0]:
                 r_T = self.Phi.inner_integrals(flow.measure_at(flow.n_steps))
             runs.append((flow, r_T, cols))
-        del block
         chunk = _chunk_size(max(len(cols) for _, _, cols in runs))
         tile = max(1, TILE // chunk)
         for a in range(0, self.M, chunk):
             b = min(a + chunk, self.M)
-            noise = _raw_normals(self.seed, b - a, n_steps, self.coeff.m, DOMAIN_DECOUPLED, a)
-            noise *= np.sqrt(self.dt)
+            noise = brownian_increments(
+                self.seed, b - a, n_steps, self.coeff.m, self.dt, DOMAIN_DECOUPLED, a)
             for flow, r_T, cols in runs:
                 for i in range(0, len(cols), tile):
                     self._run_tile(flow, r_T, cols[i : i + tile], noise[: flow.n_steps], a, out)

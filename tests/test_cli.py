@@ -2,12 +2,13 @@ import hashlib
 import importlib.util
 import re
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from mfsde.cli import PRESETS, SCENARIOS, main, parse_config, run_scenario
-from mfsde.errors import ConfigError
+from mfsde.errors import ConfigError, SimulationError
 
 
 MINIMAL_ITO = """
@@ -514,3 +515,53 @@ def test_main_rejects_eps_key(tmp_path, capsys):
     status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert status == 2
     assert "key 'eps': unknown configuration key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset, key, value",
+    [
+        ("ito-residual-meanfield", "dt", "1e9"),
+        ("girsanov-risk-neutral", "dt", "1e9"),
+        ("path-independence-forward", "dt_ladder", "1e9"),
+        ("path-independence-falsified", "dt_ladder", "1e9"),
+        ("pde-residual-nonlinear", "dt", "1e9"),
+        ("flow-property-ou", "dt", "1e9"),
+        ("lderivative-oracle", "eps_ladder", "1e9"),
+        ("girsanov-risk-neutral", "g.value", "1e9"),
+        ("girsanov-risk-neutral", "g.value", "37.63"),
+    ],
+)
+def test_main_zero_step_grid_and_overflowing_config_exit_2(preset, key, value, tmp_path, capsys):
+    # a step longer than the horizon once passed as a zero-step grid, a huge
+    # eps_ladder broke the log outer and a huge g.value overflowed exp (exit 3
+    # or a nan verdict with RuntimeWarnings)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_with_overrides(PRESETS[preset], {key: value}))
+    status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+
+
+# the values each key of each preset is set to in turn by the edge-value scan,
+# on presets shrunk to these counts where they set them
+EDGE_VALUES = ("0", "-1", "1e-9", "1e9")
+EDGE_SHRINK = {"M": "64", "N": "16", "n_flow": "8", "n_probes": "2", "n_atoms": "10",
+               "n_instances": "5"}
+
+
+def test_edge_value_scan_never_reaches_a_generic_error(tmp_path):
+    # a config fault must exit 2 (ConfigError) and a run must end in a verdict
+    # (0 or 1) or a SimulationError that names its step and particle, never
+    # in any other error
+    for name, text in sorted(PRESETS.items()):
+        keys = [line.partition("=")[0].strip() for line in text.strip().splitlines()]
+        shrunk = _with_overrides(text, {k: v for k, v in EDGE_SHRINK.items() if k in keys})
+        for key, value in product(keys, EDGE_VALUES):
+            try:
+                cfg = parse_config(_with_overrides(shrunk, {key: value}))
+            except ConfigError:
+                continue
+            try:
+                assert run_scenario(cfg, str(tmp_path)) in (0, 1)
+            except SimulationError as exc:
+                assert exc.step is not None and exc.particle is not None, (name, key, value)

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import mfsde.dynamics as dynamics
 import mfsde.feynman_kac as feynman_kac
 from mfsde import (
     CapabilityError,
@@ -20,6 +21,7 @@ from mfsde import (
     solve_log_transform,
     solve_with_source,
 )
+from mfsde.dynamics import DOMAIN_DECOUPLED
 from mfsde.feynman_kac import (
     McValueFunction,
     _diag_diffusion,
@@ -200,7 +202,7 @@ def test_solver_rejects_reversed_interval(monkeypatch):
     def no_draw(*args):
         raise AssertionError("noise drawn for an empty horizon")
 
-    monkeypatch.setattr(feynman_kac, "_raw_normals", no_draw)
+    monkeypatch.setattr(dynamics, "_raw_normals", no_draw)
     Phi = make_cylindrical("x_norm_sq")
     with pytest.raises(ContractError, match="need T >= t"):
         solve_linear(BROWNIAN, Phi, 1.0, np.array([0.0]), dirac([0.0]), 0.5, 8, 0.25, seed=0)
@@ -455,13 +457,13 @@ def test_value_function_shared_flow_gives_same_samples(monkeypatch):
     )
     alone = [vf.samples(0.25, [x]) for x in (0.0, 0.7)]
     starts = []
-    simulate = feynman_kac.simulate_mckean_vlasov
+    record = feynman_kac._record
 
-    def counted(*args, **kwargs):
-        starts.append(kwargs["s"])
-        return simulate(*args, **kwargs)
+    def counted(coeff, init, times, *args):
+        starts.append(times[0])
+        return record(coeff, init, times, *args)
 
-    monkeypatch.setattr(feynman_kac, "simulate_mckean_vlasov", counted)
+    monkeypatch.setattr(feynman_kac, "_record", counted)
     [table] = vf.sample_table([[(0.25, [0.0], None), (0.25, [0.7], None)]])
     # the two columns share one frozen flow and read the samples of separate calls
     assert starts == [0.25]
@@ -519,15 +521,16 @@ CHUNKINGS = [(16_384, 1024), (100, 25), (48, 16), (300, 7)]
 def test_samples_and_tables_identical_across_chunk_sizes(tile, unit, tmp_path, monkeypatch):
     whole = _chunked_outputs(tmp_path)
     chunks = []
-    draw = feynman_kac._raw_normals
+    draw = dynamics._raw_normals
 
     def counted(seed, n_particles, n_steps, m, domain, first=0):
-        chunks.append(n_particles)
+        if domain == DOMAIN_DECOUPLED:
+            chunks.append(n_particles)
         return draw(seed, n_particles, n_steps, m, domain, first)
 
     monkeypatch.setattr(feynman_kac, "TILE", tile)
     monkeypatch.setattr(feynman_kac, "CHUNK_UNIT", unit)
-    monkeypatch.setattr(feynman_kac, "_raw_normals", counted)
+    monkeypatch.setattr(dynamics, "_raw_normals", counted)
     assert _chunked_outputs(tmp_path) == whole
     assert min(chunks) < 200
     for provenance, digest in SAMPLES_GOLDEN.items():
@@ -547,13 +550,13 @@ def test_chunk_size_rule():
 
 def test_pde_residual_builds_one_flow_per_distinct_start(monkeypatch):
     starts = []
-    simulate = feynman_kac.simulate_mckean_vlasov
+    record = feynman_kac._record
 
-    def counted(coeff, init, *args, **kwargs):
-        starts.append((kwargs["s"], id(init)))
-        return simulate(coeff, init, *args, **kwargs)
+    def counted(coeff, init, times, *args):
+        starts.append((times[0], id(init)))
+        return record(coeff, init, times, *args)
 
-    monkeypatch.setattr(feynman_kac, "simulate_mckean_vlasov", counted)
+    monkeypatch.setattr(feynman_kac, "_record", counted)
     vf = McValueFunction(
         coeff=BROWNIAN, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
         M=40, seed=3, mu=dirac([0.0]), provenance="linear", n_flow=10,

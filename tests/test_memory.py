@@ -94,7 +94,6 @@ def _counted_draws(monkeypatch):
         return draw(seed, n_particles, n_steps, m, domain, first)
 
     monkeypatch.setattr(dynamics, "_raw_normals", counted)
-    monkeypatch.setattr(feynman_kac, "_raw_normals", counted)
     return draws
 
 
@@ -156,26 +155,52 @@ def test_pde_residual_peak_stays_below_one_noise_block():
     assert peak < 0.75 * block
 
 
-def test_kernels_never_write_into_a_callers_block():
+def test_table_flows_share_one_read_only_increment_block(monkeypatch):
+    flows = []
+    record = feynman_kac._record
+
+    def kept(*args):
+        flows.append(record(*args))
+        return flows[-1]
+
+    monkeypatch.setattr(feynman_kac, "_record", kept)
+    n_flow, dt = 6, 0.05
+    vf = McValueFunction(
+        coeff=MEAN_REVERT, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=dt,
+        M=40, seed=4, mu=dirac([0.0]), provenance="linear", n_flow=n_flow,
+    )
+    pde_residual_mc(vf, "linear", [(0.0, [0.3]), (0.25, [-0.4])], n_measure_draws=1)
+    # per probe: the centre's flow, two time points' and two shifted measures'
+    assert len(flows) == 2 * (3 + 2)
+    block = flows[0].noise
+    assert block.shape == (10, n_flow, 1)
+    full = dynamics.brownian_increments(4, n_flow, 10, 1, dt)
+    for flow in flows:
+        # each flow's noise is a step prefix of the one block, never a copy
+        assert np.shares_memory(flow.noise, block) and not flow.noise.flags.writeable
+        assert flow.noise.tobytes() == full[: flow.n_steps].tobytes()
+    # after every flow and every column has run, the block still holds its draw
+    assert block.tobytes() == full.tobytes()
+
+
+def test_streamed_increments_are_read_only_rows_of_the_run_block():
     coeff = make_coefficients("mean_revert", d=2, rate=1.0, s=0.5)
     init = EmpiricalMeasure(np.random.default_rng(0).standard_normal((6, 2)))
+    seen = []
+
+    def hook(t, x, mu, dw):
+        if dw is not None:
+            assert not dw.flags.writeable
+            seen.append(dw)
+
+    law = stream_mckean_vlasov(coeff, init, 6, 1.0, 0.25, seed=4, hook=hook)
+    expected = dynamics.brownian_increments(4, 6, 4, 2, 0.25)
+    assert len(seen) == 4
+    for k, dw in enumerate(seen):
+        assert dw.tobytes() == expected[k].tobytes()
     own = simulate_mckean_vlasov(coeff, init, 6, 1.0, 0.25, seed=4)
-    for writeable in (False, True):
-        block = dynamics._raw_normals(4, 6, 6, 2, DOMAIN_INTERACTING)
-        block.flags.writeable = writeable
-        before = block.copy()
-        flow = simulate_mckean_vlasov(coeff, init, 6, 1.0, 0.25, seed=4, normals=block)
-        law = stream_mckean_vlasov(coeff, init, 6, 1.0, 0.25, seed=4, normals=block)
-        assert block.tobytes() == before.tobytes()
-        assert flow.noise.tobytes() == own.noise.tobytes()
-        assert flow.states.tobytes() == own.states.tobytes()
-        assert law.points.tobytes() == own.states[-1].tobytes()
-
-
-def test_kernels_reject_a_block_that_does_not_cover_the_run():
-    block = dynamics._raw_normals(4, 6, 3, 1, DOMAIN_INTERACTING)
-    with pytest.raises(ContractError, match="normals"):
-        simulate_mckean_vlasov(BROWNIAN, dirac([0.0]), 6, 1.0, 0.25, seed=4, normals=block)
+    assert own.noise.tobytes() == expected.tobytes()
+    assert law.points.tobytes() == own.states[-1].tobytes()
 
 
 def test_ladder_rejects_empty_and_finest_first():
@@ -273,14 +298,14 @@ def test_ladder_level_builds_one_measure_per_grid_point(measures_built):
 
 def test_pde_residual_builds_each_snapshot_once(measures_built, monkeypatch):
     grid_points = []
-    simulate = feynman_kac.simulate_mckean_vlasov
+    record = feynman_kac._record
 
-    def counted(*args, **kwargs):
-        flow = simulate(*args, **kwargs)
+    def counted(*args):
+        flow = record(*args)
         grid_points.append(flow.n_steps + 1)
         return flow
 
-    monkeypatch.setattr(feynman_kac, "simulate_mckean_vlasov", counted)
+    monkeypatch.setattr(feynman_kac, "_record", counted)
     mu = EmpiricalMeasure(np.linspace(-1.0, 1.0, 20)[:, None])
     vf = McValueFunction(
         coeff=MEAN_REVERT, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
