@@ -55,14 +55,22 @@ class InnerFunction:
 def _linear_inner(a):
     a = np.asarray(a, dtype=float)
 
-    def hess(x):
+    def points(x):
         x = np.asarray(x)
+        if x.shape[-1:] != a.shape:
+            raise ContractError(
+                f"linear inner function has a in R^{a.size}, got points of shape {x.shape}"
+            )
+        return x
+
+    def hess(x):
+        x = points(x)
         return np.zeros(x.shape + (x.shape[-1],))
 
     return InnerFunction(
         name=f"linear({a.tolist()})",
-        value=lambda x: np.asarray(x) @ a,
-        grad=lambda x: np.broadcast_to(a, np.asarray(x).shape).copy(),
+        value=lambda x: points(x) @ a,
+        grad=lambda x: np.broadcast_to(a, points(x).shape).copy(),
         hess=hess,
     )
 
@@ -145,10 +153,11 @@ def make_inner(name, **params):
 class OuterFunction:
     """Outer function F(t, x, r) with its partial derivatives.
 
-    Arguments broadcast: t scalar, x (..., d), r (n,).  Missing evaluators
-    (None) raise CapabilityError when requested through :meth:`partial`.
-    Catalog entries from :func:`make_outer` have every partial; the ones an
-    entry does not spell out are identically zero.
+    Arguments broadcast: t scalar, x (..., d), r (n,).  ``n_inner`` is the
+    number n of inner integrals F reads, or None when any n will do.  Missing
+    evaluators (None) raise CapabilityError when requested through
+    :meth:`partial`.  Catalog entries from :func:`make_outer` have every
+    partial; the ones an entry does not spell out are identically zero.
     """
 
     name: str
@@ -267,7 +276,7 @@ def make_outer(name, **params):
         return _catalog_outer(f"const({c})", lambda t, x, r: _scalar_field(x, c))
     if name == "mean":  # F = r_1
         return _catalog_outer(
-            "mean", lambda t, x, r: _scalar_field(x, 0.0) + r[0],
+            "mean", lambda t, x, r: _scalar_field(x, 0.0) + r[0], n_inner=1,
             dr=_single_entry(_zero_dr, 0, lambda t, x, r: 1.0),
         )
     if name == "sum":
@@ -277,7 +286,7 @@ def make_outer(name, **params):
         )
     if name == "square":  # F = r_1^2
         return _catalog_outer(
-            "square", lambda t, x, r: _scalar_field(x, r[0] ** 2),
+            "square", lambda t, x, r: _scalar_field(x, r[0] ** 2), n_inner=1,
             dr=_single_entry(_zero_dr, 0, lambda t, x, r: 2.0 * r[0]),
         )
     if name == "product":  # F = r_1 r_2
@@ -287,12 +296,12 @@ def make_outer(name, **params):
         )
     if name == "exp":  # F = exp(r_1)
         return _catalog_outer(
-            "exp", lambda t, x, r: _scalar_field(x, np.exp(r[0])),
+            "exp", lambda t, x, r: _scalar_field(x, np.exp(r[0])), n_inner=1,
             dr=_single_entry(_zero_dr, 0, lambda t, x, r: np.exp(r[0])),
         )
     if name == "log":  # F = log(r_1), r_1 > 0
         return _catalog_outer(
-            "log", _log_value,
+            "log", _log_value, n_inner=1,
             dr=_single_entry(_zero_dr, 0, lambda t, x, r: 1.0 / r[0]),
         )
     if name == "coord":
@@ -312,19 +321,19 @@ def make_outer(name, **params):
         )
     if name == "x_sq_plus_r1":  # F = |x|^2 + r_1
         return _catalog_outer(
-            "x_sq_plus_r1", lambda t, x, r: _x_norm_sq(t, x, r) + r[0],
+            "x_sq_plus_r1", lambda t, x, r: _x_norm_sq(t, x, r) + r[0], n_inner=1,
             dx=_x_norm_sq_dx, dxx=_x_norm_sq_dxx,
             dr=_single_entry(_zero_dr, 0, lambda t, x, r: 1.0),
         )
     if name == "x1_times_r1":  # F = x_1 r_1
         return _catalog_outer(
-            "x1_times_r1", lambda t, x, r: np.asarray(x)[..., 0] * r[0],
+            "x1_times_r1", lambda t, x, r: np.asarray(x)[..., 0] * r[0], n_inner=1,
             dx=_single_entry(_zero_dx, 0, lambda t, x, r: r[0]),
             dr=_single_entry(_zero_dr, 0, lambda t, x, r: np.asarray(x)[..., 0]),
         )
     if name == "time_times_r1":  # F = t r_1
         return _catalog_outer(
-            "time_times_r1", lambda t, x, r: _scalar_field(x, t * r[0]),
+            "time_times_r1", lambda t, x, r: _scalar_field(x, t * r[0]), n_inner=1,
             dt=lambda t, x, r: _scalar_field(x, r[0]),
             dr=_single_entry(_zero_dr, 0, lambda t, x, r: t),
         )

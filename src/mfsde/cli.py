@@ -41,7 +41,7 @@ from .dynamics import (
     make_coefficients,
     semigroup_apply,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .feynman_kac import (
     PDE_KINDS,
     TILE,
@@ -570,6 +570,8 @@ _SCHEMA = {
     "coeff.id": _choice(COEFFICIENT_NAMES),
     "V.outer": _choice(OUTER_NAMES), "Phi.outer": _choice(OUTER_NAMES),
     "V.inner": _list(_choice(INNER_NAMES)), "Phi.inner": _list(_choice(INNER_NAMES)),
+    # the coordinate the coord outer reads; checked against d in _check_cylindrical
+    "V.outer.i": _number(int), "Phi.outer.i": _number(int),
     "g.kind": _choice(("const",)), "f.kind": _choice(("const",)),
     "closed_form": _choice(("heat", "gauss", "neg_tau", "none")),
     "pde": _choice(PDE_KINDS),
@@ -653,6 +655,7 @@ def parse_config(text, seed=None):
     if n_init not in (1, d):
         violations.append(f"key 'init.x': expected 1 or d = {d} entries, got {n_init}")
     _check_seed(values, violations)
+    _check_cylindrical(values, failed, violations)
     _check_grid_alignment(values, "probes.t" in required, violations)
     # a scenario that simulates requires keys; the size check reads them
     if required and not violations:
@@ -673,6 +676,25 @@ def _check_seed(values, violations):
             f"key 'seed': must lie in [0, {largest}] so that derived seeds fit in uint64, "
             f"got {seed}"
         )
+
+
+def _check_cylindrical(values, failed, violations):
+    """V and Phi must fit the config's d (a coordinate index in [0, d), the
+    catalog's linear inner function, a = (1,), only at d = 1) and have as
+    many inner functions as their outer reads."""
+    d = values.get("d", 1)
+    for name in ("V", "Phi"):
+        i = values.get(name + ".outer.i", 0)
+        if "d" not in failed and not 0 <= i < d:
+            violations.append(f"key '{name}.outer.i': must lie in [0, {d}) for d = {d}, got {i}")
+        inner = values.get(name + ".inner", ())
+        if d > 1 and "linear" in inner:
+            violations.append(f"key '{name}.inner': the linear inner function needs d = 1, got {d}")
+        if name + ".outer" in values and name + ".inner" not in failed:
+            try:
+                make_cylindrical(values[name + ".outer"], inner)
+            except ContractError as exc:
+                violations.append(f"key '{name}.outer': {exc}")
 
 
 def _span_fault(span, dt):

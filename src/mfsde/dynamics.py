@@ -351,20 +351,15 @@ def _grid(s, T, dt):
 
 
 def _initial_states(init, n, d, seed):
-    if callable(init):
-        pts = np.asarray(init(particle_stream(seed, 0, DOMAIN_INIT), n), dtype=float)
-        if pts.shape != (n, d):
-            raise ContractError(f"init sampler must return shape ({n}, {d})")
-        return pts
-    if isinstance(init, EmpiricalMeasure):
-        if init.dim != d:
-            raise ContractError(f"initial measure has dim {init.dim}, expected {d}")
-        if init.n_atoms == n and init.is_uniform:
-            return init.points.copy()
-        g = particle_stream(seed, 0, DOMAIN_INIT)
-        idx = g.choice(init.n_atoms, size=n, p=init.weights)
-        return init.points[idx].copy()
-    raise ContractError("init must be an EmpiricalMeasure or a sampler(rng, N)")
+    if not isinstance(init, EmpiricalMeasure):
+        raise ContractError("init must be an EmpiricalMeasure")
+    if init.dim != d:
+        raise ContractError(f"initial measure has dim {init.dim}, expected {d}")
+    if init.n_atoms == n and init.is_uniform:
+        return init.points.copy()
+    g = particle_stream(seed, 0, DOMAIN_INIT)
+    idx = g.choice(init.n_atoms, size=n, p=init.weights)
+    return init.points[idx].copy()
 
 
 def _check_finite(x, k, first=0):

@@ -12,14 +12,13 @@ All fields take batched states: f(t, X, mu) -> (B,), g(t, X, mu) -> (B, m).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContractError
-from .generator import generator_parts, generator_total
+from .generator import generator_parts, generator_total, sigma_dx_terms
 from .measure import write_csv
 
 
@@ -86,56 +85,21 @@ def accumulate(f, g, flow, s, t):
     return _fold(flow, s, t, f, g).total
 
 
-def _read_only(X):
-    """True when X and every array it is a view of are read-only."""
-    while isinstance(X, np.ndarray):
-        if X.flags.writeable:
-            return False
-        X = X.base
-    return X is None
-
-
-def _weak_pair(X, mu):
-    """Weak references to X and mu; None when X can change or mu takes none."""
-    if not _read_only(X):
-        return None
-    try:
-        return weakref.ref(X), weakref.ref(mu)
-    except TypeError:
-        return None
-
-
 def build_pair_from_V(coeff, V):
     """Fields (f, g) induced by a potential V through the generator.
 
-    f is the full time-plus-generator action on V; g is sigma^* dx V.  Both
+    f is the full time-plus-generator action on V, one generator_parts call
+    per call; g is sigma^* dx V, from the terms generator_parts reads it from
+    (generator.sigma_dx_terms), so it equals that part bit for bit.  Both
     close over ``coeff`` and ``V`` and follow the batched field contract.
-
-    f and g share one generator evaluation: the last one is reused when the
-    next call has an equal t, the very same X and mu objects, and an X that
-    cannot change (read-only, like ``flow.states[k]`` or the X_k a streamed
-    run hands its hook).  Every other call recomputes.  The array g returns
-    is that shared evaluation's, so it is read-only.  X and mu are remembered
-    by weak reference only, so the pair does not keep a flow's states alive
-    (a snapshot is a view of them) after the caller drops them.
     """
-    last = [None, None, None]  # t, weak references to (X, mu) or None, parts
-
-    def parts_at(t, X, mu):
-        t0, refs, parts = last
-        if not (refs is not None and refs[0]() is X and refs[1]() is mu and t == t0
-                and _read_only(X)):
-            parts = generator_parts(coeff, V, t, X, mu)
-            parts["sigma_star_dx"].flags.writeable = False
-            last[:] = t, _weak_pair(X, mu), parts
-        return parts
 
     def f(t, X, mu):
-        parts = parts_at(t, X, mu)
+        parts = generator_parts(coeff, V, t, X, mu)
         return parts["dt"] + generator_total(parts)
 
     def g(t, X, mu):
-        return parts_at(t, X, mu)["sigma_star_dx"]
+        return sigma_dx_terms(coeff, V, t, X, mu)[-1]
 
     return f, g
 

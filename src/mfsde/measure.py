@@ -35,7 +35,7 @@ class EmpiricalMeasure:
     weights: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ContractError("points must be a nonempty (N, d) array")
         if not np.all(np.isfinite(pts)):
@@ -83,7 +83,7 @@ class EmpiricalMeasure:
 
     @property
     def is_uniform(self):
-        return bool(np.allclose(self.weights, 1.0 / self.n_atoms, atol=_WEIGHT_TOL))
+        return bool(np.allclose(self.weights, 1.0 / self.n_atoms, rtol=0, atol=_WEIGHT_TOL))
 
     def second_moment(self):
         """mu(|.|^2) as an exact weighted sum."""

@@ -287,3 +287,18 @@ def test_unknown_names_rejected():
         make_inner("nope")
     with pytest.raises(ContractError):
         make_outer("nope")
+
+
+@pytest.mark.parametrize("outer", ["mean", "x_sq_plus_r1"])
+def test_outer_that_reads_an_integral_needs_an_inner_function(outer):
+    # these once built without one and died reading r[0] ("index 0 is out
+    # of bounds") when first evaluated
+    with pytest.raises(ContractError, match="needs 1 inner functions"):
+        make_cylindrical(outer)
+
+
+def test_linear_inner_rejects_points_of_another_dimension():
+    h = make_inner("linear", a=[1.0])
+    for evaluate in (h.value, h.grad, h.hess):
+        with pytest.raises(ContractError, match="linear inner function"):
+            evaluate(np.zeros((3, 2)))

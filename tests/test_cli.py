@@ -396,6 +396,12 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ("girsanov-risk-neutral", "T", "0"),
         ("feynman-kac-source-const", "s", "0.305"),
         ("feynman-kac-source-const", "s", "0.5"),
+        ("path-independence-falsified", "V.outer.i", "3"),
+        ("path-independence-falsified", "V.outer.i", "0.5"),
+        ("path-independence-falsified", "V.outer.i", "-1"),
+        ("ito-residual-meanfield", "V.outer", "product"),
+        ("path-independence-forward", "V.outer", "mean"),
+        ("feynman-kac-heat", "Phi.outer", "square"),
     ],
 )
 def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, capsys):
@@ -406,6 +412,16 @@ def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, 
     status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert status == 2
     assert f"key '{key}'" in capsys.readouterr().err
+
+
+def test_main_rejects_the_linear_inner_function_above_one_dimension(tmp_path, capsys):
+    # its a = (1,) once met (N, 2) points inside matmul (exit 3)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_with_overrides(PRESETS["ito-residual-meanfield"],
+                                        {"V.inner": "linear", "d": "2"}))
+    status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert "key 'V.inner': the linear inner function" in capsys.readouterr().err
 
 
 def test_main_rejects_s_where_it_is_not_read(tmp_path, capsys):

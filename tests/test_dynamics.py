@@ -184,6 +184,13 @@ def test_determinism_bit_identical():
     assert np.array_equal(a.noise, b.noise)
 
 
+def test_init_must_be_a_measure():
+    # a callable init(rng, N) was once accepted as a sampler; nothing used it
+    coeff = make_coefficients("brownian")
+    with pytest.raises(ContractError, match="init must be an EmpiricalMeasure"):
+        simulate_mckean_vlasov(coeff, lambda rng, n: np.zeros((n, 1)), 3, 1.0, 0.25, seed=0)
+
+
 def test_requires_two_particles():
     coeff = make_coefficients("brownian")
     with pytest.raises(ContractError):
@@ -611,9 +618,8 @@ def test_semigroup_matches_the_recorded_terminal_law():
 
 def test_stream_kernel_still_checks_the_initial_state():
     coeff = make_coefficients("brownian")
-
-    def bad(rng, n):
-        return np.full((n, 1), np.nan)
+    # an unchecked snapshot is the one measure that can carry a nan
+    bad = EmpiricalMeasure._snapshot(np.full((3, 1), np.nan), np.full(3, 1.0 / 3))
 
     with pytest.raises(ContractError, match="finite"):
         dynamics.stream_mckean_vlasov(coeff, bad, 3, 1.0, 0.25, seed=0)

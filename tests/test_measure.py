@@ -50,6 +50,13 @@ def test_points_must_be_finite():
         EmpiricalMeasure(np.array([[np.inf]]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("points", [np.array([0.0, 1.0, 2.0]), np.array(1.0)])
+def test_points_must_be_an_n_by_d_array(points):
+    # a 1-D array was once read as one atom in R^N, whose x-mean is then 0
+    with pytest.raises(ContractError, match=r"\(N, d\)"):
+        EmpiricalMeasure(points)
+
+
 def test_single_atom_allowed():
     mu = dirac([3.0])
     assert mu.n_atoms == 1
@@ -170,6 +177,16 @@ def test_w2_weighted_transport_branch():
     mu = EmpiricalMeasure(np.array([[0.0], [1.0]]), np.array([0.75, 0.25]))
     nu = EmpiricalMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
     assert wasserstein2(mu, nu) == pytest.approx(np.sqrt(0.25), abs=1e-9)
+
+
+def test_w2_of_nearly_uniform_weights_is_exact():
+    # weights within 1e-5 (relative) of 1/N once took the uniform assignment
+    # path, which reads W2 = 0 here; the exact value moves mass 4e-6 over 1
+    pts = np.array([[0.0], [1.0]])
+    mu = EmpiricalMeasure(pts, np.array([0.5 + 4e-6, 0.5 - 4e-6]))
+    nu = EmpiricalMeasure(pts)
+    assert not mu.is_uniform
+    assert wasserstein2(mu, nu) == pytest.approx(np.sqrt(4e-6), rel=1e-6)
 
 
 def test_w2_transport_size_cap():
