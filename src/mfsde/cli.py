@@ -3,7 +3,8 @@
 A scenario is described by a flat key=value config (dotted keys address
 sub-objects, e.g. ``coeff.id`` or ``V.outer``).  ``_SCHEMA`` gives every key
 its type, choices and least value; ``_SCENARIOS`` gives every scenario its
-required keys and its runner.  Running one writes its CSV output plus
+runner, the keys it reads with their defaults and its widest block of paths,
+which drive the config checks.  Running one writes its CSV output plus
 ``summary.txt`` with one verdict per line,
 
     <anchor> <scenario> <metric>=<value> <verdict>
@@ -24,6 +25,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
+from operator import itemgetter
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from .dynamics import (
 )
 from .errors import ConfigError, ContractError
 from .feynman_kac import (
-    PDE_KINDS,
     TILE,
     McValueFunction,
     npy_identity_gap,
@@ -72,17 +73,15 @@ class ScenarioConfig:
     def get(self, key, default=None):
         return self.values.get(key, default)
 
-    def floats(self, key, default=()):
-        return tuple(self.values.get(key, default))
+    def floats(self, key):
+        return tuple(self.values[key])
 
     @property
     def dt_levels(self):
         """Planned step sizes: the ladder when given, else the single dt."""
         if "dt_ladder" in self.values:
-            return tuple(self.values["dt_ladder"])
-        if "dt" in self.values:
-            return (self.values["dt"],)
-        return ()
+            return self.values["dt_ladder"]
+        return (self.values["dt"],)
 
     def params(self, head):
         """Values of the keys that start with ``head``, keyed by the rest."""
@@ -111,9 +110,8 @@ def _flag(ok):
 
 
 def _build_coeff(cfg):
-    d = cfg.get("d", 1)
     params = cfg.params("coeff.")
-    return make_coefficients(params.pop("id", None), d=d, m=cfg.get("m", d), **params)
+    return make_coefficients(params.pop("id", None), d=cfg.get("d"), m=cfg.get("m"), **params)
 
 
 def _build_cylindrical(cfg, prefix):
@@ -125,10 +123,10 @@ def _build_cylindrical(cfg, prefix):
 
 
 def _initial_measure(cfg, n):
-    d = cfg.get("d", 1)
-    if cfg.get("init.kind", "point") == "point":
-        return dirac(np.broadcast_to(cfg.floats("init.x", (0.0,)), (d,)))
-    scale = cfg.get("init.scale", 1.0)
+    d = cfg.get("d")
+    if cfg.get("init.kind") == "point":
+        return dirac(np.broadcast_to(cfg.floats("init.x"), (d,)))
+    scale = cfg.get("init.scale")
     rng = np.random.default_rng(cfg.seed)
     return EmpiricalMeasure(scale * rng.standard_normal((n, d)))
 
@@ -162,11 +160,11 @@ def _lderivative_catalog(d):
 
 
 def _run_lderivative_check(cfg, out_dir):
-    d = cfg.get("d", 1)
-    n_atoms = cfg.get("n_atoms", 100)
-    n_probes = cfg.get("n_probes", 20)
-    eps_ladder = tuple(sorted(cfg.floats("eps_ladder", (1e-2, 1e-3, 1e-4)), reverse=True))
-    tol = cfg.get("tol", 1e-3)
+    d = cfg.get("d")
+    n_atoms = cfg.get("n_atoms")
+    n_probes = cfg.get("n_probes")
+    eps_ladder = tuple(sorted(cfg.floats("eps_ladder"), reverse=True))
+    tol = cfg.get("tol")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = {eps: 0.0 for eps in eps_ladder}
@@ -208,7 +206,7 @@ def _run_ito_residual(cfg, out_dir):
     V = _build_cylindrical(cfg, "V")
     N, T, dt = cfg.get("N"), cfg.get("T"), cfg.get("dt")
     mu0 = _initial_measure(cfg, N)
-    flow = StreamedFlow(coeff, mu0, N, T, dt, cfg.seed, s=cfg.get("s", 0.0))
+    flow = StreamedFlow(coeff, mu0, N, T, dt, cfg.seed, s=cfg.get("s"))
     summary = ito_residual_ensemble(coeff, V, flow)
     # the ensemble-mean residual is a sum of per-step increments driven by
     # noise common to all particles (through the empirical measure), so its
@@ -236,9 +234,9 @@ def _run_ito_residual(cfg, out_dir):
 def _run_path_independence(cfg, out_dir):
     coeff = _build_coeff(cfg)
     V = _build_cylindrical(cfg, "V")
-    N, T, s = cfg.get("N"), cfg.get("T"), cfg.get("s", 0.0)
+    N, T, s = cfg.get("N"), cfg.get("T"), cfg.get("s")
     f, g = build_pair_from_V(coeff, V)
-    offset = cfg.get("perturb_g", 0.0)
+    offset = cfg.get("perturb_g")
     if offset:
         base_g = g
 
@@ -268,7 +266,7 @@ def _run_flow_property(cfg, out_dir):
     coeff = _build_coeff(cfg)
     N, dt = cfg.get("N"), cfg.get("dt")
     t0, t1, t2 = cfg.floats("times")
-    tol = cfg.get("tol", 0.05)
+    tol = cfg.get("tol")
     mu0 = _initial_measure(cfg, N)
     mu_mid = semigroup_apply(coeff, mu0, t0, t1, N, dt, cfg.seed + 1)
     mu_two_step = semigroup_apply(coeff, mu_mid, t1, t2, N, dt, cfg.seed + 2)
@@ -289,8 +287,8 @@ def _run_girsanov(cfg, out_dir):
     coeff = _build_coeff(cfg)
     m = coeff.m
     M, T, dt = cfg.get("M"), cfg.get("T"), cfg.get("dt")
-    s = cfg.get("s", 0.0)
-    beta = cfg.get("beta", 1.0)
+    s = cfg.get("s")
+    beta = cfg.get("beta")
     g_value = cfg.get("g.value")
     g = _const_field(g_value, m)
     mu0 = _initial_measure(cfg, M)
@@ -334,13 +332,13 @@ def _closed_form(kind, t, x, T, beta):
 
 
 def _run_feynman_kac(cfg, out_dir):
-    d = cfg.get("d", 1)
+    d = cfg.get("d")
     coeff = _build_coeff(cfg)
     T, dt, M = cfg.get("T"), cfg.get("dt"), cfg.get("M")
-    n_flow = cfg.get("n_flow", 200)
-    beta = cfg.get("beta", 1.0)
-    closed = cfg.get("closed_form", "none")
-    mu = _initial_measure(cfg, cfg.get("N", 200))
+    n_flow = cfg.get("n_flow")
+    beta = cfg.get("beta")
+    closed = cfg.get("closed_form")
+    mu = _initial_measure(cfg, cfg.get("N"))
     datum = (
         _const_field(cfg.get("f.value")) if cfg.scenario == "feynman_kac_source"
         else _build_cylindrical(cfg, "Phi")
@@ -393,9 +391,9 @@ def _drift_from_gradient(coeff, V):
 
 
 def _run_npy_identity(cfg, out_dir):
-    d = cfg.get("d", 1)
-    n_probes = cfg.get("n_probes", 50)
-    tol = cfg.get("tol", 1e-10)
+    d = cfg.get("d")
+    n_probes = cfg.get("n_probes")
+    tol = cfg.get("tol")
     rng = np.random.default_rng(cfg.seed)
     probes = _npy_probes(d)
     rows = []
@@ -419,15 +417,15 @@ def _run_npy_identity(cfg, out_dir):
 
 
 def _run_pde_residual(cfg, out_dir):
-    if cfg.get("check", "residual") == "npy":
+    if cfg.get("check") == "npy":
         return _run_npy_identity(cfg, out_dir)
-    d = cfg.get("d", 1)
+    d = cfg.get("d")
     coeff = _build_coeff(cfg)
     Phi = _build_cylindrical(cfg, "Phi")
-    beta = cfg.get("beta", 1.0)
+    beta = cfg.get("beta")
     pde = cfg.get("pde")
     provenance = "log_transform" if pde == "nonlinear" else "linear"
-    mu = _initial_measure(cfg, cfg.get("N", 200))
+    mu = _initial_measure(cfg, cfg.get("N"))
     vf = McValueFunction(
         coeff=coeff,
         Phi=Phi,
@@ -439,7 +437,7 @@ def _run_pde_residual(cfg, out_dir):
         mu=mu,
         provenance=provenance,
         beta=beta if pde == "nonlinear" else None,
-        n_flow=cfg.get("n_flow", 200),
+        n_flow=cfg.get("n_flow"),
     )
     probes = [
         (t, np.full(d, x_val))
@@ -455,10 +453,10 @@ def _run_pde_residual(cfg, out_dir):
 
 
 def _run_w2_selftest(cfg, out_dir):
-    n_instances = cfg.get("n_instances", 200)
-    max_atoms = cfg.get("max_atoms", 6)
-    max_dim = cfg.get("max_dim", 3)
-    tol = cfg.get("tol", 1e-12)
+    n_instances = cfg.get("n_instances")
+    max_atoms = cfg.get("max_atoms")
+    max_dim = cfg.get("max_dim")
+    tol = cfg.get("tol")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = 0.0
@@ -477,29 +475,76 @@ def _run_w2_selftest(cfg, out_dir):
     return [Verdict("Def-W2", cfg.scenario, "max_gap", worst, _flag(worst <= tol))]
 
 
-# one scenario: its runner and the keys its config must set, where a
-# required entry "a|b" is met by either key
-_Scenario = namedtuple("_Scenario", "run required", defaults=((),))
-_FK_KEYS = ("coeff.id", "T", "dt", "probes.t", "probes.x")
+# ---------------------------------------------------------------------------
+# scenario declarations
+
+
+def _girsanov_rules(values, failed, violations):
+    # girsanov simulates its M paths as one interacting ensemble
+    if "M" not in failed and values["M"] < 2:
+        violations.append(f"key 'M': must be at least 2 for scenario 'girsanov', got {values['M']}")
+    # the M Novikov samples exp(m g^2 (T - s) / 2) must sum to a finite float
+    g, T, s, m = values.get("g.value"), values.get("T"), values["s"], values["m"]
+    if g is not None and T is not None and T > s:
+        if 0.5 * m * g * g * (T - s) + np.log(values["M"]) > np.log(np.finfo(float).max):
+            violations.append(
+                f"key 'g.value': M exp(m g^2 (T - s) / 2) overflows a float for g = {g:g}, "
+                f"m = {m}, T - s = {T - s:g} and M = {values['M']}"
+            )
+
+
+def _mc_block(values):
+    """The larger of the n_flow frozen-flow particles and a TILE chunk of M paths."""
+    return max(values["n_flow"], min(values["M"], TILE))
+
+
+# one scenario: its runner; the keys it reads, each mapped to its default:
+# ``...`` for a key the config must set (a required "a|b" is met by exactly one
+# of a and b), None for one with no default, or a function of the keys before
+# it, where a key ending in "." stands for every key under it; the widest block
+# of paths it draws noise for at once when it steps a time grid (see
+# _check_steps); a check across its keys; and the declarations that replace it
+# for values of its key "check"
+_Scenario = namedtuple("_Scenario", "run reads width rules by_check", defaults=(None, None, {}))
+_DIM = {"d": 1}
+_COEFF = {**_DIM, "m": lambda values: values["d"], "coeff.id": ..., "coeff.": None}
+_INIT = {"init.kind": "point", "init.x": (0.0,), "init.scale": 1.0}
+_PHI = {"Phi.outer": ..., "Phi.": None}
+# N interacting particles stepped from s to T
+_PARTICLES = {**_COEFF, **_INIT, "N": ..., "T": ..., "s": None, "V.outer": ..., "V.": None}
+# M paths over the frozen flow of n_flow particles from N samples of the initial law
+_MC = {**_COEFF, **_INIT, "T": ..., "dt": ..., "probes.t": ..., "probes.x": ..., "M": None,
+       "N": 200, "n_flow": 200, "beta": 1.0}
+_FK = {**_MC, "closed_form": "none"}
 _SCENARIOS = {
-    "ito_residual": _Scenario(_run_ito_residual, ("coeff.id", "V.outer", "N", "T", "dt")),
+    "ito_residual": _Scenario(_run_ito_residual, {**_PARTICLES, "dt": ...}, itemgetter("N")),
     "path_independence": _Scenario(
-        _run_path_independence, ("coeff.id", "V.outer", "N", "T", "dt|dt_ladder")),
-    "flow_property": _Scenario(_run_flow_property, ("coeff.id", "N", "dt", "times")),
-    "girsanov": _Scenario(_run_girsanov, ("coeff.id", "g.kind", "g.value", "T", "dt")),
-    "feynman_kac_linear": _Scenario(_run_feynman_kac, _FK_KEYS + ("Phi.outer",)),
-    "feynman_kac_source": _Scenario(_run_feynman_kac, _FK_KEYS + ("f.kind", "f.value")),
-    "feynman_kac_log": _Scenario(_run_feynman_kac, _FK_KEYS + ("Phi.outer", "beta")),
-    # the keys of check = residual; check = npy needs none
-    "pde_residual": _Scenario(_run_pde_residual, _FK_KEYS + ("Phi.outer", "beta", "pde")),
-    "lderivative_check": _Scenario(_run_lderivative_check),
-    "w2_selftest": _Scenario(_run_w2_selftest),
+        _run_path_independence, {**_PARTICLES, "dt|dt_ladder": ..., "perturb_g": 0.0},
+        itemgetter("N")),
+    "flow_property": _Scenario(
+        _run_flow_property,
+        {**_COEFF, **_INIT, "N": ..., "dt": ..., "times": ..., "tol": 0.05}, itemgetter("N")),
+    "girsanov": _Scenario(
+        _run_girsanov, {**_COEFF, **_INIT, "M": None, "T": ..., "dt": ..., "s": None,
+                        "g.kind": ..., "g.value": ..., "beta": 1.0},
+        itemgetter("M"), _girsanov_rules),
+    "feynman_kac_linear": _Scenario(_run_feynman_kac, {**_FK, **_PHI}, _mc_block),
+    "feynman_kac_source": _Scenario(
+        _run_feynman_kac, {**_FK, "f.kind": ..., "f.value": ...}, _mc_block),
+    "feynman_kac_log": _Scenario(_run_feynman_kac, {**_FK, **_PHI, "beta": ...}, _mc_block),
+    "pde_residual": _Scenario(
+        _run_pde_residual, {**_MC, **_PHI, "beta": ..., "pde": ..., "check": "residual"},
+        _mc_block, by_check={"npy": _Scenario(
+            _run_pde_residual, {"check": None, **_DIM, "n_probes": 50, "tol": 1e-10})}),
+    "lderivative_check": _Scenario(
+        _run_lderivative_check,
+        {**_DIM, "n_atoms": 100, "n_probes": 20, "eps_ladder": (1e-2, 1e-3, 1e-4), "tol": 1e-3}),
+    "w2_selftest": _Scenario(
+        _run_w2_selftest, {"n_instances": 200, "max_atoms": 6, "max_dim": 3, "tol": 1e-12}),
 }
 SCENARIOS = tuple(_SCENARIOS)
-# the scenarios that step an interacting ensemble from the key ``s`` to T
-_READS_S = ("ito_residual", "path_independence", "girsanov")
 #: the most bytes a config may make a run allocate up front for its time grid
-#: and the step-major normals of its widest noise block (see _check_size)
+#: and the step-major normals of its widest noise block (see _check_steps)
 MAX_ARRAY_BYTES = 2**30
 
 
@@ -574,7 +619,8 @@ _SCHEMA = {
     "V.outer.i": _number(int), "Phi.outer.i": _number(int),
     "g.kind": _choice(("const",)), "f.kind": _choice(("const",)),
     "closed_form": _choice(("heat", "gauss", "neg_tau", "none")),
-    "pde": _choice(PDE_KINDS),
+    # the residual runner builds no running-cost field, so it evaluates no pde = source
+    "pde": _choice(("linear", "nonlinear", "drift_coupled")),
     "check": _choice(("residual", "npy")),
     "init.kind": _choice(("point", "gaussian")),
 }
@@ -585,9 +631,10 @@ _FLOAT_PREFIXES = ("coeff.", "V.outer.", "Phi.outer.")
 def parse_config(text, seed=None):
     """Parse and validate a flat key=value config; collect every violation.
 
-    ``seed``, when given, replaces the config's own seed.  Raises ConfigError
+    ``seed``, when given, replaces the config's own seed.  A key the scenario
+    does not read (see ``_SCENARIOS``) is a violation.  Raises ConfigError
     carrying the full violation list; otherwise returns a ScenarioConfig with
-    defaults filled (seed=0, M=1, s=0).
+    the scenario's declared defaults filled, and seed=0, M=1 and s=0.
     """
     violations = []
     values = {}
@@ -616,53 +663,56 @@ def parse_config(text, seed=None):
 
     if seed is not None:
         values["seed"] = seed
-    scenario = values.get("scenario")
-    if scenario is None and "scenario" not in values:
-        violations.append("key 'scenario': required")
-    if "s" in values and scenario in _SCENARIOS and scenario not in _READS_S:
-        violations.append(f"key 's': scenario {scenario!r} does not read it")
-        del values["s"]
+    # every later check depends on what the scenario reads
+    if "scenario" not in values:
+        if "scenario" not in failed:
+            violations.append("key 'scenario': required")
+        raise ConfigError(violations)
+    scenario = values["scenario"]
+    entry = _SCENARIOS[scenario].by_check.get(values.get("check"), _SCENARIOS[scenario])
+    _check_reads(entry, values, failed, violations)
     values.setdefault("seed", 0)
     values.setdefault("M", 1)
     values.setdefault("s", 0.0)
-
-    required = _SCENARIOS[scenario].required if scenario in _SCENARIOS else ()
-    if scenario == "pde_residual" and values.get("check") == "npy":
-        required = ()
-    for need in required:
-        keys = need.split("|")
-        if not any(key in values or key in failed for key in keys):
-            either = "".join(f" (or {key!r})" for key in keys[1:])
-            violations.append(f"key {keys[0]!r}: required for scenario {scenario!r}{either}")
-    # girsanov simulates its M paths as one interacting ensemble
-    if scenario == "girsanov" and "M" not in failed and values["M"] < 2:
-        violations.append(f"key 'M': must be at least 2 for scenario 'girsanov', got {values['M']}")
-    # these runs step an interacting ensemble from s to T, so need a step
-    T, s = values.get("T"), values["s"]
-    if scenario in _READS_S and T is not None and T <= s:
-        violations.append(f"key 'T': must be after s = {s:g} for scenario {scenario!r}, got {T:g}")
-    # the M Novikov samples exp(m g^2 (T - s) / 2) must sum to a finite float
-    g = values.get("g.value")
-    if scenario == "girsanov" and g is not None and T is not None and T > s:
-        m = values.get("m", values.get("d", 1))
-        if 0.5 * m * g * g * (T - s) + np.log(values["M"]) > np.log(np.finfo(float).max):
-            violations.append(
-                f"key 'g.value': M exp(m g^2 (T - s) / 2) overflows a float for g = {g:g}, "
-                f"m = {m}, T - s = {T - s:g} and M = {values['M']}"
-            )
-
-    d, n_init = values.get("d", 1), len(values.get("init.x", (0.0,)))
-    if n_init not in (1, d):
-        violations.append(f"key 'init.x': expected 1 or d = {d} entries, got {n_init}")
+    if entry.rules:
+        entry.rules(values, failed, violations)
     _check_seed(values, violations)
-    _check_cylindrical(values, failed, violations)
-    _check_grid_alignment(values, "probes.t" in required, violations)
-    # a scenario that simulates requires keys; the size check reads them
-    if required and not violations:
-        _check_size(values, scenario, violations)
+    # every scenario that reads init.x, V or Phi reads d
+    if "d" in values:
+        d, n_init = values["d"], len(values.get("init.x", ()))
+        if "init.x" in values and n_init not in (1, d):
+            violations.append(f"key 'init.x': expected 1 or d = {d} entries, got {n_init}")
+        _check_cylindrical(values, failed, violations)
+    if entry.width:
+        _check_steps(entry, values, violations)
     if violations:
         raise ConfigError(violations)
     return ScenarioConfig(scenario=scenario, seed=values["seed"], values=values)
+
+
+def _check_reads(entry, values, failed, violations):
+    """Report and drop each key the scenario does not read, and each key set
+    beside the alternative that replaces it; report each required key that
+    is missing; fill the declared defaults."""
+    scenario = values["scenario"]
+    names = {key for need in entry.reads for key in need.split("|")}
+    prefixes = tuple(name for name in names if name.endswith("."))
+    for key in [key for key in values if key not in ("scenario", "seed")]:
+        if key not in names and not key.startswith(prefixes):
+            violations.append(f"key {key!r}: scenario {scenario!r} does not read it")
+            del values[key]
+    for need, default in entry.reads.items():
+        keys = need.split("|")
+        given = [key for key in keys if key in values or key in failed]
+        if default is ... and not given:
+            either = "".join(f" (or {key!r})" for key in keys[1:])
+            violations.append(f"key {keys[0]!r}: required for scenario {scenario!r}{either}")
+        for key in given[:-1]:
+            violations.append(
+                f"key {key!r}: scenario {scenario!r} does not read it beside {given[-1]!r}")
+            values.pop(key, None)
+        if default is not None and default is not ...:
+            values.setdefault(need, default(values) if callable(default) else default)
 
 
 def _check_seed(values, violations):
@@ -682,7 +732,7 @@ def _check_cylindrical(values, failed, violations):
     """V and Phi must fit the config's d (a coordinate index in [0, d), the
     catalog's linear inner function, a = (1,), only at d = 1) and have as
     many inner functions as their outer reads."""
-    d = values.get("d", 1)
+    d = values["d"]
     for name in ("V", "Phi"):
         i = values.get(name + ".outer.i", 0)
         if "d" not in failed and not 0 <= i < d:
@@ -697,85 +747,78 @@ def _check_cylindrical(values, failed, violations):
                 violations.append(f"key '{name}.outer': {exc}")
 
 
-def _span_fault(span, dt):
-    """Why steps of dt > 0 do not make up ``span`` (by the test of
-    dynamics.grid_steps), or None; a positive span needs at least one step."""
-    n = grid_steps(span, dt)
-    if n is None:
-        return "does not divide"
-    if n == 0 and span > 0:
-        return "is longer than"
-    return None
+# one span a step size must make up: its length, how a message names it, the
+# key that sets its length, and how an end off the step grid is reported when
+# not by blaming the step
+_Span = namedtuple("_Span", "length where key off_grid", defaults=(None,))
 
 
-def _check_grid_alignment(values, probed, violations):
-    """Each step size must make up the horizon T - s and the intervals of
-    ``times`` (see _span_fault) and divide T - t for each probe time t (when
-    ``probed``)."""
-    s = values.get("s", 0.0)
-    T = values.get("T")
+def _spans(entry, values, violations):
+    """The spans a scenario steps across: the intervals [s, t], [t, r] and
+    [s, r] of times = s, t, r, the horizon T - s when it reads s, and the span
+    T - t of each probe time t; reports each span that runs backwards."""
+    spans = []
+    if "times" in values:
+        times = values["times"]
+        if len(times) != 3 or not times[0] < times[1] < times[2]:
+            violations.append("key 'times': expected three increasing values s < t < r")
+        else:
+            t0, t1, t2 = times
+            spans += [_Span(b - a, f"the interval [{a:g}, {b:g}]", "times")
+                      for a, b in ((t0, t1), (t1, t2), (t0, t2))]
+    if "T" not in values:
+        return spans
+    T, s = values["T"], values["s"]
+    if "s" in entry.reads and T <= s:
+        violations.append(
+            f"key 'T': must be after s = {s:g} for scenario {values['scenario']!r}, got {T:g}")
+    elif "s" in entry.reads:
+        spans.append(_Span(T - s, f"the horizon T-s = {T - s:g}", "T"))
+    for t in values.get("probes.t", ()):
+        if t > T:
+            violations.append(f"key 'probes.t': probe time {t:g} is after T = {T:g}")
+        else:
+            spans.append(_Span(T - t, f"the span T-t = {T - t:g} of probe time {t:g}", "T",
+                               f"key 'probes.t': probe time {t:g}"))
+    return spans
+
+
+def _check_steps(entry, values, violations):
+    """Each step size (dt, or each dt_ladder level) must be positive and make
+    up every span of the scenario (see _spans), by the test of
+    dynamics.grid_steps and with at least one step on a positive span.  When
+    the config has no other fault, the finest must also keep the run's largest
+    up-front array within MAX_ARRAY_BYTES: L + 1 grid times plus L steps of m
+    normals for each path of the scenario's widest block, L being the steps
+    across its longest span."""
+    spans = _spans(entry, values, violations)
     levels = [("dt_ladder", dt) for dt in values.get("dt_ladder", ())]
     if "dt" in values:
         levels.append(("dt", values["dt"]))
     for key, dt in levels:
         if dt <= 0:
             violations.append(f"key '{key}': step size must be positive, got {dt}")
-        elif T is not None and (fault := _span_fault(T - s, dt)):
-            violations.append(f"key '{key}': {dt:g} {fault} the horizon T-s = {T - s:g}")
-    if probed and T is not None:
-        for t in values.get("probes.t", ()):
-            if t > T:
-                violations.append(f"key 'probes.t': probe time {t:g} is after T = {T:g}")
-            else:
-                for key, dt in levels:
-                    if dt > 0 and grid_steps(T - t, dt) is None:
-                        violations.append(
-                            f"key 'probes.t': probe time {t:g} is not on the grid of "
-                            f"{key} = {dt:g} that ends at T = {T:g}"
-                        )
-    times = values.get("times")
-    if times is not None:
-        if len(times) != 3 or not (times[0] < times[1] < times[2]):
-            violations.append("key 'times': expected three increasing values s < t < r")
-        elif values.get("dt", 0) > 0:
-            for a, b in ((times[0], times[1]), (times[1], times[2]), (times[0], times[2])):
-                if fault := _span_fault(b - a, values["dt"]):
-                    violations.append(
-                        f"key 'dt': {values['dt']:g} {fault} the interval [{a:g}, {b:g}]"
-                    )
-
-
-def _check_size(values, scenario, violations):
-    """Each step size must keep the run's largest up-front array within
-    MAX_ARRAY_BYTES: L + 1 grid times plus L steps of m normals for each path
-    of the widest block drawn at once (the N or M interacting particles, or
-    the larger of the n_flow frozen-flow particles and a decoupled chunk of at
-    most TILE paths), L being the steps across the run's longest span."""
-    if scenario in ("ito_residual", "path_independence", "flow_property"):
-        width = values["N"]
-    elif scenario == "girsanov":
-        width = values["M"]
-    else:
-        width = max(values.get("n_flow", 200), min(values["M"], TILE))
-    if scenario == "flow_property":
-        times = values["times"]
-        span_key, span = "times", times[2] - times[0]
-    elif "probes.t" in values:
-        span_key, span = "T", values["T"] - min(values["probes.t"])
-    else:
-        span_key, span = "T", values["T"] - values["s"]
-    levels = [("dt_ladder", dt) for dt in values.get("dt_ladder", ())]
-    if "dt" in values:
-        levels.append(("dt", values["dt"]))
-    for key, dt in levels:
-        steps = span / dt
-        size = 8.0 * (steps + 1 + steps * width * values.get("m", values.get("d", 1)))
-        if size > MAX_ARRAY_BYTES:
-            violations.append(
-                f"key '{span_key}': a span of {span:g} in steps of {key} = {dt:g} "
-                f"needs {size / 2**30:.3g} GiB for its time grid and noise block, more "
-                f"than the {MAX_ARRAY_BYTES / 2**30:g} GiB a run may allocate up front"
-            )
+            continue
+        for span in spans:
+            n = grid_steps(span.length, dt)
+            if n == 0 and span.length > 0:
+                violations.append(f"key '{key}': {dt:g} is longer than {span.where}")
+            elif n is None and span.off_grid:
+                violations.append(f"{span.off_grid} is not on the grid of {key} = {dt:g}")
+            elif n is None:
+                violations.append(f"key '{key}': {dt:g} does not divide {span.where}")
+    if violations or not spans:
+        return
+    span = max(spans, key=lambda span: span.length)
+    key, dt = min(levels, key=itemgetter(1))
+    steps = span.length / dt
+    size = 8.0 * (steps + 1 + steps * entry.width(values) * values["m"])
+    if size > MAX_ARRAY_BYTES:
+        violations.append(
+            f"key '{span.key}': a span of {span.length:g} in steps of {key} = {dt:g} "
+            f"needs {size / 2**30:.3g} GiB for its time grid and noise block, more "
+            f"than the {MAX_ARRAY_BYTES / 2**30:g} GiB a run may allocate up front"
+        )
 
 
 def run_scenario(cfg, out_dir):

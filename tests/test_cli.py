@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mfsde.cli import PRESETS, SCENARIOS, main, parse_config, run_scenario
+from mfsde.cli import _FLOAT_PREFIXES, _SCENARIOS, _SCHEMA
 from mfsde.errors import ConfigError, SimulationError
 
 
@@ -402,6 +403,8 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ("ito-residual-meanfield", "V.outer", "product"),
         ("path-independence-forward", "V.outer", "mean"),
         ("feynman-kac-heat", "Phi.outer", "square"),
+        ("pde-residual-nonlinear", "pde", "source"),
+        ("path-independence-forward", "dt", "0.5"),
     ],
 )
 def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, capsys):
@@ -436,6 +439,43 @@ def test_main_rejects_s_where_it_is_not_read(tmp_path, capsys):
         assert "key 's': scenario" in err and "does not read it" in err
         assert "key 'dt'" not in err
     assert parse_config(PRESETS["ito-residual-meanfield"] + "s = 0.5\n").get("s") == 0.5
+
+
+@pytest.mark.parametrize(
+    "preset, overrides",
+    [
+        ("path-independence-forward", {"M": "50"}),
+        ("feynman-kac-heat", {"perturb_g": "1"}),
+        ("girsanov-risk-neutral", {"closed_form": "heat"}),
+        ("w2-selftest", {"T": "0.3", "dt": "0.07"}),
+    ],
+)
+def test_main_rejects_a_key_the_scenario_does_not_read(preset, overrides, tmp_path, capsys):
+    # each was once accepted and ignored, or blamed on dt for a horizon T - s
+    # that the scenario never simulates
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_with_overrides(PRESETS[preset], overrides))
+    status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err
+    scenario = parse_config(PRESETS[preset]).scenario
+    for key in overrides:
+        assert f"key '{key}': scenario '{scenario}' does not read it" in err
+    assert all("does not read it" in line for line in err.splitlines() if "key 'dt'" in line)
+
+
+def test_scenario_declarations_agree_with_the_schema():
+    # a key in only one of the two would be rejected on every config
+    entries = [e for entry in _SCENARIOS.values() for e in (entry, *entry.by_check.values())]
+    declared = {key for e in entries for need in e.reads for key in need.split("|")}
+    prefixes = tuple(key for key in declared if key.endswith("."))
+    for key in set(_SCHEMA) - {"scenario", "seed"}:
+        assert key in declared or key.startswith(prefixes), key
+    for key in declared:
+        if key.endswith("."):
+            assert key.startswith(_FLOAT_PREFIXES) or any(k.startswith(key) for k in _SCHEMA), key
+        else:
+            assert key in _SCHEMA or key.startswith(_FLOAT_PREFIXES), key
 
 
 @pytest.mark.parametrize(
@@ -506,6 +546,13 @@ def test_main_probe_off_the_step_grid_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "key 'probes.t': probe time 0.5 is not on the grid of dt = 1" in err
     assert "probe time 0 " not in err
+
+
+def test_feynman_kac_grid_ends_at_T_and_starts_at_each_probe():
+    # a Feynman-Kac run steps from each probe time t to T, so dt need only
+    # divide each T - t; it was once also required to divide T itself
+    text = _with_overrides(PRESETS["feynman-kac-heat"], {"dt": "0.3", "probes.t": "0.4"})
+    assert parse_config(text).dt_levels == (0.3,)
 
 
 def test_npy_identity_runs_in_two_dimensions(tmp_path):
