@@ -32,10 +32,6 @@ from .feynman_kac import (
     npy_identity_gap,
     pde_residual_exact,
     pde_residual_mc,
-    solve_combined,
-    solve_linear,
-    solve_log_transform,
-    solve_with_source,
 )
 from .functionals import (
     accumulate,

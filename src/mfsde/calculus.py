@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, ContractError
+from .errors import CapabilityError, ContractError, check_params
 from .measure import integrate, pushforward
 
 #: catalog identifiers accepted by make_inner / make_outer
@@ -31,6 +31,9 @@ OUTER_NAMES = (
     "time", "x_norm_sq", "x_sq_plus_r1", "x1_times_r1", "time_times_r1",
     "x_sq_plus_c_minus_t", "gauss_quarter",
 )
+#: the parameters each make_outer entry reads, with their defaults; an entry
+#: not listed reads none
+OUTER_PARAMS = {"const": {"c": 1.0}, "coord": {"i": 0}, "x_sq_plus_c_minus_t": {"c": 1.0}}
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +272,16 @@ def make_outer(name, **params):
 
     Catalog: const, mean, sum, square, product, exp, log, coord, time,
     x_norm_sq, x_sq_plus_r1, x1_times_r1, time_times_r1, x_sq_plus_c_minus_t,
-    gauss_quarter.  Each entry lists only its nonzero partials.
+    gauss_quarter.  Each entry lists only its nonzero partials.  A parameter
+    the entry does not read (see OUTER_PARAMS) raises ContractError.
     """
+    if name not in OUTER_NAMES:
+        raise ContractError(f"unknown outer function {name!r}")
+    reads = OUTER_PARAMS.get(name, {})
+    check_params(f"outer function {name!r}", params, reads)
+    params = {**reads, **params}
     if name == "const":
-        c = float(params.get("c", 1.0))
+        c = float(params["c"])
         return _catalog_outer(f"const({c})", lambda t, x, r: _scalar_field(x, c))
     if name == "mean":  # F = r_1
         return _catalog_outer(
@@ -305,7 +314,7 @@ def make_outer(name, **params):
             dr=_single_entry(_zero_dr, 0, lambda t, x, r: 1.0 / r[0]),
         )
     if name == "coord":
-        i = int(params.get("i", 0))
+        i = int(params["i"])
         return _catalog_outer(
             f"coord({i})", lambda t, x, r: np.asarray(x)[..., i],
             dx=_single_entry(_zero_dx, i, lambda t, x, r: 1.0),
@@ -339,18 +348,16 @@ def make_outer(name, **params):
         )
     if name == "x_sq_plus_c_minus_t":
         # F = |x|^2 + c - t, the heat-equation reference solution for c = T
-        c = float(params.get("c", 1.0))
+        c = float(params["c"])
         return _catalog_outer(
             f"x_sq_plus_c_minus_t({c})", lambda t, x, r: _x_norm_sq(t, x, r) + c - t,
             dt=lambda t, x, r: _scalar_field(x, -1.0),
             dx=_x_norm_sq_dx, dxx=_x_norm_sq_dxx,
         )
-    if name == "gauss_quarter":  # F = exp(-|x|^2 / 4): strictly positive datum
-        return _catalog_outer(
-            "gauss_quarter", _gauss_quarter,
-            dx=_gauss_quarter_dx, dxx=_gauss_quarter_dxx,
-        )
-    raise ContractError(f"unknown outer function {name!r}")
+    # the entry left, gauss_quarter: F = exp(-|x|^2 / 4), a strictly positive datum
+    return _catalog_outer(
+        "gauss_quarter", _gauss_quarter, dx=_gauss_quarter_dx, dxx=_gauss_quarter_dxx
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import product
 from operator import itemgetter
 
@@ -32,12 +31,14 @@ import numpy as np
 from .calculus import (
     INNER_NAMES,
     OUTER_NAMES,
+    OUTER_PARAMS,
     l_derivative_fd_oracle,
     l_derivative_pairing,
     make_cylindrical,
 )
 from .dynamics import (
     COEFFICIENT_NAMES,
+    COEFFICIENT_PARAMS,
     StreamedFlow,
     grid_steps,
     make_coefficients,
@@ -49,9 +50,6 @@ from .feynman_kac import (
     McValueFunction,
     npy_identity_gap,
     pde_residual_mc,
-    solve_linear,
-    solve_log_transform,
-    solve_with_source,
 )
 from .functionals import (
     build_pair_from_V,
@@ -73,19 +71,12 @@ class ScenarioConfig:
     def get(self, key, default=None):
         return self.values.get(key, default)
 
-    def floats(self, key):
-        return tuple(self.values[key])
-
     @property
     def dt_levels(self):
         """Planned step sizes: the ladder when given, else the single dt."""
         if "dt_ladder" in self.values:
             return self.values["dt_ladder"]
         return (self.values["dt"],)
-
-    def params(self, head):
-        """Values of the keys that start with ``head``, keyed by the rest."""
-        return {k[len(head):]: v for k, v in self.values.items() if k.startswith(head)}
 
 
 @dataclass(frozen=True)
@@ -109,23 +100,26 @@ def _flag(ok):
 # its verdicts
 
 
+def _params(values, head):
+    """Values of the keys that start with ``head``, keyed by the rest."""
+    return {k[len(head):]: v for k, v in values.items() if k.startswith(head)}
+
+
 def _build_coeff(cfg):
-    params = cfg.params("coeff.")
-    return make_coefficients(params.pop("id", None), d=cfg.get("d"), m=cfg.get("m"), **params)
+    params = _params(cfg.values, "coeff.")
+    return make_coefficients(params.pop("id"), d=cfg.get("d"), m=cfg.get("m"), **params)
 
 
-def _build_cylindrical(cfg, prefix):
-    outer = cfg.get(prefix + ".outer")
-    inner = cfg.get(prefix + ".inner", ())
-    return make_cylindrical(
-        outer, inner, outer_params=cfg.params(prefix + ".outer.") or None
-    )
+def _build_cylindrical(values, prefix):
+    """The cylindrical function of keys ``prefix``.outer, .inner and .outer.*."""
+    return make_cylindrical(values[prefix + ".outer"], values.get(prefix + ".inner", ()),
+                            outer_params=_params(values, prefix + ".outer."))
 
 
 def _initial_measure(cfg, n):
     d = cfg.get("d")
     if cfg.get("init.kind") == "point":
-        return dirac(np.broadcast_to(cfg.floats("init.x"), (d,)))
+        return dirac(np.broadcast_to(cfg.get("init.x"), (d,)))
     scale = cfg.get("init.scale")
     rng = np.random.default_rng(cfg.seed)
     return EmpiricalMeasure(scale * rng.standard_normal((n, d)))
@@ -163,7 +157,7 @@ def _run_lderivative_check(cfg, out_dir):
     d = cfg.get("d")
     n_atoms = cfg.get("n_atoms")
     n_probes = cfg.get("n_probes")
-    eps_ladder = tuple(sorted(cfg.floats("eps_ladder"), reverse=True))
+    eps_ladder = tuple(sorted(cfg.get("eps_ladder"), reverse=True))
     tol = cfg.get("tol")
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -203,7 +197,7 @@ def _run_lderivative_check(cfg, out_dir):
 
 def _run_ito_residual(cfg, out_dir):
     coeff = _build_coeff(cfg)
-    V = _build_cylindrical(cfg, "V")
+    V = _build_cylindrical(cfg.values, "V")
     N, T, dt = cfg.get("N"), cfg.get("T"), cfg.get("dt")
     mu0 = _initial_measure(cfg, N)
     flow = StreamedFlow(coeff, mu0, N, T, dt, cfg.seed, s=cfg.get("s"))
@@ -233,7 +227,7 @@ def _run_ito_residual(cfg, out_dir):
 
 def _run_path_independence(cfg, out_dir):
     coeff = _build_coeff(cfg)
-    V = _build_cylindrical(cfg, "V")
+    V = _build_cylindrical(cfg.values, "V")
     N, T, s = cfg.get("N"), cfg.get("T"), cfg.get("s")
     f, g = build_pair_from_V(coeff, V)
     offset = cfg.get("perturb_g")
@@ -265,7 +259,7 @@ def _run_path_independence(cfg, out_dir):
 def _run_flow_property(cfg, out_dir):
     coeff = _build_coeff(cfg)
     N, dt = cfg.get("N"), cfg.get("dt")
-    t0, t1, t2 = cfg.floats("times")
+    t0, t1, t2 = cfg.get("times")
     tol = cfg.get("tol")
     mu0 = _initial_measure(cfg, N)
     mu_mid = semigroup_apply(coeff, mu0, t0, t1, N, dt, cfg.seed + 1)
@@ -331,30 +325,31 @@ def _closed_form(kind, t, x, T, beta):
     return None
 
 
+def _value_function(cfg, Phi=None, f_field=None, beta=None):
+    """The config's Monte Carlo value function: its coefficients, T, dt, M,
+    seed and n_flow, over an initial law of N samples."""
+    return McValueFunction(
+        _build_coeff(cfg), Phi, f_field, cfg.get("T"), cfg.get("dt"), cfg.get("M"), cfg.seed,
+        _initial_measure(cfg, cfg.get("N")), beta, cfg.get("n_flow"))
+
+
 def _run_feynman_kac(cfg, out_dir):
-    d = cfg.get("d")
-    coeff = _build_coeff(cfg)
-    T, dt, M = cfg.get("T"), cfg.get("dt"), cfg.get("M")
-    n_flow = cfg.get("n_flow")
-    beta = cfg.get("beta")
+    d, T, beta = cfg.get("d"), cfg.get("T"), cfg.get("beta")
     closed = cfg.get("closed_form")
-    mu = _initial_measure(cfg, cfg.get("N"))
-    datum = (
-        _const_field(cfg.get("f.value")) if cfg.scenario == "feynman_kac_source"
-        else _build_cylindrical(cfg, "Phi")
-    )
-    # built per run, so that a solver replaced on this module (as perfbench's
-    # traced mode does) is the one called
-    anchor, solve = {
-        "feynman_kac_linear": ("Lemma-3.3", partial(solve_linear, coeff, datum)),
-        "feynman_kac_source": ("Lemma-3.4", partial(solve_with_source, coeff, datum)),
-        "feynman_kac_log": ("Eq-TTY0", partial(solve_log_transform, coeff, datum, beta)),
+    if cfg.scenario == "feynman_kac_source":
+        vf = _value_function(cfg, f_field=_const_field(cfg.get("f.value")))
+    else:
+        log_beta = beta if cfg.scenario == "feynman_kac_log" else None
+        vf = _value_function(cfg, _build_cylindrical(cfg.values, "Phi"), beta=log_beta)
+    anchor = {
+        "feynman_kac_linear": "Lemma-3.3", "feynman_kac_source": "Lemma-3.4",
+        "feynman_kac_log": "Eq-TTY0",
     }[cfg.scenario]
     rows, verdicts = [], []
-    probes = product(cfg.floats("probes.t"), cfg.floats("probes.x"))
+    probes = product(cfg.get("probes.t"), cfg.get("probes.x"))
     for probe_id, (t, x_val) in enumerate(probes):
         x = np.full(d, x_val)
-        sol = solve(t, x, mu, T, M, dt, cfg.seed + 101 * probe_id, n_flow=n_flow)
+        sol = dataclasses.replace(vf, seed=cfg.seed + 101 * probe_id).solve(t, x)
         expected = _closed_form(closed, t, x, T, beta)
         err = abs(sol.value - expected) if expected is not None else 0.0
         # roundoff floor keeps deterministic cases (zero SE) honest
@@ -419,30 +414,13 @@ def _run_npy_identity(cfg, out_dir):
 def _run_pde_residual(cfg, out_dir):
     if cfg.get("check") == "npy":
         return _run_npy_identity(cfg, out_dir)
-    d = cfg.get("d")
-    coeff = _build_coeff(cfg)
-    Phi = _build_cylindrical(cfg, "Phi")
-    beta = cfg.get("beta")
-    pde = cfg.get("pde")
-    provenance = "log_transform" if pde == "nonlinear" else "linear"
-    mu = _initial_measure(cfg, cfg.get("N"))
-    vf = McValueFunction(
-        coeff=coeff,
-        Phi=Phi,
-        f_field=None,
-        T=cfg.get("T"),
-        dt=cfg.get("dt"),
-        M=cfg.get("M"),
-        seed=cfg.seed,
-        mu=mu,
-        provenance=provenance,
-        beta=beta if pde == "nonlinear" else None,
-        n_flow=cfg.get("n_flow"),
-    )
+    d, pde = cfg.get("d"), cfg.get("pde")
+    beta = cfg.get("beta") if pde == "nonlinear" else None
+    vf = _value_function(cfg, _build_cylindrical(cfg.values, "Phi"), beta=beta)
     probes = [
         (t, np.full(d, x_val))
-        for t in cfg.floats("probes.t")
-        for x_val in cfg.floats("probes.x")
+        for t in cfg.get("probes.t")
+        for x_val in cfg.get("probes.x")
     ]
     table = pde_residual_mc(vf, pde, probes)
     table.to_csv(os.path.join(out_dir, "pde_residual.csv"))
@@ -624,8 +602,15 @@ _SCHEMA = {
     "check": _choice(("residual", "npy")),
     "init.kind": _choice(("point", "gaussian")),
 }
-# dotted prefixes whose remaining keys are free-form numeric parameters
-_FLOAT_PREFIXES = ("coeff.", "V.outer.", "Phi.outer.")
+# dotted prefixes whose remaining keys are numeric parameters of a catalog
+# entry: the key that picks the entry, what the entry is, and the parameters
+# each entry reads (see _check_params)
+_CATALOG_PARAMS = {
+    "coeff.": ("coeff.id", "coefficient field", COEFFICIENT_PARAMS),
+    "V.outer.": ("V.outer", "outer function", OUTER_PARAMS),
+    "Phi.outer.": ("Phi.outer", "outer function", OUTER_PARAMS),
+}
+_FLOAT_PREFIXES = tuple(_CATALOG_PARAMS)
 
 
 def parse_config(text, seed=None):
@@ -671,6 +656,7 @@ def parse_config(text, seed=None):
     scenario = values["scenario"]
     entry = _SCENARIOS[scenario].by_check.get(values.get("check"), _SCENARIOS[scenario])
     _check_reads(entry, values, failed, violations)
+    _check_params(values, violations)
     values.setdefault("seed", 0)
     values.setdefault("M", 1)
     values.setdefault("s", 0.0)
@@ -715,6 +701,19 @@ def _check_reads(entry, values, failed, violations):
             values.setdefault(need, default(values) if callable(default) else default)
 
 
+def _check_params(values, violations):
+    """Report and drop each catalog parameter (see _CATALOG_PARAMS) that the
+    entry the config picks does not read."""
+    for prefix, (id_key, what, catalog) in _CATALOG_PARAMS.items():
+        if id_key not in values:
+            continue
+        name = values[id_key]
+        for key in [key for key in values if key.startswith(prefix) and key != id_key]:
+            if key[len(prefix):] not in catalog.get(name, {}):
+                violations.append(f"key {key!r}: {what} {name!r} does not read it")
+                del values[key]
+
+
 def _check_seed(values, violations):
     # runners derive seed + level, seed + 1..3 and seed + 101 * probe_id, and
     # every derived seed must fit the uint64 word of a noise-stream key
@@ -742,7 +741,7 @@ def _check_cylindrical(values, failed, violations):
             violations.append(f"key '{name}.inner': the linear inner function needs d = 1, got {d}")
         if name + ".outer" in values and name + ".inner" not in failed:
             try:
-                make_cylindrical(values[name + ".outer"], inner)
+                _build_cylindrical(values, name)
             except ContractError as exc:
                 violations.append(f"key '{name}.outer': {exc}")
 
@@ -787,10 +786,10 @@ def _check_steps(entry, values, violations):
     """Each step size (dt, or each dt_ladder level) must be positive and make
     up every span of the scenario (see _spans), by the test of
     dynamics.grid_steps and with at least one step on a positive span.  When
-    the config has no other fault, the finest must also keep the run's largest
-    up-front array within MAX_ARRAY_BYTES: L + 1 grid times plus L steps of m
+    the config has no other fault, the finest must also keep the run's
+    up-front arrays within MAX_ARRAY_BYTES: L + 1 grid times plus L steps of m
     normals for each path of the scenario's widest block, L being the steps
-    across its longest span."""
+    across its longest span, and the normals of a gaussian initial sample."""
     spans = _spans(entry, values, violations)
     levels = [("dt_ladder", dt) for dt in values.get("dt_ladder", ())]
     if "dt" in values:
@@ -812,12 +811,19 @@ def _check_steps(entry, values, violations):
     span = max(spans, key=lambda span: span.length)
     key, dt = min(levels, key=itemgetter(1))
     steps = span.length / dt
-    size = 8.0 * (steps + 1 + steps * entry.width(values) * values["m"])
+    grid = 8.0 * (steps + 1 + steps * entry.width(values) * values["m"])
+    # the initial sample has N points, or M for girsanov, which reads no N
+    n_key = "N" if "N" in values else "M"
+    sample = 8.0 * values[n_key] * values["d"] if values.get("init.kind") == "gaussian" else 0.0
+    size = grid + sample
     if size > MAX_ARRAY_BYTES:
+        blame = (f"key '{n_key}': an initial sample of {values[n_key]} points in d = {values['d']}"
+                 if sample > grid else
+                 f"key '{span.key}': a span of {span.length:g} in steps of {key} = {dt:g}")
         violations.append(
-            f"key '{span.key}': a span of {span.length:g} in steps of {key} = {dt:g} "
-            f"needs {size / 2**30:.3g} GiB for its time grid and noise block, more "
-            f"than the {MAX_ARRAY_BYTES / 2**30:g} GiB a run may allocate up front"
+            f"{blame} takes the run to {size / 2**30:.3g} GiB of time grid, noise block and "
+            f"initial sample, more than the {MAX_ARRAY_BYTES / 2**30:g} GiB a run may "
+            f"allocate up front"
         )
 
 

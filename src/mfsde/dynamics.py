@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, SimulationError
+from .errors import ContractError, SimulationError, check_params
 from .measure import EmpiricalMeasure, wasserstein2
 
 BLOWUP_GUARD = 1e8
@@ -144,8 +144,16 @@ class CoefficientField:
     measure_dependent: bool = True
 
 
-#: catalog identifiers accepted by make_coefficients
-COEFFICIENT_NAMES = ("frozen", "brownian", "constant_drift", "mean_revert", "ou")
+#: catalog identifiers accepted by make_coefficients, each mapped to the
+#: parameters it reads and their defaults
+COEFFICIENT_PARAMS = {
+    "frozen": {},
+    "brownian": {"s": 1.0},
+    "constant_drift": {"c": 0.0, "s": 1.0},
+    "mean_revert": {"rate": 1.0, "s": 0.0},
+    "ou": {"kappa": 0.5, "s": 1.0, "theta": 1.0},
+}
+COEFFICIENT_NAMES = tuple(COEFFICIENT_PARAMS)
 
 
 def _constant(value):
@@ -177,7 +185,14 @@ def make_coefficients(name, d=1, m=None, **params):
     constant_drift    b = c, sigma = s * I                    (params c, s)
     mean_revert       b = rate * (mu(Id) - x), sigma = s * I  (params rate, s)
     ou                b = -theta * x + kappa * mu(Id), sigma = s * I
+
+    A parameter the entry does not read raises ContractError (see
+    COEFFICIENT_PARAMS for the defaults).
     """
+    if name not in COEFFICIENT_PARAMS:
+        raise ContractError(f"unknown coefficient field {name!r}")
+    check_params(f"coefficient field {name!r}", params, COEFFICIENT_PARAMS[name])
+    p = {**COEFFICIENT_PARAMS[name], **params}
     if m is None:
         m = d
     if name == "frozen":
@@ -185,23 +200,21 @@ def make_coefficients(name, d=1, m=None, **params):
             "frozen", d, m, _const_sigma(0.0, d, m), _zero_b(d),
             lipschitz_bound=lambda t: 0.0, measure_dependent=False,
         )
+    s = float(p["s"])
     if name == "brownian":
-        s = float(params.get("s", 1.0))
         return CoefficientField(
             "brownian", d, m, _const_sigma(s, d, m), _zero_b(d),
             lipschitz_bound=lambda t: abs(s), measure_dependent=False,
         )
     if name == "constant_drift":
-        s = float(params.get("s", 1.0))
-        c = np.broadcast_to(np.asarray(params.get("c", 0.0), dtype=float), (d,))
+        c = np.broadcast_to(np.asarray(p["c"], dtype=float), (d,))
         return CoefficientField(
             "constant_drift", d, m, _const_sigma(s, d, m), _constant(c),
             lipschitz_bound=lambda t: abs(s) + float(np.linalg.norm(c)),
             measure_dependent=False,
         )
     if name == "mean_revert":
-        s = float(params.get("s", 0.0))
-        rate = float(params.get("rate", 1.0))
+        rate = float(p["rate"])
 
         def b(t, x, mu):
             return rate * (mu.mean() - np.asarray(x))
@@ -210,19 +223,15 @@ def make_coefficients(name, d=1, m=None, **params):
             "mean_revert", d, m, _const_sigma(s, d, m), b,
             lipschitz_bound=lambda t: 2.0 * abs(rate) + abs(s),
         )
-    if name == "ou":
-        s = float(params.get("s", 1.0))
-        theta = float(params.get("theta", 1.0))
-        kappa = float(params.get("kappa", 0.5))
+    theta, kappa = float(p["theta"]), float(p["kappa"])
 
-        def b(t, x, mu):
-            return -theta * np.asarray(x) + kappa * mu.mean()
+    def b(t, x, mu):
+        return -theta * np.asarray(x) + kappa * mu.mean()
 
-        return CoefficientField(
-            "ou", d, m, _const_sigma(s, d, m), b,
-            lipschitz_bound=lambda t: abs(theta) + abs(kappa) + abs(s),
-        )
-    raise ContractError(f"unknown coefficient field {name!r}")
+    return CoefficientField(
+        "ou", d, m, _const_sigma(s, d, m), b,
+        lipschitz_bound=lambda t: abs(theta) + abs(kappa) + abs(s),
+    )
 
 
 def spot_check_lipschitz(coeff, samples):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parameter check of its catalogs."""
 
 
 class MfsdeError(Exception):
@@ -36,3 +36,13 @@ class ConfigError(MfsdeError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+def check_params(what, params, reads):
+    """ContractError naming each key of ``params`` that ``what`` does not read."""
+    unread = sorted(set(params) - set(reads))
+    if unread:
+        raise ContractError(
+            f"{what} does not read {', '.join(map(repr, unread))} "
+            f"(it reads {', '.join(map(repr, reads)) or 'no parameter'})"
+        )

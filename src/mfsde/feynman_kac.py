@@ -1,12 +1,13 @@
 """Monte Carlo representations of PDEs on R^d x P_2(R^d).
 
-Solvers estimate the value function at one (t, x, mu) by simulating a
-frozen law curve once, then running decoupled paths against it:
+One estimator, :class:`McValueFunction`, evaluates the value function at
+(t, x, mu) by simulating a frozen law curve once, then running decoupled
+paths against it.  Its terms follow from its inputs:
 
-* terminal-condition problems average a terminal datum Phi,
-* source problems integrate a running cost along the paths,
-* the combined solver adds both on shared paths, and
-* the log-transform solver turns a positive terminal datum into the
+* a terminal datum Phi is averaged when given,
+* a running cost f_field is integrated along the paths when given, and
+  subtracted from Phi on shared paths when both are, and
+* with beta, the log transform turns a positive terminal datum into the
   solution of the quadratic-gradient nonlinear PDE.
 
 A residual tester verifies MC-backed solutions against their PDE with
@@ -60,7 +61,6 @@ class McSolution:
     value: float
     std_error: float
     n_samples: int
-    provenance: str  # linear | source | combined | log_transform
     beta: Optional[float] = None
 
 
@@ -69,58 +69,6 @@ def _n_steps(t, T, dt):
     if T < t:
         raise ContractError("need T >= t")
     return _grid(t, T, dt)[1]
-
-
-def _mean_solution(samples, provenance, beta=None):
-    """The estimate from per-path samples: their mean, or -beta log of it for
-    the log transform, whose standard error is propagated by the delta method."""
-    m = samples.size
-    mean = float(samples.mean())
-    se = float(np.std(samples, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-    if provenance == "log_transform":
-        value = float(-beta * np.log(mean))
-        return McSolution(value, abs(beta) * se / mean, m, provenance, float(beta))
-    return McSolution(mean, se, m, provenance, beta)
-
-
-def solve_linear(coeff, Phi, t, x, mu, T, M, dt, seed, n_flow=200):
-    """Estimate the terminal-condition solution E Phi(X_{t,T}, law curve at T)."""
-    vf = McValueFunction(coeff, Phi, None, T, dt, M, seed, mu, "linear", n_flow=n_flow)
-    return _mean_solution(vf.samples(t, x), "linear")
-
-
-def solve_with_source(coeff, f_field, t, x, mu, T, M, dt, seed, n_flow=200):
-    """Estimate the pure-source solution: the negated running-cost integral."""
-    vf = McValueFunction(coeff, None, f_field, T, dt, M, seed, mu, "source", n_flow=n_flow)
-    return _mean_solution(vf.samples(t, x), "source")
-
-
-def solve_combined(coeff, Phi, f_field, t, x, mu, T, M, dt, seed, n_flow=200):
-    """Terminal datum minus running cost on shared paths (common random numbers)."""
-    vf = McValueFunction(coeff, Phi, f_field, T, dt, M, seed, mu, "combined", n_flow=n_flow)
-    return _mean_solution(vf.samples(t, x), "combined")
-
-
-def solve_log_transform(
-    coeff, Phi, beta, t, x, mu, T, M, dt, seed, n_flow=200, lower_bound=0.0
-):
-    """-beta * log of the MC mean of a strictly positive terminal datum.
-
-    The standard error is propagated by the delta method.  Samples at or
-    below the declared lower bound of Phi indicate corrupted data and raise.
-    """
-    if beta == 0:
-        raise ContractError("beta must be nonzero")
-    if lower_bound < 0:
-        raise ContractError("lower bound must be nonnegative")
-    vf = McValueFunction(coeff, Phi, None, T, dt, M, seed, mu, "log_transform", beta, n_flow)
-    samples = vf.samples(t, x)
-    if np.any(samples <= lower_bound):
-        raise DataError(
-            f"terminal datum fell to {samples.min():g}, at or below its declared "
-            f"lower bound {lower_bound:g}"
-        )
-    return _mean_solution(samples, "log_transform", beta)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +176,6 @@ def npy_identity_gap(coeff, V, t, x, mu):
     return abs(lhs - rhs)
 
 
-# provenance -> (terminal datum Phi used, running cost f_field used)
-_PROVENANCE_TERMS = {
-    "linear": (True, False),
-    "source": (False, True),
-    "combined": (True, True),
-    "log_transform": (True, False),
-}
-
-
 #: paths one Euler loop advances at most, over a (K, B, d) state of K
 #: columns of a B-particle chunk (see the module docstring)
 TILE = 16_384
@@ -253,12 +192,14 @@ def _chunk_size(k_max):
 class McValueFunction:
     """MC-backed value function with a fixed seed, usable for CRN differences.
 
-    ``samples(t, x, mu)`` returns per-path samples of the underlying
-    statistic; the value is a smooth function of the sample mean given by
-    ``provenance`` (plain mean, or -beta log mean).  Every ``solve_*``
-    function is one such object read at a single (t, x), a one-column
-    :meth:`sample_table`.  The object holds no noise: a table draws it
-    chunk by chunk, and a rerun draws the same streams again.
+    Its terms follow from its inputs: the terminal datum Phi when given,
+    minus the running cost f_field when given, and with beta the log
+    transform -beta log E Phi (Phi only, no running cost).
+    ``samples(t, x, mu)`` returns per-path samples of the statistic whose
+    mean ``value_of_mean`` turns into the value, and ``solve(t, x)`` is that
+    value with its standard error, a one-column :meth:`sample_table`.  The
+    object holds no noise: a table draws it chunk by chunk, and a rerun
+    draws the same streams again.
     """
 
     coeff: object
@@ -269,19 +210,41 @@ class McValueFunction:
     M: int
     seed: int
     mu: EmpiricalMeasure
-    provenance: str
     beta: Optional[float] = None
     n_flow: int = 200
 
     def __post_init__(self):
         check_count("M", self.M, 1)
         check_count("n_flow", self.n_flow, 2)
-        if self.provenance not in _PROVENANCE_TERMS:
-            raise ContractError(f"unknown provenance {self.provenance!r}")
+        if self.Phi is None and self.f_field is None:
+            raise ContractError("need a terminal datum Phi, a running cost f_field or both")
+        if self.beta is not None and (self.Phi is None or self.f_field is not None):
+            raise ContractError("the log transform (beta) needs Phi and no running cost f_field")
+        if self.beta == 0:
+            raise ContractError("beta must be nonzero")
 
     def samples(self, t, x, mu=None):
         """Per-path samples at (t, x, mu), shape (M,)."""
         return self.sample_table([[(t, x, mu)]])[0][:, 0]
+
+    def solve(self, t, x):
+        """The value at (t, x) with its standard error.
+
+        Under the log transform the samples must be strictly positive, and
+        the standard error of -beta log of their mean is propagated by the
+        delta method.
+        """
+        samples = self.samples(t, x)
+        m = samples.size
+        mean = float(samples.mean())
+        se = float(np.std(samples, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+        if self.beta is None:
+            return McSolution(mean, se, m)
+        if np.any(samples <= 0):
+            raise DataError(f"terminal datum fell to {samples.min():g}, but the log "
+                            "transform needs it strictly positive")
+        value = float(self.value_of_mean(mean))
+        return McSolution(value, abs(self.beta) * se / mean, m, float(self.beta))
 
     def sample_table(self, groups):
         """Per-path samples of a table of columns: one (M, n) array per group.
@@ -313,7 +276,7 @@ class McValueFunction:
             times, steps = _grid(t, self.T, self.dt)
             flow = _record(self.coeff, mu, times, self.dt, self.seed, block[:steps])
             r_T = None
-            if _PROVENANCE_TERMS[self.provenance][0]:
+            if self.Phi is not None:
                 r_T = self.Phi.inner_integrals(flow.measure_at(flow.n_steps))
             runs.append((flow, r_T, cols))
         chunk = _chunk_size(max(len(cols) for _, _, cols in runs))
@@ -335,14 +298,13 @@ class McValueFunction:
         step is the spacing of the flow's grid; each column's samples go to
         rows first.. of its group's array.
         """
-        use_phi, use_f = _PROVENANCE_TERMS[self.provenance]
         n = increments.shape[1]
         state = np.empty((len(cols), n, self.coeff.d))
         for c, (_, _, x) in enumerate(cols):
             state[c] = x
         state.flags.writeable = False
         integral = hook = None
-        if use_f:
+        if self.f_field is not None:
             integral = np.zeros((len(cols), n))
 
             def hook(t_k, x_k, mu_k, dw):
@@ -354,14 +316,14 @@ class McValueFunction:
             lambda k, x: flow.measure_at(k), hook, first=first,
         )
         for c, (g, j, _) in enumerate(cols):
-            if use_phi:
+            if self.Phi is not None:
                 sample = np.asarray(self.Phi.outer.value(self.T, terminal[c], r_T), dtype=float)
                 out[g][first : first + n, j] = sample if integral is None else sample - integral[c]
             else:
                 out[g][first : first + n, j] = -integral[c]
 
     def value_of_mean(self, mean):
-        if self.provenance == "log_transform":
+        if self.beta is not None:
             if mean <= 0:
                 raise DataError("sample mean must be positive for the log transform")
             return -self.beta * np.log(mean)
@@ -398,7 +360,7 @@ H_T_REL = 1e-2
 MEASURE_DS = 1e-3
 
 
-def pde_residual_mc(vf, pde, probes, f_field=None, n_measure_draws=4):
+def pde_residual_mc(vf, pde, probes, n_measure_draws=4):
     """Residual table for an MC-backed value function via CRN differences.
 
     All stencil evaluations reuse the same noise streams, so differences
@@ -410,12 +372,14 @@ def pde_residual_mc(vf, pde, probes, f_field=None, n_measure_draws=4):
     """
     if pde not in PDE_KINDS:
         raise ContractError(f"pde must be one of {PDE_KINDS}")
-    if pde == "source" and f_field is None:
-        f_field = vf.f_field
+    # the right-hand side of the nonlinear PDE reads beta, that of the source PDE f_field
+    needs = {"nonlinear": "beta", "source": "f_field"}.get(pde)
+    if needs and getattr(vf, needs) is None:
+        raise ContractError(f"pde = {pde} needs a value function with {needs}")
     h_t = max(vf.dt, round(H_T_REL * vf.T / vf.dt) * vf.dt)
     probes = [(float(t0), np.atleast_1d(np.asarray(x0, dtype=float))) for t0, x0 in probes]
     plans = [
-        _mc_probe(vf, pde, pid, t0, x0, f_field, h_t, n_measure_draws)
+        _mc_probe(vf, pde, pid, t0, x0, h_t, n_measure_draws)
         for pid, (t0, x0) in enumerate(probes)
     ]
     tables = vf.sample_table([columns for columns, _ in plans])
@@ -432,7 +396,7 @@ def _stencil_times(t0, h_t, T):
     return t_fwd, t_pts
 
 
-def _mc_probe(vf, pde, pid, t0, x0, f_field, h_t, n_draws):
+def _mc_probe(vf, pde, pid, t0, x0, h_t, n_draws):
     """(columns, finish): the probe's stencil columns (t, x, mu), and the
     function that turns their (M, n_cols) per-path samples into its row."""
     coeff, mu, T = vf.coeff, vf.mu, vf.T
@@ -488,7 +452,7 @@ def _mc_probe(vf, pde, pid, t0, x0, f_field, h_t, n_draws):
             if pde == "linear":
                 rhs = 0.0
             elif pde == "source":
-                rhs = float(np.asarray(f_field(t0, x0[None], mu))[0])
+                rhs = float(np.asarray(vf.f_field(t0, x0[None], mu))[0])
             elif pde == "nonlinear":
                 rhs = float(sig_grad @ sig_grad) / (2.0 * vf.beta)
             else:  # drift_coupled: drift-free operator, drift read off the gradient
@@ -544,7 +508,7 @@ def solve_drift_coupled_fixed_point(coeff, Phi, t, x, mu, T, M, dt, seed, n_iter
     start point.  The coupling is not a contraction in general; callers
     must check ``converged``.
     """
-    vf = McValueFunction(coeff, Phi, None, T, dt, M, seed, mu, "linear", n_flow=n_flow)
+    vf = McValueFunction(coeff, Phi, None, T, dt, M, seed, mu, n_flow=n_flow)
     x = start_point(x, coeff.d)
     h = 1e-2 * (1.0 + np.abs(x))
     columns = []  # x + h_j e_j, x - h_j e_j for each axis j

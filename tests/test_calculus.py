@@ -289,6 +289,17 @@ def test_unknown_names_rejected():
         make_outer("nope")
 
 
+@pytest.mark.parametrize("name, params, unread", [
+    ("x_norm_sq", {"c": 1.0}, "'c'"),
+    ("coord", {"i": 0, "c": 2.0, "a": 1.0}, "'a', 'c'"),
+    ("const", {"i": 1}, "'i'"),
+])
+def test_outer_catalog_rejects_a_parameter_the_entry_does_not_read(name, params, unread):
+    # each was once accepted and ignored
+    with pytest.raises(ContractError, match=f"outer function '{name}' does not read {unread}"):
+        make_outer(name, **params)
+
+
 @pytest.mark.parametrize("outer", ["mean", "x_sq_plus_r1"])
 def test_outer_that_reads_an_integral_needs_an_inner_function(outer):
     # these once built without one and died reading r[0] ("index 0 is out

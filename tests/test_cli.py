@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import re
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -131,7 +132,7 @@ dt = 0.25
     with pytest.raises(ConfigError):
         parse_config(base + "times = 0, 0.3, 1\n")
     cfg = parse_config(base + "times = 0, 0.5, 1\n")
-    assert cfg.floats("times") == (0.0, 0.5, 1.0)
+    assert cfg.get("times") == (0.0, 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +406,9 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ("feynman-kac-heat", "Phi.outer", "square"),
         ("pde-residual-nonlinear", "pde", "source"),
         ("path-independence-forward", "dt", "0.5"),
+        ("path-independence-forward", "coeff.sigma", "5"),
+        ("path-independence-forward", "coeff.rate", "1"),
+        ("path-independence-forward", "V.outer.c", "1"),
     ],
 )
 def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, capsys):
@@ -497,6 +501,23 @@ def test_main_rejects_a_run_too_large_to_allocate(preset, overrides, key, tmp_pa
     err = capsys.readouterr().err
     assert f"key '{key}': a span of" in err and "a run may allocate up front" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_size_bound_counts_the_gaussian_initial_sample():
+    # N = 1e9 once parsed, and its run drew 8 GB of initial points before its
+    # first step; the check itself allocates nothing of that size
+    text = _with_overrides(PRESETS["feynman-kac-heat"],
+                           {"init.kind": "gaussian", "N": "1000000000"})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [v for v in exc.value.violations if v.startswith("key 'N': an initial sample")]
+    assert parse_config(_with_overrides(text, {"N": "1000"})).get("N") == 1000
 
 
 def test_size_bound_accepts_every_preset_benchmark_op_and_large_path_count(monkeypatch):

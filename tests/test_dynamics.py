@@ -19,6 +19,7 @@ from mfsde import (
 import mfsde.dynamics as dynamics
 from mfsde.dynamics import (
     COEFFICIENT_NAMES,
+    COEFFICIENT_PARAMS,
     DOMAIN_DECOUPLED,
     DOMAIN_INIT,
     DOMAIN_INTERACTING,
@@ -314,7 +315,7 @@ def _decoupled_samples(coeff, mu, x, T, dt, M, seed, t=0.0, n_flow=64):
     """First coordinates, shape (M,), of the states at T of M decoupled paths
     from x at t, each reading the frozen flow of mu (n_flow particles)."""
     Phi = make_cylindrical("coord")
-    vf = McValueFunction(coeff, Phi, None, T, dt, M, seed, mu, "linear", n_flow=n_flow)
+    vf = McValueFunction(coeff, Phi, None, T, dt, M, seed, mu, n_flow=n_flow)
     return vf.samples(t, x)
 
 
@@ -391,12 +392,12 @@ def test_sample_table_matches_the_reference_euler_loop_bit_for_bit():
         return X[:, 0] * mu.mean()[1] + t
 
     columns = [(0.0, x, None), (0.25, x, None)]
-    vf = McValueFunction(coeff, None, f, T, dt, M, seed, init, "source", n_flow=n_flow)
+    vf = McValueFunction(coeff, None, f, T, dt, M, seed, init, n_flow=n_flow)
     [integrals] = vf.sample_table([columns])
     coords = []
     for i in range(2):
         Phi = make_cylindrical("coord", outer_params={"i": i})
-        linear = replace(vf, Phi=Phi, f_field=None, provenance="linear")
+        linear = replace(vf, Phi=Phi, f_field=None)
         coords.append(linear.sample_table([columns])[0])
     for j, (t, _, _) in enumerate(columns):
         flow = simulate_mckean_vlasov(coeff, init, n_flow, T, dt, seed, s=t)
@@ -441,11 +442,20 @@ def test_measure_at_rejects_index_outside_grid(k):
 # coefficient catalog
 
 
+#: one value for each catalog parameter; an entry is built with those it reads
+CATALOG_VALUES = {"s": 0.7, "c": [0.5, -1.0], "rate": 1.5, "theta": 0.8, "kappa": 0.3}
+
+
+def _catalog_entry(name, **kwargs):
+    """The d = 2 catalog field ``name`` at CATALOG_VALUES."""
+    params = {k: v for k, v in CATALOG_VALUES.items() if k in COEFFICIENT_PARAMS[name]}
+    return make_coefficients(name, d=2, **kwargs, **params)
+
+
 def test_catalog_names_resolve():
     # each output broadcasts to (3, d) and (3, d, m) and then equals its
     # documented formula; a coefficient that does not depend on x comes back
     # as one read-only (d,) or (d, m) array, not as a copy per point
-    params = {"s": 0.7, "c": [0.5, -1.0], "rate": 1.5, "theta": 0.8, "kappa": 0.3}
     x = np.array([[0.1, -0.4], [1.2, 0.3], [-2.0, 0.5]])
     mu = EmpiricalMeasure(np.array([[1.0, -1.0], [2.0, 0.5]]), np.array([0.25, 0.75]))
     mean = mu.mean()
@@ -458,7 +468,7 @@ def test_catalog_names_resolve():
             "ou": -0.8 * x + 0.3 * mean,
         }
         for name in COEFFICIENT_NAMES:
-            coeff = make_coefficients(name, d=2, m=m, **params)
+            coeff = _catalog_entry(name, m=m)
             b, sigma = coeff.b(0.0, x, mu), coeff.sigma(0.0, x, mu)
             s = 0.0 if name == "frozen" else 0.7
             assert np.array_equal(np.broadcast_to(b, (3, 2)), drifts[name])
@@ -488,7 +498,7 @@ def _per_path_twin(coeff):
 def test_per_path_twin_gives_the_same_bits(name):
     # a field may return its coefficients at the shape they vary on; one that
     # returns a row per point must give the same bits everywhere they are read
-    coeff = make_coefficients(name, d=2, s=0.7, c=[0.5, -1.0], rate=1.5, theta=0.8, kappa=0.3)
+    coeff = _catalog_entry(name)
     twin = _per_path_twin(coeff)
     init = EmpiricalMeasure(np.random.default_rng(2).standard_normal((6, 2)))
     runs = [simulate_mckean_vlasov(c, init, 6, 0.5, 0.05, seed=3) for c in (coeff, twin)]
@@ -516,7 +526,7 @@ def test_per_path_twin_gives_the_same_samples():
         shifted = _measure_shift(c, init, 0.0, MEASURE_DS, 1.0, np.random.default_rng(8))
         columns = [(0.0, x, None) for x in xs] + [(0.0, x, shifted) for x in xs[:2]]
         columns.append((0.25, xs[0], None))
-        vf = McValueFunction(c, Phi, None, 1.0, 0.05, 64, 7, init, "linear", n_flow=16)
+        vf = McValueFunction(c, Phi, None, 1.0, 0.05, 64, 7, init, n_flow=16)
         [table] = vf.sample_table([columns])
         tables.append((shifted.points, table))
     assert _chunk_size(3) * 3 <= TILE  # the three columns on init share one tile
@@ -527,6 +537,19 @@ def test_per_path_twin_gives_the_same_samples():
 def test_unknown_coefficient_rejected():
     with pytest.raises(ContractError):
         make_coefficients("nope")
+
+
+@pytest.mark.parametrize("name, params", [
+    ("brownian", {"sigma": 5.0}),
+    ("brownian", {"rate": 1.0, "s": 1.0}),
+    ("frozen", {"s": 1.0}),
+    ("mean_revert", {"theta": 0.5, "kappa": 0.5}),
+])
+def test_catalog_rejects_a_parameter_the_entry_does_not_read(name, params):
+    # each was once accepted and ignored, leaving the entry at its defaults
+    unread = sorted(set(params) - set(COEFFICIENT_PARAMS[name]))
+    with pytest.raises(ContractError, match=", ".join(map(repr, unread))):
+        make_coefficients(name, **params)
 
 
 @given(name=st.sampled_from(COEFFICIENT_NAMES), seed=st.integers(0, 2000))

@@ -10,47 +10,49 @@ from mfsde import (
     ContractError,
     DataError,
     EmpiricalMeasure,
+    McSolution,
+    McValueFunction,
     dirac,
     make_coefficients,
     make_cylindrical,
     npy_identity_gap,
     pde_residual_exact,
     pde_residual_mc,
-    solve_combined,
-    solve_linear,
-    solve_log_transform,
-    solve_with_source,
 )
 from mfsde.dynamics import DOMAIN_DECOUPLED
-from mfsde.feynman_kac import (
-    McValueFunction,
-    _diag_diffusion,
-    _mean_solution,
-    solve_drift_coupled_fixed_point,
-)
+from mfsde.feynman_kac import _diag_diffusion, solve_drift_coupled_fixed_point
 
 
 BROWNIAN = make_coefficients("brownian", s=1.0)
+DIRAC0 = dirac([0.0])
 
 
 def x_field(t, X, mu):
     return np.asarray(X)[:, 0]
 
 
+def zero_field(t, X, mu):
+    return np.zeros(X.shape[0])
+
+
+def unit_field(t, X, mu):
+    return np.ones(X.shape[0])
+
+
 # ---------------------------------------------------------------------------
-# terminal-condition solver
+# terminal datum only
 
 
 def test_linear_terminal_time_exact():
     Phi = make_cylindrical("x_norm_sq")
-    sol = solve_linear(BROWNIAN, Phi, 1.0, np.array([1.5]), dirac([0.0]), 1.0, 50, 0.01, seed=0)
+    sol = McValueFunction(BROWNIAN, Phi, None, 1.0, 0.01, 50, 0, DIRAC0).solve(1.0, np.array([1.5]))
     assert sol.value == pytest.approx(1.5**2, abs=1e-14)
     assert sol.std_error == 0.0
 
 
 def test_linear_constant_terminal_exact():
     Phi = make_cylindrical("const", outer_params={"c": 4.0})
-    sol = solve_linear(BROWNIAN, Phi, 0.0, np.array([0.7]), dirac([0.0]), 1.0, 64, 0.05, seed=1)
+    sol = McValueFunction(BROWNIAN, Phi, None, 1.0, 0.05, 64, 1, DIRAC0).solve(0.0, np.array([0.7]))
     assert sol.value == pytest.approx(4.0, abs=1e-14)
     assert sol.std_error == 0.0
 
@@ -58,70 +60,65 @@ def test_linear_constant_terminal_exact():
 def test_linear_heat_kernel_closed_form():
     Phi = make_cylindrical("x_norm_sq")
     t, T, x = 0.25, 1.0, 0.5
-    sol = solve_linear(
-        BROWNIAN, Phi, t, np.array([x]), dirac([0.0]), T, 40_000, 0.01, seed=2
-    )
+    sol = McValueFunction(BROWNIAN, Phi, None, T, 0.01, 40_000, 2, DIRAC0).solve(t, np.array([x]))
     expected = x**2 + (T - t)
     assert abs(sol.value - expected) <= 3 * sol.std_error
 
 
 # ---------------------------------------------------------------------------
-# source solver
+# running cost only
 
 
 def test_source_zero_exact():
-    sol = solve_with_source(
-        BROWNIAN, lambda t, X, mu: np.zeros(X.shape[0]), 0.0, np.array([0.0]),
-        dirac([0.0]), 1.0, 32, 0.25, seed=0,
-    )
+    sol = McValueFunction(BROWNIAN, None, zero_field, 1.0, 0.25, 32, 0, DIRAC0).solve(
+        0.0, np.array([0.0]))
     assert sol.value == 0.0
     assert sol.std_error == 0.0
 
 
 def test_source_unit_constant_exact():
-    sol = solve_with_source(
-        BROWNIAN, lambda t, X, mu: np.ones(X.shape[0]), 0.25, np.array([0.0]),
-        dirac([0.0]), 1.0, 32, 0.25, seed=0,
-    )
+    sol = McValueFunction(BROWNIAN, None, unit_field, 1.0, 0.25, 32, 0, DIRAC0).solve(
+        0.25, np.array([0.0]))
     assert sol.value == pytest.approx(-(1.0 - 0.25), abs=1e-13)
 
 
 def test_source_linear_in_state():
     t, T, x = 0.0, 1.0, 0.8
-    sol = solve_with_source(
-        BROWNIAN, x_field, t, np.array([x]), dirac([0.0]), T, 40_000, 0.01, seed=3
-    )
+    sol = McValueFunction(BROWNIAN, None, x_field, T, 0.01, 40_000, 3, DIRAC0).solve(
+        t, np.array([x]))
     assert abs(sol.value - (-x * (T - t))) <= 3 * sol.std_error
 
 
 # ---------------------------------------------------------------------------
-# combined solver
+# terminal datum and running cost on shared paths
+
+
+def _solve_at_03(Phi, f_field, seed):
+    """The value at (0, 0.3) with T = 1, dt = 0.05 and M = 500 from a point mass."""
+    vf = McValueFunction(BROWNIAN, Phi, f_field, 1.0, 0.05, 500, seed, DIRAC0)
+    return vf.solve(0.0, np.array([0.3]))
 
 
 def test_combined_reduces_to_linear_with_zero_source():
     Phi = make_cylindrical("x_norm_sq")
-    args = (0.0, np.array([0.3]), dirac([0.0]), 1.0, 500, 0.05)
-    a = solve_combined(BROWNIAN, Phi, lambda t, X, mu: np.zeros(X.shape[0]), *args, seed=5)
-    b = solve_linear(BROWNIAN, Phi, *args, seed=5)
+    a = _solve_at_03(Phi, zero_field, seed=5)
+    b = _solve_at_03(Phi, None, seed=5)
     assert a.value == b.value
     assert a.std_error == b.std_error
 
 
 def test_combined_zero_terminal_unit_source():
     Phi = make_cylindrical("const", outer_params={"c": 0.0})
-    sol = solve_combined(
-        BROWNIAN, Phi, lambda t, X, mu: np.ones(X.shape[0]), 0.0, np.array([0.0]),
-        dirac([0.0]), 1.0, 16, 0.25, seed=0,
-    )
+    sol = McValueFunction(BROWNIAN, Phi, unit_field, 1.0, 0.25, 16, 0, DIRAC0).solve(
+        0.0, np.array([0.0]))
     assert sol.value == pytest.approx(-1.0, abs=1e-13)
 
 
 def test_combined_additivity_on_shared_seed():
     Phi = make_cylindrical("x_norm_sq")
-    args = (0.0, np.array([0.3]), dirac([0.0]), 1.0, 500, 0.05)
-    c = solve_combined(BROWNIAN, Phi, x_field, *args, seed=7)
-    a = solve_linear(BROWNIAN, Phi, *args, seed=7)
-    b = solve_with_source(BROWNIAN, x_field, *args, seed=7)
+    c = _solve_at_03(Phi, x_field, seed=7)
+    a = _solve_at_03(Phi, None, seed=7)
+    b = _solve_at_03(None, x_field, seed=7)
     assert c.value == pytest.approx(a.value + b.value, abs=1e-12)
 
 
@@ -129,11 +126,14 @@ def test_combined_additivity_on_shared_seed():
 # log transform
 
 
+def _log_solve(Phi, beta, t, x, M, dt, seed):
+    """The log-transform value at (t, x) with T = 1 from a point mass."""
+    return McValueFunction(BROWNIAN, Phi, None, 1.0, dt, M, seed, DIRAC0, beta).solve(t, x)
+
+
 def test_log_transform_constant_exact():
     Phi = make_cylindrical("const", outer_params={"c": 2.0})
-    sol = solve_log_transform(
-        BROWNIAN, Phi, 3.0, 0.0, np.array([0.0]), dirac([0.0]), 1.0, 64, 0.25, seed=0
-    )
+    sol = _log_solve(Phi, 3.0, 0.0, np.array([0.0]), 64, 0.25, seed=0)
     assert sol.value == pytest.approx(-3.0 * np.log(2.0), abs=1e-13)
     assert sol.std_error == 0.0
 
@@ -141,9 +141,7 @@ def test_log_transform_constant_exact():
 def test_log_transform_terminal_time_exact():
     Phi = make_cylindrical("gauss_quarter")
     x = np.array([0.6])
-    sol = solve_log_transform(
-        BROWNIAN, Phi, 1.0, 1.0, x, dirac([0.0]), 1.0, 64, 0.25, seed=0
-    )
+    sol = _log_solve(Phi, 1.0, 1.0, x, 64, 0.25, seed=0)
     assert sol.value == pytest.approx(0.6**2 / 4.0, abs=1e-13)
 
 
@@ -152,36 +150,30 @@ def test_log_transform_gaussian_closed_form():
     Phi = make_cylindrical("gauss_quarter")
     t, T, x = 0.5, 1.0, 1.0
     tau = T - t
-    sol = solve_log_transform(
-        BROWNIAN, Phi, 1.0, t, np.array([x]), dirac([0.0]), T, 40_000, 0.01, seed=9
-    )
+    sol = _log_solve(Phi, 1.0, t, np.array([x]), 40_000, 0.01, seed=9)
     closed = -np.log((1 + tau / 2) ** -0.5 * np.exp(-(x**2) / (4 + 2 * tau)))
     assert abs(sol.value - closed) <= 3 * sol.std_error
 
 
 def test_log_transform_consistency_with_plain_mean():
     Phi = make_cylindrical("gauss_quarter")
-    args = (0.0, np.array([0.2]), dirac([0.0]), 1.0, 400, 0.05)
-    log_sol = solve_log_transform(BROWNIAN, Phi, 2.0, *args, seed=11)
-    lin_sol = solve_linear(BROWNIAN, Phi, *args, seed=11)
+    log_sol = McValueFunction(BROWNIAN, Phi, None, 1.0, 0.05, 400, 11, DIRAC0, 2.0).solve(
+        0.0, np.array([0.2]))
+    lin_sol = McValueFunction(BROWNIAN, Phi, None, 1.0, 0.05, 400, 11, DIRAC0).solve(
+        0.0, np.array([0.2]))
     assert np.exp(-log_sol.value / 2.0) == pytest.approx(lin_sol.value, abs=1e-12)
 
 
 def test_log_transform_rejects_zero_beta():
     Phi = make_cylindrical("gauss_quarter")
     with pytest.raises(ContractError):
-        solve_log_transform(
-            BROWNIAN, Phi, 0.0, 0.0, np.array([0.0]), dirac([0.0]), 1.0, 8, 0.25, seed=0
-        )
+        _log_solve(Phi, 0.0, 0.0, np.array([0.0]), 8, 0.25, seed=0)
 
 
 def test_log_transform_flags_nonpositive_samples():
-    Phi = make_cylindrical("const", outer_params={"c": 0.5})
+    Phi = make_cylindrical("const", outer_params={"c": 0.0})
     with pytest.raises(DataError):
-        solve_log_transform(
-            BROWNIAN, Phi, 1.0, 0.0, np.array([0.0]), dirac([0.0]), 1.0, 8, 0.25,
-            seed=0, lower_bound=0.5,
-        )
+        _log_solve(Phi, 1.0, 0.0, np.array([0.0]), 8, 0.25, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +183,7 @@ def test_log_transform_flags_nonpositive_samples():
 def test_se_halves_when_m_quadruples():
     Phi = make_cylindrical("x_norm_sq")
     sols = [
-        solve_linear(BROWNIAN, Phi, 0.0, np.array([0.0]), dirac([0.0]), 1.0, M, 0.01, seed=13)
+        McValueFunction(BROWNIAN, Phi, None, 1.0, 0.01, M, 13, DIRAC0).solve(0.0, np.array([0.0]))
         for M in (4000, 16_000)
     ]
     ratio = sols[0].std_error / sols[1].std_error
@@ -205,14 +197,14 @@ def test_solver_rejects_reversed_interval(monkeypatch):
     monkeypatch.setattr(dynamics, "_raw_normals", no_draw)
     Phi = make_cylindrical("x_norm_sq")
     with pytest.raises(ContractError, match="need T >= t"):
-        solve_linear(BROWNIAN, Phi, 1.0, np.array([0.0]), dirac([0.0]), 0.5, 8, 0.25, seed=0)
+        McValueFunction(BROWNIAN, Phi, None, 0.5, 0.25, 8, 0, DIRAC0).solve(1.0, np.array([0.0]))
 
 
 def test_mc_value_function_deterministic():
     Phi = make_cylindrical("gauss_quarter")
     vf = McValueFunction(
         coeff=BROWNIAN, Phi=Phi, f_field=None, T=1.0, dt=0.05, M=200, seed=17,
-        mu=dirac([0.0]), provenance="log_transform", beta=1.0,
+        mu=DIRAC0, beta=1.0,
     )
     first, again = (vf.samples(0.0, np.array([0.5])) for _ in range(2))
     assert first.tobytes() == again.tobytes()
@@ -221,20 +213,21 @@ def test_mc_value_function_deterministic():
 
 def _solver_calls():
     Phi = make_cylindrical("gauss_quarter")
-    zero = lambda t, X, mu: np.zeros(X.shape[0])  # noqa: E731
-    args = (dirac([0.0]), 1.0)
+
+    def solve(Phi, f_field, beta=None):
+        return lambda x, M: McValueFunction(
+            BROWNIAN, Phi, f_field, 1.0, 0.25, M, 0, DIRAC0, beta).solve(0.0, x)
+
     return {
-        "linear": lambda x, M: solve_linear(BROWNIAN, Phi, 0.0, x, *args, M, 0.25, seed=0),
-        "source": lambda x, M: solve_with_source(BROWNIAN, zero, 0.0, x, *args, M, 0.25, seed=0),
-        "combined": lambda x, M: solve_combined(
-            BROWNIAN, Phi, zero, 0.0, x, *args, M, 0.25, seed=0),
-        "log_transform": lambda x, M: solve_log_transform(
-            BROWNIAN, Phi, 1.0, 0.0, x, *args, M, 0.25, seed=0),
+        "linear": solve(Phi, None),
+        "source": solve(None, zero_field),
+        "combined": solve(Phi, zero_field),
+        "log_transform": solve(Phi, None, beta=1.0),
         "fixed_point": lambda x, M: solve_drift_coupled_fixed_point(
-            BROWNIAN, Phi, 0.0, x, *args, M, 0.25, seed=0, n_iter=1),
+            BROWNIAN, Phi, 0.0, x, DIRAC0, 1.0, M, 0.25, seed=0, n_iter=1),
         "value_function": lambda x, M: McValueFunction(
             coeff=BROWNIAN, Phi=Phi, f_field=None, T=1.0, dt=0.25, M=M, seed=0,
-            mu=dirac([0.0]), provenance="linear").samples(0.0, x),
+            mu=DIRAC0).samples(0.0, x),
     }
 
 
@@ -251,12 +244,29 @@ def test_solvers_reject_misshapen_start(solver):
         _solver_calls()[solver](np.zeros(2), 8)
 
 
-def test_value_function_rejects_unknown_provenance_at_construction():
-    with pytest.raises(ContractError, match="provenance"):
-        McValueFunction(
-            coeff=BROWNIAN, Phi=None, f_field=None, T=1.0, dt=0.25, M=8, seed=0,
-            mu=dirac([0.0]), provenance="quadratic",
-        )
+@pytest.mark.parametrize(
+    "Phi, f_field, beta",
+    [
+        (None, None, None),
+        (make_cylindrical("gauss_quarter"), zero_field, 1.0),
+        (None, zero_field, 1.0),
+        (make_cylindrical("gauss_quarter"), None, 0.0),
+    ],
+    ids=["no_terms", "beta_with_f_field", "beta_without_Phi", "beta_zero"],
+)
+def test_value_function_rejects_contradictory_terms(Phi, f_field, beta):
+    # the terms follow from Phi, f_field and beta; a set of them that names no
+    # estimator is refused before any path is simulated
+    with pytest.raises(ContractError):
+        McValueFunction(BROWNIAN, Phi, f_field, 1.0, 0.25, 8, 0, DIRAC0, beta)
+
+
+@pytest.mark.parametrize("pde, term", [("nonlinear", "beta"), ("source", "f_field")])
+def test_mc_residual_needs_the_term_its_pde_reads(pde, term):
+    # each once failed with a TypeError on None
+    vf = McValueFunction(BROWNIAN, make_cylindrical("gauss_quarter"), None, 1.0, 0.25, 8, 0, DIRAC0)
+    with pytest.raises(ContractError, match=f"pde = {pde} needs a value function with {term}"):
+        pde_residual_mc(vf, pde, [(0.0, [0.0])])
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +325,7 @@ def test_mc_residual_heat_linear_pde():
     Phi = make_cylindrical("x_norm_sq")
     vf = McValueFunction(
         coeff=BROWNIAN, Phi=Phi, f_field=None, T=1.0, dt=0.01, M=20_000, seed=19,
-        mu=dirac([0.0]), provenance="linear",
+        mu=dirac([0.0]),
     )
     table = pde_residual_mc(vf, "linear", [(0.0, [0.0]), (0.5, [1.0])])
     assert table.verdict == "PASS"
@@ -391,11 +401,14 @@ def mean_coupled_source(t, X, mu):
     return np.asarray(X)[:, 0] * mu.mean()[0] + t
 
 
-def _mean_revert_vf(provenance):
+def _mean_revert_vf(terms):
+    """The value function of the named terms: Phi alone (linear), the running
+    cost alone (source) or both (combined)."""
     return McValueFunction(
-        coeff=MEAN_REVERT, Phi=make_cylindrical("x_sq_plus_r1", [("quadratic", {})]),
-        f_field=mean_coupled_source, T=1.0, dt=0.05, M=200, seed=29, mu=MU0,
-        provenance=provenance, n_flow=50,
+        coeff=MEAN_REVERT,
+        Phi=None if terms == "source" else make_cylindrical("x_sq_plus_r1", [("quadratic", {})]),
+        f_field=None if terms == "linear" else mean_coupled_source, T=1.0, dt=0.05, M=200,
+        seed=29, mu=MU0, n_flow=50,
     )
 
 
@@ -408,11 +421,11 @@ RESIDUAL_TABLE_GOLDEN = "fd74a5d7b9a50fa9e033fdcf8946470e62166a42beaa69e51956a0f
 FIXED_POINT_GOLDEN = (0.05843381749852504, 0.007012058099822943)
 
 
-@pytest.mark.parametrize("provenance", sorted(SAMPLES_GOLDEN))
-def test_samples_off_zero_match_golden_hash(provenance):
-    samples = _mean_revert_vf(provenance).samples(0.25, np.array([0.4]))
+@pytest.mark.parametrize("terms", sorted(SAMPLES_GOLDEN))
+def test_samples_off_zero_match_golden_hash(terms):
+    samples = _mean_revert_vf(terms).samples(0.25, np.array([0.4]))
     assert samples.dtype == np.float64 and samples.shape == (200,)
-    assert hashlib.sha256(samples.tobytes()).hexdigest() == SAMPLES_GOLDEN[provenance]
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == SAMPLES_GOLDEN[terms]
 
 
 def test_mc_residual_table_matches_golden_hash(tmp_path):
@@ -430,30 +443,26 @@ def test_fixed_point_drift_changes_match_golden():
     assert out.drift_changes == FIXED_POINT_GOLDEN
 
 
-@pytest.mark.parametrize("provenance", ["linear", "source", "combined", "log_transform"])
-def test_solvers_are_the_value_function_mean(provenance):
-    Phi = make_cylindrical("gauss_quarter")
-    args = (0.25, np.array([0.4]), MU0, 1.0, 200, 0.05, 29)
-    solve = {
-        "linear": lambda: solve_linear(MEAN_REVERT, Phi, *args, n_flow=50),
-        "source": lambda: solve_with_source(MEAN_REVERT, mean_coupled_source, *args, n_flow=50),
-        "combined": lambda: solve_combined(
-            MEAN_REVERT, Phi, mean_coupled_source, *args, n_flow=50),
-        "log_transform": lambda: solve_log_transform(MEAN_REVERT, Phi, 0.5, *args, n_flow=50),
-    }[provenance]
-    beta = 0.5 if provenance == "log_transform" else None
-    vf = McValueFunction(
-        coeff=MEAN_REVERT, Phi=Phi, f_field=mean_coupled_source, T=1.0, dt=0.05, M=200,
-        seed=29, mu=MU0, provenance=provenance, beta=beta, n_flow=50,
-    )
-    expected = _mean_solution(vf.samples(0.25, np.array([0.4])), provenance, beta)
+@pytest.mark.parametrize("terms", ["linear", "source", "combined", "log_transform"])
+def test_solvers_are_the_value_function_mean(terms):
+    # solve is the mean of the samples with its standard error, or under the
+    # log transform -beta log of it with the delta-method error
+    Phi = None if terms == "source" else make_cylindrical("gauss_quarter")
+    f_field = mean_coupled_source if terms in ("source", "combined") else None
+    beta = 0.5 if terms == "log_transform" else None
+    vf = McValueFunction(MEAN_REVERT, Phi, f_field, 1.0, 0.05, 200, 29, MU0, beta, n_flow=50)
+    solve = lambda: vf.solve(0.25, np.array([0.4]))  # noqa: E731
+    samples = vf.samples(0.25, np.array([0.4]))
+    mean, se = float(samples.mean()), float(np.std(samples, ddof=1) / np.sqrt(200))
+    expected = (McSolution(mean, se, 200) if beta is None else
+                McSolution(float(-beta * np.log(mean)), beta * se / mean, 200, beta))
     assert solve() == expected
 
 
 def test_value_function_shared_flow_gives_same_samples(monkeypatch):
     vf = McValueFunction(
         coeff=MEAN_REVERT, Phi=make_cylindrical("x_norm_sq"), f_field=mean_coupled_source,
-        T=1.0, dt=0.05, M=50, seed=3, mu=MU0, provenance="combined", n_flow=20,
+        T=1.0, dt=0.05, M=50, seed=3, mu=MU0, n_flow=20,
     )
     alone = [vf.samples(0.25, [x]) for x in (0.0, 0.7)]
     starts = []
@@ -486,11 +495,12 @@ def mean_coupled_source_2d(t, X, mu):
     return np.asarray(X)[:, 0] * mu.mean()[1] + t
 
 
-def _mean_revert_2d_vf(provenance):
+def _mean_revert_2d_vf(terms):
+    """As _mean_revert_vf, in d = 2."""
     return McValueFunction(
-        coeff=MEAN_REVERT_2D, Phi=make_cylindrical("x_norm_sq"),
-        f_field=mean_coupled_source_2d, T=0.5, dt=0.05, M=200, seed=43, mu=MU0_2D,
-        provenance=provenance, n_flow=30,
+        coeff=MEAN_REVERT_2D, Phi=None if terms == "source" else make_cylindrical("x_norm_sq"),
+        f_field=None if terms == "linear" else mean_coupled_source_2d, T=0.5, dt=0.05, M=200,
+        seed=43, mu=MU0_2D, n_flow=30,
     )
 
 
@@ -533,8 +543,8 @@ def test_samples_and_tables_identical_across_chunk_sizes(tile, unit, tmp_path, m
     monkeypatch.setattr(dynamics, "_raw_normals", counted)
     assert _chunked_outputs(tmp_path) == whole
     assert min(chunks) < 200
-    for provenance, digest in SAMPLES_GOLDEN.items():
-        assert hashlib.sha256(whole[provenance]).hexdigest() == digest
+    for terms, digest in SAMPLES_GOLDEN.items():
+        assert hashlib.sha256(whole[terms]).hexdigest() == digest
     assert hashlib.sha256(whole["d1_linear"]).hexdigest() == RESIDUAL_TABLE_GOLDEN
 
 
@@ -559,7 +569,7 @@ def test_pde_residual_builds_one_flow_per_distinct_start(monkeypatch):
     monkeypatch.setattr(feynman_kac, "_record", counted)
     vf = McValueFunction(
         coeff=BROWNIAN, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
-        M=40, seed=3, mu=dirac([0.0]), provenance="linear", n_flow=10,
+        M=40, seed=3, mu=dirac([0.0]), n_flow=10,
     )
     # two probes at t = 0 and one at t = 0.25, forward stencils of h_t = 0.05
     pde_residual_mc(vf, "linear", [(0.0, [0.3]), (0.0, [-0.4]), (0.25, [0.1])])
@@ -599,7 +609,7 @@ def test_chunked_blowup_names_the_global_particle(monkeypatch):
     monkeypatch.setattr(feynman_kac, "CHUNK_UNIT", 16)
     vf = McValueFunction(
         coeff=coeff, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=1.0, dt=dt, M=M,
-        seed=7, mu=dirac([0.0]), provenance="linear", n_flow=4,
+        seed=7, mu=dirac([0.0]), n_flow=4,
     )
     # the column that blows up runs second in its Euler loop, in a later chunk
     with pytest.raises(SimulationError) as exc:

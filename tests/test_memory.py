@@ -118,7 +118,7 @@ def test_pde_residual_draws_one_block_per_domain(monkeypatch):
     mu = EmpiricalMeasure(np.linspace(-1.0, 1.0, 20)[:, None])
     vf = McValueFunction(
         coeff=coeff, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
-        M=200, seed=3, mu=mu, provenance="linear", n_flow=20,
+        M=200, seed=3, mu=mu, n_flow=20,
     )
     pde_residual_mc(vf, "linear", [(0.0, [0.3]), (0.2, [-0.4])], n_measure_draws=2)
     _assert_each_stream_drawn_once(draws, 20, 200, 10)
@@ -130,8 +130,7 @@ def test_pde_residual_draws_once_whatever_the_probe_order(monkeypatch):
     monkeypatch.setattr(feynman_kac, "CHUNK_UNIT", 4)
     vf = McValueFunction(
         coeff=make_coefficients("brownian", s=1.0), Phi=make_cylindrical("x_norm_sq"),
-        f_field=None, T=0.5, dt=0.05, M=50, seed=3, mu=dirac([0.0]), provenance="linear",
-        n_flow=10,
+        f_field=None, T=0.5, dt=0.05, M=50, seed=3, mu=dirac([0.0]), n_flow=10,
     )
     # a later probe first, then the earliest, then one with a backward stencil
     probes = [(0.2, [0.3]), (0.0, [0.0]), (0.5, [-0.4])]
@@ -145,7 +144,7 @@ def test_pde_residual_peak_stays_below_one_noise_block():
     block = 8 * round(1.0 / dt) * M  # the (L, M, m) raw block of the decoupled paths
     vf = McValueFunction(
         coeff=BROWNIAN, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=1.0, dt=dt,
-        M=M, seed=19, mu=dirac([0.0]), provenance="linear",
+        M=M, seed=19, mu=dirac([0.0]),
     )
     probes = [(0.0, [0.0]), (0.5, [1.0])]
     # the two probes' (M, 7) sample tables (2.2 MB), one chunk of noise
@@ -167,7 +166,7 @@ def test_table_flows_share_one_read_only_increment_block(monkeypatch):
     n_flow, dt = 6, 0.05
     vf = McValueFunction(
         coeff=MEAN_REVERT, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=dt,
-        M=40, seed=4, mu=dirac([0.0]), provenance="linear", n_flow=n_flow,
+        M=40, seed=4, mu=dirac([0.0]), n_flow=n_flow,
     )
     pde_residual_mc(vf, "linear", [(0.0, [0.3]), (0.25, [-0.4])], n_measure_draws=1)
     # per probe: the centre's flow, two time points' and two shifted measures'
@@ -309,7 +308,7 @@ def test_pde_residual_builds_each_snapshot_once(measures_built, monkeypatch):
     mu = EmpiricalMeasure(np.linspace(-1.0, 1.0, 20)[:, None])
     vf = McValueFunction(
         coeff=MEAN_REVERT, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
-        M=50, seed=3, mu=mu, provenance="linear", n_flow=20,
+        M=50, seed=3, mu=mu, n_flow=20,
     )
     n_draws = 2
     before = len(measures_built)
