@@ -10,11 +10,9 @@ from .calculus import (
 )
 from .dynamics import (
     CoefficientField,
-    ParticleFlow,
     StreamedFlow,
     make_coefficients,
     semigroup_apply,
-    simulate_mckean_vlasov,
     stream_mckean_vlasov,
 )
 from .errors import (

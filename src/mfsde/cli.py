@@ -311,17 +311,20 @@ def _run_girsanov(cfg, out_dir):
     ]
 
 
-def _closed_form(kind, t, x, T, beta):
-    tau = T - t
-    if kind == "heat":
-        return float(np.sum(np.asarray(x) ** 2) + tau)
-    if kind == "gauss":
-        dens = (1.0 + tau / 2.0) ** -0.5 * np.exp(
-            -float(np.sum(np.asarray(x) ** 2)) / (4.0 + 2.0 * tau)
-        )
-        return float(-beta * np.log(dens))
+def _closed_form(cfg, t, x):
+    """The config's closed-form value at (t, x) (see _CLOSED_FORMS), or None."""
+    kind, tau = cfg.get("closed_form"), cfg.get("T") - t
     if kind == "neg_tau":
-        return -tau
+        return -cfg.get("f.value") * tau
+    # under sigma = s I, (d, m), X_T - x has independent coordinates of
+    # variance s^2 tau, or 0 where sigma has no noise column
+    s = cfg.get("coeff.s", COEFFICIENT_PARAMS["brownian"]["s"])
+    var = np.where(np.arange(cfg.get("d")) < cfg.get("m"), s**2 * tau, 0.0)
+    if kind == "heat":
+        return float(np.sum(x**2) + np.sum(var))
+    if kind == "gauss":
+        dens = np.prod((1.0 + var / 2.0) ** -0.5 * np.exp(-(x**2) / (4.0 + 2.0 * var)))
+        return float(-cfg.get("beta") * np.log(dens))
     return None
 
 
@@ -334,12 +337,11 @@ def _value_function(cfg, Phi=None, f_field=None, beta=None):
 
 
 def _run_feynman_kac(cfg, out_dir):
-    d, T, beta = cfg.get("d"), cfg.get("T"), cfg.get("beta")
-    closed = cfg.get("closed_form")
+    d = cfg.get("d")
     if cfg.scenario == "feynman_kac_source":
         vf = _value_function(cfg, f_field=_const_field(cfg.get("f.value")))
     else:
-        log_beta = beta if cfg.scenario == "feynman_kac_log" else None
+        log_beta = cfg.get("beta") if cfg.scenario == "feynman_kac_log" else None
         vf = _value_function(cfg, _build_cylindrical(cfg.values, "Phi"), beta=log_beta)
     anchor = {
         "feynman_kac_linear": "Lemma-3.3", "feynman_kac_source": "Lemma-3.4",
@@ -350,7 +352,7 @@ def _run_feynman_kac(cfg, out_dir):
     for probe_id, (t, x_val) in enumerate(probes):
         x = np.full(d, x_val)
         sol = dataclasses.replace(vf, seed=cfg.seed + 101 * probe_id).solve(t, x)
-        expected = _closed_form(closed, t, x, T, beta)
+        expected = _closed_form(cfg, t, x)
         err = abs(sol.value - expected) if expected is not None else 0.0
         # roundoff floor keeps deterministic cases (zero SE) honest
         ok = expected is None or err <= 3 * sol.std_error + 1e-12 * (1.0 + abs(expected))
@@ -471,6 +473,31 @@ def _girsanov_rules(values, failed, violations):
             )
 
 
+#: the scenario, coefficient field and terminal datum each closed form solves
+_CLOSED_FORMS = {
+    "heat": ("feynman_kac_linear", "brownian", "x_norm_sq"),
+    "gauss": ("feynman_kac_log", "brownian", "gauss_quarter"),
+    "neg_tau": ("feynman_kac_source", None, None),
+}
+
+
+def _fk_rules(values, failed, violations):
+    kind = values.get("closed_form", "none")
+    for key, need in zip(("scenario", "coeff.id", "Phi.outer"), _CLOSED_FORMS.get(kind, ())):
+        if need and key in values and values[key] != need:
+            violations.append(f"key 'closed_form': {kind} solves {key} = {need} only, "
+                              f"got {values[key]}")
+
+
+def _log_rules(values, failed, violations):
+    _fk_rules(values, failed, violations)
+    # the log transform takes log E Phi(X_T), so Phi must be positive everywhere
+    outer, c = values.get("Phi.outer"), values.get("Phi.outer.c", OUTER_PARAMS["const"]["c"])
+    if outer not in (None, "gauss_quarter", "exp") and not (outer == "const" and c > 0):
+        violations.append(f"key 'Phi.outer': the log transform needs a terminal datum positive "
+                          f"everywhere (gauss_quarter, exp or const with c > 0), got {outer}")
+
+
 def _mc_block(values):
     """The larger of the n_flow frozen-flow particles and a TILE chunk of M paths."""
     return max(values["n_flow"], min(values["M"], TILE))
@@ -506,10 +533,11 @@ _SCENARIOS = {
         _run_girsanov, {**_COEFF, **_INIT, "M": None, "T": ..., "dt": ..., "s": None,
                         "g.kind": ..., "g.value": ..., "beta": 1.0},
         itemgetter("M"), _girsanov_rules),
-    "feynman_kac_linear": _Scenario(_run_feynman_kac, {**_FK, **_PHI}, _mc_block),
+    "feynman_kac_linear": _Scenario(_run_feynman_kac, {**_FK, **_PHI}, _mc_block, _fk_rules),
     "feynman_kac_source": _Scenario(
-        _run_feynman_kac, {**_FK, "f.kind": ..., "f.value": ...}, _mc_block),
-    "feynman_kac_log": _Scenario(_run_feynman_kac, {**_FK, **_PHI, "beta": ...}, _mc_block),
+        _run_feynman_kac, {**_FK, "f.kind": ..., "f.value": ...}, _mc_block, _fk_rules),
+    "feynman_kac_log": _Scenario(
+        _run_feynman_kac, {**_FK, **_PHI, "beta": ...}, _mc_block, _log_rules),
     "pde_residual": _Scenario(
         _run_pde_residual, {**_MC, **_PHI, "beta": ..., "pde": ..., "check": "residual"},
         _mc_block, by_check={"npy": _Scenario(

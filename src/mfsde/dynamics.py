@@ -13,13 +13,16 @@ bits of one whole block.  Noise moves only as such read-only increments; the
 Euler loop advances (N, d) or (K, N, d) states, and its per-step costs,
 which set the Monte Carlo chunk and tile sizes of ``feynman_kac``, are
 given in ``_euler_loop``.
+
+No interacting run is recorded: ``stream_mckean_vlasov`` hands each grid
+point to a hook, a ``StreamedFlow`` runs it again on every replay, and the
+frozen law curve of decoupled paths is the snapshots a run hands its hook.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -260,82 +263,6 @@ def spot_check_lipschitz(coeff, samples):
     return worst
 
 
-class _Grid:
-    """The uniform time grid ``times`` of a flow, recorded or streamed."""
-
-    @property
-    def dt(self):
-        """The grid's step; ContractError on a one-point grid, which has none."""
-        if self.times.size == 1:
-            raise ContractError(f"the one-point grid [{self.times[0]}] has no step")
-        return float(self.times[1] - self.times[0])
-
-    def span(self, s, t):
-        """Grid indices (k0, k1) of s and t; ContractError if off-grid or t < s."""
-        k0 = self.index_of(s)
-        k1 = self.index_of(t)
-        if k1 < k0:
-            raise ContractError("need T >= s")
-        return k0, k1
-
-    def index_of(self, t):
-        """Grid index of time t; ContractError if t is off-grid."""
-        if self.times.size == 1:
-            if abs(t - self.times[0]) > 1e-9:
-                raise ContractError(f"time {t} not on the single-point grid [{self.times[0]}]")
-            return 0
-        k = grid_steps(t - self.times[0], self.dt)
-        if k is None or k >= self.times.size:
-            raise ContractError(f"time {t} not on the grid [{self.times[0]}, {self.times[-1]}] step {self.dt}")
-        return k
-
-
-@dataclass(frozen=True)
-class ParticleFlow(_Grid):
-    """Time-indexed ensemble of particle trajectories on a uniform grid.
-
-    ``states`` has shape (L+1, N, d), ``noise`` (L, N, m): the run's read-only
-    increments, shared with any flow drawn from the same block.  Re-simulating
-    with the same seed reproduces both arrays bit for bit.  ``snapshots``
-    holds the empirical measure of every grid point, the ones the
-    simulation read.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    noise: np.ndarray
-    snapshots: tuple = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        for name in ("times", "states", "noise"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_steps(self):
-        return self.noise.shape[0]
-
-    @property
-    def n_particles(self):
-        return self.states.shape[1]
-
-    def measure_at(self, k):
-        """Empirical measure of the ensemble at grid index k in [0, L] (uniform weights)."""
-        last = self.states.shape[0] - 1
-        if not 0 <= k <= last:
-            raise ContractError(f"step index {k} outside [0, {last}]")
-        return self.snapshots[k]
-
-    def replay(self, hook, s, t):
-        """Hand ``hook`` the recorded grid points from s to t as
-        :func:`stream_mckean_vlasov` hands it the live ones."""
-        k0, k1 = self.span(s, t)
-        for k in range(k0, k1 + 1):
-            dw = self.noise[k] if k < k1 else None
-            hook(self.times[k], self.states[k], self.measure_at(k), dw)
-
-
 def grid_steps(span, dt):
     """The number of steps of size dt > 0 that make up ``span``, or None when
     that is not a whole number (within 1e-9 of a step) of at least zero.
@@ -392,7 +319,7 @@ def _check_finite(x, k, first=0):
         )
 
 
-def _euler_loop(coeff, state, times, increments, dt, law, hook, states=None, first=0):
+def _euler_loop(coeff, state, times, increments, dt, law, hook, first=0):
     """Euler steps of ``state`` over the grid ``times``, the body both schemes share.
 
     ``state`` is (N, d), or (K, N, d) for K columns of N paths that read the
@@ -404,9 +331,9 @@ def _euler_loop(coeff, state, times, increments, dt, law, hook, states=None, fir
     (N, m) increments, for all K columns.  ``law(k, x)`` is the measure
     argument at step k: the ensemble's own snapshot, or a frozen flow's.
     ``hook(t_k, x_k, mu_k, dW_k)``, when given, sees each step before it is
-    advanced.  Every new state is finite-checked (its paths named from
-    ``first``) and read-only: a fresh array, or the view states[k] of a
-    caller's (L+1, N, d) array.  Returns the last state.
+    advanced.  Every new state is a fresh read-only array, so a hook may
+    keep it, finite-checked with its paths named from ``first``.  Returns
+    the last state.
 
     A step costs a fixed 20-25 us (coefficient calls, einsum set-up, the
     finiteness check) plus about 2.9 ns per path at 4K-16K paths in one
@@ -440,7 +367,7 @@ def _euler_loop(coeff, state, times, increments, dt, law, hook, states=None, fir
         # x + b dt + diff, summed in the new state's own array (hooks may keep
         # x_k; the coefficient's outputs are never written); b dt is formed at
         # b's own shape, so a (d,) drift costs d products, not one per path
-        nxt = np.empty(shape) if states is None else states[k + 1]
+        nxt = np.empty(shape)
         np.add(state, drift * dt, out=nxt)
         nxt += diff
         nxt.flags.writeable = False
@@ -449,7 +376,7 @@ def _euler_loop(coeff, state, times, increments, dt, law, hook, states=None, fir
     return state
 
 
-def _interacting(coeff, init, times, dt, seed, increments, hook, states=None):
+def _interacting(coeff, init, times, dt, seed, increments, hook):
     """The interacting scheme over ``times`` and (L, N, m) ``increments``;
     returns the terminal snapshot.
 
@@ -458,32 +385,15 @@ def _interacting(coeff, init, times, dt, seed, increments, hook, states=None):
     full constructor checks the initial state and builds those weights.
     """
     mu0 = EmpiricalMeasure(_initial_states(init, increments.shape[1], coeff.d, seed))
-    state = mu0.points
-    if states is not None:
-        states[0] = mu0.points
-        state = states[0]
-        state.flags.writeable = False
 
     def law(k, x):
         return EmpiricalMeasure._snapshot(x, mu0.weights)
 
-    terminal = _euler_loop(coeff, state, times, increments, dt, law, hook, states)
+    terminal = _euler_loop(coeff, mu0.points, times, increments, dt, law, hook)
     mu_T = law(len(times) - 1, terminal)
     if hook is not None:
         hook(times[-1], terminal, mu_T, None)
     return mu_T
-
-
-def _record(coeff, init, times, dt, seed, increments):
-    """The interacting run over ``times`` on ``increments``, recorded as a
-    ParticleFlow whose ``noise`` is ``increments`` itself, not a copy."""
-    states = np.empty((len(times), increments.shape[1], coeff.d))
-    snapshots = []
-    _interacting(
-        coeff, init, times, dt, seed, increments,
-        lambda t, x, mu, dw: snapshots.append(mu), states,
-    )
-    return ParticleFlow(times=times, states=states, noise=increments, snapshots=tuple(snapshots))
 
 
 def stream_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0, hook=None):
@@ -503,25 +413,21 @@ def stream_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0, hook=None):
     return _interacting(coeff, init, times, dt, seed, increments, hook)
 
 
-def simulate_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0):
-    """The run of :func:`stream_mckean_vlasov`, recorded as a ParticleFlow.
-
-    The flow keeps every state, the run's increments and the snapshots the
-    run read, which its ``measure_at`` returns.
-    """
-    N = check_count("N", N, 2)
-    times, n_steps = _grid(s, T, dt)
-    increments = brownian_increments(seed, N, n_steps, coeff.m, dt)
-    return _record(coeff, init, times, dt, seed, increments)
+def _law_curve(coeff, init, times, dt, seed, increments):
+    """The snapshots of the interacting run over ``times`` on ``increments``,
+    one per grid point: the frozen law curve a decoupled path reads."""
+    laws = []
+    _interacting(coeff, init, times, dt, seed, increments,
+                 lambda t_k, x, mu, dw: laws.append(mu))
+    return tuple(laws)
 
 
-class StreamedFlow(_Grid):
-    """The flow of ``simulate_mckean_vlasov(coeff, init, N, T, dt, seed, s)``, never recorded.
+class StreamedFlow:
+    """The run of :func:`stream_mckean_vlasov` on its uniform grid ``times``.
 
-    It has the grid and the :meth:`ParticleFlow.replay` of the recorded flow,
-    so a verifier that folds a flow step by step takes either; each replay
-    runs :func:`stream_mckean_vlasov` again, to the same bits, and holds only
-    the current state and the noise block.
+    The flow holds its arguments, not its states: each :meth:`replay` runs
+    the scheme again, to the same bits, and holds only the current state and
+    the noise block, so a verifier folds a flow step by step in one replay.
     """
 
     def __init__(self, coeff, init, N, T, dt, seed, s=0.0):
@@ -529,14 +435,33 @@ class StreamedFlow(_Grid):
         self.times, self.n_steps = _grid(s, T, dt)
         self._run = (coeff, init, dt, seed)
 
+    @property
+    def dt(self):
+        """The grid's step; ContractError on a one-point grid, which has none."""
+        if self.times.size == 1:
+            raise ContractError(f"the one-point grid [{self.times[0]}] has no step")
+        return float(self.times[1] - self.times[0])
+
+    def span(self, s, t):
+        """Grid indices (k0, k1) of s and t; ContractError if either is off
+        the grid or t < s."""
+        dt = self._run[2]
+        k0, k1 = (grid_steps(u - self.times[0], dt) for u in (s, t))
+        if k0 is None or k1 is None or k1 >= self.times.size:
+            raise ContractError(f"[{s}, {t}] is off the grid of step {dt} from {self.times[0]} "
+                                f"to {self.times[-1]}")
+        if k1 < k0:
+            raise ContractError(f"need t >= s, got [{s}, {t}]")
+        return k0, k1
+
     def replay(self, hook, s, t):
-        """Hand ``hook`` the grid points from s to t, simulated up to t."""
+        """Hand ``hook`` the grid points from s to t, simulated up to t, as
+        :func:`stream_mckean_vlasov` hands them."""
         k0, k1 = self.span(s, t)
         coeff, init, dt, seed = self._run
-        seen = itertools.count()
 
         def from_s(t_k, X, mu, dw):
-            if next(seen) >= k0:
+            if t_k >= self.times[k0]:
                 hook(t_k, X, mu, dw)
 
         stream_mckean_vlasov(

@@ -43,7 +43,7 @@ from .dynamics import (
     _constant,
     _euler_loop,
     _grid,
-    _record,
+    _law_curve,
     brownian_increments,
     check_count,
     coefficients_at,
@@ -271,32 +271,33 @@ class McValueFunction:
             return out
         n_steps = _n_steps(min(t for t, _, _ in flows.values()), self.T, self.dt)
         block = brownian_increments(self.seed, self.n_flow, n_steps, self.coeff.m, self.dt)
-        runs = []  # (frozen flow, inner integrals of Phi at its terminal law, columns)
+        # (grid, frozen law curve, inner integrals of Phi at its terminal law, columns)
+        runs = []
         for t, mu, cols in flows.values():
             times, steps = _grid(t, self.T, self.dt)
-            flow = _record(self.coeff, mu, times, self.dt, self.seed, block[:steps])
-            r_T = None
-            if self.Phi is not None:
-                r_T = self.Phi.inner_integrals(flow.measure_at(flow.n_steps))
-            runs.append((flow, r_T, cols))
-        chunk = _chunk_size(max(len(cols) for _, _, cols in runs))
+            laws = _law_curve(self.coeff, mu, times, self.dt, self.seed, block[:steps])
+            r_T = None if self.Phi is None else self.Phi.inner_integrals(laws[-1])
+            runs.append((times, laws, r_T, cols))
+        chunk = _chunk_size(max(len(cols) for *_, cols in runs))
         tile = max(1, TILE // chunk)
         for a in range(0, self.M, chunk):
             b = min(a + chunk, self.M)
             noise = brownian_increments(
                 self.seed, b - a, n_steps, self.coeff.m, self.dt, DOMAIN_DECOUPLED, a)
-            for flow, r_T, cols in runs:
+            for times, laws, r_T, cols in runs:
                 for i in range(0, len(cols), tile):
-                    self._run_tile(flow, r_T, cols[i : i + tile], noise[: flow.n_steps], a, out)
+                    self._run_tile(
+                        times, laws, r_T, cols[i : i + tile], noise[: len(times) - 1], a, out)
         return out
 
-    def _run_tile(self, flow, r_T, cols, increments, first, out):
-        """Samples of particles [first, first + B) of K columns on one frozen flow.
+    def _run_tile(self, times, laws, r_T, cols, increments, first, out):
+        """Samples of particles [first, first + B) of K columns on one frozen
+        law curve, the snapshots ``laws`` at the grid points ``times``.
 
         Phi at the terminal state and law (when used) minus the
         left-endpoint integral of f_field along the path (when used), whose
-        step is the spacing of the flow's grid; each column's samples go to
-        rows first.. of its group's array.
+        step is the grid's spacing times[1] - times[0]; each column's
+        samples go to rows first.. of its group's array.
         """
         n = increments.shape[1]
         state = np.empty((len(cols), n, self.coeff.d))
@@ -308,12 +309,13 @@ class McValueFunction:
             integral = np.zeros((len(cols), n))
 
             def hook(t_k, x_k, mu_k, dw):
+                step = times[1] - times[0]
                 for c, x_c in enumerate(x_k):
-                    integral[c] += np.asarray(self.f_field(t_k, x_c, mu_k), dtype=float) * flow.dt
+                    integral[c] += np.asarray(self.f_field(t_k, x_c, mu_k), dtype=float) * step
 
         terminal = _euler_loop(
-            self.coeff, state, flow.times, increments, self.dt,
-            lambda k, x: flow.measure_at(k), hook, first=first,
+            self.coeff, state, times, increments, self.dt,
+            lambda k, x: laws[k], hook, first=first,
         )
         for c, (g, j, _) in enumerate(cols):
             if self.Phi is not None:

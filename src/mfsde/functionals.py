@@ -48,8 +48,8 @@ class _Fold:
 
     ``total`` is the running sum of the step terms from zero; with ``V``,
     ``start`` and ``end`` hold V(t, X, mu) at the first and last grid point.
-    A recorded flow and a streamed one run the same fold, so they agree bit
-    for bit.
+    Every replay of a flow hands the fold the same bits, so a window [s, t]
+    folds the same terms as that stretch of the whole run.
     """
 
     def __init__(self, f, g, dt, V=None):
@@ -149,13 +149,12 @@ FLOOR_SIGMAS = 6.0
 def verify_path_independence(V, f, g, flows, s, t):
     """Defect report for A^{f,g} against the increment of V over a dt ladder.
 
-    ``flows`` is an iterable of particle ensembles, coarsest step first
-    (ContractError otherwise, or when it is empty): recorded ParticleFlows or
-    StreamedFlows, each folded in one replay.  It is consumed one level at a
-    time and no level is kept, so a generator that yields each level on
-    request holds at most one in memory, and a StreamedFlow level holds only
-    its current state and noise block.  Each level records
-    the RMS and max defect; the row verdict requires
+    ``flows`` is an iterable of StreamedFlows, coarsest step first
+    (ContractError otherwise, or when it is empty), each folded in one
+    replay.  It is consumed one level at a time and no level is kept, so a
+    generator that yields each level on request holds at most one in memory,
+    and a level holds only its current state and noise block.  Each level
+    records the RMS and max defect; the row verdict requires
     RMS <= THRESHOLD_FACTOR * (sqrt(dt) + N^{-1/2}) * scale, where scale is
     the RMS of the potential increment (self-normalizing).
 

@@ -211,10 +211,9 @@ class _ItoFold:
 def ito_residual_ensemble(coeff, f, flow, particles=None):
     """Discrete Ito residual of selected particles of a flow, reduced per step.
 
-    ``flow`` is a recorded ParticleFlow or a StreamedFlow; either is folded
-    in one replay, so no (L, P) array is built.  With ``particles=[i]`` the
-    summary's ``step_mean`` is particle i's residual series.  Returns an
-    :class:`ItoResidualSummary`.
+    ``flow`` is a StreamedFlow, folded in one replay, so no (L, P) array is
+    built.  With ``particles=[i]`` the summary's ``step_mean`` is particle
+    i's residual series.  Returns an :class:`ItoResidualSummary`.
     """
     if particles is None:
         sel = slice(None)

@@ -409,6 +409,10 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ("path-independence-forward", "coeff.sigma", "5"),
         ("path-independence-forward", "coeff.rate", "1"),
         ("path-independence-forward", "V.outer.c", "1"),
+        ("feynman-kac-log-gauss", "Phi.outer", "coord"),
+        ("feynman-kac-heat", "closed_form", "gauss"),
+        ("feynman-kac-heat", "closed_form", "neg_tau"),
+        ("feynman-kac-source-const", "closed_form", "heat"),
     ],
 )
 def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, capsys):
@@ -419,6 +423,53 @@ def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, 
     status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert status == 2
     assert f"key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset, overrides, key",
+    [
+        # each FAILed every probe (exit 1), or ended in a nonpositive
+        # terminal datum (exit 3)
+        ("feynman-kac-heat", {"coeff.id": "ou"}, "closed_form"),
+        ("feynman-kac-heat", {"Phi.outer": "gauss_quarter"}, "closed_form"),
+        ("feynman-kac-log-gauss", {"coeff.id": "constant_drift"}, "closed_form"),
+        ("feynman-kac-log-gauss", {"Phi.outer": "const", "Phi.outer.c": "2"}, "closed_form"),
+        ("feynman-kac-log-gauss",
+         {"coeff.id": "frozen", "coeff.s": "", "Phi.outer": "x_norm_sq", "closed_form": "none"},
+         "Phi.outer"),
+        ("feynman-kac-log-gauss",
+         {"Phi.outer": "const", "Phi.outer.c": "0", "closed_form": "none"}, "Phi.outer"),
+    ],
+)
+def test_main_rejects_a_model_its_closed_form_or_log_transform_does_not_fit(
+        preset, overrides, key, tmp_path, capsys):
+    text = _with_overrides(PRESETS[preset], overrides)
+    # an empty override drops the preset's line
+    text = "\n".join(line for line in text.splitlines() if not line.endswith("= "))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset, overrides",
+    [
+        ("feynman-kac-heat", {"d": "2"}),
+        ("feynman-kac-heat", {"coeff.s": "2"}),
+        ("feynman-kac-heat", {"d": "2", "coeff.s": "2"}),
+        ("feynman-kac-log-gauss", {"d": "2"}),
+        ("feynman-kac-log-gauss", {"d": "2", "coeff.s": "0.5"}),
+        ("feynman-kac-source-const", {"f.value": "2"}),
+    ],
+)
+def test_closed_forms_read_d_s_and_the_source(preset, overrides, tmp_path):
+    # the closed forms once assumed d = 1, s = 1 and f = 1: each of these
+    # FAILed every probe (at d = 2 the log-Gauss one from t = 0 on)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_with_overrides(PRESETS[preset], {**overrides, "M": "20000"}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_main_rejects_the_linear_inner_function_above_one_dimension(tmp_path, capsys):

@@ -13,23 +13,26 @@ from mfsde import (
     make_coefficients,
     make_cylindrical,
     semigroup_apply,
-    simulate_mckean_vlasov,
     wasserstein2,
 )
 import mfsde.dynamics as dynamics
+import mfsde.feynman_kac as feynman_kac
 from mfsde.dynamics import (
     COEFFICIENT_NAMES,
     COEFFICIENT_PARAMS,
     DOMAIN_DECOUPLED,
     DOMAIN_INIT,
     DOMAIN_INTERACTING,
+    StreamedFlow,
     brownian_increments,
     particle_stream,
     spot_check_lipschitz,
+    stream_mckean_vlasov,
 )
 from mfsde.feynman_kac import MEASURE_DS, TILE, McValueFunction, _chunk_size, _measure_shift
 from mfsde.generator import generator_parts
 from mfsde.measure import write_csv
+from replayed import replayed
 
 
 def line(values):
@@ -157,14 +160,14 @@ def test_increment_variance_scales_with_dt():
 def test_zero_dynamics_freezes_particles():
     coeff = make_coefficients("frozen")
     init = line([0.0, 1.0, -2.0])
-    flow = simulate_mckean_vlasov(coeff, init, 3, 1.0, 0.25, seed=0)
-    assert np.array_equal(flow.states[0], flow.states[-1])
+    run = replayed(StreamedFlow(coeff, init, 3, 1.0, 0.25, seed=0))
+    assert np.array_equal(run.states[0], run.states[-1])
 
 
 def test_brownian_terminal_mean_bound():
     coeff = make_coefficients("brownian", s=1.0)
-    flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 2000, 1.0, 0.01, seed=5)
-    mean = abs(flow.states[-1].mean())
+    law = stream_mckean_vlasov(coeff, dirac([0.0]), 2000, 1.0, 0.01, seed=5)
+    mean = abs(law.points.mean())
     assert mean <= 3 * np.sqrt(1.0 / 2000)
 
 
@@ -172,15 +175,16 @@ def test_mean_field_attraction_conserves_mean():
     # b = mu(Id) - x, sigma = 0: Euler preserves the empirical mean exactly
     coeff = make_coefficients("mean_revert", rate=1.0, s=0.0)
     init = line([0.0, 1.0, 5.0, -3.0])
-    flow = simulate_mckean_vlasov(coeff, init, 4, 1.0, 0.1, seed=0)
-    for k in range(flow.n_steps + 1):
-        assert flow.states[k].mean() == pytest.approx(0.75, abs=1e-12)
+    run = replayed(StreamedFlow(coeff, init, 4, 1.0, 0.1, seed=0))
+    assert len(run.states) == 11
+    for X in run.states:
+        assert X.mean() == pytest.approx(0.75, abs=1e-12)
 
 
 def test_determinism_bit_identical():
     coeff = make_coefficients("ou")
-    a = simulate_mckean_vlasov(coeff, dirac([1.0]), 50, 0.5, 0.05, seed=9)
-    b = simulate_mckean_vlasov(coeff, dirac([1.0]), 50, 0.5, 0.05, seed=9)
+    a = replayed(StreamedFlow(coeff, dirac([1.0]), 50, 0.5, 0.05, seed=9))
+    b = replayed(StreamedFlow(coeff, dirac([1.0]), 50, 0.5, 0.05, seed=9))
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.noise, b.noise)
 
@@ -189,20 +193,20 @@ def test_init_must_be_a_measure():
     # a callable init(rng, N) was once accepted as a sampler; nothing used it
     coeff = make_coefficients("brownian")
     with pytest.raises(ContractError, match="init must be an EmpiricalMeasure"):
-        simulate_mckean_vlasov(coeff, lambda rng, n: np.zeros((n, 1)), 3, 1.0, 0.25, seed=0)
+        stream_mckean_vlasov(coeff, lambda rng, n: np.zeros((n, 1)), 3, 1.0, 0.25, seed=0)
 
 
 def test_requires_two_particles():
     coeff = make_coefficients("brownian")
     with pytest.raises(ContractError):
-        simulate_mckean_vlasov(coeff, dirac([0.0]), 1, 1.0, 0.1, seed=0)
+        StreamedFlow(coeff, dirac([0.0]), 1, 1.0, 0.1, seed=0)
 
 
 @pytest.mark.parametrize("N", [2.5, "3"])
 def test_particle_count_must_be_integer(N):
     coeff = make_coefficients("brownian")
     with pytest.raises(ContractError, match="N must be an integer"):
-        simulate_mckean_vlasov(coeff, dirac([0.0]), N, 1.0, 0.25, seed=0)
+        StreamedFlow(coeff, dirac([0.0]), N, 1.0, 0.25, seed=0)
     with pytest.raises(ContractError, match="N must be an integer"):
         semigroup_apply(coeff, dirac([0.0]), 0.0, 1.0, N, 0.25, seed=0)
 
@@ -210,7 +214,7 @@ def test_particle_count_must_be_integer(N):
 def test_grid_must_divide_horizon():
     coeff = make_coefficients("brownian")
     with pytest.raises(ContractError):
-        simulate_mckean_vlasov(coeff, dirac([0.0]), 4, 1.0, 0.3, seed=0)
+        StreamedFlow(coeff, dirac([0.0]), 4, 1.0, 0.3, seed=0)
 
 
 def test_blowup_reports_step_and_particle():
@@ -222,7 +226,7 @@ def test_blowup_reports_step_and_particle():
 
     bad = dataclasses.replace(bad, b=exploding)
     with pytest.raises(SimulationError) as exc:
-        simulate_mckean_vlasov(bad, dirac([0.0]), 3, 1.0, 0.5, seed=0)
+        stream_mckean_vlasov(bad, dirac([0.0]), 3, 1.0, 0.5, seed=0)
     assert exc.value.step is not None
     assert exc.value.particle is not None
 
@@ -243,7 +247,7 @@ def test_blowup_names_exact_step_and_particle(loop, bad):
     coeff = replace(make_coefficients("frozen"), b=b)
     with pytest.raises(SimulationError) as exc:
         if loop == "interacting":
-            simulate_mckean_vlasov(coeff, line([0.0, 1.0]), 6, 1.0, dt, seed=0)
+            stream_mckean_vlasov(coeff, line([0.0, 1.0]), 6, 1.0, dt, seed=0)
         else:
             _decoupled_samples(coeff, line([0.0, 1.0]), [0.5], 1.0, dt, 6, seed=0, n_flow=2)
     assert (exc.value.step, exc.value.particle) == (k_bad, 2)
@@ -253,11 +257,11 @@ def test_second_moment_gronwall_bound():
     coeff = make_coefficients("ou", theta=1.0, kappa=0.5, s=1.0)
     init = line([1.0, -1.0, 0.5, 2.0])
     T = 1.0
-    flow = simulate_mckean_vlasov(coeff, init, 4, T, 0.05, seed=3)
+    run = replayed(StreamedFlow(coeff, init, 4, T, 0.05, seed=3))
     K = coeff.lipschitz_bound(T)
     C = 2 * K + K**2 + 1
     bound = np.exp(C * T) * (1 + init.second_moment())
-    worst = max(flow.measure_at(k).second_moment() for k in range(flow.n_steps + 1))
+    worst = max(mu.second_moment() for mu in run.laws)
     assert worst <= bound
 
 
@@ -267,8 +271,7 @@ def test_ou_weak_error_nonincreasing_under_refinement():
     coeff = make_coefficients("ou", theta=theta, kappa=0.0, s=1.0)
     errs, ses = [], []
     for n, dt, seed in ((500, 0.05, 21), (4000, 0.0125, 22)):
-        flow = simulate_mckean_vlasov(coeff, dirac([1.0]), n, T, dt, seed)
-        term = flow.states[-1][:, 0]
+        term = stream_mckean_vlasov(coeff, dirac([1.0]), n, T, dt, seed).points[:, 0]
         errs.append(abs(term.mean() - np.exp(-theta * T)))
         ses.append(term.std(ddof=1) / np.sqrt(n))
     assert errs[1] <= errs[0] + 3 * (ses[0] + ses[1])
@@ -305,10 +308,6 @@ def test_flow_property_two_stage_vs_direct():
 
 # ---------------------------------------------------------------------------
 # decoupled simulation: the paths McValueFunction runs against a frozen flow
-
-
-def _frozen(coeff, init, T, dt, seed=0, n=64):
-    return simulate_mckean_vlasov(coeff, init, n, T, dt, seed)
 
 
 def _decoupled_samples(coeff, mu, x, T, dt, M, seed, t=0.0, n_flow=64):
@@ -356,27 +355,26 @@ def test_decoupled_noise_independent_of_frozen_flow():
     # increments: the decoupled domain's, not those of the frozen flow
     coeff = make_coefficients("brownian", s=1.0)
     terminal = _decoupled_samples(coeff, dirac([0.0]), [0.0], 0.5, 0.25, 3, seed=0, n_flow=3)
-    flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 3, 0.5, 0.25, seed=0)
+    law = stream_mckean_vlasov(coeff, dirac([0.0]), 3, 0.5, 0.25, seed=0)
     own = brownian_increments(0, 3, 2, 1, 0.25, DOMAIN_DECOUPLED).sum(axis=0)[:, 0]
     assert terminal.tobytes() == own.tobytes()
-    assert not np.allclose(terminal, flow.states[-1][:, 0])
+    assert not np.allclose(terminal, law.points[:, 0])
 
 
-def _reference_decoupled(coeff, x, flow, s, T, dt, M, seed):
-    """The path-storing Euler loop: (times, states (L+1, M, d)) from s to T."""
-    k0, k1 = flow.index_of(s), flow.index_of(T)
-    times = flow.times[k0 : k1 + 1]
-    noise = brownian_increments(seed, M, k1 - k0, coeff.m, dt, DOMAIN_DECOUPLED)
-    states = np.empty((k1 - k0 + 1, M, coeff.d))
+def _reference_decoupled(coeff, x, laws, times, dt, M, seed):
+    """The path-storing Euler loop over ``times`` against the snapshots
+    ``laws``: the states (L+1, M, d)."""
+    noise = brownian_increments(seed, M, len(times) - 1, coeff.m, dt, DOMAIN_DECOUPLED)
+    states = np.empty((len(times), M, coeff.d))
     states[0] = x
-    for k in range(k1 - k0):
-        mu, xk = flow.measure_at(k0 + k), states[k]
+    for k in range(len(times) - 1):
+        mu, xk = laws[k], states[k]
         # sigma taken to one (d, m) matrix per path, so this contraction is
         # the per-path one, independent of the library's broadcasting step
         sigma = np.broadcast_to(coeff.sigma(times[k], xk, mu), (M, coeff.d, coeff.m))
         diff = np.einsum("ndm,nm->nd", sigma, noise[k])
         states[k + 1] = xk + coeff.b(times[k], xk, mu) * dt + diff
-    return times, states
+    return states
 
 
 def test_sample_table_matches_the_reference_euler_loop_bit_for_bit():
@@ -400,14 +398,15 @@ def test_sample_table_matches_the_reference_euler_loop_bit_for_bit():
         linear = replace(vf, Phi=Phi, f_field=None)
         coords.append(linear.sample_table([columns])[0])
     for j, (t, _, _) in enumerate(columns):
-        flow = simulate_mckean_vlasov(coeff, init, n_flow, T, dt, seed, s=t)
-        times, states = _reference_decoupled(coeff, x, flow, t, T, dt, M, seed)
+        flow = StreamedFlow(coeff, init, n_flow, T, dt, seed, s=t)
+        times, laws = flow.times, replayed(flow).laws
+        states = _reference_decoupled(coeff, x, laws, times, dt, M, seed)
         for i in range(2):
             assert coords[i][:, j].tobytes() == states[-1][:, i].tobytes()
         # the running cost's step is the spacing of the frozen flow's grid
         summed = np.zeros(M)
         for k in range(len(times) - 1):
-            summed += f(times[k], states[k], flow.measure_at(k)) * flow.dt
+            summed += f(times[k], states[k], laws[k]) * flow.dt
         assert integrals[:, j].tobytes() == (-summed).tobytes()
 
 
@@ -423,19 +422,12 @@ def test_grid_steps_counts_whole_steps_only(span, dt, steps):
 def test_one_point_grid_has_no_step():
     # T = s: a flow of a single grid point, from which no step can be read
     coeff = make_coefficients("brownian")
-    recorded = simulate_mckean_vlasov(coeff, dirac([0.0]), 2, 0.5, 0.25, seed=0, s=0.5)
-    streamed = dynamics.StreamedFlow(coeff, dirac([0.0]), 2, 0.5, 0.25, seed=0, s=0.5)
-    for flow in (recorded, streamed):
-        assert flow.times.tolist() == [0.5] and flow.span(0.5, 0.5) == (0, 0)
-        with pytest.raises(ContractError, match="one-point grid"):
-            flow.dt
-
-
-@pytest.mark.parametrize("k", [-1, 5])
-def test_measure_at_rejects_index_outside_grid(k):
-    flow = _frozen(make_coefficients("brownian"), dirac([0.0]), 1.0, 0.25, n=2)
-    with pytest.raises(ContractError, match=r"\[0, 4\]"):
-        flow.measure_at(k)
+    flow = StreamedFlow(coeff, dirac([0.0]), 2, 0.5, 0.25, seed=0, s=0.5)
+    assert flow.times.tolist() == [0.5] and flow.span(0.5, 0.5) == (0, 0)
+    with pytest.raises(ContractError, match="one-point grid"):
+        flow.dt
+    run = replayed(flow)
+    assert len(run.laws) == 1 and run.noise.size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +486,18 @@ def _per_path_twin(coeff):
     return replace(coeff, b=b, sigma=sigma)
 
 
+@pytest.mark.parametrize("s, t, match", [
+    (0.1, 0.5, "off the grid"), (0.0, 1.25, "off the grid"), (-0.25, 0.5, "off the grid"),
+    (0.5, 0.25, "need t >= s"),
+])
+def test_span_rejects_a_window_off_the_grid_or_reversed(s, t, match):
+    flow = StreamedFlow(make_coefficients("brownian"), dirac([0.0]), 2, 1.0, 0.25, seed=0)
+    with pytest.raises(ContractError, match=match):
+        flow.span(s, t)
+    with pytest.raises(ContractError, match=match):
+        flow.replay(lambda *point: None, s, t)
+
+
 @pytest.mark.parametrize("name", COEFFICIENT_NAMES)
 def test_per_path_twin_gives_the_same_bits(name):
     # a field may return its coefficients at the shape they vary on; one that
@@ -501,7 +505,7 @@ def test_per_path_twin_gives_the_same_bits(name):
     coeff = _catalog_entry(name)
     twin = _per_path_twin(coeff)
     init = EmpiricalMeasure(np.random.default_rng(2).standard_normal((6, 2)))
-    runs = [simulate_mckean_vlasov(c, init, 6, 0.5, 0.05, seed=3) for c in (coeff, twin)]
+    runs = [replayed(StreamedFlow(c, init, 6, 0.5, 0.05, seed=3)) for c in (coeff, twin)]
     assert runs[0].states.tobytes() == runs[1].states.tobytes()
     V = make_cylindrical("x_sq_plus_r1", ["quadratic"])
     X = np.random.default_rng(5).standard_normal((4, 2))
@@ -575,12 +579,12 @@ def test_flow_csv_pinned_digest(tmp_path):
     # every state at full precision, d = 2, non-dyadic start; recorded with
     # numpy 2.4.6, the flow and the writer must keep these bytes
     coeff = make_coefficients("mean_revert", d=2, rate=0.7, s=1.3)
-    flow = simulate_mckean_vlasov(coeff, dirac([0.5, -1.0 / 3.0]), 3, 0.5, 0.25, seed=5)
+    run = replayed(StreamedFlow(coeff, dirac([0.5, -1.0 / 3.0]), 3, 0.5, 0.25, seed=5))
     path = tmp_path / "flow.csv"
     rows = (
-        [k, t, i, *flow.states[k, i]]
-        for k, t in enumerate(flow.times)
-        for i in range(flow.n_particles)
+        [k, t, i, *run.states[k, i]]
+        for k, t in enumerate(run.times)
+        for i in range(3)
     )
     write_csv(path, ["step", "time", "particle", "x_1", "x_2"], rows)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -599,44 +603,39 @@ def _mean_field_run():
 
 
 def test_stream_kernel_hands_the_recorded_steps_to_its_hook():
+    # every grid point once: a read-only state, its snapshot (a view of it
+    # that shares one weights array with every other snapshot) and the row
+    # of the run's increment block, None at T; the returned law is the last
     coeff, args = _mean_field_run()
-    flow = simulate_mckean_vlasov(*args)
+    _, _, n, T, dt, seed = args
     seen = []
 
     def hook(t, X, mu, dw):
         assert not X.flags.writeable and mu.points is X
-        seen.append((t, X.tobytes(), mu.weights.tobytes(), None if dw is None else dw.tobytes()))
+        seen.append((t, X, mu, dw))
 
-    terminal = dynamics.stream_mckean_vlasov(*args, hook=hook)
-    assert len(seen) == flow.n_steps + 1
-    for k, (t, X, w, dw) in enumerate(seen):
-        assert t == flow.times[k]
-        assert X == flow.states[k].tobytes()
-        assert w == flow.measure_at(k).weights.tobytes()
-        assert dw == (flow.noise[k].tobytes() if k < flow.n_steps else None)
-    assert terminal.points.tobytes() == flow.states[-1].tobytes()
-
-
-def test_measure_at_returns_the_snapshot_the_run_built():
-    _, args = _mean_field_run()
-    flow = simulate_mckean_vlasov(*args)
-    weights = flow.measure_at(0).weights
-    for k in range(flow.n_steps + 1):
-        mu = flow.measure_at(k)
-        assert mu is flow.measure_at(k)
-        # a read-only view of the states, sharing one weights array
-        assert mu.points.base is flow.states and not mu.points.flags.writeable
+    terminal = stream_mckean_vlasov(*args, hook=hook)
+    noise = brownian_increments(seed, n, 8, coeff.m, dt)
+    assert len(seen) == 9
+    weights = seen[0][2].weights
+    assert weights.tobytes() == np.full(n, 1.0 / n).tobytes()
+    for k, (t, X, mu, dw) in enumerate(seen):
+        assert t == k * dt
         assert mu.weights is weights
-        assert mu.points.tobytes() == EmpiricalMeasure(flow.states[k]).points.tobytes()
-    assert weights.tobytes() == np.full(12, 1.0 / 12).tobytes()
+        assert mu.points.tobytes() == EmpiricalMeasure(X).points.tobytes()
+        if k < 8:
+            assert dw.tobytes() == noise[k].tobytes()
+        else:
+            assert dw is None
+    assert terminal.points.tobytes() == seen[-1][1].tobytes()
 
 
 def test_semigroup_matches_the_recorded_terminal_law():
     coeff, (_, init, n, T, dt, seed) = _mean_field_run()
-    flow = simulate_mckean_vlasov(coeff, init, n, T, dt, seed, s=0.25)
+    run = replayed(StreamedFlow(coeff, init, n, T, dt, seed, s=0.25))
     mu = semigroup_apply(coeff, init, 0.25, T, n, dt, seed)
-    assert mu.points.tobytes() == flow.states[-1].tobytes()
-    assert mu.weights.tobytes() == flow.measure_at(flow.n_steps).weights.tobytes()
+    assert mu.points.tobytes() == run.states[-1].tobytes()
+    assert mu.weights.tobytes() == run.laws[-1].weights.tobytes()
 
 
 def test_stream_kernel_still_checks_the_initial_state():
@@ -645,28 +644,53 @@ def test_stream_kernel_still_checks_the_initial_state():
     bad = EmpiricalMeasure._snapshot(np.full((3, 1), np.nan), np.full(3, 1.0 / 3))
 
     with pytest.raises(ContractError, match="finite"):
-        dynamics.stream_mckean_vlasov(coeff, bad, 3, 1.0, 0.25, seed=0)
+        stream_mckean_vlasov(coeff, bad, 3, 1.0, 0.25, seed=0)
     with pytest.raises(ContractError, match="finite"):
-        simulate_mckean_vlasov(coeff, bad, 3, 1.0, 0.25, seed=0)
+        StreamedFlow(coeff, bad, 3, 1.0, 0.25, seed=0).replay(lambda *point: None, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5)])
+@pytest.mark.parametrize(
+    "s, t", [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.0, 0.375), (0.625, 1.0), (1.0, 1.0)])
 def test_streamed_flow_replays_the_recorded_grid_points(s, t):
+    # a window [s, t] hands its hook the bits of that stretch of one whole
+    # replay, with no increment at t
     _, args = _mean_field_run()
-    flow = simulate_mckean_vlasov(*args)
-    streamed = dynamics.StreamedFlow(*args)
-    assert streamed.times.tobytes() == flow.times.tobytes()
-    assert (streamed.n_steps, streamed.n_particles, streamed.dt) == (
-        flow.n_steps, flow.n_particles, flow.dt)
+    flow = StreamedFlow(*args)
+    assert flow.times.tobytes() == (0.125 * np.arange(9)).tobytes()
+    assert (flow.n_steps, flow.n_particles, flow.dt) == (8, 12, 0.125)
+    whole = replayed(flow)
+    window = replayed(flow, s, t)
+    k0, k1 = flow.span(s, t)
+    assert (k0, k1) == (round(s / 0.125), round(t / 0.125))
+    assert window.times.tobytes() == whole.times[k0 : k1 + 1].tobytes()
+    assert window.states.tobytes() == whole.states[k0 : k1 + 1].tobytes()
+    assert window.noise.tobytes() == whole.noise[k0:k1].tobytes()
+    for mu, nu in zip(window.laws, whole.laws[k0 : k1 + 1], strict=True):
+        assert mu.points.tobytes() == nu.points.tobytes()
+        assert mu.weights.tobytes() == nu.weights.tobytes()
 
-    def collect(into):
-        def hook(t_k, X, mu, dw):
-            into.append((t_k, X.tobytes(), mu.points.tobytes(),
-                         None if dw is None else dw.tobytes()))
-        return hook
 
-    live, recorded = [], []
-    streamed.replay(collect(live), s, t)
-    flow.replay(collect(recorded), s, t)
-    assert live == recorded
-    assert len(live) == flow.span(s, t)[1] - flow.span(s, t)[0] + 1
+@pytest.mark.parametrize("t", [0.25, 0.5])
+def test_sample_table_law_curve_is_the_streamed_run(monkeypatch, t):
+    # the frozen flow of a column at t reads a step prefix of the block drawn
+    # for the table's first time, 0; a streamed run from t draws its own block
+    # of the same stream, so its laws are the table's law curve bit for bit
+    coeff = make_coefficients("mean_revert", d=2, rate=1.5, s=0.7)
+    init = EmpiricalMeasure(np.random.default_rng(4).standard_normal((5, 2)))
+    n_flow, T, dt, seed = 16, 1.0, 0.05, 7
+    curves = {}
+    law_curve = feynman_kac._law_curve
+
+    def kept(coeff, init, times, *args):
+        curves[times[0]] = law_curve(coeff, init, times, *args)
+        return curves[times[0]]
+
+    monkeypatch.setattr(feynman_kac, "_law_curve", kept)
+    Phi = make_cylindrical("x_sq_plus_r1", ["quadratic"])
+    vf = McValueFunction(coeff, Phi, None, T, dt, 8, seed, init, n_flow=n_flow)
+    vf.sample_table([[(0.0, [0.3, -0.2], None), (t, [0.3, -0.2], None)]])
+    run = replayed(StreamedFlow(coeff, init, n_flow, T, dt, seed, s=t))
+    assert len(curves[t]) == len(run.laws) == round((T - t) / dt) + 1
+    for mu, nu in zip(curves[t], run.laws):
+        assert mu.points.tobytes() == nu.points.tobytes()
+        assert mu.weights.tobytes() == nu.weights.tobytes()

@@ -466,13 +466,13 @@ def test_value_function_shared_flow_gives_same_samples(monkeypatch):
     )
     alone = [vf.samples(0.25, [x]) for x in (0.0, 0.7)]
     starts = []
-    record = feynman_kac._record
+    law_curve = feynman_kac._law_curve
 
     def counted(coeff, init, times, *args):
         starts.append(times[0])
-        return record(coeff, init, times, *args)
+        return law_curve(coeff, init, times, *args)
 
-    monkeypatch.setattr(feynman_kac, "_record", counted)
+    monkeypatch.setattr(feynman_kac, "_law_curve", counted)
     [table] = vf.sample_table([[(0.25, [0.0], None), (0.25, [0.7], None)]])
     # the two columns share one frozen flow and read the samples of separate calls
     assert starts == [0.25]
@@ -560,13 +560,13 @@ def test_chunk_size_rule():
 
 def test_pde_residual_builds_one_flow_per_distinct_start(monkeypatch):
     starts = []
-    record = feynman_kac._record
+    law_curve = feynman_kac._law_curve
 
     def counted(coeff, init, times, *args):
         starts.append((times[0], id(init)))
-        return record(coeff, init, times, *args)
+        return law_curve(coeff, init, times, *args)
 
-    monkeypatch.setattr(feynman_kac, "_record", counted)
+    monkeypatch.setattr(feynman_kac, "_law_curve", counted)
     vf = McValueFunction(
         coeff=BROWNIAN, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
         M=40, seed=3, mu=dirac([0.0]), n_flow=10,

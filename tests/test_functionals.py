@@ -10,21 +10,22 @@ from mfsde import (
     girsanov_replay,
     make_coefficients,
     make_cylindrical,
-    simulate_mckean_vlasov,
     verify_path_independence,
 )
 import mfsde.functionals as functionals
 from mfsde.functionals import (
+    _step_terms,
     accumulate,
     build_pair_from_V,
     potential_increment,
 )
 from mfsde.generator import generator_parts, generator_total
+from replayed import replayed
 
 
 def brownian_flow(n=200, T=1.0, dt=0.01, seed=0, s_coeff=1.0):
     coeff = make_coefficients("brownian", s=s_coeff)
-    return coeff, simulate_mckean_vlasov(coeff, dirac([0.0]), n, T, dt, seed)
+    return coeff, StreamedFlow(coeff, dirac([0.0]), n, T, dt, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +54,7 @@ def test_constant_integrand_brownian_statistics():
     c = 1.5
     _, flow = brownian_flow(n=10_000, dt=0.01, seed=4)
     out = accumulate(None, lambda t, X, mu: np.full((X.shape[0], 1), c), flow, 0.0, 1.0)
-    w_increment = flow.noise.sum(axis=0)[:, 0]
+    w_increment = replayed(flow).noise.sum(axis=0)[:, 0]
     assert np.allclose(out, c * w_increment, atol=1e-12)
     se = out.std(ddof=1) / np.sqrt(out.size)
     assert abs(out.mean()) <= 3 * se
@@ -107,14 +108,15 @@ def test_flat_g_accepted_for_one_noise_column():
 
 def test_valid_fields_sum_left_endpoint_terms_bit_for_bit():
     coeff = make_coefficients("brownian", d=2, m=2, s=1.0)
-    flow = simulate_mckean_vlasov(coeff, dirac([0.0, 0.0]), 6, 1.0, 0.25, seed=5)
+    flow = StreamedFlow(coeff, dirac([0.0, 0.0]), 6, 1.0, 0.25, seed=5)
+    run = replayed(flow)
     f = lambda t, X, mu: X[:, 0] * X[:, 1]
     g = lambda t, X, mu: np.sin(X)
     expected = np.zeros(flow.n_particles)
     for k in range(flow.n_steps):
-        X = flow.states[k]
+        X = run.states[k]
         expected = expected + (
-            f(0.0, X, None) * flow.dt + np.einsum("nm,nm->n", g(0.0, X, None), flow.noise[k])
+            f(0.0, X, None) * flow.dt + np.einsum("nm,nm->n", g(0.0, X, None), run.noise[k])
         )
     assert accumulate(f, g, flow, 0.0, 1.0).tobytes() == expected.tobytes()
 
@@ -125,7 +127,7 @@ def test_valid_fields_sum_left_endpoint_terms_bit_for_bit():
 
 def mean_field_setup():
     coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
-    flow = simulate_mckean_vlasov(
+    flow = StreamedFlow(
         coeff, EmpiricalMeasure(np.array([[0.5], [1.5], [-2.0], [0.1]])), 4, 1.0, 0.1, seed=3
     )
     return coeff, flow, make_cylindrical("x_sq_plus_r1", ["quadratic"])
@@ -155,8 +157,9 @@ def test_pair_evaluates_generator_once_per_step(parts_calls):
 def test_pair_matches_fresh_generator_bit_for_bit():
     coeff, flow, V = mean_field_setup()
     f, g = build_pair_from_V(coeff, V)
+    run = replayed(flow)
     for k in (0, 5):
-        t, X, mu = flow.times[k], flow.states[k], flow.measure_at(k)
+        t, X, mu = run.times[k], run.states[k], run.laws[k]
         fv, gv = f(t, X, mu), g(t, X, mu)
         fresh = generator_parts(coeff, V, t, X, mu)
         assert fv.tobytes() == (fresh["dt"] + generator_total(fresh)).tobytes()
@@ -167,8 +170,9 @@ def test_pair_matches_fresh_generator_bit_for_bit():
 def test_pair_recomputes_when_states_can_change(parts_calls, view):
     coeff, flow, V = mean_field_setup()
     f, g = build_pair_from_V(coeff, V)
-    t, mu = flow.times[1], flow.measure_at(1)
-    base = flow.states[1].copy()
+    run = replayed(flow)
+    t, mu = run.times[1], run.laws[1]
+    base = run.states[1].copy()
     X = base
     if view:  # a read-only view of a writeable array can still change
         X = base[:]
@@ -183,8 +187,8 @@ def test_pair_from_linear_potential():
     coeff, flow = brownian_flow(n=4, dt=0.25)
     V = make_cylindrical("coord", outer_params={"i": 0})
     f, g = build_pair_from_V(coeff, V)
-    X = flow.states[0]
-    mu = flow.measure_at(0)
+    run = replayed(flow)
+    X, mu = run.states[0], run.laws[0]
     assert np.allclose(f(0.0, X, mu), 0.0, atol=1e-14)
     assert np.allclose(g(0.0, X, mu), 1.0, atol=1e-14)
 
@@ -193,8 +197,8 @@ def test_pair_from_time_potential():
     coeff, flow = brownian_flow(n=4, dt=0.25)
     V = make_cylindrical("time")
     f, g = build_pair_from_V(coeff, V)
-    X = flow.states[0]
-    mu = flow.measure_at(0)
+    run = replayed(flow)
+    X, mu = run.states[0], run.laws[0]
     assert np.allclose(f(0.0, X, mu), 1.0, atol=1e-14)
     assert np.allclose(g(0.0, X, mu), 0.0, atol=1e-14)
 
@@ -203,8 +207,8 @@ def test_pair_from_square_potential():
     coeff, flow = brownian_flow(n=4, dt=0.25)
     V = make_cylindrical("x_norm_sq")
     f, g = build_pair_from_V(coeff, V)
-    X = flow.states[1]
-    mu = flow.measure_at(1)
+    run = replayed(flow)
+    X, mu = run.states[1], run.laws[1]
     assert np.allclose(f(0.25, X, mu), 1.0, atol=1e-13)
     assert np.allclose(g(0.25, X, mu), 2.0 * X, atol=1e-13)
 
@@ -228,7 +232,7 @@ def test_square_potential_defect_halves_when_dt_quartered():
     V = make_cylindrical("x_norm_sq")
     f, g = build_pair_from_V(coeff, V)
     flows = [
-        simulate_mckean_vlasov(coeff, dirac([0.0]), 1500, 1.0, dt, seed=8 + i)
+        StreamedFlow(coeff, dirac([0.0]), 1500, 1.0, dt, seed=8 + i)
         for i, dt in enumerate((1e-2, 2.5e-3))
     ]
     report = verify_path_independence(V, f, g, flows, 0.0, 1.0)
@@ -247,7 +251,7 @@ def test_perturbed_pair_fails_with_flat_defect():
         return g(t, X, mu) + 0.1
 
     flows = [
-        simulate_mckean_vlasov(coeff, dirac([0.0]), 1500, 1.0, dt, seed=8 + i)
+        StreamedFlow(coeff, dirac([0.0]), 1500, 1.0, dt, seed=8 + i)
         for i, dt in enumerate((1e-2, 2.5e-3))
     ]
     report = verify_path_independence(V, f, g_bad, flows, 0.0, 1.0)
@@ -294,10 +298,11 @@ def test_constant_integrand_weight_martingale():
 
 def test_reweighting_removes_drift():
     coeff = make_coefficients("constant_drift", c=0.5, s=1.0)
-    flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 50_000, 1.0, 0.01, seed=7)
+    flow = StreamedFlow(coeff, dirac([0.0]), 50_000, 1.0, 0.01, seed=7)
     g = lambda t, X, mu: np.full((X.shape[0], 1), 0.5)
     w, _, dx = girsanov_replay(g, flow, 1.0, 0.0, 1.0)
-    assert dx.tobytes() == (flow.states[-1] - flow.states[0]).tobytes()
+    ends = replayed(flow, 1.0, 1.0).states[0] - replayed(flow, 0.0, 0.0).states[0]
+    assert dx.tobytes() == ends.tobytes()
     est = w * dx[:, 0]
     se = est.std(ddof=1) / np.sqrt(est.size)
     assert abs(est.mean()) <= 3 * se
@@ -338,32 +343,40 @@ def test_novikov_heavy_tail_flagged():
     # state-proportional integrand under inflated dynamics concentrates the
     # exponential mass on the largest excursions
     coeff = make_coefficients("brownian", s=3.0)
-    flow = simulate_mckean_vlasov(coeff, dirac([1.0]), 4000, 1.0, 0.01, seed=9)
+    flow = StreamedFlow(coeff, dirac([1.0]), 4000, 1.0, 0.01, seed=9)
     _, out, _ = girsanov_replay(lambda t, X, mu: 2.0 * X, flow, 1.0, 0.0, 1.0)
     assert out.tail_flag in ("heavy", "severe")
 
 
 # ---------------------------------------------------------------------------
-# streamed and recorded levels run one fold
+# a streamed level is folded in one replay
 
 
 def _streamed_and_recorded():
+    """A mean-field level and its whole replay, collected."""
     coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
     init = EmpiricalMeasure(np.array([[0.5], [1.5], [-2.0], [0.1], [0.9]]))
-    args = (coeff, init, 5, 1.0, 0.05, 3)
-    return coeff, StreamedFlow(*args), simulate_mckean_vlasov(*args)
+    streamed = StreamedFlow(coeff, init, 5, 1.0, 0.05, 3)
+    return coeff, streamed, replayed(streamed)
 
 
-@pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.25, 0.75)])
+@pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.0, 0.35)])
 def test_streamed_level_folds_the_recorded_bits(s, t):
+    # a fold over the window [s, t] sums the step terms of that stretch of one
+    # whole replay, from zero in grid order
     coeff, streamed, recorded = _streamed_and_recorded()
     V = make_cylindrical("x_sq_plus_r1", ["quadratic"])
     f, g = build_pair_from_V(coeff, V)
-    assert accumulate(f, g, streamed, s, t).tobytes() == accumulate(f, g, recorded, s, t).tobytes()
+    k0, k1 = streamed.span(s, t)
+    expected = np.zeros(5)
+    for k in range(k0, k1):
+        X, mu = recorded.states[k], recorded.laws[k]
+        expected += _step_terms(f, g, recorded.times[k], X, mu, recorded.noise[k], streamed.dt)
+    assert accumulate(f, g, streamed, s, t).tobytes() == expected.tobytes()
+    ends = [V.outer.value(recorded.times[k], recorded.states[k],
+                          V.inner_integrals(recorded.laws[k])) for k in (k0, k1)]
     live = potential_increment(V, streamed, s, t)
-    assert live.tobytes() == potential_increment(V, recorded, s, t).tobytes()
-    live = verify_path_independence(V, f, g, [streamed], s, t)
-    assert live == verify_path_independence(V, f, g, [recorded], s, t)
+    assert live.tobytes() == (ends[1] - ends[0]).tobytes()
 
 
 def test_streamed_level_evaluates_the_generator_once_per_step(parts_calls):
@@ -391,18 +404,19 @@ def test_pair_evaluates_generator_once_per_step_when_a_hook_calls_f_and_g(parts_
 @pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5)])
 def test_girsanov_replay_matches_the_separate_functionals(s, t):
     # a measure-dependent g, folded in one replay of a streamed level, gives
-    # the recorded level's weight, Novikov estimate and displacement bit for bit
+    # the weight and Novikov estimate of separate folds and the displacement
+    # of the whole replay, bit for bit
     _, streamed, recorded = _streamed_and_recorded()
 
     def g(tk, X, mu):
         return 0.3 * X - mu.mean() + tk
 
     weights, nov, dx = girsanov_replay(g, streamed, 2.0, s, t)
-    A = accumulate(functionals._girsanov_f(g, 2.0), g, recorded, s, t)
+    A = accumulate(functionals._girsanov_f(g, 2.0), g, streamed, s, t)
     assert weights.tobytes() == np.exp(-A).tobytes()
-    half_qv = accumulate(functionals._girsanov_f(g, 1.0), None, recorded, s, t)
+    half_qv = accumulate(functionals._girsanov_f(g, 1.0), None, streamed, s, t)
     assert nov == functionals._novikov(np.exp(half_qv))
-    k0, k1 = recorded.span(s, t)
+    k0, k1 = streamed.span(s, t)
     assert dx.tobytes() == (recorded.states[k1] - recorded.states[k0]).tobytes()
 
 
@@ -414,7 +428,7 @@ def test_girsanov_replay_simulates_the_flow_once(monkeypatch):
         runs.append((s, t))
         return replay(self, hook, s, t)
 
-    monkeypatch.setattr(StreamedFlow, "replay", counted)
     _, streamed, _ = _streamed_and_recorded()
+    monkeypatch.setattr(StreamedFlow, "replay", counted)
     girsanov_replay(lambda tk, X, mu: X, streamed, 1.0, 0.0, 1.0)
     assert runs == [(0.0, 1.0)]

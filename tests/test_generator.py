@@ -8,7 +8,6 @@ from mfsde import (
     CapabilityError,
     ContractError,
     EmpiricalMeasure,
-    ItoResidualSummary,
     StreamedFlow,
     apply_L_sigma,
     apply_L_sigma_b,
@@ -16,9 +15,9 @@ from mfsde import (
     ito_residual_ensemble,
     make_coefficients,
     make_cylindrical,
-    simulate_mckean_vlasov,
 )
 from mfsde.generator import GeneratorValue, generator_parts, generator_total
+from replayed import replayed
 
 
 def line(values):
@@ -131,7 +130,7 @@ def test_drift_free_linear_potential_half_square():
 
 def test_time_function_zero_residual():
     coeff = make_coefficients("brownian", s=1.0)
-    flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 4, 1.0, 0.25, seed=0)
+    flow = StreamedFlow(coeff, dirac([0.0]), 4, 1.0, 0.25, seed=0)
     f = make_cylindrical("time")
     summary = ito_residual_ensemble(coeff, f, flow, particles=[0])
     assert np.allclose(summary.step_mean, 0.0, atol=1e-14)
@@ -141,7 +140,7 @@ def test_time_function_zero_residual():
 
 def test_frozen_dynamics_zero_residual():
     coeff = make_coefficients("frozen")
-    flow = simulate_mckean_vlasov(coeff, line([0.0, 1.0]), 2, 1.0, 0.25, seed=0)
+    flow = StreamedFlow(coeff, line([0.0, 1.0]), 2, 1.0, 0.25, seed=0)
     f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
     res = ito_residual_ensemble(coeff, f, flow, particles=[1]).step_mean
     assert np.allclose(res, 0.0, atol=1e-14)
@@ -149,7 +148,7 @@ def test_frozen_dynamics_zero_residual():
 
 def test_classical_ito_square_statistics():
     coeff = make_coefficients("brownian", s=1.0)
-    flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 400, 1.0, 1e-3, seed=7)
+    flow = StreamedFlow(coeff, dirac([0.0]), 400, 1.0, 1e-3, seed=7)
     f = make_cylindrical("x_norm_sq")
     summary = ito_residual_ensemble(coeff, f, flow)
     step_means = summary.step_mean
@@ -157,7 +156,8 @@ def test_classical_ito_square_statistics():
     se = np.sqrt((step_means**2).sum()) + summary.residual_sum.std(ddof=1) / np.sqrt(400)
     assert abs(mean) <= 3 * se
     qv = summary.qv_sum.mean()
-    predicted = (4 * flow.states[:-1, :, 0] ** 2).mean(axis=1).sum() * flow.dt
+    states = replayed(flow).states
+    predicted = (4 * states[:-1, :, 0] ** 2).mean(axis=1).sum() * flow.dt
     assert qv == pytest.approx(predicted, rel=0.1)
 
 
@@ -169,7 +169,7 @@ def test_mean_residual_decays_linearly_in_dt():
     init = line([0.5, 1.5, -2.0])
     means = []
     for dt in (0.02, 0.01):
-        flow = simulate_mckean_vlasov(coeff, init, 3, 1.0, dt, seed=3)
+        flow = StreamedFlow(coeff, init, 3, 1.0, dt, seed=3)
         means.append(abs(ito_residual_ensemble(coeff, f, flow).step_mean.sum()))
     assert means[0] / means[1] == pytest.approx(2.0, rel=0.25)
 
@@ -177,17 +177,20 @@ def test_mean_residual_decays_linearly_in_dt():
 @pytest.mark.parametrize("particles", [None, [4, 0, 2]])
 def test_qv_density_matches_per_step_generator_loop(particles):
     coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
-    flow = simulate_mckean_vlasov(coeff, line([0.5, 1.5, -2.0, 0.1, 0.9]), 5, 1.0, 0.05, seed=3)
+    flow = StreamedFlow(coeff, line([0.5, 1.5, -2.0, 0.1, 0.9]), 5, 1.0, 0.05, seed=3)
     f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
-    qv = ito_residual_ensemble(coeff, f, flow, particles=particles).qv_density
+    summary = ito_residual_ensemble(coeff, f, flow, particles=particles)
+    run = replayed(flow)
     idx = np.arange(flow.n_particles) if particles is None else np.asarray(particles)
     expected = np.empty(flow.n_steps)
     for k in range(flow.n_steps):
-        X = flow.states[k] if particles is None else flow.states[k][idx]
-        parts = generator_parts(coeff, f, flow.times[k], X, flow.measure_at(k))
+        X = run.states[k] if particles is None else run.states[k][idx]
+        parts = generator_parts(coeff, f, run.times[k], X, run.laws[k])
         expected[k] = float(np.mean(np.sum(parts["sigma_star_dx"] ** 2, axis=1)))
-    assert qv.shape == (flow.n_steps,)
-    assert qv.tobytes() == expected.tobytes()
+    assert summary.qv_density.tobytes() == expected.tobytes()
+    P = 5 if particles is None else 3
+    assert summary.step_mean.shape == summary.step_rms.shape == summary.qv_density.shape == (20,)
+    assert summary.residual_sum.shape == summary.qv_sum.shape == (P,)
 
 
 def test_generator_parts_accepts_precomputed_inner_integrals():
@@ -207,7 +210,7 @@ def test_generator_parts_accepts_precomputed_inner_integrals():
 
 def test_particle_index_range_checked():
     coeff = make_coefficients("brownian")
-    flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 3, 0.5, 0.25, seed=0)
+    flow = StreamedFlow(coeff, dirac([0.0]), 3, 0.5, 0.25, seed=0)
     f = make_cylindrical("x_norm_sq")
     with pytest.raises(ContractError, match=r"\[0, 3\)"):
         ito_residual_ensemble(coeff, f, flow, particles=[3])
@@ -216,7 +219,7 @@ def test_particle_index_range_checked():
 @pytest.mark.parametrize("particles", [[], [1.5], [True, False, True]])
 def test_particle_selection_must_be_integer_indices(particles):
     coeff = make_coefficients("brownian")
-    flow = simulate_mckean_vlasov(coeff, dirac([0.0]), 3, 0.5, 0.25, seed=0)
+    flow = StreamedFlow(coeff, dirac([0.0]), 3, 0.5, 0.25, seed=0)
     f = make_cylindrical("x_norm_sq")
     with pytest.raises(ContractError, match="integer index"):
         ito_residual_ensemble(coeff, f, flow, particles=particles)
@@ -233,32 +236,19 @@ def test_generator_names_missing_partial():
 
 
 # ---------------------------------------------------------------------------
-# streamed and recorded flows reduce to the same bits
-
-
-@pytest.mark.parametrize("particles", [None, [4, 0, 2]])
-def test_ito_reductions_of_streamed_and_recorded_flows_agree(particles):
-    coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
-    args = (coeff, line([0.5, 1.5, -2.0, 0.1, 0.9]), 5, 1.0, 0.05, 3)
-    f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
-    live = ito_residual_ensemble(coeff, f, StreamedFlow(*args), particles=particles)
-    recorded = ito_residual_ensemble(coeff, f, simulate_mckean_vlasov(*args), particles=particles)
-    for field in dataclasses.fields(ItoResidualSummary):
-        assert getattr(live, field.name).tobytes() == getattr(recorded, field.name).tobytes()
-    P = 5 if particles is None else 3
-    assert live.step_mean.shape == live.step_rms.shape == live.qv_density.shape == (20,)
-    assert live.residual_sum.shape == live.qv_sum.shape == (P,)
+# reductions against the step-by-step series
 
 
 def _one_particle_series(coeff, f, flow, i):
     """Particle i's residual and martingale-increment series, shape (L,), step by step."""
+    run = replayed(flow)
     res, mart = np.empty(flow.n_steps), np.empty(flow.n_steps)
     for k in range(flow.n_steps):
-        mu, X = flow.measure_at(k), flow.states[k][[i]]
-        parts = generator_parts(coeff, f, flow.times[k], X, mu)
-        mart[k] = (parts["sigma_star_dx"] @ flow.noise[k][i])[0]
-        here = f.value(flow.times[k], X, mu)
-        there = f.value(flow.times[k + 1], flow.states[k + 1][[i]], flow.measure_at(k + 1))
+        mu, X = run.laws[k], run.states[k][[i]]
+        parts = generator_parts(coeff, f, run.times[k], X, mu)
+        mart[k] = (parts["sigma_star_dx"] @ run.noise[k][i])[0]
+        here = f.value(run.times[k], X, mu)
+        there = f.value(run.times[k + 1], run.states[k + 1][[i]], run.laws[k + 1])
         drift = parts["dt"] + generator_total(parts)
         res[k] = (there - here - drift * flow.dt - mart[k])[0]
     return res, mart
@@ -266,7 +256,7 @@ def _one_particle_series(coeff, f, flow, i):
 
 def test_ito_reductions_match_the_one_particle_series():
     coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
-    flow = simulate_mckean_vlasov(coeff, line([0.5, 1.5, -2.0, 0.1]), 4, 1.0, 0.05, seed=3)
+    flow = StreamedFlow(coeff, line([0.5, 1.5, -2.0, 0.1]), 4, 1.0, 0.05, seed=3)
     f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
     res, mart = _one_particle_series(coeff, f, flow, 2)
     summary = ito_residual_ensemble(coeff, f, flow, particles=[2])

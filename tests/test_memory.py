@@ -22,7 +22,6 @@ from mfsde import (
     make_coefficients,
     make_cylindrical,
     pde_residual_mc,
-    simulate_mckean_vlasov,
     verify_path_independence,
 )
 from mfsde.dynamics import DOMAIN_DECOUPLED, DOMAIN_INTERACTING, stream_mckean_vlasov
@@ -40,7 +39,7 @@ def _ladder_pair():
 
 
 def _level(dt, n, seed):
-    return simulate_mckean_vlasov(BROWNIAN, dirac([0.0]), n, 1.0, dt, seed)
+    return StreamedFlow(BROWNIAN, dirac([0.0]), n, 1.0, dt, seed)
 
 
 def test_generator_ladder_peaks_near_one_level():
@@ -48,8 +47,8 @@ def test_generator_ladder_peaks_near_one_level():
     V, f, g = _ladder_pair()
 
     def level_bytes(dt):
-        steps = round(1.0 / dt)
-        return 8 * n * ((steps + 1) * BROWNIAN.d + steps * BROWNIAN.m)
+        # a replay holds its (L, N, m) noise block
+        return 8 * n * round(1.0 / dt) * BROWNIAN.m
 
     largest = level_bytes(LADDER[-1])
     # holding every level at once would cross the bound
@@ -72,7 +71,7 @@ def test_previous_level_freed_before_next_is_simulated():
     freed = []
 
     def tracked(flow):
-        refs.extend((weakref.ref(flow), weakref.ref(flow.states), weakref.ref(flow.noise)))
+        refs.extend((weakref.ref(flow), weakref.ref(flow.times)))
         return flow
 
     def levels():
@@ -155,14 +154,14 @@ def test_pde_residual_peak_stays_below_one_noise_block():
 
 
 def test_table_flows_share_one_read_only_increment_block(monkeypatch):
-    flows = []
-    record = feynman_kac._record
+    noises = []
+    law_curve = feynman_kac._law_curve
 
-    def kept(*args):
-        flows.append(record(*args))
-        return flows[-1]
+    def kept(coeff, init, times, dt, seed, increments):
+        noises.append(increments)
+        return law_curve(coeff, init, times, dt, seed, increments)
 
-    monkeypatch.setattr(feynman_kac, "_record", kept)
+    monkeypatch.setattr(feynman_kac, "_law_curve", kept)
     n_flow, dt = 6, 0.05
     vf = McValueFunction(
         coeff=MEAN_REVERT, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=dt,
@@ -170,14 +169,14 @@ def test_table_flows_share_one_read_only_increment_block(monkeypatch):
     )
     pde_residual_mc(vf, "linear", [(0.0, [0.3]), (0.25, [-0.4])], n_measure_draws=1)
     # per probe: the centre's flow, two time points' and two shifted measures'
-    assert len(flows) == 2 * (3 + 2)
-    block = flows[0].noise
+    assert len(noises) == 2 * (3 + 2)
+    block = noises[0]
     assert block.shape == (10, n_flow, 1)
     full = dynamics.brownian_increments(4, n_flow, 10, 1, dt)
-    for flow in flows:
+    for noise in noises:
         # each flow's noise is a step prefix of the one block, never a copy
-        assert np.shares_memory(flow.noise, block) and not flow.noise.flags.writeable
-        assert flow.noise.tobytes() == full[: flow.n_steps].tobytes()
+        assert np.shares_memory(noise, block) and not noise.flags.writeable
+        assert noise.tobytes() == full[: len(noise)].tobytes()
     # after every flow and every column has run, the block still holds its draw
     assert block.tobytes() == full.tobytes()
 
@@ -186,8 +185,10 @@ def test_streamed_increments_are_read_only_rows_of_the_run_block():
     coeff = make_coefficients("mean_revert", d=2, rate=1.0, s=0.5)
     init = EmpiricalMeasure(np.random.default_rng(0).standard_normal((6, 2)))
     seen = []
+    last = []
 
     def hook(t, x, mu, dw):
+        last[:] = [x]
         if dw is not None:
             assert not dw.flags.writeable
             seen.append(dw)
@@ -197,9 +198,7 @@ def test_streamed_increments_are_read_only_rows_of_the_run_block():
     assert len(seen) == 4
     for k, dw in enumerate(seen):
         assert dw.tobytes() == expected[k].tobytes()
-    own = simulate_mckean_vlasov(coeff, init, 6, 1.0, 0.25, seed=4)
-    assert own.noise.tobytes() == expected.tobytes()
-    assert law.points.tobytes() == own.states[-1].tobytes()
+    assert law.points.tobytes() == last[0].tobytes()
 
 
 def test_ladder_rejects_empty_and_finest_first():
@@ -237,8 +236,8 @@ def test_streamed_ladder_level_peaks_near_one_noise_block():
     f, g = build_pair_from_V(MEAN_REVERT, V)
     block = _block_bytes(n, dt)
     args = (MEAN_REVERT, dirac([0.0]), n, 1.0, dt, 8)
-    # states + noise of a recorded level would cross the bound
-    assert _peak_of(lambda: simulate_mckean_vlasov(*args)) > 1.5 * block
+    # holding the level's 201 states beside its noise would cross the bound
+    assert 8 * n * 201 * MEAN_REVERT.d + block > 1.5 * block
     peak = _peak_of(lambda: verify_path_independence(V, f, g, [StreamedFlow(*args)], 0.0, 1.0))
     assert peak < 1.25 * block
 
@@ -286,25 +285,23 @@ def test_ladder_level_builds_one_measure_per_grid_point(measures_built):
     V = make_cylindrical("x_sq_plus_r1", ["quadratic"])
     f, g = build_pair_from_V(MEAN_REVERT, V)
     args = (MEAN_REVERT, dirac([0.0]), 50, 1.0, 0.02, 1)
-    for level in (lambda: StreamedFlow(*args), lambda: simulate_mckean_vlasov(*args)):
-        measures_built.clear()
-        verify_path_independence(V, f, g, [level()], 0.0, 1.0)
-        # 51 snapshots and the checked initial measure, whether the level is
-        # folded live or recorded first and replayed
-        assert measures_built.count("snapshot") == 51
-        assert measures_built.count("checked") == 1
+    measures_built.clear()
+    verify_path_independence(V, f, g, [StreamedFlow(*args)], 0.0, 1.0)
+    # 51 snapshots and the checked initial measure
+    assert measures_built.count("snapshot") == 51
+    assert measures_built.count("checked") == 1
 
 
 def test_pde_residual_builds_each_snapshot_once(measures_built, monkeypatch):
     grid_points = []
-    record = feynman_kac._record
+    law_curve = feynman_kac._law_curve
 
     def counted(*args):
-        flow = record(*args)
-        grid_points.append(flow.n_steps + 1)
-        return flow
+        laws = law_curve(*args)
+        grid_points.append(len(laws))
+        return laws
 
-    monkeypatch.setattr(feynman_kac, "_record", counted)
+    monkeypatch.setattr(feynman_kac, "_law_curve", counted)
     mu = EmpiricalMeasure(np.linspace(-1.0, 1.0, 20)[:, None])
     vf = McValueFunction(
         coeff=MEAN_REVERT, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
