@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Median cost of one Euler step, in microseconds, for a fixed set of cases.
 
-The decoupled cases run ``dynamics._euler_loop`` over a (K, B, d) state of K
-columns of B paths against one fixed measure, as a Monte Carlo tile does;
-the interacting case runs ``dynamics._interacting`` on N particles, each
-step reading the ensemble's own snapshot.  Increments are drawn before
-timing, so noise generation is not counted.  Each case is timed REPS times over
-N_STEPS steps; the median per-step cost is printed, one row per case.
+The decoupled cases iterate ``dynamics._euler_steps`` over a (K, B, d) state
+of K columns of B paths against one fixed measure, as a Monte Carlo tile
+does; the interacting case iterates ``dynamics._interacting`` on N
+particles, each step reading the ensemble's own snapshot.  Increments are
+drawn before timing, so noise generation is not counted.  Each case is timed
+REPS times over N_STEPS steps; the median per-step cost is printed, one row
+per case.
 
     PYTHONPATH=src python scripts/step_cost.py
 """
@@ -17,7 +18,7 @@ import time
 import numpy as np
 
 from mfsde import dirac, make_coefficients
-from mfsde.dynamics import _euler_loop, _interacting
+from mfsde.dynamics import _euler_steps, _interacting
 from mfsde.measure import EmpiricalMeasure
 
 N_STEPS = 100
@@ -43,13 +44,15 @@ def step_seconds(scheme, name, d, k, paths, n_steps):
     times = DT * np.arange(n_steps + 1)
     if scheme == "interacting":
         start = time.perf_counter()
-        _interacting(coeff, dirac(np.zeros(d)), times, DT, 0, increments, None)
+        for _ in _interacting(coeff, dirac(np.zeros(d)), times, DT, 0, increments):
+            pass
         return (time.perf_counter() - start) / n_steps
     mu = EmpiricalMeasure(rng.standard_normal((200, d)))
     state = np.zeros((k, paths, d))
     state.flags.writeable = False
     start = time.perf_counter()
-    _euler_loop(coeff, state, times, increments, DT, lambda j, x: mu, None)
+    for _ in _euler_steps(coeff, state, times, increments, DT, lambda j, x: mu):
+        pass
     return (time.perf_counter() - start) / n_steps
 
 

@@ -378,11 +378,6 @@ class CylindricalFunction:
                 f"outer {self.outer.name} needs {self.outer.n_inner} inner functions"
             )
 
-    @property
-    def name(self):
-        inner = ",".join(h.name for h in self.inner)
-        return f"{self.outer.name}[{inner}]"
-
     def inner_integrals(self, mu):
         """Vector (mu(h_1), ..., mu(h_n))."""
         return np.asarray([float(integrate(mu, h.value)) for h in self.inner])

@@ -625,8 +625,9 @@ _SCHEMA = {
     "V.outer.i": _number(int), "Phi.outer.i": _number(int),
     "g.kind": _choice(("const",)), "f.kind": _choice(("const",)),
     "closed_form": _choice(("heat", "gauss", "neg_tau", "none")),
-    # the residual runner builds no running-cost field, so it evaluates no pde = source
-    "pde": _choice(("linear", "nonlinear", "drift_coupled")),
+    # the residual runner builds no running-cost field and no drift read off
+    # the value's gradient, so it evaluates no pde = source or drift_coupled
+    "pde": _choice(("linear", "nonlinear")),
     "check": _choice(("residual", "npy")),
     "init.kind": _choice(("point", "gaussian")),
 }

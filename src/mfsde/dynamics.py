@@ -10,17 +10,18 @@ array: it is re-keyed, with its counter reset, before each particle's draws.
 A particle's stream does not depend on which call draws it, so a caller can
 draw particles in chunks (``brownian_increments(..., first=a)``) and get the
 bits of one whole block.  Noise moves only as such read-only increments; the
-Euler loop advances (N, d) or (K, N, d) states, and its per-step costs,
+Euler steps advance (N, d) or (K, N, d) states, and their per-step costs,
 which set the Monte Carlo chunk and tile sizes of ``feynman_kac``, are
-given in ``_euler_loop``.
+given in ``_euler_steps``.
 
-No interacting run is recorded: ``stream_mckean_vlasov`` hands each grid
-point to a hook, a ``StreamedFlow`` runs it again on every replay, and the
-frozen law curve of decoupled paths is the snapshots a run hands its hook.
+No interacting run is recorded: a run is a generator of its grid points,
+``StreamedFlow.steps(s, t)`` runs it again on every call, and the frozen
+law curve of decoupled paths is the tuple of a run's snapshots.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -319,21 +320,21 @@ def _check_finite(x, k, first=0):
         )
 
 
-def _euler_loop(coeff, state, times, increments, dt, law, hook, first=0):
+def _euler_steps(coeff, state, times, increments, dt, law, first=0):
     """Euler steps of ``state`` over the grid ``times``, the body both schemes share.
 
-    ``state`` is (N, d), or (K, N, d) for K columns of N paths that read the
-    same law and the same (N, m) increments, which broadcast across the
-    columns without a copy; the coefficients see the state as (K*N, d).  An
-    output with a row per path is laid out on the (K, N) axes; one without
-    (an x-independent b or sigma, see CoefficientField) broadcasts, so the
-    diffusion increment of such a sigma is formed once per step from the
-    (N, m) increments, for all K columns.  ``law(k, x)`` is the measure
-    argument at step k: the ensemble's own snapshot, or a frozen flow's.
-    ``hook(t_k, x_k, mu_k, dW_k)``, when given, sees each step before it is
-    advanced.  Every new state is a fresh read-only array, so a hook may
-    keep it, finite-checked with its paths named from ``first``.  Returns
-    the last state.
+    Yields (t_k, x_k, mu_k, dW_k) at each grid point before advancing it,
+    and (t_L, x_L, mu_L, None) at the last.  ``state`` is (N, d), or
+    (K, N, d) for K columns of N paths that read the same law and the same
+    (N, m) increments, which broadcast across the columns without a copy;
+    the coefficients see the state as (K*N, d).  An output with a row per
+    path is laid out on the (K, N) axes; one without (an x-independent b or
+    sigma, see CoefficientField) broadcasts, so the diffusion increment of
+    such a sigma is formed once per step from the (N, m) increments, for all
+    K columns.  ``law(k, x)`` is the measure argument at step k: the
+    ensemble's own snapshot, or a frozen flow's.  Every new state is a
+    fresh read-only array, so a caller may keep it, finite-checked with its
+    paths named from ``first``.
 
     A step costs a fixed 20-25 us (coefficient calls, einsum set-up, the
     finiteness check) plus about 2.9 ns per path at 4K-16K paths in one
@@ -357,28 +358,28 @@ def _euler_loop(coeff, state, times, increments, dt, law, hook, first=0):
 
     for k, dw in enumerate(increments):
         mu = law(k, state)
-        if hook is not None:
-            hook(times[k], state, mu, dw)
+        yield times[k], state, mu, dw
         flat = state.reshape(n_paths, shape[-1])
         drift = on_paths(coeff.b(times[k], flat, mu), 1)
         sigma = on_paths(coeff.sigma(times[k], flat, mu), 2)
         # (N, d) once for a sigma without path rows, broadcast across the K columns
         diff = np.einsum("...dm,...m->...d", sigma, dw)
-        # x + b dt + diff, summed in the new state's own array (hooks may keep
-        # x_k; the coefficient's outputs are never written); b dt is formed at
-        # b's own shape, so a (d,) drift costs d products, not one per path
+        # x + b dt + diff, summed in the new state's own array (a caller may
+        # keep x_k; the coefficient's outputs are never written); b dt is
+        # formed at b's own shape, so a (d,) drift costs d products, not one per path
         nxt = np.empty(shape)
         np.add(state, drift * dt, out=nxt)
         nxt += diff
         nxt.flags.writeable = False
         _check_finite(nxt, k + 1, first)
         state = nxt
-    return state
+    last = len(increments)
+    yield times[last], state, law(last, state), None
 
 
-def _interacting(coeff, init, times, dt, seed, increments, hook):
-    """The interacting scheme over ``times`` and (L, N, m) ``increments``;
-    returns the terminal snapshot.
+def _interacting(coeff, init, times, dt, seed, increments):
+    """The interacting scheme over ``times`` and (L, N, m) ``increments``:
+    the generator of its grid points (see _euler_steps).
 
     Every particle reads the ensemble's own snapshot: a read-only view of the
     state that shares one weights array with every other snapshot.  The
@@ -389,45 +390,39 @@ def _interacting(coeff, init, times, dt, seed, increments, hook):
     def law(k, x):
         return EmpiricalMeasure._snapshot(x, mu0.weights)
 
-    terminal = _euler_loop(coeff, mu0.points, times, increments, dt, law, hook)
-    mu_T = law(len(times) - 1, terminal)
-    if hook is not None:
-        hook(times[-1], terminal, mu_T, None)
-    return mu_T
+    return _euler_steps(coeff, mu0.points, times, increments, dt, law)
 
 
-def stream_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0, hook=None):
+def stream_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0):
     """Law at T of the N-particle Euler scheme on [s, T], keeping only the current state.
 
     Each particle reads the drift and diffusion at the empirical measure of
     the whole ensemble, the step's snapshot.  The run's increments are
     ``brownian_increments(seed, N, L, coeff.m, dt)``, drawn before the first
-    step and read-only.  ``hook(t_k, X_k, mu_k, dW_k)``, when given, sees
-    every grid point from s to T: X_k is read-only, mu_k its snapshot (a view
-    of X_k) and dW_k is row k of the run's read-only increments, or None at
-    T.  The returned law is the snapshot at T.
+    step and read-only.  The returned law is the snapshot at T; a
+    :class:`StreamedFlow` iterates every grid point of the same run.
     """
     N = check_count("N", N, 2)
     times, n_steps = _grid(s, T, dt)
     increments = brownian_increments(seed, N, n_steps, coeff.m, dt)
-    return _interacting(coeff, init, times, dt, seed, increments, hook)
+    for point in _interacting(coeff, init, times, dt, seed, increments):
+        pass
+    return point[2]
 
 
 def _law_curve(coeff, init, times, dt, seed, increments):
     """The snapshots of the interacting run over ``times`` on ``increments``,
     one per grid point: the frozen law curve a decoupled path reads."""
-    laws = []
-    _interacting(coeff, init, times, dt, seed, increments,
-                 lambda t_k, x, mu, dw: laws.append(mu))
-    return tuple(laws)
+    return tuple(mu for _, _, mu, _ in _interacting(coeff, init, times, dt, seed, increments))
 
 
 class StreamedFlow:
     """The run of :func:`stream_mckean_vlasov` on its uniform grid ``times``.
 
-    The flow holds its arguments, not its states: each :meth:`replay` runs
-    the scheme again, to the same bits, and holds only the current state and
-    the noise block, so a verifier folds a flow step by step in one replay.
+    The flow holds its arguments, not its states: each call of
+    :meth:`steps` runs the scheme again, to the same bits, and holds only
+    the current state and the noise block, so a verifier folds a flow in
+    one pass over its steps.
     """
 
     def __init__(self, coeff, init, N, T, dt, seed, s=0.0):
@@ -454,19 +449,20 @@ class StreamedFlow:
             raise ContractError(f"need t >= s, got [{s}, {t}]")
         return k0, k1
 
-    def replay(self, hook, s, t):
-        """Hand ``hook`` the grid points from s to t, simulated up to t, as
-        :func:`stream_mckean_vlasov` hands them."""
+    def steps(self, s, t):
+        """The grid points (t_k, X_k, mu_k, dW_k) from s to t, an iterator.
+
+        X_k is read-only, mu_k its snapshot (a view of X_k) and dW_k row k
+        of the run's read-only increments, or None at t.  The run is
+        simulated from the flow's start up to t, so a window [s, t] gets the
+        bits of that stretch of the whole run.  The window, the noise block
+        and the initial state are checked at the call, not on iteration.
+        """
         k0, k1 = self.span(s, t)
         coeff, init, dt, seed = self._run
-
-        def from_s(t_k, X, mu, dw):
-            if t_k >= self.times[k0]:
-                hook(t_k, X, mu, dw)
-
-        stream_mckean_vlasov(
-            coeff, init, self.n_particles, self.times[k1], dt, seed, s=self.times[0], hook=from_s
-        )
+        increments = brownian_increments(seed, self.n_particles, k1, coeff.m, dt)
+        run = _interacting(coeff, init, self.times[: k1 + 1], dt, seed, increments)
+        return itertools.islice(run, k0, None)
 
 
 def semigroup_apply(coeff, mu, s, t, N, dt, seed):

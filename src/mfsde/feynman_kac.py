@@ -22,7 +22,7 @@ share one frozen flow and run as one Euler loop over a (K, B, d) state, in
 tiles of at most TILE paths: a step costs a fixed 20-25 us plus about
 2.9 ns per path at 4K-16K paths, against about 4 ns at 32K-1e5, and the
 diffusion increment of an x-independent sigma is formed once for all K
-columns of a tile (see ``dynamics._euler_loop``), so a tile is large
+columns of a tile (see ``dynamics._euler_steps``), so a tile is large
 enough to amortise the fixed cost and small enough to stay in cache.  A
 chunk is the largest multiple of CHUNK_UNIT particles whose widest group of
 K columns fits one TILE, but at least 2 * CHUNK_UNIT.  Particle i's stream
@@ -41,7 +41,7 @@ from .calculus import CylindricalFunction
 from .dynamics import (
     DOMAIN_DECOUPLED,
     _constant,
-    _euler_loop,
+    _euler_steps,
     _grid,
     _law_curve,
     brownian_increments,
@@ -92,10 +92,6 @@ class ResidualRow:
 class ResidualTable:
     rows: tuple
     verdict: str
-
-    @property
-    def passed(self):
-        return self.verdict == "PASS"
 
     @property
     def pass_fraction(self):
@@ -304,22 +300,18 @@ class McValueFunction:
         for c, (_, _, x) in enumerate(cols):
             state[c] = x
         state.flags.writeable = False
-        integral = hook = None
-        if self.f_field is not None:
-            integral = np.zeros((len(cols), n))
-
-            def hook(t_k, x_k, mu_k, dw):
+        integral = None if self.f_field is None else np.zeros((len(cols), n))
+        for t_k, x_k, mu_k, dw in _euler_steps(
+            self.coeff, state, times, increments, self.dt, lambda k, x: laws[k], first
+        ):
+            if integral is not None and dw is not None:
                 step = times[1] - times[0]
                 for c, x_c in enumerate(x_k):
                     integral[c] += np.asarray(self.f_field(t_k, x_c, mu_k), dtype=float) * step
-
-        terminal = _euler_loop(
-            self.coeff, state, times, increments, self.dt,
-            lambda k, x: laws[k], hook, first=first,
-        )
+        # the pass has ended at the terminal state x_k
         for c, (g, j, _) in enumerate(cols):
             if self.Phi is not None:
-                sample = np.asarray(self.Phi.outer.value(self.T, terminal[c], r_T), dtype=float)
+                sample = np.asarray(self.Phi.outer.value(self.T, x_k[c], r_T), dtype=float)
                 out[g][first : first + n, j] = sample if integral is None else sample - integral[c]
             else:
                 out[g][first : first + n, j] = -integral[c]

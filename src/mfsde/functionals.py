@@ -43,38 +43,28 @@ def _step_terms(f, g, t_k, X, mu, dw, dt):
     return out
 
 
-class _Fold:
-    """Replay hook that folds A^{f,g} along a flow, one step at a time.
-
-    ``total`` is the running sum of the step terms from zero; with ``V``,
-    ``start`` and ``end`` hold V(t, X, mu) at the first and last grid point.
-    Every replay of a flow hands the fold the same bits, so a window [s, t]
-    folds the same terms as that stretch of the whole run.
-    """
-
-    def __init__(self, f, g, dt, V=None):
-        self.f, self.g, self.dt, self.V = f, g, dt, V
-        self.total = self.start = self.end = None
-
-    def _potential(self, t_k, X, mu):
-        if self.V is not None:
-            return np.asarray(self.V.outer.value(t_k, X, self.V.inner_integrals(mu)))
+def _potential(V, t_k, X, mu):
+    """V(t_k, X, mu) per path, or None without V."""
+    if V is None:
         return None
-
-    def __call__(self, t_k, X, mu, dw):
-        if self.total is None:
-            self.total = np.zeros(X.shape[0])
-            self.start = self._potential(t_k, X, mu)
-        if dw is None:
-            self.end = self._potential(t_k, X, mu)
-            return
-        self.total += _step_terms(self.f, self.g, t_k, X, mu, dw, self.dt)
+    return np.asarray(V.outer.value(t_k, X, V.inner_integrals(mu)))
 
 
 def _fold(flow, s, t, f=None, g=None, V=None):
-    fold = _Fold(f, g, flow.dt, V)
-    flow.replay(fold, s, t)
-    return fold
+    """(A^{f,g}_{s,t}, V at s, V at t) per path, from one pass over ``flow.steps(s, t)``.
+
+    The step terms are summed from zero in grid order; the two potentials
+    are None without V.  Every pass over a flow sees the same bits, so a
+    window [s, t] folds the same terms as that stretch of the whole run.
+    """
+    dt = flow.dt
+    total = np.zeros(flow.n_particles)
+    for k, (t_k, X, mu, dw) in enumerate(flow.steps(s, t)):
+        if k == 0:
+            start = _potential(V, t_k, X, mu)
+        if dw is not None:
+            total += _step_terms(f, g, t_k, X, mu, dw, dt)
+    return total, start, _potential(V, t_k, X, mu)
 
 
 def accumulate(f, g, flow, s, t):
@@ -82,7 +72,7 @@ def accumulate(f, g, flow, s, t):
 
     The step terms are added from zero in grid order, so A_{s,s} = 0.
     """
-    return _fold(flow, s, t, f, g).total
+    return _fold(flow, s, t, f, g)[0]
 
 
 def build_pair_from_V(coeff, V):
@@ -106,8 +96,8 @@ def build_pair_from_V(coeff, V):
 
 def potential_increment(V, flow, s, t):
     """V(t, X_t, mu_t) - V(s, X_s, mu_s) per path, shape (N,)."""
-    fold = _fold(flow, s, t, V=V)
-    return fold.end - fold.start
+    _, start, end = _fold(flow, s, t, V=V)
+    return end - start
 
 
 @dataclass(frozen=True)
@@ -128,10 +118,6 @@ class PathIndependenceReport:
     defect_floor: float = 0.0
     floor_std_error: float = 0.0
 
-    @property
-    def passed(self):
-        return self.verdict == "PASS"
-
     def to_csv(self, path):
         rows = (
             [row.dt, row.n_paths, row.n_paths, row.rms_defect, row.max_defect,
@@ -150,10 +136,10 @@ def verify_path_independence(V, f, g, flows, s, t):
     """Defect report for A^{f,g} against the increment of V over a dt ladder.
 
     ``flows`` is an iterable of StreamedFlows, coarsest step first
-    (ContractError otherwise, or when it is empty), each folded in one
-    replay.  It is consumed one level at a time and no level is kept, so a
-    generator that yields each level on request holds at most one in memory,
-    and a level holds only its current state and noise block.  Each level
+    (ContractError otherwise, or when it is empty), each folded in one pass
+    over its steps.  It is consumed one level at a time and no level is
+    kept, so a generator that yields each level on request holds at most one
+    in memory, and a level holds only its current state and noise block.  Each level
     records the RMS and max defect; the row verdict requires
     RMS <= THRESHOLD_FACTOR * (sqrt(dt) + N^{-1/2}) * scale, where scale is
     the RMS of the potential increment (self-normalizing).
@@ -173,10 +159,10 @@ def verify_path_independence(V, f, g, flows, s, t):
             raise ContractError(
                 f"flows must come coarsest first: dt {flow.dt} after dt {prev[1]}"
             )
-        # one replay folds A^{f,g} and records V at both ends
-        fold = _fold(flow, s, t, f, g, V=V)
-        increment = fold.end - fold.start
-        defect = np.abs(fold.total - increment)
+        # one pass folds A^{f,g} and records V at both ends
+        total, start, end = _fold(flow, s, t, f, g, V=V)
+        increment = end - start
+        defect = np.abs(total - increment)
         sq = defect**2
         rms = float(np.sqrt(sq.mean()))
         mx = float(defect.max())
@@ -197,7 +183,7 @@ def verify_path_independence(V, f, g, flows, s, t):
         sq_means.append((flow.dt, float(sq.mean()), float(sq.std() / np.sqrt(sq.size))))
         prev = (rms, flow.dt)
         # drop this level before the iterable simulates the next one
-        del flow, fold
+        del flow
     if not rows:
         raise ContractError("need at least one flow")
     floor, floor_se = _defect_floor(sq_means)
@@ -266,23 +252,22 @@ def _novikov(samples):
 
 
 def girsanov_replay(g, flow, beta, s, t):
-    """(weight, Novikov estimate, X_t - X_s per path) from one replay of flow.
+    """(weight, Novikov estimate, X_t - X_s per path) from one pass over
+    ``flow.steps(s, t)``.
 
     The weight is exp(-A^{g;beta}_{s,t}) per path, with f folded in as
     |g|^2 / (2 beta); the estimate is a :class:`NovikovEstimate` of
-    E exp(1/2 int_s^t |g|^2 dr).  Both functionals are folded step by step
-    as the flow is handed over, so a StreamedFlow is simulated once and
-    never recorded.
+    E exp(1/2 int_s^t |g|^2 dr).  Both functionals are summed step by step
+    in that one pass, so a StreamedFlow is simulated once and never
+    recorded.
     """
-    weight = _Fold(_girsanov_f(g, beta), g, flow.dt)
-    novikov = _Fold(_girsanov_f(g, 1.0), None, flow.dt)
-    ends = []
-
-    def hook(t_k, X, mu, dw):
-        weight(t_k, X, mu, dw)
-        novikov(t_k, X, mu, dw)
-        if not ends or dw is None:
-            ends.append(X)
-
-    flow.replay(hook, s, t)
-    return np.exp(-weight.total), _novikov(np.exp(novikov.total)), ends[-1] - ends[0]
+    f_weight, f_novikov = _girsanov_f(g, beta), _girsanov_f(g, 1.0)
+    dt = flow.dt
+    weight, novikov = np.zeros(flow.n_particles), np.zeros(flow.n_particles)
+    for k, (t_k, X, mu, dw) in enumerate(flow.steps(s, t)):
+        if k == 0:
+            x_s = X
+        if dw is not None:
+            weight += _step_terms(f_weight, g, t_k, X, mu, dw, dt)
+            novikov += _step_terms(f_novikov, None, t_k, X, mu, dw, dt)
+    return np.exp(-weight), _novikov(np.exp(novikov)), X - x_s

@@ -170,53 +170,21 @@ class ItoResidualSummary:
     qv_density: np.ndarray
 
 
-class _ItoFold:
-    """Replay hook that reduces the Ito residual of the selected particles per step.
-
-    The residual of step k is the one-step increment of f along the path
-    minus the generator drift term and the stochastic increment; it is known
-    once the fold sees grid point k+1.  The generator is evaluated once per
-    step, at the inner integrals already computed for the step's value.
-    """
-
-    def __init__(self, coeff, f, dt, sel):
-        self.coeff, self.f, self.dt, self.sel = coeff, f, dt, sel
-        self.pending = None  # (value, drift, martingale increment) of the open step
-        self.step_mean, self.step_rms, self.qv_density = [], [], []
-        self.residual_sum = self.qv_sum = None
-
-    def __call__(self, t_k, X, mu, dw):
-        X = X[self.sel]
-        r = self.f.inner_integrals(mu)
-        vals = np.asarray(self.f.outer.value(t_k, X, r), dtype=float)
-        if self.pending is None:
-            self.residual_sum = np.zeros(X.shape[0])
-            self.qv_sum = np.zeros(X.shape[0])
-        else:
-            vals_prev, drift, mart = self.pending
-            res = vals - vals_prev - drift * self.dt - mart
-            self.step_mean.append(res.mean())
-            self.step_rms.append(np.sqrt((res**2).mean()))
-            self.residual_sum += res
-            self.qv_sum += mart**2
-        if dw is None:
-            return
-        parts = generator_parts(self.coeff, self.f, t_k, X, mu, r=r)
-        sig_dx = parts["sigma_star_dx"]
-        mart = np.einsum("bm,bm->b", sig_dx, dw[self.sel])
-        self.qv_density.append(np.mean(np.sum(sig_dx**2, axis=1)))
-        self.pending = (vals, parts["dt"] + generator_total(parts), mart)
-
-
 def ito_residual_ensemble(coeff, f, flow, particles=None):
     """Discrete Ito residual of selected particles of a flow, reduced per step.
 
-    ``flow`` is a StreamedFlow, folded in one replay, so no (L, P) array is
-    built.  With ``particles=[i]`` the summary's ``step_mean`` is particle
-    i's residual series.  Returns an :class:`ItoResidualSummary`.
+    ``flow`` is a StreamedFlow, folded in one pass over its steps, so no
+    (L, P) array is built.  The residual of step k is the one-step increment
+    of f along the path minus the generator drift term and the stochastic
+    increment; it is known once the pass reaches grid point k+1.  The
+    generator is evaluated once per step, at the inner integrals already
+    computed for the step's value.  With ``particles=[i]`` the summary's
+    ``step_mean`` is particle i's residual series.  Returns an
+    :class:`ItoResidualSummary`.
     """
     if particles is None:
         sel = slice(None)
+        n_sel = flow.n_particles
     else:
         sel = np.asarray(particles)
         if (
@@ -230,12 +198,31 @@ def ito_residual_ensemble(coeff, f, flow, particles=None):
                 "particles must be a non-empty 1-D integer index array in "
                 f"[0, {flow.n_particles})"
             )
-    fold = _ItoFold(coeff, f, flow.dt, sel)
-    flow.replay(fold, flow.times[0], flow.times[-1])
+        n_sel = sel.size
+    dt = flow.dt
+    step_mean, step_rms, qv_density = [], [], []
+    residual_sum, qv_sum = np.zeros(n_sel), np.zeros(n_sel)
+    for k, (t_k, X, mu, dw) in enumerate(flow.steps(flow.times[0], flow.times[-1])):
+        X = X[sel]
+        r = f.inner_integrals(mu)
+        vals = np.asarray(f.outer.value(t_k, X, r), dtype=float)
+        if k > 0:
+            # (value, drift, martingale increment) of step k - 1
+            res = vals - vals_prev - drift * dt - mart
+            step_mean.append(res.mean())
+            step_rms.append(np.sqrt((res**2).mean()))
+            residual_sum += res
+            qv_sum += mart**2
+        if dw is not None:
+            parts = generator_parts(coeff, f, t_k, X, mu, r=r)
+            sig_dx = parts["sigma_star_dx"]
+            mart = np.einsum("bm,bm->b", sig_dx, dw[sel])
+            qv_density.append(np.mean(np.sum(sig_dx**2, axis=1)))
+            vals_prev, drift = vals, parts["dt"] + generator_total(parts)
     return ItoResidualSummary(
-        step_mean=np.array(fold.step_mean, dtype=float),
-        step_rms=np.array(fold.step_rms, dtype=float),
-        residual_sum=fold.residual_sum,
-        qv_sum=fold.qv_sum,
-        qv_density=np.array(fold.qv_density, dtype=float),
+        step_mean=np.array(step_mean, dtype=float),
+        step_rms=np.array(step_rms, dtype=float),
+        residual_sum=residual_sum,
+        qv_sum=qv_sum,
+        qv_density=np.array(qv_density, dtype=float),
     )

@@ -240,6 +240,38 @@ def test_every_outer_partial_matches_central_differences(name):
         close(dr[:, j], (F.value(t, x, r + e) - F.value(t, x, r - e)) / (2 * h))
 
 
+#: the parameters each inner catalog entry is checked with at d = 2
+INNER_CASES = {
+    "linear": ({"a": [0.5, -1.5]},),
+    "quadratic": ({},),
+    "bump": ({},),
+    "coordinate": ({"i": 1}, {"i": 0, "power": 2}),
+}
+
+
+@pytest.mark.parametrize(
+    "name, params", [(name, params) for name in INNER_NAMES for params in INNER_CASES[name]])
+def test_every_inner_derivative_matches_central_differences(name, params):
+    """grad and hess of each catalog inner function at a batch of points (B, 2)."""
+    rng = np.random.default_rng(19)
+    inner = make_inner(name, **params)
+    B, h = 3, 1e-5
+    x = rng.standard_normal((B, 2))
+
+    def close(exact, fd):
+        assert np.allclose(exact, fd, rtol=1e-6, atol=1e-6)
+
+    grad, hess = inner.grad(x), inner.hess(x)
+    assert np.shape(inner.value(x)) == (B,)
+    assert np.shape(grad) == (B, 2)
+    assert np.shape(hess) == (B, 2, 2)
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = h
+        close(grad[:, j], (inner.value(x + e) - inner.value(x - e)) / (2 * h))
+        close(hess[:, :, j], (inner.grad(x + e) - inner.grad(x - e)) / (2 * h))
+
+
 def test_dy_dmu_matches_gradient_of_dmu():
     rng = np.random.default_rng(13)
     f = make_cylindrical("sum", [("quadratic", {}), ("bump", {})])

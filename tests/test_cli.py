@@ -405,6 +405,7 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ("path-independence-forward", "V.outer", "mean"),
         ("feynman-kac-heat", "Phi.outer", "square"),
         ("pde-residual-nonlinear", "pde", "source"),
+        ("pde-residual-nonlinear", "pde", "drift_coupled"),
         ("path-independence-forward", "dt", "0.5"),
         ("path-independence-forward", "coeff.sigma", "5"),
         ("path-independence-forward", "coeff.rate", "1"),

@@ -495,7 +495,7 @@ def test_span_rejects_a_window_off_the_grid_or_reversed(s, t, match):
     with pytest.raises(ContractError, match=match):
         flow.span(s, t)
     with pytest.raises(ContractError, match=match):
-        flow.replay(lambda *point: None, s, t)
+        flow.steps(s, t)
 
 
 @pytest.mark.parametrize("name", COEFFICIENT_NAMES)
@@ -609,12 +609,11 @@ def test_stream_kernel_hands_the_recorded_steps_to_its_hook():
     coeff, args = _mean_field_run()
     _, _, n, T, dt, seed = args
     seen = []
-
-    def hook(t, X, mu, dw):
+    for t, X, mu, dw in StreamedFlow(*args).steps(0.0, T):
         assert not X.flags.writeable and mu.points is X
         seen.append((t, X, mu, dw))
 
-    terminal = stream_mckean_vlasov(*args, hook=hook)
+    terminal = stream_mckean_vlasov(*args)
     noise = brownian_increments(seed, n, 8, coeff.m, dt)
     assert len(seen) == 9
     weights = seen[0][2].weights
@@ -646,14 +645,14 @@ def test_stream_kernel_still_checks_the_initial_state():
     with pytest.raises(ContractError, match="finite"):
         stream_mckean_vlasov(coeff, bad, 3, 1.0, 0.25, seed=0)
     with pytest.raises(ContractError, match="finite"):
-        StreamedFlow(coeff, bad, 3, 1.0, 0.25, seed=0).replay(lambda *point: None, 0.0, 1.0)
+        StreamedFlow(coeff, bad, 3, 1.0, 0.25, seed=0).steps(0.0, 1.0)
 
 
 @pytest.mark.parametrize(
     "s, t", [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.0, 0.375), (0.625, 1.0), (1.0, 1.0)])
 def test_streamed_flow_replays_the_recorded_grid_points(s, t):
-    # a window [s, t] hands its hook the bits of that stretch of one whole
-    # replay, with no increment at t
+    # a window [s, t] yields the bits of that stretch of one whole pass, with
+    # no increment at t
     _, args = _mean_field_run()
     flow = StreamedFlow(*args)
     assert flow.times.tobytes() == (0.125 * np.arange(9)).tobytes()

@@ -327,7 +327,8 @@ def test_mc_residual_heat_linear_pde():
         coeff=BROWNIAN, Phi=Phi, f_field=None, T=1.0, dt=0.01, M=20_000, seed=19,
         mu=dirac([0.0]),
     )
-    table = pde_residual_mc(vf, "linear", [(0.0, [0.0]), (0.5, [1.0])])
+    # t = 0.99 is T - h_t: its time difference has no Richardson comparison
+    table = pde_residual_mc(vf, "linear", [(0.0, [0.0]), (0.5, [1.0]), (0.99, [0.5])])
     assert table.verdict == "PASS"
 
 

@@ -391,12 +391,10 @@ def test_pair_evaluates_generator_once_per_step_when_a_hook_calls_f_and_g(parts_
     coeff, streamed, _ = _streamed_and_recorded()
     f, g = build_pair_from_V(coeff, make_cylindrical("x_sq_plus_r1", ["quadratic"]))
     steps = []
-
-    def hook(t, X, mu, dw):
+    for t, X, mu, dw in streamed.steps(0.0, 1.0):
         if dw is not None:
             steps.append((f(t, X, mu), g(t, X, mu)))
 
-    streamed.replay(hook, 0.0, 1.0)
     assert len(steps) == streamed.n_steps
     assert len(parts_calls) == streamed.n_steps
 
@@ -422,13 +420,13 @@ def test_girsanov_replay_matches_the_separate_functionals(s, t):
 
 def test_girsanov_replay_simulates_the_flow_once(monkeypatch):
     runs = []
-    replay = StreamedFlow.replay
+    steps = StreamedFlow.steps
 
-    def counted(self, hook, s, t):
+    def counted(self, s, t):
         runs.append((s, t))
-        return replay(self, hook, s, t)
+        return steps(self, s, t)
 
     _, streamed, _ = _streamed_and_recorded()
-    monkeypatch.setattr(StreamedFlow, "replay", counted)
+    monkeypatch.setattr(StreamedFlow, "steps", counted)
     girsanov_replay(lambda tk, X, mu: X, streamed, 1.0, 0.0, 1.0)
     assert runs == [(0.0, 1.0)]

@@ -185,20 +185,17 @@ def test_streamed_increments_are_read_only_rows_of_the_run_block():
     coeff = make_coefficients("mean_revert", d=2, rate=1.0, s=0.5)
     init = EmpiricalMeasure(np.random.default_rng(0).standard_normal((6, 2)))
     seen = []
-    last = []
-
-    def hook(t, x, mu, dw):
-        last[:] = [x]
+    for t, x, mu, dw in StreamedFlow(coeff, init, 6, 1.0, 0.25, seed=4).steps(0.0, 1.0):
         if dw is not None:
             assert not dw.flags.writeable
             seen.append(dw)
 
-    law = stream_mckean_vlasov(coeff, init, 6, 1.0, 0.25, seed=4, hook=hook)
+    law = stream_mckean_vlasov(coeff, init, 6, 1.0, 0.25, seed=4)
     expected = dynamics.brownian_increments(4, 6, 4, 2, 0.25)
     assert len(seen) == 4
     for k, dw in enumerate(seen):
         assert dw.tobytes() == expected[k].tobytes()
-    assert law.points.tobytes() == last[0].tobytes()
+    assert law.points.tobytes() == x.tobytes()
 
 
 def test_ladder_rejects_empty_and_finest_first():
