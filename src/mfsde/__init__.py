@@ -37,13 +37,7 @@ from .functionals import (
     girsanov_replay,
     verify_path_independence,
 )
-from .generator import (
-    GeneratorValue,
-    ItoResidualSummary,
-    apply_L_sigma,
-    apply_L_sigma_b,
-    ito_residual_ensemble,
-)
+from .generator import ItoResidualSummary, ito_residual_ensemble
 from .measure import (
     EmpiricalMeasure,
     dirac,

@@ -388,26 +388,18 @@ class CylindricalFunction:
         out = self.outer.value(t, np.asarray(x, dtype=float), r)
         return float(out) if np.ndim(out) == 0 else out
 
-    def _dr_weighted(self, t, x, mu, y, which, trailing):
-        """sum_i dF/dr_i * h_i.<which>(y), an array of shape y.shape + trailing."""
+    def l_derivative(self, t, x, mu, y):
+        """d_mu f(t, x, mu)(y) = sum_i dF/dr_i * grad h_i(y)."""
         y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape + trailing)
+        out = np.zeros(y.shape)
         if self.inner:
             r = self.inner_integrals(mu)
             coeffs = np.asarray(
                 self.outer.partial("dr")(t, np.asarray(x, dtype=float), r)
             ).reshape(-1)
             for i, h in enumerate(self.inner):
-                out += coeffs[i] * getattr(h, which)(y)
+                out += coeffs[i] * h.grad(y)
         return out
-
-    def l_derivative(self, t, x, mu, y):
-        """d_mu f(t, x, mu)(y) = sum_i dF/dr_i * grad h_i(y)."""
-        return self._dr_weighted(t, x, mu, y, "grad", ())
-
-    def dy_l_derivative(self, t, x, mu, y):
-        """Gradient in y of the measure derivative: sum_i dF/dr_i * hess h_i(y)."""
-        return self._dr_weighted(t, x, mu, y, "hess", np.shape(y)[-1:])
 
 
 def l_derivative_fd_oracle(f, t, x, mu, phi, eps):

@@ -538,8 +538,12 @@ _SCENARIOS = {
         _run_feynman_kac, {**_FK, "f.kind": ..., "f.value": ...}, _mc_block, _fk_rules),
     "feynman_kac_log": _Scenario(
         _run_feynman_kac, {**_FK, **_PHI, "beta": ...}, _mc_block, _log_rules),
+    # no Phi.inner: a terminal datum that reads mu_T depends on mu, which the
+    # stencil shifts only under a measure-dependent coefficient, and carries
+    # the frozen flow's sampling error, which the residual budget has no term for
     "pde_residual": _Scenario(
-        _run_pde_residual, {**_MC, **_PHI, "beta": ..., "pde": ..., "check": "residual"},
+        _run_pde_residual, {**_MC, "Phi.outer": ..., "Phi.outer.": None, "beta": ...,
+                            "pde": ..., "check": "residual"},
         _mc_block, by_check={"npy": _Scenario(
             _run_pde_residual, {"check": None, **_DIM, "n_probes": 50, "tol": 1e-10})}),
     "lderivative_check": _Scenario(

@@ -11,7 +11,9 @@ paths against it.  Its terms follow from its inputs:
   solution of the quadratic-gradient nonlinear PDE.
 
 A residual tester verifies MC-backed solutions against their PDE with
-common-random-number finite differences and an explicit error budget.
+common-random-number finite differences and an explicit error budget; an
+exact one evaluates the PDE of a cylindrical function from its closed-form
+derivatives, including the drift-coupled PDE, which no estimator here solves.
 
 Every estimate reads one sampler, :meth:`McValueFunction.sample_table`,
 which evaluates a table of columns (start time, start point, measure) in
@@ -32,7 +34,7 @@ full, so chunk and tile sizes never change a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,7 +42,6 @@ import numpy as np
 from .calculus import CylindricalFunction
 from .dynamics import (
     DOMAIN_DECOUPLED,
-    _constant,
     _euler_steps,
     _grid,
     _law_curve,
@@ -74,7 +75,11 @@ def _n_steps(t, T, dt):
 # ---------------------------------------------------------------------------
 # PDE residual verification
 
+#: the PDEs the exact residual evaluates; the Monte Carlo residual checks
+#: the first three, since its value function never reads its drift off its
+#: own gradient, as the drift-coupled PDE needs
 PDE_KINDS = ("linear", "source", "nonlinear", "drift_coupled")
+MC_PDE_KINDS = PDE_KINDS[:3]
 
 
 @dataclass(frozen=True)
@@ -120,37 +125,51 @@ def _finalize_table(rows):
     return ResidualTable(rows=tuple(rows), verdict=verdict)
 
 
-def _rhs_exact(pde, f_field, beta, t, x, mu, parts):
-    if pde in ("linear", "drift_coupled"):
-        return 0.0
+def _check_kind(pde, kinds, f_field, beta):
+    """ContractError unless pde is one of ``kinds`` and the term its
+    right-hand side reads is given: f_field for source, a nonzero beta for
+    nonlinear."""
+    if pde not in kinds:
+        raise ContractError(f"pde must be one of {kinds}")
+    needs = {"nonlinear": ("beta", beta), "source": ("f_field", f_field)}.get(pde)
+    if needs and needs[1] is None:
+        raise ContractError(f"pde = {pde} needs a value function with {needs[0]}")
+    if pde == "nonlinear" and beta == 0:
+        raise ContractError("beta must be nonzero")
+
+
+def _rhs(pde, f_field, beta, t, x, mu, sig_dx):
+    """Right-hand side of the PDE ``pde`` at (t, x, mu), where sig_dx is
+    sigma^* dx V there: f_field for source, |sigma^* dx V|^2 / (2 beta) for
+    nonlinear and 0 for linear and drift_coupled."""
     if pde == "source":
-        return float(np.asarray(f_field(t, np.atleast_2d(x), mu))[0])
+        return float(np.asarray(f_field(t, x[None], mu))[0])
     if pde == "nonlinear":
-        return float(np.sum(parts["sigma_star_dx"][0] ** 2)) / (2.0 * beta)
-    raise ContractError(f"unknown pde kind {pde!r}")
+        return float(sig_dx @ sig_dx) / (2.0 * beta)
+    return 0.0
 
 
 def pde_residual_exact(V, coeff, pde, probes, mu, f_field=None, beta=None, budget=1e-9):
     """Residual of a cylindrical V in its PDE, using exact derivatives.
 
-    ``probes`` is a sequence of (t, x).  For the drift-free kind the
-    residual is dt V + (drift-free generator) V, matching the PDE whose
-    drift constraint the caller is responsible for.
+    ``probes`` is a sequence of (t, x).  The residual is dt V plus the
+    generator minus the right-hand side (see :func:`_rhs`).  This is the
+    oracle for every kind in PDE_KINDS: for drift_coupled it uses the
+    drift-free generator, which replaces <b, dx V> by |sigma^* dx V|^2 / 2
+    and reads the drift sigma sigma^* dx V inside the measure integral off
+    V itself, so the coefficient's own drift is never read.
     """
-    if pde not in PDE_KINDS:
-        raise ContractError(f"pde must be one of {PDE_KINDS}")
+    _check_kind(pde, PDE_KINDS, f_field, beta)
     if not isinstance(V, CylindricalFunction):
         raise ContractError("exact residuals need a cylindrical function")
     rows = []
     for pid, (t, x) in enumerate(probes):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        parts = generator_parts(
-            coeff, V, t, x_arr[None], mu, drift_free=pde == "drift_coupled"
-        )
+        x = start_point(x, coeff.d)
+        parts = generator_parts(coeff, V, t, x[None], mu, drift_free=pde == "drift_coupled")
         lhs = float((parts["dt"] + generator_total(parts))[0])
-        res = lhs - _rhs_exact(pde, f_field, beta, t, x_arr, mu, parts)
+        res = lhs - _rhs(pde, f_field, beta, t, x, mu, parts["sigma_star_dx"][0])
         verdict = "PASS" if abs(res) <= budget else "FAIL"
-        rows.append(ResidualRow(pde, float(t), tuple(x_arr), pid, res, budget, verdict))
+        rows.append(ResidualRow(pde, float(t), tuple(x), pid, res, budget, verdict))
     return _finalize_table(rows)
 
 
@@ -162,10 +181,10 @@ def npy_identity_gap(coeff, V, t, x, mu):
     sigma-gradient; returns the absolute discrepancy of the two
     independently computed sides.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    left = generator_parts(coeff, V, t, x_arr[None], mu, drift_free=True)
+    x = start_point(x, coeff.d)
+    left = generator_parts(coeff, V, t, x[None], mu, drift_free=True)
     lhs = float(generator_total(left)[0])
-    right = generator_parts(coeff, V, t, x_arr[None], mu, drift_free=False)
+    right = generator_parts(coeff, V, t, x[None], mu, drift_free=False)
     rhs = float(
         generator_total(right)[0] - 0.5 * np.sum(right["sigma_star_dx"][0] ** 2)
     )
@@ -337,14 +356,16 @@ def _diag_diffusion(coeff, t, x, mu):
     return sig, np.diag(a)
 
 
-def _measure_shift(coeff, mu, t, ds, sign, rng):
-    """One antithetic Euler displacement of the atoms of mu."""
+def _measure_shifts(coeff, mu, t, ds, rng):
+    """The antithetic pair of Euler displacements of the atoms of mu: one
+    Rademacher draw xi shifts them by b ds + sqrt(ds) sigma xi and by
+    b ds - sqrt(ds) sigma xi, mirror images about mu's atoms moved by b ds."""
     Y = mu.points
-    drift = np.asarray(coeff.b(t, Y, mu))
+    drift = np.asarray(coeff.b(t, Y, mu)) * ds
     sig = np.asarray(coeff.sigma(t, Y, mu))
     xi = rng.choice([-1.0, 1.0], size=(Y.shape[0], coeff.m))
-    disp = drift * ds + sign * np.sqrt(ds) * np.einsum("...jk,...k->...j", sig, xi)
-    return EmpiricalMeasure(Y + disp, mu.weights)
+    noise = np.sqrt(ds) * np.einsum("...jk,...k->...j", sig, xi)
+    return [EmpiricalMeasure(Y + (drift + sign * noise), mu.weights) for sign in (1.0, -1.0)]
 
 
 #: relative space step, time step (snapped to the grid) and measure-shift step
@@ -357,21 +378,17 @@ MEASURE_DS = 1e-3
 def pde_residual_mc(vf, pde, probes, n_measure_draws=4):
     """Residual table for an MC-backed value function via CRN differences.
 
-    All stencil evaluations reuse the same noise streams, so differences
-    cancel most Monte Carlo error; the per-probe budget is an FD truncation
-    estimate (by Richardson comparison) plus three propagated standard
-    errors computed from the joint per-path sample covariance.  Every
-    probe's stencil is planned (and its diffusion checked) before any path
-    is simulated, then all columns are sampled as one table.
+    ``pde`` is one of MC_PDE_KINDS.  All stencil evaluations reuse the same
+    noise streams, so differences cancel most Monte Carlo error; the
+    per-probe budget is an FD truncation estimate (by Richardson comparison)
+    plus three propagated standard errors computed from the joint per-path
+    sample covariance.  Every probe's stencil is planned (and its diffusion
+    checked) before any path is simulated, then all columns are sampled as
+    one table.
     """
-    if pde not in PDE_KINDS:
-        raise ContractError(f"pde must be one of {PDE_KINDS}")
-    # the right-hand side of the nonlinear PDE reads beta, that of the source PDE f_field
-    needs = {"nonlinear": "beta", "source": "f_field"}.get(pde)
-    if needs and getattr(vf, needs) is None:
-        raise ContractError(f"pde = {pde} needs a value function with {needs}")
+    _check_kind(pde, MC_PDE_KINDS, vf.f_field, vf.beta)
     h_t = max(vf.dt, round(H_T_REL * vf.T / vf.dt) * vf.dt)
-    probes = [(float(t0), np.atleast_1d(np.asarray(x0, dtype=float))) for t0, x0 in probes]
+    probes = [(float(t0), start_point(x0, vf.coeff.d)) for t0, x0 in probes]
     plans = [
         _mc_probe(vf, pde, pid, t0, x0, h_t, n_measure_draws)
         for pid, (t0, x0) in enumerate(probes)
@@ -408,13 +425,11 @@ def _mc_probe(vf, pde, pid, t0, x0, h_t, n_draws):
             xs = x0.copy()
             xs[j] += mult * h_x[j]
             columns.append((t0, xs, None))
-    mu_cols = 0
     if coeff.measure_dependent:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(vf.seed)))
         for _ in range(n_draws):
-            for sign in (+1.0, -1.0):
-                columns.append((t0, x0, _measure_shift(coeff, mu, t0, MEASURE_DS, sign, rng)))
-                mu_cols += 1
+            columns += [(t0, x0, shifted)
+                        for shifted in _measure_shifts(coeff, mu, t0, MEASURE_DS, rng)]
 
     def finish(S):
         means = S.mean(axis=0)
@@ -437,22 +452,12 @@ def _mc_probe(vf, pde, pid, t0, x0, h_t, n_draws):
                 grad[j] = (vp - vm) / (2 * h_x[j])
                 lap_h[j] = (vp - 2 * v0 + vm) / h_x[j] ** 2
                 lap_2h[j] = (vp2 - 2 * v0 + vm2) / (2 * h_x[j]) ** 2
+            pairs = vals[base + 4 * d :].reshape(-1, 2)
             mu_term = 0.0
-            if mu_cols:
-                pairs = vals[base + 4 * d :].reshape(-1, 2)
+            if pairs.size:
                 mu_term = float(np.mean(0.5 * (pairs[:, 0] + pairs[:, 1]) - v0) / MEASURE_DS)
             lhs = dtv + 0.5 * float(a_diag @ lap_h) + float(b0 @ grad) + mu_term
-            sig_grad = sig.T @ grad
-            if pde == "linear":
-                rhs = 0.0
-            elif pde == "source":
-                rhs = float(np.asarray(vf.f_field(t0, x0[None], mu))[0])
-            elif pde == "nonlinear":
-                rhs = float(sig_grad @ sig_grad) / (2.0 * vf.beta)
-            else:  # drift_coupled: drift-free operator, drift read off the gradient
-                lhs = dtv + 0.5 * float(a_diag @ lap_h) + mu_term + 0.5 * float(sig_grad @ sig_grad)
-                # measure drift term uses the coefficient drift already in mu_term
-                rhs = 0.0
+            rhs = _rhs(pde, vf.f_field, vf.beta, t0, x0, mu, sig.T @ grad)
             aux = {
                 "trunc_t": abs(dtv - dtv2),
                 "trunc_x": 0.5 * float(np.abs(a_diag) @ np.abs(lap_h - lap_2h)) / 3.0,
@@ -481,63 +486,3 @@ def _mc_probe(vf, pde, pid, t0, x0, h_t, n_draws):
         return ResidualRow(pde, t0, tuple(x0), pid, float(res), float(budget), verdict)
 
     return columns, finish
-
-
-@dataclass(frozen=True)
-class FixedPointResult:
-    converged: bool
-    iterations: int
-    drift_changes: tuple
-
-
-#: the fixed point counts as converged once the drift moves less than this
-FIXED_POINT_TOL = 1e-3
-
-
-def solve_drift_coupled_fixed_point(coeff, Phi, t, x, mu, T, M, dt, seed, n_iter=3, n_flow=100):
-    """Fixed-point attempt at the drift-coupled problem; reports honestly.
-
-    Iterates drift <- sigma sigma^* dx V with V = -1/2 E log Phi under the
-    current drift, the gradient taken by CRN central differences at the
-    start point.  The coupling is not a contraction in general; callers
-    must check ``converged``.
-    """
-    vf = McValueFunction(coeff, Phi, None, T, dt, M, seed, mu, n_flow=n_flow)
-    x = start_point(x, coeff.d)
-    h = 1e-2 * (1.0 + np.abs(x))
-    columns = []  # x + h_j e_j, x - h_j e_j for each axis j
-    for j in range(coeff.d):
-        for sign in (1.0, -1.0):
-            xq = x.copy()
-            xq[j] += sign * h[j]
-            columns.append((t, xq, None))
-    drift_vec = np.zeros(coeff.d)
-    changes = []
-
-    def value(samples):
-        if np.any(samples <= 0):
-            raise DataError("terminal datum must stay strictly positive")
-        return -0.5 * float(np.mean(np.log(samples)))
-
-    for _ in range(n_iter):
-        # every stencil point of one drift shares one frozen flow, and every
-        # iteration reads the same noise streams (common random numbers)
-        [S] = replace(vf, coeff=replace_drift(coeff, drift_vec)).sample_table([columns])
-        grad = np.array([(value(S[:, 2 * j]) - value(S[:, 2 * j + 1])) / (2 * h[j])
-                         for j in range(coeff.d)])
-        sig = coefficients_at(coeff, t, x, mu)[1]
-        new_drift = sig @ sig.T @ grad
-        changes.append(float(np.linalg.norm(new_drift - drift_vec)))
-        drift_vec = new_drift
-        if changes[-1] < FIXED_POINT_TOL:
-            break
-    return FixedPointResult(
-        converged=bool(changes and changes[-1] < FIXED_POINT_TOL),
-        iterations=len(changes),
-        drift_changes=tuple(changes),
-    )
-
-
-def replace_drift(coeff, drift_vec):
-    """Coefficient field with the drift replaced by a constant (d,) vector."""
-    return replace(coeff, name=f"{coeff.name}+const_drift", b=_constant(drift_vec))

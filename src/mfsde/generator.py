@@ -20,23 +20,6 @@ import numpy as np
 
 from .errors import ContractError, EvaluationError
 
-#: sum of recorded parts must match the total this tightly
-PART_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GeneratorValue:
-    """Generator evaluation with its additive parts recorded separately."""
-
-    total: float
-    parts: dict
-
-    def __post_init__(self):
-        if abs(sum(self.parts.values()) - self.total) > PART_SUM_TOL * max(
-            1.0, abs(self.total)
-        ):
-            raise ContractError("generator parts do not sum to the total")
-
 
 def _labeled(term, fn, *args):
     try:
@@ -129,26 +112,6 @@ def generator_total(parts):
     """
     first_order = parts["drift_x"] if "drift_x" in parts else parts["nonlinear_sq"]
     return parts["trace_x"] + first_order + parts["trace_mu"] + parts["drift_mu"]
-
-
-_PART_KEYS = ("trace_x", "drift_x", "nonlinear_sq", "trace_mu", "drift_mu")
-
-
-def _collect(parts):
-    named = {k: float(parts[k][0]) for k in _PART_KEYS if k in parts}
-    return GeneratorValue(total=float(generator_total(parts)[0]), parts=named)
-
-
-def apply_L_sigma_b(coeff, V, t, x, mu):
-    """Drift-diffusion generator at a single (t, x, mu)."""
-    return _collect(generator_parts(coeff, V, t, np.asarray(x)[None], mu))
-
-
-def apply_L_sigma(coeff, V, t, x, mu):
-    """Drift-free generator (squared-gradient variant) at a single (t, x, mu)."""
-    return _collect(
-        generator_parts(coeff, V, t, np.asarray(x)[None], mu, drift_free=True)
-    )
 
 
 @dataclass(frozen=True)

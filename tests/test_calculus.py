@@ -132,13 +132,6 @@ def test_bundle_coordinate_function():
     assert np.allclose(f.l_derivative(t, x, mu, np.array([0.5, 0.5])), [0.0, 0.0])
 
 
-def test_bundle_second_moment_hessian():
-    f = make_cylindrical("mean", ["quadratic"])
-    mu = cloud(np.random.default_rng(2), 4, 2)
-    hess = f.dy_l_derivative(0.0, np.zeros(2), mu, np.array([1.0, -1.0]))
-    assert np.allclose(hess, 2.0 * np.eye(2))
-
-
 def test_bundle_product_rule_by_hand():
     # f = t * mu(Id): dt = mu(Id), dmu(y) = t
     f = make_cylindrical("time_times_r1", [("linear", {"a": [1.0]})])
@@ -270,22 +263,6 @@ def test_every_inner_derivative_matches_central_differences(name, params):
         e[j] = h
         close(grad[:, j], (inner.value(x + e) - inner.value(x - e)) / (2 * h))
         close(hess[:, :, j], (inner.grad(x + e) - inner.grad(x - e)) / (2 * h))
-
-
-def test_dy_dmu_matches_gradient_of_dmu():
-    rng = np.random.default_rng(13)
-    f = make_cylindrical("sum", [("quadratic", {}), ("bump", {})])
-    mu = cloud(rng, 6, 2)
-    x = np.zeros(2)
-    y = rng.standard_normal(2)
-    h = 1e-5 * (1.0 + np.abs(y))
-    jac = np.empty((2, 2))
-    for j in range(2):
-        yp, ym = y.copy(), y.copy()
-        yp[j] += h[j]
-        ym[j] -= h[j]
-        jac[:, j] = (f.l_derivative(0.0, x, mu, yp) - f.l_derivative(0.0, x, mu, ym)) / (2 * h[j])
-    assert np.allclose(f.dy_l_derivative(0.0, x, mu, y), jac, atol=1e-6)
 
 
 @given(seed=st.integers(0, 5000))

@@ -406,6 +406,7 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ("feynman-kac-heat", "Phi.outer", "square"),
         ("pde-residual-nonlinear", "pde", "source"),
         ("pde-residual-nonlinear", "pde", "drift_coupled"),
+        ("pde-residual-nonlinear", "Phi.inner", "quadratic"),
         ("path-independence-forward", "dt", "0.5"),
         ("path-independence-forward", "coeff.sigma", "5"),
         ("path-independence-forward", "coeff.rate", "1"),

@@ -29,7 +29,7 @@ from mfsde.dynamics import (
     spot_check_lipschitz,
     stream_mckean_vlasov,
 )
-from mfsde.feynman_kac import MEASURE_DS, TILE, McValueFunction, _chunk_size, _measure_shift
+from mfsde.feynman_kac import MEASURE_DS, TILE, McValueFunction, _chunk_size, _measure_shifts
 from mfsde.generator import generator_parts
 from mfsde.measure import write_csv
 from replayed import replayed
@@ -527,7 +527,7 @@ def test_per_path_twin_gives_the_same_samples():
     xs = [np.array([0.3, -0.2]), np.array([-1.0, 0.5]), np.array([0.0, 2.0])]
     tables = []
     for c in (coeff, _per_path_twin(coeff)):
-        shifted = _measure_shift(c, init, 0.0, MEASURE_DS, 1.0, np.random.default_rng(8))
+        shifted = _measure_shifts(c, init, 0.0, MEASURE_DS, np.random.default_rng(8))[0]
         columns = [(0.0, x, None) for x in xs] + [(0.0, x, shifted) for x in xs[:2]]
         columns.append((0.25, xs[0], None))
         vf = McValueFunction(c, Phi, None, 1.0, 0.05, 64, 7, init, n_flow=16)

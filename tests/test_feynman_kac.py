@@ -20,7 +20,7 @@ from mfsde import (
     pde_residual_mc,
 )
 from mfsde.dynamics import DOMAIN_DECOUPLED
-from mfsde.feynman_kac import _diag_diffusion, solve_drift_coupled_fixed_point
+from mfsde.feynman_kac import MEASURE_DS, _diag_diffusion
 
 
 BROWNIAN = make_coefficients("brownian", s=1.0)
@@ -223,8 +223,6 @@ def _solver_calls():
         "source": solve(None, zero_field),
         "combined": solve(Phi, zero_field),
         "log_transform": solve(Phi, None, beta=1.0),
-        "fixed_point": lambda x, M: solve_drift_coupled_fixed_point(
-            BROWNIAN, Phi, 0.0, x, DIRAC0, 1.0, M, 0.25, seed=0, n_iter=1),
         "value_function": lambda x, M: McValueFunction(
             coeff=BROWNIAN, Phi=Phi, f_field=None, T=1.0, dt=0.25, M=M, seed=0,
             mu=DIRAC0).samples(0.0, x),
@@ -301,6 +299,48 @@ def test_exact_residual_source_kind():
     assert table.verdict == "PASS"
 
 
+@pytest.mark.parametrize("s, x", [(1.0, 0.5), (2.0, -1.0)])
+def test_exact_residual_drift_coupled_closed_form(s, x):
+    # V = x^2 under brownian s: the drift-free generator is s^2 + |s 2x|^2 / 2
+    coeff = make_coefficients("brownian", s=s)
+    table = pde_residual_exact(
+        make_cylindrical("x_norm_sq"), coeff, "drift_coupled", [(0.0, [x])], DIRAC0)
+    assert table.rows[0].residual == pytest.approx(s**2 * (1 + 2 * x**2), abs=1e-12)
+    assert table.verdict == "FAIL"
+
+
+GAUSS = make_cylindrical("gauss_quarter")
+
+
+@pytest.mark.parametrize(
+    "check, match",
+    [
+        (lambda: pde_residual_exact(GAUSS, BROWNIAN, "nonlinear", [(0.0, [0.0])], DIRAC0),
+         "pde = nonlinear needs a value function with beta"),
+        (lambda: pde_residual_exact(GAUSS, BROWNIAN, "source", [(0.0, [0.0])], DIRAC0),
+         "pde = source needs a value function with f_field"),
+        (lambda: pde_residual_exact(
+            GAUSS, BROWNIAN, "nonlinear", [(0.0, [0.0])], DIRAC0, beta=0.0),
+         "beta must be nonzero"),
+        (lambda: pde_residual_exact(GAUSS, BROWNIAN, "linear", [(0.0, [0.0, 1.0])], DIRAC0),
+         "broadcast"),
+        (lambda: npy_identity_gap(BROWNIAN, GAUSS, 0.0, np.array([0.0, 1.0]), DIRAC0),
+         "broadcast"),
+        (lambda: pde_residual_mc(
+            McValueFunction(BROWNIAN, GAUSS, None, 1.0, 0.25, 8, 0, DIRAC0), "drift_coupled",
+            [(0.0, [0.0])]), r"\('linear', 'source', 'nonlinear'\)"),
+    ],
+    ids=["exact_no_beta", "exact_no_f_field", "exact_beta_zero", "exact_misshapen_x",
+         "npy_misshapen_x", "mc_drift_coupled"],
+)
+def test_residual_checks_reject_what_they_cannot_evaluate(check, match):
+    # the exact ones once raised a TypeError or ZeroDivisionError, or read
+    # x = [0, 1] in d = 1 as a FAIL row; the Monte Carlo residual once ran
+    # drift_coupled on a value function whose drift is not read off its gradient
+    with pytest.raises(ContractError, match=match):
+        check()
+
+
 def test_exact_residual_rejects_unknown_pde():
     V = make_cylindrical("x_norm_sq")
     with pytest.raises(ContractError):
@@ -372,21 +412,6 @@ def test_npy_gap_nonzero_for_wrong_drift():
 
 
 # ---------------------------------------------------------------------------
-# drift-coupled fixed point
-
-
-def test_fixed_point_reports_convergence_flag_honestly():
-    Phi = make_cylindrical("gauss_quarter")
-    out = solve_drift_coupled_fixed_point(
-        BROWNIAN, Phi, 0.0, np.array([0.5]), dirac([0.0]), 0.5, 2000, 0.05,
-        seed=23, n_iter=3,
-    )
-    assert out.iterations >= 1
-    assert len(out.drift_changes) == out.iterations
-    assert out.converged == (out.drift_changes[-1] < 1e-3)
-
-
-# ---------------------------------------------------------------------------
 # golden hashes under a measure-dependent coefficient
 #
 # Recorded with numpy 2.4.6 and scipy 1.17.1.  Starting off t = 0 puts the
@@ -418,8 +443,28 @@ SAMPLES_GOLDEN = {
     "linear": "26d157e9f016ad80e1c2968f9373712ecf74ccd27e6e90c2b7d901984652467d",
     "source": "2d35ae3472ae7597550dbae66158441a71721e2a82a6562bf4a4a13d8b9b94e5",
 }
-RESIDUAL_TABLE_GOLDEN = "fd74a5d7b9a50fa9e033fdcf8946470e62166a42beaa69e51956a0fc08acdf03"
-FIXED_POINT_GOLDEN = (0.05843381749852504, 0.007012058099822943)
+RESIDUAL_TABLE_GOLDEN = "4b2ceaea257280f071ff4a8e4a8f45263f3d2e4ba3fc8c32af9d60335df5b42f"
+
+
+def test_measure_shift_pairs_are_mirror_images(monkeypatch):
+    # both measures of a draw read one xi, Y + b ds + sqrt(ds) sigma xi and
+    # Y + b ds - sqrt(ds) sigma xi, so the O(ds^-1/2) term cancels in the pair
+    inits = []
+    law_curve = feynman_kac._law_curve
+
+    def recorded(coeff, init, times, *args):
+        inits.append(init)
+        return law_curve(coeff, init, times, *args)
+
+    monkeypatch.setattr(feynman_kac, "_law_curve", recorded)
+    vf = _mean_revert_vf("linear")
+    pde_residual_mc(vf, "linear", [(0.25, [0.4])], n_measure_draws=3)
+    shifted = [mu for mu in inits if mu is not MU0]
+    assert len(shifted) == 6
+    centre = MU0.points + np.asarray(MEAN_REVERT.b(0.25, MU0.points, MU0)) * MEASURE_DS
+    for plus, minus in zip(shifted[::2], shifted[1::2]):
+        assert np.allclose(plus.points - centre, centre - minus.points, rtol=0, atol=1e-12)
+        assert np.abs(plus.points - centre).min() > 1e-3
 
 
 @pytest.mark.parametrize("terms", sorted(SAMPLES_GOLDEN))
@@ -434,14 +479,6 @@ def test_mc_residual_table_matches_golden_hash(tmp_path):
     path = tmp_path / "residual.csv"
     table.to_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == RESIDUAL_TABLE_GOLDEN
-
-
-def test_fixed_point_drift_changes_match_golden():
-    out = solve_drift_coupled_fixed_point(
-        MEAN_REVERT, make_cylindrical("gauss_quarter"), 0.25, np.array([0.4]), MU0,
-        1.0, 200, 0.05, seed=31, n_iter=2, n_flow=50,
-    )
-    assert out.drift_changes == FIXED_POINT_GOLDEN
 
 
 @pytest.mark.parametrize("terms", ["linear", "source", "combined", "log_transform"])
