@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Median cost of one Euler step, in microseconds, for a fixed set of cases.
+"""Median cost of one Euler step and of one drawn normal, for fixed sets of cases.
 
 The decoupled cases iterate ``dynamics._euler_steps`` over a (K, B, d) state
 of K columns of B paths against one fixed measure, as a Monte Carlo tile
@@ -7,7 +7,11 @@ does; the interacting case iterates ``dynamics._interacting`` on N
 particles, each step reading the ensemble's own snapshot.  Increments are
 drawn before timing, so noise generation is not counted.  Each case is timed
 REPS times over N_STEPS steps; the median per-step cost is printed, one row
-per case.
+per case.  A second table prints the median nanoseconds per normal that
+``dynamics.brownian_increments`` takes to draw N_STEPS steps of noise (m = 1)
+in each stream domain: the decoupled paths of one Monte Carlo chunk, keyed
+per block of 1024 paths, and the particles of an interacting run, keyed per
+particle.
 
     PYTHONPATH=src python scripts/step_cost.py
 """
@@ -18,7 +22,13 @@ import time
 import numpy as np
 
 from mfsde import dirac, make_coefficients
-from mfsde.dynamics import _euler_steps, _interacting
+from mfsde.dynamics import (
+    DOMAIN_DECOUPLED,
+    DOMAIN_INTERACTING,
+    _euler_steps,
+    _interacting,
+    brownian_increments,
+)
 from mfsde.measure import EmpiricalMeasure
 
 N_STEPS = 100
@@ -32,6 +42,11 @@ CASES = (
     ("decoupled", "brownian", 1, 1, 16384),
     ("decoupled", "mean_revert", 2, 8, 2048),
     ("interacting", "brownian", 1, 1, 2000),
+)
+# (domain name, domain, paths) of the noise cases
+NOISE_CASES = (
+    ("decoupled", DOMAIN_DECOUPLED, 16384),
+    ("interacting", DOMAIN_INTERACTING, 2000),
 )
 
 
@@ -56,13 +71,28 @@ def step_seconds(scheme, name, d, k, paths, n_steps):
     return (time.perf_counter() - start) / n_steps
 
 
-def report(cases=CASES, n_steps=N_STEPS, reps=REPS):
-    """Print the header and one row per case: the median microseconds per step."""
+def noise_seconds(domain, paths, n_steps):
+    """Wall seconds of one brownian_increments draw of (n_steps, paths, 1) normals."""
+    start = time.perf_counter()
+    brownian_increments(0, paths, n_steps, 1, DT, domain)
+    return time.perf_counter() - start
+
+
+def report(cases=CASES, n_steps=N_STEPS, reps=REPS, noise_cases=NOISE_CASES):
+    """Print a header and one row per Euler case, the median microseconds per
+    step; then, after a blank line, a header and one row per noise case, the
+    median nanoseconds per normal."""
     print(f"{'scheme':<12} {'field':<12} {'d':>2} {'m':>2} {'K':>2} {'paths':>6} {'us_per_step':>12}")
     for scheme, name, d, k, paths in cases:
         runs = [step_seconds(scheme, name, d, k, paths, n_steps) for _ in range(reps)]
         us = 1e6 * statistics.median(runs)
         print(f"{scheme:<12} {name:<12} {d:>2} {d:>2} {k:>2} {paths:>6} {us:>12.1f}")
+    print()
+    print(f"{'domain':<12} {'paths':>6} {'steps':>6} {'ns_per_normal':>14}")
+    for name, domain, paths in noise_cases:
+        runs = [noise_seconds(domain, paths, n_steps) for _ in range(reps)]
+        ns = 1e9 * statistics.median(runs) / (paths * n_steps)
+        print(f"{name:<12} {paths:>6} {n_steps:>6} {ns:>14.1f}")
 
 
 if __name__ == "__main__":

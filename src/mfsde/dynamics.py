@@ -2,17 +2,22 @@
 
 The law of the solution is approximated by the empirical measure of N
 interacting particles advanced with explicit Euler steps.  Brownian
-increments come from counter-based Philox streams keyed by
-(seed, domain, particle), so a rerun with the same seed is bit-identical
-regardless of how the work is scheduled.  A counter-based stream is fixed by
-its (key, counter) pair alone, so one Philox generator serves a whole noise
-array: it is re-keyed, with its counter reset, before each particle's draws.
-A particle's stream does not depend on which call draws it, so a caller can
-draw particles in chunks (``brownian_increments(..., first=a)``) and get the
-bits of one whole block.  Noise moves only as such read-only increments; the
-Euler steps advance (N, d) or (K, N, d) states, and their per-step costs,
-which set the Monte Carlo chunk and tile sizes of ``feynman_kac``, are
-given in ``_euler_steps``.
+increments come from counter-based Philox streams keyed by (seed, domain,
+index), so a rerun with the same seed is bit-identical regardless of how the
+work is scheduled.  Interacting particles and initial draws have one stream
+per particle.  Decoupled Monte Carlo paths share one key per block of
+NOISE_BLOCK paths, and step k of a block is the stream of that key with its
+counter at [0, k, 0, 0], so a long noise array costs one re-key per block
+row rather than one per path (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11).  A counter-based stream is fixed by its (key,
+counter) pair alone, so one Philox generator serves a whole noise array: it
+is re-keyed, with its counter reset, before each stream's draws.  A path's
+noise does not depend on which call draws it, so a caller can draw paths in
+chunks (``brownian_increments(..., first=a)``) and get the bits of one whole
+block.  Noise moves only as such read-only increments; the Euler steps
+advance (N, d) or (K, N, d) states, and their per-step costs, which set the
+Monte Carlo chunk and tile sizes of ``feynman_kac``, are given in
+``_euler_steps``.
 
 No interacting run is recorded: a run is a generator of its grid points,
 ``StreamedFlow.steps(s, t)`` runs it again on every call, and the frozen
@@ -37,6 +42,7 @@ BLOWUP_GUARD = 1e8
 DOMAIN_INTERACTING = 0
 DOMAIN_DECOUPLED = 1
 DOMAIN_INIT = 2
+DOMAIN_MEASURE_SHIFT = 3
 
 
 def _stream_key(seed, particle, domain):
@@ -69,18 +75,23 @@ def particle_stream(seed, particle, domain=DOMAIN_INTERACTING):
 
 #: particles whose streams one draw tile holds (see _raw_normals)
 _DRAW_TILE = 64
+#: decoupled paths that share one Philox key per step (see _raw_normals): a
+#: part of the realisation, unlike the sizes of the chunks that draw them
+NOISE_BLOCK = 1024
 
 
 def _raw_normals(seed, n_particles, n_steps, m, domain, first=0):
-    """Fresh standard normals, shape (n_steps, n_particles, m), one stream per particle.
+    """Fresh standard normals of particles [first, first + n_particles), shape
+    (n_steps, n_particles, m).
 
-    ``raw[:, i]`` holds the stream of particle ``first + i``, so the block
-    of particles [a, b) equals ``raw[:, a:b]`` of a block drawn from
-    particle 0, bit for bit: a caller can draw its particles in chunks.
-    Streams emit draws
-    step-ordered, so a longer block's step prefix equals a shorter one:
-    callers that reuse noise on purpose draw the longest block once and
-    slice it.
+    In DOMAIN_DECOUPLED, row k of block j (particles [NOISE_BLOCK j,
+    NOISE_BLOCK (j + 1))) is the stream keyed by block j, its counter at
+    [0, k, 0, 0]; in every other domain ``raw[:, i]`` is the stream of
+    particle ``first + i``.  Either way the block of particles [a, b) equals
+    ``raw[:, a:b]`` of a block drawn from particle 0, bit for bit, so a
+    caller can draw its particles in chunks, and a longer block's step
+    prefix equals a shorter one, so callers that reuse noise on purpose draw
+    the longest block once and slice it.
     """
     # the first particle's stream key stands for (seed, domain) and validates both
     word0, word1 = _stream_key(seed, first, domain)
@@ -88,20 +99,36 @@ def _raw_normals(seed, n_particles, n_steps, m, domain, first=0):
     n_steps = check_count("n_steps", n_steps, 0)
     m = check_count("m", m, 1)
     _stream_key(seed, first + n_particles - 1, domain)
-    # One generator serves every particle: re-keying its Philox with the
-    # counter and output buffer reset gives exactly the draws of
-    # particle_stream(seed, i, domain), at a fraction of the cost of
-    # constructing a generator (which also reads OS entropy) per particle.
-    # Particle i's key is particle 0's with i added to the second word; the
-    # key check of the last particle keeps i from carrying into the domain
-    # bits.  Each stream is drawn contiguously into a small tile, which is
-    # written into the step-major block once (a tile of _DRAW_TILE particles
-    # stays in cache; a strided write per particle does not).
+    # One generator serves every stream: re-keying its Philox with the
+    # counter and output buffer reset gives exactly the draws of a generator
+    # built on that (key, counter), at a fraction of the cost of constructing
+    # one (which also reads OS entropy) per stream.  The second key word is
+    # the domain's bits plus the particle or block index; the key check of
+    # the last particle keeps either from carrying into the domain bits.
     bits = np.random.Philox()
     gen = np.random.Generator(bits)
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     raw = np.empty((n_steps, n_particles, m))
+    if domain == DOMAIN_DECOUPLED:
+        # one re-key per step row of a block, drawn straight into its slice
+        # of raw; a chunk that starts inside a block discards the row's draws
+        # of the particles before it
+        end = first + n_particles
+        for j in range(first // NOISE_BLOCK, (end - 1) // NOISE_BLOCK + 1):
+            lo, hi = max(first, NOISE_BLOCK * j), min(end, NOISE_BLOCK * (j + 1))
+            skipped = np.empty((lo - NOISE_BLOCK * j, m))
+            state["state"]["key"] = [word0, (domain << 48) + j]
+            for k in range(n_steps):
+                state["state"]["counter"] = [0, k, 0, 0]
+                bits.state = state
+                if skipped.size:
+                    gen.standard_normal(out=skipped)
+                gen.standard_normal(out=raw[k, lo - first : hi - first])
+        return raw
+    # per-particle streams: each is drawn contiguously into a small tile,
+    # which is written into the step-major block once (a tile of _DRAW_TILE
+    # particles stays in cache; a strided write per particle does not)
     tile = np.empty((min(_DRAW_TILE, n_particles), n_steps, m))
     for a in range(0, n_particles, _DRAW_TILE):
         part = tile[: min(_DRAW_TILE, n_particles - a)]

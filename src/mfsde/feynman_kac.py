@@ -20,16 +20,19 @@ which evaluates a table of columns (start time, start point, measure) in
 chunks of particles.  Each chunk draws its decoupled noise once and runs
 every column against it, so memory grows with M only by the per-path
 samples themselves, an (M, n_cols) array.  Columns that share (t, mu)
-share one frozen flow and run as one Euler loop over a (K, B, d) state, in
-tiles of at most TILE paths: a step costs a fixed 20-25 us plus about
-2.9 ns per path at 4K-16K paths, against about 4 ns at 32K-1e5, and the
-diffusion increment of an x-independent sigma is formed once for all K
-columns of a tile (see ``dynamics._euler_steps``), so a tile is large
-enough to amortise the fixed cost and small enough to stay in cache.  A
-chunk is the largest multiple of CHUNK_UNIT particles whose widest group of
-K columns fits one TILE, but at least 2 * CHUNK_UNIT.  Particle i's stream
-is the same whatever chunk draws it, and every sample array is reduced in
-full, so chunk and tile sizes never change a result.
+share one frozen flow, simulated only when a term reads the law, and run
+as one Euler loop over a (K, B, d) state, in tiles of at most TILE paths:
+a step costs a fixed 20-25 us plus about 2.9 ns per path at 4K-16K paths,
+against about 4 ns at 32K-1e5, and the diffusion increment of an
+x-independent sigma is formed once for all K columns of a tile (see
+``dynamics._euler_steps``), so a tile is large enough to amortise the
+fixed cost and small enough to stay in cache.  A chunk is the largest
+multiple of CHUNK_UNIT particles whose widest group of K columns fits one
+TILE, but at least 2 * CHUNK_UNIT.  CHUNK_UNIT is the noise block of
+``dynamics.NOISE_BLOCK`` paths, which share one Philox key per step, so a
+chunk re-keys once per block and step.  Particle i's noise is the same
+whatever chunk draws it, and every sample array is reduced in full, so
+chunk and tile sizes never change a result.
 """
 
 from __future__ import annotations
@@ -42,12 +45,15 @@ import numpy as np
 from .calculus import CylindricalFunction
 from .dynamics import (
     DOMAIN_DECOUPLED,
+    DOMAIN_MEASURE_SHIFT,
+    NOISE_BLOCK,
     _euler_steps,
     _grid,
     _law_curve,
     brownian_increments,
     check_count,
     coefficients_at,
+    particle_stream,
     start_point,
 )
 from .errors import CapabilityError, ContractError, DataError
@@ -194,8 +200,9 @@ def npy_identity_gap(coeff, V, t, x, mu):
 #: paths one Euler loop advances at most, over a (K, B, d) state of K
 #: columns of a B-particle chunk (see the module docstring)
 TILE = 16_384
-#: a particle chunk is a whole multiple of this, and at least two of it
-CHUNK_UNIT = 1024
+#: a particle chunk is a whole multiple of this, and at least two of it; a
+#: chunk of whole noise blocks draws no normal it discards
+CHUNK_UNIT = NOISE_BLOCK
 
 
 def _chunk_size(k_max):
@@ -271,7 +278,9 @@ class McValueFunction:
         simulated.  Each distinct (t, mu) gets one frozen flow, whose noise
         is a step prefix of one block of flow increments, and all columns run
         on the same decoupled streams (common random numbers), drawn once per
-        chunk of particles.
+        chunk of particles.  When no term reads the law (a measure-free
+        field, a Phi without inner functions and no f_field), no flow is
+        simulated: every column reads its own measure at every grid point.
         """
         # flow key (t, mu) -> [t, mu, [(group, column, start point)]]
         flows = {}
@@ -285,12 +294,18 @@ class McValueFunction:
         if not flows:
             return out
         n_steps = _n_steps(min(t for t, _, _ in flows.values()), self.T, self.dt)
-        block = brownian_increments(self.seed, self.n_flow, n_steps, self.coeff.m, self.dt)
+        reads_law = (self.coeff.measure_dependent or self.f_field is not None
+                     or bool(self.Phi.inner))
+        if reads_law:
+            block = brownian_increments(self.seed, self.n_flow, n_steps, self.coeff.m, self.dt)
         # (grid, frozen law curve, inner integrals of Phi at its terminal law, columns)
         runs = []
         for t, mu, cols in flows.values():
             times, steps = _grid(t, self.T, self.dt)
-            laws = _law_curve(self.coeff, mu, times, self.dt, self.seed, block[:steps])
+            if reads_law:
+                laws = _law_curve(self.coeff, mu, times, self.dt, self.seed, block[:steps])
+            else:
+                laws = (mu,) * len(times)
             r_T = None if self.Phi is None else self.Phi.inner_integrals(laws[-1])
             runs.append((times, laws, r_T, cols))
         chunk = _chunk_size(max(len(cols) for *_, cols in runs))
@@ -426,7 +441,7 @@ def _mc_probe(vf, pde, pid, t0, x0, h_t, n_draws):
             xs[j] += mult * h_x[j]
             columns.append((t0, xs, None))
     if coeff.measure_dependent:
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(vf.seed)))
+        rng = particle_stream(vf.seed, 0, DOMAIN_MEASURE_SHIFT)
         for _ in range(n_draws):
             columns += [(t0, x0, shifted)
                         for shifted in _measure_shifts(coeff, mu, t0, MEASURE_DS, rng)]

@@ -192,19 +192,19 @@ def test_csv_byte_identical_across_reruns(tmp_path):
 # listing of scripts/run_all_presets.py
 GOLDEN = {
     "feynman-kac-heat-M2000": {
-        "feynman_kac_linear.csv": "c67eaa23b102d0b2dfe2736d5dc580b61ea9ef865177d84ea928ec948e17cb2d",
-        "summary.txt": "27ee450f97454894123bd97a457bf3860d67b50a113133fd299347414e7ac85c",
+        "feynman_kac_linear.csv": "92a92373d40ce98b6aa0fa892d40a9c32b8e3fac39e9c6128d1c847772f7f1cd",
+        "summary.txt": "65f67244be7d4f7e25faf88f1a79ce6f711dbbda3ff90cd0514250e52686853a",
     },
     "feynman-kac-log-gauss-M2000": {
-        "feynman_kac_log.csv": "3ab3a6c234c33da0559fdb8e4b0d7798faa3902e59a95fed69eabe750e8dd477",
-        "summary.txt": "f9450df446b51898b193f821c305c5f653502fa94ef58f486523d4a76adf8f25",
+        "feynman_kac_log.csv": "ce4d792e9f5a9cca6f6c6d59aba5ec22daf3c4d0b72e35d9d337a5d3a3bcb826",
+        "summary.txt": "1106333186ab0ce2d3e37771b92d4b8554ee02ea14d4a91a5267cfc2b43cd5f1",
     },
     "girsanov-risk-neutral-M2000": {
         "girsanov.csv": "2b965d18babb6bcabd93d51ccdb9291a40bec660353d52b8678c124b7fcced31",
         "summary.txt": "1e5cec6fbaeaba1e28001c7fcaa764e6aa60f4f1876b35541f8465b8ed320407",
     },
     "pde-residual-nonlinear-M2000": {
-        "pde_residual.csv": "32a10354cd87008040d87f4e9d972d94e3c30004194e86d4f65fc63ed3acbbd8",
+        "pde_residual.csv": "0d4d0e6d6f59d5e16ec83a0d695325793a702412a13430876a18474d473b8855",
         "summary.txt": "021f0304c1234a778202af9704106c8717d1529751cc7bbecd3a17029477780d",
     },
     "feynman-kac-source-const": {

@@ -23,6 +23,7 @@ from mfsde.dynamics import (
     DOMAIN_DECOUPLED,
     DOMAIN_INIT,
     DOMAIN_INTERACTING,
+    NOISE_BLOCK,
     StreamedFlow,
     brownian_increments,
     particle_stream,
@@ -62,6 +63,31 @@ def test_increment_prefix_consistency():
     assert np.array_equal(short, long[:6])
 
 
+def block_rows(seed, first, n_particles, n_steps, m):
+    """The decoupled normals of particles [first, first + n_particles), built
+    with numpy's own constructors: row k of block j is the Philox stream of
+    key [seed ^ 0x9E3779B97F4A7C15, (DOMAIN_DECOUPLED << 48) + j] from
+    counter [0, k, 0, 0], one m-vector per particle of the block in turn."""
+    end = first + n_particles
+    out = np.empty((n_steps, n_particles, m))
+    for j in range(first // NOISE_BLOCK, (end - 1) // NOISE_BLOCK + 1):
+        key = np.array([seed ^ 0x9E3779B97F4A7C15, (DOMAIN_DECOUPLED << 48) + j], dtype=np.uint64)
+        lo, hi = max(first, NOISE_BLOCK * j), min(end, NOISE_BLOCK * (j + 1))
+        for k in range(n_steps):
+            bits = np.random.Philox(key=key, counter=[0, k, 0, 0])
+            row = np.random.Generator(bits).standard_normal((NOISE_BLOCK, m))
+            out[k, lo - first : hi - first] = row[lo - NOISE_BLOCK * j : hi - NOISE_BLOCK * j]
+    return out
+
+
+def particle_noise(seed, i, domain, n_steps, m):
+    """Particle i's (n_steps, m) normals: its own stream, or in the decoupled
+    domain its m-vector of each row of its block."""
+    if domain == DOMAIN_DECOUPLED:
+        return block_rows(seed, i, 1, n_steps, m)[:, 0]
+    return particle_stream(seed, i, domain).standard_normal((n_steps, m))
+
+
 @pytest.mark.parametrize("seed", [5, 2**63 + 7])
 @pytest.mark.parametrize("domain", [DOMAIN_INTERACTING, DOMAIN_DECOUPLED, DOMAIN_INIT])
 @pytest.mark.parametrize("m", [1, 2])
@@ -70,19 +96,36 @@ def test_increments_match_per_particle_streams(seed, domain, m):
     dw = brownian_increments(seed, n_particles, n_steps, m, dt, domain)
     ref = np.empty((n_steps, n_particles, m))
     for i in range(n_particles):
-        ref[:, i, :] = particle_stream(seed, i, domain).standard_normal((n_steps, m))
+        ref[:, i, :] = particle_noise(seed, i, domain, n_steps, m)
     assert np.array_equal(dw, np.sqrt(dt) * ref)
 
 
+@pytest.mark.parametrize("seed", [5, 2**63 + 7])
+@pytest.mark.parametrize("m", [1, 2])
+def test_decoupled_rows_are_block_streams(seed, m):
+    # three blocks, the first and last partly: every row is the block's
+    # stream from its step's counter
+    first, n, n_steps = 1000, 1100, 4
+    whole = dynamics._raw_normals(seed, n, n_steps, m, DOMAIN_DECOUPLED, first)
+    assert whole.tobytes() == block_rows(seed, first, n, n_steps, m).tobytes()
+    # a chunk from inside a block is those rows of the whole block, and a
+    # shorter horizon is their step prefix
+    start = dynamics._raw_normals(seed, 2 * NOISE_BLOCK, n_steps, m, DOMAIN_DECOUPLED)
+    assert whole[:, : 2 * NOISE_BLOCK - first].tobytes() == start[:, first:].tobytes()
+    short = dynamics._raw_normals(seed, n, 2, m, DOMAIN_DECOUPLED, first)
+    assert short.tobytes() == whole[:2].tobytes()
+
+
 def test_chunked_draws_equal_rows_of_the_whole_block():
-    # 150 particles span three draw tiles; chunks cut across tile boundaries
-    whole = dynamics._raw_normals(11, 150, 9, 2, DOMAIN_DECOUPLED)
-    for i in (0, 63, 64, 149):
-        ref = particle_stream(11, i, DOMAIN_DECOUPLED).standard_normal((9, 2))
-        assert whole[:, i].tobytes() == ref.tobytes()
-    for a, b in ((0, 64), (60, 130), (130, 150), (149, 150)):
-        chunk = dynamics._raw_normals(11, b - a, 9, 2, DOMAIN_DECOUPLED, first=a)
-        assert chunk.tobytes() == whole[:, a:b].tobytes()
+    # 2100 particles span draw tiles of 64 and three noise blocks; chunks cut
+    # across the boundaries of both layouts
+    for domain in (DOMAIN_INTERACTING, DOMAIN_DECOUPLED):
+        whole = dynamics._raw_normals(11, 2100, 3, 2, domain)
+        for i in (0, 63, 64, 1023, 1024, 2099):
+            assert whole[:, i].tobytes() == particle_noise(11, i, domain, 3, 2).tobytes()
+        for a, b in ((0, 64), (60, 130), (1000, 1100), (1023, 2049), (2099, 2100)):
+            chunk = dynamics._raw_normals(11, b - a, 3, 2, domain, first=a)
+            assert chunk.tobytes() == whole[:, a:b].tobytes()
 
 
 @pytest.mark.parametrize("first, n", [(-1, 1), (2**48 - 1, 2), (2**48, 1)])
@@ -97,7 +140,7 @@ def test_chunked_draws_reject_particles_outside_the_key_range(first, n):
         ((7, 6, 5, 2, 0.01, DOMAIN_INTERACTING),
          "e0fe10e0cbb18a302d4eae96d04513b868a308391f7b754de35da1bd997d0875"),
         ((2**63 + 5, 6, 5, 2, 0.01, DOMAIN_DECOUPLED),
-         "dc129269006613754393db6593bb81febf16c4d362f15ff1a298d6ecd6570966"),
+         "5ab13b7fd609369f950082f3846dcf6df9e61a7c3500f6a35079e9b6e83785cf"),
         ((3, 4, 3, 1, 0.01, DOMAIN_INIT),
          "ad407e7d75e119fa625aa3f95b6a4a3553e53e4c2194b5eb50a4163bc2854934"),
     ],
@@ -235,7 +278,7 @@ def test_blowup_reports_step_and_particle():
 @pytest.mark.parametrize("loop", ["interacting", "decoupled"])
 def test_blowup_names_exact_step_and_particle(loop, bad):
     # the drift puts particles 2 and 4 of six at `bad` on step 3; the first is
-    # named (the decoupled paths' frozen flow has two particles, which stay put)
+    # named (the decoupled paths read no law, so they simulate no frozen flow)
     dt, k_bad = 0.25, 3
 
     def b(t, x, mu):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -20,7 +21,7 @@ from mfsde import (
     pde_residual_mc,
 )
 from mfsde.dynamics import DOMAIN_DECOUPLED
-from mfsde.feynman_kac import MEASURE_DS, _diag_diffusion
+from mfsde.feynman_kac import MEASURE_DS, _diag_diffusion, _measure_shifts
 
 
 BROWNIAN = make_coefficients("brownian", s=1.0)
@@ -373,8 +374,6 @@ def test_mc_residual_heat_linear_pde():
 
 
 def test_mc_residual_rejects_off_diagonal_diffusion():
-    import dataclasses
-
     coeff = make_coefficients("brownian", s=1.0, d=2)
 
     def sigma(t, x, mu):
@@ -391,8 +390,6 @@ def test_mc_residual_rejects_off_diagonal_diffusion():
 
 
 def test_npy_gap_vanishes_for_gradient_drift():
-    import dataclasses
-
     V = make_cylindrical("x_norm_sq")
 
     def b(t, x, mu):
@@ -439,11 +436,11 @@ def _mean_revert_vf(terms):
 
 
 SAMPLES_GOLDEN = {
-    "combined": "77264f98e19e85759824f98a374eb5e100e01d7ccfcae94d07cfdea0c61eae95",
-    "linear": "26d157e9f016ad80e1c2968f9373712ecf74ccd27e6e90c2b7d901984652467d",
-    "source": "2d35ae3472ae7597550dbae66158441a71721e2a82a6562bf4a4a13d8b9b94e5",
+    "combined": "69de7a287c12ca3229db08c3d96d5624d61ab686943def6434004b6524cbec4d",
+    "linear": "2e00fd2fa5e5fad56640c9ab6a242ed8e9e270ebc91bc294174183dd8ffcbdd2",
+    "source": "c6f53b00094b9d81fcd41892e69f93507c8bef809ebebf4728f15de7483eb09a",
 }
-RESIDUAL_TABLE_GOLDEN = "4b2ceaea257280f071ff4a8e4a8f45263f3d2e4ba3fc8c32af9d60335df5b42f"
+RESIDUAL_TABLE_GOLDEN = "c23e86b26ab8d99ae1b84d71c5b00f091139ef3fae3d77d208e87939e2b008aa"
 
 
 def test_measure_shift_pairs_are_mirror_images(monkeypatch):
@@ -609,8 +606,15 @@ def test_pde_residual_builds_one_flow_per_distinct_start(monkeypatch):
         coeff=BROWNIAN, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
         M=40, seed=3, mu=dirac([0.0]), n_flow=10,
     )
-    # two probes at t = 0 and one at t = 0.25, forward stencils of h_t = 0.05
-    pde_residual_mc(vf, "linear", [(0.0, [0.3]), (0.0, [-0.4]), (0.25, [0.1])])
+    probes = [(0.0, [0.3]), (0.0, [-0.4]), (0.25, [0.1])]
+    # nothing reads the law: a measure-free field and a datum without inner functions
+    pde_residual_mc(vf, "linear", probes)
+    assert starts == []
+
+    # a datum that reads mu_T: two probes at t = 0 and one at t = 0.25,
+    # forward stencils of h_t = 0.05
+    reads_mu = make_cylindrical("x_sq_plus_r1", [("quadratic", {})])
+    pde_residual_mc(dataclasses.replace(vf, Phi=reads_mu), "linear", probes)
     assert len(starts) == len(set(starts)) == 6
     assert sorted(s for s, _ in starts) == pytest.approx([0.0, 0.05, 0.1, 0.25, 0.3, 0.35])
 
@@ -622,9 +626,57 @@ def test_pde_residual_builds_one_flow_per_distinct_start(monkeypatch):
     assert len(starts) == len(set(starts)) == 3 + 2 * 2 * n_draws
 
 
-def test_chunked_blowup_names_the_global_particle(monkeypatch):
-    import dataclasses
+def test_measure_free_samples_equal_those_on_a_frozen_flow(monkeypatch):
+    # a field that reads no law runs without a frozen flow, and its samples
+    # are those of the same field declared measure-dependent, bit for bit
+    flows = []
+    law_curve = feynman_kac._law_curve
 
+    def counted(coeff, *args):
+        flows.append(coeff.measure_dependent)
+        return law_curve(coeff, *args)
+
+    monkeypatch.setattr(feynman_kac, "_law_curve", counted)
+    coeff = make_coefficients("constant_drift", c=0.3, s=0.7)
+    free = McValueFunction(coeff, make_cylindrical("x_norm_sq"), None, 1.0, 0.05, 300, 5, MU0,
+                           n_flow=20)
+    frozen = dataclasses.replace(free, coeff=dataclasses.replace(coeff, measure_dependent=True))
+    columns = [(0.0, [0.3], None), (0.25, [-0.4], None), (0.25, [0.1], DIRAC0)]
+    tables = {vf.coeff.measure_dependent: vf.sample_table([columns])[0] for vf in (free, frozen)}
+    assert tables[False].tobytes() == tables[True].tobytes()
+    # one flow per distinct (t, mu), for the measure-dependent field only
+    assert flows == [True] * 3
+
+
+def test_measure_shifts_draw_from_their_own_domain(monkeypatch):
+    # the Rademacher shifts read particle 0 of DOMAIN_MEASURE_SHIFT, not
+    # Philox(key=seed): its key [seed, 0] is the interacting stream of
+    # particle 0 of the seed seed ^ 0x9E3779B97F4A7C15
+    calls = []
+    shifts = feynman_kac._measure_shifts
+
+    def recorded(coeff, mu, t, ds, rng):
+        calls.append((t, shifts(coeff, mu, t, ds, rng)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(feynman_kac, "_measure_shifts", recorded)
+    vf = _mean_revert_vf("linear")
+    pde_residual_mc(vf, "linear", [(0.25, [0.4])], n_measure_draws=2)
+    plain = np.random.Generator(np.random.Philox(key=np.uint64(vf.seed)))
+    aliased = dynamics.particle_stream(vf.seed ^ 0x9E3779B97F4A7C15, 0)
+    assert plain.standard_normal(4).tobytes() == aliased.standard_normal(4).tobytes()
+    own = dynamics.particle_stream(vf.seed, 0, dynamics.DOMAIN_MEASURE_SHIFT)
+    aliased = dynamics.particle_stream(vf.seed ^ 0x9E3779B97F4A7C15, 0)
+    assert len(calls) == 2
+    for t, pair in calls:
+        mine = _measure_shifts(MEAN_REVERT, MU0, t, MEASURE_DS, own)
+        theirs = _measure_shifts(MEAN_REVERT, MU0, t, MEASURE_DS, aliased)
+        for got, want, other in zip(pair, mine, theirs):
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got.points.tobytes() != other.points.tobytes()
+
+
+def test_chunked_blowup_names_the_global_particle(monkeypatch):
     from mfsde import SimulationError
     from mfsde.dynamics import DOMAIN_DECOUPLED, _raw_normals
 

@@ -97,9 +97,10 @@ def _counted_draws(monkeypatch):
 
 
 def _assert_each_stream_drawn_once(draws, n_flow, M, n_steps):
-    """One flow block, and decoupled chunks that cover [0, M) exactly once."""
-    assert [d for d in draws if d[0] == DOMAIN_INTERACTING] == [
-        (DOMAIN_INTERACTING, 0, n_flow, n_steps)]
+    """One flow block (none when n_flow is None), and decoupled chunks that
+    cover [0, M) exactly once."""
+    flow = [] if n_flow is None else [(DOMAIN_INTERACTING, 0, n_flow, n_steps)]
+    assert [d for d in draws if d[0] == DOMAIN_INTERACTING] == flow
     chunks = [d for d in draws if d[0] == DOMAIN_DECOUPLED]
     assert len(chunks) > 1
     assert all(n == n_steps for _, _, _, n in chunks)
@@ -135,7 +136,9 @@ def test_pde_residual_draws_once_whatever_the_probe_order(monkeypatch):
     probes = [(0.2, [0.3]), (0.0, [0.0]), (0.5, [-0.4])]
     table = pde_residual_mc(vf, "linear", probes)
     assert len(table.rows) == 3
-    _assert_each_stream_drawn_once(draws, 10, 50, 10)
+    # a brownian field under a datum without inner functions reads no law,
+    # so no flow is simulated
+    _assert_each_stream_drawn_once(draws, None, 50, 10)
 
 
 def test_pde_residual_peak_stays_below_one_noise_block():

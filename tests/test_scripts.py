@@ -29,11 +29,21 @@ def test_step_cost_prints_one_row_per_case(capsys):
     step_cost = load_script("step_cost")
     cases = [("decoupled", "brownian", 1, 2, 8), ("decoupled", "mean_revert", 2, 2, 8),
              ("interacting", "brownian", 1, 1, 8)]
-    step_cost.report(cases=cases, n_steps=2, reps=1)
+    noise_cases = [("decoupled", step_cost.DOMAIN_DECOUPLED, 1030),
+                   ("interacting", step_cost.DOMAIN_INTERACTING, 8)]
+    step_cost.report(cases=cases, n_steps=2, reps=1, noise_cases=noise_cases)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["scheme", "field", "d", "m", "K", "paths", "us_per_step"]
-    assert len(lines) == 1 + len(cases)
+    assert len(lines) == 1 + len(cases) + 2 + len(noise_cases)
     for line, (scheme, name, d, k, paths) in zip(lines[1:], cases):
         cells = line.split()
         assert cells[:6] == [scheme, name, str(d), str(d), str(k), str(paths)]
         assert float(cells[6]) > 0
+    # a blank line, then the noise table: nanoseconds per normal per domain
+    noise = lines[1 + len(cases):]
+    assert noise[0] == ""
+    assert noise[1].split() == ["domain", "paths", "steps", "ns_per_normal"]
+    for line, (name, domain, paths) in zip(noise[2:], noise_cases):
+        cells = line.split()
+        assert cells[:3] == [name, str(paths), "2"]
+        assert float(cells[3]) > 0
