@@ -13,7 +13,6 @@ from .dynamics import (
     StreamedFlow,
     make_coefficients,
     semigroup_apply,
-    stream_mckean_vlasov,
 )
 from .errors import (
     CapabilityError,

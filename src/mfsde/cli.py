@@ -62,11 +62,18 @@ from .measure import EmpiricalMeasure, dirac, wasserstein2, wasserstein2_brutefo
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated flat configuration for one scenario run."""
+    """Validated flat configuration for one scenario run, with the objects
+    parse_config built from it: the coefficient field, the potential V, the
+    terminal datum Phi and the initial law, each None where the scenario
+    reads none."""
 
     scenario: str
     seed: int
     values: dict = field(default_factory=dict)
+    coeff: object = None
+    V: object = None
+    Phi: object = None
+    init: object = None
 
     def get(self, key, default=None):
         return self.values.get(key, default)
@@ -103,26 +110,6 @@ def _flag(ok):
 def _params(values, head):
     """Values of the keys that start with ``head``, keyed by the rest."""
     return {k[len(head):]: v for k, v in values.items() if k.startswith(head)}
-
-
-def _build_coeff(cfg):
-    params = _params(cfg.values, "coeff.")
-    return make_coefficients(params.pop("id"), d=cfg.get("d"), m=cfg.get("m"), **params)
-
-
-def _build_cylindrical(values, prefix):
-    """The cylindrical function of keys ``prefix``.outer, .inner and .outer.*."""
-    return make_cylindrical(values[prefix + ".outer"], values.get(prefix + ".inner", ()),
-                            outer_params=_params(values, prefix + ".outer."))
-
-
-def _initial_measure(cfg, n):
-    d = cfg.get("d")
-    if cfg.get("init.kind") == "point":
-        return dirac(np.broadcast_to(cfg.get("init.x"), (d,)))
-    scale = cfg.get("init.scale")
-    rng = np.random.default_rng(cfg.seed)
-    return EmpiricalMeasure(scale * rng.standard_normal((n, d)))
 
 
 def _const_field(value, *shape):
@@ -196,12 +183,9 @@ def _run_lderivative_check(cfg, out_dir):
 
 
 def _run_ito_residual(cfg, out_dir):
-    coeff = _build_coeff(cfg)
-    V = _build_cylindrical(cfg.values, "V")
     N, T, dt = cfg.get("N"), cfg.get("T"), cfg.get("dt")
-    mu0 = _initial_measure(cfg, N)
-    flow = StreamedFlow(coeff, mu0, N, T, dt, cfg.seed, s=cfg.get("s"))
-    summary = ito_residual_ensemble(coeff, V, flow)
+    flow = StreamedFlow(cfg.coeff, cfg.init, N, T, dt, cfg.seed, s=cfg.get("s"))
+    summary = ito_residual_ensemble(cfg.coeff, cfg.V, flow)
     # the ensemble-mean residual is a sum of per-step increments driven by
     # noise common to all particles (through the empirical measure), so its
     # standard error comes from the realized quadratic variation of those
@@ -226,10 +210,8 @@ def _run_ito_residual(cfg, out_dir):
 
 
 def _run_path_independence(cfg, out_dir):
-    coeff = _build_coeff(cfg)
-    V = _build_cylindrical(cfg.values, "V")
     N, T, s = cfg.get("N"), cfg.get("T"), cfg.get("s")
-    f, g = build_pair_from_V(coeff, V)
+    f, g = build_pair_from_V(cfg.coeff, cfg.V)
     offset = cfg.get("perturb_g")
     if offset:
         base_g = g
@@ -238,12 +220,13 @@ def _run_path_independence(cfg, out_dir):
             return base_g(t, X, mu) + offset
 
     # coarsest level first, each streamed while the verifier folds it and
-    # never recorded; a level keeps the seed of its place in the configured ladder
+    # never recorded; every level starts from the one initial law and keeps
+    # the seed of its place in the configured ladder
     flows = (
-        StreamedFlow(coeff, _initial_measure(cfg, N), N, T, dt, cfg.seed + level, s=s)
+        StreamedFlow(cfg.coeff, cfg.init, N, T, dt, cfg.seed + level, s=s)
         for level, dt in sorted(enumerate(cfg.dt_levels), key=lambda item: -item[1])
     )
-    report = verify_path_independence(V, f, g, flows, s, T)
+    report = verify_path_independence(cfg.V, f, g, flows, s, T)
     report.to_csv(os.path.join(out_dir, "path_independence.csv"))
     ratio = (
         report.rows[0].rms_defect / report.rows[-1].rms_defect
@@ -257,11 +240,10 @@ def _run_path_independence(cfg, out_dir):
 
 
 def _run_flow_property(cfg, out_dir):
-    coeff = _build_coeff(cfg)
+    coeff, mu0 = cfg.coeff, cfg.init
     N, dt = cfg.get("N"), cfg.get("dt")
     t0, t1, t2 = cfg.get("times")
     tol = cfg.get("tol")
-    mu0 = _initial_measure(cfg, N)
     mu_mid = semigroup_apply(coeff, mu0, t0, t1, N, dt, cfg.seed + 1)
     mu_two_step = semigroup_apply(coeff, mu_mid, t1, t2, N, dt, cfg.seed + 2)
     mu_direct = semigroup_apply(coeff, mu0, t0, t2, N, dt, cfg.seed + 3)
@@ -278,15 +260,13 @@ def _run_flow_property(cfg, out_dir):
 
 
 def _run_girsanov(cfg, out_dir):
-    coeff = _build_coeff(cfg)
-    m = coeff.m
+    m = cfg.coeff.m
     M, T, dt = cfg.get("M"), cfg.get("T"), cfg.get("dt")
     s = cfg.get("s")
     beta = cfg.get("beta")
     g_value = cfg.get("g.value")
     g = _const_field(g_value, m)
-    mu0 = _initial_measure(cfg, M)
-    flow = StreamedFlow(coeff, mu0, M, T, dt, cfg.seed, s=s)
+    flow = StreamedFlow(cfg.coeff, cfg.init, M, T, dt, cfg.seed, s=s)
     weights, nov, dx = girsanov_replay(g, flow, beta, s, T)
     reweighted = weights * dx[:, 0]
     mean_err = abs(float(weights.mean()) - 1.0)
@@ -328,21 +308,19 @@ def _closed_form(cfg, t, x):
     return None
 
 
-def _value_function(cfg, Phi=None, f_field=None, beta=None):
-    """The config's Monte Carlo value function: its coefficients, T, dt, M,
-    seed and n_flow, over an initial law of N samples."""
+def _value_function(cfg, f_field=None, beta=None):
+    """The config's Monte Carlo value function: its coefficients, Phi, T, dt,
+    M, seed and n_flow, over its initial law."""
     return McValueFunction(
-        _build_coeff(cfg), Phi, f_field, cfg.get("T"), cfg.get("dt"), cfg.get("M"), cfg.seed,
-        _initial_measure(cfg, cfg.get("N")), beta, cfg.get("n_flow"))
+        cfg.coeff, cfg.Phi, f_field, cfg.get("T"), cfg.get("dt"), cfg.get("M"), cfg.seed,
+        cfg.init, beta, cfg.get("n_flow"))
 
 
 def _run_feynman_kac(cfg, out_dir):
     d = cfg.get("d")
-    if cfg.scenario == "feynman_kac_source":
-        vf = _value_function(cfg, f_field=_const_field(cfg.get("f.value")))
-    else:
-        log_beta = cfg.get("beta") if cfg.scenario == "feynman_kac_log" else None
-        vf = _value_function(cfg, _build_cylindrical(cfg.values, "Phi"), beta=log_beta)
+    f_field = _const_field(cfg.get("f.value")) if cfg.scenario == "feynman_kac_source" else None
+    log_beta = cfg.get("beta") if cfg.scenario == "feynman_kac_log" else None
+    vf = _value_function(cfg, f_field, log_beta)
     anchor = {
         "feynman_kac_linear": "Lemma-3.3", "feynman_kac_source": "Lemma-3.4",
         "feynman_kac_log": "Eq-TTY0",
@@ -418,7 +396,7 @@ def _run_pde_residual(cfg, out_dir):
         return _run_npy_identity(cfg, out_dir)
     d, pde = cfg.get("d"), cfg.get("pde")
     beta = cfg.get("beta") if pde == "nonlinear" else None
-    vf = _value_function(cfg, _build_cylindrical(cfg.values, "Phi"), beta=beta)
+    vf = _value_function(cfg, beta=beta)
     probes = [
         (t, np.full(d, x_val))
         for t in cfg.get("probes.t")
@@ -489,6 +467,19 @@ def _fk_rules(values, failed, violations):
                               f"got {values[key]}")
 
 
+def _source_rules(values, failed, violations):
+    _fk_rules(values, failed, violations)
+    # the M running costs f (T - t) of the earliest probe must sum to a finite float
+    f, T, times = values.get("f.value"), values.get("T"), values.get("probes.t")
+    if f and T is not None and times and T > min(times):
+        tau = T - min(times)
+        if math.log(values["M"]) + math.log(abs(f) * tau) > math.log(sys.float_info.max):
+            violations.append(
+                f"key 'f.value': the sum of M f (T - t) overflows a float for f = {f:g}, "
+                f"T - t = {tau:g} and M = {values['M']}"
+            )
+
+
 def _log_rules(values, failed, violations):
     _fk_rules(values, failed, violations)
     # the log transform takes log E Phi(X_T), so Phi must be positive everywhere
@@ -535,7 +526,7 @@ _SCENARIOS = {
         itemgetter("M"), _girsanov_rules),
     "feynman_kac_linear": _Scenario(_run_feynman_kac, {**_FK, **_PHI}, _mc_block, _fk_rules),
     "feynman_kac_source": _Scenario(
-        _run_feynman_kac, {**_FK, "f.kind": ..., "f.value": ...}, _mc_block, _fk_rules),
+        _run_feynman_kac, {**_FK, "f.kind": ..., "f.value": ...}, _mc_block, _source_rules),
     "feynman_kac_log": _Scenario(
         _run_feynman_kac, {**_FK, **_PHI, "beta": ...}, _mc_block, _log_rules),
     # no Phi.inner: a terminal datum that reads mu_T depends on mu, which the
@@ -652,7 +643,9 @@ def parse_config(text, seed=None):
     ``seed``, when given, replaces the config's own seed.  A key the scenario
     does not read (see ``_SCENARIOS``) is a violation.  Raises ConfigError
     carrying the full violation list; otherwise returns a ScenarioConfig with
-    the scenario's declared defaults filled, and seed=0, M=1 and s=0.
+    the scenario's declared defaults filled, and seed=0, M=1 and s=0, and
+    with the objects it reads built once (V and Phi in _check_cylindrical,
+    the rest in _build): a fault in building one is a fault of the config.
     """
     violations = []
     values = {}
@@ -696,17 +689,21 @@ def parse_config(text, seed=None):
     if entry.rules:
         entry.rules(values, failed, violations)
     _check_seed(values, violations)
+    built = {}
     # every scenario that reads init.x, V or Phi reads d
     if "d" in values:
         d, n_init = values["d"], len(values.get("init.x", ()))
         if "init.x" in values and n_init not in (1, d):
             violations.append(f"key 'init.x': expected 1 or d = {d} entries, got {n_init}")
-        _check_cylindrical(values, failed, violations)
+        _check_cylindrical(values, failed, violations, built)
     if entry.width:
         _check_steps(entry, values, violations)
+    # only once the size bound has passed: the initial sample then fits
+    if not violations:
+        _build(values, violations, built)
     if violations:
         raise ConfigError(violations)
-    return ScenarioConfig(scenario=scenario, seed=values["seed"], values=values)
+    return ScenarioConfig(scenario=scenario, seed=values["seed"], values=values, **built)
 
 
 def _check_reads(entry, values, failed, violations):
@@ -760,10 +757,11 @@ def _check_seed(values, violations):
         )
 
 
-def _check_cylindrical(values, failed, violations):
+def _check_cylindrical(values, failed, violations, built):
     """V and Phi must fit the config's d (a coordinate index in [0, d), the
     catalog's linear inner function, a = (1,), only at d = 1) and have as
-    many inner functions as their outer reads."""
+    many inner functions as their outer reads; each that builds goes into
+    ``built``."""
     d = values["d"]
     for name in ("V", "Phi"):
         i = values.get(name + ".outer.i", 0)
@@ -774,9 +772,39 @@ def _check_cylindrical(values, failed, violations):
             violations.append(f"key '{name}.inner': the linear inner function needs d = 1, got {d}")
         if name + ".outer" in values and name + ".inner" not in failed:
             try:
-                _build_cylindrical(values, name)
+                built[name] = make_cylindrical(values[name + ".outer"], inner,
+                                               outer_params=_params(values, name + ".outer."))
             except ContractError as exc:
                 violations.append(f"key '{name}.outer': {exc}")
+
+
+def _sample_key(values):
+    """The size of a gaussian initial sample: N, or M on girsanov, which reads no N."""
+    return "N" if "N" in values else "M"
+
+
+def _build(values, violations, built):
+    """Build the coefficient field and the initial law of a config that has
+    passed every check into ``built``, reporting a ContractError against the
+    key that sets the object.  A gaussian initial law is init.scale times
+    standard normals of default_rng(seed), one row per point."""
+    key = "coeff.id"
+    try:
+        if key in values:
+            params = _params(values, "coeff.")
+            built["coeff"] = make_coefficients(params.pop("id"), values["d"], values["m"], **params)
+        key = "init.x" if values.get("init.kind") == "point" else "init.scale"
+        if key == "init.x":
+            built["init"] = dirac(np.broadcast_to(values[key], (values["d"],)))
+        elif "init.kind" in values:
+            rng = np.random.default_rng(values["seed"])
+            shape = (values[_sample_key(values)], values["d"])
+            # an overflow leaves non-finite points, which the measure rejects
+            with np.errstate(over="ignore"):
+                points = values[key] * rng.standard_normal(shape)
+            built["init"] = EmpiricalMeasure(points)
+    except ContractError as exc:
+        violations.append(f"key '{key}': {exc}")
 
 
 # one span a step size must make up: its length, how a message names it, the
@@ -832,6 +860,9 @@ def _check_steps(entry, values, violations):
             violations.append(f"key '{key}': step size must be positive, got {dt}")
             continue
         for span in spans:
+            # more steps than a float counts: the size bound below names the span
+            if not math.isfinite(span.length / dt):
+                continue
             n = grid_steps(span.length, dt)
             if n == 0 and span.length > 0:
                 violations.append(f"key '{key}': {dt:g} is longer than {span.where}")
@@ -845,8 +876,7 @@ def _check_steps(entry, values, violations):
     key, dt = min(levels, key=itemgetter(1))
     steps = span.length / dt
     grid = 8.0 * (steps + 1 + steps * entry.width(values) * values["m"])
-    # the initial sample has N points, or M for girsanov, which reads no N
-    n_key = "N" if "N" in values else "M"
+    n_key = _sample_key(values)
     sample = 8.0 * values[n_key] * values["d"] if values.get("init.kind") == "gaussian" else 0.0
     size = grid + sample
     if size > MAX_ARRAY_BYTES:

@@ -293,12 +293,16 @@ def spot_check_lipschitz(coeff, samples):
 
 def grid_steps(span, dt):
     """The number of steps of size dt > 0 that make up ``span``, or None when
-    that is not a whole number (within 1e-9 of a step) of at least zero.
+    that is not a whole number (within 1e-9 of a step) of at least zero, or
+    not a finite one.
 
     The one test of whether a time lies on a grid, in the library and in the
     config checks alike.
     """
-    steps = span / dt
+    # Python floats: a count past the largest float is inf, not a warning
+    steps = float(span) / float(dt)
+    if not np.isfinite(steps):
+        return None
     n = round(steps)
     if n < 0 or abs(steps - n) > 1e-9:
         return None
@@ -420,23 +424,6 @@ def _interacting(coeff, init, times, dt, seed, increments):
     return _euler_steps(coeff, mu0.points, times, increments, dt, law)
 
 
-def stream_mckean_vlasov(coeff, init, N, T, dt, seed, s=0.0):
-    """Law at T of the N-particle Euler scheme on [s, T], keeping only the current state.
-
-    Each particle reads the drift and diffusion at the empirical measure of
-    the whole ensemble, the step's snapshot.  The run's increments are
-    ``brownian_increments(seed, N, L, coeff.m, dt)``, drawn before the first
-    step and read-only.  The returned law is the snapshot at T; a
-    :class:`StreamedFlow` iterates every grid point of the same run.
-    """
-    N = check_count("N", N, 2)
-    times, n_steps = _grid(s, T, dt)
-    increments = brownian_increments(seed, N, n_steps, coeff.m, dt)
-    for point in _interacting(coeff, init, times, dt, seed, increments):
-        pass
-    return point[2]
-
-
 def _law_curve(coeff, init, times, dt, seed, increments):
     """The snapshots of the interacting run over ``times`` on ``increments``,
     one per grid point: the frozen law curve a decoupled path reads."""
@@ -444,12 +431,15 @@ def _law_curve(coeff, init, times, dt, seed, increments):
 
 
 class StreamedFlow:
-    """The run of :func:`stream_mckean_vlasov` on its uniform grid ``times``.
+    """The N-particle Euler scheme on its uniform grid ``times`` from s to T.
 
-    The flow holds its arguments, not its states: each call of
-    :meth:`steps` runs the scheme again, to the same bits, and holds only
-    the current state and the noise block, so a verifier folds a flow in
-    one pass over its steps.
+    Each particle reads the drift and diffusion at the empirical measure of
+    the whole ensemble, the step's snapshot.  The run's increments are
+    ``brownian_increments(seed, N, L, coeff.m, dt)``, drawn before the first
+    step and read-only.  The flow holds its arguments, not its states: each
+    call of :meth:`steps` runs the scheme again, to the same bits, and holds
+    only the current state and the noise block, so a verifier folds a flow
+    in one pass over its steps.
     """
 
     def __init__(self, coeff, init, N, T, dt, seed, s=0.0):
@@ -493,13 +483,15 @@ class StreamedFlow:
 
 
 def semigroup_apply(coeff, mu, s, t, N, dt, seed):
-    """Law map mu -> law of the solution at time t started from mu at s."""
+    """Law map mu -> law of the solution at time t started from mu at s: the
+    snapshot at t of the :class:`StreamedFlow` of N particles from mu."""
     check_count("N", N, 2)
     if t < s:
         raise ContractError("need t >= s")
     if t == s:
         return mu
-    return stream_mckean_vlasov(coeff, mu, N, t, dt, seed, s=s)
+    [(_, _, law, _)] = StreamedFlow(coeff, mu, N, t, dt, seed, s).steps(t, t)
+    return law
 
 
 def check_count(name, value, least):

@@ -3,11 +3,14 @@ import importlib.util
 import re
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import mfsde.cli as cli
 from mfsde.cli import PRESETS, SCENARIOS, main, parse_config, run_scenario
 from mfsde.cli import _FLOAT_PREFIXES, _SCENARIOS, _SCHEMA
 from mfsde.errors import ConfigError, SimulationError
@@ -415,6 +418,8 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ("feynman-kac-heat", "closed_form", "gauss"),
         ("feynman-kac-heat", "closed_form", "neg_tau"),
         ("feynman-kac-source-const", "closed_form", "heat"),
+        ("feynman-kac-source-const", "f.value", "1e306"),
+        ("flow-property-ou", "init.scale", "1e308"),
     ],
 )
 def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, capsys):
@@ -543,6 +548,9 @@ def test_scenario_declarations_agree_with_the_schema():
         ("path-independence-forward", {"dt_ladder": "1e-2, 1e-7"}, "T"),
         ("flow-property-ou", {"dt": "1e-7"}, "times"),
         ("feynman-kac-heat", {"T": "1e5", "probes.t": "0"}, "T"),
+        # more steps than a float counts: round(inf) once raised OverflowError
+        ("feynman-kac-heat", {"T": "1e308"}, "T"),
+        ("feynman-kac-heat", {"probes.t": "-1e308"}, "T"),
     ],
 )
 def test_main_rejects_a_run_too_large_to_allocate(preset, overrides, key, tmp_path, capsys):
@@ -571,6 +579,38 @@ def test_size_bound_counts_the_gaussian_initial_sample():
     assert peak < 2**20
     assert [v for v in exc.value.violations if v.startswith("key 'N': an initial sample")]
     assert parse_config(_with_overrides(text, {"N": "1000"})).get("N") == 1000
+
+
+def test_running_cost_bound_admits_every_finite_sum():
+    # f.value = 1e306 at M = 1000 once PASSed on an error of inf
+    text = PRESETS["feynman-kac-source-const"]
+    assert parse_config(_with_overrides(text, {"f.value": "1e300"})).get("f.value") == 1e300
+    assert parse_config(_with_overrides(text, {"f.value": "0"})).get("f.value") == 0
+
+
+def test_parse_config_builds_each_object_once(monkeypatch, tmp_path):
+    # a ladder once rebuilt V in its runner and drew the initial law once per level
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "make_coefficients", counted("coeff", cli.make_coefficients))
+    monkeypatch.setattr(cli, "make_cylindrical", counted("V", cli.make_cylindrical))
+    monkeypatch.setattr(np.random, "default_rng", counted("init", np.random.default_rng))
+    text = _with_overrides(PRESETS["path-independence-forward"], {
+        "N": "50", "dt_ladder": "0.1, 0.05, 0.025, 0.0125", "init.kind": "gaussian"})
+    cfg = parse_config(text)
+    assert cfg.init.n_atoms == 50 and cfg.Phi is None
+    assert run_scenario(cfg, str(tmp_path)) in (0, 1)
+    assert counts == {"coeff": 1, "V": 1, "init": 1}
+    # None where the scenario reads none
+    w2 = parse_config(PRESETS["w2-selftest"])
+    assert (w2.coeff, w2.V, w2.Phi, w2.init) == (None, None, None, None)
 
 
 def test_size_bound_accepts_every_preset_benchmark_op_and_large_path_count(monkeypatch):

@@ -28,7 +28,6 @@ from mfsde.dynamics import (
     brownian_increments,
     particle_stream,
     spot_check_lipschitz,
-    stream_mckean_vlasov,
 )
 from mfsde.feynman_kac import MEASURE_DS, TILE, McValueFunction, _chunk_size, _measure_shifts
 from mfsde.generator import generator_parts
@@ -209,7 +208,7 @@ def test_zero_dynamics_freezes_particles():
 
 def test_brownian_terminal_mean_bound():
     coeff = make_coefficients("brownian", s=1.0)
-    law = stream_mckean_vlasov(coeff, dirac([0.0]), 2000, 1.0, 0.01, seed=5)
+    law = semigroup_apply(coeff, dirac([0.0]), 0.0, 1.0, 2000, 0.01, seed=5)
     mean = abs(law.points.mean())
     assert mean <= 3 * np.sqrt(1.0 / 2000)
 
@@ -236,7 +235,7 @@ def test_init_must_be_a_measure():
     # a callable init(rng, N) was once accepted as a sampler; nothing used it
     coeff = make_coefficients("brownian")
     with pytest.raises(ContractError, match="init must be an EmpiricalMeasure"):
-        stream_mckean_vlasov(coeff, lambda rng, n: np.zeros((n, 1)), 3, 1.0, 0.25, seed=0)
+        semigroup_apply(coeff, lambda rng, n: np.zeros((n, 1)), 0.0, 1.0, 3, 0.25, seed=0)
 
 
 def test_requires_two_particles():
@@ -260,6 +259,16 @@ def test_grid_must_divide_horizon():
         StreamedFlow(coeff, dirac([0.0]), 4, 1.0, 0.3, seed=0)
 
 
+@pytest.mark.parametrize("s, T", [(0.0, 1e308), (-1e308, 1.0), (-1e308, 1e308)])
+def test_a_horizon_of_more_steps_than_a_float_counts_is_a_contract_error(s, T):
+    # round(inf) in grid_steps once raised a raw OverflowError
+    coeff = make_coefficients("brownian")
+    with pytest.raises(ContractError, match="integer multiple"):
+        StreamedFlow(coeff, dirac([0.0]), 2, T, 0.01, seed=0, s=s)
+    with pytest.raises(ContractError, match="integer multiple"):
+        semigroup_apply(coeff, dirac([0.0]), s, T, 2, 0.01, seed=0)
+
+
 def test_blowup_reports_step_and_particle():
     bad = make_coefficients("brownian", s=1.0)
     import dataclasses
@@ -269,7 +278,7 @@ def test_blowup_reports_step_and_particle():
 
     bad = dataclasses.replace(bad, b=exploding)
     with pytest.raises(SimulationError) as exc:
-        stream_mckean_vlasov(bad, dirac([0.0]), 3, 1.0, 0.5, seed=0)
+        semigroup_apply(bad, dirac([0.0]), 0.0, 1.0, 3, 0.5, seed=0)
     assert exc.value.step is not None
     assert exc.value.particle is not None
 
@@ -290,7 +299,7 @@ def test_blowup_names_exact_step_and_particle(loop, bad):
     coeff = replace(make_coefficients("frozen"), b=b)
     with pytest.raises(SimulationError) as exc:
         if loop == "interacting":
-            stream_mckean_vlasov(coeff, line([0.0, 1.0]), 6, 1.0, dt, seed=0)
+            semigroup_apply(coeff, line([0.0, 1.0]), 0.0, 1.0, 6, dt, seed=0)
         else:
             _decoupled_samples(coeff, line([0.0, 1.0]), [0.5], 1.0, dt, 6, seed=0, n_flow=2)
     assert (exc.value.step, exc.value.particle) == (k_bad, 2)
@@ -314,7 +323,7 @@ def test_ou_weak_error_nonincreasing_under_refinement():
     coeff = make_coefficients("ou", theta=theta, kappa=0.0, s=1.0)
     errs, ses = [], []
     for n, dt, seed in ((500, 0.05, 21), (4000, 0.0125, 22)):
-        term = stream_mckean_vlasov(coeff, dirac([1.0]), n, T, dt, seed).points[:, 0]
+        term = semigroup_apply(coeff, dirac([1.0]), 0.0, T, n, dt, seed).points[:, 0]
         errs.append(abs(term.mean() - np.exp(-theta * T)))
         ses.append(term.std(ddof=1) / np.sqrt(n))
     assert errs[1] <= errs[0] + 3 * (ses[0] + ses[1])
@@ -398,7 +407,7 @@ def test_decoupled_noise_independent_of_frozen_flow():
     # increments: the decoupled domain's, not those of the frozen flow
     coeff = make_coefficients("brownian", s=1.0)
     terminal = _decoupled_samples(coeff, dirac([0.0]), [0.0], 0.5, 0.25, 3, seed=0, n_flow=3)
-    law = stream_mckean_vlasov(coeff, dirac([0.0]), 3, 0.5, 0.25, seed=0)
+    law = semigroup_apply(coeff, dirac([0.0]), 0.0, 0.5, 3, 0.25, seed=0)
     own = brownian_increments(0, 3, 2, 1, 0.25, DOMAIN_DECOUPLED).sum(axis=0)[:, 0]
     assert terminal.tobytes() == own.tobytes()
     assert not np.allclose(terminal, law.points[:, 0])
@@ -456,7 +465,8 @@ def test_sample_table_matches_the_reference_euler_loop_bit_for_bit():
 @pytest.mark.parametrize(
     "span, dt, steps",
     [(1.0, 0.1, 10), (0.0, 0.3, 0), (0.5, 1.0, None), (-0.25, 0.25, None),
-     (1.0, 1.0 / 3.0, 3), (1.0 + 1e-10, 1.0, 1), (1.0 + 1e-8, 1.0, None)],
+     (1.0, 1.0 / 3.0, 3), (1.0 + 1e-10, 1.0, 1), (1.0 + 1e-8, 1.0, None),
+     (1e308, 1e-2, None)],
 )
 def test_grid_steps_counts_whole_steps_only(span, dt, steps):
     assert dynamics.grid_steps(span, dt) == steps
@@ -531,7 +541,7 @@ def _per_path_twin(coeff):
 
 @pytest.mark.parametrize("s, t, match", [
     (0.1, 0.5, "off the grid"), (0.0, 1.25, "off the grid"), (-0.25, 0.5, "off the grid"),
-    (0.5, 0.25, "need t >= s"),
+    (0.5, 0.25, "need t >= s"), (0.0, 1e308, "off the grid"), (-1e308, 0.5, "off the grid"),
 ])
 def test_span_rejects_a_window_off_the_grid_or_reversed(s, t, match):
     flow = StreamedFlow(make_coefficients("brownian"), dirac([0.0]), 2, 1.0, 0.25, seed=0)
@@ -650,13 +660,13 @@ def test_stream_kernel_hands_the_recorded_steps_to_its_hook():
     # that shares one weights array with every other snapshot) and the row
     # of the run's increment block, None at T; the returned law is the last
     coeff, args = _mean_field_run()
-    _, _, n, T, dt, seed = args
+    _, init, n, T, dt, seed = args
     seen = []
     for t, X, mu, dw in StreamedFlow(*args).steps(0.0, T):
         assert not X.flags.writeable and mu.points is X
         seen.append((t, X, mu, dw))
 
-    terminal = stream_mckean_vlasov(*args)
+    terminal = semigroup_apply(coeff, init, 0.0, T, n, dt, seed)
     noise = brownian_increments(seed, n, 8, coeff.m, dt)
     assert len(seen) == 9
     weights = seen[0][2].weights
@@ -686,7 +696,7 @@ def test_stream_kernel_still_checks_the_initial_state():
     bad = EmpiricalMeasure._snapshot(np.full((3, 1), np.nan), np.full(3, 1.0 / 3))
 
     with pytest.raises(ContractError, match="finite"):
-        stream_mckean_vlasov(coeff, bad, 3, 1.0, 0.25, seed=0)
+        semigroup_apply(coeff, bad, 0.0, 1.0, 3, 0.25, seed=0)
     with pytest.raises(ContractError, match="finite"):
         StreamedFlow(coeff, bad, 3, 1.0, 0.25, seed=0).steps(0.0, 1.0)
 

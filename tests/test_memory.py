@@ -22,9 +22,10 @@ from mfsde import (
     make_coefficients,
     make_cylindrical,
     pde_residual_mc,
+    semigroup_apply,
     verify_path_independence,
 )
-from mfsde.dynamics import DOMAIN_DECOUPLED, DOMAIN_INTERACTING, stream_mckean_vlasov
+from mfsde.dynamics import DOMAIN_DECOUPLED, DOMAIN_INTERACTING
 from mfsde.feynman_kac import McValueFunction
 from mfsde.measure import _cost_matrix
 
@@ -193,7 +194,7 @@ def test_streamed_increments_are_read_only_rows_of_the_run_block():
             assert not dw.flags.writeable
             seen.append(dw)
 
-    law = stream_mckean_vlasov(coeff, init, 6, 1.0, 0.25, seed=4)
+    law = semigroup_apply(coeff, init, 0.0, 1.0, 6, 0.25, seed=4)
     expected = dynamics.brownian_increments(4, 6, 4, 2, 0.25)
     assert len(seen) == 4
     for k, dw in enumerate(seen):

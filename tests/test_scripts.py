@@ -1,8 +1,6 @@
 import importlib.util
 from pathlib import Path
 
-import pytest
-
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -11,18 +9,6 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-@pytest.mark.parametrize("extra", [[], ["--perturb", "0.1"]])
-def test_convergence_ladder_prints_one_row_per_level(capsys, extra):
-    ladder = load_script("convergence_ladder")
-    ladder.run(ladder.parse_args(["--n", "200", "--levels", "2"] + extra))
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["dt", "rms_defect", "order", "verdict"]
-    assert len(lines) == 1 + 2 + 1
-    assert [float(line.split()[0]) for line in lines[1:3]] == [1e-2, 5e-3]
-    assert lines[-1].startswith("defect floor:")
-    assert " overall: " in lines[-1]
 
 
 def test_step_cost_prints_one_row_per_case(capsys):
