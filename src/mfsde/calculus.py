@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapabilityError, ContractError, check_params
-from .measure import integrate, pushforward
+from .measure import _eval_on_points, integrate, pushforward
 
 #: catalog identifiers accepted by make_inner / make_outer
 INNER_NAMES = ("linear", "quadratic", "bump", "coordinate")
@@ -415,9 +415,11 @@ def l_derivative_fd_oracle(f, t, x, mu, phi, eps):
 
 
 def l_derivative_pairing(f, t, x, mu, phi):
-    """mu(<d_mu f, phi>): the limit the FD oracle must approach."""
+    """mu(<d_mu f, phi>): the limit the FD oracle must approach.  phi is
+    called once, on the whole (N, d) support, as the oracle's pushforward
+    calls it."""
     grad = f.l_derivative(t, x, mu, mu.points)
-    disp = np.asarray([phi(p) for p in mu.points], dtype=float).reshape(mu.n_atoms, -1)
+    disp = _eval_on_points(phi, mu.points).reshape(mu.n_atoms, -1)
     return float(np.sum(mu.weights * np.sum(grad * disp, axis=1)))
 
 

@@ -15,30 +15,31 @@ common-random-number finite differences and an explicit error budget; an
 exact one evaluates the PDE of a cylindrical function from its closed-form
 derivatives, including the drift-coupled PDE, which no estimator here solves.
 
-Every estimate reads one sampler, :meth:`McValueFunction.sample_table`,
+Every estimate reads one sampler, :meth:`McValueFunction.sample_chunks`,
 which evaluates a table of columns (start time, start point, measure) in
 chunks of particles.  Each chunk draws its decoupled noise once and runs
-every column against it, so memory grows with M only by the per-path
-samples themselves, an (M, n_cols) array.  Columns that share (t, mu)
-share one frozen flow, simulated only when a term reads the law, and run
-as one Euler loop over a (K, B, d) state, in tiles of at most TILE paths:
-a step costs a fixed 20-25 us plus about 2.9 ns per path at 4K-16K paths,
-against about 4 ns at 32K-1e5, and the diffusion increment of an
-x-independent sigma is formed once for all K columns of a tile (see
-``dynamics._euler_steps``), so a tile is large enough to amortise the
-fixed cost and small enough to stay in cache.  A chunk is the largest
-multiple of CHUNK_UNIT particles whose widest group of K columns fits one
-TILE, but at least 2 * CHUNK_UNIT.  CHUNK_UNIT is the noise block of
-``dynamics.NOISE_BLOCK`` paths, which share one Philox key per step, so a
-chunk re-keys once per block and step.  Particle i's noise is the same
-whatever chunk draws it, and every sample array is reduced in full, so
-chunk and tile sizes never change a result.
+every column against it, and the estimates fold each chunk's samples into
+per-column moments (:class:`MomentFold`), so memory does not grow with M.
+Columns that share (t, mu) share one frozen flow, simulated only when a
+term reads the law, and run as one Euler loop over a (K, B, d) state, in
+tiles of at most TILE paths: a step costs a fixed 20-25 us plus about
+2.9 ns per path at 4K-16K paths, against about 4 ns at 32K-1e5, and the
+diffusion increment of an x-independent sigma is formed once for all K
+columns of a tile (see ``dynamics._euler_steps``), so a tile is large
+enough to amortise the fixed cost and small enough to stay in cache.  A
+chunk is the largest multiple of CHUNK_UNIT particles whose widest group of
+K columns fits one TILE, but at least 2 * CHUNK_UNIT.  CHUNK_UNIT is the
+noise block of ``dynamics.NOISE_BLOCK`` paths, which share one Philox key
+per step, so a chunk re-keys once per block and step.  Particle i's noise
+is the same whatever chunk draws it, and the fold's leaves are FOLD_ROWS
+particles wherever the chunks end, so chunk and tile sizes never change a
+result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -210,6 +211,84 @@ def _chunk_size(k_max):
     return max(2 * CHUNK_UNIT, TILE // k_max // CHUNK_UNIT * CHUNK_UNIT)
 
 
+#: particles per leaf of a MomentFold: fixed, not CHUNK_UNIT, so that the
+#: bits of a moment depend on the sample count alone, however the sampler
+#: chunks the particles (a chunk is a whole number of leaves at the default
+#: CHUNK_UNIT)
+FOLD_ROWS = NOISE_BLOCK
+
+
+class Moments(NamedTuple):
+    """Count, mean, co-moment matrix sum_k (x_ik - m_i)(x_jk - m_j) and
+    minimum of n columns of samples."""
+
+    count: int
+    mean: np.ndarray
+    comoment: np.ndarray
+    minimum: np.ndarray
+
+    @classmethod
+    def of(cls, x):
+        """Two-pass moments of the (n, rows) samples x.  The mean and the
+        diagonal of row i read row i alone, in numpy's pairwise order along
+        the row, so column i's mean and variance are those of ``np.mean``
+        and ``np.std`` of it, whatever the other rows hold."""
+        mean = x.sum(axis=1) / x.shape[1]
+        dev = x - mean[:, None]
+        comoment = dev @ dev.T
+        np.fill_diagonal(comoment, (dev * dev).sum(axis=1))
+        return cls(x.shape[1], mean, comoment, x.min(axis=1))
+
+    def then(self, later):
+        """Moments of these samples followed by ``later``'s: the pairwise
+        update of Chan, Golub & LeVeque (1979)."""
+        count = self.count + later.count
+        delta = later.mean - self.mean
+        comoment = (self.comoment + later.comoment
+                    + np.outer(delta, delta) * (self.count * later.count / count))
+        return Moments(count, self.mean + delta * (later.count / count), comoment,
+                       np.minimum(self.minimum, later.minimum))
+
+
+class MomentFold:
+    """Moments of n columns, folded from (n, rows) blocks of samples that
+    arrive in particle order.
+
+    Each FOLD_ROWS particles form one leaf, and leaves merge pairwise as the
+    carries of a binary counter, so the tree, and with it every bit of the
+    result, depends on the particle count alone.  Besides the O(log M) tree
+    the fold holds one leaf of samples.
+    """
+
+    def __init__(self, n):
+        self._rows = np.empty((n, FOLD_ROWS))
+        self._filled = 0
+        self._tree = []  # Moments of whole leaves, widest first
+
+    def add(self, block):
+        while block.shape[1]:
+            take = min(FOLD_ROWS - self._filled, block.shape[1])
+            self._rows[:, self._filled : self._filled + take] = block[:, :take]
+            self._filled += take
+            block = block[:, take:]
+            if self._filled == FOLD_ROWS:
+                node = Moments.of(self._rows)
+                while self._tree and self._tree[-1].count == node.count:
+                    node = self._tree.pop().then(node)
+                self._tree.append(node)
+                self._filled = 0
+
+    def total(self):
+        """The Moments of every sample added so far (at least one)."""
+        nodes = list(self._tree)
+        if self._filled:
+            nodes.append(Moments.of(self._rows[:, : self._filled]))
+        total = nodes.pop()
+        while nodes:
+            total = nodes.pop().then(total)
+        return total
+
+
 @dataclass(frozen=True)
 class McValueFunction:
     """MC-backed value function with a fixed seed, usable for CRN differences.
@@ -219,9 +298,9 @@ class McValueFunction:
     transform -beta log E Phi (Phi only, no running cost).
     ``samples(t, x, mu)`` returns per-path samples of the statistic whose
     mean ``value_of_mean`` turns into the value, and ``solve(t, x)`` is that
-    value with its standard error, a one-column :meth:`sample_table`.  The
-    object holds no noise: a table draws it chunk by chunk, and a rerun
-    draws the same streams again.
+    value with its standard error, read off the moments of a one-column
+    table.  The object holds no noise: a table draws it chunk by chunk, and
+    a rerun draws the same streams again.
     """
 
     coeff: object
@@ -250,37 +329,68 @@ class McValueFunction:
         return self.sample_table([[(t, x, mu)]])[0][:, 0]
 
     def solve(self, t, x):
-        """The value at (t, x) with its standard error.
+        """The value at (t, x) with its standard error (see :meth:`solve_all`)."""
+        return self.solve_all([(t, x)])[0]
 
-        Under the log transform the samples must be strictly positive, and
-        the standard error of -beta log of their mean is propagated by the
+    def solve_all(self, probes):
+        """The value at each (t, x) of ``probes`` with its standard error.
+
+        The probes are the columns of one table, so they run on common
+        noise, and each one's value and standard error read its own column
+        alone: they are bit for bit those of ``solve`` of that probe.  Under
+        the log transform the samples must be strictly positive, and the
+        standard error of -beta log of their mean is propagated by the
         delta method.
         """
-        samples = self.samples(t, x)
-        m = samples.size
-        mean = float(samples.mean())
-        se = float(np.std(samples, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-        if self.beta is None:
-            return McSolution(mean, se, m)
-        if np.any(samples <= 0):
-            raise DataError(f"terminal datum fell to {samples.min():g}, but the log "
-                            "transform needs it strictly positive")
-        value = float(self.value_of_mean(mean))
-        return McSolution(value, abs(self.beta) * se / mean, m, float(self.beta))
+        [(m, means, comoment, minimum)] = self.moments([[(t, x, None) for t, x in probes]])
+        solutions = []
+        for j, mean in enumerate(means):
+            mean = float(mean)
+            se = float(np.sqrt(comoment[j, j] / (m - 1)) / np.sqrt(m)) if m > 1 else 0.0
+            if self.beta is None:
+                solutions.append(McSolution(mean, se, m))
+                continue
+            if minimum[j] <= 0:
+                raise DataError(f"terminal datum fell to {minimum[j]:g}, but the log "
+                                "transform needs it strictly positive")
+            value = float(self.value_of_mean(mean))
+            solutions.append(McSolution(value, abs(self.beta) * se / mean, m, float(self.beta)))
+        return solutions
+
+    def moments(self, groups):
+        """The :class:`Moments` of each group of a table of columns (see
+        :meth:`sample_chunks`), folded chunk by chunk."""
+        folds = [MomentFold(len(group)) for group in groups]
+        for _, _, blocks in self.sample_chunks(groups):
+            for fold, block in zip(folds, blocks):
+                fold.add(block)
+        return [fold.total() for fold in folds]
 
     def sample_table(self, groups):
-        """Per-path samples of a table of columns: one (M, n) array per group.
+        """Per-path samples of a table of columns: one (M, n) array per
+        group, the chunks of :meth:`sample_chunks` joined."""
+        out = [np.empty((self.M, len(group))) for group in groups]
+        for a, b, blocks in self.sample_chunks(groups):
+            for table, block in zip(out, blocks):
+                table[a:b] = block.T
+        return out
+
+    def sample_chunks(self, groups):
+        """Per-path samples of a table of columns, one chunk of particles at
+        a time.
 
         ``groups`` is a sequence of column lists; a column is (t, x, mu),
-        with mu None for the function's own measure, and column j of a
-        group's array holds its M samples, exactly those of
-        ``samples(t, x, mu)``.  Every column is checked before any path is
-        simulated.  Each distinct (t, mu) gets one frozen flow, whose noise
-        is a step prefix of one block of flow increments, and all columns run
-        on the same decoupled streams (common random numbers), drawn once per
-        chunk of particles.  When no term reads the law (a measure-free
-        field, a Phi without inner functions and no f_field), no flow is
-        simulated: every column reads its own measure at every grid point.
+        with mu None for the function's own measure.  Yields (a, b, blocks)
+        for particles a..b-1 in order, where row j of blocks[g], an
+        (n_g, b - a) array, holds column j of group g: exactly those
+        particles' samples of ``samples(t, x, mu)``.  Every column is
+        checked before any path is simulated.  Each distinct (t, mu) gets
+        one frozen flow, whose noise is a step prefix of one block of flow
+        increments, and all columns run on the same decoupled streams
+        (common random numbers), drawn once per chunk of particles.  When no
+        term reads the law (a measure-free field, a Phi without inner
+        functions and no f_field), no flow is simulated: every column reads
+        its own measure at every grid point.
         """
         # flow key (t, mu) -> [t, mu, [(group, column, start point)]]
         flows = {}
@@ -290,9 +400,8 @@ class McValueFunction:
                 _n_steps(t, self.T, self.dt)
                 mu = self.mu if mu is None else mu
                 flows.setdefault((t, id(mu)), [t, mu, []])[2].append((g, j, x))
-        out = [np.empty((self.M, len(group))) for group in groups]
         if not flows:
-            return out
+            return
         n_steps = _n_steps(min(t for t, _, _ in flows.values()), self.T, self.dt)
         reads_law = (self.coeff.measure_dependent or self.f_field is not None
                      or bool(self.Phi.inner))
@@ -314,20 +423,21 @@ class McValueFunction:
             b = min(a + chunk, self.M)
             noise = brownian_increments(
                 self.seed, b - a, n_steps, self.coeff.m, self.dt, DOMAIN_DECOUPLED, a)
+            blocks = [np.empty((len(group), b - a)) for group in groups]
             for times, laws, r_T, cols in runs:
                 for i in range(0, len(cols), tile):
                     self._run_tile(
-                        times, laws, r_T, cols[i : i + tile], noise[: len(times) - 1], a, out)
-        return out
+                        times, laws, r_T, cols[i : i + tile], noise[: len(times) - 1], a, blocks)
+            yield a, b, blocks
 
-    def _run_tile(self, times, laws, r_T, cols, increments, first, out):
+    def _run_tile(self, times, laws, r_T, cols, increments, first, blocks):
         """Samples of particles [first, first + B) of K columns on one frozen
         law curve, the snapshots ``laws`` at the grid points ``times``.
 
         Phi at the terminal state and law (when used) minus the
         left-endpoint integral of f_field along the path (when used), whose
-        step is the grid's spacing times[1] - times[0]; each column's
-        samples go to rows first.. of its group's array.
+        step is the grid's spacing times[1] - times[0]; column j of group g
+        goes to row j of the chunk's blocks[g].
         """
         n = increments.shape[1]
         state = np.empty((len(cols), n, self.coeff.d))
@@ -346,9 +456,9 @@ class McValueFunction:
         for c, (g, j, _) in enumerate(cols):
             if self.Phi is not None:
                 sample = np.asarray(self.Phi.outer.value(self.T, x_k[c], r_T), dtype=float)
-                out[g][first : first + n, j] = sample if integral is None else sample - integral[c]
+                blocks[g][j] = sample if integral is None else sample - integral[c]
             else:
-                out[g][first : first + n, j] = -integral[c]
+                blocks[g][j] = -integral[c]
 
     def value_of_mean(self, mean):
         if self.beta is not None:
@@ -396,10 +506,10 @@ def pde_residual_mc(vf, pde, probes, n_measure_draws=4):
     ``pde`` is one of MC_PDE_KINDS.  All stencil evaluations reuse the same
     noise streams, so differences cancel most Monte Carlo error; the
     per-probe budget is an FD truncation estimate (by Richardson comparison)
-    plus three propagated standard errors computed from the joint per-path
-    sample covariance.  Every probe's stencil is planned (and its diffusion
-    checked) before any path is simulated, then all columns are sampled as
-    one table.
+    plus three propagated standard errors computed from the sample
+    covariance of its columns, folded chunk by chunk.  Every probe's stencil
+    is planned (and its diffusion checked) before any path is simulated,
+    then all columns are sampled as one table.
     """
     _check_kind(pde, MC_PDE_KINDS, vf.f_field, vf.beta)
     h_t = max(vf.dt, round(H_T_REL * vf.T / vf.dt) * vf.dt)
@@ -408,8 +518,8 @@ def pde_residual_mc(vf, pde, probes, n_measure_draws=4):
         _mc_probe(vf, pde, pid, t0, x0, h_t, n_measure_draws)
         for pid, (t0, x0) in enumerate(probes)
     ]
-    tables = vf.sample_table([columns for columns, _ in plans])
-    return _finalize_table([finish(S) for (_, finish), S in zip(plans, tables)])
+    moments = vf.moments([columns for columns, _ in plans])
+    return _finalize_table([finish(m) for (_, finish), m in zip(plans, moments)])
 
 
 def _stencil_times(t0, h_t, T):
@@ -424,7 +534,7 @@ def _stencil_times(t0, h_t, T):
 
 def _mc_probe(vf, pde, pid, t0, x0, h_t, n_draws):
     """(columns, finish): the probe's stencil columns (t, x, mu), and the
-    function that turns their (M, n_cols) per-path samples into its row."""
+    function that turns their :class:`Moments` into its row."""
     coeff, mu, T = vf.coeff, vf.mu, vf.T
     d = x0.size
     sig, a_diag = _diag_diffusion(coeff, t0, x0, mu)
@@ -446,10 +556,9 @@ def _mc_probe(vf, pde, pid, t0, x0, h_t, n_draws):
             columns += [(t0, x0, shifted)
                         for shifted in _measure_shifts(coeff, mu, t0, MEASURE_DS, rng)]
 
-    def finish(S):
-        means = S.mean(axis=0)
-        cov_means = np.cov(S, rowvar=False) / S.shape[0]
-        cov_means = np.atleast_2d(cov_means)
+    def finish(moments):
+        means = moments.mean
+        cov_means = moments.comoment / (moments.count - 1) / moments.count
 
         def residual_of_means(m):
             vals = np.asarray([vf.value_of_mean(v) for v in m])

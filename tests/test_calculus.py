@@ -322,3 +322,19 @@ def test_linear_inner_rejects_points_of_another_dimension():
     for evaluate in (h.value, h.grad, h.hess):
         with pytest.raises(ContractError, match="linear inner function"):
             evaluate(np.zeros((3, 2)))
+
+
+def test_pairing_calls_phi_once_on_the_whole_support():
+    f = make_cylindrical("x_sq_plus_r1", [("quadratic", {})])
+    mu = cloud(np.random.default_rng(3), 40, 2)
+    calls = []
+
+    def phi(y):
+        calls.append(np.shape(y))
+        return 0.5 * np.asarray(y)
+
+    l_derivative_pairing(f, 0.0, np.zeros(2), mu, phi)
+    assert calls == [(40, 2)]
+    # a phi that does not map the support atom by atom is a contract fault
+    with pytest.raises(ContractError, match="expected \\(40, ...\\)"):
+        l_derivative_pairing(f, 0.0, np.zeros(2), mu, lambda y: np.zeros(2))

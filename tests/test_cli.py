@@ -108,8 +108,6 @@ def test_missing_required_keys_named():
         (MINIMAL_ITO, 2**64),
         # every config leaves room for flow_property's seed + 3
         (MINIMAL_ITO, 2**64 - 3),
-        # six probes derive seeds up to seed + 101 * 5
-        (PRESETS["feynman-kac-heat"], 2**64 - 505),
     ],
 )
 def test_seed_outside_uint64_rejected(text, seed):
@@ -121,6 +119,9 @@ def test_seed_outside_uint64_rejected(text, seed):
 
 def test_largest_seed_accepted():
     assert parse_config(MINIMAL_ITO + f"seed = {2**64 - 4}\n").seed == 2**64 - 4
+    # a Feynman-Kac run samples all its probes at the one seed it is given
+    heat = _with_overrides(PRESETS["feynman-kac-heat"], {"seed": 2**64 - 4})
+    assert parse_config(heat).seed == 2**64 - 4
 
 
 def test_times_must_be_increasing_and_aligned():
@@ -195,19 +196,19 @@ def test_csv_byte_identical_across_reruns(tmp_path):
 # listing of scripts/run_all_presets.py
 GOLDEN = {
     "feynman-kac-heat-M2000": {
-        "feynman_kac_linear.csv": "92a92373d40ce98b6aa0fa892d40a9c32b8e3fac39e9c6128d1c847772f7f1cd",
-        "summary.txt": "65f67244be7d4f7e25faf88f1a79ce6f711dbbda3ff90cd0514250e52686853a",
+        "feynman_kac_linear.csv": "19b7b2a0edde8950352c2b50ace8b4c6788d2adfe02e102058ed96604b9ec070",
+        "summary.txt": "68b8526926e8960c71d9d887f16af6d10e73b315e42374ee4818c328c4c16128",
     },
     "feynman-kac-log-gauss-M2000": {
-        "feynman_kac_log.csv": "ce4d792e9f5a9cca6f6c6d59aba5ec22daf3c4d0b72e35d9d337a5d3a3bcb826",
-        "summary.txt": "1106333186ab0ce2d3e37771b92d4b8554ee02ea14d4a91a5267cfc2b43cd5f1",
+        "feynman_kac_log.csv": "c71f56b581a5e70da815dbc178b1c6463fdfa44b2a2213e8adc6a8454ffb796b",
+        "summary.txt": "24fe8a405e9d08395c6a115a8b2029ff091e1507fe90ca12ea8117a7cce1bb64",
     },
     "girsanov-risk-neutral-M2000": {
         "girsanov.csv": "2b965d18babb6bcabd93d51ccdb9291a40bec660353d52b8678c124b7fcced31",
         "summary.txt": "1e5cec6fbaeaba1e28001c7fcaa764e6aa60f4f1876b35541f8465b8ed320407",
     },
     "pde-residual-nonlinear-M2000": {
-        "pde_residual.csv": "0d4d0e6d6f59d5e16ec83a0d695325793a702412a13430876a18474d473b8855",
+        "pde_residual.csv": "d5f4d855c6ce123446b6926a84e34e4e0084996a3212b166a0bd7728b9b1e1ed",
         "summary.txt": "021f0304c1234a778202af9704106c8717d1529751cc7bbecd3a17029477780d",
     },
     "feynman-kac-source-const": {
@@ -223,7 +224,7 @@ GOLDEN = {
         "summary.txt": "738bf21082d3409027b529f860f592d8aa1e5b266b52c09d64fcc38ff599c6c2",
     },
     "lderivative-oracle": {
-        "lderivative_check.csv": "847c510021b8569d9d3c339d8272870cb6be9e55853cc92a55acbe21a26b2a14",
+        "lderivative_check.csv": "66970ace41e01a9d924cc14202ad5c22682a400f190e672729d8e7b5278849a6",
         "summary.txt": "12b17962ed00b12cfacfdfc958c1f44edc907a7140737813c4878e6adb6d3346",
     },
     "npy-identity": {

@@ -20,8 +20,10 @@ from mfsde import (
     pde_residual_exact,
     pde_residual_mc,
 )
+from mfsde.calculus import CylindricalFunction, OuterFunction
+from mfsde.cli import PRESETS, _value_function, parse_config, run_scenario
 from mfsde.dynamics import DOMAIN_DECOUPLED
-from mfsde.feynman_kac import MEASURE_DS, _diag_diffusion, _measure_shifts
+from mfsde.feynman_kac import MEASURE_DS, MomentFold, _diag_diffusion, _measure_shifts
 
 
 BROWNIAN = make_coefficients("brownian", s=1.0)
@@ -440,7 +442,7 @@ SAMPLES_GOLDEN = {
     "linear": "2e00fd2fa5e5fad56640c9ab6a242ed8e9e270ebc91bc294174183dd8ffcbdd2",
     "source": "c6f53b00094b9d81fcd41892e69f93507c8bef809ebebf4728f15de7483eb09a",
 }
-RESIDUAL_TABLE_GOLDEN = "c23e86b26ab8d99ae1b84d71c5b00f091139ef3fae3d77d208e87939e2b008aa"
+RESIDUAL_TABLE_GOLDEN = "b0849181a768bb2827c5ba942e2eab4591964dbd2478fefb8e91ea3c43572821"
 
 
 def test_measure_shift_pairs_are_mirror_images(monkeypatch):
@@ -705,3 +707,87 @@ def test_chunked_blowup_names_the_global_particle(monkeypatch):
     with pytest.raises(SimulationError) as exc:
         vf.sample_table([[(0.0, [-100.0], None), (0.0, [0.0], None)]])
     assert (exc.value.step, exc.value.particle) == (2, expected)
+
+
+# ---------------------------------------------------------------------------
+# streamed moments: the estimates fold each chunk, and hold no (M, n) table
+
+
+def _folded(x, cuts):
+    """The Moments of the (n, M) samples x, added as the blocks between cuts."""
+    fold = MomentFold(x.shape[0])
+    for block in np.split(x, cuts, axis=1):
+        fold.add(block)
+    return fold.total()
+
+
+@pytest.mark.parametrize("M", [1, 2, 1023, 1025, 5000])
+def test_moment_fold_matches_two_pass_numpy(M):
+    rng = np.random.default_rng(M)
+    z = rng.standard_normal((3, M))
+    # spreads from 1e-2 to 1e3, a mean 1e4 spreads off zero and one
+    # correlated pair
+    x = np.stack([1.0 + z[0], 5.0 + 1e3 * z[1], -1e2 + 1e-2 * (z[0] + z[2])])
+    cuts = np.sort(rng.integers(0, M + 1, size=7))
+    total = _folded(x, cuts)
+    assert total.count == M
+    np.testing.assert_allclose(total.mean, x.mean(axis=1), rtol=1e-12, atol=0)
+    assert total.minimum.tobytes() == x.min(axis=1).tobytes()
+    if M > 1:
+        std = np.sqrt(np.diag(total.comoment) / (M - 1))
+        np.testing.assert_allclose(std, x.std(axis=1, ddof=1), rtol=1e-12, atol=0)
+        # each covariance relative to the spreads of its two columns
+        assert np.all(np.abs(total.comoment / (M - 1) - np.cov(x)) <= 1e-12 * np.outer(std, std))
+    # the fold's bits depend on the count alone, not on the blocks it was given
+    whole = _folded(x, [])
+    for a, b in zip(total, whole):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_a_probe_solved_alone_is_its_column_of_the_table():
+    vf = McValueFunction(BROWNIAN, make_cylindrical("x_norm_sq"), None, 1.0, 0.05, 6000, 23,
+                         DIRAC0)
+    probes = [(t, np.array([x])) for t in (0.0, 0.5) for x in (-1.0, 0.0, 1.0)]
+    # alone a probe runs in one chunk of M; in the table, whose widest flow
+    # group has three columns, in two chunks
+    assert feynman_kac._chunk_size(1) >= vf.M > feynman_kac._chunk_size(3)
+    assert vf.solve_all(probes) == [vf.solve(t, x) for t, x in probes]
+
+
+def test_log_transform_names_a_nonpositive_minimum_in_a_later_chunk(monkeypatch):
+    monkeypatch.setattr(feynman_kac, "TILE", 512)
+    monkeypatch.setattr(feynman_kac, "CHUNK_UNIT", 256)
+
+    def outer(value):
+        return CylindricalFunction(OuterFunction("test", None, value))
+
+    vf = McValueFunction(BROWNIAN, outer(lambda t, x, r: x[..., 0]), None, 1.0, 0.25, 3000, 5,
+                         DIRAC0)
+    ends = vf.samples(0.0, [0.0])
+    top = int(np.argmax(ends))
+    # past the first 512-particle chunk and the first leaf of the fold
+    assert top >= feynman_kac.FOLD_ROWS
+    cut = 0.5 * (ends[top] + np.sort(ends)[-2])
+    logged = dataclasses.replace(
+        vf, Phi=outer(lambda t, x, r: np.where(x[..., 0] > cut, -0.5, 1.0)), beta=1.0)
+    with pytest.raises(DataError, match="fell to -0.5,"):
+        logged.solve(0.0, [0.0])
+
+
+def test_feynman_kac_run_samples_its_probes_at_the_config_seed(monkeypatch, tmp_path):
+    # the run's table is one group whose column 0 is probe 0 (t = 0, x = -1)
+    cfg = parse_config(PRESETS["feynman-kac-heat"].replace("M = 100000", "M = 3000"))
+    firsts = []
+    chunks = McValueFunction.sample_chunks
+
+    def recorded(self, groups):
+        assert len(groups) == 1 and len(groups[0]) == 6 and self.seed == cfg.seed
+        for a, b, [block] in chunks(self, groups):
+            firsts.append(block[0].copy())
+            yield a, b, [block]
+
+    monkeypatch.setattr(McValueFunction, "sample_chunks", recorded)
+    run_scenario(cfg, str(tmp_path))
+    monkeypatch.undo()
+    probe0 = _value_function(cfg).samples(0.0, [-1.0])
+    assert np.concatenate(firsts).tobytes() == probe0.tobytes()

@@ -150,11 +150,24 @@ def test_pde_residual_peak_stays_below_one_noise_block():
         M=M, seed=19, mu=dirac([0.0]),
     )
     probes = [(0.0, [0.0]), (0.5, [1.0])]
-    # the two probes' (M, 7) sample tables (2.2 MB), one chunk of noise
-    # (2.5 MB) and six frozen flows; holding the whole block would cross the
-    # bound by itself
+    # one chunk of noise (2.5 MB), its samples and one fold leaf per column;
+    # holding the whole block would cross the bound by itself
     peak = _peak_of(lambda: pde_residual_mc(vf, "linear", probes))
     assert peak < 0.75 * block
+
+
+def test_solve_all_peak_stays_below_its_sample_table():
+    M = 200_000
+    vf = McValueFunction(
+        coeff=BROWNIAN, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=1.0, dt=0.05,
+        M=M, seed=19, mu=dirac([0.0]),
+    )
+    probes = [(t, [x]) for t in (0.0, 0.5) for x in (-1.0, 0.0, 1.0)]
+    # the (M, 6) table would be 9.6 MB; the fold holds one 5120-particle
+    # chunk of noise (0.8 MB) and samples, and one leaf per column (2 MB
+    # in all, whatever M)
+    peak = _peak_of(lambda: vf.solve_all(probes))
+    assert peak < 0.5 * 8 * M * len(probes)
 
 
 def test_table_flows_share_one_read_only_increment_block(monkeypatch):
