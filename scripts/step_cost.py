@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Median cost of one Euler step and of one drawn normal, for fixed sets of cases.
 
-The decoupled cases iterate ``dynamics._euler_steps`` over a (K, B, d) state
-of K columns of B paths against one fixed measure, as a Monte Carlo tile
-does; the interacting case iterates ``dynamics._interacting`` on N
-particles, each step reading the ensemble's own snapshot.  Increments are
-drawn before timing, so noise generation is not counted.  Each case is timed
-REPS times over N_STEPS steps; the median per-step cost is printed, one row
-per case.  A second table prints the median nanoseconds per normal that
-``dynamics.brownian_increments`` takes to draw N_STEPS steps of noise (m = 1)
-in each stream domain: the decoupled paths of one Monte Carlo chunk, keyed
-per block of 1024 paths, and the particles of an interacting run, keyed per
-particle.
+The decoupled cases call ``dynamics._euler_step`` on a (K, B, d) state of K
+columns of B paths against one fixed measure, as the Monte Carlo sampler
+steps a flow group of one chunk (B = ``feynman_kac.CHUNK``); the interacting
+case iterates ``dynamics._interacting`` on N particles, each step reading the
+ensemble's own snapshot.  Increments are drawn before timing, so noise
+generation is not counted.  Each case is timed REPS times over N_STEPS steps;
+the median per-step cost is printed, one row per case.  A second table
+prints the median nanoseconds per normal of N_STEPS steps of noise (m = 1)
+in each stream domain: the rows of one Monte Carlo chunk, keyed per block of
+1024 paths and drawn one at a time by ``dynamics.decoupled_rows``,
+and the block of an interacting run, keyed per particle and drawn whole by
+``dynamics.brownian_increments``.
 
     PYTHONPATH=src python scripts/step_cost.py
 """
@@ -25,10 +26,12 @@ from mfsde import dirac, make_coefficients
 from mfsde.dynamics import (
     DOMAIN_DECOUPLED,
     DOMAIN_INTERACTING,
-    _euler_steps,
+    _euler_step,
     _interacting,
     brownian_increments,
+    decoupled_rows,
 )
+from mfsde.feynman_kac import CHUNK
 from mfsde.measure import EmpiricalMeasure
 
 N_STEPS = 100
@@ -37,15 +40,14 @@ DT = 1e-2
 
 # (scheme, field, d, K, paths): d = m; K columns of B paths, or N particles
 CASES = (
-    ("decoupled", "brownian", 1, 1, 4096),
-    ("decoupled", "brownian", 1, 8, 2048),
-    ("decoupled", "brownian", 1, 1, 16384),
-    ("decoupled", "mean_revert", 2, 8, 2048),
+    ("decoupled", "brownian", 1, 1, CHUNK),
+    ("decoupled", "brownian", 1, 15, CHUNK),
+    ("decoupled", "mean_revert", 2, 8, CHUNK),
     ("interacting", "brownian", 1, 1, 2000),
 )
 # (domain name, domain, paths) of the noise cases
 NOISE_CASES = (
-    ("decoupled", DOMAIN_DECOUPLED, 16384),
+    ("decoupled", DOMAIN_DECOUPLED, CHUNK),
     ("interacting", DOMAIN_INTERACTING, 2000),
 )
 
@@ -66,15 +68,19 @@ def step_seconds(scheme, name, d, k, paths, n_steps):
     state = np.zeros((k, paths, d))
     state.flags.writeable = False
     start = time.perf_counter()
-    for _ in _euler_steps(coeff, state, times, increments, DT, lambda j, x: mu):
-        pass
+    for j, dw in enumerate(increments):
+        state = _euler_step(coeff, times[j], state, mu, dw, DT, j)
     return (time.perf_counter() - start) / n_steps
 
 
 def noise_seconds(domain, paths, n_steps):
-    """Wall seconds of one brownian_increments draw of (n_steps, paths, 1) normals."""
+    """Wall seconds to draw (n_steps, paths, 1) increments of the domain."""
     start = time.perf_counter()
-    brownian_increments(0, paths, n_steps, 1, DT, domain)
+    if domain == DOMAIN_DECOUPLED:
+        for _ in decoupled_rows(0, paths, n_steps, 1, DT):
+            pass
+    else:
+        brownian_increments(0, paths, n_steps, 1, DT, domain)
     return time.perf_counter() - start
 
 

@@ -45,12 +45,7 @@ from .dynamics import (
     semigroup_apply,
 )
 from .errors import ConfigError, ContractError
-from .feynman_kac import (
-    TILE,
-    McValueFunction,
-    npy_identity_gap,
-    pde_residual_mc,
-)
+from .feynman_kac import McValueFunction, npy_identity_gap, pde_residual_mc
 from .functionals import (
     build_pair_from_V,
     girsanov_replay,
@@ -492,8 +487,9 @@ def _log_rules(values, failed, violations):
 
 
 def _mc_block(values):
-    """The larger of the n_flow frozen-flow particles and a TILE chunk of M paths."""
-    return max(values["n_flow"], min(values["M"], TILE))
+    """The n_flow frozen-flow particles: the one block of L steps of noise a
+    Monte Carlo run holds, since its M paths draw theirs a row at a time."""
+    return values["n_flow"]
 
 
 # one scenario: its runner; the keys it reads, each mapped to its default:

@@ -13,11 +13,10 @@ easy as 1, 2, 3", SC'11).  A counter-based stream is fixed by its (key,
 counter) pair alone, so one Philox generator serves a whole noise array: it
 is re-keyed, with its counter reset, before each stream's draws.  A path's
 noise does not depend on which call draws it, so a caller can draw paths in
-chunks (``brownian_increments(..., first=a)``) and get the bits of one whole
-block.  Noise moves only as such read-only increments; the Euler steps
-advance (N, d) or (K, N, d) states, and their per-step costs, which set the
-Monte Carlo chunk and tile sizes of ``feynman_kac``, are given in
-``_euler_steps``.
+chunks (``first=a``) and get the bits of one whole block, and decoupled rows
+one step at a time (``decoupled_rows``).  Noise moves only as such read-only
+increments; ``_euler_step`` advances an (N, d) or (K, N, d) state by one of
+them, and gives its cost.
 
 No interacting run is recorded: a run is a generator of its grid points,
 ``StreamedFlow.steps(s, t)`` runs it again on every call, and the frozen
@@ -84,47 +83,18 @@ def _raw_normals(seed, n_particles, n_steps, m, domain, first=0):
     """Fresh standard normals of particles [first, first + n_particles), shape
     (n_steps, n_particles, m).
 
-    In DOMAIN_DECOUPLED, row k of block j (particles [NOISE_BLOCK j,
-    NOISE_BLOCK (j + 1))) is the stream keyed by block j, its counter at
-    [0, k, 0, 0]; in every other domain ``raw[:, i]`` is the stream of
-    particle ``first + i``.  Either way the block of particles [a, b) equals
-    ``raw[:, a:b]`` of a block drawn from particle 0, bit for bit, so a
-    caller can draw its particles in chunks, and a longer block's step
-    prefix equals a shorter one, so callers that reuse noise on purpose draw
-    the longest block once and slice it.
+    In DOMAIN_DECOUPLED row k is row k of decoupled_rows at dt = 1 (a
+    product with 1.0 keeps every bit); in every other domain ``raw[:, i]`` is the stream of particle ``first + i``.  Either way
+    the block of particles [a, b) equals ``raw[:, a:b]`` of a block drawn
+    from particle 0, bit for bit, so a caller can draw its particles in
+    chunks, and a longer block's step prefix equals a shorter one, so callers
+    that reuse noise on purpose draw the longest block once and slice it.
     """
-    # the first particle's stream key stands for (seed, domain) and validates both
-    word0, word1 = _stream_key(seed, first, domain)
-    n_particles = check_count("n_particles", n_particles, 1)
-    n_steps = check_count("n_steps", n_steps, 0)
-    m = check_count("m", m, 1)
-    _stream_key(seed, first + n_particles - 1, domain)
-    # One generator serves every stream: re-keying its Philox with the
-    # counter and output buffer reset gives exactly the draws of a generator
-    # built on that (key, counter), at a fraction of the cost of constructing
-    # one (which also reads OS entropy) per stream.  The second key word is
-    # the domain's bits plus the particle or block index; the key check of
-    # the last particle keeps either from carrying into the domain bits.
-    bits = np.random.Philox()
-    gen = np.random.Generator(bits)
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    (word0, word1), bits, gen, state = _philox(seed, n_particles, n_steps, m, domain, first)
     raw = np.empty((n_steps, n_particles, m))
     if domain == DOMAIN_DECOUPLED:
-        # one re-key per step row of a block, drawn straight into its slice
-        # of raw; a chunk that starts inside a block discards the row's draws
-        # of the particles before it
-        end = first + n_particles
-        for j in range(first // NOISE_BLOCK, (end - 1) // NOISE_BLOCK + 1):
-            lo, hi = max(first, NOISE_BLOCK * j), min(end, NOISE_BLOCK * (j + 1))
-            skipped = np.empty((lo - NOISE_BLOCK * j, m))
-            state["state"]["key"] = [word0, (domain << 48) + j]
-            for k in range(n_steps):
-                state["state"]["counter"] = [0, k, 0, 0]
-                bits.state = state
-                if skipped.size:
-                    gen.standard_normal(out=skipped)
-                gen.standard_normal(out=raw[k, lo - first : hi - first])
+        for k, row in enumerate(decoupled_rows(seed, n_particles, n_steps, m, 1.0, first)):
+            raw[k] = row
         return raw
     # per-particle streams: each is drawn contiguously into a small tile,
     # which is written into the step-major block once (a tile of _DRAW_TILE
@@ -140,9 +110,66 @@ def _raw_normals(seed, n_particles, n_steps, m, domain, first=0):
     return raw
 
 
+def _philox(seed, n_particles, n_steps, m, domain, first):
+    """(key words of particle ``first``, bit generator, generator, state) of
+    a draw of particles [first, first + n_particles), once its counts and
+    the keys of its first and last particles check out.
+
+    One Philox serves every stream of the draw: re-keying it with the
+    counter and output buffer reset gives exactly the draws of a generator
+    built on that (key, counter), at a fraction of the cost of constructing
+    one (which also reads OS entropy) per stream.
+    """
+    # the first key stands for (seed, domain) and validates both; the last
+    # keeps the particle or block index from carrying into the domain bits
+    words = _stream_key(seed, first, domain)
+    n_particles = check_count("n_particles", n_particles, 1)
+    check_count("n_steps", n_steps, 0)
+    check_count("m", m, 1)
+    _stream_key(seed, first + n_particles - 1, domain)
+    bits = np.random.Philox()
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return words, bits, np.random.Generator(bits), state
+
+
+def decoupled_rows(seed, n_particles, n_steps, m, dt, first=0):
+    """Row k = 0 .. n_steps - 1 of the DOMAIN_DECOUPLED increments of
+    particles [first, first + n_particles), drawn when it is asked for: a
+    fresh read-only (n_particles, m) array, bit for bit row k of
+    ``brownian_increments(seed, n_particles, n_steps, m, dt, DOMAIN_DECOUPLED,
+    first)``.
+
+    Row k of block j (particles [NOISE_BLOCK j, NOISE_BLOCK (j + 1))) is the
+    stream keyed by block j, its counter at [0, k, 0, 0], so a caller that
+    steps its paths row by row never holds the (n_steps, n_particles, m)
+    block.  A draw that starts inside a block discards the row's draws of
+    the particles before it.
+    """
+    if not dt > 0:
+        raise ContractError(f"dt must be positive, got {dt!r}")
+    (word0, _), bits, gen, state = _philox(seed, n_particles, n_steps, m, DOMAIN_DECOUPLED, first)
+    end = first + n_particles
+    blocks = [(j, max(first, NOISE_BLOCK * j), min(end, NOISE_BLOCK * (j + 1)))
+              for j in range(first // NOISE_BLOCK, (end - 1) // NOISE_BLOCK + 1)]
+    for k in range(n_steps):
+        row = np.empty((n_particles, m))
+        state["state"]["counter"] = [0, k, 0, 0]
+        for j, lo, hi in blocks:
+            state["state"]["key"] = [word0, (DOMAIN_DECOUPLED << 48) + j]
+            bits.state = state
+            if lo > NOISE_BLOCK * j:
+                gen.standard_normal((lo - NOISE_BLOCK * j, m))
+            gen.standard_normal(out=row[lo - first : hi - first])
+        row *= np.sqrt(dt)
+        row.flags.writeable = False
+        yield row
+
+
 def brownian_increments(seed, n_particles, n_steps, m, dt, domain=DOMAIN_INTERACTING, first=0):
     """Read-only increments sqrt(dt) * normals, shape (n_steps, n_particles, m):
-    the one place noise is drawn, with the chunk and prefix rules of _raw_normals."""
+    the one place a block of noise is drawn, with the chunk and prefix rules
+    of _raw_normals."""
     if not dt > 0:
         raise ContractError(f"dt must be positive, got {dt!r}")
     noise = _raw_normals(seed, n_particles, n_steps, m, domain, first)
@@ -335,9 +362,10 @@ def _check_finite(x, k, first=0):
 
     Particle i of the last two axes is reported as ``first + i``.
     """
-    # two reductions settle the common case; a NaN fails both comparisons and
-    # falls through to the search for the offending particle
-    if x.min() >= -BLOWUP_GUARD and x.max() <= BLOWUP_GUARD:
+    # one BLAS pass settles the common case, as a sum of squares within
+    # (GUARD / 2)^2 bounds every entry; vdot reads no floating-point flags, so
+    # a square past the largest float, a NaN or an inf falls through quietly
+    if np.vdot(x, x) <= (BLOWUP_GUARD / 2) ** 2:
         return
     n, d = x.shape[-2:]
     flat = x.reshape(-1, d)
@@ -351,77 +379,69 @@ def _check_finite(x, k, first=0):
         )
 
 
-def _euler_steps(coeff, state, times, increments, dt, law, first=0):
-    """Euler steps of ``state`` over the grid ``times``, the body both schemes share.
+def on_paths(out, core, x):
+    """A coefficient's output with ``core`` trailing axes, laid out on the
+    path axes of the state x ((N, d) or (K, N, d)) when it has a row per
+    path; any other output broadcasts against them as it is."""
+    out = np.asarray(out)
+    if out.ndim > core and out.shape[0] * x.shape[-1] == x.size:
+        return out.reshape(x.shape[:-1] + out.shape[1:])
+    return out
 
-    Yields (t_k, x_k, mu_k, dW_k) at each grid point before advancing it,
-    and (t_L, x_L, mu_L, None) at the last.  ``state`` is (N, d), or
-    (K, N, d) for K columns of N paths that read the same law and the same
-    (N, m) increments, which broadcast across the columns without a copy;
-    the coefficients see the state as (K*N, d).  An output with a row per
-    path is laid out on the (K, N) axes; one without (an x-independent b or
-    sigma, see CoefficientField) broadcasts, so the diffusion increment of
-    such a sigma is formed once per step from the (N, m) increments, for all
-    K columns.  ``law(k, x)`` is the measure argument at step k: the
-    ensemble's own snapshot, or a frozen flow's.  Every new state is a
-    fresh read-only array, so a caller may keep it, finite-checked with its
-    paths named from ``first``.
+
+def _euler_step(coeff, t, x, mu, dw, dt, k, first=0):
+    """The Euler step x + b dt + sigma dW of the state x at time t and law
+    mu: a fresh read-only array, finite-checked as step k + 1 with its paths
+    named from ``first``.  x is (N, d), or (K, N, d) for K columns of N paths
+    that read the same law and the same (N, m) increments dw, which broadcast
+    across the columns without a copy, so the diffusion increment of an
+    x-independent sigma is formed once for all K (see on_paths).
 
     A step costs a fixed 20-25 us (coefficient calls, einsum set-up, the
-    finiteness check) plus about 2.9 ns per path at 4K-16K paths in one
-    column; the per-path cost rises to about 4 ns at 32K-1e5 paths, once the
-    step's arrays outgrow the 2 MiB L2 cache.  A tile of K columns pays the
-    diffusion once for its N paths: 8 x 2048 paths take about 45 us a step,
-    16384 paths in one column 69 us (d = m = 1, brownian field,
-    ``scripts/step_cost.py``, one core of a shared 2-core Xeon; host load
-    moves these by about 15%).
+    finiteness check) plus about 0.8-1.2 ns per path of a (K, 5120, 1)
+    brownian state, K = 1 to 15, and 16-20 ns per path at d = m = 2 under
+    mean_revert (``scripts/step_cost.py``, one thread on a shared 2-core
+    Xeon; host load moves these by 15-30%).
     """
-    shape = state.shape
-    n_paths = state.size // shape[-1]
+    flat = x.reshape(-1, x.shape[-1])
+    drift = on_paths(coeff.b(t, flat, mu), 1, x)
+    sigma = on_paths(coeff.sigma(t, flat, mu), 2, x)
+    # (N, d) once for a sigma without path rows, broadcast across the K columns
+    diff = np.einsum("...dm,...m->...d", sigma, dw)
+    # x + b dt + diff, summed in the new state's own array (a caller may keep
+    # x; the coefficient's outputs are never written); b dt is formed at b's
+    # own shape, so a (d,) drift costs d products, not one per path
+    nxt = np.empty(x.shape)
+    np.add(x, drift * dt, out=nxt)
+    nxt += diff
+    nxt.flags.writeable = False
+    _check_finite(nxt, k + 1, first)
+    return nxt
 
-    def on_paths(out, core):
-        # an output with a row per path takes the state's (K, N) path axes;
-        # any other output broadcasts against them as it is
-        out = np.asarray(out)
-        if out.ndim > core and out.shape[0] == n_paths:
-            return out.reshape(shape[:-1] + out.shape[1:])
-        return out
 
+def _euler_steps(coeff, state, times, increments, dt, weights):
+    """Euler steps of the (N, d) ``state`` over the grid ``times``, one
+    _euler_step each, every particle reading the ensemble's own snapshot: a
+    read-only view of the state with the shared array ``weights``.
+
+    Yields (t_k, x_k, mu_k, dW_k) at each grid point before advancing it,
+    and (t_L, x_L, mu_L, None) at the last.  Every state is read-only, so a
+    caller may keep it.
+    """
     for k, dw in enumerate(increments):
-        mu = law(k, state)
+        mu = EmpiricalMeasure._snapshot(state, weights)
         yield times[k], state, mu, dw
-        flat = state.reshape(n_paths, shape[-1])
-        drift = on_paths(coeff.b(times[k], flat, mu), 1)
-        sigma = on_paths(coeff.sigma(times[k], flat, mu), 2)
-        # (N, d) once for a sigma without path rows, broadcast across the K columns
-        diff = np.einsum("...dm,...m->...d", sigma, dw)
-        # x + b dt + diff, summed in the new state's own array (a caller may
-        # keep x_k; the coefficient's outputs are never written); b dt is
-        # formed at b's own shape, so a (d,) drift costs d products, not one per path
-        nxt = np.empty(shape)
-        np.add(state, drift * dt, out=nxt)
-        nxt += diff
-        nxt.flags.writeable = False
-        _check_finite(nxt, k + 1, first)
-        state = nxt
-    last = len(increments)
-    yield times[last], state, law(last, state), None
+        state = _euler_step(coeff, times[k], state, mu, dw, dt, k)
+    yield times[len(increments)], state, EmpiricalMeasure._snapshot(state, weights), None
 
 
 def _interacting(coeff, init, times, dt, seed, increments):
     """The interacting scheme over ``times`` and (L, N, m) ``increments``:
-    the generator of its grid points (see _euler_steps).
-
-    Every particle reads the ensemble's own snapshot: a read-only view of the
-    state that shares one weights array with every other snapshot.  The
-    full constructor checks the initial state and builds those weights.
+    the generator of its grid points (see _euler_steps).  The full
+    constructor checks the initial state and builds the snapshots' weights.
     """
     mu0 = EmpiricalMeasure(_initial_states(init, increments.shape[1], coeff.d, seed))
-
-    def law(k, x):
-        return EmpiricalMeasure._snapshot(x, mu0.weights)
-
-    return _euler_steps(coeff, mu0.points, times, increments, dt, law)
+    return _euler_steps(coeff, mu0.points, times, increments, dt, mu0.weights)
 
 
 def _law_curve(coeff, init, times, dt, seed, increments):

@@ -17,23 +17,18 @@ derivatives, including the drift-coupled PDE, which no estimator here solves.
 
 Every estimate reads one sampler, :meth:`McValueFunction.sample_chunks`,
 which evaluates a table of columns (start time, start point, measure) in
-chunks of particles.  Each chunk draws its decoupled noise once and runs
-every column against it, and the estimates fold each chunk's samples into
-per-column moments (:class:`MomentFold`), so memory does not grow with M.
-Columns that share (t, mu) share one frozen flow, simulated only when a
-term reads the law, and run as one Euler loop over a (K, B, d) state, in
-tiles of at most TILE paths: a step costs a fixed 20-25 us plus about
-2.9 ns per path at 4K-16K paths, against about 4 ns at 32K-1e5, and the
-diffusion increment of an x-independent sigma is formed once for all K
-columns of a tile (see ``dynamics._euler_steps``), so a tile is large
-enough to amortise the fixed cost and small enough to stay in cache.  A
-chunk is the largest multiple of CHUNK_UNIT particles whose widest group of
-K columns fits one TILE, but at least 2 * CHUNK_UNIT.  CHUNK_UNIT is the
-noise block of ``dynamics.NOISE_BLOCK`` paths, which share one Philox key
-per step, so a chunk re-keys once per block and step.  Particle i's noise
-is the same whatever chunk draws it, and the fold's leaves are FOLD_ROWS
-particles wherever the chunks end, so chunk and tile sizes never change a
-result.
+chunks of CHUNK particles, and the estimates fold each chunk's samples into
+per-column moments (:class:`MomentFold`), so memory grows with neither M
+nor the step count.  Columns that share (t, mu) share one frozen flow,
+simulated only when a term reads the law, and one (K, B, d) state, and all
+groups step in lockstep: a chunk draws row k of its increments once and
+hands it to every group whose grid has a step k, so a table of G groups
+over L steps makes about G L Euler steps per chunk, each paying a fixed
+20-25 us (see ``dynamics._euler_step``), and never holds an (L, B, m)
+block.  A chunk is whole noise blocks of ``dynamics.NOISE_BLOCK`` paths,
+which share one Philox key per step.  Particle i's noise is the same
+whatever chunk draws it, and the fold's leaves are FOLD_ROWS particles
+wherever the chunks end, so the chunk size never changes a result.
 """
 
 from __future__ import annotations
@@ -45,15 +40,15 @@ import numpy as np
 
 from .calculus import CylindricalFunction
 from .dynamics import (
-    DOMAIN_DECOUPLED,
     DOMAIN_MEASURE_SHIFT,
     NOISE_BLOCK,
-    _euler_steps,
+    _euler_step,
     _grid,
     _law_curve,
     brownian_increments,
     check_count,
     coefficients_at,
+    decoupled_rows,
     particle_stream,
     start_point,
 )
@@ -198,23 +193,15 @@ def npy_identity_gap(coeff, V, t, x, mu):
     return abs(lhs - rhs)
 
 
-#: paths one Euler loop advances at most, over a (K, B, d) state of K
-#: columns of a B-particle chunk (see the module docstring)
-TILE = 16_384
-#: a particle chunk is a whole multiple of this, and at least two of it; a
-#: chunk of whole noise blocks draws no normal it discards
-CHUNK_UNIT = NOISE_BLOCK
+#: particles per chunk of the sampler: whole noise blocks, so a chunk
+#: re-keys once per block and row and draws no normal it discards, and
+#: whole fold leaves (see the module docstring)
+CHUNK = 5 * NOISE_BLOCK
 
 
-def _chunk_size(k_max):
-    """Particles per chunk when the widest flow group has ``k_max`` columns."""
-    return max(2 * CHUNK_UNIT, TILE // k_max // CHUNK_UNIT * CHUNK_UNIT)
-
-
-#: particles per leaf of a MomentFold: fixed, not CHUNK_UNIT, so that the
-#: bits of a moment depend on the sample count alone, however the sampler
-#: chunks the particles (a chunk is a whole number of leaves at the default
-#: CHUNK_UNIT)
+#: particles per leaf of a MomentFold: fixed, not CHUNK, so that the bits
+#: of a moment depend on the sample count alone, however the sampler chunks
+#: the particles
 FOLD_ROWS = NOISE_BLOCK
 
 
@@ -383,11 +370,14 @@ class McValueFunction:
         with mu None for the function's own measure.  Yields (a, b, blocks)
         for particles a..b-1 in order, where row j of blocks[g], an
         (n_g, b - a) array, holds column j of group g: exactly those
-        particles' samples of ``samples(t, x, mu)``.  Every column is
-        checked before any path is simulated.  Each distinct (t, mu) gets
-        one frozen flow, whose noise is a step prefix of one block of flow
-        increments, and all columns run on the same decoupled streams
-        (common random numbers), drawn once per chunk of particles.  When no
+        particles' samples of ``samples(t, x, mu)``: Phi at the terminal
+        state and law (when used) minus the left-endpoint integral of
+        f_field along the path (when used).  Every column is checked before
+        any path is simulated.  Each distinct (t, mu) gets one frozen flow,
+        whose noise is a step prefix of one block of flow increments, and
+        its K columns one (K, B, d) state.  All columns run on the same
+        decoupled streams (common random numbers): a chunk draws increment
+        row k once and steps every group whose grid has a step k.  When no
         term reads the law (a measure-free field, a Phi without inner
         functions and no f_field), no flow is simulated: every column reads
         its own measure at every grid point.
@@ -417,48 +407,34 @@ class McValueFunction:
                 laws = (mu,) * len(times)
             r_T = None if self.Phi is None else self.Phi.inner_integrals(laws[-1])
             runs.append((times, laws, r_T, cols))
-        chunk = _chunk_size(max(len(cols) for *_, cols in runs))
-        tile = max(1, TILE // chunk)
-        for a in range(0, self.M, chunk):
-            b = min(a + chunk, self.M)
-            noise = brownian_increments(
-                self.seed, b - a, n_steps, self.coeff.m, self.dt, DOMAIN_DECOUPLED, a)
-            blocks = [np.empty((len(group), b - a)) for group in groups]
-            for times, laws, r_T, cols in runs:
-                for i in range(0, len(cols), tile):
-                    self._run_tile(
-                        times, laws, r_T, cols[i : i + tile], noise[: len(times) - 1], a, blocks)
-            yield a, b, blocks
-
-    def _run_tile(self, times, laws, r_T, cols, increments, first, blocks):
-        """Samples of particles [first, first + B) of K columns on one frozen
-        law curve, the snapshots ``laws`` at the grid points ``times``.
-
-        Phi at the terminal state and law (when used) minus the
-        left-endpoint integral of f_field along the path (when used), whose
-        step is the grid's spacing times[1] - times[0]; column j of group g
-        goes to row j of the chunk's blocks[g].
-        """
-        n = increments.shape[1]
-        state = np.empty((len(cols), n, self.coeff.d))
-        for c, (_, _, x) in enumerate(cols):
-            state[c] = x
-        state.flags.writeable = False
-        integral = None if self.f_field is None else np.zeros((len(cols), n))
-        for t_k, x_k, mu_k, dw in _euler_steps(
-            self.coeff, state, times, increments, self.dt, lambda k, x: laws[k], first
-        ):
-            if integral is not None and dw is not None:
-                step = times[1] - times[0]
-                for c, x_c in enumerate(x_k):
-                    integral[c] += np.asarray(self.f_field(t_k, x_c, mu_k), dtype=float) * step
-        # the pass has ended at the terminal state x_k
-        for c, (g, j, _) in enumerate(cols):
-            if self.Phi is not None:
-                sample = np.asarray(self.Phi.outer.value(self.T, x_k[c], r_T), dtype=float)
-                blocks[g][j] = sample if integral is None else sample - integral[c]
-            else:
-                blocks[g][j] = -integral[c]
+        for a in range(0, self.M, CHUNK):
+            n = min(CHUNK, self.M - a)
+            # each flow group's (K, B, d) state of its columns' start points,
+            # and its running-cost integral
+            states = [np.broadcast_to(np.array([x for *_, x in cols])[:, None],
+                                      (len(cols), n, self.coeff.d)) for *_, cols in runs]
+            integrals = [None if self.f_field is None else np.zeros((len(cols), n))
+                         for *_, cols in runs]
+            for k, dw in enumerate(
+                    decoupled_rows(self.seed, n, n_steps, self.coeff.m, self.dt, a)):
+                for i, (times, laws, _, _) in enumerate(runs):
+                    if k + 1 >= len(times):
+                        continue
+                    if integrals[i] is not None:
+                        for c, x_c in enumerate(states[i]):
+                            integrals[i][c] += np.asarray(self.f_field(
+                                times[k], x_c, laws[k]), dtype=float) * (times[1] - times[0])
+                    states[i] = _euler_step(
+                        self.coeff, times[k], states[i], laws[k], dw, self.dt, k, a)
+            blocks = [np.empty((len(group), n)) for group in groups]
+            for (_, _, r_T, cols), x_T, integral in zip(runs, states, integrals):
+                for c, (g, j, _) in enumerate(cols):
+                    if self.Phi is None:
+                        blocks[g][j] = -integral[c]
+                        continue
+                    sample = np.asarray(self.Phi.outer.value(self.T, x_T[c], r_T), dtype=float)
+                    blocks[g][j] = sample if integral is None else sample - integral[c]
+            yield a, a + n, blocks
 
     def value_of_mean(self, mean):
         if self.beta is not None:

@@ -202,12 +202,15 @@ def _defect_floor(sq_means):
     """Weighted least-squares intercept of mean-square defect against dt.
 
     Returns (floor, se) where floor estimates lim_{dt -> 0} E[defect^2].  A
-    single level cannot separate slope from intercept; the floor is then 0.
+    single level cannot separate slope from intercept; the floor is then 0,
+    and a mean-square defect that is not finite makes it inf, with se 0.
     """
-    if len(sq_means) < 2:
-        return 0.0, 0.0
     dts = np.array([m[0] for m in sq_means])
     ys = np.array([m[1] for m in sq_means])
+    if not np.isfinite(ys).all():
+        return np.inf, 0.0
+    if len(sq_means) < 2:
+        return 0.0, 0.0
     if ys.max() <= 0.0:
         return 0.0, 0.0
     ses = np.array([max(m[2], 1e-12 * ys.max()) for m in sq_means])

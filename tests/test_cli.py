@@ -177,6 +177,17 @@ def test_falsified_preset_exits_nonzero(tmp_path):
     assert "FAIL" in summary
 
 
+def test_falsified_preset_with_an_overflowing_offset_fails_its_verdicts(tmp_path):
+    # once exit 3 from a raw LinAlgError (SVD did not converge) in the floor fit
+    text = PRESETS["path-independence-falsified"].replace("perturb_g = 0.1", "perturb_g = 1e200")
+    with np.errstate(over="ignore", invalid="ignore"):
+        status = run_scenario(parse_config(text), str(tmp_path))
+    assert status == 1
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    verdicts = [line for line in lines if line.startswith("Eq-ATT0")]
+    assert len(verdicts) == 2 and all(line.endswith(" FAIL") for line in verdicts)
+
+
 def test_csv_byte_identical_across_reruns(tmp_path):
     cfg = parse_config(PRESETS["w2-selftest"])
     a, b = tmp_path / "a", tmp_path / "b"

@@ -29,7 +29,7 @@ from mfsde.dynamics import (
     particle_stream,
     spot_check_lipschitz,
 )
-from mfsde.feynman_kac import MEASURE_DS, TILE, McValueFunction, _chunk_size, _measure_shifts
+from mfsde.feynman_kac import CHUNK, MEASURE_DS, McValueFunction, _measure_shifts
 from mfsde.generator import generator_parts
 from mfsde.measure import write_csv
 from replayed import replayed
@@ -113,6 +113,12 @@ def test_decoupled_rows_are_block_streams(seed, m):
     assert whole[:, : 2 * NOISE_BLOCK - first].tobytes() == start[:, first:].tobytes()
     short = dynamics._raw_normals(seed, n, 2, m, DOMAIN_DECOUPLED, first)
     assert short.tobytes() == whole[:2].tobytes()
+    # drawn a row at a time, each row is a fresh read-only row of the increments
+    block = brownian_increments(seed, n, n_steps, m, 0.04, DOMAIN_DECOUPLED, first)
+    rows = list(dynamics.decoupled_rows(seed, n, n_steps, m, 0.04, first))
+    assert b"".join(row.tobytes() for row in rows) == block.tobytes()
+    assert not any(row.flags.writeable for row in rows)
+    assert not any(np.shares_memory(row, rows[0]) for row in rows[1:])
 
 
 def test_chunked_draws_equal_rows_of_the_whole_block():
@@ -303,6 +309,26 @@ def test_blowup_names_exact_step_and_particle(loop, bad):
         else:
             _decoupled_samples(coeff, line([0.0, 1.0]), [0.5], 1.0, dt, 6, seed=0, n_flow=2)
     assert (exc.value.step, exc.value.particle) == (k_bad, 2)
+
+
+@pytest.mark.parametrize("shape", [(6, 2), (3, 6, 2)])
+@pytest.mark.parametrize("value, raises", [
+    (1.0000001 * dynamics.BLOWUP_GUARD, True), (-1.0000001 * dynamics.BLOWUP_GUARD, True),
+    (dynamics.BLOWUP_GUARD, False), (-dynamics.BLOWUP_GUARD, False),
+    (1e200, True), (np.nan, True), (np.inf, True), (-np.inf, True),
+])
+def test_finiteness_check_names_the_particle_past_the_guard(shape, value, raises):
+    # one entry among zeros, of particle 4 in the last column: past the guard
+    # or non-finite it is named from `first`, at exactly the guard it passes,
+    # and a square past the largest float raises no floating-point warning
+    x = np.zeros(shape)
+    x.reshape(-1, 6, 2)[-1, 4, 1] = value
+    if not raises:
+        dynamics._check_finite(x, 7, first=10)
+        return
+    with pytest.raises(SimulationError) as exc:
+        dynamics._check_finite(x, 7, first=10)
+    assert (exc.value.step, exc.value.particle) == (7, 14)
 
 
 def test_second_moment_gronwall_bound():
@@ -572,7 +598,7 @@ def test_per_path_twin_gives_the_same_bits(name):
 
 
 def test_per_path_twin_gives_the_same_samples():
-    # a K = 3 tile of a measure-dependent field, d = m = 2, beside columns on
+    # a K = 3 state of a measure-dependent field, d = m = 2, beside columns on
     # an antithetically shifted measure and a column that starts later
     coeff = make_coefficients("mean_revert", d=2, rate=1.5, s=0.7)
     init = EmpiricalMeasure(np.random.default_rng(4).standard_normal((5, 2)))
@@ -586,7 +612,7 @@ def test_per_path_twin_gives_the_same_samples():
         vf = McValueFunction(c, Phi, None, 1.0, 0.05, 64, 7, init, n_flow=16)
         [table] = vf.sample_table([columns])
         tables.append((shifted.points, table))
-    assert _chunk_size(3) * 3 <= TILE  # the three columns on init share one tile
+    assert 64 <= CHUNK  # one chunk: the three columns on init share one (3, 64, 2) state
     assert tables[0][0].tobytes() == tables[1][0].tobytes()
     assert tables[0][1].tobytes() == tables[1][1].tobytes()
 

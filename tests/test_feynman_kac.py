@@ -22,7 +22,6 @@ from mfsde import (
 )
 from mfsde.calculus import CylindricalFunction, OuterFunction
 from mfsde.cli import PRESETS, _value_function, parse_config, run_scenario
-from mfsde.dynamics import DOMAIN_DECOUPLED
 from mfsde.feynman_kac import MEASURE_DS, MomentFold, _diag_diffusion, _measure_shifts
 
 
@@ -198,6 +197,7 @@ def test_solver_rejects_reversed_interval(monkeypatch):
         raise AssertionError("noise drawn for an empty horizon")
 
     monkeypatch.setattr(dynamics, "_raw_normals", no_draw)
+    monkeypatch.setattr(feynman_kac, "decoupled_rows", no_draw)
     Phi = make_cylindrical("x_norm_sq")
     with pytest.raises(ContractError, match="need T >= t"):
         McValueFunction(BROWNIAN, Phi, None, 0.5, 0.25, 8, 0, DIRAC0).solve(1.0, np.array([0.0]))
@@ -558,26 +558,23 @@ def _chunked_outputs(tmp_path):
     return out
 
 
-# (TILE, CHUNK_UNIT): one chunk of 200; chunks of 100 or 50 particles that
-# divide M = 200; chunks of 48 or 32 (one column per Euler loop) and of 294
-# or 56 particles that do not
-CHUNKINGS = [(16_384, 1024), (100, 25), (48, 16), (300, 7)]
+# CHUNK: one chunk of 200; chunks of 100 particles that divide M = 200, and
+# of 48 or 7 that do not
+CHUNKS = [feynman_kac.CHUNK, 100, 48, 7]
 
 
-@pytest.mark.parametrize("tile, unit", CHUNKINGS[1:])
-def test_samples_and_tables_identical_across_chunk_sizes(tile, unit, tmp_path, monkeypatch):
+@pytest.mark.parametrize("chunk", CHUNKS[1:])
+def test_samples_and_tables_identical_across_chunk_sizes(chunk, tmp_path, monkeypatch):
     whole = _chunked_outputs(tmp_path)
     chunks = []
-    draw = dynamics._raw_normals
+    rows = feynman_kac.decoupled_rows
 
-    def counted(seed, n_particles, n_steps, m, domain, first=0):
-        if domain == DOMAIN_DECOUPLED:
-            chunks.append(n_particles)
-        return draw(seed, n_particles, n_steps, m, domain, first)
+    def counted(seed, n_particles, n_steps, m, dt, first=0):
+        chunks.append(n_particles)
+        return rows(seed, n_particles, n_steps, m, dt, first)
 
-    monkeypatch.setattr(feynman_kac, "TILE", tile)
-    monkeypatch.setattr(feynman_kac, "CHUNK_UNIT", unit)
-    monkeypatch.setattr(dynamics, "_raw_normals", counted)
+    monkeypatch.setattr(feynman_kac, "CHUNK", chunk)
+    monkeypatch.setattr(feynman_kac, "decoupled_rows", counted)
     assert _chunked_outputs(tmp_path) == whole
     assert min(chunks) < 200
     for terms, digest in SAMPLES_GOLDEN.items():
@@ -585,14 +582,52 @@ def test_samples_and_tables_identical_across_chunk_sizes(tile, unit, tmp_path, m
     assert hashlib.sha256(whole["d1_linear"]).hexdigest() == RESIDUAL_TABLE_GOLDEN
 
 
-def test_chunk_size_rule():
-    assert feynman_kac._chunk_size(1) == feynman_kac.TILE
-    assert feynman_kac._chunk_size(4) == 4096
-    assert feynman_kac._chunk_size(5) == 3072
-    # 15 columns of a 1024-particle chunk would fit one tile, but a chunk
-    # is at least two units
-    assert feynman_kac._chunk_size(15) == 2048
-    assert feynman_kac._chunk_size(100) == 2048
+def test_chunk_size_rule(monkeypatch):
+    # a chunk is whole noise blocks and whole fold leaves, whatever the table
+    assert feynman_kac.CHUNK == 5 * dynamics.NOISE_BLOCK
+    assert feynman_kac.CHUNK % feynman_kac.FOLD_ROWS == 0
+    spans = []
+    rows = feynman_kac.decoupled_rows
+
+    def counted(seed, n_particles, n_steps, m, dt, first=0):
+        spans.append((first, first + n_particles))
+        return rows(seed, n_particles, n_steps, m, dt, first)
+
+    monkeypatch.setattr(feynman_kac, "decoupled_rows", counted)
+    vf = McValueFunction(BROWNIAN, make_cylindrical("x_norm_sq"), None, 0.2, 0.05,
+                         2 * feynman_kac.CHUNK + 7, 3, DIRAC0)
+    for width in (1, 15):
+        spans.clear()
+        list(vf.sample_chunks([[(0.0, [0.1 * j], None) for j in range(width)]]))
+        c = feynman_kac.CHUNK
+        assert spans == [(0, c), (c, 2 * c), (2 * c, 2 * c + 7)]
+
+
+def test_each_increment_row_steps_every_flow_group_once(monkeypatch):
+    # flow groups of 1, 3 and 1 columns on grids of 4, 3 and 0 steps: row k is
+    # drawn once per chunk and steps each group whose grid has a step k
+    calls = []
+    step = feynman_kac._euler_step
+
+    def counted(coeff, t, x, mu, dw, dt, k, first):
+        calls.append((first, k, x.shape[0], dw))
+        return step(coeff, t, x, mu, dw, dt, k, first)
+
+    monkeypatch.setattr(feynman_kac, "_euler_step", counted)
+    monkeypatch.setattr(feynman_kac, "CHUNK", 64)
+    vf = McValueFunction(MEAN_REVERT, make_cylindrical("x_norm_sq"), None, 1.0, 0.25, 100, 5,
+                         MU0, n_flow=8)
+    columns = [[(0.0, [0.2], None), (0.25, [0.0], None)],
+               [(0.25, [0.3], None), (1.0, [0.0], None), (0.25, [-0.1], None)]]
+    tables = vf.sample_table(columns)
+    assert [(first, k, width) for first, k, width, _ in calls] == [
+        (first, k, width) for first in (0, 64) for k in range(4)
+        for width in ((1, 3) if k < 3 else (1,))]
+    for first, k, _, dw in calls:
+        row = [dw_j for first_j, k_j, _, dw_j in calls if (first_j, k_j) == (first, k)]
+        assert all(dw_j is row[0] for dw_j in row) and not row[0].flags.writeable
+    # the column that starts at T is its start point's datum, |0|^2
+    assert not tables[1][:, 1].any()
 
 
 def test_pde_residual_builds_one_flow_per_distinct_start(monkeypatch):
@@ -680,12 +715,12 @@ def test_measure_shifts_draw_from_their_own_domain(monkeypatch):
 
 def test_chunked_blowup_names_the_global_particle(monkeypatch):
     from mfsde import SimulationError
-    from mfsde.dynamics import DOMAIN_DECOUPLED, _raw_normals
+    from mfsde.dynamics import decoupled_rows
 
     dt, M = 0.25, 100
-    # step 1 puts path i at sqrt(dt) z_i; the drift of step 2 throws every
-    # path above the largest of the first 40 to infinity
-    first_step = _raw_normals(7, M, 4, 1, DOMAIN_DECOUPLED)[0, :, 0] * np.sqrt(dt)
+    # step 1 puts path i at its first increment; the drift of step 2 throws
+    # every path above the largest of the first 40 to infinity
+    first_step = next(decoupled_rows(7, M, 4, 1, dt))[:, 0]
     c = first_step[:40].max()
     expected = int(np.argmax(first_step > c))
     assert expected >= 40
@@ -697,13 +732,12 @@ def test_chunked_blowup_names_the_global_particle(monkeypatch):
         return out
 
     coeff = dataclasses.replace(BROWNIAN, b=b)
-    monkeypatch.setattr(feynman_kac, "TILE", 64)
-    monkeypatch.setattr(feynman_kac, "CHUNK_UNIT", 16)
+    monkeypatch.setattr(feynman_kac, "CHUNK", 32)
     vf = McValueFunction(
         coeff=coeff, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=1.0, dt=dt, M=M,
         seed=7, mu=dirac([0.0]), n_flow=4,
     )
-    # the column that blows up runs second in its Euler loop, in a later chunk
+    # the column that blows up is the second of its (K, B, d) state, in a later chunk
     with pytest.raises(SimulationError) as exc:
         vf.sample_table([[(0.0, [-100.0], None), (0.0, [0.0], None)]])
     assert (exc.value.step, exc.value.particle) == (2, expected)
@@ -748,15 +782,14 @@ def test_a_probe_solved_alone_is_its_column_of_the_table():
     vf = McValueFunction(BROWNIAN, make_cylindrical("x_norm_sq"), None, 1.0, 0.05, 6000, 23,
                          DIRAC0)
     probes = [(t, np.array([x])) for t in (0.0, 0.5) for x in (-1.0, 0.0, 1.0)]
-    # alone a probe runs in one chunk of M; in the table, whose widest flow
-    # group has three columns, in two chunks
-    assert feynman_kac._chunk_size(1) >= vf.M > feynman_kac._chunk_size(3)
+    # alone and in the table, M spans two chunks, so the moments fold the
+    # blocks of both
+    assert vf.M > feynman_kac.CHUNK
     assert vf.solve_all(probes) == [vf.solve(t, x) for t, x in probes]
 
 
 def test_log_transform_names_a_nonpositive_minimum_in_a_later_chunk(monkeypatch):
-    monkeypatch.setattr(feynman_kac, "TILE", 512)
-    monkeypatch.setattr(feynman_kac, "CHUNK_UNIT", 256)
+    monkeypatch.setattr(feynman_kac, "CHUNK", 512)
 
     def outer(value):
         return CylindricalFunction(OuterFunction("test", None, value))

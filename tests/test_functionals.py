@@ -260,6 +260,25 @@ def test_perturbed_pair_fails_with_flat_defect():
     assert report.defect_floor == pytest.approx(0.1, rel=0.1)
 
 
+def test_a_defect_past_the_largest_float_gives_an_infinite_floor():
+    # g offset by 1e200: the squared defect overflows to inf, and its
+    # mean-square fit once ended in a raw LinAlgError (SVD did not converge)
+    coeff = make_coefficients("brownian", s=1.0)
+    V = make_cylindrical("coord", outer_params={"i": 0})
+    f, g = build_pair_from_V(coeff, V)
+
+    def g_bad(t, X, mu):
+        return g(t, X, mu) + 1e200
+
+    flows = [StreamedFlow(coeff, dirac([0.0]), 50, 1.0, dt, seed=8 + i)
+             for i, dt in enumerate((1e-1, 5e-2))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = verify_path_independence(V, f, g_bad, flows, 0.0, 1.0)
+    assert report.verdict == "FAIL"
+    assert report.defect_floor == np.inf
+    assert all(row.verdict == "FAIL" for row in report.rows)
+
+
 def test_report_csv_schema(tmp_path):
     coeff, flow = brownian_flow(n=20, dt=0.25)
     V = make_cylindrical("coord", outer_params={"i": 0})

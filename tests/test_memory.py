@@ -85,15 +85,21 @@ def test_previous_level_freed_before_next_is_simulated():
 
 
 def _counted_draws(monkeypatch):
-    """(domain, first, n_particles, n_steps) of every noise draw the sampler makes."""
+    """(domain, first, n_particles, n_steps) of every noise draw the sampler
+    makes: blocks of noise, and the rows of its decoupled chunks."""
     draws = []
-    draw = dynamics._raw_normals
+    draw, rows = dynamics._raw_normals, feynman_kac.decoupled_rows
 
     def counted(seed, n_particles, n_steps, m, domain, first=0):
         draws.append((domain, first, n_particles, n_steps))
         return draw(seed, n_particles, n_steps, m, domain, first)
 
+    def counted_rows(seed, n_particles, n_steps, m, dt, first=0):
+        draws.append((DOMAIN_DECOUPLED, first, n_particles, n_steps))
+        return rows(seed, n_particles, n_steps, m, dt, first)
+
     monkeypatch.setattr(dynamics, "_raw_normals", counted)
+    monkeypatch.setattr(feynman_kac, "decoupled_rows", counted_rows)
     return draws
 
 
@@ -113,8 +119,7 @@ def test_pde_residual_draws_one_block_per_domain(monkeypatch):
     # each particle's stream is drawn exactly once per domain per table,
     # counted over the chunks of the decoupled domain
     draws = _counted_draws(monkeypatch)
-    monkeypatch.setattr(feynman_kac, "TILE", 100)
-    monkeypatch.setattr(feynman_kac, "CHUNK_UNIT", 15)
+    monkeypatch.setattr(feynman_kac, "CHUNK", 30)
     coeff = make_coefficients("mean_revert", rate=1.0, s=1.0)
     mu = EmpiricalMeasure(np.linspace(-1.0, 1.0, 20)[:, None])
     vf = McValueFunction(
@@ -127,8 +132,7 @@ def test_pde_residual_draws_one_block_per_domain(monkeypatch):
 
 def test_pde_residual_draws_once_whatever_the_probe_order(monkeypatch):
     draws = _counted_draws(monkeypatch)
-    monkeypatch.setattr(feynman_kac, "TILE", 40)
-    monkeypatch.setattr(feynman_kac, "CHUNK_UNIT", 4)
+    monkeypatch.setattr(feynman_kac, "CHUNK", 8)
     vf = McValueFunction(
         coeff=make_coefficients("brownian", s=1.0), Phi=make_cylindrical("x_norm_sq"),
         f_field=None, T=0.5, dt=0.05, M=50, seed=3, mu=dirac([0.0]), n_flow=10,
@@ -150,8 +154,8 @@ def test_pde_residual_peak_stays_below_one_noise_block():
         M=M, seed=19, mu=dirac([0.0]),
     )
     probes = [(0.0, [0.0]), (0.5, [1.0])]
-    # one chunk of noise (2.5 MB), its samples and one fold leaf per column;
-    # holding the whole block would cross the bound by itself
+    # one chunk's increment row, states and samples and one fold leaf per
+    # column; holding the whole block would cross the bound by itself
     peak = _peak_of(lambda: pde_residual_mc(vf, "linear", probes))
     assert peak < 0.75 * block
 
@@ -164,10 +168,25 @@ def test_solve_all_peak_stays_below_its_sample_table():
     )
     probes = [(t, [x]) for t in (0.0, 0.5) for x in (-1.0, 0.0, 1.0)]
     # the (M, 6) table would be 9.6 MB; the fold holds one 5120-particle
-    # chunk of noise (0.8 MB) and samples, and one leaf per column (2 MB
+    # chunk's states and samples, and one leaf per column (well under 1 MB
     # in all, whatever M)
     peak = _peak_of(lambda: vf.solve_all(probes))
     assert peak < 0.5 * 8 * M * len(probes)
+
+
+def test_solve_all_peak_is_flat_in_the_step_count():
+    # the chunk's paths step on one increment row at a time, so a tenfold
+    # finer grid adds no (L, B, m) noise block; nothing here reads the law,
+    # so no flow block is drawn either
+    probes = [(t, [x]) for t in (0.0, 0.5) for x in (-1.0, 0.0, 1.0)]
+    peaks = {}
+    for dt in (1e-2, 1e-3):
+        vf = McValueFunction(
+            coeff=BROWNIAN, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=1.0, dt=dt,
+            M=feynman_kac.CHUNK, seed=19, mu=dirac([0.0]),
+        )
+        peaks[dt] = _peak_of(lambda: vf.solve_all(probes))
+    assert peaks[1e-3] <= 1.5 * peaks[1e-2]
 
 
 def test_table_flows_share_one_read_only_increment_block(monkeypatch):

@@ -13,6 +13,9 @@ def load_script(name):
 
 def test_step_cost_prints_one_row_per_case(capsys):
     step_cost = load_script("step_cost")
+    # the decoupled cases step K columns of one sampler chunk, as the sampler does
+    assert {paths for scheme, *_, paths in step_cost.CASES if scheme == "decoupled"} == {
+        step_cost.CHUNK}
     cases = [("decoupled", "brownian", 1, 2, 8), ("decoupled", "mean_revert", 2, 2, 8),
              ("interacting", "brownian", 1, 1, 8)]
     noise_cases = [("decoupled", step_cost.DOMAIN_DECOUPLED, 1030),
@@ -33,3 +36,15 @@ def test_step_cost_prints_one_row_per_case(capsys):
         cells = line.split()
         assert cells[:3] == [name, str(paths), "2"]
         assert float(cells[3]) > 0
+
+
+def test_rss_scaling_replaces_only_the_checked_key():
+    rss_scaling = load_script("rss_scaling")
+    for preset, key, small, large in rss_scaling.CHECKS:
+        base = rss_scaling.PRESETS[preset].strip().splitlines()
+        for value in (small, large):
+            lines = rss_scaling.config_text(preset, key, value).splitlines()
+            changed = [(a, b) for a, b in zip(base, lines) if a != b]
+            assert len(lines) == len(base)
+            assert [b for _, b in changed] == [f"{key} = {value}"] * len(changed)
+            assert f"{key} = {value}" in lines
