@@ -4,8 +4,9 @@ A scenario is described by a flat key=value config (dotted keys address
 sub-objects, e.g. ``coeff.id`` or ``V.outer``).  ``_SCHEMA`` gives every key
 its type, choices and least value; ``_SCENARIOS`` gives every scenario its
 runner, the keys it reads with their defaults and its widest block of paths,
-which drive the config checks.  Running one writes its CSV output plus
-``summary.txt`` with one verdict per line,
+which drive the config checks.  A runner computes and returns its checks and
+its table; ``run_scenario`` alone writes them, the table as a CSV and the
+checks as ``summary.txt`` with one verdict per line,
 
     <anchor> <scenario> <metric>=<value> <verdict>
 
@@ -17,6 +18,7 @@ seed give byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import math
 import os
@@ -44,7 +46,7 @@ from .dynamics import (
     make_coefficients,
     semigroup_apply,
 )
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, EvaluationError
 from .feynman_kac import McValueFunction, npy_identity_gap, pde_residual_mc
 from .functionals import (
     build_pair_from_V,
@@ -52,7 +54,7 @@ from .functionals import (
     verify_path_independence,
 )
 from .generator import ito_residual_ensemble
-from .measure import EmpiricalMeasure, dirac, wasserstein2, wasserstein2_bruteforce, write_csv
+from .measure import EmpiricalMeasure, dirac, wasserstein2, wasserstein2_bruteforce
 
 
 @dataclass(frozen=True)
@@ -81,25 +83,13 @@ class ScenarioConfig:
         return (self.values["dt"],)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    anchor: str
-    scenario: str
-    metric: str
-    value: float
-    verdict: str
-
-    def line(self):
-        return f"{self.anchor} {self.scenario} {self.metric}={self.value:.10g} {self.verdict}"
-
-
 def _flag(ok):
     return "PASS" if ok else "FAIL"
 
 
 # ---------------------------------------------------------------------------
-# scenario runners: each takes (cfg, out_dir), writes its CSV and returns
-# its verdicts
+# scenario runners: each takes cfg and returns (checks, table), a check being
+# (anchor, metric, value, ok) and the table (file name, header, rows)
 
 
 def _params(values, head):
@@ -135,12 +125,10 @@ def _lderivative_catalog(d):
     ]
 
 
-def _run_lderivative_check(cfg, out_dir):
-    d = cfg.get("d")
-    n_atoms = cfg.get("n_atoms")
-    n_probes = cfg.get("n_probes")
-    eps_ladder = tuple(sorted(cfg.get("eps_ladder"), reverse=True))
+def _run_lderivative_check(cfg):
+    d, n_atoms, n_probes = cfg.get("d"), cfg.get("n_atoms"), cfg.get("n_probes")
     tol = cfg.get("tol")
+    eps_ladder = tuple(sorted(cfg.get("eps_ladder"), reverse=True))
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = {eps: 0.0 for eps in eps_ladder}
@@ -162,22 +150,18 @@ def _run_lderivative_check(cfg, out_dir):
                 gap = abs(fd - exact)
                 worst[eps] = max(worst[eps], gap)
                 rows.append([outer, probe, eps, gap])
-    header = ["function", "probe", "eps", "gap"]
-    write_csv(os.path.join(out_dir, "lderivative_check.csv"), header, rows)
     gaps = [worst[eps] for eps in eps_ladder]
     rates = [g / eps for g, eps in zip(gaps, eps_ladder)]
     linear = max(rates) <= 3.0 * min(rates) if min(rates) > 0 else False
-    return [
-        Verdict("Example-2.1", cfg.scenario, "max_gap", gaps[-1], _flag(gaps[-1] <= tol)),
-        Verdict(
-            "Example-2.1", cfg.scenario, "decay_rate_spread",
-            max(rates) / min(rates) if min(rates) > 0 else float("inf"),
-            _flag(linear),
-        ),
+    spread = max(rates) / min(rates) if min(rates) > 0 else float("inf")
+    checks = [
+        ("Example-2.1", "max_gap", gaps[-1], gaps[-1] <= tol),
+        ("Example-2.1", "decay_rate_spread", spread, linear),
     ]
+    return checks, ("lderivative_check.csv", ["function", "probe", "eps", "gap"], rows)
 
 
-def _run_ito_residual(cfg, out_dir):
+def _run_ito_residual(cfg):
     N, T, dt = cfg.get("N"), cfg.get("T"), cfg.get("dt")
     flow = StreamedFlow(cfg.coeff, cfg.init, N, T, dt, cfg.seed, s=cfg.get("s"))
     summary = ito_residual_ensemble(cfg.coeff, cfg.V, flow)
@@ -189,22 +173,20 @@ def _run_ito_residual(cfg, out_dir):
     mean = float(step_means.sum())
     se = float(np.sqrt((step_means**2).sum()))
     qv_real = float(summary.qv_sum.mean())
-    qv_pred = 0.0
-    for q in summary.qv_density:
-        qv_pred += float(q) * dt
+    qv_pred = sum(float(q) * dt for q in summary.qv_density)
     qv_ratio = qv_real / qv_pred if qv_pred > 0 else float("inf")
     step_rows = [
         [k, flow.times[k], step_means[k], summary.step_rms[k]] for k in range(flow.n_steps)
     ]
-    header = ["step", "time", "mean_residual", "rms_residual"]
-    write_csv(os.path.join(out_dir, "ito_residual.csv"), header, step_rows)
-    return [
-        Verdict("Lemma-3.1", cfg.scenario, "mean_residual", mean, _flag(abs(mean) <= 3 * se)),
-        Verdict("Eq-rpp", cfg.scenario, "qv_ratio", qv_ratio, _flag(abs(qv_ratio - 1) <= 0.1)),
+    checks = [
+        ("Lemma-3.1", "mean_residual", mean, abs(mean) <= 3 * se),
+        ("Eq-rpp", "qv_ratio", qv_ratio, abs(qv_ratio - 1) <= 0.1),
     ]
+    header = ["step", "time", "mean_residual", "rms_residual"]
+    return checks, ("ito_residual.csv", header, step_rows)
 
 
-def _run_path_independence(cfg, out_dir):
+def _run_path_independence(cfg):
     N, T, s = cfg.get("N"), cfg.get("T"), cfg.get("s")
     f, g = build_pair_from_V(cfg.coeff, cfg.V)
     offset = cfg.get("perturb_g")
@@ -222,23 +204,18 @@ def _run_path_independence(cfg, out_dir):
         for level, dt in sorted(enumerate(cfg.dt_levels), key=lambda item: -item[1])
     )
     report = verify_path_independence(cfg.V, f, g, flows, s, T)
-    report.to_csv(os.path.join(out_dir, "path_independence.csv"))
-    ratio = (
-        report.rows[0].rms_defect / report.rows[-1].rms_defect
-        if len(report.rows) > 1 and report.rows[-1].rms_defect > 0
-        else 1.0
-    )
-    return [
-        Verdict("Eq-ATT0", cfg.scenario, "rms_ratio", ratio, report.verdict),
-        Verdict("Eq-ATT0", cfg.scenario, "defect_floor", report.defect_floor, report.verdict),
-    ]
+    first, last = report.rows[0].rms_defect, report.rows[-1].rms_defect
+    ratio = first / last if len(report.rows) > 1 and last > 0 else 1.0
+    ok = report.verdict == "PASS"
+    checks = [("Eq-ATT0", "rms_ratio", ratio, ok),
+              ("Eq-ATT0", "defect_floor", report.defect_floor, ok)]
+    return checks, ("path_independence.csv", *report.to_rows())
 
 
-def _run_flow_property(cfg, out_dir):
+def _run_flow_property(cfg):
     coeff, mu0 = cfg.coeff, cfg.init
-    N, dt = cfg.get("N"), cfg.get("dt")
+    N, dt, tol = cfg.get("N"), cfg.get("dt"), cfg.get("tol")
     t0, t1, t2 = cfg.get("times")
-    tol = cfg.get("tol")
     mu_mid = semigroup_apply(coeff, mu0, t0, t1, N, dt, cfg.seed + 1)
     mu_two_step = semigroup_apply(coeff, mu_mid, t1, t2, N, dt, cfg.seed + 2)
     mu_direct = semigroup_apply(coeff, mu0, t0, t2, N, dt, cfg.seed + 3)
@@ -250,16 +227,12 @@ def _run_flow_property(cfg, out_dir):
         ["w2_gap", t2, gap, ""],
     ]
     header = ["measure", "time", "mean", "second_moment"]
-    write_csv(os.path.join(out_dir, "flow_property.csv"), header, rows)
-    return [Verdict("Eq-SM", cfg.scenario, "w2_gap", gap, _flag(gap <= tol))]
+    return [("Eq-SM", "w2_gap", gap, gap <= tol)], ("flow_property.csv", header, rows)
 
 
-def _run_girsanov(cfg, out_dir):
-    m = cfg.coeff.m
-    M, T, dt = cfg.get("M"), cfg.get("T"), cfg.get("dt")
-    s = cfg.get("s")
-    beta = cfg.get("beta")
-    g_value = cfg.get("g.value")
+def _run_girsanov(cfg):
+    m, M, T, dt, s = cfg.coeff.m, cfg.get("M"), cfg.get("T"), cfg.get("dt"), cfg.get("s")
+    beta, g_value = cfg.get("beta"), cfg.get("g.value")
     g = _const_field(g_value, m)
     flow = StreamedFlow(cfg.coeff, cfg.init, M, T, dt, cfg.seed, s=s)
     weights, nov, dx = girsanov_replay(g, flow, beta, s, T)
@@ -276,14 +249,12 @@ def _run_girsanov(cfg, out_dir):
         ["novikov_estimate", nov.estimate, nov_expected],
         ["tail_flag", nov.tail_flag, "clear"],
     ]
-    write_csv(os.path.join(out_dir, "girsanov.csv"), ["metric", "value", "reference"], rows)
-    return [
-        Verdict("Eq-YPP1", cfg.scenario, "weight_mean_err", mean_err,
-                _flag(mean_err <= 3 * se_w)),
-        Verdict("Eq-APPg3", cfg.scenario, "riskneutral_drift", abs(drift_q),
-                _flag(abs(drift_q) <= 3 * se_q)),
-        Verdict("Eq-Agg2", cfg.scenario, "novikov_gap", nov_gap, _flag(nov_gap <= 1e-10)),
+    checks = [
+        ("Eq-YPP1", "weight_mean_err", mean_err, mean_err <= 3 * se_w),
+        ("Eq-APPg3", "riskneutral_drift", abs(drift_q), abs(drift_q) <= 3 * se_q),
+        ("Eq-Agg2", "novikov_gap", nov_gap, nov_gap <= 1e-10),
     ]
+    return checks, ("girsanov.csv", ["metric", "value", "reference"], rows)
 
 
 def _closed_form(cfg, t, x):
@@ -311,7 +282,7 @@ def _value_function(cfg, f_field=None, beta=None):
         cfg.init, beta, cfg.get("n_flow"))
 
 
-def _run_feynman_kac(cfg, out_dir):
+def _run_feynman_kac(cfg):
     d = cfg.get("d")
     f_field = _const_field(cfg.get("f.value")) if cfg.scenario == "feynman_kac_source" else None
     log_beta = cfg.get("beta") if cfg.scenario == "feynman_kac_log" else None
@@ -320,7 +291,7 @@ def _run_feynman_kac(cfg, out_dir):
         "feynman_kac_linear": "Lemma-3.3", "feynman_kac_source": "Lemma-3.4",
         "feynman_kac_log": "Eq-TTY0",
     }[cfg.scenario]
-    rows, verdicts = [], []
+    rows, checks = [], []
     probes = [(t, x_val, np.full(d, x_val))
               for t, x_val in product(cfg.get("probes.t"), cfg.get("probes.x"))]
     # the probes are the columns of one table, on common noise; each one's
@@ -332,11 +303,10 @@ def _run_feynman_kac(cfg, out_dir):
         # roundoff floor keeps deterministic cases (zero SE) honest
         ok = expected is None or err <= 3 * sol.std_error + 1e-12 * (1.0 + abs(expected))
         label = f"err_t{t:g}_x{x_val:g}"
-        verdicts.append(Verdict(anchor, cfg.scenario, label, err, _flag(ok)))
+        checks.append((anchor, label, err, ok))
         rows.append([t, x_val, sol.value, sol.std_error, expected, err, _flag(ok)])
     header = ["t", "x", "value", "std_error", "closed_form", "abs_err", "verdict"]
-    write_csv(os.path.join(out_dir, f"{cfg.scenario}.csv"), header, rows)
-    return verdicts
+    return checks, (f"{cfg.scenario}.csv", header, rows)
 
 
 def _npy_probes(d):
@@ -362,10 +332,8 @@ def _drift_from_gradient(coeff, V):
     return b
 
 
-def _run_npy_identity(cfg, out_dir):
-    d = cfg.get("d")
-    n_probes = cfg.get("n_probes")
-    tol = cfg.get("tol")
+def _run_npy_identity(cfg):
+    d, n_probes, tol = cfg.get("d"), cfg.get("n_probes"), cfg.get("tol")
     rng = np.random.default_rng(cfg.seed)
     probes = _npy_probes(d)
     rows = []
@@ -384,13 +352,10 @@ def _run_npy_identity(cfg, out_dir):
         worst = max(worst, gap)
         rows.append([pid, outer, sigma_id, gap])
     header = ["probe", "potential", "diffusion", "gap"]
-    write_csv(os.path.join(out_dir, "npy_identity.csv"), header, rows)
-    return [Verdict("Eq-NPY", cfg.scenario, "max_gap", worst, _flag(worst <= tol))]
+    return [("Eq-NPY", "max_gap", worst, worst <= tol)], ("npy_identity.csv", header, rows)
 
 
-def _run_pde_residual(cfg, out_dir):
-    if cfg.get("check") == "npy":
-        return _run_npy_identity(cfg, out_dir)
+def _run_pde_residual(cfg):
     d, pde = cfg.get("d"), cfg.get("pde")
     beta = cfg.get("beta") if pde == "nonlinear" else None
     vf = _value_function(cfg, beta=beta)
@@ -400,18 +365,14 @@ def _run_pde_residual(cfg, out_dir):
         for x_val in cfg.get("probes.x")
     ]
     table = pde_residual_mc(vf, pde, probes)
-    table.to_csv(os.path.join(out_dir, "pde_residual.csv"))
     anchor = "Eq-NPDE" if pde == "nonlinear" else "Eq-YGG"
-    return [
-        Verdict(anchor, cfg.scenario, "pass_fraction", table.pass_fraction, table.verdict)
-    ]
+    checks = [(anchor, "pass_fraction", table.pass_fraction, table.verdict == "PASS")]
+    return checks, ("pde_residual.csv", *table.to_rows())
 
 
-def _run_w2_selftest(cfg, out_dir):
-    n_instances = cfg.get("n_instances")
-    max_atoms = cfg.get("max_atoms")
-    max_dim = cfg.get("max_dim")
-    tol = cfg.get("tol")
+def _run_w2_selftest(cfg):
+    n_instances, tol = cfg.get("n_instances"), cfg.get("tol")
+    max_atoms, max_dim = cfg.get("max_atoms"), cfg.get("max_dim")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = 0.0
@@ -426,8 +387,7 @@ def _run_w2_selftest(cfg, out_dir):
         worst = max(worst, gap)
         rows.append([inst, d, n, solved, brute, gap])
     header = ["instance", "d", "n", "solver", "bruteforce", "gap"]
-    write_csv(os.path.join(out_dir, "w2_selftest.csv"), header, rows)
-    return [Verdict("Def-W2", cfg.scenario, "max_gap", worst, _flag(worst <= tol))]
+    return [("Def-W2", "max_gap", worst, worst <= tol)], ("w2_selftest.csv", header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +446,6 @@ def _log_rules(values, failed, violations):
                           f"everywhere (gauss_quarter, exp or const with c > 0), got {outer}")
 
 
-def _mc_block(values):
-    """The n_flow frozen-flow particles: the one block of L steps of noise a
-    Monte Carlo run holds, since its M paths draw theirs a row at a time."""
-    return values["n_flow"]
-
-
 # one scenario: its runner; the keys it reads, each mapped to its default:
 # ``...`` for a key the config must set (a required "a|b" is met by exactly one
 # of a and b), None for one with no default, or a function of the keys before
@@ -506,7 +460,8 @@ _INIT = {"init.kind": "point", "init.x": (0.0,), "init.scale": 1.0}
 _PHI = {"Phi.outer": ..., "Phi.": None}
 # N interacting particles stepped from s to T
 _PARTICLES = {**_COEFF, **_INIT, "N": ..., "T": ..., "s": None, "V.outer": ..., "V.": None}
-# M paths over the frozen flow of n_flow particles from N samples of the initial law
+# M paths over the frozen flow of n_flow particles from N samples of the initial
+# law; the flow is the widest block, as the M paths draw their noise a row at a time
 _MC = {**_COEFF, **_INIT, "T": ..., "dt": ..., "probes.t": ..., "probes.x": ..., "M": None,
        "N": 200, "n_flow": 200, "beta": 1.0}
 _FK = {**_MC, "closed_form": "none"}
@@ -522,19 +477,21 @@ _SCENARIOS = {
         _run_girsanov, {**_COEFF, **_INIT, "M": None, "T": ..., "dt": ..., "s": None,
                         "g.kind": ..., "g.value": ..., "beta": 1.0},
         itemgetter("M"), _girsanov_rules),
-    "feynman_kac_linear": _Scenario(_run_feynman_kac, {**_FK, **_PHI}, _mc_block, _fk_rules),
+    "feynman_kac_linear": _Scenario(
+        _run_feynman_kac, {**_FK, **_PHI}, itemgetter("n_flow"), _fk_rules),
     "feynman_kac_source": _Scenario(
-        _run_feynman_kac, {**_FK, "f.kind": ..., "f.value": ...}, _mc_block, _source_rules),
+        _run_feynman_kac, {**_FK, "f.kind": ..., "f.value": ...}, itemgetter("n_flow"),
+        _source_rules),
     "feynman_kac_log": _Scenario(
-        _run_feynman_kac, {**_FK, **_PHI, "beta": ...}, _mc_block, _log_rules),
+        _run_feynman_kac, {**_FK, **_PHI, "beta": ...}, itemgetter("n_flow"), _log_rules),
     # no Phi.inner: a terminal datum that reads mu_T depends on mu, which the
     # stencil shifts only under a measure-dependent coefficient, and carries
     # the frozen flow's sampling error, which the residual budget has no term for
     "pde_residual": _Scenario(
         _run_pde_residual, {**_MC, "Phi.outer": ..., "Phi.outer.": None, "beta": ...,
                             "pde": ..., "check": "residual"},
-        _mc_block, by_check={"npy": _Scenario(
-            _run_pde_residual, {"check": None, **_DIM, "n_probes": 50, "tol": 1e-10})}),
+        itemgetter("n_flow"), by_check={"npy": _Scenario(
+            _run_npy_identity, {"check": None, **_DIM, "n_probes": 50, "tol": 1e-10})}),
     "lderivative_check": _Scenario(
         _run_lderivative_check,
         {**_DIM, "n_atoms": 100, "n_probes": 20, "eps_ladder": (1e-2, 1e-3, 1e-4), "tol": 1e-3}),
@@ -678,7 +635,7 @@ def parse_config(text, seed=None):
             violations.append("key 'scenario': required")
         raise ConfigError(violations)
     scenario = values["scenario"]
-    entry = _SCENARIOS[scenario].by_check.get(values.get("check"), _SCENARIOS[scenario])
+    entry = _entry(values)
     _check_reads(entry, values, failed, violations)
     _check_params(values, violations)
     values.setdefault("seed", 0)
@@ -702,6 +659,13 @@ def parse_config(text, seed=None):
     if violations:
         raise ConfigError(violations)
     return ScenarioConfig(scenario=scenario, seed=values["seed"], values=values, **built)
+
+
+def _entry(values):
+    """The declaration a config runs under: its scenario's, or the one that
+    replaces it for the config's value of "check"."""
+    entry = _SCENARIOS[values["scenario"]]
+    return entry.by_check.get(values.get("check"), entry)
 
 
 def _check_reads(entry, values, failed, violations):
@@ -783,8 +747,10 @@ def _sample_key(values):
 def _build(values, violations, built):
     """Build the coefficient field and the initial law of a config that has
     passed every check into ``built``, reporting a ContractError against the
-    key that sets the object.  A gaussian initial law is init.scale times
-    standard normals of default_rng(seed), one row per point."""
+    key that sets the object, and a V that is not finite on the initial law's
+    atoms at time s against the key that sets the law.  A gaussian initial
+    law is init.scale times standard normals of default_rng(seed), one row
+    per point."""
     key = "coeff.id"
     try:
         if key in values:
@@ -802,6 +768,17 @@ def _build(values, violations, built):
             built["init"] = EmpiricalMeasure(points)
     except ContractError as exc:
         violations.append(f"key '{key}': {exc}")
+        return
+    if "V" in built and "init" in built:
+        mu = built["init"]
+        try:
+            with np.errstate(all="ignore"):
+                finite = np.isfinite(built["V"].value(values["s"], mu.points, mu)).all()
+        except EvaluationError:  # an inner function not finite on an atom
+            finite = False
+        if not finite:
+            violations.append(f"key '{key}': V is not finite on the initial law at s = "
+                              f"{values['s']:g}")
 
 
 # one span a step size must make up: its length, how a message names it, the
@@ -887,16 +864,31 @@ def _check_steps(entry, values, violations):
         )
 
 
+def write_csv(fh, header, rows):
+    """Write a header line and rows as CSV to ``fh``, a text file opened with
+    newline="": each float as ``%.17g``, seventeen significant digits, which
+    read back to the same double; ints and strings as ``str``, None as an
+    empty cell."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
 def run_scenario(cfg, out_dir):
-    """Run one configured scenario; write artifacts; return the exit status."""
+    """Run one configured scenario: write its table and summary.txt into
+    ``out_dir`` (made first, so a bad one fails before any compute), print
+    its verdict lines and return the exit status, 0 iff every check passes."""
     os.makedirs(out_dir, exist_ok=True)
-    verdicts = _SCENARIOS[cfg.scenario].run(cfg, out_dir)
-    lines = [v.line() for v in verdicts]
+    checks, (name, header, rows) = _entry(cfg.values).run(cfg)
+    with open(os.path.join(out_dir, name), "w", newline="") as fh:
+        write_csv(fh, header, rows)
+    lines = [f"{anchor} {cfg.scenario} {metric}={value:.10g} {_flag(ok)}"
+             for anchor, metric, value, ok in checks]
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     for line in lines:
         print(line)
-    return 0 if all(v.verdict == "PASS" for v in verdicts) else 1
+    return 0 if all(ok for *_, ok in checks) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from .dynamics import (
 )
 from .errors import CapabilityError, ContractError, DataError
 from .generator import generator_parts, generator_total
-from .measure import EmpiricalMeasure, write_csv
+from .measure import EmpiricalMeasure
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,14 @@ class ResidualTable:
         ok = sum(1 for r in self.rows if r.verdict == "PASS")
         return ok / len(self.rows) if self.rows else 0.0
 
-    def to_csv(self, path):
-        rows = (
+    def to_rows(self):
+        """(header, rows) of the table's CSV, one row per probe."""
+        rows = [
             [r.pde, r.t, " ".join(f"{v:.17g}" for v in r.x), r.probe_id, r.residual,
              r.budget, r.verdict]
             for r in self.rows
-        )
-        write_csv(path, ["pde", "t", "x", "probe_id", "residual", "budget", "verdict"], rows)
+        ]
+        return ["pde", "t", "x", "probe_id", "residual", "budget", "verdict"], rows
 
 
 #: a residual table passes when at least this share of its probes pass

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ContractError
 from .generator import generator_parts, generator_total, sigma_dx_terms
-from .measure import write_csv
 
 
 def _step_terms(f, g, t_k, X, mu, dw, dt):
@@ -118,14 +117,14 @@ class PathIndependenceReport:
     defect_floor: float = 0.0
     floor_std_error: float = 0.0
 
-    def to_csv(self, path):
-        rows = (
+    def to_rows(self):
+        """(header, rows) of the report's CSV, one row per ladder level."""
+        rows = [
             [row.dt, row.n_paths, row.n_paths, row.rms_defect, row.max_defect,
              row.decay_order, row.verdict]
             for row in self.rows
-        )
-        header = ["dt", "N", "M", "rms_defect", "max_defect", "decay_order", "verdict"]
-        write_csv(path, header, rows)
+        ]
+        return ["dt", "N", "M", "rms_defect", "max_defect", "decay_order", "verdict"], rows
 
 
 THRESHOLD_FACTOR = 5.0
@@ -159,12 +158,17 @@ def verify_path_independence(V, f, g, flows, s, t):
             raise ContractError(
                 f"flows must come coarsest first: dt {flow.dt} after dt {prev[1]}"
             )
-        # one pass folds A^{f,g} and records V at both ends
-        total, start, end = _fold(flow, s, t, f, g, V=V)
-        increment = end - start
-        defect = np.abs(total - increment)
-        sq = defect**2
-        rms = float(np.sqrt(sq.mean()))
+        # one pass folds A^{f,g} and records V at both ends; a sum, square or
+        # mean past the largest float is left inf or nan, without a numpy
+        # warning, and flags the level by a mean-square defect that is not
+        # finite, which _defect_floor reads as an infinite floor
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, start, end = _fold(flow, s, t, f, g, V=V)
+            increment = end - start
+            defect = np.abs(total - increment)
+            sq = defect**2
+            sq_mean, sq_se = float(sq.mean()), float(sq.std() / np.sqrt(sq.size))
+        rms = float(np.sqrt(sq_mean))
         mx = float(defect.max())
         scale = float(np.sqrt(np.mean(increment**2)))
         scale_cap = max(scale_cap, scale)
@@ -174,13 +178,13 @@ def verify_path_independence(V, f, g, flows, s, t):
         order = None
         if prev is not None:
             prev_rms, prev_dt = prev
-            if rms > 0 and prev_rms > 0 and prev_dt != flow.dt:
+            if 0 < rms < np.inf and 0 < prev_rms < np.inf and prev_dt != flow.dt:
                 order = float(np.log(prev_rms / rms) / np.log(prev_dt / flow.dt))
         verdict = "PASS" if rms <= thresh else "FAIL"
         rows.append(
             LadderRow(flow.dt, flow.n_particles, rms, mx, order, thresh, verdict)
         )
-        sq_means.append((flow.dt, float(sq.mean()), float(sq.std() / np.sqrt(sq.size))))
+        sq_means.append((flow.dt, sq_mean, sq_se))
         prev = (rms, flow.dt)
         # drop this level before the iterable simulates the next one
         del flow

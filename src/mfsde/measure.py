@@ -8,7 +8,6 @@ is computed by exact assignment / transport solvers.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
@@ -91,19 +90,6 @@ class EmpiricalMeasure:
 
     def mean(self):
         return self.weights @ self.points
-
-
-def write_csv(path, header, rows):
-    """Write a header line and rows as CSV, each float as ``%.17g``.
-
-    Seventeen significant digits read back to the same double, so an artifact
-    holds every bit of its numbers; other cells (ints, strings) are written as
-    ``str`` and None as an empty cell.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def dirac(x):

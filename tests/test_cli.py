@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import importlib.util
 import re
@@ -152,6 +153,10 @@ def test_every_preset_parses():
 def test_presets_cover_every_scenario():
     covered = {parse_config(text).scenario for text in PRESETS.values()}
     assert covered == set(SCENARIOS)
+    # and every declaration, the one of check = npy included
+    entries = [e for entry in _SCENARIOS.values() for e in (entry, *entry.by_check.values())]
+    ran = [cli._entry(parse_config(text).values) for text in PRESETS.values()]
+    assert all(any(e is entry for e in ran) for entry in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +191,21 @@ def test_falsified_preset_with_an_overflowing_offset_fails_its_verdicts(tmp_path
     lines = (tmp_path / "summary.txt").read_text().splitlines()
     verdicts = [line for line in lines if line.startswith("Eq-ATT0")]
     assert len(verdicts) == 2 and all(line.endswith(" FAIL") for line in verdicts)
+
+
+@pytest.mark.parametrize("offset", ["1e200", "-1e200", "1e308", "-1e308"])
+def test_main_fails_the_verdicts_of_an_offset_past_the_largest_float(offset, tmp_path, capsys):
+    # under -W error the squared defect (at 1e200) and the fold's sum (at
+    # 1e308) once overflowed with a RuntimeWarning before the floor fit (exit 3)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_with_overrides(PRESETS["path-independence-falsified"],
+                                        {"perturb_g": offset, "N": "16"}))
+    status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert status == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["Eq-ATT0", "Eq-ATT0"]
+    assert all(line.endswith(" FAIL") for line in lines)
+    assert "defect_floor=inf FAIL" in lines[1]
 
 
 def test_csv_byte_identical_across_reruns(tmp_path):
@@ -718,12 +738,16 @@ def test_main_rejects_eps_key(tmp_path, capsys):
         ("lderivative-oracle", "eps_ladder", "1e9"),
         ("girsanov-risk-neutral", "g.value", "1e9"),
         ("girsanov-risk-neutral", "g.value", "37.63"),
+        *[(preset, "init.x", x)
+          for preset in ("ito-residual-meanfield", "path-independence-forward")
+          for x in ("1e200", "-1e200", "1e308", "-1e308")],
     ],
 )
 def test_main_zero_step_grid_and_overflowing_config_exit_2(preset, key, value, tmp_path, capsys):
     # a step longer than the horizon once passed as a zero-step grid, a huge
-    # eps_ladder broke the log outer and a huge g.value overflowed exp (exit 3
-    # or a nan verdict with RuntimeWarnings)
+    # eps_ladder broke the log outer, a huge g.value overflowed exp and a huge
+    # init.x overflowed V on the initial law (exit 3 or a nan verdict with
+    # RuntimeWarnings)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(_with_overrides(PRESETS[preset], {key: value}))
     status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
@@ -738,13 +762,22 @@ EDGE_SHRINK = {"M": "64", "N": "16", "n_flow": "8", "n_probes": "2", "n_atoms": 
                "n_instances": "5"}
 
 
+def _keys(text):
+    return [line.partition("=")[0].strip() for line in text.strip().splitlines()]
+
+
+def _shrunk(text):
+    """Preset text with each count of EDGE_SHRINK that it sets shrunk."""
+    return _with_overrides(text, {k: v for k, v in EDGE_SHRINK.items() if k in _keys(text)})
+
+
 def test_edge_value_scan_never_reaches_a_generic_error(tmp_path):
     # a config fault must exit 2 (ConfigError) and a run must end in a verdict
     # (0 or 1) or a SimulationError that names its step and particle, never
     # in any other error
     for name, text in sorted(PRESETS.items()):
-        keys = [line.partition("=")[0].strip() for line in text.strip().splitlines()]
-        shrunk = _with_overrides(text, {k: v for k, v in EDGE_SHRINK.items() if k in keys})
+        keys = _keys(text)
+        shrunk = _shrunk(text)
         for key, value in product(keys, EDGE_VALUES):
             try:
                 cfg = parse_config(_with_overrides(shrunk, {key: value}))
@@ -754,3 +787,32 @@ def test_edge_value_scan_never_reaches_a_generic_error(tmp_path):
                 assert run_scenario(cfg, str(tmp_path)) in (0, 1)
             except SimulationError as exc:
                 assert exc.step is not None and exc.particle is not None, (name, key, value)
+
+
+def _refuse_open(*args, **kwargs):
+    raise AssertionError(f"a runner opened {args[0]!r}")
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_runner_returns_its_checks_and_table_and_opens_no_file(name, monkeypatch):
+    # every runner once wrote its own CSV into an out_dir passed to it, and
+    # run_scenario dispatched check = npy a second time inside the residual runner
+    cfg = parse_config(_shrunk(PRESETS[name]))
+    entry = cli._entry(cfg.values)
+    with monkeypatch.context() as patched:
+        patched.setattr(builtins, "open", _refuse_open)
+        checks, (file_name, header, rows) = entry.run(cfg)
+    assert checks
+    for anchor, metric, value, ok in checks:
+        assert isinstance(anchor, str) and isinstance(metric, str)
+        assert isinstance(float(value), float) and ok in (True, False)
+    assert file_name.endswith(".csv") and rows
+    assert all(len(row) == len(header) for row in rows)
+
+
+def test_v_past_the_largest_float_on_a_gaussian_initial_law_blames_init_scale():
+    text = _with_overrides(PRESETS["path-independence-forward"],
+                           {"init.kind": "gaussian", "init.scale": "1e200", "N": "16"})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.violations == ["key 'init.scale': V is not finite on the initial law at s = 0"]

@@ -31,7 +31,7 @@ from mfsde.dynamics import (
 )
 from mfsde.feynman_kac import CHUNK, MEASURE_DS, McValueFunction, _measure_shifts
 from mfsde.generator import generator_parts
-from mfsde.measure import write_csv
+from csvfile import write_csv_file
 from replayed import replayed
 
 
@@ -665,7 +665,7 @@ def test_flow_csv_pinned_digest(tmp_path):
         for k, t in enumerate(run.times)
         for i in range(3)
     )
-    write_csv(path, ["step", "time", "particle", "x_1", "x_2"], rows)
+    write_csv_file(path, ["step", "time", "particle", "x_1", "x_2"], rows)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "493611f0e86e0bb8f5272f94654ff6d3f49b702142489de1c4343e57292a4e99"
     )

@@ -23,6 +23,7 @@ from mfsde import (
 from mfsde.calculus import CylindricalFunction, OuterFunction
 from mfsde.cli import PRESETS, _value_function, parse_config, run_scenario
 from mfsde.feynman_kac import MEASURE_DS, MomentFold, _diag_diffusion, _measure_shifts
+from csvfile import write_csv_file
 
 
 BROWNIAN = make_coefficients("brownian", s=1.0)
@@ -354,7 +355,7 @@ def test_residual_csv_schema(tmp_path):
     V = make_cylindrical("const", outer_params={"c": 1.0})
     table = pde_residual_exact(V, BROWNIAN, "linear", [(0.0, [0.0])], dirac([0.0]))
     path = tmp_path / "res.csv"
-    table.to_csv(path)
+    write_csv_file(path, *table.to_rows())
     lines = path.read_text().splitlines()
     assert lines[0] == "pde,t,x,probe_id,residual,budget,verdict"
     assert len(lines) == 2
@@ -476,7 +477,7 @@ def test_samples_off_zero_match_golden_hash(terms):
 def test_mc_residual_table_matches_golden_hash(tmp_path):
     table = pde_residual_mc(_mean_revert_vf("linear"), "linear", [(0.0, [0.3]), (0.25, [-0.5])])
     path = tmp_path / "residual.csv"
-    table.to_csv(path)
+    write_csv_file(path, *table.to_rows())
     assert hashlib.sha256(path.read_bytes()).hexdigest() == RESIDUAL_TABLE_GOLDEN
 
 
@@ -550,7 +551,7 @@ def _chunked_outputs(tmp_path):
         ("d2_source", _mean_revert_2d_vf("source"), "source", PROBES_2D, 2),
     ):
         path = tmp_path / f"{name}.csv"
-        pde_residual_mc(vf, pde, probes, n_measure_draws=n_draws).to_csv(path)
+        write_csv_file(path, *pde_residual_mc(vf, pde, probes, n_measure_draws=n_draws).to_rows())
         out[name] = path.read_bytes()
     columns = [(0.0, [0.3, -0.2], None), (0.1, [0.0, 0.0], None), (0.0, [-0.1, 0.4], MU0_2D)]
     out["d2_table"] = b"".join(

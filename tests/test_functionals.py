@@ -20,6 +20,7 @@ from mfsde.functionals import (
     potential_increment,
 )
 from mfsde.generator import generator_parts, generator_total
+from csvfile import write_csv_file
 from replayed import replayed
 
 
@@ -285,7 +286,7 @@ def test_report_csv_schema(tmp_path):
     f, g = build_pair_from_V(coeff, V)
     report = verify_path_independence(V, f, g, [flow], 0.0, 1.0)
     path = tmp_path / "report.csv"
-    report.to_csv(path)
+    write_csv_file(path, *report.to_rows())
     lines = path.read_text().splitlines()
     assert lines[0] == "dt,N,M,rms_defect,max_defect,decay_order,verdict"
     assert len(lines) == 2

@@ -48,3 +48,17 @@ def test_unread_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_reads_every_name_it_imports(path):
     assert unread_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (ROOT / "src" / "mfsde").glob("*.py") if p.name != "cli.py"),
+    ids=lambda p: p.name)
+def test_only_the_cli_writes_csv(path):
+    # run_scenario writes every artifact; the library's report types give
+    # their (header, rows) and open no file
+    tree = ast.parse(path.read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "csv" not in imported
+    assert "write_csv" not in path.read_text()

@@ -17,6 +17,7 @@ from mfsde import (
 )
 import mfsde.measure as measure
 from mfsde.measure import _cost_matrix
+from csvfile import write_csv_file
 
 
 def uniform(points):
@@ -273,7 +274,7 @@ def test_identity_coupling_bounds_w2(seed, n, d):
 
 def _write_measure(path, mu):
     header = [f"x_{i+1}" for i in range(mu.dim)] + ["weight"]
-    measure.write_csv(path, header, ([*x, w] for x, w in zip(mu.points, mu.weights)))
+    write_csv_file(path, header, ([*x, w] for x, w in zip(mu.points, mu.weights)))
 
 
 def test_csv_round_trip(tmp_path):
