@@ -80,7 +80,7 @@ def noise_seconds(domain, paths, n_steps):
         for _ in decoupled_rows(0, paths, n_steps, 1, DT):
             pass
     else:
-        brownian_increments(0, paths, n_steps, 1, DT, domain)
+        brownian_increments(0, paths, n_steps, 1, DT)
     return time.perf_counter() - start
 
 

@@ -3,10 +3,12 @@
 A scenario is described by a flat key=value config (dotted keys address
 sub-objects, e.g. ``coeff.id`` or ``V.outer``).  ``_SCHEMA`` gives every key
 its type, choices and least value; ``_SCENARIOS`` gives every scenario its
-runner, the keys it reads with their defaults and its widest block of paths,
-which drive the config checks.  A runner computes and returns its checks and
-its table; ``run_scenario`` alone writes them, the table as a CSV and the
-checks as ``summary.txt`` with one verdict per line,
+runner, the keys it reads with their defaults and the key that counts the
+ensemble it steps, which drive the config checks: a key the scenario does
+not read is rejected, so every key a config sets changes its run.  A runner
+computes and returns its checks and its table; ``run_scenario`` alone writes
+them, the table as a CSV and the checks as ``summary.txt`` with one verdict
+per line,
 
     <anchor> <scenario> <metric>=<value> <verdict>
 
@@ -39,6 +41,7 @@ from .calculus import (
     make_cylindrical,
 )
 from .dynamics import (
+    BLOWUP_GUARD,
     COEFFICIENT_NAMES,
     COEFFICIENT_PARAMS,
     StreamedFlow,
@@ -257,36 +260,46 @@ def _run_girsanov(cfg):
     return checks, ("girsanov.csv", ["metric", "value", "reference"], rows)
 
 
+#: the closed form of each (scenario, coefficient field, terminal datum) that
+#: has one; a constant running cost has one, -f tau, on every field
+_CLOSED_FORMS = {
+    ("feynman_kac_linear", "brownian", "x_norm_sq"): "heat",
+    ("feynman_kac_log", "brownian", "gauss_quarter"): "gauss",
+}
+
+
 def _closed_form(cfg, t, x):
-    """The config's closed-form value at (t, x) (see _CLOSED_FORMS), or None."""
-    kind, tau = cfg.get("closed_form"), cfg.get("T") - t
-    if kind == "neg_tau":
+    """The value at (t, x) of the closed form of the config's model, or None
+    where it has none."""
+    tau = cfg.get("T") - t
+    if cfg.scenario == "feynman_kac_source":
         return -cfg.get("f.value") * tau
+    kind = _CLOSED_FORMS.get((cfg.scenario, cfg.get("coeff.id"), cfg.get("Phi.outer")))
+    if kind is None:
+        return None
     # under sigma = s I, (d, m), X_T - x has independent coordinates of
     # variance s^2 tau, or 0 where sigma has no noise column
     s = cfg.get("coeff.s", COEFFICIENT_PARAMS["brownian"]["s"])
     var = np.where(np.arange(cfg.get("d")) < cfg.get("m"), s**2 * tau, 0.0)
     if kind == "heat":
         return float(np.sum(x**2) + np.sum(var))
-    if kind == "gauss":
-        dens = np.prod((1.0 + var / 2.0) ** -0.5 * np.exp(-(x**2) / (4.0 + 2.0 * var)))
-        return float(-cfg.get("beta") * np.log(dens))
-    return None
+    dens = np.prod((1.0 + var / 2.0) ** -0.5 * np.exp(-(x**2) / (4.0 + 2.0 * var)))
+    return float(-cfg.get("beta") * np.log(dens))
 
 
-def _value_function(cfg, f_field=None, beta=None):
+def _value_function(cfg, f_field=None):
     """The config's Monte Carlo value function: its coefficients, Phi, T, dt,
-    M, seed and n_flow, over its initial law."""
+    M, seed, beta (the log transform when set) and n_flow, over its initial
+    law."""
     return McValueFunction(
         cfg.coeff, cfg.Phi, f_field, cfg.get("T"), cfg.get("dt"), cfg.get("M"), cfg.seed,
-        cfg.init, beta, cfg.get("n_flow"))
+        cfg.init, cfg.get("beta"), cfg.get("n_flow"))
 
 
 def _run_feynman_kac(cfg):
     d = cfg.get("d")
     f_field = _const_field(cfg.get("f.value")) if cfg.scenario == "feynman_kac_source" else None
-    log_beta = cfg.get("beta") if cfg.scenario == "feynman_kac_log" else None
-    vf = _value_function(cfg, f_field, log_beta)
+    vf = _value_function(cfg, f_field)
     anchor = {
         "feynman_kac_linear": "Lemma-3.3", "feynman_kac_source": "Lemma-3.4",
         "feynman_kac_log": "Eq-TTY0",
@@ -356,9 +369,9 @@ def _run_npy_identity(cfg):
 
 
 def _run_pde_residual(cfg):
-    d, pde = cfg.get("d"), cfg.get("pde")
-    beta = cfg.get("beta") if pde == "nonlinear" else None
-    vf = _value_function(cfg, beta=beta)
+    d = cfg.get("d")
+    pde = "linear" if cfg.get("beta") is None else "nonlinear"
+    vf = _value_function(cfg)
     probes = [
         (t, np.full(d, x_val))
         for t in cfg.get("probes.t")
@@ -408,37 +421,20 @@ def _girsanov_rules(values, failed, violations):
             )
 
 
-#: the scenario, coefficient field and terminal datum each closed form solves
-_CLOSED_FORMS = {
-    "heat": ("feynman_kac_linear", "brownian", "x_norm_sq"),
-    "gauss": ("feynman_kac_log", "brownian", "gauss_quarter"),
-    "neg_tau": ("feynman_kac_source", None, None),
-}
-
-
-def _fk_rules(values, failed, violations):
-    kind = values.get("closed_form", "none")
-    for key, need in zip(("scenario", "coeff.id", "Phi.outer"), _CLOSED_FORMS.get(kind, ())):
-        if need and key in values and values[key] != need:
-            violations.append(f"key 'closed_form': {kind} solves {key} = {need} only, "
-                              f"got {values[key]}")
-
-
 def _source_rules(values, failed, violations):
-    _fk_rules(values, failed, violations)
-    # the M running costs f (T - t) of the earliest probe must sum to a finite float
+    # the moments of the M running costs f (T - t) of the earliest probe sum
+    # their squares, which must stay finite floats
     f, T, times = values.get("f.value"), values.get("T"), values.get("probes.t")
     if f and T is not None and times and T > min(times):
         tau = T - min(times)
-        if math.log(values["M"]) + math.log(abs(f) * tau) > math.log(sys.float_info.max):
+        if abs(f) * tau > math.sqrt(sys.float_info.max / values["M"]):
             violations.append(
-                f"key 'f.value': the sum of M f (T - t) overflows a float for f = {f:g}, "
-                f"T - t = {tau:g} and M = {values['M']}"
+                f"key 'f.value': the sum of M squared running costs (f (T - t))^2 overflows a "
+                f"float for f = {f:g}, T - t = {tau:g} and M = {values['M']}"
             )
 
 
 def _log_rules(values, failed, violations):
-    _fk_rules(values, failed, violations)
     # the log transform takes log E Phi(X_T), so Phi must be positive everywhere
     outer, c = values.get("Phi.outer"), values.get("Phi.outer.c", OUTER_PARAMS["const"]["c"])
     if outer not in (None, "gauss_quarter", "exp") and not (outer == "const" and c > 0):
@@ -446,52 +442,60 @@ def _log_rules(values, failed, violations):
                           f"everywhere (gauss_quarter, exp or const with c > 0), got {outer}")
 
 
+def _residual_rules(values, failed, violations):
+    # the stencil reads the diagonal of sigma sigma^*, which is s^2 I for
+    # every catalog field
+    s = values.get("coeff.s")
+    if s is not None and abs(s) > math.sqrt(sys.float_info.max):
+        violations.append(f"key 'coeff.s': sigma sigma^* = s^2 I overflows a float for s = {s:g}")
+
+
 # one scenario: its runner; the keys it reads, each mapped to its default:
-# ``...`` for a key the config must set (a required "a|b" is met by exactly one
-# of a and b), None for one with no default, or a function of the keys before
-# it, where a key ending in "." stands for every key under it; the widest block
-# of paths it draws noise for at once when it steps a time grid (see
-# _check_steps); a check across its keys; and the declarations that replace it
-# for values of its key "check"
-_Scenario = namedtuple("_Scenario", "run reads width rules by_check", defaults=(None, None, {}))
+# ``...`` for a key the config must set, None for one with no default, or a
+# function of the keys before it, where a key ending in "." stands for every
+# key under it and "a|b" for alternatives of which the first the config sets
+# is read (a required one is met by either); the key that counts the ensemble
+# it starts from its initial law, which is the widest block of paths it draws
+# noise for at once when it steps a time grid (see _check_steps); and a check
+# across its keys
+_Scenario = namedtuple("_Scenario", "run reads width rules", defaults=(None, None))
 _DIM = {"d": 1}
 _COEFF = {**_DIM, "m": lambda values: values["d"], "coeff.id": ..., "coeff.": None}
-_INIT = {"init.kind": "point", "init.x": (0.0,), "init.scale": 1.0}
+# the initial law: init.scale times standard normals, one point per member of
+# the ensemble, or the point mass at init.x, 0 when neither is set
+_INIT = {"init.x|init.scale": None}
 _PHI = {"Phi.outer": ..., "Phi.": None}
 # N interacting particles stepped from s to T
 _PARTICLES = {**_COEFF, **_INIT, "N": ..., "T": ..., "s": None, "V.outer": ..., "V.": None}
-# M paths over the frozen flow of n_flow particles from N samples of the initial
-# law; the flow is the widest block, as the M paths draw their noise a row at a time
+# M paths over the frozen flow of n_flow particles from the initial law; the
+# flow is the widest block, as the M paths draw their noise a row at a time
 _MC = {**_COEFF, **_INIT, "T": ..., "dt": ..., "probes.t": ..., "probes.x": ..., "M": None,
-       "N": 200, "n_flow": 200, "beta": 1.0}
-_FK = {**_MC, "closed_form": "none"}
+       "n_flow": 200}
 _SCENARIOS = {
-    "ito_residual": _Scenario(_run_ito_residual, {**_PARTICLES, "dt": ...}, itemgetter("N")),
+    "ito_residual": _Scenario(_run_ito_residual, {**_PARTICLES, "dt": ...}, "N"),
     "path_independence": _Scenario(
-        _run_path_independence, {**_PARTICLES, "dt|dt_ladder": ..., "perturb_g": 0.0},
-        itemgetter("N")),
+        _run_path_independence, {**_PARTICLES, "dt|dt_ladder": ..., "perturb_g": 0.0}, "N"),
     "flow_property": _Scenario(
-        _run_flow_property,
-        {**_COEFF, **_INIT, "N": ..., "dt": ..., "times": ..., "tol": 0.05}, itemgetter("N")),
+        _run_flow_property, {**_COEFF, **_INIT, "N": ..., "dt": ..., "times": ..., "tol": 0.05},
+        "N"),
     "girsanov": _Scenario(
         _run_girsanov, {**_COEFF, **_INIT, "M": None, "T": ..., "dt": ..., "s": None,
-                        "g.kind": ..., "g.value": ..., "beta": 1.0},
-        itemgetter("M"), _girsanov_rules),
-    "feynman_kac_linear": _Scenario(
-        _run_feynman_kac, {**_FK, **_PHI}, itemgetter("n_flow"), _fk_rules),
+                        "g.value": ..., "beta": 1.0},
+        "M", _girsanov_rules),
+    "feynman_kac_linear": _Scenario(_run_feynman_kac, {**_MC, **_PHI}, "n_flow"),
     "feynman_kac_source": _Scenario(
-        _run_feynman_kac, {**_FK, "f.kind": ..., "f.value": ...}, itemgetter("n_flow"),
-        _source_rules),
+        _run_feynman_kac, {**_MC, "f.value": ...}, "n_flow", _source_rules),
     "feynman_kac_log": _Scenario(
-        _run_feynman_kac, {**_FK, **_PHI, "beta": ...}, itemgetter("n_flow"), _log_rules),
-    # no Phi.inner: a terminal datum that reads mu_T depends on mu, which the
-    # stencil shifts only under a measure-dependent coefficient, and carries
-    # the frozen flow's sampling error, which the residual budget has no term for
+        _run_feynman_kac, {**_MC, **_PHI, "beta": ...}, "n_flow", _log_rules),
+    # beta, when set, selects the log transform and with it the nonlinear PDE
+    # (Eq-NPDE), else the PDE is the linear one (Eq-YGG); no Phi.inner: a
+    # terminal datum that reads mu_T depends on mu, which the stencil shifts
+    # only under a measure-dependent coefficient, and carries the frozen
+    # flow's sampling error, which the residual budget has no term for
     "pde_residual": _Scenario(
-        _run_pde_residual, {**_MC, "Phi.outer": ..., "Phi.outer.": None, "beta": ...,
-                            "pde": ..., "check": "residual"},
-        itemgetter("n_flow"), by_check={"npy": _Scenario(
-            _run_npy_identity, {"check": None, **_DIM, "n_probes": 50, "tol": 1e-10})}),
+        _run_pde_residual, {**_MC, "Phi.outer": ..., "Phi.outer.": None, "beta": None},
+        "n_flow", _residual_rules),
+    "npy_identity": _Scenario(_run_npy_identity, {**_DIM, "n_probes": 50, "tol": 1e-10}),
     "lderivative_check": _Scenario(
         _run_lderivative_check,
         {**_DIM, "n_atoms": 100, "n_probes": 20, "eps_ladder": (1e-2, 1e-3, 1e-4), "tol": 1e-3}),
@@ -573,13 +577,6 @@ _SCHEMA = {
     "V.inner": _list(_choice(INNER_NAMES)), "Phi.inner": _list(_choice(INNER_NAMES)),
     # the coordinate the coord outer reads; checked against d in _check_cylindrical
     "V.outer.i": _number(int), "Phi.outer.i": _number(int),
-    "g.kind": _choice(("const",)), "f.kind": _choice(("const",)),
-    "closed_form": _choice(("heat", "gauss", "neg_tau", "none")),
-    # the residual runner builds no running-cost field and no drift read off
-    # the value's gradient, so it evaluates no pde = source or drift_coupled
-    "pde": _choice(("linear", "nonlinear")),
-    "check": _choice(("residual", "npy")),
-    "init.kind": _choice(("point", "gaussian")),
 }
 # dotted prefixes whose remaining keys are numeric parameters of a catalog
 # entry: the key that picks the entry, what the entry is, and the parameters
@@ -635,7 +632,7 @@ def parse_config(text, seed=None):
             violations.append("key 'scenario': required")
         raise ConfigError(violations)
     scenario = values["scenario"]
-    entry = _entry(values)
+    entry = _SCENARIOS[scenario]
     _check_reads(entry, values, failed, violations)
     _check_params(values, violations)
     values.setdefault("seed", 0)
@@ -655,23 +652,16 @@ def parse_config(text, seed=None):
         _check_steps(entry, values, violations)
     # only once the size bound has passed: the initial sample then fits
     if not violations:
-        _build(values, violations, built)
+        _build(entry, values, violations, built)
     if violations:
         raise ConfigError(violations)
     return ScenarioConfig(scenario=scenario, seed=values["seed"], values=values, **built)
 
 
-def _entry(values):
-    """The declaration a config runs under: its scenario's, or the one that
-    replaces it for the config's value of "check"."""
-    entry = _SCENARIOS[values["scenario"]]
-    return entry.by_check.get(values.get("check"), entry)
-
-
 def _check_reads(entry, values, failed, violations):
     """Report and drop each key the scenario does not read, and each key set
-    beside the alternative that replaces it; report each required key that
-    is missing; fill the declared defaults."""
+    after an alternative to it; report each required key that is missing;
+    fill the declared defaults."""
     scenario = values["scenario"]
     names = {key for need in entry.reads for key in need.split("|")}
     prefixes = tuple(name for name in names if name.endswith("."))
@@ -681,13 +671,14 @@ def _check_reads(entry, values, failed, violations):
             del values[key]
     for need, default in entry.reads.items():
         keys = need.split("|")
-        given = [key for key in keys if key in values or key in failed]
+        # the keys set, in line order, then those whose value did not parse
+        given = [key for key in values if key in keys] + [key for key in keys if key in failed]
         if default is ... and not given:
             either = "".join(f" (or {key!r})" for key in keys[1:])
             violations.append(f"key {keys[0]!r}: required for scenario {scenario!r}{either}")
-        for key in given[:-1]:
+        for key in given[1:]:
             violations.append(
-                f"key {key!r}: scenario {scenario!r} does not read it beside {given[-1]!r}")
+                f"key {key!r}: scenario {scenario!r} does not read it beside {given[0]!r}")
             values.pop(key, None)
         if default is not None and default is not ...:
             values.setdefault(need, default(values) if callable(default) else default)
@@ -739,36 +730,33 @@ def _check_cylindrical(values, failed, violations, built):
                 violations.append(f"key '{name}.outer': {exc}")
 
 
-def _sample_key(values):
-    """The size of a gaussian initial sample: N, or M on girsanov, which reads no N."""
-    return "N" if "N" in values else "M"
-
-
-def _build(values, violations, built):
+def _build(entry, values, violations, built):
     """Build the coefficient field and the initial law of a config that has
     passed every check into ``built``, reporting a ContractError against the
-    key that sets the object, and a V that is not finite on the initial law's
-    atoms at time s against the key that sets the law.  A gaussian initial
-    law is init.scale times standard normals of default_rng(seed), one row
-    per point."""
+    key that sets the object, a drift that may pass the largest float (see
+    _check_drift) against coeff.id, and a V that is not finite on the
+    initial law's atoms at time s against the key that sets the law.  A
+    gaussian initial law is init.scale times standard normals of
+    default_rng(seed), one row per member of the scenario's ensemble."""
     key = "coeff.id"
     try:
         if key in values:
             params = _params(values, "coeff.")
             built["coeff"] = make_coefficients(params.pop("id"), values["d"], values["m"], **params)
-        key = "init.x" if values.get("init.kind") == "point" else "init.scale"
-        if key == "init.x":
-            built["init"] = dirac(np.broadcast_to(values[key], (values["d"],)))
-        elif "init.kind" in values:
+        key = "init.scale" if "init.scale" in values else "init.x"
+        if key == "init.scale":
             rng = np.random.default_rng(values["seed"])
-            shape = (values[_sample_key(values)], values["d"])
             # an overflow leaves non-finite points, which the measure rejects
             with np.errstate(over="ignore"):
-                points = values[key] * rng.standard_normal(shape)
+                points = values[key] * rng.standard_normal((values[entry.width], values["d"]))
             built["init"] = EmpiricalMeasure(points)
+        elif entry.width:
+            built["init"] = dirac(np.broadcast_to(values.get(key, (0.0,)), (values["d"],)))
     except ContractError as exc:
         violations.append(f"key '{key}': {exc}")
         return
+    if "coeff" in built:
+        _check_drift(values, built, violations)
     if "V" in built and "init" in built:
         mu = built["init"]
         try:
@@ -779,6 +767,23 @@ def _build(values, violations, built):
         if not finite:
             violations.append(f"key '{key}': V is not finite on the initial law at s = "
                               f"{values['s']:g}")
+
+
+def _check_drift(values, built, violations):
+    """An Euler step reads the drift at states within the blow-up guard, at
+    the initial law's atoms and at the probe points, and every catalog field
+    bounds |b| there by its Lipschitz bound times the largest of their sizes:
+    report a field whose bound lets b dt pass a quarter of the largest float,
+    so that x + b dt + sigma dW may overflow."""
+    coeff = built["coeff"]
+    size = max(BLOWUP_GUARD, float(np.abs(built["init"].points).max()),
+               *map(abs, values.get("probes.x", ())))
+    dt = max(1.0, values.get("dt", 1.0), *values.get("dt_ladder", ()))
+    with np.errstate(over="ignore"):  # a norm past the largest float is inf
+        bound = float(coeff.lipschitz_bound(values["s"]))
+    if bound * size * dt > sys.float_info.max / 4:
+        violations.append(f"key 'coeff.id': the drift of {coeff.name}, of Lipschitz bound "
+                          f"{bound:g}, passes the largest float at states of size {size:g}")
 
 
 # one span a step size must make up: its length, how a message names it, the
@@ -849,9 +854,9 @@ def _check_steps(entry, values, violations):
     span = max(spans, key=lambda span: span.length)
     key, dt = min(levels, key=itemgetter(1))
     steps = span.length / dt
-    grid = 8.0 * (steps + 1 + steps * entry.width(values) * values["m"])
-    n_key = _sample_key(values)
-    sample = 8.0 * values[n_key] * values["d"] if values.get("init.kind") == "gaussian" else 0.0
+    n_key = entry.width
+    grid = 8.0 * (steps + 1 + steps * values[n_key] * values["m"])
+    sample = 8.0 * values[n_key] * values["d"] if "init.scale" in values else 0.0
     size = grid + sample
     if size > MAX_ARRAY_BYTES:
         blame = (f"key '{n_key}': an initial sample of {values[n_key]} points in d = {values['d']}"
@@ -879,7 +884,7 @@ def run_scenario(cfg, out_dir):
     ``out_dir`` (made first, so a bad one fails before any compute), print
     its verdict lines and return the exit status, 0 iff every check passes."""
     os.makedirs(out_dir, exist_ok=True)
-    checks, (name, header, rows) = _entry(cfg.values).run(cfg)
+    checks, (name, header, rows) = _SCENARIOS[cfg.scenario].run(cfg)
     with open(os.path.join(out_dir, name), "w", newline="") as fh:
         write_csv(fh, header, rows)
     lines = [f"{anchor} {cfg.scenario} {metric}={value:.10g} {_flag(ok)}"
@@ -915,7 +920,6 @@ V.inner = quadratic
 N = 1000
 T = 1
 dt = 1e-3
-init.kind = point
 init.x = 0
 """,
     "path-independence-forward": """
@@ -927,7 +931,6 @@ V.outer = x_norm_sq
 N = 2000
 T = 1
 dt_ladder = 1e-2, 2.5e-3
-init.kind = point
 init.x = 0
 """,
     "path-independence-falsified": """
@@ -940,7 +943,6 @@ N = 2000
 T = 1
 dt_ladder = 1e-2, 2.5e-3
 perturb_g = 0.1
-init.kind = point
 init.x = 0
 """,
     "flow-property-ou": """
@@ -954,7 +956,6 @@ N = 4000
 dt = 1e-2
 times = 0, 0.5, 1
 tol = 0.05
-init.kind = gaussian
 init.scale = 1
 """,
     "feynman-kac-heat": """
@@ -968,21 +969,18 @@ dt = 1e-2
 M = 100000
 probes.t = 0, 0.5
 probes.x = -1, 0, 1
-closed_form = heat
 """,
     "feynman-kac-source-const": """
 scenario = feynman_kac_source
 seed = 19
 coeff.id = brownian
 coeff.s = 1
-f.kind = const
 f.value = 1
 T = 1
 dt = 1e-2
 M = 1000
 probes.t = 0, 0.5
 probes.x = 0
-closed_form = neg_tau
 """,
     "feynman-kac-log-gauss": """
 scenario = feynman_kac_log
@@ -996,7 +994,6 @@ dt = 1e-2
 M = 100000
 probes.t = 0, 0.5
 probes.x = -1, 0, 1
-closed_form = gauss
 """,
     "pde-residual-nonlinear": """
 scenario = pde_residual
@@ -1005,7 +1002,6 @@ coeff.id = brownian
 coeff.s = 1
 Phi.outer = gauss_quarter
 beta = 1
-pde = nonlinear
 T = 1
 dt = 1e-2
 M = 100000
@@ -1018,13 +1014,11 @@ seed = 29
 coeff.id = constant_drift
 coeff.c = 0.5
 coeff.s = 1
-g.kind = const
 g.value = 0.5
 beta = 1
 M = 100000
 T = 1
 dt = 1e-2
-init.kind = point
 init.x = 0
 """,
     "w2-selftest": """
@@ -1036,9 +1030,8 @@ max_dim = 3
 tol = 1e-12
 """,
     "npy-identity": """
-scenario = pde_residual
+scenario = npy_identity
 seed = 37
-check = npy
 n_probes = 50
 tol = 1e-10
 d = 1

@@ -12,11 +12,12 @@ row rather than one per path (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11).  A counter-based stream is fixed by its (key,
 counter) pair alone, so one Philox generator serves a whole noise array: it
 is re-keyed, with its counter reset, before each stream's draws.  A path's
-noise does not depend on which call draws it, so a caller can draw paths in
-chunks (``first=a``) and get the bits of one whole block, and decoupled rows
-one step at a time (``decoupled_rows``).  Noise moves only as such read-only
-increments; ``_euler_step`` advances an (N, d) or (K, N, d) state by one of
-them, and gives its cost.
+noise does not depend on which call draws it, so the Monte Carlo sampler
+draws its decoupled paths in chunks (``first=a``), one step at a time
+(``decoupled_rows``), and gets the bits of one whole block; an interacting
+run draws its whole block at once (``brownian_increments``).  Noise moves
+only as such read-only increments; ``_euler_step`` advances an (N, d) or
+(K, N, d) state by one of them, and gives its cost.
 
 No interacting run is recorded: a run is a generator of its grid points,
 ``StreamedFlow.steps(s, t)`` runs it again on every call, and the frozen
@@ -79,23 +80,15 @@ _DRAW_TILE = 64
 NOISE_BLOCK = 1024
 
 
-def _raw_normals(seed, n_particles, n_steps, m, domain, first=0):
-    """Fresh standard normals of particles [first, first + n_particles), shape
-    (n_steps, n_particles, m).
-
-    In DOMAIN_DECOUPLED row k is row k of decoupled_rows at dt = 1 (a
-    product with 1.0 keeps every bit); in every other domain ``raw[:, i]`` is the stream of particle ``first + i``.  Either way
-    the block of particles [a, b) equals ``raw[:, a:b]`` of a block drawn
-    from particle 0, bit for bit, so a caller can draw its particles in
-    chunks, and a longer block's step prefix equals a shorter one, so callers
-    that reuse noise on purpose draw the longest block once and slice it.
+def _raw_normals(seed, n_particles, n_steps, m):
+    """Fresh standard normals of the interacting particles 0 .. n_particles - 1,
+    shape (n_steps, n_particles, m): ``raw[:, i]`` is the stream of particle
+    i.  A longer block's step prefix equals a shorter one, so callers that
+    reuse noise on purpose draw the longest block once and slice it.
     """
-    (word0, word1), bits, gen, state = _philox(seed, n_particles, n_steps, m, domain, first)
+    (word0, word1), bits, gen, state = _philox(seed, n_particles, n_steps, m,
+                                               DOMAIN_INTERACTING, 0)
     raw = np.empty((n_steps, n_particles, m))
-    if domain == DOMAIN_DECOUPLED:
-        for k, row in enumerate(decoupled_rows(seed, n_particles, n_steps, m, 1.0, first)):
-            raw[k] = row
-        return raw
     # per-particle streams: each is drawn contiguously into a small tile,
     # which is written into the step-major block once (a tile of _DRAW_TILE
     # particles stays in cache; a strided write per particle does not)
@@ -136,15 +129,14 @@ def _philox(seed, n_particles, n_steps, m, domain, first):
 def decoupled_rows(seed, n_particles, n_steps, m, dt, first=0):
     """Row k = 0 .. n_steps - 1 of the DOMAIN_DECOUPLED increments of
     particles [first, first + n_particles), drawn when it is asked for: a
-    fresh read-only (n_particles, m) array, bit for bit row k of
-    ``brownian_increments(seed, n_particles, n_steps, m, dt, DOMAIN_DECOUPLED,
-    first)``.
+    fresh read-only (n_particles, m) array, sqrt(dt) times the normals.
 
     Row k of block j (particles [NOISE_BLOCK j, NOISE_BLOCK (j + 1))) is the
     stream keyed by block j, its counter at [0, k, 0, 0], so a caller that
     steps its paths row by row never holds the (n_steps, n_particles, m)
-    block.  A draw that starts inside a block discards the row's draws of
-    the particles before it.
+    block, and the rows of particles [a, b) are those columns of the rows
+    drawn from particle 0, whatever chunk draws them.  A draw that starts
+    inside a block discards the row's draws of the particles before it.
     """
     if not dt > 0:
         raise ContractError(f"dt must be positive, got {dt!r}")
@@ -166,13 +158,13 @@ def decoupled_rows(seed, n_particles, n_steps, m, dt, first=0):
         yield row
 
 
-def brownian_increments(seed, n_particles, n_steps, m, dt, domain=DOMAIN_INTERACTING, first=0):
-    """Read-only increments sqrt(dt) * normals, shape (n_steps, n_particles, m):
-    the one place a block of noise is drawn, with the chunk and prefix rules
-    of _raw_normals."""
+def brownian_increments(seed, n_particles, n_steps, m, dt):
+    """Read-only increments sqrt(dt) * normals of an interacting ensemble,
+    shape (n_steps, n_particles, m): the one place a block of noise is drawn,
+    with the prefix rule of _raw_normals."""
     if not dt > 0:
         raise ContractError(f"dt must be positive, got {dt!r}")
-    noise = _raw_normals(seed, n_particles, n_steps, m, domain, first)
+    noise = _raw_normals(seed, n_particles, n_steps, m)
     noise *= np.sqrt(dt)
     noise.flags.writeable = False
     return noise

@@ -8,7 +8,7 @@ transcript reports every criterion even when one fails.
 import time
 from collections import namedtuple
 
-from mfsde.cli import PRESETS, _entry, parse_config
+from mfsde.cli import _SCENARIOS, PRESETS, parse_config
 
 Verdict = namedtuple("Verdict", "value verdict")
 
@@ -17,7 +17,7 @@ def run_preset(name):
     """The preset's verdicts by metric, and the seconds its runner took."""
     cfg = parse_config(PRESETS[name])
     start = time.perf_counter()
-    checks, _ = _entry(cfg.values).run(cfg)
+    checks, _ = _SCENARIOS[cfg.scenario].run(cfg)
     elapsed = time.perf_counter() - start
     return {metric: Verdict(value, "PASS" if ok else "FAIL")
             for _, metric, value, ok in checks}, elapsed

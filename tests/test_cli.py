@@ -98,7 +98,7 @@ def test_missing_required_keys_named():
         parse_config("scenario = girsanov\n")
     text = "\n".join(exc.value.violations)
     # M is defaulted during parsing and so is never reported missing
-    for key in ("coeff.id", "g.kind", "g.value", "T", "dt"):
+    for key in ("coeff.id", "g.value", "T", "dt"):
         assert f"'{key}'" in text
 
 
@@ -153,10 +153,6 @@ def test_every_preset_parses():
 def test_presets_cover_every_scenario():
     covered = {parse_config(text).scenario for text in PRESETS.values()}
     assert covered == set(SCENARIOS)
-    # and every declaration, the one of check = npy included
-    entries = [e for entry in _SCENARIOS.values() for e in (entry, *entry.by_check.values())]
-    ran = [cli._entry(parse_config(text).values) for text in PRESETS.values()]
-    assert all(any(e is entry for e in ran) for entry in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +256,7 @@ GOLDEN = {
     },
     "npy-identity": {
         "npy_identity.csv": "f8c1211287c11a450d10f16e10d0bc10c792bf4e45ec5c0f3adc738c0b269d76",
-        "summary.txt": "fd44ed9ce90731ce8305a3f6bc1d5cd290bd19b8fe2f425b2639b08b5f5198af",
+        "summary.txt": "3d23c4b67cab3a84292b2e5f1a00f6973410a09d73292a3ecb4ee4459710237d",
     },
     "path-independence-falsified": {
         "path_independence.csv": "694b162de660eadf525f7135576a91ebd4121cb4e4b18c8ba7b1e1567ea1c2ab",
@@ -285,6 +281,11 @@ GOLDEN_REDUCED = {
     "girsanov-risk-neutral-M2000": ("girsanov-risk-neutral", {"M": 2000}),
     "pde-residual-nonlinear-M2000": ("pde-residual-nonlinear", {"M": 2000}),
 }
+
+
+def _without_empty(text):
+    """Text without the lines an empty override left, ``key = ``."""
+    return "\n".join(line for line in text.splitlines() if not line.endswith("= "))
 
 
 def _with_overrides(text, overrides):
@@ -439,17 +440,12 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ("ito-residual-meanfield", "V.outer", "product"),
         ("path-independence-forward", "V.outer", "mean"),
         ("feynman-kac-heat", "Phi.outer", "square"),
-        ("pde-residual-nonlinear", "pde", "source"),
-        ("pde-residual-nonlinear", "pde", "drift_coupled"),
         ("pde-residual-nonlinear", "Phi.inner", "quadratic"),
         ("path-independence-forward", "dt", "0.5"),
         ("path-independence-forward", "coeff.sigma", "5"),
         ("path-independence-forward", "coeff.rate", "1"),
         ("path-independence-forward", "V.outer.c", "1"),
         ("feynman-kac-log-gauss", "Phi.outer", "coord"),
-        ("feynman-kac-heat", "closed_form", "gauss"),
-        ("feynman-kac-heat", "closed_form", "neg_tau"),
-        ("feynman-kac-source-const", "closed_form", "heat"),
         ("feynman-kac-source-const", "f.value", "1e306"),
         ("flow-property-ou", "init.scale", "1e308"),
     ],
@@ -465,31 +461,44 @@ def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "preset, overrides, key",
+    "overrides",
     [
-        # each FAILed every probe (exit 1), or ended in a nonpositive
-        # terminal datum (exit 3)
-        ("feynman-kac-heat", {"coeff.id": "ou"}, "closed_form"),
-        ("feynman-kac-heat", {"Phi.outer": "gauss_quarter"}, "closed_form"),
-        ("feynman-kac-log-gauss", {"coeff.id": "constant_drift"}, "closed_form"),
-        ("feynman-kac-log-gauss", {"Phi.outer": "const", "Phi.outer.c": "2"}, "closed_form"),
-        ("feynman-kac-log-gauss",
-         {"coeff.id": "frozen", "coeff.s": "", "Phi.outer": "x_norm_sq", "closed_form": "none"},
-         "Phi.outer"),
-        ("feynman-kac-log-gauss",
-         {"Phi.outer": "const", "Phi.outer.c": "0", "closed_form": "none"}, "Phi.outer"),
+        # each ended in a nonpositive terminal datum (exit 3)
+        {"coeff.id": "frozen", "coeff.s": "", "Phi.outer": "x_norm_sq"},
+        {"Phi.outer": "const", "Phi.outer.c": "0"},
     ],
 )
-def test_main_rejects_a_model_its_closed_form_or_log_transform_does_not_fit(
-        preset, overrides, key, tmp_path, capsys):
-    text = _with_overrides(PRESETS[preset], overrides)
-    # an empty override drops the preset's line
-    text = "\n".join(line for line in text.splitlines() if not line.endswith("= "))
+def test_main_rejects_a_terminal_datum_its_log_transform_does_not_fit(
+        overrides, tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(text)
+    text = _with_overrides(PRESETS["feynman-kac-log-gauss"], overrides)
+    cfg_path.write_text(_without_empty(text))
     status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert status == 2
-    assert f"key '{key}'" in capsys.readouterr().err
+    assert "key 'Phi.outer'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset, overrides, kind",
+    [
+        ("feynman-kac-heat", {}, "heat"),
+        ("feynman-kac-heat", {"coeff.id": "ou"}, None),
+        ("feynman-kac-heat", {"Phi.outer": "gauss_quarter"}, None),
+        ("feynman-kac-log-gauss", {}, "gauss"),
+        ("feynman-kac-log-gauss", {"coeff.id": "constant_drift"}, None),
+        ("feynman-kac-log-gauss", {"Phi.outer": "const", "Phi.outer.c": "2"}, None),
+        ("feynman-kac-source-const", {"coeff.id": "ou"}, "neg_tau"),
+    ],
+)
+def test_closed_form_follows_the_model(preset, overrides, kind):
+    # a closed_form key once had to agree with the scenario, coeff.id and
+    # Phi.outer, which fix it
+    cfg = parse_config(_without_empty(_with_overrides(PRESETS[preset], overrides)))
+    # at t = 0, x = 1, T = s = beta = f = 1: |x|^2 + s^2 T, -log of the
+    # Gaussian integral, -f T
+    expected = {"heat": 2.0, "gauss": -np.log(1.5**-0.5 * np.exp(-1.0 / 6.0)), "neg_tau": -1.0}
+    value = cli._closed_form(cfg, 0.0, np.ones(1))
+    assert value is None if kind is None else value == pytest.approx(expected[kind])
 
 
 @pytest.mark.parametrize(
@@ -540,8 +549,17 @@ def test_main_rejects_s_where_it_is_not_read(tmp_path, capsys):
     [
         ("path-independence-forward", {"M": "50"}),
         ("feynman-kac-heat", {"perturb_g": "1"}),
-        ("girsanov-risk-neutral", {"closed_form": "heat"}),
+        ("girsanov-risk-neutral", {"f.value": "1"}),
         ("w2-selftest", {"T": "0.3", "dt": "0.07"}),
+        # a point law has no scale, and a gaussian one no point
+        ("ito-residual-meanfield", {"init.scale": "2"}),
+        ("flow-property-ou", {"init.x": "1"}),
+        # beta selects the log transform, which these do not take
+        ("feynman-kac-heat", {"beta": "2"}),
+        ("feynman-kac-source-const", {"beta": "2"}),
+        # a Monte Carlo initial sample has n_flow points
+        ("feynman-kac-heat", {"N": "50"}),
+        ("pde-residual-nonlinear", {"N": "50"}),
     ],
 )
 def test_main_rejects_a_key_the_scenario_does_not_read(preset, overrides, tmp_path, capsys):
@@ -560,8 +578,7 @@ def test_main_rejects_a_key_the_scenario_does_not_read(preset, overrides, tmp_pa
 
 def test_scenario_declarations_agree_with_the_schema():
     # a key in only one of the two would be rejected on every config
-    entries = [e for entry in _SCENARIOS.values() for e in (entry, *entry.by_check.values())]
-    declared = {key for e in entries for need in e.reads for key in need.split("|")}
+    declared = {key for e in _SCENARIOS.values() for need in e.reads for key in need.split("|")}
     prefixes = tuple(key for key in declared if key.endswith("."))
     for key in set(_SCHEMA) - {"scenario", "seed"}:
         assert key in declared or key.startswith(prefixes), key
@@ -598,9 +615,10 @@ def test_main_rejects_a_run_too_large_to_allocate(preset, overrides, key, tmp_pa
 
 def test_size_bound_counts_the_gaussian_initial_sample():
     # N = 1e9 once parsed, and its run drew 8 GB of initial points before its
-    # first step; the check itself allocates nothing of that size
-    text = _with_overrides(PRESETS["feynman-kac-heat"],
-                           {"init.kind": "gaussian", "N": "1000000000"})
+    # first step; the check itself allocates nothing of that size.  Two steps
+    # of one noise column in d = 8 make the sample the larger part
+    text = _with_overrides(PRESETS["flow-property-ou"],
+                           {"dt": "0.5", "d": "8", "m": "1", "N": "100000000"})
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError) as exc:
@@ -613,10 +631,12 @@ def test_size_bound_counts_the_gaussian_initial_sample():
     assert parse_config(_with_overrides(text, {"N": "1000"})).get("N") == 1000
 
 
-def test_running_cost_bound_admits_every_finite_sum():
-    # f.value = 1e306 at M = 1000 once PASSed on an error of inf
+def test_running_cost_bound_admits_every_finite_sum(tmp_path):
+    # f.value = 1e306 at M = 1000 once PASSed on an error of inf, and 1e200
+    # overflowed the sum of squares of the samples' moments (exit 3)
     text = PRESETS["feynman-kac-source-const"]
-    assert parse_config(_with_overrides(text, {"f.value": "1e300"})).get("f.value") == 1e300
+    cfg = parse_config(_with_overrides(text, {"f.value": "1e150"}))
+    assert run_scenario(cfg, str(tmp_path)) == 0
     assert parse_config(_with_overrides(text, {"f.value": "0"})).get("f.value") == 0
 
 
@@ -635,7 +655,8 @@ def test_parse_config_builds_each_object_once(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "make_cylindrical", counted("V", cli.make_cylindrical))
     monkeypatch.setattr(np.random, "default_rng", counted("init", np.random.default_rng))
     text = _with_overrides(PRESETS["path-independence-forward"], {
-        "N": "50", "dt_ladder": "0.1, 0.05, 0.025, 0.0125", "init.kind": "gaussian"})
+        "N": "50", "dt_ladder": "0.1, 0.05, 0.025, 0.0125", "init.x": "", "init.scale": "1"})
+    text = _without_empty(text)
     cfg = parse_config(text)
     assert cfg.init.n_atoms == 50 and cfg.Phi is None
     assert run_scenario(cfg, str(tmp_path)) in (0, 1)
@@ -718,12 +739,28 @@ def test_main_seed_override_keeps_line_numbers(tmp_path, capsys):
     assert parse_config(PRESETS["w2-selftest"], seed=9).seed == 9
 
 
-def test_main_rejects_eps_key(tmp_path, capsys):
-    cfg_path = tmp_path / "eps.cfg"
-    cfg_path.write_text(PRESETS["w2-selftest"] + "eps = 0.5\n")
+@pytest.mark.parametrize(
+    "preset, key, value",
+    [
+        # no runner read eps
+        ("w2-selftest", "eps", "0.5"),
+        # other keys fix each of these: const is what the runners do, the law
+        # is gaussian iff init.scale is set, the model picks its closed form,
+        # beta the PDE, and the identity is a scenario of its own
+        ("girsanov-risk-neutral", "g.kind", "const"),
+        ("feynman-kac-source-const", "f.kind", "const"),
+        ("ito-residual-meanfield", "init.kind", "point"),
+        ("feynman-kac-heat", "closed_form", "heat"),
+        ("pde-residual-nonlinear", "pde", "nonlinear"),
+        ("npy-identity", "check", "npy"),
+    ],
+)
+def test_main_rejects_a_key_that_is_gone(preset, key, value, tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_with_overrides(PRESETS[preset], {key: value}))
     status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert status == 2
-    assert "key 'eps': unknown configuration key" in capsys.readouterr().err
+    assert f"key '{key}': unknown configuration key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -741,13 +778,19 @@ def test_main_rejects_eps_key(tmp_path, capsys):
         *[(preset, "init.x", x)
           for preset in ("ito-residual-meanfield", "path-independence-forward")
           for x in ("1e200", "-1e200", "1e308", "-1e308")],
+        # the moments' sum of squared running costs, and sigma sigma^* of the
+        # residual's stencil
+        ("feynman-kac-source-const", "f.value", "1e200"),
+        ("feynman-kac-source-const", "f.value", "-1e200"),
+        ("pde-residual-nonlinear", "coeff.s", "1e200"),
+        ("pde-residual-nonlinear", "coeff.s", "-1e308"),
     ],
 )
 def test_main_zero_step_grid_and_overflowing_config_exit_2(preset, key, value, tmp_path, capsys):
     # a step longer than the horizon once passed as a zero-step grid, a huge
-    # eps_ladder broke the log outer, a huge g.value overflowed exp and a huge
-    # init.x overflowed V on the initial law (exit 3 or a nan verdict with
-    # RuntimeWarnings)
+    # eps_ladder broke the log outer, a huge g.value overflowed exp, a huge
+    # init.x overflowed V on the initial law, and a huge f.value or coeff.s
+    # overflowed a matmul (exit 3 or a nan verdict with RuntimeWarnings)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(_with_overrides(PRESETS[preset], {key: value}))
     status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
@@ -757,7 +800,7 @@ def test_main_zero_step_grid_and_overflowing_config_exit_2(preset, key, value, t
 
 # the values each key of each preset is set to in turn by the edge-value scan,
 # on presets shrunk to these counts where they set them
-EDGE_VALUES = ("0", "-1", "1e-9", "1e9")
+EDGE_VALUES = ("0", "-1", "1e-9", "1e9", "1e200", "-1e200", "1e308", "-1e308")
 EDGE_SHRINK = {"M": "64", "N": "16", "n_flow": "8", "n_probes": "2", "n_atoms": "10",
                "n_instances": "5"}
 
@@ -796,12 +839,12 @@ def _refuse_open(*args, **kwargs):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_runner_returns_its_checks_and_table_and_opens_no_file(name, monkeypatch):
     # every runner once wrote its own CSV into an out_dir passed to it, and
-    # run_scenario dispatched check = npy a second time inside the residual runner
+    # run_scenario dispatched the npy identity a second time inside the
+    # residual runner
     cfg = parse_config(_shrunk(PRESETS[name]))
-    entry = cli._entry(cfg.values)
     with monkeypatch.context() as patched:
         patched.setattr(builtins, "open", _refuse_open)
-        checks, (file_name, header, rows) = entry.run(cfg)
+        checks, (file_name, header, rows) = _SCENARIOS[cfg.scenario].run(cfg)
     assert checks
     for anchor, metric, value, ok in checks:
         assert isinstance(anchor, str) and isinstance(metric, str)
@@ -812,7 +855,43 @@ def test_runner_returns_its_checks_and_table_and_opens_no_file(name, monkeypatch
 
 def test_v_past_the_largest_float_on_a_gaussian_initial_law_blames_init_scale():
     text = _with_overrides(PRESETS["path-independence-forward"],
-                           {"init.kind": "gaussian", "init.scale": "1e200", "N": "16"})
+                           {"init.x": "", "init.scale": "1e200", "N": "16"})
     with pytest.raises(ConfigError) as exc:
-        parse_config(text)
+        parse_config(_without_empty(text))
     assert exc.value.violations == ["key 'init.scale': V is not finite on the initial law at s = 0"]
+
+
+def test_drift_past_the_largest_float_blames_the_coefficient_field(tmp_path):
+    # theta = 1e308 once overflowed the OU drift in its first step (exit 3)
+    for preset, key in (("flow-property-ou", "coeff.theta"), ("girsanov-risk-neutral", "coeff.c")):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_with_overrides(PRESETS[preset], {key: "1e308"}))
+        [violation] = exc.value.violations
+        assert violation.startswith("key 'coeff.id': the drift of ")
+    # within the blow-up guard the drift of theta = 1e299 stays finite, and
+    # its first step blows up
+    cfg = parse_config(_with_overrides(PRESETS["flow-property-ou"], {"coeff.theta": "1e299"}))
+    with pytest.raises(SimulationError) as blown:
+        run_scenario(cfg, str(tmp_path))
+    assert blown.value.step == 1
+
+
+def test_residual_past_the_largest_float_fails_every_probe(tmp_path):
+    # beta = 1e200 once overflowed |sigma^* dx u|^2 (exit 3); a residual or
+    # budget that is not a finite float cannot PASS
+    cfg = parse_config(_with_overrides(_shrunk(PRESETS["pde-residual-nonlinear"]),
+                                       {"beta": "1e200"}))
+    assert run_scenario(cfg, str(tmp_path)) == 1
+    rows = (tmp_path / "pde_residual.csv").read_text().splitlines()[1:]
+    assert rows and all(row.endswith(",FAIL") for row in rows)
+
+
+def test_pde_residual_without_beta_checks_the_linear_pde(tmp_path):
+    # beta selects the log transform; without it the value is E Phi and its
+    # PDE the linear one
+    text = _without_empty(_with_overrides(PRESETS["pde-residual-nonlinear"],
+                                          {"beta": "", "M": "2000"}))
+    assert run_scenario(parse_config(text), str(tmp_path)) == 0
+    assert (tmp_path / "summary.txt").read_text().startswith("Eq-YGG pde_residual ")
+    rows = (tmp_path / "pde_residual.csv").read_text().splitlines()[1:]
+    assert rows and all(row.startswith("linear,") for row in rows)

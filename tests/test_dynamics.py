@@ -51,8 +51,8 @@ def test_streams_disjoint_across_particles():
 
 
 def test_streams_disjoint_across_domains():
-    a = brownian_increments(0, 3, 5, 1, 0.1, domain=0)
-    b = brownian_increments(0, 3, 5, 1, 0.1, domain=1)
+    a = increments(0, 3, 5, 1, 0.1, DOMAIN_INTERACTING)
+    b = increments(0, 3, 5, 1, 0.1, DOMAIN_DECOUPLED)
     assert not np.allclose(a, b)
 
 
@@ -87,12 +87,28 @@ def particle_noise(seed, i, domain, n_steps, m):
     return particle_stream(seed, i, domain).standard_normal((n_steps, m))
 
 
+def increments(seed, n_particles, n_steps, m, dt, domain, first=0):
+    """(n_steps, n_particles, m) increments of particles [first, first +
+    n_particles) of a domain, as the package draws them: an interacting
+    block, the decoupled rows, or sqrt(dt) times each particle's own stream
+    in another domain."""
+    if domain == DOMAIN_INTERACTING:
+        assert first == 0
+        return brownian_increments(seed, n_particles, n_steps, m, dt)
+    if domain == DOMAIN_DECOUPLED:
+        return np.stack(list(dynamics.decoupled_rows(seed, n_particles, n_steps, m, dt, first)))
+    noise = np.stack([particle_noise(seed, first + i, domain, n_steps, m)
+                      for i in range(n_particles)], axis=1)
+    noise *= np.sqrt(dt)
+    return noise
+
+
 @pytest.mark.parametrize("seed", [5, 2**63 + 7])
-@pytest.mark.parametrize("domain", [DOMAIN_INTERACTING, DOMAIN_DECOUPLED, DOMAIN_INIT])
+@pytest.mark.parametrize("domain", [DOMAIN_INTERACTING, DOMAIN_DECOUPLED])
 @pytest.mark.parametrize("m", [1, 2])
 def test_increments_match_per_particle_streams(seed, domain, m):
     n_particles, n_steps, dt = 7, 6, 0.04
-    dw = brownian_increments(seed, n_particles, n_steps, m, dt, domain)
+    dw = increments(seed, n_particles, n_steps, m, dt, domain)
     ref = np.empty((n_steps, n_particles, m))
     for i in range(n_particles):
         ref[:, i, :] = particle_noise(seed, i, domain, n_steps, m)
@@ -103,40 +119,42 @@ def test_increments_match_per_particle_streams(seed, domain, m):
 @pytest.mark.parametrize("m", [1, 2])
 def test_decoupled_rows_are_block_streams(seed, m):
     # three blocks, the first and last partly: every row is the block's
-    # stream from its step's counter
+    # stream from its step's counter (at dt = 1, a product with 1.0 that
+    # keeps every bit)
     first, n, n_steps = 1000, 1100, 4
-    whole = dynamics._raw_normals(seed, n, n_steps, m, DOMAIN_DECOUPLED, first)
+    whole = increments(seed, n, n_steps, m, 1.0, DOMAIN_DECOUPLED, first)
     assert whole.tobytes() == block_rows(seed, first, n, n_steps, m).tobytes()
     # a chunk from inside a block is those rows of the whole block, and a
     # shorter horizon is their step prefix
-    start = dynamics._raw_normals(seed, 2 * NOISE_BLOCK, n_steps, m, DOMAIN_DECOUPLED)
+    start = increments(seed, 2 * NOISE_BLOCK, n_steps, m, 1.0, DOMAIN_DECOUPLED)
     assert whole[:, : 2 * NOISE_BLOCK - first].tobytes() == start[:, first:].tobytes()
-    short = dynamics._raw_normals(seed, n, 2, m, DOMAIN_DECOUPLED, first)
+    short = increments(seed, n, 2, m, 1.0, DOMAIN_DECOUPLED, first)
     assert short.tobytes() == whole[:2].tobytes()
     # drawn a row at a time, each row is a fresh read-only row of the increments
-    block = brownian_increments(seed, n, n_steps, m, 0.04, DOMAIN_DECOUPLED, first)
     rows = list(dynamics.decoupled_rows(seed, n, n_steps, m, 0.04, first))
+    block = np.sqrt(0.04) * block_rows(seed, first, n, n_steps, m)
     assert b"".join(row.tobytes() for row in rows) == block.tobytes()
     assert not any(row.flags.writeable for row in rows)
     assert not any(np.shares_memory(row, rows[0]) for row in rows[1:])
 
 
 def test_chunked_draws_equal_rows_of_the_whole_block():
-    # 2100 particles span draw tiles of 64 and three noise blocks; chunks cut
-    # across the boundaries of both layouts
+    # 2100 particles span draw tiles of 64 and three noise blocks; decoupled
+    # chunks cut across the boundaries of the blocks
     for domain in (DOMAIN_INTERACTING, DOMAIN_DECOUPLED):
-        whole = dynamics._raw_normals(11, 2100, 3, 2, domain)
+        whole = increments(11, 2100, 3, 2, 1.0, domain)
         for i in (0, 63, 64, 1023, 1024, 2099):
             assert whole[:, i].tobytes() == particle_noise(11, i, domain, 3, 2).tobytes()
-        for a, b in ((0, 64), (60, 130), (1000, 1100), (1023, 2049), (2099, 2100)):
-            chunk = dynamics._raw_normals(11, b - a, 3, 2, domain, first=a)
-            assert chunk.tobytes() == whole[:, a:b].tobytes()
+        if domain == DOMAIN_DECOUPLED:
+            for a, b in ((0, 64), (60, 130), (1000, 1100), (1023, 2049), (2099, 2100)):
+                chunk = increments(11, b - a, 3, 2, 1.0, domain, first=a)
+                assert chunk.tobytes() == whole[:, a:b].tobytes()
 
 
 @pytest.mark.parametrize("first, n", [(-1, 1), (2**48 - 1, 2), (2**48, 1)])
 def test_chunked_draws_reject_particles_outside_the_key_range(first, n):
     with pytest.raises(ContractError, match="particle"):
-        dynamics._raw_normals(0, n, 1, 1, DOMAIN_DECOUPLED, first=first)
+        increments(0, n, 1, 1, 1.0, DOMAIN_DECOUPLED, first=first)
 
 
 @pytest.mark.parametrize(
@@ -153,7 +171,7 @@ def test_chunked_draws_reject_particles_outside_the_key_range(first, n):
 def test_increments_pinned_digest(args, digest):
     # digests of the realised noise (float64, native byte order); a change
     # here re-realises every stochastic output of the package
-    assert hashlib.sha256(brownian_increments(*args).tobytes()).hexdigest() == digest
+    assert hashlib.sha256(increments(*args).tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -434,7 +452,7 @@ def test_decoupled_noise_independent_of_frozen_flow():
     coeff = make_coefficients("brownian", s=1.0)
     terminal = _decoupled_samples(coeff, dirac([0.0]), [0.0], 0.5, 0.25, 3, seed=0, n_flow=3)
     law = semigroup_apply(coeff, dirac([0.0]), 0.0, 0.5, 3, 0.25, seed=0)
-    own = brownian_increments(0, 3, 2, 1, 0.25, DOMAIN_DECOUPLED).sum(axis=0)[:, 0]
+    own = increments(0, 3, 2, 1, 0.25, DOMAIN_DECOUPLED).sum(axis=0)[:, 0]
     assert terminal.tobytes() == own.tobytes()
     assert not np.allclose(terminal, law.points[:, 0])
 
@@ -442,7 +460,7 @@ def test_decoupled_noise_independent_of_frozen_flow():
 def _reference_decoupled(coeff, x, laws, times, dt, M, seed):
     """The path-storing Euler loop over ``times`` against the snapshots
     ``laws``: the states (L+1, M, d)."""
-    noise = brownian_increments(seed, M, len(times) - 1, coeff.m, dt, DOMAIN_DECOUPLED)
+    noise = increments(seed, M, len(times) - 1, coeff.m, dt, DOMAIN_DECOUPLED)
     states = np.empty((len(times), M, coeff.d))
     states[0] = x
     for k in range(len(times) - 1):

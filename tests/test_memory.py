@@ -90,9 +90,9 @@ def _counted_draws(monkeypatch):
     draws = []
     draw, rows = dynamics._raw_normals, feynman_kac.decoupled_rows
 
-    def counted(seed, n_particles, n_steps, m, domain, first=0):
-        draws.append((domain, first, n_particles, n_steps))
-        return draw(seed, n_particles, n_steps, m, domain, first)
+    def counted(seed, n_particles, n_steps, m):
+        draws.append((DOMAIN_INTERACTING, 0, n_particles, n_steps))
+        return draw(seed, n_particles, n_steps, m)
 
     def counted_rows(seed, n_particles, n_steps, m, dt, first=0):
         draws.append((DOMAIN_DECOUPLED, first, n_particles, n_steps))
