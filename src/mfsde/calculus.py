@@ -31,8 +31,9 @@ OUTER_NAMES = (
     "time", "x_norm_sq", "x_sq_plus_r1", "x1_times_r1", "time_times_r1",
     "x_sq_plus_c_minus_t", "gauss_quarter",
 )
-#: the parameters each make_outer entry reads, with their defaults; an entry
-#: not listed reads none
+#: the parameters each make_inner / make_outer entry reads, with their
+#: defaults; an entry not listed reads none
+INNER_PARAMS = {"linear": {"a": (1.0,)}, "coordinate": {"i": 0, "power": 1}}
 OUTER_PARAMS = {"const": {"c": 1.0}, "coord": {"i": 0}, "x_sq_plus_c_minus_t": {"c": 1.0}}
 
 
@@ -136,16 +137,20 @@ def _coordinate_inner(i, power=1):
 
 
 def make_inner(name, **params):
-    """Resolve an inner function by catalog identifier."""
+    """Resolve an inner function by catalog identifier.  A parameter the
+    entry does not read (see INNER_PARAMS) raises ContractError."""
+    if name not in INNER_NAMES:
+        raise ContractError(f"unknown inner function {name!r}")
+    reads = INNER_PARAMS.get(name, {})
+    check_params(f"inner function {name!r}", params, reads)
+    params = {**reads, **params}
     if name == "linear":
-        return _linear_inner(params.get("a", [1.0]))
+        return _linear_inner(params["a"])
     if name == "quadratic":
         return _quadratic_inner()
     if name == "bump":
         return _bump_inner()
-    if name == "coordinate":
-        return _coordinate_inner(params.get("i", 0), params.get("power", 1))
-    raise ContractError(f"unknown inner function {name!r}")
+    return _coordinate_inner(params["i"], params["power"])
 
 
 # ---------------------------------------------------------------------------

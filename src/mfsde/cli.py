@@ -408,12 +408,9 @@ def _run_w2_selftest(cfg):
 
 
 def _girsanov_rules(values, failed, violations):
-    # girsanov simulates its M paths as one interacting ensemble
-    if "M" not in failed and values["M"] < 2:
-        violations.append(f"key 'M': must be at least 2 for scenario 'girsanov', got {values['M']}")
     # the M Novikov samples exp(m g^2 (T - s) / 2) must sum to a finite float
     g, T, s, m = values.get("g.value"), values.get("T"), values["s"], values["m"]
-    if g is not None and T is not None and T > s:
+    if "M" in values and g is not None and T is not None and T > s:
         if 0.5 * m * g * g * (T - s) + np.log(values["M"]) > np.log(np.finfo(float).max):
             violations.append(
                 f"key 'g.value': M exp(m g^2 (T - s) / 2) overflows a float for g = {g:g}, "
@@ -425,7 +422,7 @@ def _source_rules(values, failed, violations):
     # the moments of the M running costs f (T - t) of the earliest probe sum
     # their squares, which must stay finite floats
     f, T, times = values.get("f.value"), values.get("T"), values.get("probes.t")
-    if f and T is not None and times and T > min(times):
+    if "M" in values and f and T is not None and times and T > min(times):
         tau = T - min(times)
         if abs(f) * tau > math.sqrt(sys.float_info.max / values["M"]):
             violations.append(
@@ -469,7 +466,7 @@ _PHI = {"Phi.outer": ..., "Phi.": None}
 _PARTICLES = {**_COEFF, **_INIT, "N": ..., "T": ..., "s": None, "V.outer": ..., "V.": None}
 # M paths over the frozen flow of n_flow particles from the initial law; the
 # flow is the widest block, as the M paths draw their noise a row at a time
-_MC = {**_COEFF, **_INIT, "T": ..., "dt": ..., "probes.t": ..., "probes.x": ..., "M": None,
+_MC = {**_COEFF, **_INIT, "T": ..., "dt": ..., "probes.t": ..., "probes.x": ..., "M": ...,
        "n_flow": 200}
 _SCENARIOS = {
     "ito_residual": _Scenario(_run_ito_residual, {**_PARTICLES, "dt": ...}, "N"),
@@ -479,7 +476,7 @@ _SCENARIOS = {
         _run_flow_property, {**_COEFF, **_INIT, "N": ..., "dt": ..., "times": ..., "tol": 0.05},
         "N"),
     "girsanov": _Scenario(
-        _run_girsanov, {**_COEFF, **_INIT, "M": None, "T": ..., "dt": ..., "s": None,
+        _run_girsanov, {**_COEFF, **_INIT, "M": ..., "T": ..., "dt": ..., "s": None,
                         "g.value": ..., "beta": 1.0},
         "M", _girsanov_rules),
     "feynman_kac_linear": _Scenario(_run_feynman_kac, {**_MC, **_PHI}, "n_flow"),
@@ -556,13 +553,14 @@ def _choice(choices):
 _FLOAT = _number(float)
 _FLOATS = _list(_FLOAT)
 _POSITIVES = _list(_number(float, least=0, nonzero=True))
-# counts: M paths, N and n_flow interacting particles (an ensemble needs two)
+# counts; M paths, N and n_flow interacting particles are ensembles, which
+# need two members: a Monte Carlo gate reads their standard error
 _COUNT = _number(int, least=1)
 _ENSEMBLE = _number(int, least=2)
 _SCHEMA = {
     "scenario": _choice(SCENARIOS),
     "seed": _number(int),
-    "d": _COUNT, "m": _COUNT, "M": _COUNT, "N": _ENSEMBLE, "n_flow": _ENSEMBLE,
+    "d": _COUNT, "m": _COUNT, "M": _ENSEMBLE, "N": _ENSEMBLE, "n_flow": _ENSEMBLE,
     "n_probes": _COUNT, "n_atoms": _COUNT, "n_instances": _COUNT,
     "max_atoms": _COUNT, "max_dim": _COUNT,
     "s": _FLOAT, "T": _FLOAT, "dt": _FLOAT, "beta": _number(float, nonzero=True),
@@ -595,7 +593,7 @@ def parse_config(text, seed=None):
     ``seed``, when given, replaces the config's own seed.  A key the scenario
     does not read (see ``_SCENARIOS``) is a violation.  Raises ConfigError
     carrying the full violation list; otherwise returns a ScenarioConfig with
-    the scenario's declared defaults filled, and seed=0, M=1 and s=0, and
+    the scenario's declared defaults filled, and seed=0 and s=0, and
     with the objects it reads built once (V and Phi in _check_cylindrical,
     the rest in _build): a fault in building one is a fault of the config.
     """
@@ -636,7 +634,6 @@ def parse_config(text, seed=None):
     _check_reads(entry, values, failed, violations)
     _check_params(values, violations)
     values.setdefault("seed", 0)
-    values.setdefault("M", 1)
     values.setdefault("s", 0.0)
     if entry.rules:
         entry.rules(values, failed, violations)

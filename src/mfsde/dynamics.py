@@ -329,8 +329,12 @@ def grid_steps(span, dt):
 
 
 def _grid(s, T, dt):
+    """(times, steps) of the grid of step dt from s to T; ContractError
+    unless dt > 0 and T - s >= 0 is a whole number of steps."""
     if dt <= 0:
         raise ContractError("dt must be positive")
+    if T < s:
+        raise ContractError(f"need T >= t, got t = {s} and T = {T}")
     n = grid_steps(T - s, dt)
     if n is None:
         raise ContractError(f"horizon {T - s} is not an integer multiple of dt={dt}")
@@ -451,29 +455,23 @@ class StreamedFlow:
     step and read-only.  The flow holds its arguments, not its states: each
     call of :meth:`steps` runs the scheme again, to the same bits, and holds
     only the current state and the noise block, so a verifier folds a flow
-    in one pass over its steps.
+    in one pass over its steps.  ``dt`` is the step the flow was built with,
+    which its Euler steps and every functional folded along it read.
     """
 
     def __init__(self, coeff, init, N, T, dt, seed, s=0.0):
         self.n_particles = check_count("N", N, 2)
         self.times, self.n_steps = _grid(s, T, dt)
-        self._run = (coeff, init, dt, seed)
-
-    @property
-    def dt(self):
-        """The grid's step; ContractError on a one-point grid, which has none."""
-        if self.times.size == 1:
-            raise ContractError(f"the one-point grid [{self.times[0]}] has no step")
-        return float(self.times[1] - self.times[0])
+        self.dt = dt
+        self._run = (coeff, init, seed)
 
     def span(self, s, t):
         """Grid indices (k0, k1) of s and t; ContractError if either is off
         the grid or t < s."""
-        dt = self._run[2]
-        k0, k1 = (grid_steps(u - self.times[0], dt) for u in (s, t))
+        k0, k1 = (grid_steps(u - self.times[0], self.dt) for u in (s, t))
         if k0 is None or k1 is None or k1 >= self.times.size:
-            raise ContractError(f"[{s}, {t}] is off the grid of step {dt} from {self.times[0]} "
-                                f"to {self.times[-1]}")
+            raise ContractError(f"[{s}, {t}] is off the grid of step {self.dt} from "
+                                f"{self.times[0]} to {self.times[-1]}")
         if k1 < k0:
             raise ContractError(f"need t >= s, got [{s}, {t}]")
         return k0, k1
@@ -488,9 +486,9 @@ class StreamedFlow:
         and the initial state are checked at the call, not on iteration.
         """
         k0, k1 = self.span(s, t)
-        coeff, init, dt, seed = self._run
-        increments = brownian_increments(seed, self.n_particles, k1, coeff.m, dt)
-        run = _interacting(coeff, init, self.times[: k1 + 1], dt, seed, increments)
+        coeff, init, seed = self._run
+        increments = brownian_increments(seed, self.n_particles, k1, coeff.m, self.dt)
+        run = _interacting(coeff, init, self.times[: k1 + 1], self.dt, seed, increments)
         return itertools.islice(run, k0, None)
 
 

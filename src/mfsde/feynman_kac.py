@@ -63,15 +63,6 @@ class McSolution:
 
     value: float
     std_error: float
-    n_samples: int
-    beta: Optional[float] = None
-
-
-def _n_steps(t, T, dt):
-    """Euler steps from t to T; ContractError unless T >= t on a grid of step dt."""
-    if T < t:
-        raise ContractError("need T >= t")
-    return _grid(t, T, dt)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +327,13 @@ class McValueFunction:
             mean = float(mean)
             se = float(np.sqrt(comoment[j, j] / (m - 1)) / np.sqrt(m)) if m > 1 else 0.0
             if self.beta is None:
-                solutions.append(McSolution(mean, se, m))
+                solutions.append(McSolution(mean, se))
                 continue
             if minimum[j] <= 0:
                 raise DataError(f"terminal datum fell to {minimum[j]:g}, but the log "
                                 "transform needs it strictly positive")
             value = float(self.value_of_mean(mean))
-            solutions.append(McSolution(value, abs(self.beta) * se / mean, m, float(self.beta)))
+            solutions.append(McSolution(value, abs(self.beta) * se / mean))
         return solutions
 
     def moments(self, groups):
@@ -388,12 +379,12 @@ class McValueFunction:
         for g, group in enumerate(groups):
             for j, (t, x, mu) in enumerate(group):
                 x = start_point(x, self.coeff.d)
-                _n_steps(t, self.T, self.dt)
+                _grid(t, self.T, self.dt)
                 mu = self.mu if mu is None else mu
                 flows.setdefault((t, id(mu)), [t, mu, []])[2].append((g, j, x))
         if not flows:
             return
-        n_steps = _n_steps(min(t for t, _, _ in flows.values()), self.T, self.dt)
+        _, n_steps = _grid(min(t for t, _, _ in flows.values()), self.T, self.dt)
         reads_law = (self.coeff.measure_dependent or self.f_field is not None
                      or bool(self.Phi.inner))
         if reads_law:
@@ -424,7 +415,7 @@ class McValueFunction:
                     if integrals[i] is not None:
                         for c, x_c in enumerate(states[i]):
                             integrals[i][c] += np.asarray(self.f_field(
-                                times[k], x_c, laws[k]), dtype=float) * (times[1] - times[0])
+                                times[k], x_c, laws[k]), dtype=float) * self.dt
                     states[i] = _euler_step(
                         self.coeff, times[k], states[i], laws[k], dw, self.dt, k, a)
             blocks = [np.empty((len(group), n)) for group in groups]

@@ -42,28 +42,30 @@ def _step_terms(f, g, t_k, X, mu, dw, dt):
     return out
 
 
-def _potential(V, t_k, X, mu):
-    """V(t_k, X, mu) per path, or None without V."""
-    if V is None:
-        return None
+def _potential(V, point):
+    """V at a grid point (t_k, X_k, mu_k), per path."""
+    t_k, X, mu = point
     return np.asarray(V.outer.value(t_k, X, V.inner_integrals(mu)))
 
 
-def _fold(flow, s, t, f=None, g=None, V=None):
-    """(A^{f,g}_{s,t}, V at s, V at t) per path, from one pass over ``flow.steps(s, t)``.
+def _fold(flow, s, t, pairs=()):
+    """(A^{f,g}_{s,t} of each (f, g) of ``pairs``, first point, last point)
+    per path, from one pass over ``flow.steps(s, t)``.
 
-    The step terms are summed from zero in grid order; the two potentials
-    are None without V.  Every pass over a flow sees the same bits, so a
-    window [s, t] folds the same terms as that stretch of the whole run.
+    Each pair's step terms are summed from zero in grid order, the pairs in
+    their given order at each step.  A point is (t_k, X_k, mu_k) without its
+    increments, which would keep the run's noise block alive.  Every pass
+    over a flow sees the same bits, so a window [s, t] folds the same terms
+    as that stretch of the whole run.
     """
-    dt = flow.dt
-    total = np.zeros(flow.n_particles)
+    totals = [np.zeros(flow.n_particles) for _ in pairs]
     for k, (t_k, X, mu, dw) in enumerate(flow.steps(s, t)):
         if k == 0:
-            start = _potential(V, t_k, X, mu)
+            first = (t_k, X, mu)
         if dw is not None:
-            total += _step_terms(f, g, t_k, X, mu, dw, dt)
-    return total, start, _potential(V, t_k, X, mu)
+            for total, (f, g) in zip(totals, pairs):
+                total += _step_terms(f, g, t_k, X, mu, dw, flow.dt)
+    return totals, first, (t_k, X, mu)
 
 
 def accumulate(f, g, flow, s, t):
@@ -71,7 +73,8 @@ def accumulate(f, g, flow, s, t):
 
     The step terms are added from zero in grid order, so A_{s,s} = 0.
     """
-    return _fold(flow, s, t, f, g)[0]
+    [total], _, _ = _fold(flow, s, t, [(f, g)])
+    return total
 
 
 def build_pair_from_V(coeff, V):
@@ -95,8 +98,8 @@ def build_pair_from_V(coeff, V):
 
 def potential_increment(V, flow, s, t):
     """V(t, X_t, mu_t) - V(s, X_s, mu_s) per path, shape (N,)."""
-    _, start, end = _fold(flow, s, t, V=V)
-    return end - start
+    _, first, last = _fold(flow, s, t)
+    return _potential(V, last) - _potential(V, first)
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,6 @@ class LadderRow:
     rms_defect: float
     max_defect: float
     decay_order: Optional[float]
-    threshold: float
     verdict: str
 
 
@@ -115,7 +117,6 @@ class PathIndependenceReport:
     rows: tuple
     verdict: str
     defect_floor: float = 0.0
-    floor_std_error: float = 0.0
 
     def to_rows(self):
         """(header, rows) of the report's CSV, one row per ladder level."""
@@ -158,13 +159,13 @@ def verify_path_independence(V, f, g, flows, s, t):
             raise ContractError(
                 f"flows must come coarsest first: dt {flow.dt} after dt {prev[1]}"
             )
-        # one pass folds A^{f,g} and records V at both ends; a sum, square or
-        # mean past the largest float is left inf or nan, without a numpy
-        # warning, and flags the level by a mean-square defect that is not
-        # finite, which _defect_floor reads as an infinite floor
+        # one pass folds A^{f,g} and keeps both end points for V; a sum,
+        # square or mean past the largest float is left inf or nan, without a
+        # numpy warning, and flags the level by a mean-square defect that is
+        # not finite, which _defect_floor reads as an infinite floor
         with np.errstate(over="ignore", invalid="ignore"):
-            total, start, end = _fold(flow, s, t, f, g, V=V)
-            increment = end - start
+            [total], first, last = _fold(flow, s, t, [(f, g)])
+            increment = _potential(V, last) - _potential(V, first)
             defect = np.abs(total - increment)
             sq = defect**2
             sq_mean, sq_se = float(sq.mean()), float(sq.std() / np.sqrt(sq.size))
@@ -181,9 +182,7 @@ def verify_path_independence(V, f, g, flows, s, t):
             if 0 < rms < np.inf and 0 < prev_rms < np.inf and prev_dt != flow.dt:
                 order = float(np.log(prev_rms / rms) / np.log(prev_dt / flow.dt))
         verdict = "PASS" if rms <= thresh else "FAIL"
-        rows.append(
-            LadderRow(flow.dt, flow.n_particles, rms, mx, order, thresh, verdict)
-        )
+        rows.append(LadderRow(flow.dt, flow.n_particles, rms, mx, order, verdict))
         sq_means.append((flow.dt, sq_mean, sq_se))
         prev = (rms, flow.dt)
         # drop this level before the iterable simulates the next one
@@ -198,7 +197,6 @@ def verify_path_independence(V, f, g, flows, s, t):
         rows=tuple(rows),
         verdict=overall,
         defect_floor=float(np.sqrt(max(floor, 0.0))),
-        floor_std_error=floor_se,
     )
 
 
@@ -264,17 +262,9 @@ def girsanov_replay(g, flow, beta, s, t):
 
     The weight is exp(-A^{g;beta}_{s,t}) per path, with f folded in as
     |g|^2 / (2 beta); the estimate is a :class:`NovikovEstimate` of
-    E exp(1/2 int_s^t |g|^2 dr).  Both functionals are summed step by step
-    in that one pass, so a StreamedFlow is simulated once and never
-    recorded.
+    E exp(1/2 int_s^t |g|^2 dr).  Both functionals are the two pairs of one
+    _fold, so a StreamedFlow is simulated once and never recorded.
     """
-    f_weight, f_novikov = _girsanov_f(g, beta), _girsanov_f(g, 1.0)
-    dt = flow.dt
-    weight, novikov = np.zeros(flow.n_particles), np.zeros(flow.n_particles)
-    for k, (t_k, X, mu, dw) in enumerate(flow.steps(s, t)):
-        if k == 0:
-            x_s = X
-        if dw is not None:
-            weight += _step_terms(f_weight, g, t_k, X, mu, dw, dt)
-            novikov += _step_terms(f_novikov, None, t_k, X, mu, dw, dt)
-    return np.exp(-weight), _novikov(np.exp(novikov)), X - x_s
+    pairs = [(_girsanov_f(g, beta), g), (_girsanov_f(g, 1.0), None)]
+    (weight, novikov), (_, x_s, _), (_, x_t, _) = _fold(flow, s, t, pairs)
+    return np.exp(-weight), _novikov(np.exp(novikov)), x_t - x_s

@@ -298,6 +298,14 @@ def test_unknown_names_rejected():
         make_outer("nope")
 
 
+@pytest.mark.parametrize("name, params", [("linear", {"i": 3}), ("quadratic", {"bogus": 1}),
+                                          ("bump", {"a": [1.0]}), ("coordinate", {"a": [1.0]})])
+def test_inner_parameter_the_entry_does_not_read_is_rejected(name, params):
+    # as in make_outer and make_coefficients, never built with it ignored
+    with pytest.raises(ContractError, match=f"inner function '{name}' does not read"):
+        make_inner(name, **params)
+
+
 @pytest.mark.parametrize("name, params, unread", [
     ("x_norm_sq", {"c": 1.0}, "'c'"),
     ("coord", {"i": 0, "c": 2.0, "a": 1.0}, "'a', 'c'"),

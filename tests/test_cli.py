@@ -1,4 +1,5 @@
 import builtins
+import csv
 import hashlib
 import importlib.util
 import re
@@ -38,7 +39,7 @@ def test_minimal_config_defaults():
     cfg = parse_config(MINIMAL_ITO)
     assert cfg.scenario == "ito_residual"
     assert cfg.seed == 0
-    assert cfg.get("M") == 1
+    assert cfg.get("M") is None
     assert cfg.get("s") == 0.0
     assert cfg.dt_levels == (0.25,)
 
@@ -239,8 +240,8 @@ GOLDEN = {
         "summary.txt": "021f0304c1234a778202af9704106c8717d1529751cc7bbecd3a17029477780d",
     },
     "feynman-kac-source-const": {
-        "feynman_kac_source.csv": "669eded7fc170dcf577cd552fa79b898f1afd8902a144a5a2e602f2e1d689df0",
-        "summary.txt": "ba94364a6f3bcea71ce77bc5566f2ace4629080fe7a0a4e3cc9eb77b391d7f4f",
+        "feynman_kac_source.csv": "a961ff8b97fb2805127c9f2a569ad51b1c01ab9d94c680496c09f641b220463f",
+        "summary.txt": "2ff486799be3151f01816a28d049619f67e214eabc2d11c2ac43378d2bd45105",
     },
     "flow-property-ou": {
         "flow_property.csv": "d843ff680458ebec88a5712bc5e0828b1c1c6be1c076c404dc68d1893d933d5e",
@@ -310,6 +311,15 @@ def test_preset_artifacts_match_golden_hashes(name, tmp_path):
         if p.suffix == ".csv" or p.name == "summary.txt"
     }
     assert digests == GOLDEN[name]
+
+
+def test_ladder_off_zero_writes_the_configured_steps(tmp_path):
+    # the grid from s = 0.3 is spaced 0.010000000000000009 apart, yet each
+    # level's steps, threshold and CSV cell read the configured dt
+    config = _with_overrides(PRESETS["path-independence-forward"], {"s": 0.3, "N": 200})
+    run_scenario(parse_config(config), str(tmp_path))
+    with open(tmp_path / "path_independence.csv", newline="") as fh:
+        assert [float(row["dt"]) for row in csv.DictReader(fh)] == [0.01, 0.0025]
 
 
 def test_seed_changes_output(tmp_path):
@@ -387,6 +397,20 @@ def test_main_count_below_bound_exits_2(key, value, tmp_path, capsys):
     status = main(["--config", _fk_config(tmp_path, **counts), "--out", str(tmp_path / "out")])
     assert status == 2
     assert f"key '{key}': must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["feynman-kac-heat", "feynman-kac-source-const",
+                                    "feynman-kac-log-gauss", "pde-residual-nonlinear",
+                                    "girsanov-risk-neutral"])
+@pytest.mark.parametrize("M, message", [("", "key 'M': required for scenario"),
+                                        ("1", "key 'M': must be at least 2, got 1")])
+def test_main_needs_an_ensemble_of_paths(preset, M, message, tmp_path, capsys):
+    # a gate on a Monte Carlo mean reads its standard error, which one path
+    # cannot estimate, so M is set on every scenario that reads it
+    cfg_path = tmp_path / "mc.cfg"
+    cfg_path.write_text(_without_empty(_with_overrides(PRESETS[preset], {"M": M})))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

@@ -517,12 +517,11 @@ def test_grid_steps_counts_whole_steps_only(span, dt, steps):
 
 
 def test_one_point_grid_has_no_step():
-    # T = s: a flow of a single grid point, from which no step can be read
+    # T = s: a flow of a single grid point, which keeps the step it was built with
     coeff = make_coefficients("brownian")
     flow = StreamedFlow(coeff, dirac([0.0]), 2, 0.5, 0.25, seed=0, s=0.5)
     assert flow.times.tolist() == [0.5] and flow.span(0.5, 0.5) == (0, 0)
-    with pytest.raises(ContractError, match="one-point grid"):
-        flow.dt
+    assert flow.dt == 0.25
     run = replayed(flow)
     assert len(run.laws) == 1 and run.noise.size == 0
 

@@ -439,9 +439,9 @@ def _mean_revert_vf(terms):
 
 
 SAMPLES_GOLDEN = {
-    "combined": "69de7a287c12ca3229db08c3d96d5624d61ab686943def6434004b6524cbec4d",
+    "combined": "8d4c14230429ebdab44a506bfd7df10274a9395da64e87efe72b7199d09d6aeb",
     "linear": "2e00fd2fa5e5fad56640c9ab6a242ed8e9e270ebc91bc294174183dd8ffcbdd2",
-    "source": "c6f53b00094b9d81fcd41892e69f93507c8bef809ebebf4728f15de7483eb09a",
+    "source": "daf03467bfac42b31526372038caddfe2f42d7ac71717dbacaad4d183967e2cd",
 }
 RESIDUAL_TABLE_GOLDEN = "b0849181a768bb2827c5ba942e2eab4591964dbd2478fefb8e91ea3c43572821"
 
@@ -492,8 +492,8 @@ def test_solvers_are_the_value_function_mean(terms):
     solve = lambda: vf.solve(0.25, np.array([0.4]))  # noqa: E731
     samples = vf.samples(0.25, np.array([0.4]))
     mean, se = float(samples.mean()), float(np.std(samples, ddof=1) / np.sqrt(200))
-    expected = (McSolution(mean, se, 200) if beta is None else
-                McSolution(float(-beta * np.log(mean)), beta * se / mean, 200, beta))
+    expected = (McSolution(mean, se) if beta is None else
+                McSolution(float(-beta * np.log(mean)), beta * se / mean))
     assert solve() == expected
 
 

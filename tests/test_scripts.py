@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import mfsde.cli
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -48,3 +50,34 @@ def test_rss_scaling_replaces_only_the_checked_key():
             assert len(lines) == len(base)
             assert [b for _, b in changed] == [f"{key} = {value}"] * len(changed)
             assert f"{key} = {value}" in lines
+
+
+#: the names the perfbench tracer spans that the package no longer defines
+TRACER_MISSING = [
+    "mfsde.cli.simulate_mckean_vlasov", "mfsde.dynamics.simulate_mckean_vlasov",
+    "mfsde.feynman_kac.simulate_mckean_vlasov", "mfsde.dynamics.simulate_decoupled",
+    "mfsde.feynman_kac.simulate_decoupled", "mfsde.cli.generator_parts",
+    "mfsde.cli.girsanov_weight", "mfsde.cli.novikov_estimate", "mfsde.cli.solve_linear",
+    "mfsde.cli.solve_with_source", "mfsde.cli.solve_log_transform",
+]
+
+
+def test_perfbench_tracer_installs_and_uninstalls():
+    # the tracer patches some names unconditionally, so a deleted one makes
+    # every traced benchmark run die on install
+    spec = importlib.util.spec_from_file_location(
+        "tracing", SCRIPTS.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    owners = [mfsde.calculus, mfsde.cli, mfsde.dynamics, mfsde.feynman_kac, mfsde.functionals,
+              mfsde.generator, mfsde.measure, mfsde.calculus.CylindricalFunction,
+              mfsde.feynman_kac.McValueFunction, mfsde.measure.EmpiricalMeasure]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == TRACER_MISSING
+        assert mfsde.dynamics.particle_stream is not before[2]["particle_stream"]
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(owner)) for owner in owners] == before
