@@ -370,15 +370,14 @@ def _run_npy_identity(cfg):
 
 def _run_pde_residual(cfg):
     d = cfg.get("d")
-    pde = "linear" if cfg.get("beta") is None else "nonlinear"
     vf = _value_function(cfg)
     probes = [
         (t, np.full(d, x_val))
         for t in cfg.get("probes.t")
         for x_val in cfg.get("probes.x")
     ]
-    table = pde_residual_mc(vf, pde, probes)
-    anchor = "Eq-NPDE" if pde == "nonlinear" else "Eq-YGG"
+    table = pde_residual_mc(vf, probes)
+    anchor = "Eq-NPDE" if vf.pde == "nonlinear" else "Eq-YGG"
     checks = [(anchor, "pass_fraction", table.pass_fraction, table.verdict == "PASS")]
     return checks, ("pde_residual.csv", *table.to_rows())
 
@@ -407,7 +406,7 @@ def _run_w2_selftest(cfg):
 # scenario declarations
 
 
-def _girsanov_rules(values, failed, violations):
+def _girsanov_rules(values, violations):
     # the M Novikov samples exp(m g^2 (T - s) / 2) must sum to a finite float
     g, T, s, m = values.get("g.value"), values.get("T"), values["s"], values["m"]
     if "M" in values and g is not None and T is not None and T > s:
@@ -418,7 +417,7 @@ def _girsanov_rules(values, failed, violations):
             )
 
 
-def _source_rules(values, failed, violations):
+def _source_rules(values, violations):
     # the moments of the M running costs f (T - t) of the earliest probe sum
     # their squares, which must stay finite floats
     f, T, times = values.get("f.value"), values.get("T"), values.get("probes.t")
@@ -431,7 +430,7 @@ def _source_rules(values, failed, violations):
             )
 
 
-def _log_rules(values, failed, violations):
+def _log_rules(values, violations):
     # the log transform takes log E Phi(X_T), so Phi must be positive everywhere
     outer, c = values.get("Phi.outer"), values.get("Phi.outer.c", OUTER_PARAMS["const"]["c"])
     if outer not in (None, "gauss_quarter", "exp") and not (outer == "const" and c > 0):
@@ -439,12 +438,14 @@ def _log_rules(values, failed, violations):
                           f"everywhere (gauss_quarter, exp or const with c > 0), got {outer}")
 
 
-def _residual_rules(values, failed, violations):
+def _residual_rules(values, violations):
     # the stencil reads the diagonal of sigma sigma^*, which is s^2 I for
     # every catalog field
     s = values.get("coeff.s")
     if s is not None and abs(s) > math.sqrt(sys.float_info.max):
         violations.append(f"key 'coeff.s': sigma sigma^* = s^2 I overflows a float for s = {s:g}")
+    if "beta" in values:
+        _log_rules(values, violations)
 
 
 # one scenario: its runner; the keys it reads, each mapped to its default:
@@ -486,9 +487,8 @@ _SCENARIOS = {
         _run_feynman_kac, {**_MC, **_PHI, "beta": ...}, "n_flow", _log_rules),
     # beta, when set, selects the log transform and with it the nonlinear PDE
     # (Eq-NPDE), else the PDE is the linear one (Eq-YGG); no Phi.inner: a
-    # terminal datum that reads mu_T depends on mu, which the stencil shifts
-    # only under a measure-dependent coefficient, and carries the frozen
-    # flow's sampling error, which the residual budget has no term for
+    # terminal datum that reads mu_T carries the frozen flow's sampling
+    # error, which the residual budget has no term for
     "pde_residual": _Scenario(
         _run_pde_residual, {**_MC, "Phi.outer": ..., "Phi.outer.": None, "beta": None},
         "n_flow", _residual_rules),
@@ -636,7 +636,7 @@ def parse_config(text, seed=None):
     values.setdefault("seed", 0)
     values.setdefault("s", 0.0)
     if entry.rules:
-        entry.rules(values, failed, violations)
+        entry.rules(values, violations)
     _check_seed(values, violations)
     built = {}
     # every scenario that reads init.x, V or Phi reads d
@@ -731,10 +731,10 @@ def _build(entry, values, violations, built):
     """Build the coefficient field and the initial law of a config that has
     passed every check into ``built``, reporting a ContractError against the
     key that sets the object, a drift that may pass the largest float (see
-    _check_drift) against coeff.id, and a V that is not finite on the
-    initial law's atoms at time s against the key that sets the law.  A
-    gaussian initial law is init.scale times standard normals of
-    default_rng(seed), one row per member of the scenario's ensemble."""
+    _check_drift) against coeff.id, and a V that is not finite, or has no
+    value, on the initial law's atoms at time s against the key that sets
+    the law.  A gaussian initial law is init.scale times standard normals
+    of default_rng(seed), one row per member of the scenario's ensemble."""
     key = "coeff.id"
     try:
         if key in values:
@@ -759,7 +759,9 @@ def _build(entry, values, violations, built):
         try:
             with np.errstate(all="ignore"):
                 finite = np.isfinite(built["V"].value(values["s"], mu.points, mu)).all()
-        except EvaluationError:  # an inner function not finite on an atom
+        except (ContractError, EvaluationError):
+            # an inner function not finite on an atom, or an outer function
+            # with no value at the law's inner integrals
             finite = False
         if not finite:
             violations.append(f"key '{key}': V is not finite on the initial law at s = "

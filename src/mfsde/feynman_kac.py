@@ -69,10 +69,10 @@ class McSolution:
 # PDE residual verification
 
 #: the PDEs the exact residual evaluates; the Monte Carlo residual checks
-#: the first three, since its value function never reads its drift off its
-#: own gradient, as the drift-coupled PDE needs
+#: the PDE of its value function (:attr:`McValueFunction.pde`), one of the
+#: first three, since no value function here reads its drift off its own
+#: gradient, as the drift-coupled PDE needs
 PDE_KINDS = ("linear", "source", "nonlinear", "drift_coupled")
-MC_PDE_KINDS = PDE_KINDS[:3]
 
 
 @dataclass(frozen=True)
@@ -119,12 +119,12 @@ def _finalize_table(rows):
     return ResidualTable(rows=tuple(rows), verdict=verdict)
 
 
-def _check_kind(pde, kinds, f_field, beta):
-    """ContractError unless pde is one of ``kinds`` and the term its
+def _check_kind(pde, f_field, beta):
+    """ContractError unless pde is one of PDE_KINDS and the term its
     right-hand side reads is given: f_field for source, a nonzero beta for
     nonlinear."""
-    if pde not in kinds:
-        raise ContractError(f"pde must be one of {kinds}")
+    if pde not in PDE_KINDS:
+        raise ContractError(f"pde must be one of {PDE_KINDS}")
     needs = {"nonlinear": ("beta", beta), "source": ("f_field", f_field)}.get(pde)
     if needs and needs[1] is None:
         raise ContractError(f"pde = {pde} needs a value function with {needs[0]}")
@@ -153,7 +153,7 @@ def pde_residual_exact(V, coeff, pde, probes, mu, f_field=None, beta=None, budge
     and reads the drift sigma sigma^* dx V inside the measure integral off
     V itself, so the coefficient's own drift is never read.
     """
-    _check_kind(pde, PDE_KINDS, f_field, beta)
+    _check_kind(pde, f_field, beta)
     if not isinstance(V, CylindricalFunction):
         raise ContractError("exact residuals need a cylindrical function")
     rows = []
@@ -274,7 +274,9 @@ class McValueFunction:
 
     Its terms follow from its inputs: the terminal datum Phi when given,
     minus the running cost f_field when given, and with beta the log
-    transform -beta log E Phi (Phi only, no running cost).
+    transform -beta log E Phi (Phi only, no running cost), and so do the PDE
+    it solves (:attr:`pde`) and whether it reads the law (:attr:`reads_law`).
+    M >= 2 paths, so that the samples give a standard error.
     ``samples(t, x, mu)`` returns per-path samples of the statistic whose
     mean ``value_of_mean`` turns into the value, and ``solve(t, x)`` is that
     value with its standard error, read off the moments of a one-column
@@ -294,7 +296,7 @@ class McValueFunction:
     n_flow: int = 200
 
     def __post_init__(self):
-        check_count("M", self.M, 1)
+        check_count("M", self.M, 2)
         check_count("n_flow", self.n_flow, 2)
         if self.Phi is None and self.f_field is None:
             raise ContractError("need a terminal datum Phi, a running cost f_field or both")
@@ -302,6 +304,23 @@ class McValueFunction:
             raise ContractError("the log transform (beta) needs Phi and no running cost f_field")
         if self.beta == 0:
             raise ContractError("beta must be nonzero")
+
+    @property
+    def pde(self):
+        """The PDE the value solves: nonlinear under the log transform,
+        source with a running cost and linear otherwise."""
+        if self.beta is not None:
+            return "nonlinear"
+        return "linear" if self.f_field is None else "source"
+
+    @property
+    def reads_law(self):
+        """Whether the value depends on the measure: through a
+        measure-dependent field, the running cost f_field or the inner
+        functions of Phi.  Only then does a column simulate a frozen flow and
+        the residual shift the measure."""
+        return (self.coeff.measure_dependent or self.f_field is not None
+                or bool(self.Phi.inner))
 
     def samples(self, t, x, mu=None):
         """Per-path samples at (t, x, mu), shape (M,)."""
@@ -325,7 +344,7 @@ class McValueFunction:
         solutions = []
         for j, mean in enumerate(means):
             mean = float(mean)
-            se = float(np.sqrt(comoment[j, j] / (m - 1)) / np.sqrt(m)) if m > 1 else 0.0
+            se = float(np.sqrt(comoment[j, j] / (m - 1)) / np.sqrt(m))
             if self.beta is None:
                 solutions.append(McSolution(mean, se))
                 continue
@@ -369,10 +388,9 @@ class McValueFunction:
         whose noise is a step prefix of one block of flow increments, and
         its K columns one (K, B, d) state.  All columns run on the same
         decoupled streams (common random numbers): a chunk draws increment
-        row k once and steps every group whose grid has a step k.  When no
-        term reads the law (a measure-free field, a Phi without inner
-        functions and no f_field), no flow is simulated: every column reads
-        its own measure at every grid point.
+        row k once and steps every group whose grid has a step k.  When the
+        value does not read the law (see :attr:`reads_law`), no flow is
+        simulated: every column reads its own measure at every grid point.
         """
         # flow key (t, mu) -> [t, mu, [(group, column, start point)]]
         flows = {}
@@ -385,15 +403,13 @@ class McValueFunction:
         if not flows:
             return
         _, n_steps = _grid(min(t for t, _, _ in flows.values()), self.T, self.dt)
-        reads_law = (self.coeff.measure_dependent or self.f_field is not None
-                     or bool(self.Phi.inner))
-        if reads_law:
+        if self.reads_law:
             block = brownian_increments(self.seed, self.n_flow, n_steps, self.coeff.m, self.dt)
         # (grid, frozen law curve, inner integrals of Phi at its terminal law, columns)
         runs = []
         for t, mu, cols in flows.values():
             times, steps = _grid(t, self.T, self.dt)
-            if reads_law:
+            if self.reads_law:
                 laws = _law_curve(self.coeff, mu, times, self.dt, self.seed, block[:steps])
             else:
                 laws = (mu,) * len(times)
@@ -468,22 +484,23 @@ H_T_REL = 1e-2
 MEASURE_DS = 1e-3
 
 
-def pde_residual_mc(vf, pde, probes, n_measure_draws=4):
-    """Residual table for an MC-backed value function via CRN differences.
+def pde_residual_mc(vf, probes, n_measure_draws=4):
+    """Residual table of an MC-backed value function in its own PDE
+    (``vf.pde``) via CRN differences.
 
-    ``pde`` is one of MC_PDE_KINDS.  All stencil evaluations reuse the same
-    noise streams, so differences cancel most Monte Carlo error; the
-    per-probe budget is an FD truncation estimate (by Richardson comparison)
-    plus three propagated standard errors computed from the sample
-    covariance of its columns, folded chunk by chunk.  Every probe's stencil
-    is planned (and its diffusion checked) before any path is simulated,
-    then all columns are sampled as one table.
+    When the value reads the law (``vf.reads_law``), each probe adds
+    n_measure_draws antithetic pairs of measure shifts for the measure term.
+    All stencil evaluations reuse the same noise streams, so differences
+    cancel most Monte Carlo error; the per-probe budget is an FD truncation
+    estimate (by Richardson comparison) plus three propagated standard
+    errors computed from the sample covariance of its columns, folded chunk
+    by chunk.  Every probe's stencil is planned (and its diffusion checked)
+    before any path is simulated, then all columns are sampled as one table.
     """
-    _check_kind(pde, MC_PDE_KINDS, vf.f_field, vf.beta)
     h_t = max(vf.dt, round(H_T_REL * vf.T / vf.dt) * vf.dt)
     probes = [(float(t0), start_point(x0, vf.coeff.d)) for t0, x0 in probes]
     plans = [
-        _mc_probe(vf, pde, pid, t0, x0, h_t, n_measure_draws)
+        _mc_probe(vf, pid, t0, x0, h_t, n_measure_draws)
         for pid, (t0, x0) in enumerate(probes)
     ]
     moments = vf.moments([columns for columns, _ in plans])
@@ -500,10 +517,10 @@ def _stencil_times(t0, h_t, T):
     return t_fwd, t_pts
 
 
-def _mc_probe(vf, pde, pid, t0, x0, h_t, n_draws):
+def _mc_probe(vf, pid, t0, x0, h_t, n_draws):
     """(columns, finish): the probe's stencil columns (t, x, mu), and the
     function that turns their :class:`Moments` into its row."""
-    coeff, mu, T = vf.coeff, vf.mu, vf.T
+    coeff, mu, T, pde = vf.coeff, vf.mu, vf.T, vf.pde
     d = x0.size
     sig, a_diag = _diag_diffusion(coeff, t0, x0, mu)
     b0 = coefficients_at(coeff, t0, x0, mu)[0]
@@ -518,7 +535,7 @@ def _mc_probe(vf, pde, pid, t0, x0, h_t, n_draws):
             xs = x0.copy()
             xs[j] += mult * h_x[j]
             columns.append((t0, xs, None))
-    if coeff.measure_dependent:
+    if vf.reads_law:
         rng = particle_stream(vf.seed, 0, DOMAIN_MEASURE_SHIFT)
         for _ in range(n_draws):
             columns += [(t0, x0, shifted)

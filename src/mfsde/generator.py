@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, EvaluationError
+from .errors import EvaluationError
 
 
 def _labeled(term, fn, *args):
@@ -119,54 +119,32 @@ class ItoResidualSummary:
     """Per-step reductions of the discrete Ito residual over P particles.
 
     step_mean and step_rms, shape (L,), are the mean and RMS over the
-    particles of each step's residual; residual_sum and qv_sum, shape (P,),
-    are each particle's residuals and squared martingale increments summed
-    over the steps; qv_density, shape (L,), is the predicted
-    quadratic-variation density |sigma^* dx f|^2 at each step averaged over
-    the particles.
+    particles of each step's residual; qv_sum, shape (P,), is each
+    particle's squared martingale increments summed over the steps;
+    qv_density, shape (L,), is the predicted quadratic-variation density
+    |sigma^* dx f|^2 at each step averaged over the particles.
     """
 
     step_mean: np.ndarray
     step_rms: np.ndarray
-    residual_sum: np.ndarray
     qv_sum: np.ndarray
     qv_density: np.ndarray
 
 
-def ito_residual_ensemble(coeff, f, flow, particles=None):
-    """Discrete Ito residual of selected particles of a flow, reduced per step.
+def ito_residual_ensemble(coeff, f, flow):
+    """Discrete Ito residual of the particles of a flow, reduced per step.
 
     ``flow`` is a StreamedFlow, folded in one pass over its steps, so no
     (L, P) array is built.  The residual of step k is the one-step increment
     of f along the path minus the generator drift term and the stochastic
     increment; it is known once the pass reaches grid point k+1.  The
     generator is evaluated once per step, at the inner integrals already
-    computed for the step's value.  With ``particles=[i]`` the summary's
-    ``step_mean`` is particle i's residual series.  Returns an
-    :class:`ItoResidualSummary`.
+    computed for the step's value.  Returns an :class:`ItoResidualSummary`.
     """
-    if particles is None:
-        sel = slice(None)
-        n_sel = flow.n_particles
-    else:
-        sel = np.asarray(particles)
-        if (
-            sel.ndim != 1
-            or sel.size == 0
-            or not np.issubdtype(sel.dtype, np.integer)
-            or sel.min() < 0
-            or sel.max() >= flow.n_particles
-        ):
-            raise ContractError(
-                "particles must be a non-empty 1-D integer index array in "
-                f"[0, {flow.n_particles})"
-            )
-        n_sel = sel.size
     dt = flow.dt
     step_mean, step_rms, qv_density = [], [], []
-    residual_sum, qv_sum = np.zeros(n_sel), np.zeros(n_sel)
+    qv_sum = np.zeros(flow.n_particles)
     for k, (t_k, X, mu, dw) in enumerate(flow.steps(flow.times[0], flow.times[-1])):
-        X = X[sel]
         r = f.inner_integrals(mu)
         vals = np.asarray(f.outer.value(t_k, X, r), dtype=float)
         if k > 0:
@@ -174,18 +152,16 @@ def ito_residual_ensemble(coeff, f, flow, particles=None):
             res = vals - vals_prev - drift * dt - mart
             step_mean.append(res.mean())
             step_rms.append(np.sqrt((res**2).mean()))
-            residual_sum += res
             qv_sum += mart**2
         if dw is not None:
             parts = generator_parts(coeff, f, t_k, X, mu, r=r)
             sig_dx = parts["sigma_star_dx"]
-            mart = np.einsum("bm,bm->b", sig_dx, dw[sel])
+            mart = np.einsum("bm,bm->b", sig_dx, dw)
             qv_density.append(np.mean(np.sum(sig_dx**2, axis=1)))
             vals_prev, drift = vals, parts["dt"] + generator_total(parts)
     return ItoResidualSummary(
         step_mean=np.array(step_mean, dtype=float),
         step_rms=np.array(step_rms, dtype=float),
-        residual_sum=residual_sum,
         qv_sum=qv_sum,
         qv_density=np.array(qv_density, dtype=float),
     )

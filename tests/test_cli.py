@@ -6,7 +6,6 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +14,8 @@ import pytest
 import mfsde.cli as cli
 from mfsde.cli import PRESETS, SCENARIOS, main, parse_config, run_scenario
 from mfsde.cli import _FLOAT_PREFIXES, _SCENARIOS, _SCHEMA
+from mfsde.calculus import OUTER_NAMES
+from mfsde.dynamics import COEFFICIENT_NAMES
 from mfsde.errors import ConfigError, SimulationError
 
 
@@ -485,17 +486,22 @@ def test_main_empty_or_out_of_range_value_exits_2(preset, key, value, tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "preset, overrides",
     [
         # each ended in a nonpositive terminal datum (exit 3)
-        {"coeff.id": "frozen", "coeff.s": "", "Phi.outer": "x_norm_sq"},
-        {"Phi.outer": "const", "Phi.outer.c": "0"},
+        ("feynman-kac-log-gauss", {"coeff.id": "frozen", "coeff.s": "", "Phi.outer": "x_norm_sq"}),
+        ("feynman-kac-log-gauss", {"Phi.outer": "const", "Phi.outer.c": "0"}),
+        ("pde-residual-nonlinear", {"Phi.outer": "coord"}),
+        ("pde-residual-nonlinear", {"Phi.outer": "sum"}),
+        # zero at x = 0, so not positive everywhere
+        ("feynman-kac-log-gauss", {"Phi.outer": "x_norm_sq"}),
+        ("pde-residual-nonlinear", {"Phi.outer": "x_norm_sq"}),
     ],
 )
 def test_main_rejects_a_terminal_datum_its_log_transform_does_not_fit(
-        overrides, tmp_path, capsys):
+        preset, overrides, tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
-    text = _with_overrides(PRESETS["feynman-kac-log-gauss"], overrides)
+    text = _with_overrides(PRESETS[preset], overrides)
     cfg_path.write_text(_without_empty(text))
     status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert status == 2
@@ -823,8 +829,11 @@ def test_main_zero_step_grid_and_overflowing_config_exit_2(preset, key, value, t
 
 
 # the values each key of each preset is set to in turn by the edge-value scan,
-# on presets shrunk to these counts where they set them
+# on presets shrunk to these counts where they set them: every value of
+# EDGE_VALUES, and for a key that picks a catalog entry every name of its
+# catalog
 EDGE_VALUES = ("0", "-1", "1e-9", "1e9", "1e200", "-1e200", "1e308", "-1e308")
+EDGE_NAMES = {"coeff.id": COEFFICIENT_NAMES, "V.outer": OUTER_NAMES, "Phi.outer": OUTER_NAMES}
 EDGE_SHRINK = {"M": "64", "N": "16", "n_flow": "8", "n_probes": "2", "n_atoms": "10",
                "n_instances": "5"}
 
@@ -845,15 +854,16 @@ def test_edge_value_scan_never_reaches_a_generic_error(tmp_path):
     for name, text in sorted(PRESETS.items()):
         keys = _keys(text)
         shrunk = _shrunk(text)
-        for key, value in product(keys, EDGE_VALUES):
-            try:
-                cfg = parse_config(_with_overrides(shrunk, {key: value}))
-            except ConfigError:
-                continue
-            try:
-                assert run_scenario(cfg, str(tmp_path)) in (0, 1)
-            except SimulationError as exc:
-                assert exc.step is not None and exc.particle is not None, (name, key, value)
+        for key in keys:
+            for value in EDGE_VALUES + EDGE_NAMES.get(key, ()):
+                try:
+                    cfg = parse_config(_with_overrides(shrunk, {key: value}))
+                except ConfigError:
+                    continue
+                try:
+                    assert run_scenario(cfg, str(tmp_path)) in (0, 1)
+                except SimulationError as exc:
+                    assert exc.step is not None and exc.particle is not None, (name, key, value)
 
 
 def _refuse_open(*args, **kwargs):
@@ -883,6 +893,16 @@ def test_v_past_the_largest_float_on_a_gaussian_initial_law_blames_init_scale():
     with pytest.raises(ConfigError) as exc:
         parse_config(_without_empty(text))
     assert exc.value.violations == ["key 'init.scale': V is not finite on the initial law at s = 0"]
+
+
+def test_v_with_no_value_on_the_initial_law_blames_init_x(tmp_path, capsys):
+    # the log outer has no value at the point mass at 0, whose second moment
+    # is 0; its ContractError once escaped the check (exit 1, with a traceback)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_with_overrides(PRESETS["ito-residual-meanfield"], {"V.outer": "log"}))
+    status = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert "key 'init.x': V is not finite on the initial law at s = 0" in capsys.readouterr().err
 
 
 def test_drift_past_the_largest_float_blames_the_coefficient_field(tmp_path):

@@ -499,7 +499,7 @@ def test_sample_table_matches_the_reference_euler_loop_bit_for_bit():
         states = _reference_decoupled(coeff, x, laws, times, dt, M, seed)
         for i in range(2):
             assert coords[i][:, j].tobytes() == states[-1][:, i].tobytes()
-        # the running cost's step is the spacing of the frozen flow's grid
+        # the running cost's step is dt, the step the frozen flow was built with
         summed = np.zeros(M)
         for k in range(len(times) - 1):
             summed += f(times[k], states[k], laws[k]) * flow.dt

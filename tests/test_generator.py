@@ -6,14 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from mfsde import (
     CapabilityError,
-    ContractError,
     EmpiricalMeasure,
     StreamedFlow,
+    accumulate,
+    build_pair_from_V,
     dirac,
     ito_residual_ensemble,
     make_coefficients,
     make_cylindrical,
 )
+from mfsde.functionals import potential_increment
 from mfsde.generator import generator_parts, generator_total
 from replayed import replayed
 
@@ -132,17 +134,17 @@ def test_time_function_zero_residual():
     coeff = make_coefficients("brownian", s=1.0)
     flow = StreamedFlow(coeff, dirac([0.0]), 4, 1.0, 0.25, seed=0)
     f = make_cylindrical("time")
-    summary = ito_residual_ensemble(coeff, f, flow, particles=[0])
+    summary = ito_residual_ensemble(coeff, f, flow)
     assert np.allclose(summary.step_mean, 0.0, atol=1e-14)
     # a sum of squares: zero only when every martingale increment is
-    assert summary.qv_sum[0] == 0.0
+    assert not summary.qv_sum.any()
 
 
 def test_frozen_dynamics_zero_residual():
     coeff = make_coefficients("frozen")
     flow = StreamedFlow(coeff, line([0.0, 1.0]), 2, 1.0, 0.25, seed=0)
     f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
-    res = ito_residual_ensemble(coeff, f, flow, particles=[1]).step_mean
+    res = ito_residual_ensemble(coeff, f, flow).step_mean
     assert np.allclose(res, 0.0, atol=1e-14)
 
 
@@ -153,7 +155,11 @@ def test_classical_ito_square_statistics():
     summary = ito_residual_ensemble(coeff, f, flow)
     step_means = summary.step_mean
     mean = step_means.sum()
-    se = np.sqrt((step_means**2).sum()) + summary.residual_sum.std(ddof=1) / np.sqrt(400)
+    # each particle's residuals summed over the steps: its increment of f
+    # minus the additive functional of the generator pair
+    residual_sum = (potential_increment(f, flow, 0.0, 1.0)
+                    - accumulate(*build_pair_from_V(coeff, f), flow, 0.0, 1.0))
+    se = np.sqrt((step_means**2).sum()) + residual_sum.std(ddof=1) / np.sqrt(400)
     assert abs(mean) <= 3 * se
     qv = summary.qv_sum.mean()
     states = replayed(flow).states
@@ -174,23 +180,19 @@ def test_mean_residual_decays_linearly_in_dt():
     assert means[0] / means[1] == pytest.approx(2.0, rel=0.25)
 
 
-@pytest.mark.parametrize("particles", [None, [4, 0, 2]])
-def test_qv_density_matches_per_step_generator_loop(particles):
+def test_qv_density_matches_per_step_generator_loop():
     coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
     flow = StreamedFlow(coeff, line([0.5, 1.5, -2.0, 0.1, 0.9]), 5, 1.0, 0.05, seed=3)
     f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
-    summary = ito_residual_ensemble(coeff, f, flow, particles=particles)
+    summary = ito_residual_ensemble(coeff, f, flow)
     run = replayed(flow)
-    idx = np.arange(flow.n_particles) if particles is None else np.asarray(particles)
     expected = np.empty(flow.n_steps)
     for k in range(flow.n_steps):
-        X = run.states[k] if particles is None else run.states[k][idx]
-        parts = generator_parts(coeff, f, run.times[k], X, run.laws[k])
+        parts = generator_parts(coeff, f, run.times[k], run.states[k], run.laws[k])
         expected[k] = float(np.mean(np.sum(parts["sigma_star_dx"] ** 2, axis=1)))
     assert summary.qv_density.tobytes() == expected.tobytes()
-    P = 5 if particles is None else 3
     assert summary.step_mean.shape == summary.step_rms.shape == summary.qv_density.shape == (20,)
-    assert summary.residual_sum.shape == summary.qv_sum.shape == (P,)
+    assert summary.qv_sum.shape == (5,)
 
 
 def test_generator_parts_accepts_precomputed_inner_integrals():
@@ -208,23 +210,6 @@ def test_generator_parts_accepts_precomputed_inner_integrals():
             assert fresh[key].tobytes() == given_r[key].tobytes()
 
 
-def test_particle_index_range_checked():
-    coeff = make_coefficients("brownian")
-    flow = StreamedFlow(coeff, dirac([0.0]), 3, 0.5, 0.25, seed=0)
-    f = make_cylindrical("x_norm_sq")
-    with pytest.raises(ContractError, match=r"\[0, 3\)"):
-        ito_residual_ensemble(coeff, f, flow, particles=[3])
-
-
-@pytest.mark.parametrize("particles", [[], [1.5], [True, False, True]])
-def test_particle_selection_must_be_integer_indices(particles):
-    coeff = make_coefficients("brownian")
-    flow = StreamedFlow(coeff, dirac([0.0]), 3, 0.5, 0.25, seed=0)
-    f = make_cylindrical("x_norm_sq")
-    with pytest.raises(ContractError, match="integer index"):
-        ito_residual_ensemble(coeff, f, flow, particles=particles)
-
-
 def test_generator_names_missing_partial():
     coeff = make_coefficients("brownian")
     full = make_cylindrical("x_norm_sq").outer
@@ -239,27 +224,34 @@ def test_generator_names_missing_partial():
 # reductions against the step-by-step series
 
 
-def _one_particle_series(coeff, f, flow, i):
-    """Particle i's residual and martingale-increment series, shape (L,), step by step."""
+def _particle_series(coeff, f, flow):
+    """Every particle's residual and martingale-increment series, shape
+    (L, P), step by step."""
     run = replayed(flow)
-    res, mart = np.empty(flow.n_steps), np.empty(flow.n_steps)
+    res = np.empty((flow.n_steps, flow.n_particles))
+    mart = np.empty((flow.n_steps, flow.n_particles))
     for k in range(flow.n_steps):
-        mu, X = run.laws[k], run.states[k][[i]]
+        mu, X = run.laws[k], run.states[k]
         parts = generator_parts(coeff, f, run.times[k], X, mu)
-        mart[k] = (parts["sigma_star_dx"] @ run.noise[k][i])[0]
+        mart[k] = np.sum(parts["sigma_star_dx"] * run.noise[k], axis=1)
         here = f.value(run.times[k], X, mu)
-        there = f.value(run.times[k + 1], run.states[k + 1][[i]], run.laws[k + 1])
+        there = f.value(run.times[k + 1], run.states[k + 1], run.laws[k + 1])
         drift = parts["dt"] + generator_total(parts)
-        res[k] = (there - here - drift * flow.dt - mart[k])[0]
+        res[k] = there - here - drift * flow.dt - mart[k]
     return res, mart
 
 
-def test_ito_reductions_match_the_one_particle_series():
+def test_ito_reductions_match_the_particle_series():
     coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
     flow = StreamedFlow(coeff, line([0.5, 1.5, -2.0, 0.1]), 4, 1.0, 0.05, seed=3)
     f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
-    res, mart = _one_particle_series(coeff, f, flow, 2)
-    summary = ito_residual_ensemble(coeff, f, flow, particles=[2])
-    assert summary.step_mean.tobytes() == res.tobytes()
-    assert summary.step_rms.tobytes() == np.abs(res).tobytes()
-    assert summary.qv_sum[0] == pytest.approx(float(np.sum(mart**2)), rel=1e-14)
+    res, mart = _particle_series(coeff, f, flow)
+    summary = ito_residual_ensemble(coeff, f, flow)
+    step_mean = np.array([r.mean() for r in res])
+    step_rms = np.array([np.sqrt((r**2).mean()) for r in res])
+    qv_sum = np.zeros(flow.n_particles)
+    for m in mart:
+        qv_sum += m**2
+    assert summary.step_mean.tobytes() == step_mean.tobytes()
+    assert summary.step_rms.tobytes() == step_rms.tobytes()
+    assert summary.qv_sum.tobytes() == qv_sum.tobytes()

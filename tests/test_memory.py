@@ -126,7 +126,7 @@ def test_pde_residual_draws_one_block_per_domain(monkeypatch):
         coeff=coeff, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
         M=200, seed=3, mu=mu, n_flow=20,
     )
-    pde_residual_mc(vf, "linear", [(0.0, [0.3]), (0.2, [-0.4])], n_measure_draws=2)
+    pde_residual_mc(vf, [(0.0, [0.3]), (0.2, [-0.4])], n_measure_draws=2)
     _assert_each_stream_drawn_once(draws, 20, 200, 10)
 
 
@@ -139,7 +139,7 @@ def test_pde_residual_draws_once_whatever_the_probe_order(monkeypatch):
     )
     # a later probe first, then the earliest, then one with a backward stencil
     probes = [(0.2, [0.3]), (0.0, [0.0]), (0.5, [-0.4])]
-    table = pde_residual_mc(vf, "linear", probes)
+    table = pde_residual_mc(vf, probes)
     assert len(table.rows) == 3
     # a brownian field under a datum without inner functions reads no law,
     # so no flow is simulated
@@ -156,7 +156,7 @@ def test_pde_residual_peak_stays_below_one_noise_block():
     probes = [(0.0, [0.0]), (0.5, [1.0])]
     # one chunk's increment row, states and samples and one fold leaf per
     # column; holding the whole block would cross the bound by itself
-    peak = _peak_of(lambda: pde_residual_mc(vf, "linear", probes))
+    peak = _peak_of(lambda: pde_residual_mc(vf, probes))
     assert peak < 0.75 * block
 
 
@@ -203,7 +203,7 @@ def test_table_flows_share_one_read_only_increment_block(monkeypatch):
         coeff=MEAN_REVERT, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=dt,
         M=40, seed=4, mu=dirac([0.0]), n_flow=n_flow,
     )
-    pde_residual_mc(vf, "linear", [(0.0, [0.3]), (0.25, [-0.4])], n_measure_draws=1)
+    pde_residual_mc(vf, [(0.0, [0.3]), (0.25, [-0.4])], n_measure_draws=1)
     # per probe: the centre's flow, two time points' and two shifted measures'
     assert len(noises) == 2 * (3 + 2)
     block = noises[0]
@@ -342,7 +342,7 @@ def test_pde_residual_builds_each_snapshot_once(measures_built, monkeypatch):
     )
     n_draws = 2
     before = len(measures_built)
-    table = pde_residual_mc(vf, "linear", [(0.0, [0.3]), (0.2, [-0.4])], n_measure_draws=n_draws)
+    table = pde_residual_mc(vf, [(0.0, [0.3]), (0.2, [-0.4])], n_measure_draws=n_draws)
     built = len(measures_built) - before
     # the centre and four space columns of a probe share one frozen flow, and
     # every column reads its snapshots; each flow adds its checked initial
