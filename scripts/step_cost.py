@@ -12,7 +12,10 @@ prints the median nanoseconds per normal of N_STEPS steps of noise (m = 1)
 in each stream domain: the rows of one Monte Carlo chunk, keyed per block of
 1024 paths and drawn one at a time by ``dynamics.decoupled_rows``,
 and the block of an interacting run, keyed per particle and drawn whole by
-``dynamics.brownian_increments``.
+``dynamics.brownian_increments``.  A third table prints the median
+milliseconds of one ``measure.wasserstein2`` call between two uniform
+clouds of W2_POINTS points in d = 2: a translate, a rotation plus shift,
+and two independent samples.
 
     PYTHONPATH=src python scripts/step_cost.py
 """
@@ -32,7 +35,7 @@ from mfsde.dynamics import (
     decoupled_rows,
 )
 from mfsde.feynman_kac import CHUNK
-from mfsde.measure import EmpiricalMeasure
+from mfsde.measure import EmpiricalMeasure, wasserstein2
 
 N_STEPS = 100
 REPS = 7
@@ -49,6 +52,15 @@ CASES = (
 NOISE_CASES = (
     ("decoupled", DOMAIN_DECOUPLED, CHUNK),
     ("interacting", DOMAIN_INTERACTING, 2000),
+)
+# the second cloud of each W2 case, from the first; both have W2_POINTS points
+W2_POINTS = 1024
+W2_SHIFT = np.array([0.15, -0.2])
+W2_ROTATION = np.array([[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]])
+W2_CASES = (
+    ("translate", lambda cloud, rng: cloud + W2_SHIFT),
+    ("rotation", lambda cloud, rng: cloud @ W2_ROTATION.T + W2_SHIFT),
+    ("independent", lambda cloud, rng: rng.standard_normal(cloud.shape)),
 )
 
 
@@ -84,10 +96,22 @@ def noise_seconds(domain, paths, n_steps):
     return time.perf_counter() - start
 
 
-def report(cases=CASES, n_steps=N_STEPS, reps=REPS, noise_cases=NOISE_CASES):
+def w2_seconds(other, points):
+    """Wall seconds of one wasserstein2 call between a cloud and ``other`` of it."""
+    rng = np.random.default_rng(0)
+    cloud = rng.standard_normal((points, 2))
+    mu, nu = EmpiricalMeasure(cloud), EmpiricalMeasure(other(cloud, rng))
+    start = time.perf_counter()
+    wasserstein2(mu, nu)
+    return time.perf_counter() - start
+
+
+def report(cases=CASES, n_steps=N_STEPS, reps=REPS, noise_cases=NOISE_CASES,
+           w2_cases=W2_CASES, w2_points=W2_POINTS):
     """Print a header and one row per Euler case, the median microseconds per
     step; then, after a blank line, a header and one row per noise case, the
-    median nanoseconds per normal."""
+    median nanoseconds per normal; then, after another, a header and one row
+    per W2 case, the median milliseconds per call."""
     print(f"{'scheme':<12} {'field':<12} {'d':>2} {'m':>2} {'K':>2} {'paths':>6} {'us_per_step':>12}")
     for scheme, name, d, k, paths in cases:
         runs = [step_seconds(scheme, name, d, k, paths, n_steps) for _ in range(reps)]
@@ -99,6 +123,11 @@ def report(cases=CASES, n_steps=N_STEPS, reps=REPS, noise_cases=NOISE_CASES):
         runs = [noise_seconds(domain, paths, n_steps) for _ in range(reps)]
         ns = 1e9 * statistics.median(runs) / (paths * n_steps)
         print(f"{name:<12} {paths:>6} {n_steps:>6} {ns:>14.1f}")
+    print()
+    print(f"{'w2_case':<12} {'points':>6} {'d':>2} {'ms_per_call':>12}")
+    for name, other in w2_cases:
+        ms = 1e3 * statistics.median(w2_seconds(other, w2_points) for _ in range(reps))
+        print(f"{name:<12} {w2_points:>6} {2:>2} {ms:>12.3f}")
 
 
 if __name__ == "__main__":

@@ -57,7 +57,13 @@ from .functionals import (
     verify_path_independence,
 )
 from .generator import ito_residual_ensemble
-from .measure import EmpiricalMeasure, dirac, wasserstein2, wasserstein2_bruteforce
+from .measure import (
+    MAX_BRUTEFORCE_ATOMS,
+    EmpiricalMeasure,
+    dirac,
+    wasserstein2,
+    wasserstein2_bruteforce,
+)
 
 
 @dataclass(frozen=True)
@@ -562,7 +568,8 @@ _SCHEMA = {
     "seed": _number(int),
     "d": _COUNT, "m": _COUNT, "M": _ENSEMBLE, "N": _ENSEMBLE, "n_flow": _ENSEMBLE,
     "n_probes": _COUNT, "n_atoms": _COUNT, "n_instances": _COUNT,
-    "max_atoms": _COUNT, "max_dim": _COUNT,
+    # the brute-force oracle enumerates all max_atoms! couplings
+    "max_atoms": _number(int, least=1, most=MAX_BRUTEFORCE_ATOMS), "max_dim": _COUNT,
     "s": _FLOAT, "T": _FLOAT, "dt": _FLOAT, "beta": _number(float, nonzero=True),
     "tol": _FLOAT, "perturb_g": _FLOAT, "f.value": _FLOAT, "g.value": _FLOAT,
     "init.scale": _FLOAT,

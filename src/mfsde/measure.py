@@ -3,7 +3,10 @@
 A measure is a weighted point cloud.  This is the only representation used
 throughout the package: integrals against the measure are exact weighted
 sums, push-forwards move the atoms, and the quadratic Wasserstein distance
-is computed by exact assignment / transport solvers.
+is computed by exact assignment / transport solvers.  The assignment is
+solved between the clouds centred at their means, which has the same optimal
+couplings: W2^2(mu, nu) = |m_mu - m_nu|^2 + W2^2 of the centred clouds
+(Peyre & Cuturi, Computational Optimal Transport, 2019, sec. 2).
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ _WEIGHT_TOL = 1e-12
 
 # general-weight transport is solved as a dense LP; keep instances small
 _MAX_TRANSPORT_ATOMS = 64
+#: the brute-force oracle enumerates all N! couplings: 0.17 s at N = 8, 1.7 s at 9
+MAX_BRUTEFORCE_ATOMS = 8
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,8 @@ def pushforward(mu, phi):
 _COST_BLOCK = 1 << 16
 
 
-def _cost_matrix(mu, nu):
-    """Squared distances |x_i - y_j|^2, shape (N, K).
+def _cost_matrix(x, y):
+    """Squared distances |x_i - y_j|^2 between point arrays, shape (N, K).
 
     The squared coordinate differences are added into the (N, K) result in
     coordinate order, one block of rows at a time, so besides the result
@@ -142,13 +147,13 @@ def _cost_matrix(mu, nu):
     d < 8 that is the order in which ``np.sum(..., axis=2)`` adds them, so
     the bits are the same; numpy adds eight or more by pairs.
     """
-    cost = np.zeros((mu.n_atoms, nu.n_atoms))
-    rows = max(1, _COST_BLOCK // nu.n_atoms)
-    for i in range(0, mu.n_atoms, rows):
+    cost = np.zeros((x.shape[0], y.shape[0]))
+    rows = max(1, _COST_BLOCK // y.shape[0])
+    for i in range(0, x.shape[0], rows):
         block = cost[i : i + rows]
         diff = np.empty_like(block)
-        for j in range(mu.dim):
-            np.subtract.outer(mu.points[i : i + rows, j], nu.points[:, j], out=diff)
+        for j in range(x.shape[1]):
+            np.subtract.outer(x[i : i + rows, j], y[:, j], out=diff)
             block += np.square(diff, out=diff)
     return cost
 
@@ -158,6 +163,15 @@ def wasserstein2(mu, nu):
 
     Uniform equal-count measures use sorting (d=1) or optimal assignment;
     general weights fall back to a dense transport LP for small supports.
+
+    The assignment is solved on the clouds centred at their own means:
+    W2^2(mu, nu) = |m_mu - m_nu|^2 + W2^2(mu - m_mu, nu - m_nu), and the two
+    problems have the same optimal couplings (Peyre & Cuturi, Computational
+    Optimal Transport, 2019, sec. 2), since centring moves each cost by a
+    row term and a column term only.  Near a translate the centred problem
+    is far easier for the augmenting-path solver.  The value is then summed
+    from the original points at the returned pairs, in the order of
+    ``_cost_matrix``, so its bits are those of the raw cost at that coupling.
     """
     if mu.dim != nu.dim:
         raise ContractError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
@@ -166,9 +180,12 @@ def wasserstein2(mu, nu):
             a = np.sort(mu.points[:, 0])
             b = np.sort(nu.points[:, 0])
             return float(np.sqrt(np.mean((a - b) ** 2)))
-        cost = _cost_matrix(mu, nu)
-        rows, cols = linear_sum_assignment(cost)
-        return float(np.sqrt(cost[rows, cols].mean()))
+        rows, cols = linear_sum_assignment(
+            _cost_matrix(mu.points - mu.mean(), nu.points - nu.mean()))
+        paired = np.zeros(mu.n_atoms)
+        for j in range(mu.dim):
+            paired += (mu.points[rows, j] - nu.points[cols, j]) ** 2
+        return float(np.sqrt(paired.mean()))
     return _wasserstein2_transport(mu, nu)
 
 
@@ -178,7 +195,7 @@ def _wasserstein2_transport(mu, nu):
         raise ContractError(
             f"general-weight transport limited to {_MAX_TRANSPORT_ATOMS} atoms per side"
         )
-    cost = _cost_matrix(mu, nu).ravel()
+    cost = _cost_matrix(mu.points, nu.points).ravel()
     # marginal constraints: row sums = mu.weights, column sums = nu.weights
     a_eq = np.zeros((n + k, n * k))
     for i in range(n):
@@ -195,14 +212,16 @@ def _wasserstein2_transport(mu, nu):
 def wasserstein2_bruteforce(mu, nu):
     """Permutation-enumeration oracle for uniform equal-count measures.
 
-    Independent of the assignment solver; exponential in N, so only usable
-    for tiny instances.
+    Independent of the assignment solver; exponential in N, so limited to
+    ``MAX_BRUTEFORCE_ATOMS`` atoms.
     """
     if mu.dim != nu.dim:
         raise ContractError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     if mu.n_atoms != nu.n_atoms or not (mu.is_uniform and nu.is_uniform):
         raise ContractError("brute force requires uniform equal-count measures")
-    cost = _cost_matrix(mu, nu)
+    if mu.n_atoms > MAX_BRUTEFORCE_ATOMS:
+        raise ContractError(f"brute force limited to {MAX_BRUTEFORCE_ATOMS} atoms per side")
+    cost = _cost_matrix(mu.points, nu.points)
     n = mu.n_atoms
     best = min(
         sum(cost[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n))

@@ -429,6 +429,8 @@ def test_main_reports_config_errors(tmp_path, capsys):
         ("feynman-kac-heat", "probes.t", ""),
         ("w2-selftest", "n_instances", "0"),
         ("w2-selftest", "max_atoms", "0"),
+        # the brute-force oracle enumerates max_atoms! couplings
+        ("w2-selftest", "max_atoms", "9"),
         ("w2-selftest", "max_dim", "0"),
         ("npy-identity", "n_probes", "0"),
         ("npy-identity", "d", "0"),

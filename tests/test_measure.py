@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from mfsde import (
     ContractError,
@@ -208,13 +209,59 @@ def test_cost_matrix_matches_squared_difference_formula(d):
     mu = uniform(rng.standard_normal((7, d)))
     nu = uniform(rng.standard_normal((5, d)))
     diff = mu.points[:, None, :] - nu.points[None, :, :]
-    assert _cost_matrix(mu, nu).tobytes() == np.sum(diff**2, axis=2).tobytes()
+    assert _cost_matrix(mu.points, nu.points).tobytes() == np.sum(diff**2, axis=2).tobytes()
 
 
 def test_bruteforce_requires_uniform_equal_count():
     mu = EmpiricalMeasure(np.array([[0.0], [1.0]]), np.array([0.75, 0.25]))
     with pytest.raises(ContractError):
         wasserstein2_bruteforce(mu, line([0.0, 1.0]))
+
+
+def test_bruteforce_refuses_more_atoms_than_it_can_enumerate():
+    n = measure.MAX_BRUTEFORCE_ATOMS
+    assert wasserstein2_bruteforce(line(np.arange(n)), line(np.arange(n) + 0.5)) == 0.5
+    with pytest.raises(ContractError, match="limited to"):
+        wasserstein2_bruteforce(line(np.arange(n + 1)), line(np.arange(n + 1)))
+
+
+def _w2_pair(kind, rng, n, d):
+    """Two uniform clouds of n points in R^d: the second a translate, a
+    rotation plus shift, a scaling plus shift of the first, or independent."""
+    cloud = rng.standard_normal((n, d))
+    shift = rng.standard_normal(d)
+    if kind == "translate":
+        other = cloud + shift
+    elif kind == "rotation":
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        other = cloud @ q.T + shift
+    elif kind == "scaling":
+        other = 1.5 * cloud + shift
+    else:
+        other = rng.standard_normal((n, d))
+    return EmpiricalMeasure(cloud), EmpiricalMeasure(other)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("kind", ["translate", "rotation", "scaling", "independent"])
+def test_centred_assignment_returns_the_raw_solve_bit_for_bit(kind, d, n):
+    # the raw cost and the cost of the mean-centred clouds share their
+    # optimal couplings; at d = 8 numpy's own sum would add by pairs
+    mu, nu = _w2_pair(kind, np.random.default_rng(100 * d + n), n, d)
+    cost = _cost_matrix(mu.points, nu.points)
+    rows, cols = linear_sum_assignment(cost)
+    assert wasserstein2(mu, nu) == float(np.sqrt(cost[rows, cols].mean()))
+
+
+def test_w2_of_a_large_translate_is_the_shift_length():
+    # the benchmark's translate, n = 1024 in d = 2: the centred problem is
+    # the identity assignment, so this costs tens of milliseconds
+    rng = np.random.default_rng(41)
+    cloud = rng.standard_normal((1024, 2))
+    shift = np.array([0.15, -0.2])
+    got = wasserstein2(EmpiricalMeasure(cloud), EmpiricalMeasure(cloud + shift))
+    assert abs(got - 0.25) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -317,4 +364,4 @@ def test_cost_matrix_bits_match_the_summed_difference_array_over_seeds(d, block,
         nu = uniform(rng.standard_normal((6, d)))
         diff = mu.points[:, None, :] - nu.points[None, :, :]
         expected = np.sum(np.square(diff, out=diff), axis=2)
-        assert _cost_matrix(mu, nu).tobytes() == expected.tobytes()
+        assert _cost_matrix(mu.points, nu.points).tobytes() == expected.tobytes()

@@ -291,7 +291,7 @@ def test_w2_cost_matrix_peaks_near_one_matrix():
     matrix = 8 * 1024 * 1024
     # the cost, one row block of differences and numpy's ufunc buffers; the
     # (N, N, d) differences alone would be three matrices
-    assert _peak_of(lambda: _cost_matrix(mu, nu)) <= 1.2 * matrix
+    assert _peak_of(lambda: _cost_matrix(mu.points, nu.points)) <= 1.2 * matrix
 
 
 @pytest.fixture

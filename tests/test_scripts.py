@@ -22,10 +22,11 @@ def test_step_cost_prints_one_row_per_case(capsys):
              ("interacting", "brownian", 1, 1, 8)]
     noise_cases = [("decoupled", step_cost.DOMAIN_DECOUPLED, 1030),
                    ("interacting", step_cost.DOMAIN_INTERACTING, 8)]
-    step_cost.report(cases=cases, n_steps=2, reps=1, noise_cases=noise_cases)
+    step_cost.report(cases=cases, n_steps=2, reps=1, noise_cases=noise_cases, w2_points=64)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["scheme", "field", "d", "m", "K", "paths", "us_per_step"]
-    assert len(lines) == 1 + len(cases) + 2 + len(noise_cases)
+    w2_cases = step_cost.W2_CASES
+    assert len(lines) == 1 + len(cases) + 2 + len(noise_cases) + 2 + len(w2_cases)
     for line, (scheme, name, d, k, paths) in zip(lines[1:], cases):
         cells = line.split()
         assert cells[:6] == [scheme, name, str(d), str(d), str(k), str(paths)]
@@ -37,6 +38,14 @@ def test_step_cost_prints_one_row_per_case(capsys):
     for line, (name, domain, paths) in zip(noise[2:], noise_cases):
         cells = line.split()
         assert cells[:3] == [name, str(paths), "2"]
+        assert float(cells[3]) > 0
+    # another blank line, then the W2 table: milliseconds per call per case
+    w2 = noise[2 + len(noise_cases):]
+    assert w2[0] == ""
+    assert w2[1].split() == ["w2_case", "points", "d", "ms_per_call"]
+    for line, (name, _) in zip(w2[2:], w2_cases):
+        cells = line.split()
+        assert cells[:3] == [name, "64", "2"]
         assert float(cells[3]) > 0
 
 
