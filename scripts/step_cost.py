@@ -107,7 +107,7 @@ def w2_seconds(other, points):
 
 
 def report(cases=CASES, n_steps=N_STEPS, reps=REPS, noise_cases=NOISE_CASES,
-           w2_cases=W2_CASES, w2_points=W2_POINTS):
+           w2_points=W2_POINTS):
     """Print a header and one row per Euler case, the median microseconds per
     step; then, after a blank line, a header and one row per noise case, the
     median nanoseconds per normal; then, after another, a header and one row
@@ -125,7 +125,7 @@ def report(cases=CASES, n_steps=N_STEPS, reps=REPS, noise_cases=NOISE_CASES,
         print(f"{name:<12} {paths:>6} {n_steps:>6} {ns:>14.1f}")
     print()
     print(f"{'w2_case':<12} {'points':>6} {'d':>2} {'ms_per_call':>12}")
-    for name, other in w2_cases:
+    for name, other in W2_CASES:
         ms = 1e3 * statistics.median(w2_seconds(other, w2_points) for _ in range(reps))
         print(f"{name:<12} {w2_points:>6} {2:>2} {ms:>12.3f}")
 

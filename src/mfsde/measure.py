@@ -172,6 +172,10 @@ def wasserstein2(mu, nu):
     is far easier for the augmenting-path solver.  The value is then summed
     from the original points at the returned pairs, in the order of
     ``_cost_matrix``, so its bits are those of the raw cost at that coupling.
+    When the optimal coupling is unique, that is the raw solve's coupling and
+    the bits are the raw solve's; when optima tie within rounding (repeated
+    or symmetric atoms), the solver may pick another optimum, and the two
+    values agree to rounding.
     """
     if mu.dim != nu.dim:
         raise ContractError(f"dimension mismatch: {mu.dim} vs {nu.dim}")

@@ -254,6 +254,22 @@ def test_centred_assignment_returns_the_raw_solve_bit_for_bit(kind, d, n):
     assert wasserstein2(mu, nu) == float(np.sqrt(cost[rows, cols].mean()))
 
 
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("kind", ["translate", "independent"])
+def test_centred_assignment_on_repeated_atoms_agrees_to_rounding(kind, d):
+    # every atom twice on each side, so the optimal coupling is not unique:
+    # the two solves may pick different optima, whose values agree to rounding
+    rng = np.random.default_rng(7 * d)
+    half = rng.standard_normal((32, d))
+    other = half + rng.standard_normal(d) if kind == "translate" else rng.standard_normal((32, d))
+    mu = EmpiricalMeasure(np.concatenate([half, half]))
+    nu = EmpiricalMeasure(np.concatenate([other, other]))
+    cost = _cost_matrix(mu.points, nu.points)
+    rows, cols = linear_sum_assignment(cost)
+    raw = float(np.sqrt(cost[rows, cols].mean()))
+    assert abs(wasserstein2(mu, nu) - raw) <= 1e-15 * raw
+
+
 def test_w2_of_a_large_translate_is_the_shift_length():
     # the benchmark's translate, n = 1024 in d = 2: the centred problem is
     # the identity assignment, so this costs tens of milliseconds

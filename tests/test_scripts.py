@@ -25,8 +25,7 @@ def test_step_cost_prints_one_row_per_case(capsys):
     step_cost.report(cases=cases, n_steps=2, reps=1, noise_cases=noise_cases, w2_points=64)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["scheme", "field", "d", "m", "K", "paths", "us_per_step"]
-    w2_cases = step_cost.W2_CASES
-    assert len(lines) == 1 + len(cases) + 2 + len(noise_cases) + 2 + len(w2_cases)
+    assert len(lines) == 1 + len(cases) + 2 + len(noise_cases) + 2 + len(step_cost.W2_CASES)
     for line, (scheme, name, d, k, paths) in zip(lines[1:], cases):
         cells = line.split()
         assert cells[:6] == [scheme, name, str(d), str(d), str(k), str(paths)]
@@ -43,7 +42,7 @@ def test_step_cost_prints_one_row_per_case(capsys):
     w2 = noise[2 + len(noise_cases):]
     assert w2[0] == ""
     assert w2[1].split() == ["w2_case", "points", "d", "ms_per_call"]
-    for line, (name, _) in zip(w2[2:], w2_cases):
+    for line, (name, _) in zip(w2[2:], step_cost.W2_CASES):
         cells = line.split()
         assert cells[:3] == [name, "64", "2"]
         assert float(cells[3]) > 0
