@@ -15,7 +15,11 @@ and the block of an interacting run, keyed per particle and drawn whole by
 ``dynamics.brownian_increments``.  A third table prints the median
 milliseconds of one ``measure.wasserstein2`` call between two uniform
 clouds of W2_POINTS points in d = 2: a translate, a rotation plus shift,
-and two independent samples.
+and two independent samples.  A fourth table prints the median
+microseconds per step of the functional layer over an interacting flow of
+N_STEPS steps whose grid points are collected before timing, so neither
+noise nor the Euler step is counted: ``verify_path_independence`` folding
+the field of a potential, and ``ito_residual_ensemble``.
 
     PYTHONPATH=src python scripts/step_cost.py
 """
@@ -25,7 +29,7 @@ import time
 
 import numpy as np
 
-from mfsde import dirac, make_coefficients
+from mfsde import StreamedFlow, dirac, make_coefficients, make_cylindrical
 from mfsde.dynamics import (
     DOMAIN_DECOUPLED,
     DOMAIN_INTERACTING,
@@ -35,6 +39,8 @@ from mfsde.dynamics import (
     decoupled_rows,
 )
 from mfsde.feynman_kac import CHUNK
+from mfsde.functionals import build_pair_from_V, verify_path_independence
+from mfsde.generator import ito_residual_ensemble
 from mfsde.measure import EmpiricalMeasure, wasserstein2
 
 N_STEPS = 100
@@ -61,6 +67,11 @@ W2_CASES = (
     ("translate", lambda cloud, rng: cloud + W2_SHIFT),
     ("rotation", lambda cloud, rng: cloud @ W2_ROTATION.T + W2_SHIFT),
     ("independent", lambda cloud, rng: rng.standard_normal(cloud.shape)),
+)
+# (fold, field, N particles, V's outer, V's inner functions) of the fold cases
+FOLD_CASES = (
+    ("verify", "brownian", 2000, "x_norm_sq", ()),
+    ("ito_residual", "mean_revert", 1000, "x_sq_plus_r1", ("quadratic",)),
 )
 
 
@@ -106,12 +117,38 @@ def w2_seconds(other, points):
     return time.perf_counter() - start
 
 
+class _Collected:
+    """The grid points of a StreamedFlow's whole run, collected once, for
+    folds over [times[0], times[-1]] that time only their own work."""
+
+    def __init__(self, flow):
+        self.dt, self.times, self.n_particles = flow.dt, flow.times, flow.n_particles
+        self._points = list(flow.steps(flow.times[0], flow.times[-1]))
+
+    def steps(self, s, t):
+        return iter(self._points)
+
+
+def fold_seconds(fold, name, paths, outer, inner, n_steps):
+    """Wall seconds per step of one fold of the case over a collected flow."""
+    coeff = make_coefficients(name, s=1.0)
+    V = make_cylindrical(outer, inner)
+    flow = _Collected(StreamedFlow(coeff, dirac([0.0]), paths, n_steps * DT, DT, 0))
+    start = time.perf_counter()
+    if fold == "verify":
+        verify_path_independence(V, build_pair_from_V(coeff, V), [flow], 0.0, flow.times[-1])
+    else:
+        ito_residual_ensemble(coeff, V, flow)
+    return (time.perf_counter() - start) / n_steps
+
+
 def report(cases=CASES, n_steps=N_STEPS, reps=REPS, noise_cases=NOISE_CASES,
            w2_points=W2_POINTS):
     """Print a header and one row per Euler case, the median microseconds per
     step; then, after a blank line, a header and one row per noise case, the
     median nanoseconds per normal; then, after another, a header and one row
-    per W2 case, the median milliseconds per call."""
+    per W2 case, the median milliseconds per call; then, after a third, a
+    header and one row per fold case, the median microseconds per step."""
     print(f"{'scheme':<12} {'field':<12} {'d':>2} {'m':>2} {'K':>2} {'paths':>6} {'us_per_step':>12}")
     for scheme, name, d, k, paths in cases:
         runs = [step_seconds(scheme, name, d, k, paths, n_steps) for _ in range(reps)]
@@ -128,6 +165,13 @@ def report(cases=CASES, n_steps=N_STEPS, reps=REPS, noise_cases=NOISE_CASES,
     for name, other in W2_CASES:
         ms = 1e3 * statistics.median(w2_seconds(other, w2_points) for _ in range(reps))
         print(f"{name:<12} {w2_points:>6} {2:>2} {ms:>12.3f}")
+    print()
+    print(f"{'fold':<12} {'field':<12} {'V':<24} {'paths':>6} {'us_per_step':>12}")
+    for fold, name, paths, outer, inner in FOLD_CASES:
+        runs = [fold_seconds(fold, name, paths, outer, inner, n_steps) for _ in range(reps)]
+        us = 1e6 * statistics.median(runs)
+        v_name = outer + "".join(f"[{h}]" for h in inner)
+        print(f"{fold:<12} {name:<12} {v_name:<24} {paths:>6} {us:>12.1f}")
 
 
 if __name__ == "__main__":

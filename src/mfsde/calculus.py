@@ -45,9 +45,9 @@ OUTER_PARAMS = {"const": {"c": 1.0}, "coord": {"i": 0}, "x_sq_plus_c_minus_t": {
 class InnerFunction:
     """Scalar test function with closed-form first and second derivatives.
 
-    ``value`` maps (..., d) -> (...,), ``grad`` -> (..., d),
-    ``hess`` -> (..., d, d).  The Hessian is bounded by construction for
-    every catalog member.
+    ``value`` maps (..., d) -> (...,), ``grad`` -> (..., d), ``hess`` ->
+    (..., d, d), or one (d, d) matrix when constant.  The Hessian is bounded
+    by construction for every catalog member.
     """
 
     name: str
@@ -80,16 +80,11 @@ def _linear_inner(a):
 
 
 def _quadratic_inner():
-    def hess(x):
-        x = np.asarray(x)
-        d = x.shape[-1]
-        return np.broadcast_to(2.0 * np.eye(d), x.shape + (d,)).copy()
-
     return InnerFunction(
         name="quadratic",
         value=lambda x: np.sum(np.asarray(x) ** 2, axis=-1),
         grad=lambda x: 2.0 * np.asarray(x),
-        hess=hess,
+        hess=lambda x: _x_norm_sq_dxx(None, x, None),
     )
 
 
@@ -161,11 +156,12 @@ def make_inner(name, **params):
 class OuterFunction:
     """Outer function F(t, x, r) with its partial derivatives.
 
-    Arguments broadcast: t scalar, x (..., d), r (n,).  ``n_inner`` is the
-    number n of inner integrals F reads, or None when any n will do.  Missing
-    evaluators (None) raise CapabilityError when requested through
-    :meth:`partial`.  Catalog entries from :func:`make_outer` have every
-    partial; the ones an entry does not spell out are identically zero.
+    Arguments broadcast: t scalar, x (..., d), r (n,); a constant ``dxx`` is
+    one (d, d) matrix.  ``n_inner`` is the number n of inner integrals F
+    reads, or None when any n will do.  Missing evaluators (None) raise
+    CapabilityError when requested through :meth:`partial`.  Catalog entries
+    from :func:`make_outer` have every partial; the ones an entry does not
+    spell out are identically zero.
     """
 
     name: str
@@ -191,7 +187,7 @@ def _scalar_field(x, c):
     return np.full(x.shape[:-1], float(c))
 
 
-# zero partials: dt (...,), dx (..., d), dxx (..., d, d), dr (..., n)
+# zero partials: dt (...,), dx (..., d), dxx (d, d), dr (..., n)
 
 
 def _zero_dt(t, x, r):
@@ -203,8 +199,7 @@ def _zero_dx(t, x, r):
 
 
 def _zero_dxx(t, x, r):
-    x = np.asarray(x)
-    return np.zeros(x.shape + (x.shape[-1],))
+    return np.zeros((np.shape(x)[-1],) * 2)
 
 
 def _zero_dr(t, x, r):
@@ -237,9 +232,10 @@ def _x_norm_sq_dx(t, x, r):
 
 
 def _x_norm_sq_dxx(t, x, r):
-    x = np.asarray(x)
-    d = x.shape[-1]
-    return np.broadcast_to(2.0 * np.eye(d), x.shape + (d,)).copy()
+    """2I, one read-only (d, d) matrix; also the quadratic inner's Hessian."""
+    out = 2.0 * np.eye(np.shape(x)[-1])
+    out.flags.writeable = False
+    return out
 
 
 def _gauss_quarter(t, x, r):

@@ -197,13 +197,14 @@ def _run_ito_residual(cfg):
 
 def _run_path_independence(cfg):
     N, T, s = cfg.get("N"), cfg.get("T"), cfg.get("s")
-    f, g = build_pair_from_V(cfg.coeff, cfg.V)
+    field = build_pair_from_V(cfg.coeff, cfg.V)
     offset = cfg.get("perturb_g")
     if offset:
-        base_g = g
+        base = field
 
-        def g(t, X, mu, base_g=base_g, offset=offset):
-            return base_g(t, X, mu) + offset
+        def field(t, X, mu, base=base, offset=offset):
+            f, g = base(t, X, mu)
+            return f, g + offset
 
     # coarsest level first, each streamed while the verifier folds it and
     # never recorded; every level starts from the one initial law and keeps
@@ -212,7 +213,7 @@ def _run_path_independence(cfg):
         StreamedFlow(cfg.coeff, cfg.init, N, T, dt, cfg.seed + level, s=s)
         for level, dt in sorted(enumerate(cfg.dt_levels), key=lambda item: -item[1])
     )
-    report = verify_path_independence(cfg.V, f, g, flows, s, T)
+    report = verify_path_independence(cfg.V, field, flows, s, T)
     first, last = report.rows[0].rms_defect, report.rows[-1].rms_defect
     ratio = first / last if len(report.rows) > 1 and last > 0 else 1.0
     ok = report.verdict == "PASS"

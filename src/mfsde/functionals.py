@@ -7,7 +7,9 @@ the verifier measures that defect over a step-size ladder.  The exponential
 of the negated functional is the reweighting density used for risk-neutral
 estimates.
 
-All fields take batched states: f(t, X, mu) -> (B,), g(t, X, mu) -> (B, m).
+The unit folded along a path is one field, called once per step on a batch
+of states: field(t, X, mu) -> (f, g) with f of shape (B,) and g of shape
+(B, m), or (B,) when m = 1.  Either part may be None, which adds nothing.
 """
 
 from __future__ import annotations
@@ -18,24 +20,25 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError
-from .generator import generator_parts, generator_total, sigma_dx_terms
+from .generator import generator_parts, generator_total
 
 
-def _step_terms(f, g, t_k, X, mu, dw, dt):
-    """One-step contribution f*dt + <g, dW> for every particle, shape (N,).
+def _step_terms(field, t_k, X, mu, dw, dt):
+    """f*dt + <g, dW> for every particle, shape (N,), from one ``field`` call.
 
-    f must return shape (N,) and g shape (N, m), or (N,) when m = 1;
+    f must have shape (N,) and g shape (N, m), or (N,) when m = 1;
     anything else raises ContractError rather than broadcasting.
     """
     n, m = dw.shape
     out = np.zeros(n)
+    f, g = field(t_k, X, mu)
     if f is not None:
-        fv = np.asarray(f(t_k, X, mu), dtype=float)
+        fv = np.asarray(f, dtype=float)
         if fv.shape != (n,):
             raise ContractError(f"field f returned shape {fv.shape}, expected ({n},)")
         out += fv * dt
     if g is not None:
-        gv = np.asarray(g(t_k, X, mu), dtype=float)
+        gv = np.asarray(g, dtype=float)
         if gv.shape != (n, m) and not (m == 1 and gv.shape == (n,)):
             raise ContractError(f"field g returned shape {gv.shape}, expected ({n}, {m})")
         out += np.einsum("nm,nm->n", gv.reshape(n, m), dw)
@@ -48,52 +51,51 @@ def _potential(V, point):
     return np.asarray(V.outer.value(t_k, X, V.inner_integrals(mu)))
 
 
-def _fold(flow, s, t, pairs=()):
-    """(A^{f,g}_{s,t} of each (f, g) of ``pairs``, first point, last point)
+def _fold(flow, s, t, fields=()):
+    """(A^{f,g}_{s,t} of each field of ``fields``, first point, last point)
     per path, from one pass over ``flow.steps(s, t)``.
 
-    Each pair's step terms are summed from zero in grid order, the pairs in
-    their given order at each step.  A point is (t_k, X_k, mu_k) without its
+    Each field's step terms are summed from zero in grid order, the fields
+    in their given order at each step.  A point is (t_k, X_k, mu_k) without its
     increments, which would keep the run's noise block alive.  Every pass
     over a flow sees the same bits, so a window [s, t] folds the same terms
     as that stretch of the whole run.
     """
-    totals = [np.zeros(flow.n_particles) for _ in pairs]
+    totals = [np.zeros(flow.n_particles) for _ in fields]
     for k, (t_k, X, mu, dw) in enumerate(flow.steps(s, t)):
         if k == 0:
             first = (t_k, X, mu)
         if dw is not None:
-            for total, (f, g) in zip(totals, pairs):
-                total += _step_terms(f, g, t_k, X, mu, dw, flow.dt)
+            for total, field in zip(totals, fields):
+                total += _step_terms(field, t_k, X, mu, dw, flow.dt)
     return totals, first, (t_k, X, mu)
 
 
-def accumulate(f, g, flow, s, t):
-    """A^{f,g}_{s,t} per path: left-endpoint time integral plus Ito sum.
+def accumulate(field, flow, s, t):
+    """A^{f,g}_{s,t} per path of ``field``: left-endpoint time integral plus Ito sum.
 
     The step terms are added from zero in grid order, so A_{s,s} = 0.
     """
-    [total], _, _ = _fold(flow, s, t, [(f, g)])
+    [total], _, _ = _fold(flow, s, t, [field])
     return total
 
 
 def build_pair_from_V(coeff, V):
-    """Fields (f, g) induced by a potential V through the generator.
+    """The field (t, X, mu) -> (f, g) induced by a potential V through the
+    generator.
 
-    f is the full time-plus-generator action on V, one generator_parts call
-    per call; g is sigma^* dx V, from the terms generator_parts reads it from
-    (generator.sigma_dx_terms), so it equals that part bit for bit.  Both
-    close over ``coeff`` and ``V`` and follow the batched field contract.
+    f = (dt + L)V and g = sigma^* dx V both come from one generator_parts call
+    per field call, so V's inner integrals are formed once per step and g is
+    f's ``sigma_star_dx`` part, bit for bit.  The field closes over ``coeff``
+    and ``V``, keeps no state between calls and follows the batched field
+    contract of this module.
     """
 
-    def f(t, X, mu):
+    def field(t, X, mu):
         parts = generator_parts(coeff, V, t, X, mu)
-        return parts["dt"] + generator_total(parts)
+        return parts["dt"] + generator_total(parts), parts["sigma_star_dx"]
 
-    def g(t, X, mu):
-        return sigma_dx_terms(coeff, V, t, X, mu)[-1]
-
-    return f, g
+    return field
 
 
 def potential_increment(V, flow, s, t):
@@ -132,8 +134,8 @@ THRESHOLD_FACTOR = 5.0
 FLOOR_SIGMAS = 6.0
 
 
-def verify_path_independence(V, f, g, flows, s, t):
-    """Defect report for A^{f,g} against the increment of V over a dt ladder.
+def verify_path_independence(V, field, flows, s, t):
+    """Defect report for A^{f,g} of ``field`` against V's increments over a dt ladder.
 
     ``flows`` is an iterable of StreamedFlows, coarsest step first
     (ContractError otherwise, or when it is empty), each folded in one pass
@@ -164,7 +166,7 @@ def verify_path_independence(V, f, g, flows, s, t):
         # numpy warning, and flags the level by a mean-square defect that is
         # not finite, which _defect_floor reads as an infinite floor
         with np.errstate(over="ignore", invalid="ignore"):
-            [total], first, last = _fold(flow, s, t, [(f, g)])
+            [total], first, last = _fold(flow, s, t, [field])
             increment = _potential(V, last) - _potential(V, first)
             defect = np.abs(total - increment)
             sq = defect**2
@@ -226,16 +228,17 @@ def _defect_floor(sq_means):
     return float(coef[1]), float(np.sqrt(max(cov[1, 1], 0.0)))
 
 
-def _girsanov_f(g, beta):
-    """The field |g|^2 / (2 beta) that the Girsanov density pairs with g."""
+def _girsanov_field(g, beta, with_g=True):
+    """The field (|g|^2 / (2 beta), g or None) of the Girsanov density, one g read per call."""
     if beta == 0:
         raise ContractError("beta must be nonzero")
 
-    def f(tk, X, mu):
-        gv = np.asarray(g(tk, X, mu), dtype=float).reshape(X.shape[0], -1)
-        return np.sum(gv**2, axis=1) / (2.0 * beta)
+    def field(tk, X, mu):
+        gv = g(tk, X, mu)
+        sq = np.asarray(gv, dtype=float).reshape(X.shape[0], -1) ** 2
+        return np.sum(sq, axis=1) / (2.0 * beta), gv if with_g else None
 
-    return f
+    return field
 
 
 @dataclass(frozen=True)
@@ -262,9 +265,10 @@ def girsanov_replay(g, flow, beta, s, t):
 
     The weight is exp(-A^{g;beta}_{s,t}) per path, with f folded in as
     |g|^2 / (2 beta); the estimate is a :class:`NovikovEstimate` of
-    E exp(1/2 int_s^t |g|^2 dr).  Both functionals are the two pairs of one
-    _fold, so a StreamedFlow is simulated once and never recorded.
+    E exp(1/2 int_s^t |g|^2 dr).  Both functionals are the two fields of one
+    _fold, each reading g once per step, so a StreamedFlow is simulated once
+    and never recorded.
     """
-    pairs = [(_girsanov_f(g, beta), g), (_girsanov_f(g, 1.0), None)]
-    (weight, novikov), (_, x_s, _), (_, x_t, _) = _fold(flow, s, t, pairs)
+    fields = [_girsanov_field(g, beta), _girsanov_field(g, 1.0, with_g=False)]
+    (weight, novikov), (_, x_s, _), (_, x_t, _) = _fold(flow, s, t, fields)
     return np.exp(-weight), _novikov(np.exp(novikov)), x_t - x_s

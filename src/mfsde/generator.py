@@ -56,19 +56,6 @@ def _mu_part_coefficients(coeff, V, t, mu, r, use_v_gradient_drift):
     return c, e
 
 
-def sigma_dx_terms(coeff, V, t, X, mu, r=None):
-    """X as (B, d) floats, r (``V.inner_integrals(mu)`` unless given), dx V,
-    sigma and sigma^* dx V (B, m) at (t, X, mu): the terms generator_parts
-    and the g of build_pair_from_V share, so their bits agree."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if r is None:
-        r = V.inner_integrals(mu)
-    dxV = _labeled("drift_x", V.outer.partial("dx"), t, X, r)
-    # sigma broadcasts against the (B, ...) partials of V
-    sig_x = _labeled("trace_x", coeff.sigma, t, X, mu)
-    return X, r, dxV, sig_x, np.einsum("...jk,...j->...k", sig_x, dxV)
-
-
 def generator_parts(coeff, V, t, X, mu, drift_free=False, r=None):
     """Vectorized generator terms over a batch of states X (B, d).
 
@@ -77,15 +64,22 @@ def generator_parts(coeff, V, t, X, mu, drift_free=False, r=None):
     sigma_star_dx (B, m) for stochastic-integral bookkeeping.  ``r``, when
     given, must be ``V.inner_integrals(mu)``, already computed by the caller.
     """
-    X, r, dxV, sig_x, sig_dx = sigma_dx_terms(coeff, V, t, X, mu, r)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if r is None:
+        r = V.inner_integrals(mu)
+    dxV = _labeled("drift_x", V.outer.partial("dx"), t, X, r)
+    # sigma broadcasts against the (B, ...) partials of V
+    sig_x = _labeled("trace_x", coeff.sigma, t, X, mu)
     dxxV = _labeled("trace_x", V.outer.partial("dxx"), t, X, r)
     dtV = _labeled("dt", V.outer.partial("dt"), t, X, r)
-    # an x-independent sigma gives one sigma sigma^*, not one per state
+    # an x-independent sigma gives one sigma sigma^*, not one per state, and
+    # with a constant dxx V one trace, broadcast to the batch
     a_x = np.einsum("...jk,...lk->...jl", sig_x, sig_x)
+    trace_x = 0.5 * np.einsum("...jl,...lj->...", a_x, dxxV)
     out = {
         "dt": dtV,
-        "trace_x": 0.5 * np.einsum("...jl,...lj->...", a_x, dxxV),
-        "sigma_star_dx": sig_dx,
+        "trace_x": np.broadcast_to(trace_x, X.shape[:1]).copy(),
+        "sigma_star_dx": np.einsum("...jk,...j->...k", sig_x, dxV),
     }
     if drift_free:
         out["nonlinear_sq"] = 0.5 * np.sum(out["sigma_star_dx"] ** 2, axis=1)

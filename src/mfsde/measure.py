@@ -116,12 +116,12 @@ def _eval_on_points(h, points):
 def integrate(mu, h):
     """mu(h) = sum_i w_i h(x_i) for scalar- or vector-valued ``h``."""
     vals = _eval_on_points(h, mu.points)
-    bad = ~np.isfinite(vals).reshape(mu.n_atoms, -1).all(axis=1)
-    if bad.any():
-        idx = int(np.argmax(bad))
+    if not np.isfinite(vals).all():
+        idx = int(np.argmax(~np.isfinite(vals).reshape(mu.n_atoms, -1).all(axis=1)))
         raise EvaluationError(f"test function non-finite at support point {idx}")
-    out = np.tensordot(mu.weights, vals, axes=(0, 0))
-    return float(out) if np.ndim(out) == 0 else out
+    if vals.ndim == 1:
+        return float(mu.weights @ vals)
+    return np.tensordot(mu.weights, vals, axes=(0, 0))
 
 
 def pushforward(mu, phi):

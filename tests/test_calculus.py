@@ -221,7 +221,9 @@ def test_every_outer_partial_matches_central_differences(name):
     assert np.shape(F.value(t, x, r)) == (B,)
     assert np.shape(dt) == (B,)
     assert np.shape(dx) == (B, 2)
-    assert np.shape(dxx) == (B, 2, 2)
+    # a constant dxx is one (2, 2) matrix that broadcasts against the batch
+    assert np.broadcast_shapes(np.shape(dxx), (B, 2, 2)) == (B, 2, 2)
+    dxx = np.broadcast_to(dxx, (B, 2, 2))
     assert np.shape(dr) == (B, 2)
 
     close(dt, (F.value(t + h, x, r) - F.value(t - h, x, r)) / (2 * h))
@@ -257,7 +259,9 @@ def test_every_inner_derivative_matches_central_differences(name, params):
     grad, hess = inner.grad(x), inner.hess(x)
     assert np.shape(inner.value(x)) == (B,)
     assert np.shape(grad) == (B, 2)
-    assert np.shape(hess) == (B, 2, 2)
+    # a constant hess is one (2, 2) matrix that broadcasts against the batch
+    assert np.broadcast_shapes(np.shape(hess), (B, 2, 2)) == (B, 2, 2)
+    hess = np.broadcast_to(hess, (B, 2, 2))
     for j in range(2):
         e = np.zeros(2)
         e[j] = h

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfsde import (
     ContractError,
+    CylindricalFunction,
     EmpiricalMeasure,
     StreamedFlow,
     dirac,
@@ -35,18 +36,14 @@ def brownian_flow(n=200, T=1.0, dt=0.01, seed=0, s_coeff=1.0):
 
 def test_unit_source_integrates_time():
     _, flow = brownian_flow(n=4, dt=0.25)
-    out = accumulate(lambda t, X, mu: np.ones(X.shape[0]), None, flow, 0.0, 1.0)
+    out = accumulate(lambda t, X, mu: (np.ones(X.shape[0]), None), flow, 0.0, 1.0)
     assert np.allclose(out, 1.0, atol=1e-14)
 
 
 def test_zero_pair_accumulates_zero():
     _, flow = brownian_flow(n=4, dt=0.25)
     out = accumulate(
-        lambda t, X, mu: np.zeros(X.shape[0]),
-        lambda t, X, mu: np.zeros((X.shape[0], 1)),
-        flow,
-        0.0,
-        1.0,
+        lambda t, X, mu: (np.zeros(X.shape[0]), np.zeros((X.shape[0], 1))), flow, 0.0, 1.0
     )
     assert np.all(out == 0.0)
 
@@ -54,7 +51,7 @@ def test_zero_pair_accumulates_zero():
 def test_constant_integrand_brownian_statistics():
     c = 1.5
     _, flow = brownian_flow(n=10_000, dt=0.01, seed=4)
-    out = accumulate(None, lambda t, X, mu: np.full((X.shape[0], 1), c), flow, 0.0, 1.0)
+    out = accumulate(lambda t, X, mu: (None, np.full((X.shape[0], 1), c)), flow, 0.0, 1.0)
     w_increment = replayed(flow).noise.sum(axis=0)[:, 0]
     assert np.allclose(out, c * w_increment, atol=1e-12)
     se = out.std(ddof=1) / np.sqrt(out.size)
@@ -65,45 +62,43 @@ def test_constant_integrand_brownian_statistics():
 def test_misaligned_interval_rejected():
     _, flow = brownian_flow(n=4, dt=0.25)
     with pytest.raises(ContractError):
-        accumulate(lambda t, X, mu: np.ones(X.shape[0]), None, flow, 0.0, 0.3)
+        accumulate(lambda t, X, mu: (np.ones(X.shape[0]), None), flow, 0.0, 0.3)
 
 
 @given(split=st.sampled_from([0.25, 0.5, 0.75]))
 @settings(max_examples=10, deadline=None)
 def test_additivity_across_subintervals(split):
     _, flow = brownian_flow(n=8, dt=0.25 / 2, seed=1)
-    f = lambda t, X, mu: X[:, 0]
-    g = lambda t, X, mu: np.cos(X)
-    a = accumulate(f, g, flow, 0.0, split)
-    b = accumulate(f, g, flow, split, 1.0)
-    c = accumulate(f, g, flow, 0.0, 1.0)
+    field = lambda t, X, mu: (X[:, 0], np.cos(X))
+    a = accumulate(field, flow, 0.0, split)
+    b = accumulate(field, flow, split, 1.0)
+    c = accumulate(field, flow, 0.0, 1.0)
     assert np.allclose(a + b, c, atol=1e-14)
 
 
 def test_series_starts_at_zero():
     _, flow = brownian_flow(n=4, dt=0.25)
     for s in (0.0, 0.5, 1.0):
-        out = accumulate(lambda t, X, mu: np.ones(X.shape[0]), None, flow, s, s)
+        out = accumulate(lambda t, X, mu: (np.ones(X.shape[0]), None), flow, s, s)
         assert out.shape == (4,) and np.all(out == 0.0)
 
 
 def test_wrong_width_g_rejected():
     _, flow = brownian_flow(n=4, dt=0.25)
     with pytest.raises(ContractError, match=r"field g .*\(4, 2\).*\(4, 1\)"):
-        accumulate(None, lambda t, X, mu: np.ones((X.shape[0], 2)), flow, 0.0, 1.0)
+        accumulate(lambda t, X, mu: (None, np.ones((X.shape[0], 2))), flow, 0.0, 1.0)
 
 
 def test_wrong_length_f_rejected():
     _, flow = brownian_flow(n=4, dt=0.25)
     with pytest.raises(ContractError, match=r"field f .*\(5,\).*\(4,\)"):
-        accumulate(lambda t, X, mu: np.ones(X.shape[0] + 1), None, flow, 0.0, 1.0)
+        accumulate(lambda t, X, mu: (np.ones(X.shape[0] + 1), None), flow, 0.0, 1.0)
 
 
 def test_flat_g_accepted_for_one_noise_column():
     _, flow = brownian_flow(n=8, dt=0.125, seed=1)
-    f = lambda t, X, mu: X[:, 0]
-    flat = accumulate(f, lambda t, X, mu: np.cos(X[:, 0]), flow, 0.0, 1.0)
-    column = accumulate(f, lambda t, X, mu: np.cos(X), flow, 0.0, 1.0)
+    flat = accumulate(lambda t, X, mu: (X[:, 0], np.cos(X[:, 0])), flow, 0.0, 1.0)
+    column = accumulate(lambda t, X, mu: (X[:, 0], np.cos(X)), flow, 0.0, 1.0)
     assert flat.tobytes() == column.tobytes()
 
 
@@ -111,15 +106,12 @@ def test_valid_fields_sum_left_endpoint_terms_bit_for_bit():
     coeff = make_coefficients("brownian", d=2, m=2, s=1.0)
     flow = StreamedFlow(coeff, dirac([0.0, 0.0]), 6, 1.0, 0.25, seed=5)
     run = replayed(flow)
-    f = lambda t, X, mu: X[:, 0] * X[:, 1]
-    g = lambda t, X, mu: np.sin(X)
+    field = lambda t, X, mu: (X[:, 0] * X[:, 1], np.sin(X))
     expected = np.zeros(flow.n_particles)
     for k in range(flow.n_steps):
-        X = run.states[k]
-        expected = expected + (
-            f(0.0, X, None) * flow.dt + np.einsum("nm,nm->n", g(0.0, X, None), run.noise[k])
-        )
-    assert accumulate(f, g, flow, 0.0, 1.0).tobytes() == expected.tobytes()
+        f, g = field(0.0, run.states[k], None)
+        expected = expected + (f * flow.dt + np.einsum("nm,nm->n", g, run.noise[k]))
+    assert accumulate(field, flow, 0.0, 1.0).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +140,44 @@ def parts_calls(monkeypatch):
 
 def test_pair_evaluates_generator_once_per_step(parts_calls):
     coeff, flow, V = mean_field_setup()
-    f, g = build_pair_from_V(coeff, V)
-    accumulate(f, g, flow, 0.0, 1.0)
+    accumulate(build_pair_from_V(coeff, V), flow, 0.0, 1.0)
     assert len(parts_calls) == flow.n_steps
     # the measure reaches the generator unchanged, one snapshot per step
     assert len({id(mu) for mu in parts_calls}) == flow.n_steps
 
 
+def test_potential_field_evaluates_the_law_once_per_step(parts_calls, monkeypatch):
+    # one generator_parts call, and so one set of V's inner integrals, per
+    # step; the Girsanov replay's two fields read g once each per step
+    coeff, flow, V = mean_field_setup()
+    integrals = []
+    inner_integrals = CylindricalFunction.inner_integrals
+
+    def counted(self, mu):
+        integrals.append(mu)
+        return inner_integrals(self, mu)
+
+    monkeypatch.setattr(CylindricalFunction, "inner_integrals", counted)
+    accumulate(build_pair_from_V(coeff, V), flow, 0.0, 1.0)
+    assert flow.n_steps == 10
+    assert len(parts_calls) == len(integrals) == flow.n_steps
+    reads = []
+
+    def g(tk, X, mu):
+        reads.append(tk)
+        return 0.3 * X
+
+    girsanov_replay(g, flow, 2.0, 0.0, 1.0)
+    assert len(reads) == 2 * flow.n_steps
+
+
 def test_pair_matches_fresh_generator_bit_for_bit():
     coeff, flow, V = mean_field_setup()
-    f, g = build_pair_from_V(coeff, V)
+    field = build_pair_from_V(coeff, V)
     run = replayed(flow)
     for k in (0, 5):
         t, X, mu = run.times[k], run.states[k], run.laws[k]
-        fv, gv = f(t, X, mu), g(t, X, mu)
+        fv, gv = field(t, X, mu)
         fresh = generator_parts(coeff, V, t, X, mu)
         assert fv.tobytes() == (fresh["dt"] + generator_total(fresh)).tobytes()
         assert gv.tobytes() == fresh["sigma_star_dx"].tobytes()
@@ -170,7 +186,7 @@ def test_pair_matches_fresh_generator_bit_for_bit():
 @pytest.mark.parametrize("view", [False, True])
 def test_pair_recomputes_when_states_can_change(parts_calls, view):
     coeff, flow, V = mean_field_setup()
-    f, g = build_pair_from_V(coeff, V)
+    field = build_pair_from_V(coeff, V)
     run = replayed(flow)
     t, mu = run.times[1], run.laws[1]
     base = run.states[1].copy()
@@ -178,40 +194,40 @@ def test_pair_recomputes_when_states_can_change(parts_calls, view):
     if view:  # a read-only view of a writeable array can still change
         X = base[:]
         X.flags.writeable = False
-    f(t, X, mu)
+    field(t, X, mu)
     base += 1.0
-    gv = g(t, X, mu)
+    _, gv = field(t, X, mu)
     assert gv.tobytes() == generator_parts(coeff, V, t, base, mu)["sigma_star_dx"].tobytes()
 
 
 def test_pair_from_linear_potential():
     coeff, flow = brownian_flow(n=4, dt=0.25)
     V = make_cylindrical("coord", outer_params={"i": 0})
-    f, g = build_pair_from_V(coeff, V)
     run = replayed(flow)
     X, mu = run.states[0], run.laws[0]
-    assert np.allclose(f(0.0, X, mu), 0.0, atol=1e-14)
-    assert np.allclose(g(0.0, X, mu), 1.0, atol=1e-14)
+    f, g = build_pair_from_V(coeff, V)(0.0, X, mu)
+    assert np.allclose(f, 0.0, atol=1e-14)
+    assert np.allclose(g, 1.0, atol=1e-14)
 
 
 def test_pair_from_time_potential():
     coeff, flow = brownian_flow(n=4, dt=0.25)
     V = make_cylindrical("time")
-    f, g = build_pair_from_V(coeff, V)
     run = replayed(flow)
     X, mu = run.states[0], run.laws[0]
-    assert np.allclose(f(0.0, X, mu), 1.0, atol=1e-14)
-    assert np.allclose(g(0.0, X, mu), 0.0, atol=1e-14)
+    f, g = build_pair_from_V(coeff, V)(0.0, X, mu)
+    assert np.allclose(f, 1.0, atol=1e-14)
+    assert np.allclose(g, 0.0, atol=1e-14)
 
 
 def test_pair_from_square_potential():
     coeff, flow = brownian_flow(n=4, dt=0.25)
     V = make_cylindrical("x_norm_sq")
-    f, g = build_pair_from_V(coeff, V)
     run = replayed(flow)
     X, mu = run.states[1], run.laws[1]
-    assert np.allclose(f(0.25, X, mu), 1.0, atol=1e-13)
-    assert np.allclose(g(0.25, X, mu), 2.0 * X, atol=1e-13)
+    f, g = build_pair_from_V(coeff, V)(0.25, X, mu)
+    assert np.allclose(f, 1.0, atol=1e-13)
+    assert np.allclose(g, 2.0 * X, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +237,21 @@ def test_pair_from_square_potential():
 def test_linear_potential_zero_defect():
     coeff, flow = brownian_flow(n=50, dt=0.25, seed=2)
     V = make_cylindrical("coord", outer_params={"i": 0})
-    f, g = build_pair_from_V(coeff, V)
-    defect = accumulate(f, g, flow, 0.0, 1.0) - potential_increment(V, flow, 0.0, 1.0)
+    field = build_pair_from_V(coeff, V)
+    defect = accumulate(field, flow, 0.0, 1.0) - potential_increment(V, flow, 0.0, 1.0)
     assert np.allclose(defect, 0.0, atol=1e-13)
-    report = verify_path_independence(V, f, g, [flow], 0.0, 1.0)
+    report = verify_path_independence(V, field, [flow], 0.0, 1.0)
     assert report.verdict == "PASS"
 
 
 def test_square_potential_defect_halves_when_dt_quartered():
     coeff = make_coefficients("brownian", s=1.0)
     V = make_cylindrical("x_norm_sq")
-    f, g = build_pair_from_V(coeff, V)
     flows = [
         StreamedFlow(coeff, dirac([0.0]), 1500, 1.0, dt, seed=8 + i)
         for i, dt in enumerate((1e-2, 2.5e-3))
     ]
-    report = verify_path_independence(V, f, g, flows, 0.0, 1.0)
+    report = verify_path_independence(V, build_pair_from_V(coeff, V), flows, 0.0, 1.0)
     assert report.verdict == "PASS"
     ratio = report.rows[0].rms_defect / report.rows[1].rms_defect
     assert 1.5 <= ratio <= 2.8
@@ -246,16 +261,17 @@ def test_square_potential_defect_halves_when_dt_quartered():
 def test_perturbed_pair_fails_with_flat_defect():
     coeff = make_coefficients("brownian", s=1.0)
     V = make_cylindrical("coord", outer_params={"i": 0})
-    f, g = build_pair_from_V(coeff, V)
+    field = build_pair_from_V(coeff, V)
 
-    def g_bad(t, X, mu):
-        return g(t, X, mu) + 0.1
+    def bad(t, X, mu):
+        f, g = field(t, X, mu)
+        return f, g + 0.1
 
     flows = [
         StreamedFlow(coeff, dirac([0.0]), 1500, 1.0, dt, seed=8 + i)
         for i, dt in enumerate((1e-2, 2.5e-3))
     ]
-    report = verify_path_independence(V, f, g_bad, flows, 0.0, 1.0)
+    report = verify_path_independence(V, bad, flows, 0.0, 1.0)
     assert report.verdict == "FAIL"
     # the surviving stochastic integral is dt-independent: 0.1 * (W_T - W_0)
     assert report.defect_floor == pytest.approx(0.1, rel=0.1)
@@ -266,15 +282,16 @@ def test_a_defect_past_the_largest_float_gives_an_infinite_floor():
     # mean-square fit once ended in a raw LinAlgError (SVD did not converge)
     coeff = make_coefficients("brownian", s=1.0)
     V = make_cylindrical("coord", outer_params={"i": 0})
-    f, g = build_pair_from_V(coeff, V)
+    field = build_pair_from_V(coeff, V)
 
-    def g_bad(t, X, mu):
-        return g(t, X, mu) + 1e200
+    def bad(t, X, mu):
+        f, g = field(t, X, mu)
+        return f, g + 1e200
 
     flows = [StreamedFlow(coeff, dirac([0.0]), 50, 1.0, dt, seed=8 + i)
              for i, dt in enumerate((1e-1, 5e-2))]
     with np.errstate(over="ignore", invalid="ignore"):
-        report = verify_path_independence(V, f, g_bad, flows, 0.0, 1.0)
+        report = verify_path_independence(V, bad, flows, 0.0, 1.0)
     assert report.verdict == "FAIL"
     assert report.defect_floor == np.inf
     assert all(row.verdict == "FAIL" for row in report.rows)
@@ -283,8 +300,7 @@ def test_a_defect_past_the_largest_float_gives_an_infinite_floor():
 def test_report_csv_schema(tmp_path):
     coeff, flow = brownian_flow(n=20, dt=0.25)
     V = make_cylindrical("coord", outer_params={"i": 0})
-    f, g = build_pair_from_V(coeff, V)
-    report = verify_path_independence(V, f, g, [flow], 0.0, 1.0)
+    report = verify_path_independence(V, build_pair_from_V(coeff, V), [flow], 0.0, 1.0)
     path = tmp_path / "report.csv"
     write_csv_file(path, *report.to_rows())
     lines = path.read_text().splitlines()
@@ -386,13 +402,13 @@ def test_streamed_level_folds_the_recorded_bits(s, t):
     # whole replay, from zero in grid order
     coeff, streamed, recorded = _streamed_and_recorded()
     V = make_cylindrical("x_sq_plus_r1", ["quadratic"])
-    f, g = build_pair_from_V(coeff, V)
+    field = build_pair_from_V(coeff, V)
     k0, k1 = streamed.span(s, t)
     expected = np.zeros(5)
     for k in range(k0, k1):
         X, mu = recorded.states[k], recorded.laws[k]
-        expected += _step_terms(f, g, recorded.times[k], X, mu, recorded.noise[k], streamed.dt)
-    assert accumulate(f, g, streamed, s, t).tobytes() == expected.tobytes()
+        expected += _step_terms(field, recorded.times[k], X, mu, recorded.noise[k], streamed.dt)
+    assert accumulate(field, streamed, s, t).tobytes() == expected.tobytes()
     ends = [V.outer.value(recorded.times[k], recorded.states[k],
                           V.inner_integrals(recorded.laws[k])) for k in (k0, k1)]
     live = potential_increment(V, streamed, s, t)
@@ -401,19 +417,19 @@ def test_streamed_level_folds_the_recorded_bits(s, t):
 
 def test_streamed_level_evaluates_the_generator_once_per_step(parts_calls):
     coeff, streamed, _ = _streamed_and_recorded()
-    f, g = build_pair_from_V(coeff, make_cylindrical("x_sq_plus_r1", ["quadratic"]))
-    accumulate(f, g, streamed, 0.0, 1.0)
+    accumulate(build_pair_from_V(coeff, make_cylindrical("x_sq_plus_r1", ["quadratic"])),
+               streamed, 0.0, 1.0)
     assert len(parts_calls) == streamed.n_steps
     assert len({id(mu) for mu in parts_calls}) == streamed.n_steps
 
 
-def test_pair_evaluates_generator_once_per_step_when_a_hook_calls_f_and_g(parts_calls):
+def test_pair_evaluates_generator_once_per_step_when_a_hook_calls_the_field(parts_calls):
     coeff, streamed, _ = _streamed_and_recorded()
-    f, g = build_pair_from_V(coeff, make_cylindrical("x_sq_plus_r1", ["quadratic"]))
+    field = build_pair_from_V(coeff, make_cylindrical("x_sq_plus_r1", ["quadratic"]))
     steps = []
     for t, X, mu, dw in streamed.steps(0.0, 1.0):
         if dw is not None:
-            steps.append((f(t, X, mu), g(t, X, mu)))
+            steps.append(field(t, X, mu))
 
     assert len(steps) == streamed.n_steps
     assert len(parts_calls) == streamed.n_steps
@@ -430,9 +446,9 @@ def test_girsanov_replay_matches_the_separate_functionals(s, t):
         return 0.3 * X - mu.mean() + tk
 
     weights, nov, dx = girsanov_replay(g, streamed, 2.0, s, t)
-    A = accumulate(functionals._girsanov_f(g, 2.0), g, streamed, s, t)
+    A = accumulate(functionals._girsanov_field(g, 2.0), streamed, s, t)
     assert weights.tobytes() == np.exp(-A).tobytes()
-    half_qv = accumulate(functionals._girsanov_f(g, 1.0), None, streamed, s, t)
+    half_qv = accumulate(functionals._girsanov_field(g, 1.0, with_g=False), streamed, s, t)
     assert nov == functionals._novikov(np.exp(half_qv))
     k0, k1 = streamed.span(s, t)
     assert dx.tobytes() == (recorded.states[k1] - recorded.states[k0]).tobytes()

@@ -158,7 +158,7 @@ def test_classical_ito_square_statistics():
     # each particle's residuals summed over the steps: its increment of f
     # minus the additive functional of the generator pair
     residual_sum = (potential_increment(f, flow, 0.0, 1.0)
-                    - accumulate(*build_pair_from_V(coeff, f), flow, 0.0, 1.0))
+                    - accumulate(build_pair_from_V(coeff, f), flow, 0.0, 1.0))
     se = np.sqrt((step_means**2).sum()) + residual_sum.std(ddof=1) / np.sqrt(400)
     assert abs(mean) <= 3 * se
     qv = summary.qv_sum.mean()

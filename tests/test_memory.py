@@ -35,8 +35,7 @@ LADDER = (0.02, 0.01, 0.005)
 
 def _ladder_pair():
     V = make_cylindrical("x_norm_sq")
-    f, g = build_pair_from_V(BROWNIAN, V)
-    return V, f, g
+    return V, build_pair_from_V(BROWNIAN, V)
 
 
 def _level(dt, n, seed):
@@ -45,7 +44,7 @@ def _level(dt, n, seed):
 
 def test_generator_ladder_peaks_near_one_level():
     n = 2000
-    V, f, g = _ladder_pair()
+    V, field = _ladder_pair()
 
     def level_bytes(dt):
         # a replay holds its (L, N, m) noise block
@@ -58,7 +57,7 @@ def test_generator_ladder_peaks_near_one_level():
     try:
         base = tracemalloc.get_traced_memory()[0]
         verify_path_independence(
-            V, f, g, (_level(dt, n, 8 + k) for k, dt in enumerate(LADDER)), 0.0, 1.0
+            V, field, (_level(dt, n, 8 + k) for k, dt in enumerate(LADDER)), 0.0, 1.0
         )
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -67,7 +66,7 @@ def test_generator_ladder_peaks_near_one_level():
 
 
 def test_previous_level_freed_before_next_is_simulated():
-    V, f, g = _ladder_pair()
+    V, field = _ladder_pair()
     refs = []
     freed = []
 
@@ -80,7 +79,7 @@ def test_previous_level_freed_before_next_is_simulated():
             freed.append(all(ref() is None for ref in refs))
             yield tracked(_level(dt, 50, 8 + k))
 
-    verify_path_independence(V, f, g, levels(), 0.0, 1.0)
+    verify_path_independence(V, field, levels(), 0.0, 1.0)
     assert freed == [True] * len(LADDER)
 
 
@@ -235,14 +234,14 @@ def test_streamed_increments_are_read_only_rows_of_the_run_block():
 
 
 def test_ladder_rejects_empty_and_finest_first():
-    V, f, g = _ladder_pair()
+    V, field = _ladder_pair()
     with pytest.raises(ContractError, match="at least one flow"):
-        verify_path_independence(V, f, g, [], 0.0, 1.0)
+        verify_path_independence(V, field, [], 0.0, 1.0)
     with pytest.raises(ContractError, match="at least one flow"):
-        verify_path_independence(V, f, g, iter(()), 0.0, 1.0)
+        verify_path_independence(V, field, iter(()), 0.0, 1.0)
     flows = [_level(dt, 20, 1) for dt in (0.1, 0.05)]
     with pytest.raises(ContractError, match="coarsest first"):
-        verify_path_independence(V, f, g, flows[::-1], 0.0, 1.0)
+        verify_path_independence(V, field, flows[::-1], 0.0, 1.0)
 
 
 def _peak_of(fn):
@@ -266,12 +265,12 @@ def _block_bytes(n, dt):
 def test_streamed_ladder_level_peaks_near_one_noise_block():
     n, dt = 2000, 0.005
     V = make_cylindrical("x_sq_plus_r1", ["quadratic"])
-    f, g = build_pair_from_V(MEAN_REVERT, V)
+    field = build_pair_from_V(MEAN_REVERT, V)
     block = _block_bytes(n, dt)
     args = (MEAN_REVERT, dirac([0.0]), n, 1.0, dt, 8)
     # holding the level's 201 states beside its noise would cross the bound
     assert 8 * n * 201 * MEAN_REVERT.d + block > 1.5 * block
-    peak = _peak_of(lambda: verify_path_independence(V, f, g, [StreamedFlow(*args)], 0.0, 1.0))
+    peak = _peak_of(lambda: verify_path_independence(V, field, [StreamedFlow(*args)], 0.0, 1.0))
     assert peak < 1.25 * block
 
 
@@ -316,10 +315,10 @@ def measures_built(monkeypatch):
 
 def test_ladder_level_builds_one_measure_per_grid_point(measures_built):
     V = make_cylindrical("x_sq_plus_r1", ["quadratic"])
-    f, g = build_pair_from_V(MEAN_REVERT, V)
+    field = build_pair_from_V(MEAN_REVERT, V)
     args = (MEAN_REVERT, dirac([0.0]), 50, 1.0, 0.02, 1)
     measures_built.clear()
-    verify_path_independence(V, f, g, [StreamedFlow(*args)], 0.0, 1.0)
+    verify_path_independence(V, field, [StreamedFlow(*args)], 0.0, 1.0)
     # 51 snapshots and the checked initial measure
     assert measures_built.count("snapshot") == 51
     assert measures_built.count("checked") == 1

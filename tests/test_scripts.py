@@ -25,7 +25,8 @@ def test_step_cost_prints_one_row_per_case(capsys):
     step_cost.report(cases=cases, n_steps=2, reps=1, noise_cases=noise_cases, w2_points=64)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["scheme", "field", "d", "m", "K", "paths", "us_per_step"]
-    assert len(lines) == 1 + len(cases) + 2 + len(noise_cases) + 2 + len(step_cost.W2_CASES)
+    assert len(lines) == (1 + len(cases) + 2 + len(noise_cases) + 2 + len(step_cost.W2_CASES)
+                          + 2 + len(step_cost.FOLD_CASES))
     for line, (scheme, name, d, k, paths) in zip(lines[1:], cases):
         cells = line.split()
         assert cells[:6] == [scheme, name, str(d), str(d), str(k), str(paths)]
@@ -46,6 +47,13 @@ def test_step_cost_prints_one_row_per_case(capsys):
         cells = line.split()
         assert cells[:3] == [name, "64", "2"]
         assert float(cells[3]) > 0
+    # a third blank line, then the fold table: microseconds per step per case
+    fold = w2[2 + len(step_cost.W2_CASES):]
+    assert fold[0] == ""
+    assert fold[1].split() == ["fold", "field", "V", "paths", "us_per_step"]
+    assert [line.split()[0] for line in fold[2:]] == [case[0] for case in step_cost.FOLD_CASES]
+    for line in fold[2:]:
+        assert float(line.split()[4]) > 0
 
 
 def test_rss_scaling_replaces_only_the_checked_key():
