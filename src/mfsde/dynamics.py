@@ -435,6 +435,9 @@ def _interacting(coeff, init, times, dt, seed, increments):
     """The interacting scheme over ``times`` and (L, N, m) ``increments``:
     the generator of its grid points (see _euler_steps).  The full
     constructor checks the initial state and builds the snapshots' weights.
+    A plain function beside the generator, not merged into it, so that the
+    check runs at the call, as StreamedFlow.steps promises, and not at the
+    first step a caller draws.
     """
     mu0 = EmpiricalMeasure(_initial_states(init, increments.shape[1], coeff.d, seed))
     return _euler_steps(coeff, mu0.points, times, increments, dt, mu0.weights)

@@ -12,8 +12,9 @@ paths against it.  Its terms follow from its inputs:
 
 A residual tester verifies MC-backed solutions against their PDE with
 common-random-number finite differences and an explicit error budget; an
-exact one evaluates the PDE of a cylindrical function from its closed-form
-derivatives, including the drift-coupled PDE, which no estimator here solves.
+exact one evaluates a cylindrical function in the PDE its terms name, from its
+closed-form derivatives.  One rule (:func:`_pde`) maps the terms to the PDE
+for both.
 
 Every estimate reads one sampler, :meth:`McValueFunction.sample_chunks`,
 which evaluates a table of columns (start time, start point, measure) in
@@ -68,12 +69,6 @@ class McSolution:
 # ---------------------------------------------------------------------------
 # PDE residual verification
 
-#: the PDEs the exact residual evaluates; the Monte Carlo residual checks
-#: the PDE of its value function (:attr:`McValueFunction.pde`), one of the
-#: first three, since no value function here reads its drift off its own
-#: gradient, as the drift-coupled PDE needs
-PDE_KINDS = ("linear", "source", "nonlinear", "drift_coupled")
-
 
 @dataclass(frozen=True)
 class ResidualRow:
@@ -119,49 +114,46 @@ def _finalize_table(rows):
     return ResidualTable(rows=tuple(rows), verdict=verdict)
 
 
-def _check_kind(pde, f_field, beta):
-    """ContractError unless pde is one of PDE_KINDS and the term its
-    right-hand side reads is given: f_field for source, a nonzero beta for
-    nonlinear."""
-    if pde not in PDE_KINDS:
-        raise ContractError(f"pde must be one of {PDE_KINDS}")
-    needs = {"nonlinear": ("beta", beta), "source": ("f_field", f_field)}.get(pde)
-    if needs and needs[1] is None:
-        raise ContractError(f"pde = {pde} needs a value function with {needs[0]}")
-    if pde == "nonlinear" and beta == 0:
+def _pde(f_field, beta):
+    """The PDE a value with running cost f_field and log-transform constant
+    beta solves: nonlinear with beta, source with f_field and linear
+    otherwise.  ContractError for beta with f_field, or beta = 0."""
+    if beta is None:
+        return "linear" if f_field is None else "source"
+    if f_field is not None:
+        raise ContractError("the log transform (beta) takes no running cost f_field")
+    if beta == 0:
         raise ContractError("beta must be nonzero")
+    return "nonlinear"
 
 
-def _rhs(pde, f_field, beta, t, x, mu, sig_dx):
-    """Right-hand side of the PDE ``pde`` at (t, x, mu), where sig_dx is
-    sigma^* dx V there: f_field for source, |sigma^* dx V|^2 / (2 beta) for
-    nonlinear and 0 for linear and drift_coupled."""
-    if pde == "source":
-        return float(np.asarray(f_field(t, x[None], mu))[0])
-    if pde == "nonlinear":
+def _rhs(f_field, beta, t, x, mu, sig_dx):
+    """Right-hand side of the PDE the terms name (see :func:`_pde`) at
+    (t, x, mu), where sig_dx is sigma^* dx V there: |sigma^* dx V|^2 / (2 beta)
+    with beta, f_field with a running cost and 0 otherwise."""
+    if beta is not None:
         return float(sig_dx @ sig_dx) / (2.0 * beta)
+    if f_field is not None:
+        return float(np.asarray(f_field(t, x[None], mu))[0])
     return 0.0
 
 
-def pde_residual_exact(V, coeff, pde, probes, mu, f_field=None, beta=None, budget=1e-9):
-    """Residual of a cylindrical V in its PDE, using exact derivatives.
+def pde_residual_exact(V, coeff, probes, mu, f_field=None, beta=None, budget=1e-9):
+    """Residual of a cylindrical V in the PDE its terms name (see
+    :func:`_pde`), using exact derivatives.
 
     ``probes`` is a sequence of (t, x).  The residual is dt V plus the
-    generator minus the right-hand side (see :func:`_rhs`).  This is the
-    oracle for every kind in PDE_KINDS: for drift_coupled it uses the
-    drift-free generator, which replaces <b, dx V> by |sigma^* dx V|^2 / 2
-    and reads the drift sigma sigma^* dx V inside the measure integral off
-    V itself, so the coefficient's own drift is never read.
+    generator minus the right-hand side (see :func:`_rhs`).
     """
-    _check_kind(pde, f_field, beta)
+    pde = _pde(f_field, beta)
     if not isinstance(V, CylindricalFunction):
         raise ContractError("exact residuals need a cylindrical function")
     rows = []
     for pid, (t, x) in enumerate(probes):
         x = start_point(x, coeff.d)
-        parts = generator_parts(coeff, V, t, x[None], mu, drift_free=pde == "drift_coupled")
+        parts = generator_parts(coeff, V, t, x[None], mu)
         lhs = float((parts["dt"] + generator_total(parts))[0])
-        res = lhs - _rhs(pde, f_field, beta, t, x, mu, parts["sigma_star_dx"][0])
+        res = lhs - _rhs(f_field, beta, t, x, mu, parts["sigma_star_dx"][0])
         verdict = "PASS" if abs(res) <= budget else "FAIL"
         rows.append(ResidualRow(pde, float(t), tuple(x), pid, res, budget, verdict))
     return _finalize_table(rows)
@@ -300,18 +292,14 @@ class McValueFunction:
         check_count("n_flow", self.n_flow, 2)
         if self.Phi is None and self.f_field is None:
             raise ContractError("need a terminal datum Phi, a running cost f_field or both")
-        if self.beta is not None and (self.Phi is None or self.f_field is not None):
-            raise ContractError("the log transform (beta) needs Phi and no running cost f_field")
-        if self.beta == 0:
-            raise ContractError("beta must be nonzero")
+        # beta without Phi comes with f_field or with neither term: both refused
+        _pde(self.f_field, self.beta)
 
     @property
     def pde(self):
-        """The PDE the value solves: nonlinear under the log transform,
-        source with a running cost and linear otherwise."""
-        if self.beta is not None:
-            return "nonlinear"
-        return "linear" if self.f_field is None else "source"
+        """The PDE the value solves (see :func:`_pde`): nonlinear under the
+        log transform, source with a running cost and linear otherwise."""
+        return _pde(self.f_field, self.beta)
 
     @property
     def reads_law(self):
@@ -570,7 +558,7 @@ def _mc_probe(vf, pid, t0, x0, h_t, n_draws):
             if pairs.size:
                 mu_term = float(np.mean(0.5 * (pairs[:, 0] + pairs[:, 1]) - v0) / MEASURE_DS)
             lhs = dtv + 0.5 * float(a_diag @ lap_h) + float(b0 @ grad) + mu_term
-            rhs = _rhs(pde, vf.f_field, vf.beta, t0, x0, mu, sig.T @ grad)
+            rhs = _rhs(vf.f_field, vf.beta, t0, x0, mu, sig.T @ grad)
             aux = {
                 "trunc_t": abs(dtv - dtv2),
                 "trunc_x": 0.5 * float(np.abs(a_diag) @ np.abs(lap_h - lap_2h)) / 3.0,

@@ -45,12 +45,6 @@ def _step_terms(field, t_k, X, mu, dw, dt):
     return out
 
 
-def _potential(V, point):
-    """V at a grid point (t_k, X_k, mu_k), per path."""
-    t_k, X, mu = point
-    return np.asarray(V.outer.value(t_k, X, V.inner_integrals(mu)))
-
-
 def _fold(flow, s, t, fields=()):
     """(A^{f,g}_{s,t} of each field of ``fields``, first point, last point)
     per path, from one pass over ``flow.steps(s, t)``.
@@ -101,7 +95,7 @@ def build_pair_from_V(coeff, V):
 def potential_increment(V, flow, s, t):
     """V(t, X_t, mu_t) - V(s, X_s, mu_s) per path, shape (N,)."""
     _, first, last = _fold(flow, s, t)
-    return _potential(V, last) - _potential(V, first)
+    return V.value(*last) - V.value(*first)
 
 
 @dataclass(frozen=True)
@@ -167,7 +161,7 @@ def verify_path_independence(V, field, flows, s, t):
         # not finite, which _defect_floor reads as an infinite floor
         with np.errstate(over="ignore", invalid="ignore"):
             [total], first, last = _fold(flow, s, t, [field])
-            increment = _potential(V, last) - _potential(V, first)
+            increment = V.value(*last) - V.value(*first)
             defect = np.abs(total - increment)
             sq = defect**2
             sq_mean, sq_se = float(sq.mean()), float(sq.std() / np.sqrt(sq.size))

@@ -271,7 +271,7 @@ def test_exact_residual_heat_solution():
     # V = x^2 + (1 - t) solves dt V + 1/2 dxx V = 0 under unit diffusion
     V = make_cylindrical("x_sq_plus_c_minus_t", outer_params={"c": 1.0})
     probes = [(t, [x]) for t in (0.0, 0.5) for x in (-1.0, 0.0, 1.0)]
-    table = pde_residual_exact(V, BROWNIAN, "linear", probes, dirac([0.0]), budget=1e-12)
+    table = pde_residual_exact(V, BROWNIAN, probes, dirac([0.0]), budget=1e-12)
     assert table.verdict == "PASS"
     assert all(abs(r.residual) <= 1e-12 for r in table.rows)
 
@@ -279,7 +279,7 @@ def test_exact_residual_heat_solution():
 def test_exact_residual_constant_nonlinear():
     V = make_cylindrical("const", outer_params={"c": 5.0})
     table = pde_residual_exact(
-        V, BROWNIAN, "nonlinear", [(0.2, [0.4])], dirac([0.0]), beta=2.0, budget=1e-14
+        V, BROWNIAN, [(0.2, [0.4])], dirac([0.0]), beta=2.0, budget=1e-14
     )
     assert table.rows[0].residual == 0.0
     assert table.verdict == "PASS"
@@ -289,20 +289,33 @@ def test_exact_residual_source_kind():
     # V = x^2 under unit diffusion: dt V + 1/2 dxx V = 1, so f = 1 matches
     V = make_cylindrical("x_norm_sq")
     table = pde_residual_exact(
-        V, BROWNIAN, "source", [(0.3, [0.7])], dirac([0.0]),
+        V, BROWNIAN, [(0.3, [0.7])], dirac([0.0]),
         f_field=lambda t, X, mu: np.ones(np.atleast_2d(X).shape[0]), budget=1e-12,
     )
     assert table.verdict == "PASS"
 
 
-@pytest.mark.parametrize("s, x", [(1.0, 0.5), (2.0, -1.0)])
-def test_exact_residual_drift_coupled_closed_form(s, x):
-    # V = x^2 under brownian s: the drift-free generator is s^2 + |s 2x|^2 / 2
-    coeff = make_coefficients("brownian", s=s)
-    table = pde_residual_exact(
-        make_cylindrical("x_norm_sq"), coeff, "drift_coupled", [(0.0, [x])], DIRAC0)
-    assert table.rows[0].residual == pytest.approx(s**2 * (1 + 2 * x**2), abs=1e-12)
-    assert table.verdict == "FAIL"
+def test_exact_and_mc_residuals_read_one_pde_off_their_terms():
+    # one rule names the PDE of a set of terms for both residuals, and both
+    # refuse the same contradictory sets with the same words
+    V = make_cylindrical("gauss_quarter")
+
+    def exact(f_field, beta):
+        return pde_residual_exact(V, BROWNIAN, [(0.0, [0.0])], DIRAC0, f_field, beta)
+
+    def mc(f_field, beta):
+        return McValueFunction(BROWNIAN, V, f_field, 1.0, 0.25, 8, 0, DIRAC0, beta)
+
+    for f_field, beta, pde in [(None, None, "linear"), (unit_field, None, "source"),
+                               (None, 2.0, "nonlinear")]:
+        assert exact(f_field, beta).rows[0].pde == mc(f_field, beta).pde == pde
+    for f_field, beta, match in [(unit_field, 1.0, "takes no running cost f_field"),
+                                 (None, 0.0, "beta must be nonzero")]:
+        with pytest.raises(ContractError, match=match) as by_exact:
+            exact(f_field, beta)
+        with pytest.raises(ContractError, match=match) as by_mc:
+            mc(f_field, beta)
+        assert str(by_exact.value) == str(by_mc.value)
 
 
 GAUSS = make_cylindrical("gauss_quarter")
@@ -311,20 +324,14 @@ GAUSS = make_cylindrical("gauss_quarter")
 @pytest.mark.parametrize(
     "check, match",
     [
-        (lambda: pde_residual_exact(GAUSS, BROWNIAN, "nonlinear", [(0.0, [0.0])], DIRAC0),
-         "pde = nonlinear needs a value function with beta"),
-        (lambda: pde_residual_exact(GAUSS, BROWNIAN, "source", [(0.0, [0.0])], DIRAC0),
-         "pde = source needs a value function with f_field"),
-        (lambda: pde_residual_exact(
-            GAUSS, BROWNIAN, "nonlinear", [(0.0, [0.0])], DIRAC0, beta=0.0),
+        (lambda: pde_residual_exact(GAUSS, BROWNIAN, [(0.0, [0.0])], DIRAC0, beta=0.0),
          "beta must be nonzero"),
-        (lambda: pde_residual_exact(GAUSS, BROWNIAN, "linear", [(0.0, [0.0, 1.0])], DIRAC0),
+        (lambda: pde_residual_exact(GAUSS, BROWNIAN, [(0.0, [0.0, 1.0])], DIRAC0),
          "broadcast"),
         (lambda: npy_identity_gap(BROWNIAN, GAUSS, 0.0, np.array([0.0, 1.0]), DIRAC0),
          "broadcast"),
     ],
-    ids=["exact_no_beta", "exact_no_f_field", "exact_beta_zero", "exact_misshapen_x",
-         "npy_misshapen_x"],
+    ids=["exact_beta_zero", "exact_misshapen_x", "npy_misshapen_x"],
 )
 def test_residual_checks_reject_what_they_cannot_evaluate(check, match):
     # each once raised a TypeError or ZeroDivisionError, or read x = [0, 1]
@@ -333,15 +340,9 @@ def test_residual_checks_reject_what_they_cannot_evaluate(check, match):
         check()
 
 
-def test_exact_residual_rejects_unknown_pde():
-    V = make_cylindrical("x_norm_sq")
-    with pytest.raises(ContractError):
-        pde_residual_exact(V, BROWNIAN, "parabolic", [(0.0, [0.0])], dirac([0.0]))
-
-
 def test_residual_csv_schema(tmp_path):
     V = make_cylindrical("const", outer_params={"c": 1.0})
-    table = pde_residual_exact(V, BROWNIAN, "linear", [(0.0, [0.0])], dirac([0.0]))
+    table = pde_residual_exact(V, BROWNIAN, [(0.0, [0.0])], dirac([0.0]))
     path = tmp_path / "res.csv"
     write_csv_file(path, *table.to_rows())
     lines = path.read_text().splitlines()

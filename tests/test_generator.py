@@ -111,19 +111,23 @@ def test_linearity_in_v(seed):
 # drift-free generator
 
 
-def test_drift_free_constant_potential():
-    coeff = make_coefficients("brownian", s=1.0)
-    V = make_cylindrical("const", outer_params={"c": 3.0})
-    total, _ = generator_at(coeff, V, 0.0, np.array([0.0]), line([0.0, 1.0]), drift_free=True)
-    assert total == pytest.approx(0.0, abs=1e-14)
-
-
-def test_drift_free_linear_potential_half_square():
-    coeff = make_coefficients("brownian", s=1.0)
-    V = make_cylindrical("coord", outer_params={"i": 0})
-    total, parts = generator_at(coeff, V, 0.0, np.array([4.0]), line([0.0, 1.0]), drift_free=True)
-    assert total == pytest.approx(0.5, abs=1e-14)
-    assert parts["nonlinear_sq"] == pytest.approx(0.5, abs=1e-14)
+@pytest.mark.parametrize(
+    "s, name, params, x, total, half_square",
+    [
+        (1.0, "const", {"c": 3.0}, 0.0, 0.0, 0.0),
+        (1.0, "coord", {"i": 0}, 4.0, 0.5, 0.5),
+        # x^2 under brownian s: s^2 from dxx plus |s 2x|^2 / 2, s^2 (1 + 2 x^2)
+        (1.0, "x_norm_sq", {}, 0.5, 1.5, 0.5),
+        (2.0, "x_norm_sq", {}, -1.0, 12.0, 8.0),
+    ],
+    ids=["const", "coord", "x_norm_sq_s1", "x_norm_sq_s2"],
+)
+def test_drift_free_generator_closed_form(s, name, params, x, total, half_square):
+    coeff = make_coefficients("brownian", s=s)
+    V = make_cylindrical(name, outer_params=params)
+    got, parts = generator_at(coeff, V, 0.0, np.array([x]), line([0.0, 1.0]), drift_free=True)
+    assert got == pytest.approx(total, abs=1e-14)
+    assert parts["nonlinear_sq"] == pytest.approx(half_square, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Every module of the package (but its re-exporting __init__) and every
-script reads each name it imports, so a deletion leaves no import behind."""
+script reads each name it imports, so a deletion leaves no import behind, and
+every private module-level name of the package is read by the package or a
+script, so a deletion leaves no helper behind."""
 
 import ast
 from pathlib import Path
@@ -48,6 +50,64 @@ def test_unread_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_reads_every_name_it_imports(path):
     assert unread_imports(path.read_text()) == []
+
+
+def private_names(source):
+    """{name: line} of each single-underscore name ``source`` binds at
+    module level."""
+    bound = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        bound[name.id] = node.lineno
+    return {name: line for name, line in bound.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def names_read(source):
+    """Every name ``source`` reads: as a variable, an attribute or an
+    imported name."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_unread_private_names_are_found():
+    source = (
+        "_USED, __dunder__ = 1, 2\n"
+        "_UNUSED: int = 3\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "class _Orphan:\n"
+        "    pass\n"
+        "def public():\n"
+        "    _local = _helper()\n"
+        "    return _local\n"
+    )
+    read = names_read(source)
+    assert {name: line for name, line in private_names(source).items()
+            if name not in read} == {"_UNUSED": 2, "_Orphan": 5}
+
+
+def test_every_private_module_name_is_read():
+    read = set()
+    for path in MODULES + [ROOT / "src" / "mfsde" / "__init__.py"]:
+        read |= names_read(path.read_text())
+    unread = [f"{path.name} line {line}: {name}"
+              for path in sorted((ROOT / "src" / "mfsde").glob("*.py"))
+              for name, line in private_names(path.read_text()).items() if name not in read]
+    assert unread == []
 
 
 @pytest.mark.parametrize(
