@@ -4,10 +4,10 @@
 The decoupled cases call ``dynamics._euler_step`` on a (K, B, d) state of K
 columns of B paths against one fixed measure, as the Monte Carlo sampler
 steps a flow group of one chunk (B = ``feynman_kac.CHUNK``); the interacting
-case iterates ``dynamics._interacting`` on N particles, each step reading the
-ensemble's own snapshot.  Increments are drawn before timing, so noise
-generation is not counted.  Each case is timed REPS times over N_STEPS steps;
-the median per-step cost is printed, one row per case.  A second table
+case iterates ``dynamics._euler_steps`` on N particles from zero, each step
+reading the ensemble's own snapshot.  Increments are drawn before timing, so
+noise generation is not counted.  Each case is timed REPS times over
+N_STEPS steps; the median per-step cost is printed, one row per case.  A second table
 prints the median nanoseconds per normal of N_STEPS steps of noise (m = 1)
 in each stream domain: the rows of one Monte Carlo chunk, keyed per block of
 1024 paths and drawn one at a time by ``dynamics.decoupled_rows``,
@@ -34,7 +34,7 @@ from mfsde.dynamics import (
     DOMAIN_DECOUPLED,
     DOMAIN_INTERACTING,
     _euler_step,
-    _interacting,
+    _euler_steps,
     brownian_increments,
     decoupled_rows,
 )
@@ -83,8 +83,9 @@ def step_seconds(scheme, name, d, k, paths, n_steps):
     increments.flags.writeable = False
     times = DT * np.arange(n_steps + 1)
     if scheme == "interacting":
+        mu0 = EmpiricalMeasure(np.zeros((paths, d)))  # read-only, uniform weights
         start = time.perf_counter()
-        for _ in _interacting(coeff, dirac(np.zeros(d)), times, DT, 0, increments):
+        for _ in _euler_steps(coeff, mu0.points, times, increments, DT, mu0.weights):
             pass
         return (time.perf_counter() - start) / n_steps
     mu = EmpiricalMeasure(rng.standard_normal((200, d)))

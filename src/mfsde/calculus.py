@@ -383,10 +383,8 @@ class CylindricalFunction:
         """Vector (mu(h_1), ..., mu(h_n))."""
         return np.asarray([float(integrate(mu, h.value)) for h in self.inner])
 
-    def value(self, t, x, mu, r=None):
-        if r is None:
-            r = self.inner_integrals(mu)
-        out = self.outer.value(t, np.asarray(x, dtype=float), r)
+    def value(self, t, x, mu):
+        out = self.outer.value(t, np.asarray(x, dtype=float), self.inner_integrals(mu))
         return float(out) if np.ndim(out) == 0 else out
 
     def l_derivative(self, t, x, mu, y):

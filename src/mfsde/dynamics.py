@@ -19,9 +19,10 @@ run draws its whole block at once (``brownian_increments``).  Noise moves
 only as such read-only increments; ``_euler_step`` advances an (N, d) or
 (K, N, d) state by one of them, and gives its cost.
 
-No interacting run is recorded: a run is a generator of its grid points,
-``StreamedFlow.steps(s, t)`` runs it again on every call, and the frozen
-law curve of decoupled paths is the tuple of a run's snapshots.
+No interacting run is recorded, and one method starts one:
+``StreamedFlow.steps(s, t)`` draws the run's block, and runs it again on
+every call.  The frozen law curve a Monte Carlo sampler's decoupled paths
+read is the tuple of the snapshots of such a flow from the paths' start.
 """
 
 from __future__ import annotations
@@ -73,34 +74,11 @@ def particle_stream(seed, particle, domain=DOMAIN_INTERACTING):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-#: particles whose streams one draw tile holds (see _raw_normals)
+#: particles whose streams one draw tile holds (see brownian_increments)
 _DRAW_TILE = 64
-#: decoupled paths that share one Philox key per step (see _raw_normals): a
+#: decoupled paths that share one Philox key per step (see decoupled_rows): a
 #: part of the realisation, unlike the sizes of the chunks that draw them
 NOISE_BLOCK = 1024
-
-
-def _raw_normals(seed, n_particles, n_steps, m):
-    """Fresh standard normals of the interacting particles 0 .. n_particles - 1,
-    shape (n_steps, n_particles, m): ``raw[:, i]`` is the stream of particle
-    i.  A longer block's step prefix equals a shorter one, so callers that
-    reuse noise on purpose draw the longest block once and slice it.
-    """
-    (word0, word1), bits, gen, state = _philox(seed, n_particles, n_steps, m,
-                                               DOMAIN_INTERACTING, 0)
-    raw = np.empty((n_steps, n_particles, m))
-    # per-particle streams: each is drawn contiguously into a small tile,
-    # which is written into the step-major block once (a tile of _DRAW_TILE
-    # particles stays in cache; a strided write per particle does not)
-    tile = np.empty((min(_DRAW_TILE, n_particles), n_steps, m))
-    for a in range(0, n_particles, _DRAW_TILE):
-        part = tile[: min(_DRAW_TILE, n_particles - a)]
-        for j, stream in enumerate(part):
-            state["state"]["key"] = [word0, word1 + a + j]
-            bits.state = state
-            gen.standard_normal(out=stream)
-        raw[:, a : a + len(part)] = part.transpose(1, 0, 2)
-    return raw
 
 
 def _philox(seed, n_particles, n_steps, m, domain, first):
@@ -159,12 +137,26 @@ def decoupled_rows(seed, n_particles, n_steps, m, dt, first=0):
 
 
 def brownian_increments(seed, n_particles, n_steps, m, dt):
-    """Read-only increments sqrt(dt) * normals of an interacting ensemble,
-    shape (n_steps, n_particles, m): the one place a block of noise is drawn,
-    with the prefix rule of _raw_normals."""
+    """Read-only increments sqrt(dt) * normals of the interacting particles
+    0 .. n_particles - 1, shape (n_steps, n_particles, m): ``noise[:, i]`` is
+    the stream of particle i, so a longer block's step prefix equals a
+    shorter one."""
     if not dt > 0:
         raise ContractError(f"dt must be positive, got {dt!r}")
-    noise = _raw_normals(seed, n_particles, n_steps, m)
+    (word0, word1), bits, gen, state = _philox(seed, n_particles, n_steps, m,
+                                               DOMAIN_INTERACTING, 0)
+    noise = np.empty((n_steps, n_particles, m))
+    # per-particle streams: each is drawn contiguously into a small tile,
+    # which is written into the step-major block once (a tile of _DRAW_TILE
+    # particles stays in cache; a strided write per particle does not)
+    tile = np.empty((min(_DRAW_TILE, n_particles), n_steps, m))
+    for a in range(0, n_particles, _DRAW_TILE):
+        part = tile[: min(_DRAW_TILE, n_particles - a)]
+        for j, stream in enumerate(part):
+            state["state"]["key"] = [word0, word1 + a + j]
+            bits.state = state
+            gen.standard_normal(out=stream)
+        noise[:, a : a + len(part)] = part.transpose(1, 0, 2)
     noise *= np.sqrt(dt)
     noise.flags.writeable = False
     return noise
@@ -431,24 +423,6 @@ def _euler_steps(coeff, state, times, increments, dt, weights):
     yield times[len(increments)], state, EmpiricalMeasure._snapshot(state, weights), None
 
 
-def _interacting(coeff, init, times, dt, seed, increments):
-    """The interacting scheme over ``times`` and (L, N, m) ``increments``:
-    the generator of its grid points (see _euler_steps).  The full
-    constructor checks the initial state and builds the snapshots' weights.
-    A plain function beside the generator, not merged into it, so that the
-    check runs at the call, as StreamedFlow.steps promises, and not at the
-    first step a caller draws.
-    """
-    mu0 = EmpiricalMeasure(_initial_states(init, increments.shape[1], coeff.d, seed))
-    return _euler_steps(coeff, mu0.points, times, increments, dt, mu0.weights)
-
-
-def _law_curve(coeff, init, times, dt, seed, increments):
-    """The snapshots of the interacting run over ``times`` on ``increments``,
-    one per grid point: the frozen law curve a decoupled path reads."""
-    return tuple(mu for _, _, mu, _ in _interacting(coeff, init, times, dt, seed, increments))
-
-
 class StreamedFlow:
     """The N-particle Euler scheme on its uniform grid ``times`` from s to T.
 
@@ -486,12 +460,18 @@ class StreamedFlow:
         of the run's read-only increments, or None at t.  The run is
         simulated from the flow's start up to t, so a window [s, t] gets the
         bits of that stretch of the whole run.  The window, the noise block
-        and the initial state are checked at the call, not on iteration.
+        and the initial state are checked at the call, not on iteration: a
+        plain method around the generator _euler_steps, not merged into it.
+        The one entry point of an interacting run in the package.
         """
         k0, k1 = self.span(s, t)
         coeff, init, seed = self._run
         increments = brownian_increments(seed, self.n_particles, k1, coeff.m, self.dt)
-        run = _interacting(coeff, init, self.times[: k1 + 1], self.dt, seed, increments)
+        # the full constructor checks the initial state and builds the
+        # snapshots' weights
+        mu0 = EmpiricalMeasure(_initial_states(init, self.n_particles, coeff.d, seed))
+        run = _euler_steps(coeff, mu0.points, self.times[: k1 + 1], increments, self.dt,
+                           mu0.weights)
         return itertools.islice(run, k0, None)
 
 

@@ -20,16 +20,17 @@ Every estimate reads one sampler, :meth:`McValueFunction.sample_chunks`,
 which evaluates a table of columns (start time, start point, measure) in
 chunks of CHUNK particles, and the estimates fold each chunk's samples into
 per-column moments (:class:`MomentFold`), so memory grows with neither M
-nor the step count.  Columns that share (t, mu) share one frozen flow,
-simulated only when a term reads the law, and one (K, B, d) state, and all
-groups step in lockstep: a chunk draws row k of its increments once and
-hands it to every group whose grid has a step k, so a table of G groups
-over L steps makes about G L Euler steps per chunk, each paying a fixed
-20-25 us (see ``dynamics._euler_step``), and never holds an (L, B, m)
-block.  A chunk is whole noise blocks of ``dynamics.NOISE_BLOCK`` paths,
-which share one Philox key per step.  Particle i's noise is the same
-whatever chunk draws it, and the fold's leaves are FOLD_ROWS particles
-wherever the chunks end, so the chunk size never changes a result.
+nor the step count.  Columns that share (t, mu) share one frozen flow, the
+snapshots of a ``dynamics.StreamedFlow`` from mu at t, simulated only when a
+term reads the law, and one (K, B, d) state, and all groups step in
+lockstep: a chunk draws row k of its increments once and hands it to every
+group whose grid has a step k, so a table of G groups over L steps makes
+about G L Euler steps per chunk, each paying a fixed 20-25 us (see
+``dynamics._euler_step``), and never holds an (L, B, m) block.  A chunk
+is whole noise blocks of ``dynamics.NOISE_BLOCK`` paths, which share one
+Philox key per step.  Particle i's noise is the same whatever chunk draws
+it, and the fold's leaves are FOLD_ROWS particles wherever the chunks end,
+so the chunk size never changes a result.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ from .calculus import CylindricalFunction
 from .dynamics import (
     DOMAIN_MEASURE_SHIFT,
     NOISE_BLOCK,
+    StreamedFlow,
     _euler_step,
     _grid,
-    _law_curve,
-    brownian_increments,
     check_count,
     coefficients_at,
     decoupled_rows,
@@ -269,7 +269,7 @@ class McValueFunction:
     transform -beta log E Phi (Phi only, no running cost), and so do the PDE
     it solves (:attr:`pde`) and whether it reads the law (:attr:`reads_law`).
     M >= 2 paths, so that the samples give a standard error.
-    ``samples(t, x, mu)`` returns per-path samples of the statistic whose
+    ``samples(t, x)`` returns per-path samples of the statistic whose
     mean ``value_of_mean`` turns into the value, and ``solve(t, x)`` is that
     value with its standard error, read off the moments of a one-column
     table.  The object holds no noise: a table draws it chunk by chunk, and
@@ -310,9 +310,9 @@ class McValueFunction:
         return (self.coeff.measure_dependent or self.f_field is not None
                 or bool(self.Phi.inner))
 
-    def samples(self, t, x, mu=None):
-        """Per-path samples at (t, x, mu), shape (M,)."""
-        return self.sample_table([[(t, x, mu)]])[0][:, 0]
+    def samples(self, t, x):
+        """Per-path samples at (t, x) and the function's own measure, shape (M,)."""
+        return self.sample_table([[(t, x, None)]])[0][:, 0]
 
     def solve(self, t, x):
         """The value at (t, x) with its standard error (see :meth:`solve_all`)."""
@@ -368,17 +368,17 @@ class McValueFunction:
         ``groups`` is a sequence of column lists; a column is (t, x, mu),
         with mu None for the function's own measure.  Yields (a, b, blocks)
         for particles a..b-1 in order, where row j of blocks[g], an
-        (n_g, b - a) array, holds column j of group g: exactly those
-        particles' samples of ``samples(t, x, mu)``: Phi at the terminal
-        state and law (when used) minus the left-endpoint integral of
-        f_field along the path (when used).  Every column is checked before
-        any path is simulated.  Each distinct (t, mu) gets one frozen flow,
-        whose noise is a step prefix of one block of flow increments, and
-        its K columns one (K, B, d) state.  All columns run on the same
-        decoupled streams (common random numbers): a chunk draws increment
-        row k once and steps every group whose grid has a step k.  When the
-        value does not read the law (see :attr:`reads_law`), no flow is
-        simulated: every column reads its own measure at every grid point.
+        (n_g, b - a) array, holds column j of group g: those particles'
+        samples at (t, x, mu), Phi at the terminal state and law (when used)
+        minus the left-endpoint integral of f_field along the path (when
+        used).  Every column is checked before any path is simulated.  Each
+        distinct (t, mu) gets one frozen flow, the snapshots of the
+        :class:`StreamedFlow` of n_flow particles from mu at t, and its K
+        columns one (K, B, d) state.  All columns run on the same decoupled
+        streams (common random numbers): a chunk draws increment row k once
+        and steps every group whose grid has a step k.  When the value does
+        not read the law (see :attr:`reads_law`), no flow is simulated:
+        every column reads its own measure at every grid point.
         """
         # flow key (t, mu) -> [t, mu, [(group, column, start point)]]
         flows = {}
@@ -391,14 +391,13 @@ class McValueFunction:
         if not flows:
             return
         _, n_steps = _grid(min(t for t, _, _ in flows.values()), self.T, self.dt)
-        if self.reads_law:
-            block = brownian_increments(self.seed, self.n_flow, n_steps, self.coeff.m, self.dt)
         # (grid, frozen law curve, inner integrals of Phi at its terminal law, columns)
         runs = []
         for t, mu, cols in flows.values():
-            times, steps = _grid(t, self.T, self.dt)
+            times, _ = _grid(t, self.T, self.dt)
             if self.reads_law:
-                laws = _law_curve(self.coeff, mu, times, self.dt, self.seed, block[:steps])
+                flow = StreamedFlow(self.coeff, mu, self.n_flow, self.T, self.dt, self.seed, s=t)
+                laws = tuple(law for _, _, law, _ in flow.steps(t, self.T))
             else:
                 laws = (mu,) * len(times)
             r_T = None if self.Phi is None else self.Phi.inner_integrals(laws[-1])

@@ -32,7 +32,7 @@ from mfsde.dynamics import (
 from mfsde.feynman_kac import CHUNK, MEASURE_DS, McValueFunction, _measure_shifts
 from mfsde.generator import generator_parts
 from csvfile import write_csv_file
-from replayed import replayed
+from replayed import recorded_flows, replayed
 
 
 def line(values):
@@ -767,25 +767,19 @@ def test_streamed_flow_replays_the_recorded_grid_points(s, t):
 
 @pytest.mark.parametrize("t", [0.25, 0.5])
 def test_sample_table_law_curve_is_the_streamed_run(monkeypatch, t):
-    # the frozen flow of a column at t reads a step prefix of the block drawn
-    # for the table's first time, 0; a streamed run from t draws its own block
-    # of the same stream, so its laws are the table's law curve bit for bit
+    # the frozen flow of a column at t, in a table whose first time is 0, is
+    # the streamed run from t: its noise is the step prefix of the stream
+    # that a run from 0 draws, and its laws are the table's law curve bit for bit
     coeff = make_coefficients("mean_revert", d=2, rate=1.5, s=0.7)
     init = EmpiricalMeasure(np.random.default_rng(4).standard_normal((5, 2)))
     n_flow, T, dt, seed = 16, 1.0, 0.05, 7
-    curves = {}
-    law_curve = feynman_kac._law_curve
-
-    def kept(coeff, init, times, *args):
-        curves[times[0]] = law_curve(coeff, init, times, *args)
-        return curves[times[0]]
-
-    monkeypatch.setattr(feynman_kac, "_law_curve", kept)
+    flows = recorded_flows(monkeypatch)
     Phi = make_cylindrical("x_sq_plus_r1", ["quadratic"])
     vf = McValueFunction(coeff, Phi, None, T, dt, 8, seed, init, n_flow=n_flow)
     vf.sample_table([[(0.0, [0.3, -0.2], None), (t, [0.3, -0.2], None)]])
+    [curve] = [flow.laws for flow in flows if flow.start == t]
     run = replayed(StreamedFlow(coeff, init, n_flow, T, dt, seed, s=t))
-    assert len(curves[t]) == len(run.laws) == round((T - t) / dt) + 1
-    for mu, nu in zip(curves[t], run.laws):
+    assert len(curve) == len(run.laws) == round((T - t) / dt) + 1
+    for mu, nu in zip(curve, run.laws):
         assert mu.points.tobytes() == nu.points.tobytes()
         assert mu.weights.tobytes() == nu.weights.tobytes()

@@ -24,6 +24,7 @@ from mfsde.calculus import CylindricalFunction, OuterFunction
 from mfsde.cli import PRESETS, _value_function, parse_config, run_scenario
 from mfsde.feynman_kac import MEASURE_DS, MomentFold, _diag_diffusion, _measure_shifts
 from csvfile import write_csv_file
+from replayed import recorded_flows
 
 
 BROWNIAN = make_coefficients("brownian", s=1.0)
@@ -197,7 +198,7 @@ def test_solver_rejects_reversed_interval(monkeypatch):
     def no_draw(*args):
         raise AssertionError("noise drawn for an empty horizon")
 
-    monkeypatch.setattr(dynamics, "_raw_normals", no_draw)
+    monkeypatch.setattr(dynamics, "brownian_increments", no_draw)
     monkeypatch.setattr(feynman_kac, "decoupled_rows", no_draw)
     Phi = make_cylindrical("x_norm_sq")
     with pytest.raises(ContractError, match="need T >= t"):
@@ -438,17 +439,10 @@ RESIDUAL_TABLE_GOLDEN = "b0849181a768bb2827c5ba942e2eab4591964dbd2478fefb8e91ea3
 def test_measure_shift_pairs_are_mirror_images(monkeypatch):
     # both measures of a draw read one xi, Y + b ds + sqrt(ds) sigma xi and
     # Y + b ds - sqrt(ds) sigma xi, so the O(ds^-1/2) term cancels in the pair
-    inits = []
-    law_curve = feynman_kac._law_curve
-
-    def recorded(coeff, init, times, *args):
-        inits.append(init)
-        return law_curve(coeff, init, times, *args)
-
-    monkeypatch.setattr(feynman_kac, "_law_curve", recorded)
+    flows = recorded_flows(monkeypatch)
     vf = _mean_revert_vf("linear")
     pde_residual_mc(vf, [(0.25, [0.4])], n_measure_draws=3)
-    shifted = [mu for mu in inits if mu is not MU0]
+    shifted = [flow.init for flow in flows if flow.init is not MU0]
     assert len(shifted) == 6
     centre = MU0.points + np.asarray(MEAN_REVERT.b(0.25, MU0.points, MU0)) * MEASURE_DS
     for plus, minus in zip(shifted[::2], shifted[1::2]):
@@ -492,17 +486,10 @@ def test_value_function_shared_flow_gives_same_samples(monkeypatch):
         T=1.0, dt=0.05, M=50, seed=3, mu=MU0, n_flow=20,
     )
     alone = [vf.samples(0.25, [x]) for x in (0.0, 0.7)]
-    starts = []
-    law_curve = feynman_kac._law_curve
-
-    def counted(coeff, init, times, *args):
-        starts.append(times[0])
-        return law_curve(coeff, init, times, *args)
-
-    monkeypatch.setattr(feynman_kac, "_law_curve", counted)
+    flows = recorded_flows(monkeypatch)
     [table] = vf.sample_table([[(0.25, [0.0], None), (0.25, [0.7], None)]])
     # the two columns share one frozen flow and read the samples of separate calls
-    assert starts == [0.25]
+    assert [flow.start for flow in flows] == [0.25]
     assert table.shape == (50, 2) and table.flags.c_contiguous
     for j in range(2):
         assert table[:, j].tobytes() == alone[j].tobytes()
@@ -621,14 +608,11 @@ def test_each_increment_row_steps_every_flow_group_once(monkeypatch):
 
 
 def test_pde_residual_builds_one_flow_per_distinct_start(monkeypatch):
-    starts = []
-    law_curve = feynman_kac._law_curve
+    flows = recorded_flows(monkeypatch)
 
-    def counted(coeff, init, times, *args):
-        starts.append((times[0], id(init)))
-        return law_curve(coeff, init, times, *args)
+    def starts():
+        return [(flow.start, id(flow.init)) for flow in flows]
 
-    monkeypatch.setattr(feynman_kac, "_law_curve", counted)
     vf = McValueFunction(
         coeff=BROWNIAN, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
         M=40, seed=3, mu=dirac([0.0]), n_flow=10,
@@ -636,21 +620,21 @@ def test_pde_residual_builds_one_flow_per_distinct_start(monkeypatch):
     probes = [(0.0, [0.3]), (0.0, [-0.4]), (0.25, [0.1])]
     # nothing reads the law: a measure-free field and a datum without inner functions
     pde_residual_mc(vf, probes)
-    assert starts == []
+    assert starts() == []
 
     # a datum that reads mu_T: two probes at t = 0 and one at t = 0.25,
     # forward stencils of h_t = 0.05, and one flow per shifted measure
     reads_mu = make_cylindrical("x_sq_plus_r1", [("quadratic", {})])
     n_draws = 2
     pde_residual_mc(dataclasses.replace(vf, Phi=reads_mu), probes, n_measure_draws=n_draws)
-    assert len(starts) == len(set(starts)) == 6 + 3 * 2 * n_draws
-    assert sorted({s for s, _ in starts}) == pytest.approx([0.0, 0.05, 0.1, 0.25, 0.3, 0.35])
+    assert len(starts()) == len(set(starts())) == 6 + 3 * 2 * n_draws
+    assert sorted({s for s, _ in starts()}) == pytest.approx([0.0, 0.05, 0.1, 0.25, 0.3, 0.35])
 
     # so does a measure-dependent field
-    starts.clear()
+    flows.clear()
     pde_residual_mc(_mean_revert_vf("linear"), [(0.0, [0.3]), (0.0, [-0.5])],
                     n_measure_draws=n_draws)
-    assert len(starts) == len(set(starts)) == 3 + 2 * 2 * n_draws
+    assert len(starts()) == len(set(starts())) == 3 + 2 * 2 * n_draws
 
 
 def test_a_datum_that_reads_the_law_gets_the_measure_term():
@@ -674,14 +658,7 @@ def test_a_datum_that_reads_the_law_gets_the_measure_term():
 def test_measure_free_samples_equal_those_on_a_frozen_flow(monkeypatch):
     # a field that reads no law runs without a frozen flow, and its samples
     # are those of the same field declared measure-dependent, bit for bit
-    flows = []
-    law_curve = feynman_kac._law_curve
-
-    def counted(coeff, *args):
-        flows.append(coeff.measure_dependent)
-        return law_curve(coeff, *args)
-
-    monkeypatch.setattr(feynman_kac, "_law_curve", counted)
+    flows = recorded_flows(monkeypatch)
     coeff = make_coefficients("constant_drift", c=0.3, s=0.7)
     free = McValueFunction(coeff, make_cylindrical("x_norm_sq"), None, 1.0, 0.05, 300, 5, MU0,
                            n_flow=20)
@@ -690,7 +667,7 @@ def test_measure_free_samples_equal_those_on_a_frozen_flow(monkeypatch):
     tables = {vf.coeff.measure_dependent: vf.sample_table([columns])[0] for vf in (free, frozen)}
     assert tables[False].tobytes() == tables[True].tobytes()
     # one flow per distinct (t, mu), for the measure-dependent field only
-    assert flows == [True] * 3
+    assert [flow.coeff.measure_dependent for flow in flows] == [True] * 3
 
 
 def test_measure_shifts_draw_from_their_own_domain(monkeypatch):

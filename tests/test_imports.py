@@ -122,3 +122,50 @@ def test_only_the_cli_writes_csv(path):
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "csv" not in imported
     assert "write_csv" not in path.read_text()
+
+
+def references_by_scope(source, names):
+    """{(scope, name)} of each read of one of ``names`` in ``source``, as a
+    variable or an attribute, where scope is the dotted path of the classes
+    and functions around it ('' at module level)."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            name = (child.id if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name in names:
+                found.add((".".join(scope), name))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_references_by_scope_are_found():
+    source = (
+        "from m import draw\n"
+        "x = draw\n"
+        "class C:\n"
+        "    def steps(self):\n"
+        "        return m.draw(1)\n"
+        "def f():\n"
+        "    def g():\n"
+        "        draw = 1\n"
+        "        return draw\n"
+    )
+    assert references_by_scope(source, {"draw"}) == {
+        ("", "draw"), ("C.steps", "draw"), ("f.g", "draw")}
+
+
+def test_one_method_starts_an_interacting_run():
+    # StreamedFlow.steps draws a run's noise block and iterates its Euler
+    # steps; a second reader of either would be a second way to start a run
+    names = {"brownian_increments", "_euler_steps"}
+    found = {(path.name, *ref)
+             for path in sorted((ROOT / "src" / "mfsde").glob("*.py"))
+             for ref in references_by_scope(path.read_text(), names)}
+    assert found == {("dynamics.py", "StreamedFlow.steps", name) for name in names}

@@ -28,6 +28,7 @@ from mfsde import (
 from mfsde.dynamics import DOMAIN_DECOUPLED, DOMAIN_INTERACTING
 from mfsde.feynman_kac import McValueFunction
 from mfsde.measure import _cost_matrix
+from replayed import recorded_flows
 
 BROWNIAN = make_coefficients("brownian", s=1.0)
 LADDER = (0.02, 0.01, 0.005)
@@ -87,26 +88,27 @@ def _counted_draws(monkeypatch):
     """(domain, first, n_particles, n_steps) of every noise draw the sampler
     makes: blocks of noise, and the rows of its decoupled chunks."""
     draws = []
-    draw, rows = dynamics._raw_normals, feynman_kac.decoupled_rows
+    draw, rows = dynamics.brownian_increments, feynman_kac.decoupled_rows
 
-    def counted(seed, n_particles, n_steps, m):
+    def counted(seed, n_particles, n_steps, m, dt):
         draws.append((DOMAIN_INTERACTING, 0, n_particles, n_steps))
-        return draw(seed, n_particles, n_steps, m)
+        return draw(seed, n_particles, n_steps, m, dt)
 
     def counted_rows(seed, n_particles, n_steps, m, dt, first=0):
         draws.append((DOMAIN_DECOUPLED, first, n_particles, n_steps))
         return rows(seed, n_particles, n_steps, m, dt, first)
 
-    monkeypatch.setattr(dynamics, "_raw_normals", counted)
+    monkeypatch.setattr(dynamics, "brownian_increments", counted)
     monkeypatch.setattr(feynman_kac, "decoupled_rows", counted_rows)
     return draws
 
 
-def _assert_each_stream_drawn_once(draws, n_flow, M, n_steps):
-    """One flow block (none when n_flow is None), and decoupled chunks that
-    cover [0, M) exactly once."""
-    flow = [] if n_flow is None else [(DOMAIN_INTERACTING, 0, n_flow, n_steps)]
-    assert [d for d in draws if d[0] == DOMAIN_INTERACTING] == flow
+def _assert_each_stream_drawn_once(draws, n_flow, flow_steps, M, n_steps):
+    """One block of n_flow particles per frozen flow, of that flow's step
+    count in ``flow_steps`` (empty when no flow is built), and decoupled
+    chunks that cover [0, M) exactly once."""
+    flows = [(DOMAIN_INTERACTING, 0, n_flow, steps) for steps in flow_steps]
+    assert [d for d in draws if d[0] == DOMAIN_INTERACTING] == flows
     chunks = [d for d in draws if d[0] == DOMAIN_DECOUPLED]
     assert len(chunks) > 1
     assert all(n == n_steps for _, _, _, n in chunks)
@@ -115,8 +117,8 @@ def _assert_each_stream_drawn_once(draws, n_flow, M, n_steps):
 
 
 def test_pde_residual_draws_one_block_per_domain(monkeypatch):
-    # each particle's stream is drawn exactly once per domain per table,
-    # counted over the chunks of the decoupled domain
+    # each particle's stream is drawn once per frozen flow, to that flow's
+    # own length, and once per table in the chunks of the decoupled domain
     draws = _counted_draws(monkeypatch)
     monkeypatch.setattr(feynman_kac, "CHUNK", 30)
     coeff = make_coefficients("mean_revert", rate=1.0, s=1.0)
@@ -126,7 +128,10 @@ def test_pde_residual_draws_one_block_per_domain(monkeypatch):
         M=200, seed=3, mu=mu, n_flow=20,
     )
     pde_residual_mc(vf, [(0.0, [0.3]), (0.2, [-0.4])], n_measure_draws=2)
-    _assert_each_stream_drawn_once(draws, 20, 200, 10)
+    # per probe: the centre's flow, its two time points' and four shifted
+    # measures' at the probe's time, of step dt = h_t = 0.05 up to T = 0.5
+    flow_steps = [10, 9, 8, 10, 10, 10, 10, 6, 5, 4, 6, 6, 6, 6]
+    _assert_each_stream_drawn_once(draws, 20, flow_steps, 200, 10)
 
 
 def test_pde_residual_draws_once_whatever_the_probe_order(monkeypatch):
@@ -142,7 +147,7 @@ def test_pde_residual_draws_once_whatever_the_probe_order(monkeypatch):
     assert len(table.rows) == 3
     # a brownian field under a datum without inner functions reads no law,
     # so no flow is simulated
-    _assert_each_stream_drawn_once(draws, None, 50, 10)
+    _assert_each_stream_drawn_once(draws, 10, [], 50, 10)
 
 
 def test_pde_residual_peak_stays_below_one_noise_block():
@@ -188,32 +193,34 @@ def test_solve_all_peak_is_flat_in_the_step_count():
     assert peaks[1e-3] <= 1.5 * peaks[1e-2]
 
 
-def test_table_flows_share_one_read_only_increment_block(monkeypatch):
-    noises = []
-    law_curve = feynman_kac._law_curve
+def test_table_flows_draw_step_prefixes_of_one_stream(monkeypatch):
+    # each frozen flow of a table draws its own read-only block, of its own
+    # step count, and every such block is a step prefix of the longest one
+    flows = recorded_flows(monkeypatch)
+    draws = []
+    draw = dynamics.brownian_increments
 
-    def kept(coeff, init, times, dt, seed, increments):
-        noises.append(increments)
-        return law_curve(coeff, init, times, dt, seed, increments)
+    def kept(*args):
+        draws.append((args, draw(*args)))
+        return draws[-1][1]
 
-    monkeypatch.setattr(feynman_kac, "_law_curve", kept)
-    n_flow, dt = 6, 0.05
+    monkeypatch.setattr(dynamics, "brownian_increments", kept)
+    n_flow, dt, seed = 6, 0.05, 4
     vf = McValueFunction(
         coeff=MEAN_REVERT, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=dt,
-        M=40, seed=4, mu=dirac([0.0]), n_flow=n_flow,
+        M=40, seed=seed, mu=dirac([0.0]), n_flow=n_flow,
     )
     pde_residual_mc(vf, [(0.0, [0.3]), (0.25, [-0.4])], n_measure_draws=1)
     # per probe: the centre's flow, two time points' and two shifted measures'
-    assert len(noises) == 2 * (3 + 2)
-    block = noises[0]
-    assert block.shape == (10, n_flow, 1)
-    full = dynamics.brownian_increments(4, n_flow, 10, 1, dt)
-    for noise in noises:
-        # each flow's noise is a step prefix of the one block, never a copy
-        assert np.shares_memory(noise, block) and not noise.flags.writeable
-        assert noise.tobytes() == full[: len(noise)].tobytes()
-    # after every flow and every column has run, the block still holds its draw
-    assert block.tobytes() == full.tobytes()
+    assert len(flows) == len(draws) == 2 * (3 + 2)
+    longest = max((noise for _, noise in draws), key=len)
+    assert longest.shape == (10, n_flow, 1)
+    # a flow draws its block when its steps are asked for, right after it is built
+    for flow, (args, noise) in zip(flows, draws, strict=True):
+        assert args == (seed, n_flow, flow.n_steps, MEAN_REVERT.m, dt)
+        assert noise.shape == (flow.n_steps, n_flow, 1) and not noise.flags.writeable
+        assert noise.tobytes() == longest[: flow.n_steps].tobytes()
+    assert sorted({flow.n_steps for flow in flows}) == [3, 4, 5, 8, 9, 10]
 
 
 def test_streamed_increments_are_read_only_rows_of_the_run_block():
@@ -325,15 +332,7 @@ def test_ladder_level_builds_one_measure_per_grid_point(measures_built):
 
 
 def test_pde_residual_builds_each_snapshot_once(measures_built, monkeypatch):
-    grid_points = []
-    law_curve = feynman_kac._law_curve
-
-    def counted(*args):
-        laws = law_curve(*args)
-        grid_points.append(len(laws))
-        return laws
-
-    monkeypatch.setattr(feynman_kac, "_law_curve", counted)
+    recorded = recorded_flows(monkeypatch)
     mu = EmpiricalMeasure(np.linspace(-1.0, 1.0, 20)[:, None])
     vf = McValueFunction(
         coeff=MEAN_REVERT, Phi=make_cylindrical("x_norm_sq"), f_field=None, T=0.5, dt=0.05,
@@ -346,6 +345,7 @@ def test_pde_residual_builds_each_snapshot_once(measures_built, monkeypatch):
     # the centre and four space columns of a probe share one frozen flow, and
     # every column reads its snapshots; each flow adds its checked initial
     # measure and each probe 2 * n_draws shifted measures
+    grid_points = [len(flow.laws) for flow in recorded]
     flows = len(grid_points)
     assert len(table.rows) == 2 and flows == 2 * (3 + 2 * n_draws)
     assert built == sum(grid_points) + flows + 2 * 2 * n_draws
