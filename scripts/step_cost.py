@@ -19,7 +19,11 @@ and two independent samples.  A fourth table prints the median
 microseconds per step of the functional layer over an interacting flow of
 N_STEPS steps whose grid points are collected before timing, so neither
 noise nor the Euler step is counted: ``verify_path_independence`` folding
-the field of a potential, and ``ito_residual_ensemble``.
+the field of a potential, and ``ito_residual_ensemble``.  A fifth table
+prints, for the one Monte Carlo table that each of TABLE_CASES' residual
+runs folds, re-run at M = ``CHUNK`` (one chunk): the median milliseconds of
+one ``McValueFunction.moments`` call on it, and the Euler calls and
+row-steps (the rows of the state summed over those calls) per chunk.
 
     PYTHONPATH=src python scripts/step_cost.py
 """
@@ -29,7 +33,9 @@ import time
 
 import numpy as np
 
-from mfsde import StreamedFlow, dirac, make_coefficients, make_cylindrical
+import mfsde.feynman_kac as feynman_kac
+from mfsde import McValueFunction, StreamedFlow, dirac, make_coefficients, make_cylindrical
+from mfsde.cli import _SCENARIOS, PRESETS, parse_config
 from mfsde.dynamics import (
     DOMAIN_DECOUPLED,
     DOMAIN_INTERACTING,
@@ -73,6 +79,8 @@ FOLD_CASES = (
     ("verify", "brownian", 2000, "x_norm_sq", ()),
     ("ito_residual", "mean_revert", 1000, "x_sq_plus_r1", ("quadratic",)),
 )
+# the residual presets whose stencil table one timed ``moments`` call folds
+TABLE_CASES = ("pde-residual-nonlinear",)
 
 
 def step_seconds(scheme, name, d, k, paths, n_steps):
@@ -143,13 +151,62 @@ def fold_seconds(fold, name, paths, outer, inner, n_steps):
     return (time.perf_counter() - start) / n_steps
 
 
+def recorded_table(preset, paths):
+    """(value function, groups of columns) of the one table that the preset's
+    runner folds at M = paths, recorded from a run of the runner."""
+    lines = PRESETS[preset].strip().splitlines()
+    cfg = parse_config("\n".join(f"M = {paths}" if line.partition("=")[0].strip() == "M"
+                                 else line for line in lines))
+    tables = []
+    moments = McValueFunction.moments
+
+    def recorded(vf, groups):
+        tables.append((vf, groups))
+        return moments(vf, groups)
+
+    McValueFunction.moments = recorded
+    try:
+        _SCENARIOS[cfg.scenario].run(cfg)
+    finally:
+        McValueFunction.moments = moments
+    [table] = tables
+    return table
+
+
+def table_steps(vf, groups):
+    """(Euler calls, row-steps) of one ``moments`` call on the table."""
+    rows = []
+    step = feynman_kac._euler_step
+
+    def counted(coeff, t, x, *args):
+        rows.append(x.shape[0])
+        return step(coeff, t, x, *args)
+
+    feynman_kac._euler_step = counted
+    try:
+        vf.moments(groups)
+    finally:
+        feynman_kac._euler_step = step
+    return len(rows), sum(rows)
+
+
+def table_seconds(vf, groups):
+    """Wall seconds of one ``moments`` call on the table."""
+    start = time.perf_counter()
+    vf.moments(groups)
+    return time.perf_counter() - start
+
+
 def report(cases=CASES, n_steps=N_STEPS, reps=REPS, noise_cases=NOISE_CASES,
-           w2_points=W2_POINTS):
+           w2_points=W2_POINTS, table_paths=CHUNK):
     """Print a header and one row per Euler case, the median microseconds per
     step; then, after a blank line, a header and one row per noise case, the
     median nanoseconds per normal; then, after another, a header and one row
     per W2 case, the median milliseconds per call; then, after a third, a
-    header and one row per fold case, the median microseconds per step."""
+    header and one row per fold case, the median microseconds per step; then,
+    after a fourth, a header and one row per table case at M = table_paths
+    (at most one chunk), the median milliseconds per ``moments`` call and
+    its Euler calls and row-steps."""
     print(f"{'scheme':<12} {'field':<12} {'d':>2} {'m':>2} {'K':>2} {'paths':>6} {'us_per_step':>12}")
     for scheme, name, d, k, paths in cases:
         runs = [step_seconds(scheme, name, d, k, paths, n_steps) for _ in range(reps)]
@@ -173,6 +230,15 @@ def report(cases=CASES, n_steps=N_STEPS, reps=REPS, noise_cases=NOISE_CASES,
         us = 1e6 * statistics.median(runs)
         v_name = outer + "".join(f"[{h}]" for h in inner)
         print(f"{fold:<12} {name:<12} {v_name:<24} {paths:>6} {us:>12.1f}")
+    print()
+    print(f"{'table':<24} {'paths':>6} {'columns':>7} {'ms_per_call':>12} "
+          f"{'euler_calls':>11} {'row_steps':>9}")
+    for preset in TABLE_CASES:
+        vf, groups = recorded_table(preset, table_paths)
+        calls, row_steps = table_steps(vf, groups)
+        ms = 1e3 * statistics.median(table_seconds(vf, groups) for _ in range(reps))
+        columns = sum(map(len, groups))
+        print(f"{preset:<24} {table_paths:>6} {columns:>7} {ms:>12.3f} {calls:>11} {row_steps:>9}")
 
 
 if __name__ == "__main__":

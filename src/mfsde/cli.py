@@ -46,6 +46,7 @@ from .dynamics import (
     COEFFICIENT_PARAMS,
     StreamedFlow,
     grid_steps,
+    ignores,
     make_coefficients,
     semigroup_apply,
 )
@@ -107,8 +108,10 @@ def _params(values, head):
 
 
 def _const_field(value, *shape):
-    """Batched field equal to ``value`` everywhere, of shape (B, *shape)."""
+    """Batched field equal to ``value`` everywhere, of shape (B, *shape):
+    declared to read neither t nor the law."""
 
+    @ignores("t", "mu")
     def const(t, X, mu):
         return np.full((np.asarray(X).shape[0], *shape), float(value))
 

@@ -162,6 +162,25 @@ def brownian_increments(seed, n_particles, n_steps, m, dt):
     return noise
 
 
+def ignores(*args):
+    """Decorator declaring that a field f(t, x, mu) does not read the named
+    arguments, "t" or "mu": it marks the callable itself, so a field whose
+    callable is swapped (``dataclasses.replace(coeff, b=...)``) drops the
+    declaration with it.  See :func:`reads`."""
+
+    def mark(fn):
+        fn.ignored_args = frozenset(args)
+        return fn
+
+    return mark
+
+
+def reads(fn, arg):
+    """Whether the field fn may read ``arg``: always, unless fn was declared
+    not to (see :func:`ignores`)."""
+    return arg not in getattr(fn, "ignored_args", ())
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """Drift/diffusion evaluators with declared Lipschitz data.
@@ -175,6 +194,11 @@ class CoefficientField:
     rather than once per path.  Callers never write into the outputs.
     ``lipschitz_bound`` is declared by the catalog, not verified globally;
     :func:`spot_check_lipschitz` samples it.
+
+    The field is time-homogeneous (:attr:`time_homogeneous`) when both b and
+    sigma are declared not to read t (see :func:`ignores`), as every catalog
+    entry's are; a field built from other callables reads t as far as the
+    library knows.
     """
 
     name: str
@@ -184,6 +208,11 @@ class CoefficientField:
     b: Callable
     lipschitz_bound: Callable = lambda t: 0.0
     measure_dependent: bool = True
+
+    @property
+    def time_homogeneous(self):
+        """Whether neither b nor sigma reads t, as both declare."""
+        return not (reads(self.b, "t") or reads(self.sigma, "t"))
 
 
 #: catalog identifiers accepted by make_coefficients, each mapped to the
@@ -203,6 +232,7 @@ def _constant(value):
     value = np.array(value, dtype=float)
     value.flags.writeable = False
 
+    @ignores("t", "mu")
     def const(t, x, mu):
         return value
 
@@ -258,6 +288,7 @@ def make_coefficients(name, d=1, m=None, **params):
     if name == "mean_revert":
         rate = float(p["rate"])
 
+        @ignores("t")
         def b(t, x, mu):
             return rate * (mu.mean() - np.asarray(x))
 
@@ -267,6 +298,7 @@ def make_coefficients(name, d=1, m=None, **params):
         )
     theta, kappa = float(p["theta"]), float(p["kappa"])
 
+    @ignores("t")
     def b(t, x, mu):
         return -theta * np.asarray(x) + kappa * mu.mean()
 

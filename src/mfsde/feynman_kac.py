@@ -20,12 +20,15 @@ Every estimate reads one sampler, :meth:`McValueFunction.sample_chunks`,
 which evaluates a table of columns (start time, start point, measure) in
 chunks of CHUNK particles, and the estimates fold each chunk's samples into
 per-column moments (:class:`MomentFold`), so memory grows with neither M
-nor the step count.  Columns that share (t, mu) share one frozen flow, the
-snapshots of a ``dynamics.StreamedFlow`` from mu at t, simulated only when a
-term reads the law, and one (K, B, d) state, and all groups step in
-lockstep: a chunk draws row k of its increments once and hands it to every
-group whose grid has a step k, so a table of G groups over L steps makes
-about G L Euler steps per chunk, each paying a fixed 20-25 us (see
+nor the step count.  Row k of a chunk's increments drives step k of every
+column, whatever its start, so under a time-homogeneous field and without a
+running cost the columns that read one mu are one run from their earliest
+start, each read at its own step count; otherwise each distinct (t, mu) is
+a run.  A run has one frozen flow, the snapshots of a
+``dynamics.StreamedFlow`` from mu at its start, simulated only when a term
+reads the law, and one (R, B, d) state of its distinct start points, and
+all runs step in lockstep: a table of G runs over L steps makes at most
+G L Euler steps per chunk, each paying a fixed 20-25 us (see
 ``dynamics._euler_step``), and never holds an (L, B, m) block.  A chunk
 is whole noise blocks of ``dynamics.NOISE_BLOCK`` paths, which share one
 Philox key per step.  Particle i's noise is the same whatever chunk draws
@@ -35,6 +38,7 @@ so the chunk size never changes a result.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -51,6 +55,7 @@ from .dynamics import (
     coefficients_at,
     decoupled_rows,
     particle_stream,
+    reads,
     start_point,
 )
 from .errors import CapabilityError, ContractError, DataError
@@ -260,6 +265,17 @@ class MomentFold:
         return total
 
 
+class _Run(NamedTuple):
+    """The columns of a table that run as one (see
+    :meth:`McValueFunction.sample_chunks`)."""
+
+    times: np.ndarray  # the grid from the run's start to T
+    laws: tuple  # the law at each grid point
+    points: np.ndarray  # (R, d) start points of the rows, latest last stop first
+    last: list  # each row's last stop, in row order
+    readouts: dict  # stop k -> [(group, column, row, inner integrals of Phi)] read there
+
+
 @dataclass(frozen=True)
 class McValueFunction:
     """MC-backed value function with a fixed seed, usable for CRN differences.
@@ -273,7 +289,11 @@ class McValueFunction:
     mean ``value_of_mean`` turns into the value, and ``solve(t, x)`` is that
     value with its standard error, read off the moments of a one-column
     table.  The object holds no noise: a table draws it chunk by chunk, and
-    a rerun draws the same streams again.
+    a rerun draws the same streams again.  Under a time-homogeneous field
+    (``coeff.time_homogeneous``) and without a running cost, the path from
+    (t + h, x, mu) is the path from (t, x, mu) stopped h / dt steps early, so
+    a table's columns that differ only in start time share one path (see
+    :meth:`sample_chunks`), with the bits of separate tables.
     """
 
     coeff: object
@@ -304,11 +324,13 @@ class McValueFunction:
     @property
     def reads_law(self):
         """Whether the value depends on the measure: through a
-        measure-dependent field, the running cost f_field or the inner
-        functions of Phi.  Only then does a column simulate a frozen flow and
-        the residual shift the measure."""
-        return (self.coeff.measure_dependent or self.f_field is not None
-                or bool(self.Phi.inner))
+        measure-dependent field, a running cost f_field not declared to
+        ignore mu (see ``dynamics.ignores``) or the inner functions of Phi.
+        Only then does a run simulate a frozen flow and the residual shift
+        the measure."""
+        return (self.coeff.measure_dependent
+                or (self.f_field is not None and reads(self.f_field, "mu"))
+                or (self.Phi is not None and bool(self.Phi.inner)))
 
     def samples(self, t, x):
         """Per-path samples at (t, x) and the function's own measure, shape (M,)."""
@@ -371,65 +393,97 @@ class McValueFunction:
         (n_g, b - a) array, holds column j of group g: those particles'
         samples at (t, x, mu), Phi at the terminal state and law (when used)
         minus the left-endpoint integral of f_field along the path (when
-        used).  Every column is checked before any path is simulated.  Each
-        distinct (t, mu) gets one frozen flow, the snapshots of the
-        :class:`StreamedFlow` of n_flow particles from mu at t, and its K
-        columns one (K, B, d) state.  All columns run on the same decoupled
-        streams (common random numbers): a chunk draws increment row k once
-        and steps every group whose grid has a step k.  When the value does
-        not read the law (see :attr:`reads_law`), no flow is simulated:
-        every column reads its own measure at every grid point.
+        used).  Every column is checked before any path is simulated.
+
+        All columns run on the same decoupled streams (common random
+        numbers): a chunk draws increment row k once, and it drives step k
+        of every column, whatever the column's start.  So when neither the
+        field (``coeff.time_homogeneous``) nor a running cost reads the
+        clock, the columns that read one mu form one run from their earliest
+        start; otherwise each distinct (t, mu) does.  A run's (R, B, d) state
+        holds its distinct start points (by bytes), latest last stop first;
+        column c reads its row at its own step count L_c = (T - t_c) / dt,
+        with Phi's inner integrals at the law of that step, and a row leaves
+        the state once its last column is read, so it never steps past its
+        own horizon.  A SimulationError counts steps from the run's start,
+        which is the column's own count.  A run that reads the law (see
+        :attr:`reads_law`) has one frozen flow, the snapshots of the
+        :class:`StreamedFlow` of n_flow particles from its mu at its start;
+        one that does not reads its own measure at every grid point.
         """
-        # flow key (t, mu) -> [t, mu, [(group, column, start point)]]
-        flows = {}
+        shared = self.f_field is None and self.coeff.time_homogeneous
+        # run key -> (mu, [(t, stop, group, column, start point)])
+        plans = {}
         for g, group in enumerate(groups):
             for j, (t, x, mu) in enumerate(group):
                 x = start_point(x, self.coeff.d)
-                _grid(t, self.T, self.dt)
+                _, stop = _grid(t, self.T, self.dt)
                 mu = self.mu if mu is None else mu
-                flows.setdefault((t, id(mu)), [t, mu, []])[2].append((g, j, x))
-        if not flows:
+                key = id(mu) if shared else (t, id(mu))
+                plans.setdefault(key, (mu, []))[1].append((t, stop, g, j, x))
+        if not plans:
             return
-        _, n_steps = _grid(min(t for t, _, _ in flows.values()), self.T, self.dt)
-        # (grid, frozen law curve, inner integrals of Phi at its terminal law, columns)
-        runs = []
-        for t, mu, cols in flows.values():
-            times, _ = _grid(t, self.T, self.dt)
-            if self.reads_law:
-                flow = StreamedFlow(self.coeff, mu, self.n_flow, self.T, self.dt, self.seed, s=t)
-                laws = tuple(law for _, _, law, _ in flow.steps(t, self.T))
-            else:
-                laws = (mu,) * len(times)
-            r_T = None if self.Phi is None else self.Phi.inner_integrals(laws[-1])
-            runs.append((times, laws, r_T, cols))
+        runs = [self._run(mu, cols) for mu, cols in plans.values()]
+        n_steps = max(len(run.times) for run in runs) - 1
         for a in range(0, self.M, CHUNK):
             n = min(CHUNK, self.M - a)
-            # each flow group's (K, B, d) state of its columns' start points,
-            # and its running-cost integral
-            states = [np.broadcast_to(np.array([x for *_, x in cols])[:, None],
-                                      (len(cols), n, self.coeff.d)) for *_, cols in runs]
-            integrals = [None if self.f_field is None else np.zeros((len(cols), n))
-                         for *_, cols in runs]
-            for k, dw in enumerate(
-                    decoupled_rows(self.seed, n, n_steps, self.coeff.m, self.dt, a)):
-                for i, (times, laws, _, _) in enumerate(runs):
-                    if k + 1 >= len(times):
+            # each run's (R, B, d) state of its rows' start points, and its
+            # running-cost integral
+            states = [np.broadcast_to(run.points[:, None], (len(run.points), n, self.coeff.d))
+                      for run in runs]
+            integrals = [None if self.f_field is None else np.zeros((len(run.points), n))
+                         for run in runs]
+            blocks = [np.empty((len(group), n)) for group in groups]
+            increments = decoupled_rows(self.seed, n, n_steps, self.coeff.m, self.dt, a)
+            for k, dw in enumerate(itertools.chain(increments, [None])):
+                for i, run in enumerate(runs):
+                    for g, j, row, r in run.readouts.get(k, ()):
+                        blocks[g][j] = self._sample(states[i][row], integrals[i], row, r)
+                    live = sum(stop > k for stop in run.last)
+                    if not live:
                         continue
+                    states[i] = states[i][:live]
                     if integrals[i] is not None:
                         for c, x_c in enumerate(states[i]):
                             integrals[i][c] += np.asarray(self.f_field(
-                                times[k], x_c, laws[k]), dtype=float) * self.dt
+                                run.times[k], x_c, run.laws[k]), dtype=float) * self.dt
                     states[i] = _euler_step(
-                        self.coeff, times[k], states[i], laws[k], dw, self.dt, k, a)
-            blocks = [np.empty((len(group), n)) for group in groups]
-            for (_, _, r_T, cols), x_T, integral in zip(runs, states, integrals):
-                for c, (g, j, _) in enumerate(cols):
-                    if self.Phi is None:
-                        blocks[g][j] = -integral[c]
-                        continue
-                    sample = np.asarray(self.Phi.outer.value(self.T, x_T[c], r_T), dtype=float)
-                    blocks[g][j] = sample if integral is None else sample - integral[c]
+                        self.coeff, run.times[k], states[i], run.laws[k], dw, self.dt, k, a)
             yield a, a + n, blocks
+
+    def _run(self, mu, cols):
+        """The :class:`_Run` of the columns ``cols``, (t, stop, group,
+        column, start point), that read mu, from their earliest start."""
+        times, _ = _grid(min(t for t, *_ in cols), self.T, self.dt)
+        if self.reads_law:
+            flow = StreamedFlow(self.coeff, mu, self.n_flow, self.T, self.dt, self.seed,
+                                s=times[0])
+            laws = tuple(law for _, _, law, _ in flow.steps(times[0], self.T))
+        else:
+            laws = (mu,) * len(times)
+        # each distinct start point and its last stop, latest first
+        points, last = {}, {}
+        for _, stop, _, _, x in cols:
+            points.setdefault(x.tobytes(), x)
+            last[x.tobytes()] = max(last.get(x.tobytes(), 0), stop)
+        order = sorted(last, key=last.get, reverse=True)
+        row = {key: i for i, key in enumerate(order)}
+        inner = {stop: None if self.Phi is None else self.Phi.inner_integrals(laws[stop])
+                 for stop in {stop for _, stop, *_ in cols}}
+        readouts = {}
+        for _, stop, g, j, x in cols:
+            readouts.setdefault(stop, []).append((g, j, row[x.tobytes()], inner[stop]))
+        return _Run(times, laws, np.array([points[key] for key in order]),
+                    [last[key] for key in order], readouts)
+
+    def _sample(self, x, integral, row, r):
+        """The samples of paths at x, (B, d), at time T: Phi at x and the
+        inner integrals r (when used), minus row ``row`` of the running-cost
+        integral (when used)."""
+        if self.Phi is None:
+            return -integral[row]
+        sample = np.asarray(self.Phi.outer.value(self.T, x, r), dtype=float)
+        return sample if integral is None else sample - integral[row]
 
     def value_of_mean(self, mean):
         if self.beta is not None:

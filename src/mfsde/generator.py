@@ -28,26 +28,30 @@ def _labeled(term, fn, *args):
         raise EvaluationError(f"evaluator failed in term {term!r}: {exc}") from exc
 
 
-def _mu_part_coefficients(coeff, V, t, mu, r, use_v_gradient_drift):
+def _mu_part_coefficients(coeff, V, t, mu, r, use_v_gradient_drift, a_y=None, b_y=None):
     """Per-inner-function weights of the measure-integral terms.
 
     Returns (c, e) with c_i = 1/2 int tr(sigma sigma^* hess h_i) dmu and
     e_i = int <drift(y), grad h_i(y)> dmu, where drift is either the
     coefficient drift b or sigma sigma^* dx V read off V itself (at the
-    inner integrals ``r`` of mu).
+    inner integrals ``r`` of mu).  ``a_y`` and ``b_y``, when given, are
+    sigma sigma^* and b at the atoms of mu, already computed by the caller.
     """
     if not V.inner:
         n = 0
         return np.zeros(n), np.zeros(n)
     Y, w = mu.points, mu.weights
-    # sigma sigma^* once when sigma has no per-atom rows
-    sig_y = _labeled("trace_mu", coeff.sigma, t, Y, mu)
-    a_y = np.einsum("...jk,...lk->...jl", sig_y, sig_y)
+    if a_y is None:
+        # sigma sigma^* once when sigma has no per-atom rows
+        sig_y = _labeled("trace_mu", coeff.sigma, t, Y, mu)
+        a_y = np.einsum("...jk,...lk->...jl", sig_y, sig_y)
     if use_v_gradient_drift:
         dxV_y = _labeled("drift_mu", V.outer.partial("dx"), t, Y, r)
         drift_y = np.einsum("...jl,...l->...j", a_y, dxV_y)
-    else:
+    elif b_y is None:
         drift_y = _labeled("drift_mu", coeff.b, t, Y, mu)
+    else:
+        drift_y = b_y
     c = np.empty(len(V.inner))
     e = np.empty(len(V.inner))
     for i, h in enumerate(V.inner):
@@ -81,12 +85,16 @@ def generator_parts(coeff, V, t, X, mu, drift_free=False, r=None):
         "trace_x": np.broadcast_to(trace_x, X.shape[:1]).copy(),
         "sigma_star_dx": np.einsum("...jk,...j->...k", sig_x, dxV),
     }
+    b_x = None
     if drift_free:
         out["nonlinear_sq"] = 0.5 * np.sum(out["sigma_star_dx"] ** 2, axis=1)
     else:
         b_x = _labeled("drift_x", coeff.b, t, X, mu)
         out["drift_x"] = np.einsum("...j,...j->...", b_x, dxV)
-    c, e = _mu_part_coefficients(coeff, V, t, mu, r, use_v_gradient_drift=drift_free)
+    # when mu is the batch's own snapshot, its atoms are X: reuse the
+    # coefficients there rather than call them again
+    own = (a_x, b_x) if mu.points is X else ()
+    c, e = _mu_part_coefficients(coeff, V, t, mu, r, drift_free, *own)
     if V.inner:
         drV = _labeled("trace_mu", V.outer.partial("dr"), t, X, r)
         out["trace_mu"] = drV @ c

@@ -17,6 +17,7 @@ from mfsde.cli import _FLOAT_PREFIXES, _SCENARIOS, _SCHEMA
 from mfsde.calculus import OUTER_NAMES
 from mfsde.dynamics import COEFFICIENT_NAMES
 from mfsde.errors import ConfigError, SimulationError
+from replayed import recorded_flows
 
 
 MINIMAL_ITO = """
@@ -312,6 +313,17 @@ def test_preset_artifacts_match_golden_hashes(name, tmp_path):
         if p.suffix == ".csv" or p.name == "summary.txt"
     }
     assert digests == GOLDEN[name]
+
+
+def test_constant_running_cost_builds_no_frozen_flow(monkeypatch, tmp_path):
+    # the constant running cost declares that it reads no law, and neither
+    # the brownian field nor the datum reads one: no frozen flow is built
+    # (two were, one per probe time), and the artifacts keep their digests
+    flows = recorded_flows(monkeypatch)
+    run_scenario(parse_config(PRESETS["feynman-kac-source-const"]), str(tmp_path))
+    assert flows == []
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == GOLDEN["feynman-kac-source-const"]
 
 
 def test_ladder_off_zero_writes_the_configured_steps(tmp_path):

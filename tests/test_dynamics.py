@@ -767,9 +767,9 @@ def test_streamed_flow_replays_the_recorded_grid_points(s, t):
 
 @pytest.mark.parametrize("t", [0.25, 0.5])
 def test_sample_table_law_curve_is_the_streamed_run(monkeypatch, t):
-    # the frozen flow of a column at t, in a table whose first time is 0, is
-    # the streamed run from t: its noise is the step prefix of the stream
-    # that a run from 0 draws, and its laws are the table's law curve bit for bit
+    # the columns at 0 and t read one frozen flow, the streamed run from 0;
+    # its first (T - t) / dt + 1 laws are those of the streamed run from t,
+    # whose noise is the step prefix of the stream that the run from 0 draws
     coeff = make_coefficients("mean_revert", d=2, rate=1.5, s=0.7)
     init = EmpiricalMeasure(np.random.default_rng(4).standard_normal((5, 2)))
     n_flow, T, dt, seed = 16, 1.0, 0.05, 7
@@ -777,9 +777,11 @@ def test_sample_table_law_curve_is_the_streamed_run(monkeypatch, t):
     Phi = make_cylindrical("x_sq_plus_r1", ["quadratic"])
     vf = McValueFunction(coeff, Phi, None, T, dt, 8, seed, init, n_flow=n_flow)
     vf.sample_table([[(0.0, [0.3, -0.2], None), (t, [0.3, -0.2], None)]])
-    [curve] = [flow.laws for flow in flows if flow.start == t]
+    [curve] = [flow.laws for flow in flows]
+    assert [flow.start for flow in flows] == [0.0]
     run = replayed(StreamedFlow(coeff, init, n_flow, T, dt, seed, s=t))
-    assert len(curve) == len(run.laws) == round((T - t) / dt) + 1
+    assert len(curve) == round(T / dt) + 1
+    assert len(run.laws) == round((T - t) / dt) + 1
     for mu, nu in zip(curve, run.laws):
         assert mu.points.tobytes() == nu.points.tobytes()
         assert mu.weights.tobytes() == nu.weights.tobytes()

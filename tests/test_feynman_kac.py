@@ -13,6 +13,7 @@ from mfsde import (
     EmpiricalMeasure,
     McSolution,
     McValueFunction,
+    SimulationError,
     dirac,
     make_coefficients,
     make_cylindrical,
@@ -22,6 +23,7 @@ from mfsde import (
 )
 from mfsde.calculus import CylindricalFunction, OuterFunction
 from mfsde.cli import PRESETS, _value_function, parse_config, run_scenario
+from mfsde.dynamics import ignores
 from mfsde.feynman_kac import MEASURE_DS, MomentFold, _diag_diffusion, _measure_shifts
 from csvfile import write_csv_file
 from replayed import recorded_flows
@@ -581,8 +583,10 @@ def test_chunk_size_rule(monkeypatch):
 
 
 def test_each_increment_row_steps_every_flow_group_once(monkeypatch):
-    # flow groups of 1, 3 and 1 columns on grids of 4, 3 and 0 steps: row k is
-    # drawn once per chunk and steps each group whose grid has a step k
+    # five columns that read one law under a time-homogeneous field, on grids
+    # of 4, 3, 3, 0 and 3 steps, form one run of four distinct start points,
+    # the longest first: row k is drawn once per chunk and steps the run once,
+    # with the rows whose last stop is past k
     calls = []
     step = feynman_kac._euler_step
 
@@ -598,16 +602,17 @@ def test_each_increment_row_steps_every_flow_group_once(monkeypatch):
                [(0.25, [0.3], None), (1.0, [0.0], None), (0.25, [-0.1], None)]]
     tables = vf.sample_table(columns)
     assert [(first, k, width) for first, k, width, _ in calls] == [
-        (first, k, width) for first in (0, 64) for k in range(4)
-        for width in ((1, 3) if k < 3 else (1,))]
+        (first, k, 4 if k < 3 else 1) for first in (0, 64) for k in range(4)]
     for first, k, _, dw in calls:
         row = [dw_j for first_j, k_j, _, dw_j in calls if (first_j, k_j) == (first, k)]
         assert all(dw_j is row[0] for dw_j in row) and not row[0].flags.writeable
-    # the column that starts at T is its start point's datum, |0|^2
+    # the column that starts at T is its start point's datum, |0|^2, read
+    # before the row it shares with the column at 0.25 takes a step
     assert not tables[1][:, 1].any()
+    assert tables[0][:, 1].any()
 
 
-def test_pde_residual_builds_one_flow_per_distinct_start(monkeypatch):
+def test_pde_residual_builds_one_flow_per_distinct_law(monkeypatch):
     flows = recorded_flows(monkeypatch)
 
     def starts():
@@ -622,19 +627,23 @@ def test_pde_residual_builds_one_flow_per_distinct_start(monkeypatch):
     pde_residual_mc(vf, probes)
     assert starts() == []
 
-    # a datum that reads mu_T: two probes at t = 0 and one at t = 0.25,
-    # forward stencils of h_t = 0.05, and one flow per shifted measure
+    # a datum that reads mu_T: two probes at t = 0 and one at t = 0.25, with
+    # forward stencils of h_t = 0.05; every column on the function's own
+    # measure reads one flow from the earliest start, and each shifted
+    # measure its own flow from its probe's start
     reads_mu = make_cylindrical("x_sq_plus_r1", [("quadratic", {})])
     n_draws = 2
     pde_residual_mc(dataclasses.replace(vf, Phi=reads_mu), probes, n_measure_draws=n_draws)
-    assert len(starts()) == len(set(starts())) == 6 + 3 * 2 * n_draws
-    assert sorted({s for s, _ in starts()}) == pytest.approx([0.0, 0.05, 0.1, 0.25, 0.3, 0.35])
+    assert len(starts()) == len(set(starts())) == len({i for _, i in starts()})
+    assert len(starts()) == 1 + 3 * 2 * n_draws
+    assert starts()[0] == (0.0, id(vf.mu))
+    assert sorted({s for s, _ in starts()}) == [0.0, 0.25]
 
     # so does a measure-dependent field
     flows.clear()
     pde_residual_mc(_mean_revert_vf("linear"), [(0.0, [0.3]), (0.0, [-0.5])],
                     n_measure_draws=n_draws)
-    assert len(starts()) == len(set(starts())) == 3 + 2 * 2 * n_draws
+    assert len(starts()) == len({i for _, i in starts()}) == 1 + 2 * 2 * n_draws
 
 
 def test_a_datum_that_reads_the_law_gets_the_measure_term():
@@ -666,8 +675,10 @@ def test_measure_free_samples_equal_those_on_a_frozen_flow(monkeypatch):
     columns = [(0.0, [0.3], None), (0.25, [-0.4], None), (0.25, [0.1], DIRAC0)]
     tables = {vf.coeff.measure_dependent: vf.sample_table([columns])[0] for vf in (free, frozen)}
     assert tables[False].tobytes() == tables[True].tobytes()
-    # one flow per distinct (t, mu), for the measure-dependent field only
-    assert [flow.coeff.measure_dependent for flow in flows] == [True] * 3
+    # one flow per distinct mu, from its earliest column, for the
+    # measure-dependent field only
+    assert [(flow.start, id(flow.init)) for flow in flows] == [(0.0, id(MU0)), (0.25, id(DIRAC0))]
+    assert [flow.coeff.measure_dependent for flow in flows] == [True] * 2
 
 
 def test_measure_shifts_draw_from_their_own_domain(monkeypatch):
@@ -726,6 +737,110 @@ def test_chunked_blowup_names_the_global_particle(monkeypatch):
     with pytest.raises(SimulationError) as exc:
         vf.sample_table([[(0.0, [-100.0], None), (0.0, [0.0], None)]])
     assert (exc.value.step, exc.value.particle) == (2, expected)
+
+
+# ---------------------------------------------------------------------------
+# shared runs: columns that differ only in start time are one path
+
+
+def _recorded_steps(monkeypatch):
+    """(first, k, rows) of every Euler step the sampler takes from here on."""
+    calls = []
+    step = feynman_kac._euler_step
+
+    def counted(coeff, t, x, mu, dw, dt, k, first):
+        calls.append((first, k, x.shape[0]))
+        return step(coeff, t, x, mu, dw, dt, k, first)
+
+    monkeypatch.setattr(feynman_kac, "_euler_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, d, params, Phi", [
+    ("brownian", 1, {"s": 0.8}, ("x_norm_sq", [])),
+    ("brownian", 1, {"s": 0.8}, ("x_sq_plus_r1", ["quadratic"])),
+    ("ou", 1, {}, ("x_sq_plus_r1", ["quadratic"])),
+    ("mean_revert", 2, {"rate": 1.2, "s": 0.6}, ("x_sq_plus_r1", ["quadratic"])),
+])
+def test_staggered_table_equals_one_table_per_column(monkeypatch, name, d, params, Phi):
+    # columns at 0, 0.25, 0.5, 0.95 and T on the function's own measure form
+    # one run of three start points, each column read at its own step count
+    # (with Phi's inner integrals at that step's law), and a column on another
+    # measure its own run; every column's samples are those of a table of
+    # that column alone, bit for bit
+    coeff = make_coefficients(name, d=d, **params)
+    assert coeff.time_homogeneous
+    mu = EmpiricalMeasure(np.random.default_rng(5).standard_normal((6, d)))
+    other = EmpiricalMeasure(np.random.default_rng(6).standard_normal((4, d)) + 0.5)
+    vf = McValueFunction(coeff, make_cylindrical(*Phi), None, 1.0, 0.05, 150, 9, mu, n_flow=12)
+    xa, xb, xc = ([0.3, -0.2][:d], [-0.4, 0.1][:d], [0.0, 0.7][:d])
+    # the earliest-stopping start point comes first, the latest last
+    columns = [(0.5, xc, None), (0.95, xb, None), (0.0, xa, None), (0.25, xb, None),
+               (0.5, xa, None), (1.0, xa, None), (0.25, xa, other)]
+    monkeypatch.setattr(feynman_kac, "CHUNK", 64)
+    alone = [vf.sample_table([[column]])[0][:, 0] for column in columns]
+    flows = recorded_flows(monkeypatch)
+    calls = _recorded_steps(monkeypatch)
+    [table] = vf.sample_table([columns])
+    for j, samples in enumerate(alone):
+        assert table[:, j].tobytes() == samples.tobytes()
+    # rows xa, xb and xc stop after 20, 15 and 10 steps, and the run on the
+    # other measure after 15: one Euler step per run and increment row
+    assert [(k, rows) for first, k, rows in calls if first == 0] == [
+        (k, rows) for k in range(20)
+        for rows in ((3 if k < 10 else 2 if k < 15 else 1,) + ((1,) if k < 15 else ()))]
+    assert len(calls) == 3 * 35
+    starts = [(flow.start, id(flow.init)) for flow in flows]
+    assert starts == ([(0.0, id(mu)), (0.25, id(other))] if vf.reads_law else [])
+
+
+def test_time_dependent_drift_is_not_shared(monkeypatch):
+    # a drift that reads t, set through dataclasses.replace, drops the
+    # catalog's declaration, and a running cost may read the clock: the
+    # columns at 0 and 0.5 then run apart, and the later one's drift or cost
+    # integrates t = 0.5 and 0.75 over its two steps, not 0 and 0.25
+    still = make_coefficients("brownian", s=0.0)
+    coeff = dataclasses.replace(still, b=lambda t, x, mu: np.full(1, t))
+    assert still.time_homogeneous and not coeff.time_homogeneous
+    assert not dataclasses.replace(still, sigma=lambda t, x, mu: np.zeros((1, 1))).time_homogeneous
+    Phi = make_cylindrical("x_norm_sq")
+
+    def clock(t, X, mu):
+        return np.full(len(X), t)
+
+    for vf, expected in ((McValueFunction(coeff, Phi, None, 1.0, 0.25, 40, 5, DIRAC0),
+                          (0.1 + 0.3125) ** 2),
+                         (McValueFunction(still, Phi, clock, 1.0, 0.25, 40, 5, DIRAC0),
+                          0.1**2 - 0.3125)):
+        alone = vf.samples(0.5, [0.1])
+        calls = _recorded_steps(monkeypatch)
+        [table] = vf.sample_table([[(0.0, [0.1], None), (0.5, [0.1], None)]])
+        monkeypatch.undo()
+        assert [(k, rows) for _, k, rows in calls] == [(0, 1), (0, 1), (1, 1), (1, 1),
+                                                       (2, 1), (3, 1)]
+        assert table[:, 1].tobytes() == alone.tobytes()
+        np.testing.assert_allclose(table[:, 1], expected, rtol=1e-12)
+
+
+def test_a_row_takes_only_its_own_steps(monkeypatch):
+    # a drift of 1 below x = 1 and inf from there on, declared not to read t:
+    # the column from (0.5, 0.5) reaches 1 in its two steps and is read there,
+    # though its run, from the column at 0, takes two more; a third step of
+    # its own would blow up
+    @ignores("t", "mu")
+    def b(t, x, mu):
+        return np.where(np.asarray(x) < 1.0, 1.0, np.inf)
+
+    coeff = dataclasses.replace(make_coefficients("brownian", s=0.0), b=b)
+    assert coeff.time_homogeneous
+    vf = McValueFunction(coeff, make_cylindrical("x_norm_sq"), None, 1.0, 0.25, 8, 2, DIRAC0)
+    calls = _recorded_steps(monkeypatch)
+    [table] = vf.sample_table([[(0.0, [-10.0], None), (0.5, [0.5], None)]])
+    assert [(k, rows) for _, k, rows in calls] == [(0, 2), (1, 2), (2, 1), (3, 1)]
+    assert (table[:, 0] == 81.0).all() and (table[:, 1] == 1.0).all()
+    with pytest.raises(SimulationError) as exc:
+        vf.samples(0.25, [0.5])
+    assert exc.value.step == 3
 
 
 # ---------------------------------------------------------------------------

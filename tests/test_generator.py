@@ -214,6 +214,37 @@ def test_generator_parts_accepts_precomputed_inner_integrals():
             assert fresh[key].tobytes() == given_r[key].tobytes()
 
 
+def test_generator_reuses_the_coefficients_at_its_own_snapshot():
+    # when mu is the snapshot of the batch itself, b and sigma at its atoms
+    # are those at the batch: each is called once per generator, and the
+    # parts keep the bits of a measure on a copy of the atoms
+    coeff = make_coefficients("mean_revert", rate=1.0, s=0.5)
+    calls = []
+
+    def b(t, x, mu):
+        calls.append(len(x))
+        return coeff.b(t, x, mu)
+
+    counted = dataclasses.replace(coeff, b=b)
+    f = make_cylindrical("x_sq_plus_r1", ["quadratic"])
+    X = np.array([[0.3], [-1.0], [2.0]])
+    own = EmpiricalMeasure._snapshot(X, np.full(3, 1 / 3))
+    apart = EmpiricalMeasure(X.copy())
+    for drift_free in (False, True):
+        parts = {}
+        for mu in (own, apart):
+            calls.clear()
+            parts[mu is own] = generator_parts(counted, f, 0.2, X, mu, drift_free=drift_free)
+            assert len(calls) == (0 if drift_free else 1 if mu is own else 2)
+        for key in parts[True]:
+            assert parts[True][key].tobytes() == parts[False][key].tobytes()
+    # a 100-step Ito residual of the same field: one drift call per step
+    flow = StreamedFlow(coeff, dirac([0.0]), 20, 1.0, 0.01, seed=3)
+    calls.clear()
+    ito_residual_ensemble(counted, f, flow)
+    assert len(calls) == 100
+
+
 def test_generator_names_missing_partial():
     coeff = make_coefficients("brownian")
     full = make_cylindrical("x_norm_sq").outer

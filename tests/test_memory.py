@@ -128,9 +128,11 @@ def test_pde_residual_draws_one_block_per_domain(monkeypatch):
         M=200, seed=3, mu=mu, n_flow=20,
     )
     pde_residual_mc(vf, [(0.0, [0.3]), (0.2, [-0.4])], n_measure_draws=2)
-    # per probe: the centre's flow, its two time points' and four shifted
-    # measures' at the probe's time, of step dt = h_t = 0.05 up to T = 0.5
-    flow_steps = [10, 9, 8, 10, 10, 10, 10, 6, 5, 4, 6, 6, 6, 6]
+    # one flow on the function's own measure from the earliest start, which
+    # every probe's centre, time points and space points read; then per probe
+    # its four shifted measures' flows from the probe's time, of step dt =
+    # h_t = 0.05 up to T = 0.5
+    flow_steps = [10, 10, 10, 10, 10, 6, 6, 6, 6]
     _assert_each_stream_drawn_once(draws, 20, flow_steps, 200, 10)
 
 
@@ -194,8 +196,9 @@ def test_solve_all_peak_is_flat_in_the_step_count():
 
 
 def test_table_flows_draw_step_prefixes_of_one_stream(monkeypatch):
-    # each frozen flow of a table draws its own read-only block, of its own
-    # step count, and every such block is a step prefix of the longest one
+    # each frozen flow of a table, one per distinct law, draws its own
+    # read-only block, of its own step count, and every such block is a step
+    # prefix of the longest one
     flows = recorded_flows(monkeypatch)
     draws = []
     draw = dynamics.brownian_increments
@@ -211,8 +214,8 @@ def test_table_flows_draw_step_prefixes_of_one_stream(monkeypatch):
         M=40, seed=seed, mu=dirac([0.0]), n_flow=n_flow,
     )
     pde_residual_mc(vf, [(0.0, [0.3]), (0.25, [-0.4])], n_measure_draws=1)
-    # per probe: the centre's flow, two time points' and two shifted measures'
-    assert len(flows) == len(draws) == 2 * (3 + 2)
+    # the function's own measure's flow, then two shifted measures' per probe
+    assert len(flows) == len(draws) == 1 + 2 * 2
     longest = max((noise for _, noise in draws), key=len)
     assert longest.shape == (10, n_flow, 1)
     # a flow draws its block when its steps are asked for, right after it is built
@@ -220,7 +223,7 @@ def test_table_flows_draw_step_prefixes_of_one_stream(monkeypatch):
         assert args == (seed, n_flow, flow.n_steps, MEAN_REVERT.m, dt)
         assert noise.shape == (flow.n_steps, n_flow, 1) and not noise.flags.writeable
         assert noise.tobytes() == longest[: flow.n_steps].tobytes()
-    assert sorted({flow.n_steps for flow in flows}) == [3, 4, 5, 8, 9, 10]
+    assert [flow.n_steps for flow in flows] == [10, 10, 10, 5, 5]
 
 
 def test_streamed_increments_are_read_only_rows_of_the_run_block():
@@ -342,10 +345,10 @@ def test_pde_residual_builds_each_snapshot_once(measures_built, monkeypatch):
     before = len(measures_built)
     table = pde_residual_mc(vf, [(0.0, [0.3]), (0.2, [-0.4])], n_measure_draws=n_draws)
     built = len(measures_built) - before
-    # the centre and four space columns of a probe share one frozen flow, and
-    # every column reads its snapshots; each flow adds its checked initial
-    # measure and each probe 2 * n_draws shifted measures
+    # the columns of both probes on the function's own measure share one
+    # frozen flow, and every column reads its snapshots; each flow adds its
+    # checked initial measure and each probe 2 * n_draws shifted measures
     grid_points = [len(flow.laws) for flow in recorded]
     flows = len(grid_points)
-    assert len(table.rows) == 2 and flows == 2 * (3 + 2 * n_draws)
+    assert len(table.rows) == 2 and flows == 1 + 2 * 2 * n_draws
     assert built == sum(grid_points) + flows + 2 * 2 * n_draws

@@ -22,11 +22,12 @@ def test_step_cost_prints_one_row_per_case(capsys):
              ("interacting", "brownian", 1, 1, 8)]
     noise_cases = [("decoupled", step_cost.DOMAIN_DECOUPLED, 1030),
                    ("interacting", step_cost.DOMAIN_INTERACTING, 8)]
-    step_cost.report(cases=cases, n_steps=2, reps=1, noise_cases=noise_cases, w2_points=64)
+    step_cost.report(cases=cases, n_steps=2, reps=1, noise_cases=noise_cases, w2_points=64,
+                     table_paths=64)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["scheme", "field", "d", "m", "K", "paths", "us_per_step"]
     assert len(lines) == (1 + len(cases) + 2 + len(noise_cases) + 2 + len(step_cost.W2_CASES)
-                          + 2 + len(step_cost.FOLD_CASES))
+                          + 2 + len(step_cost.FOLD_CASES) + 2 + len(step_cost.TABLE_CASES))
     for line, (scheme, name, d, k, paths) in zip(lines[1:], cases):
         cells = line.split()
         assert cells[:6] == [scheme, name, str(d), str(d), str(k), str(paths)]
@@ -51,9 +52,22 @@ def test_step_cost_prints_one_row_per_case(capsys):
     fold = w2[2 + len(step_cost.W2_CASES):]
     assert fold[0] == ""
     assert fold[1].split() == ["fold", "field", "V", "paths", "us_per_step"]
-    assert [line.split()[0] for line in fold[2:]] == [case[0] for case in step_cost.FOLD_CASES]
-    for line in fold[2:]:
+    folds = fold[2 : 2 + len(step_cost.FOLD_CASES)]
+    assert [line.split()[0] for line in folds] == [case[0] for case in step_cost.FOLD_CASES]
+    for line in folds:
         assert float(line.split()[4]) > 0
+    # a fourth blank line, then the table cases: one moments call on the
+    # residual's stencil table, one chunk of 64 paths; its 42 columns read 15
+    # distinct start points, which step together over the 100 steps from 0
+    table = fold[2 + len(step_cost.FOLD_CASES):]
+    assert table[0] == ""
+    assert table[1].split() == ["table", "paths", "columns", "ms_per_call", "euler_calls",
+                                "row_steps"]
+    assert step_cost.TABLE_CASES == ("pde-residual-nonlinear",)
+    cells = table[2].split()
+    assert cells[:3] == ["pde-residual-nonlinear", "64", "42"]
+    assert float(cells[3]) > 0
+    assert cells[4:] == ["100", "1500"]
 
 
 def test_rss_scaling_replaces_only_the_checked_key():
